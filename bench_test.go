@@ -6,8 +6,8 @@
 // produces the full-fidelity data. BenchmarkTableI runs one Table-I default
 // configuration point. The remaining benchmarks cover the substrates
 // (extendible hashing, windowed stores, join probers, wire codec, workload
-// generators, DES kernel) and the ablations called out in DESIGN.md
-// (sub-group communication, θ sensitivity, ATR baseline).
+// generators, DES kernel) and the ablations behind ARCHITECTURE.md's layer
+// map (sub-group communication, θ sensitivity, ATR baseline).
 package streamjoin_test
 
 import (

@@ -3,7 +3,7 @@
 # the sjoin-collect downstream consumer — over loopback, with the race
 # detector on. Two topologies run back to back:
 #
-#   1. Legacy single-query: every slave dials the consumer directly
+#   1. Single query: every slave dials the consumer directly
 #      (-sink tcp:...) and ships its materialized join pairs as wire
 #      PairBatch frames; the check asserts the consumer's pair total equals
 #      the master's result summary exactly (the per-group counts in
@@ -32,7 +32,6 @@ go build ${RACE:+"$RACE"} -o "$WORK" ./cmd/sjoin-master ./cmd/sjoin-slave ./cmd/
 CTL=127.0.0.1:7400
 RES=127.0.0.1:7401
 SINK=127.0.0.1:7402
-MESH=127.0.0.1:7410,127.0.0.1:7411
 FLAGS=(-slaves 2 -rate 600 -window 3s -td 250ms -tr 2500ms
        -duration 6s -warmup 1s -theta 32768 -domain 20000 -workers 2)
 
@@ -41,9 +40,9 @@ COLLECT=$!
 "$WORK/sjoin-master" "${FLAGS[@]}" -ctl "$CTL" -results "$RES" >"$WORK/master.out" &
 MASTER=$!
 sleep 0.5
-"$WORK/sjoin-slave" "${FLAGS[@]}" -id 0 -ctl "$CTL" -results "$RES" -mesh "$MESH" -sink "tcp:$SINK" &
+"$WORK/sjoin-slave" "${FLAGS[@]}" -join "$CTL" -results "$RES" -sink "tcp:$SINK" &
 SLAVE0=$!
-"$WORK/sjoin-slave" "${FLAGS[@]}" -id 1 -ctl "$CTL" -results "$RES" -mesh "$MESH" -sink "tcp:$SINK" &
+"$WORK/sjoin-slave" "${FLAGS[@]}" -join "$CTL" -results "$RES" -sink "tcp:$SINK" &
 SLAVE1=$!
 
 wait "$MASTER"
@@ -71,7 +70,6 @@ echo "e2e-sink: single-query OK"
 CTL=127.0.0.1:7420
 RES=127.0.0.1:7421
 SINK=127.0.0.1:7422
-MESH=127.0.0.1:7430,127.0.0.1:7431
 QUERIES=(-query "0:hash:tcp:$SINK" -query "1:scan:tcp:$SINK")
 
 "$WORK/sjoin-collect" -listen "$SINK" -conns 2 -json "$WORK/collect2.json" &
@@ -79,9 +77,9 @@ COLLECT=$!
 "$WORK/sjoin-master" "${FLAGS[@]}" "${QUERIES[@]}" -ctl "$CTL" -results "$RES" >"$WORK/master2.out" &
 MASTER=$!
 sleep 0.5
-"$WORK/sjoin-slave" "${FLAGS[@]}" -id 0 -ctl "$CTL" -results "$RES" -mesh "$MESH" &
+"$WORK/sjoin-slave" "${FLAGS[@]}" -join "$CTL" -results "$RES" &
 SLAVE0=$!
-"$WORK/sjoin-slave" "${FLAGS[@]}" -id 1 -ctl "$CTL" -results "$RES" -mesh "$MESH" &
+"$WORK/sjoin-slave" "${FLAGS[@]}" -join "$CTL" -results "$RES" &
 SLAVE1=$!
 
 wait "$MASTER"

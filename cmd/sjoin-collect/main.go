@@ -9,8 +9,8 @@
 //
 //	sjoin-collect -listen :7402 -conns 2 -json summary.json
 //	sjoin-master  -ctl :7400 -results :7401 -slaves 2 ...
-//	sjoin-slave   -id 0 ... -sink tcp:localhost:7402
-//	sjoin-slave   -id 1 ... -sink tcp:localhost:7402
+//	sjoin-slave   -join localhost:7400 ... -sink tcp:localhost:7402
+//	sjoin-slave   -join localhost:7400 ... -sink tcp:localhost:7402
 //
 // With -conns N it exits once N producers have connected and hung up (a
 // bounded run); otherwise it runs until -duration elapses or SIGINT/SIGTERM.

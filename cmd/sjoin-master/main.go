@@ -4,11 +4,10 @@
 // surface includes -workers, which only slave processes act on; see
 // OPERATIONS.md for the full flag reference).
 //
-// With -min-slaves 0 (the default) the topology is fixed: exactly -slaves
-// registrations, then a synchronized start. With -min-slaves N > 0 the
-// cluster is elastic: the run starts once N slaves have joined, and slaves
-// may join (up to -slaves), leave gracefully, or crash mid-run — every
-// membership transition is logged to stderr.
+// The run starts once -min-slaves slaves have joined — all -slaves of them
+// with the default -min-slaves 0 — and from then on slaves may join (up to
+// -slaves), leave gracefully, or crash: a crashed slave is evicted and the
+// run continues. Every membership transition is logged to stderr.
 //
 //	sjoin-master -ctl :7400 -results :7401 -slaves 4 -min-slaves 2 \
 //	    -rate 800 -window 5s -td 250ms -tr 2500ms -duration 15s -warmup 5s
@@ -34,18 +33,9 @@ func main() {
 	fs.Parse(os.Args[1:])
 	cfg := getConfig()
 
-	var r *core.Result
-	var err error
-	if cfg.MinSlaves > 0 {
-		fmt.Printf("sjoin-master: elastic, waiting for %d of up to %d slaves on %s (results on %s)\n",
-			cfg.MinSlaves, cfg.Slaves, *ctl, *res)
-		logger := log.New(os.Stderr, "sjoin-master: ", log.Lmicroseconds)
-		r, err = core.ServeMasterElastic(cfg, *ctl, *res, logger.Printf)
-	} else {
-		fmt.Printf("sjoin-master: waiting for %d slaves on %s (results on %s)\n",
-			cfg.Slaves, *ctl, *res)
-		r, err = core.ServeMasterTCP(cfg, *ctl, *res)
-	}
+	fmt.Printf("sjoin-master: waiting for slaves on %s (results on %s)\n", *ctl, *res)
+	logger := log.New(os.Stderr, "sjoin-master: ", log.Lmicroseconds)
+	r, err := core.ServeMaster(cfg, *ctl, *res, logger.Printf)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sjoin-master:", err)
 		os.Exit(1)
@@ -66,6 +56,10 @@ func main() {
 	}
 	fmt.Printf("average delay:  %v\n", r.MeanDelay())
 	fmt.Printf("epochs served:  %d\n", r.EpochsServed)
+	if r.SourceDropped > 0 {
+		fmt.Printf("source dropped: %d tuples (ingest channel full; offered load the cluster never saw)\n",
+			r.SourceDropped)
+	}
 	fmt.Printf("movements:      %d completed\n", r.MovesCompleted)
 	if r.MovesDegraded > 0 {
 		fmt.Printf("degraded moves: %d (state lost in transit; windows restarted empty)\n",
@@ -84,17 +78,15 @@ func main() {
 		fmt.Printf("p99 epoch:      %v late\n", r.EpochP99().Round(time.Millisecond))
 	}
 	fmt.Printf("master comm:    %v\n", r.Master.Comm.Round(time.Millisecond))
-	if cfg.MinSlaves > 0 {
-		fmt.Printf("membership:     %d joins, %d leaves, %d evictions\n",
-			r.Joins, r.Leaves, r.Evictions)
-		fmt.Printf("rebalanced:     %d groups (%dms cumulative stall)\n",
-			r.GroupsRebalanced, r.RebalanceStallMs)
-		if cfg.Replicate {
-			fmt.Printf("promoted:       %d groups from buddy replicas\n", r.GroupsPromoted)
-		}
-		if r.Evictions > 0 {
-			fmt.Printf("pairs lost:     %d (estimated, from %d window tuples discarded at evictions)\n",
-				r.PairsLost, r.LostWindowTuples)
-		}
+	fmt.Printf("membership:     %d joins, %d leaves, %d evictions\n",
+		r.Joins, r.Leaves, r.Evictions)
+	fmt.Printf("rebalanced:     %d groups (%dms cumulative stall)\n",
+		r.GroupsRebalanced, r.RebalanceStallMs)
+	if cfg.Replicate {
+		fmt.Printf("promoted:       %d groups from buddy replicas\n", r.GroupsPromoted)
+	}
+	if r.Evictions > 0 {
+		fmt.Printf("pairs lost:     %d (estimated, from %d window tuples discarded at evictions)\n",
+			r.PairsLost, r.LostWindowTuples)
 	}
 }

@@ -8,23 +8,17 @@
 // sjoin-collect — and stream the pairs; a slow consumer backpressures the
 // join workers).
 //
-// Fixed topology (master started without -min-slaves): give each slave its
-// ID and the full mesh address list in ID order:
-//
-//	sjoin-slave -id 0 -ctl localhost:7400 -results localhost:7401 \
-//	    -mesh localhost:7410,localhost:7411 -slaves 2 -window 5s -td 250ms ...
-//
-// Elastic cluster (master started with -min-slaves): use -join instead.
-// The master assigns the ID, the mesh is discovered from the roster, and
-// the slave may be started at any point of the run:
+// The slave dials the master at -join; the master assigns its ID, the mesh
+// is discovered from the roster, and the slave may be started before the
+// cluster has formed or at any later point of the run:
 //
 //	sjoin-slave -join localhost:7400 -results localhost:7401 \
 //	    -slaves 4 -min-slaves 2 -window 5s -td 250ms ...
 //
-// An elastic slave leaves gracefully on SIGINT/SIGTERM: the master drains
-// its partition-groups to the survivors and releases it, and the process
-// exits cleanly. Kill -9 it (or pull the network) to exercise crash
-// eviction instead.
+// It leaves gracefully on SIGINT/SIGTERM: the master drains its
+// partition-groups to the survivors and releases it, and the process exits
+// cleanly. Kill -9 it (or pull the network) to exercise crash eviction
+// instead.
 package main
 
 import (
@@ -32,7 +26,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 
 	"streamjoin/internal/cliflags"
@@ -42,50 +35,31 @@ import (
 func main() {
 	fs := flag.NewFlagSet("sjoin-slave", flag.ExitOnError)
 	getConfig := cliflags.Bind(fs)
-	id := fs.Int("id", 0, "slave ID (0-based; fixed topology only)")
-	ctl := fs.String("ctl", "localhost:7400", "master control address (fixed topology)")
+	join := fs.String("join", "localhost:7400", "master control address (the master assigns the slave ID)")
 	res := fs.String("results", "localhost:7401", "master results (collector) address")
-	mesh := fs.String("mesh", "", "comma-separated slave mesh addresses in ID order (fixed topology)")
-	join := fs.String("join", "", "join an elastic master at HOST:PORT (replaces -id/-ctl/-mesh; the master assigns the ID)")
-	meshListen := fs.String("mesh-listen", "", "elastic: mesh listen address (default 127.0.0.1:0; the port is advertised to the cluster)")
+	meshListen := fs.String("mesh-listen", "", "mesh listen address (default 127.0.0.1:0; the port is advertised to the cluster)")
 	fs.Parse(os.Args[1:])
 	cfg := getConfig()
 
-	if *join != "" {
-		leave := make(chan struct{})
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		go func() {
-			<-sig
-			fmt.Println("sjoin-slave: leave requested, draining partition-groups")
-			close(leave)
-			// A second signal skips the graceful drain.
-			<-sig
-			os.Exit(1)
-		}()
-		fmt.Printf("sjoin-slave: joining elastic master at %s (%d join workers)\n",
-			*join, cfg.LiveWorkers())
-		err := core.ServeSlaveJoin(cfg, *join, *res, core.JoinOptions{
-			MeshListen: *meshListen,
-			Leave:      leave,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sjoin-slave:", err)
-			os.Exit(1)
-		}
-		fmt.Println("sjoin-slave: shut down cleanly")
-		return
-	}
-
-	var meshAddrs []string
-	if *mesh != "" {
-		meshAddrs = strings.Split(*mesh, ",")
-	}
-	fmt.Printf("sjoin-slave %d: joining master at %s (%d join workers)\n",
-		*id, *ctl, cfg.LiveWorkers())
-	if err := core.ServeSlaveTCP(cfg, *id, *ctl, *res, meshAddrs); err != nil {
+	leave := make(chan struct{})
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	go func() {
+		<-sig
+		fmt.Println("sjoin-slave: leave requested, draining partition-groups")
+		close(leave)
+		// A second signal skips the graceful drain.
+		<-sig
+		os.Exit(1)
+	}()
+	fmt.Printf("sjoin-slave: joining master at %s (%d join workers)\n", *join, cfg.LiveWorkers())
+	err := core.ServeSlave(cfg, *join, *res, core.JoinOptions{
+		MeshListen: *meshListen,
+		Leave:      leave,
+	})
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "sjoin-slave:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("sjoin-slave %d: shut down cleanly\n", *id)
+	fmt.Println("sjoin-slave: shut down cleanly")
 }

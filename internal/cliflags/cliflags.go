@@ -95,13 +95,13 @@ func Bind(fs *flag.FlagSet) func() core.Config {
 		wbatch   = fs.Int("wire-batch", def.WireBatchBytes, "batched wire framing threshold in bytes (0 = one frame per message)")
 		wflush   = fs.Duration("wire-flush", time.Duration(def.WireFlushMs)*time.Millisecond, "max time a buffered result frame may wait before flushing")
 		workers  = fs.Int("workers", def.Workers, "join workers per live slave over disjoint partition-groups (0 = one per CPU core)")
-		minsl    = fs.Int("min-slaves", def.MinSlaves, "elastic membership: start once this many slaves joined, admit up to -slaves (0 = fixed topology)")
-		hbint    = fs.Duration("heartbeat", time.Duration(def.HeartbeatMs)*time.Millisecond, "elastic membership: slave heartbeat interval")
-		hbmiss   = fs.Int("heartbeat-misses", def.HeartbeatMisses, "elastic membership: consecutive missed heartbeats before a slave is declared dead")
-		repl     = fs.Bool("replicate", def.Replicate, "elastic membership: chain-replicate each slave's window state to a buddy every epoch, so a crashed slave's groups are promoted from their replicas instead of restarting empty (requires -min-slaves > 0)")
+		minsl    = fs.Int("min-slaves", def.MinSlaves, "membership: start the epoch schedule once this many slaves have joined, admit up to -slaves while running (0 = start when all -slaves have joined)")
+		hbint    = fs.Duration("heartbeat", time.Duration(def.HeartbeatMs)*time.Millisecond, "membership: slave heartbeat interval")
+		hbmiss   = fs.Int("heartbeat-misses", def.HeartbeatMisses, "membership: consecutive missed heartbeats before a slave is declared dead")
+		repl     = fs.Bool("replicate", def.Replicate, "chain-replicate each slave's window state to a buddy every epoch, so a crashed slave's groups are promoted from their replicas instead of restarting empty")
 		replTTL  = fs.Int("replica-ttl", def.ReplicaTTL, "epochs a buddy retains a replica not refreshed by its owner before discarding it (0 = default)")
 		wiredl   = fs.Duration("wire-deadline", 30*time.Second, "per-operation write deadline on every live connection; idle read deadlines derive from it (0 disables all wire deadlines)")
-		formto   = fs.Duration("form-timeout", 2*time.Minute, "cluster formation timeout: how long the elastic master waits for -min-slaves joiners")
+		formto   = fs.Duration("form-timeout", 2*time.Minute, "cluster formation timeout: how long the master waits for the founding slaves")
 		spool    = fs.Int64("sink-spool", 1<<20, "bytes of pair batches spooled in memory while a downstream sink connection is being re-dialed; overflow is dropped and accounted (0 = legacy fail-fast: first sink write error kills the slave)")
 		xchunk   = fs.Int("transfer-chunk", def.TransferChunk, "incremental reorganization: stream a moving partition-group's window state as installments of at most this many tuples, one per distribution epoch, while the old owner keeps processing it (0 = monolithic single-message transfer)")
 		oflush   = fs.Bool("overlap-flush", def.OverlapFlush, "double-buffer the per-epoch collector flush: a writer goroutine drains the previous epoch's result batches while the join fills the next (live engine only)")

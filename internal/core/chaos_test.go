@@ -57,12 +57,12 @@ func TestChaosEquivalence(t *testing.T) {
 				if sp.delay > 0 {
 					time.Sleep(sp.delay)
 				}
-				if err := ServeSlaveJoin(sp.cfg, ctl, res, sp.opts); err != nil {
+				if err := ServeSlave(sp.cfg, ctl, res, sp.opts); err != nil {
 					slaveErr <- err
 				}
 			}(sp)
 		}
-		result, err := serveMasterElastic(masterCfg, ctl, res, t.Logf,
+		result, err := serveMaster(masterCfg, ctl, res, t.Logf,
 			&listIngestor{tuples: append([]tuple.Tuple(nil), work...)})
 		if err != nil {
 			t.Fatal(err)

@@ -42,7 +42,8 @@ type Config struct {
 	// Slaves is the total number of slave nodes (the maximum degree of
 	// declustering).
 	Slaves int
-	// InitialActive is the number of slaves active at start (0 = all).
+	// InitialActive is the number of slaves active at start (0 = all; on the
+	// TCP deployment "all" is the formation roster, see MinSlaves).
 	InitialActive int
 	// Adaptive enables degree-of-declustering adaptation (§V-A).
 	Adaptive bool
@@ -65,8 +66,8 @@ type Config struct {
 	// master's level of indirection).
 	Partitions int
 	// PartitionsPerGroup packs consecutive partitions into one
-	// partition-group, the unit of movement and fine tuning (see DESIGN.md
-	// §5 on this interpretation).
+	// partition-group, the unit of movement and fine tuning (see
+	// ARCHITECTURE.md, "Where reorganization decisions live").
 	PartitionsPerGroup int
 	// WindowMs is the sliding-window length W in milliseconds.
 	WindowMs int32
@@ -229,15 +230,16 @@ type Config struct {
 	// epoch barrier. Off (the default), the flush stays synchronous.
 	OverlapFlush bool
 
-	// --- elastic membership (TCP deployment only) ---
+	// --- cluster membership (TCP deployment only) ---
 
-	// MinSlaves, when > 0, selects the elastic master (ServeMasterElastic):
-	// instead of a fixed roster of exactly Slaves connections, the master
-	// accepts joining slaves at any time, starts the epoch schedule once
-	// MinSlaves have dialed in, and keeps admitting newcomers up to the
-	// Slaves capacity while the join runs. 0 keeps the fixed topology.
+	// MinSlaves is the size of the formation roster: the master accepts
+	// joining slaves at any time, starts the epoch schedule once MinSlaves
+	// have dialed in, and keeps admitting newcomers up to the Slaves
+	// capacity while the join runs. 0 means Slaves — the cluster forms when
+	// every slot is taken, and a joiner can only ever replace a crashed or
+	// departed slave.
 	MinSlaves int
-	// HeartbeatMs is the interval of the elastic heartbeat: every joined
+	// HeartbeatMs is the interval of the membership heartbeat: every joined
 	// slave opens a second control connection and pings the master at this
 	// period. Default 500 ms.
 	HeartbeatMs int32
@@ -246,7 +248,7 @@ type Config struct {
 	// its groups are re-adopted empty by the survivors, and the run
 	// continues without it. Default 3.
 	HeartbeatMisses int
-	// Replicate enables buddy replication of window state on the elastic
+	// Replicate enables buddy replication of window state on the TCP
 	// deployment: every slave chain-replicates each owned partition-group's
 	// per-epoch window delta to the next roster member, and a crash
 	// promotes the buddy's shadows instead of re-adopting the groups empty
@@ -274,9 +276,9 @@ type Config struct {
 	// derived from it with cadence margins (see wireDeadline and friends).
 	// 0 means the default 30 s; negative disables all wire deadlines.
 	WireDeadlineMs int32
-	// FormTimeoutMs bounds how long the elastic master waits for MinSlaves
-	// joiners before giving up, and pads the first control-connection read
-	// on every slave (which legitimately idles until the cluster forms).
+	// FormTimeoutMs bounds how long the master waits for the formation
+	// roster before giving up, and pads every slave's handshake reads (which
+	// legitimately idle until the cluster forms).
 	// 0 means the default 2 minutes.
 	FormTimeoutMs int32
 	// DialBudgetMs is the overall budget of one dialRetry: attempts with
@@ -292,7 +294,8 @@ type Config struct {
 }
 
 // DefaultConfig returns the paper's Table I defaults on the calibrated
-// simulated cluster (DESIGN.md §6).
+// simulated cluster (ARCHITECTURE.md, "Layer map"; DefaultCostModel holds
+// the calibration).
 func DefaultConfig() Config {
 	return Config{
 		Slaves:             4,
@@ -334,8 +337,10 @@ func (c *Config) Validate() error {
 	switch {
 	case c.Slaves < 1:
 		return fmt.Errorf("core: Slaves = %d", c.Slaves)
-	case c.InitialActive < 0 || c.InitialActive > c.Slaves:
-		return fmt.Errorf("core: InitialActive = %d of %d", c.InitialActive, c.Slaves)
+	case c.MinSlaves < 0 || c.MinSlaves > c.Slaves:
+		return fmt.Errorf("core: MinSlaves = %d of %d slaves", c.MinSlaves, c.Slaves)
+	case c.InitialActive < 0 || c.InitialActive > c.formation():
+		return fmt.Errorf("core: InitialActive = %d of %d founding slaves", c.InitialActive, c.formation())
 	case c.SubGroups < 1 || c.SubGroups > c.Slaves:
 		return fmt.Errorf("core: SubGroups = %d of %d slaves", c.SubGroups, c.Slaves)
 	case c.Partitions < 1:
@@ -374,15 +379,9 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("core: WireFlushMs = %d", c.WireFlushMs)
 	case c.TransferChunk < 0:
 		return fmt.Errorf("core: TransferChunk = %d, want >= 0 (0 = monolithic transfer)", c.TransferChunk)
-	case c.MinSlaves < 0 || c.MinSlaves > c.Slaves:
-		return fmt.Errorf("core: MinSlaves = %d of %d slaves", c.MinSlaves, c.Slaves)
-	case c.MinSlaves > 0 && c.SubGroups != 1:
-		return fmt.Errorf("core: elastic membership (MinSlaves > 0) requires SubGroups = 1, got %d", c.SubGroups)
-	case c.MinSlaves > 0 && (c.HeartbeatMs <= 0 || c.HeartbeatMisses < 1):
-		return fmt.Errorf("core: elastic membership needs HeartbeatMs > 0 and HeartbeatMisses >= 1, got %d/%d",
+	case c.HeartbeatMs <= 0 || c.HeartbeatMisses < 1:
+		return fmt.Errorf("core: membership needs HeartbeatMs > 0 and HeartbeatMisses >= 1, got %d/%d",
 			c.HeartbeatMs, c.HeartbeatMisses)
-	case c.Replicate && c.MinSlaves == 0:
-		return fmt.Errorf("core: Replicate requires the elastic deployment (MinSlaves > 0)")
 	case c.ReplicaTTL < 0:
 		return fmt.Errorf("core: ReplicaTTL = %d, want >= 0 (0 = default)", c.ReplicaTTL)
 	case c.FormTimeoutMs < 0:
@@ -581,6 +580,15 @@ func (c *Config) GroupOfKey(key int32) int32 {
 	return c.GroupOfPartition(c.PartitionOfKey(key))
 }
 
+// formation resolves MinSlaves into the number of slaves that must join
+// before a TCP cluster starts its epoch schedule (0 = every slot).
+func (c *Config) formation() int {
+	if c.MinSlaves == 0 {
+		return c.Slaves
+	}
+	return c.MinSlaves
+}
+
 // initialActive resolves InitialActive (0 = all slaves).
 func (c *Config) initialActive() int {
 	if c.InitialActive == 0 {
@@ -650,8 +658,9 @@ func (c *Config) ctlReadDeadline() time.Duration {
 	return 2*wd + time.Duration(c.ReorgEpochMs)*time.Millisecond
 }
 
-// formReadDeadline pads a slave's first control read, which legitimately
-// idles from registration until the cluster forms.
+// formReadDeadline is the read deadline of a slave's control connection
+// during the join handshake, which legitimately idles from admission until
+// the cluster forms.
 func (c *Config) formReadDeadline() time.Duration {
 	if c.wireDeadline() == 0 {
 		return 0
@@ -731,7 +740,8 @@ func (c *Config) joinConfig() join.Config {
 }
 
 // CostModel is the simulated CPU cost of the slave and master inner loops,
-// calibrated once against the paper's testbed-era hardware (DESIGN.md §6).
+// calibrated once against the paper's testbed-era hardware (see
+// DefaultCostModel; ARCHITECTURE.md, "Layer map", places the simulator).
 type CostModel struct {
 	// TupleCompare is charged per tuple visited by the nested-loop scan.
 	TupleCompare time.Duration

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -9,43 +10,265 @@ import (
 
 	"streamjoin/internal/engine"
 	"streamjoin/internal/join"
-	"streamjoin/internal/tuple"
 	"streamjoin/internal/wire"
 )
 
-// This file deploys the same master/slave protocol code over real TCP for a
-// multi-process (or multi-host) cluster. The master binary hosts the master
-// node, the collector, and the synthetic stream sources; slave binaries host
-// one slave each and a full mesh among themselves for state movement.
+// This file deploys the master/slave protocol over real TCP for a
+// multi-process (or multi-host) cluster — the one TCP deployment. The master
+// binary hosts the master node, the collector, and the synthetic stream
+// sources; slave binaries host one slave each and a mesh among themselves
+// for state movement. Membership is open for the whole run (§IV-B: slaves
+// register, the master "synchronizes clocks with the active slaves", epochs
+// start); a cluster nobody joins late or leaves is simply the case where
+// nothing more happens after formation:
 //
-// Wiring protocol (before the epoch schedule starts):
+//   - a joining slave dials the control address and sends
+//     Hello{Slave: -1, Epoch: joinEpoch} followed by a one-entry Membership
+//     announcing its mesh address and worker count. The master replies on
+//     the same connection with the roster (assigning the slave its ID), the
+//     query registration if any, and an anchor Batch whose receipt defines
+//     the joiner's local clock. The founders' anchors (Epoch: startEpoch) go
+//     out together once cfg.MinSlaves slaves — every slot, when it is 0 —
+//     have joined; a later joiner's anchor carries the admission epoch;
+//   - every joined slave opens a second control connection for heartbeats:
+//     wire.Ping each HeartbeatMs, answered with wire.Pong. Silence beyond
+//     HeartbeatMisses intervals evicts the slave (heartbeatMonitor);
+//   - the mesh is grown incrementally: a joiner dials every slave already
+//     in the roster (identifying with a Hello) and accepts dials from
+//     slaves that join later, so each pair is connected exactly once.
 //
-//  1. every slave dials the master's control address and sends a
-//     registration Hello carrying its ID;
-//  2. slaves establish the mesh: slave i accepts from every j > i on its
-//     own address and dials every j < i, identifying with a Hello;
-//  3. slaves dial the master's results address (collector);
-//  4. when all slaves are registered the master sends a start Batch
-//     (Epoch = -1) on every control connection; receipt defines each
-//     slave's local epoch-0 reference, which is the paper's "synchronize
-//     clocks with the active slaves".
+// The run keeps going through joins, graceful leaves (Ping.Leave), and
+// crashes: a crashed slave is always evicted, never fatal.
 
-// startEpoch is the sentinel epoch of the clock-synchronization batch.
-const startEpoch = int64(-1)
-
-// ServeMasterTCP runs the master and collector, listening for slave control
-// connections on ctlAddr and result connections on resAddr. It returns the
-// run's Result after cfg.DurationMs of wall time plus shutdown.
-func ServeMasterTCP(cfg Config, ctlAddr, resAddr string) (*Result, error) {
-	return serveMasterTCP(cfg, ctlAddr, resAddr, nil)
+// ServeMaster runs the master and collector of a TCP cluster, listening for
+// slave control connections on ctlAddr and result connections on resAddr:
+// it forms the cluster from the first cfg.MinSlaves joiners (all cfg.Slaves
+// when 0), then serves an open-membership run for cfg.DurationMs of wall
+// time plus shutdown. Tuple timestamps are milliseconds since the call.
+// logf, when non-nil, receives a line for every membership transition.
+func ServeMaster(cfg Config, ctlAddr, resAddr string, logf func(format string, args ...any)) (*Result, error) {
+	return serveMaster(cfg, ctlAddr, resAddr, logf, nil)
 }
 
-// serveMasterTCP is ServeMasterTCP with an ingestor seam: a non-nil ing
-// replaces the synthetic source goroutines (tests feed a finite, known
-// workload through it).
-func serveMasterTCP(cfg Config, ctlAddr, resAddr string, ing Ingestor) (*Result, error) {
+// ServeMasterTCP is ServeMaster without a membership log.
+func ServeMasterTCP(cfg Config, ctlAddr, resAddr string) (*Result, error) {
+	return serveMaster(cfg, ctlAddr, resAddr, nil, nil)
+}
+
+// ServeSlaveTCP is ServeSlave for callers that hold the cluster's mesh
+// address list: id only selects meshAddrs[id] as this slave's mesh listen
+// address — the master assigns the slot.
+func ServeSlaveTCP(cfg Config, id int, ctlAddr, resAddr string, meshAddrs []string) error {
+	if id < 0 || id >= len(meshAddrs) {
+		return fmt.Errorf("core: slave id %d of %d mesh addresses", id, len(meshAddrs))
+	}
+	return ServeSlave(cfg, ctlAddr, resAddr, JoinOptions{MeshListen: meshAddrs[id]})
+}
+
+// controlPlane is the master's end of the control port: the membership event
+// queue that the acceptor and the failure detector feed and the master
+// drains at epoch boundaries, plus a registry of raw connections (join/epoch
+// and heartbeat) by slave id so a dead slave's links can be severed —
+// closing the control connection fails any master Recv blocked on it over.
+type controlPlane struct {
+	cfg    *Config
+	proc   *engine.LiveProc
+	logf   func(format string, args ...any)
+	events chan memberEvent
+	hb     *heartbeatMonitor
+
+	mu     sync.Mutex
+	closer map[int32][]func()
+}
+
+func newControlPlane(cfg *Config, lm *liveMaster) *controlPlane {
+	cp := &controlPlane{
+		cfg:  cfg,
+		proc: lm.masterP,
+		logf: lm.master.logf,
+		// Sized for a burst of joins and deaths within one epoch; post drops
+		// beyond it.
+		events: make(chan memberEvent, 256),
+		closer: make(map[int32][]func()),
+	}
+	cp.hb = newHeartbeatMonitor(
+		time.Duration(cfg.HeartbeatMs)*time.Millisecond, cfg.HeartbeatMisses, lm.env.Now,
+		func(id int32) {
+			cp.post(memberEvent{kind: evDeath, slave: id, reason: "heartbeat timeout"})
+			cp.sever(id)
+		})
+	return cp
+}
+
+// post queues a death or leave event without blocking; on a full queue the
+// event is dropped (both are re-detectable).
+func (cp *controlPlane) post(ev memberEvent) {
+	select {
+	case cp.events <- ev:
+	default:
+	}
+}
+
+// register records how to close one of slave id's control connections.
+func (cp *controlPlane) register(id int32, closeConn func()) {
+	cp.mu.Lock()
+	cp.closer[id] = append(cp.closer[id], closeConn)
+	cp.mu.Unlock()
+}
+
+// sever closes and forgets every registered connection of slave id, or of
+// every slave when id is negative (end of run).
+func (cp *controlPlane) sever(id int32) {
+	cp.mu.Lock()
+	defer cp.mu.Unlock()
+	for k, cls := range cp.closer {
+		if id < 0 || k == id {
+			for _, cl := range cls {
+				cl()
+			}
+			delete(cp.closer, k)
+		}
+	}
+}
+
+// accept serves the control listener for the whole run: each connection is
+// classified by its first message — a join handshake or a heartbeat stream.
+// It is the only place slave control connections are accepted.
+func (cp *controlPlane) accept(ln net.Listener) {
+	for {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		go cp.handle(c)
+	}
+}
+
+func (cp *controlPlane) handle(c net.Conn) {
+	defer func() { recover() }() // torn-down handshake
+	// Both stream kinds carried by this listener get the control deadline:
+	// join/epoch control reads resume every epoch, ping streams far more
+	// often. A slave that stops moving bytes for longer than that is wedged;
+	// failing its conn here feeds the same eviction path heartbeat death
+	// uses.
+	dc := engine.WithDeadlines(c, cp.cfg.ctlReadDeadline(), cp.cfg.wireDeadline())
+	ec := engine.WrapTCPBatched(cp.proc, dc, cp.cfg.WireBatchBytes)
+	reject := func(what string) {
+		cp.logf("membership: control connection from %s opened with %s, closing", c.RemoteAddr(), what)
+		c.Close()
+	}
+	switch first := ec.Recv().(type) {
+	case *wire.Hello:
+		if first.Slave != -1 || first.Epoch != joinEpoch {
+			reject(fmt.Sprintf("Hello{Slave: %d, Epoch: %d}, not a join handshake (an sjoin-slave predating -join?)",
+				first.Slave, first.Epoch))
+			return
+		}
+		ann, ok := ec.Recv().(*wire.Membership)
+		if !ok || len(ann.Slaves) != 1 {
+			reject("a join Hello but no one-entry Membership announcement")
+			return
+		}
+		select {
+		case cp.events <- memberEvent{
+			kind:    evJoin,
+			conn:    ec,
+			close:   func() { c.Close() },
+			addr:    ann.Slaves[0].Addr,
+			workers: ann.Slaves[0].Workers,
+		}:
+		case <-time.After(30 * time.Second):
+			c.Close()
+		}
+	case *wire.Ping:
+		cp.pong(c, ec, first)
+	default:
+		reject(first.Kind().String())
+	}
+}
+
+// pong answers one slave's heartbeat stream until it ends, feeding the
+// failure detector and turning Ping.Leave into a leave event.
+func (cp *controlPlane) pong(c net.Conn, ec engine.Conn, msg *wire.Ping) {
+	defer c.Close()
+	id := msg.Slave
+	// A slave may redial its heartbeat stream after a conn fault; arm refuses
+	// ids already declared dead so an evicted slave cannot zombie-ping its
+	// slot alive again (the slot only revives through a fresh admission,
+	// which clears the dead mark).
+	if id < 0 || int(id) >= cp.cfg.Slaves || !cp.hb.arm(id) {
+		return
+	}
+	cp.register(id, func() { c.Close() })
+	leaveSent := false
+	for {
+		cp.hb.observe(id)
+		if msg.Leave && !leaveSent {
+			leaveSent = true
+			cp.post(memberEvent{kind: evLeave, slave: id})
+		}
+		ec.Send(&wire.Pong{Slave: id, Seq: msg.Seq})
+		next, ok := ec.Recv().(*wire.Ping)
+		if !ok {
+			return
+		}
+		msg = next
+	}
+}
+
+// monitor runs the failure detector at half the heartbeat interval, so the
+// worst-case declaration latency is budget + interval/2, until stop closes.
+func (cp *controlPlane) monitor(stop <-chan struct{}) {
+	t := time.NewTicker(time.Duration(cp.cfg.HeartbeatMs) * time.Millisecond / 2)
+	defer t.Stop()
+	for {
+		select {
+		case <-stop:
+			return
+		case <-t.C:
+			cp.hb.check()
+		}
+	}
+}
+
+// acceptResults serves the results listener for the whole run (result
+// connections arrive whenever a slave joins): each reader drains one slave's
+// result stream into the collector inbox and ends when the slave closes (or
+// crashes) the connection. The readers are waited on at shutdown, so every
+// result batch a slave ever flushed is folded into the collector before the
+// final snapshot — the run's Outputs is exact, not a race against in-flight
+// frames.
+func acceptResults(ln net.Listener, lm *liveMaster, readers *sync.WaitGroup) {
+	async := engine.NewLiveAsyncSender(lm.collP, lm.inbox)
+	for {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			defer c.Close()
+			defer func() { recover() }() // connection teardown
+			// Reads are layout-agnostic: one Recv per message whether the
+			// slave packed several result batches into a frame or not.
+			rc := engine.WrapTCP(lm.collP, c)
+			for {
+				async.SendAsync(rc.Recv())
+			}
+		}()
+	}
+}
+
+// serveMaster is ServeMaster with an ingestor seam: a non-nil ing replaces
+// the synthetic source goroutine (tests feed a finite, known workload
+// through it).
+func serveMaster(cfg Config, ctlAddr, resAddr string, logf func(string, ...any), ing Ingestor) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if cfg.InitialActive == 0 {
+		cfg.InitialActive = cfg.formation()
 	}
 	cfg.Mode = cfg.LiveProber
 	cfg.Expiry = join.ExpiryBlocks
@@ -61,373 +284,512 @@ func serveMasterTCP(cfg Config, ctlAddr, resAddr string, ing Ingestor) (*Result,
 	}
 	defer resLn.Close()
 
-	env := engine.NewLiveEnv()
-	masterP := env.NewProc("master")
-	collP := env.NewProc("collector")
-	inbox := engine.NewLiveInbox(collP, 1<<14)
-
-	// Register slaves.
-	conns := make([]engine.Conn, cfg.Slaves)
-	raw := make([]net.Conn, cfg.Slaves)
-	for n := 0; n < cfg.Slaves; n++ {
-		c, err := ctlLn.Accept()
-		if err != nil {
-			return nil, err
-		}
-		// Control reads resume every distribution epoch; a slave silent for
-		// longer than the control read deadline is wedged, and failing the
-		// conn turns that wedge into a clean run failure instead of a
-		// forever-stuck barrier.
-		dc := engine.WithDeadlines(c, cfg.ctlReadDeadline(), cfg.wireDeadline())
-		ec := engine.WrapTCPBatched(masterP, dc, cfg.WireBatchBytes)
-		hello, ok := ec.Recv().(*wire.Hello)
-		if !ok || hello.Slave < 0 || int(hello.Slave) >= cfg.Slaves || conns[hello.Slave] != nil {
-			c.Close()
-			return nil, fmt.Errorf("core: bad registration from %v", c.RemoteAddr())
-		}
-		conns[hello.Slave] = ec
-		raw[hello.Slave] = c
+	lm := newLiveMaster(&cfg, make([]engine.Conn, cfg.Slaves), ing)
+	defer lm.feedStop.Store(true)
+	master := lm.master
+	clear(master.joined) // slots fill by admission
+	master.logfn = logf
+	cp := newControlPlane(&cfg, lm)
+	defer cp.sever(-1)
+	master.events = cp.events
+	master.onAdmit = func(id int32, closeCtl func()) {
+		cp.register(id, closeCtl)
+		cp.hb.clear(id) // slot legitimately recycled: allow its ping stream
 	}
-	defer func() {
-		for _, c := range raw {
-			if c != nil {
-				c.Close()
-			}
-		}
-	}()
-
-	// Result connections: one reader goroutine per slave feeds the inbox.
-	// The readers are waited on at shutdown (each ends when its slave
-	// closes the connection), so every result batch a slave ever flushed is
-	// folded into the collector before the final snapshot — the run's
-	// Outputs is exact, not a race against in-flight frames.
-	async := engine.NewLiveAsyncSender(collP, inbox)
 	var resReaders sync.WaitGroup
-	for n := 0; n < cfg.Slaves; n++ {
-		c, err := resLn.Accept()
-		if err != nil {
-			return nil, err
-		}
-		resReaders.Add(1)
-		go func(c net.Conn) {
-			defer resReaders.Done()
-			defer c.Close()
-			defer func() { recover() }() // connection teardown at shutdown
-			// Reads are layout-agnostic: one Recv per message whether the
-			// slave packed several result batches into a frame or not.
-			rc := engine.WrapTCP(collP, c)
-			for {
-				async.SendAsync(rc.Recv())
-			}
-		}(c)
-	}
+	go acceptResults(resLn, lm, &resReaders)
+	go cp.accept(ctlLn)
 
-	// Multi-query deployments announce the query specs to every slave
-	// before the clocks start, so slave binaries need no matching -query
-	// flags: the master's spec set is authoritative.
-	if len(cfg.Queries) > 0 {
-		qs := &wire.QuerySet{Specs: make([]wire.QuerySpec, len(cfg.Queries))}
-		for i, q := range cfg.Queries {
-			qs.Specs[i] = wire.QuerySpec{
-				Query:     q.ID,
-				Prober:    uint8(q.Prober),
-				CountOnly: q.CountOnly,
-				SinkAddr:  q.SinkAddr,
+	// Cluster formation: admit the founders, then start all their clocks
+	// together.
+	formTimeout := time.After(cfg.formTimeout())
+	for admitted := 0; admitted < cfg.formation(); {
+		select {
+		case ev := <-cp.events:
+			if ev.kind != evJoin {
+				continue // pre-run deaths surface again at the first serve
 			}
-		}
-		for _, c := range conns {
-			c.Send(qs)
+			master.admit(ev, startEpoch)
+			admitted++
+		case <-formTimeout:
+			return nil, fmt.Errorf("core: cluster formation timed out waiting for %d slaves", cfg.formation())
 		}
 	}
+	master.logf("membership: cluster formed with %d of %d slaves, epoch schedule starting", cfg.formation(), cfg.Slaves)
+	master.startFormed()
 
-	// Clock synchronization: epoch schedules start now.
-	for _, c := range conns {
-		c.Send(&wire.Batch{Epoch: startEpoch})
-	}
-
-	var masterStop, collStop atomic.Bool
-	var feedStop atomic.Bool
-	if ing == nil {
-		ingest := &liveIngestor{ch: make(chan tuple.Tuple, 1<<16)}
-		go feedSources(env, &cfg, ingest.ch, &feedStop)
-		ing = ingest
-	}
-
-	master := newMaster(&cfg, masterP, conns, ing, masterStop.Load)
-	collector := newCollector(collP, inbox, collStop.Load)
-	collDone := make(chan struct{})
-	go func() { defer close(collDone); collector.run() }()
-
-	errCh := make(chan error, 1)
-	masterDone := make(chan struct{})
-	go func() {
-		defer close(masterDone)
-		defer func() {
-			if r := recover(); r != nil {
-				errCh <- fmt.Errorf("core: master failed: %v", r)
-			}
-		}()
-		master.run()
-	}()
-
-	time.Sleep(time.Duration(cfg.DurationMs) * time.Millisecond)
-	masterStop.Store(true)
-	feedStop.Store(true)
-	select {
-	case <-masterDone:
-	case err := <-errCh:
+	monStop := make(chan struct{})
+	var monDone sync.WaitGroup
+	monDone.Add(1)
+	go func() { defer monDone.Done(); cp.monitor(monStop) }()
+	err = lm.play(&cfg, nil)
+	close(monStop)
+	monDone.Wait()
+	if err != nil {
 		return nil, err
-	case <-time.After(time.Duration(cfg.DurationMs)*time.Millisecond + 30*time.Second):
-		return nil, fmt.Errorf("core: TCP cluster did not shut down")
 	}
+	ctlLn.Close()
+	cp.sever(-1)
+	resLn.Close()
 	readersDone := make(chan struct{})
 	go func() { resReaders.Wait(); close(readersDone) }()
 	select {
 	case <-readersDone:
 	case <-time.After(10 * time.Second): // a wedged slave must not hang the run
 	}
-	collStop.Store(true)
-	<-collDone
-
-	res := &Result{
-		Config:             cfg,
-		MeasuredMs:         cfg.DurationMs,
-		Master:             masterP.Stats(),
-		Slaves:             make([]engine.Stats, cfg.Slaves),
-		SlaveWindowBytes:   make([]int64, cfg.Slaves),
-		SlaveActive:        append([]bool(nil), master.active...),
-		DoDTrace:           master.dodTrace,
-		MovesIssued:        master.movesIssued,
-		MovesCompleted:     master.movesDone,
-		MovesDegraded:      master.movesDegraded,
-		MasterPeakBufBytes: master.peakBuf,
-		EpochsServed:       master.epochsServed,
-	}
-	res.Delay, res.DelayBySlave, res.DelayByQuery = collector.Snapshot()
-	res.Outputs = res.Delay.Count
-	for _, a := range master.active {
-		if a {
-			res.ActiveEnd++
-		}
-	}
-	return res, nil
+	lm.stopCollector()
+	return newResult(cfg, cfg.DurationMs, lm.master, lm.collector, lm.masterP.Stats(), nil, nil), nil
 }
 
-// ServeSlaveTCP runs slave `id`: dial the master at ctlAddr and resAddr,
-// listen on meshAddrs[id] for higher-numbered peers and dial lower-numbered
-// ones, then run the slave loop until the master shuts it down.
-func ServeSlaveTCP(cfg Config, id int, ctlAddr, resAddr string, meshAddrs []string) (err error) {
-	// The result is named so the deferred recover/sink-close handler below
-	// can actually surface its failure to the caller.
+// JoinOptions configures a slave's entry into the cluster (ServeSlave).
+type JoinOptions struct {
+	// MeshListen is the address the slave accepts mesh (state-movement)
+	// connections on; empty means "127.0.0.1:0". The address advertised to
+	// the cluster uses this host (or, when it is empty or a wildcard, the
+	// local address of the master dial) with the listener's actual port.
+	MeshListen string
+	// Leave, when it receives or closes, requests a graceful departure:
+	// the master drains the slave's groups to the survivors and releases
+	// it, at which point ServeSlave returns nil.
+	Leave <-chan struct{}
+
+	// kill is a test seam: when it fires, every connection of the slave is
+	// closed abruptly — indistinguishable, at the TCP level, from the
+	// process being killed.
+	kill <-chan struct{}
+
+	// failAt is the deterministic fault-injection seam of the
+	// crash-recovery tests: at the start of epoch failAt — after that
+	// epoch's results and replication deltas have been flushed, before its
+	// Hello — the slave delivers everything pending downstream and then
+	// severs every connection at once, exactly as a crash between two
+	// epoch exchanges would look from outside. 0 disables the seam.
+	failAt int64
+}
+
+// tcpSlave is one slave's wiring into a TCP cluster, built up step by step
+// by ServeSlave: mesh listener, join handshake, mesh dials, collector and
+// sink connections, heartbeat, anchor.
+type tcpSlave struct {
+	cfg      Config
+	joinAddr string
+	id       int32
+	roster   *wire.Membership
+
+	// env is the slave's clock, restarted when the anchor arrives; every
+	// connection accounts to proc.
+	env  *engine.LiveEnv
+	proc *engine.LiveProc
+
+	ml     net.Listener // mesh
+	mc, rc net.Conn     // control, results
+	master engine.Conn
+	coll   *tcpAsyncSender
+	tab    *peerTable
+	rset   *replicaSet
+	repl   *replicator
+	sinks  *pairSinks
+
+	// done closes when ServeSlave returns; hb guards the heartbeat stream,
+	// which its goroutine may redial while a crash seam severs it for good.
+	done chan struct{}
+	hb   struct {
+		sync.Mutex
+		severed bool
+		close   func()
+	}
+}
+
+// ServeSlave dials into the cluster at joinAddr — forming or already running
+// — letting the master assign the slave its identity, and runs the slave
+// loop until the master shuts it down (end of run or completed graceful
+// leave). It is the only slave-side handshake.
+func ServeSlave(cfg Config, joinAddr, resAddr string, opts JoinOptions) (err error) {
 	if err := cfg.Validate(); err != nil {
 		return err
-	}
-	if id < 0 || id >= cfg.Slaves {
-		return fmt.Errorf("core: slave id %d of %d", id, cfg.Slaves)
-	}
-	if len(meshAddrs) != cfg.Slaves {
-		return fmt.Errorf("core: %d mesh addresses for %d slaves", len(meshAddrs), cfg.Slaves)
 	}
 	cfg.Mode = cfg.LiveProber
 	cfg.Expiry = join.ExpiryBlocks
 
-	env := engine.NewLiveEnv()
-	proc := env.NewProc(fmt.Sprintf("slave%d", id))
-
-	mc, err := dialRetry(cfg.transport(), ctlAddr, cfg.dialBudget())
+	t := &tcpSlave{cfg: cfg, joinAddr: joinAddr, id: -1, sinks: newPairSinks(-1),
+		env: engine.NewLiveEnv(), done: make(chan struct{})}
+	t.proc = t.env.NewProc("slave")
+	defer func() {
+		// A transport failure anywhere — the master turning the join away,
+		// a peer vanishing mid-handshake, the crash seams — surfaces here.
+		if r := recover(); r != nil {
+			err = fmt.Errorf("core: slave %d failed: %v", t.id, r)
+		}
+		// The slave loop has returned (or died, or never started), so no
+		// worker can still Emit; flush every sink and surface the first
+		// delivery failure.
+		if cerr := t.sinks.close(); cerr != nil && err == nil {
+			err = cerr
+		}
+		close(t.done)
+		t.sever()
+	}()
+	if err := t.join(opts.MeshListen); err != nil {
+		return err
+	}
+	if err := t.connect(resAddr); err != nil {
+		return err
+	}
+	if err := t.startHeartbeat(opts.Leave); err != nil {
+		return err
+	}
+	s, err := t.anchor()
 	if err != nil {
 		return err
 	}
-	defer mc.Close()
-	// The first control read legitimately idles from registration until the
-	// whole cluster forms, so it gets the formation margin; afterwards reads
-	// resume every distribution epoch and the steady-state deadline applies.
-	mdc := engine.WithFormingDeadlines(mc,
-		cfg.formReadDeadline(), cfg.ctlReadDeadline(), cfg.wireDeadline())
-	master := engine.WrapTCPBatched(proc, mdc, cfg.WireBatchBytes)
-	master.Send(&wire.Hello{Slave: int32(id), Epoch: startEpoch})
+	t.replicate(s)
 
-	// Mesh: listen for higher IDs, dial lower IDs.
-	peers := make([]engine.Conn, cfg.Slaves)
-	var ln net.Listener
-	if id < cfg.Slaves-1 {
-		ln, err = cfg.transport().Listen("tcp", meshAddrs[id])
-		if err != nil {
-			return err
-		}
-		defer ln.Close()
+	// Crash seams (tests): kill severs every connection at once, whenever
+	// it fires; failAt first delivers everything the slave already produced
+	// — results to the collector, pairs to the sinks; the epoch's
+	// replication deltas are already flushed — so exactly the state at an
+	// epoch boundary is lost. Either way the slave loop dies on its next
+	// Send.
+	if opts.kill != nil {
+		go func() {
+			select {
+			case <-opts.kill:
+				t.sever()
+			case <-t.done:
+			}
+		}()
 	}
-	// Mesh reads only happen while consuming a directed state move, whose
-	// supplier sends within the same epoch — the mesh deadline (one wire
-	// deadline plus a reorg epoch) covers any legitimate gap.
-	meshWrap := func(c net.Conn) net.Conn {
-		return engine.WithDeadlines(c, cfg.meshReadDeadline(), cfg.wireDeadline())
-	}
-	for j := 0; j < id; j++ {
-		c, err := dialRetry(cfg.transport(), meshAddrs[j], cfg.dialBudget())
-		if err != nil {
-			return err
+	if opts.failAt > 0 {
+		s.failHook = func(e int64) {
+			if e == opts.failAt {
+				engine.Flush(t.coll)
+				t.sinks.flushBarrier()
+				t.sever()
+			}
 		}
-		defer c.Close()
-		pc := engine.WrapTCPBatched(proc, meshWrap(c), cfg.WireBatchBytes)
-		pc.Send(&wire.Hello{Slave: int32(id), Epoch: startEpoch})
-		peers[j] = pc
-	}
-	for j := id + 1; j < cfg.Slaves; j++ {
-		c, err := ln.Accept()
-		if err != nil {
-			return err
-		}
-		defer c.Close()
-		pc := engine.WrapTCPBatched(proc, meshWrap(c), cfg.WireBatchBytes)
-		hello, ok := pc.Recv().(*wire.Hello)
-		if !ok || int(hello.Slave) <= id || int(hello.Slave) >= cfg.Slaves {
-			return fmt.Errorf("core: bad mesh registration")
-		}
-		peers[hello.Slave] = pc
 	}
 
-	rc, err := dialRetry(cfg.transport(), resAddr, cfg.dialBudget())
+	s.run()
+	return nil
+}
+
+// join opens the mesh listener, dials the master and performs the first half
+// of the handshake: announce, learn our id and the roster. The control
+// connection's reads idle until the master admits us and — for a founder —
+// until the rest of the cluster has joined, hence the formation margin on
+// this phase's read deadline.
+func (t *tcpSlave) join(meshListen string) error {
+	if meshListen == "" {
+		meshListen = "127.0.0.1:0"
+	}
+	var err error
+	if t.ml, err = t.cfg.transport().Listen("tcp", meshListen); err != nil {
+		return err
+	}
+	if t.mc, err = dialRetry(t.cfg.transport(), t.joinAddr, t.cfg.dialBudget()); err != nil {
+		return err
+	}
+	advert, err := advertiseAddr(meshListen, t.ml.Addr(), t.mc.LocalAddr())
 	if err != nil {
 		return err
 	}
-	defer rc.Close()
-	coll := &tcpAsyncSender{
+	t.master = engine.WrapTCPBatched(t.proc,
+		engine.WithDeadlines(t.mc, t.cfg.formReadDeadline(), t.cfg.wireDeadline()), t.cfg.WireBatchBytes)
+	t.master.Send(&wire.Hello{Slave: -1, Epoch: joinEpoch})
+	t.master.Send(&wire.Membership{Self: -1, Slaves: []wire.MemberSpec{
+		{ID: -1, Addr: advert, Workers: int32(t.cfg.LiveWorkers())},
+	}})
+	roster, ok := t.master.Recv().(*wire.Membership)
+	if !ok {
+		return fmt.Errorf("core: join: expected Membership from master")
+	}
+	if roster.Self < 0 || int(roster.Self) >= t.cfg.Slaves {
+		return fmt.Errorf("core: join rejected (assigned id %d of %d; is -slaves consistent with the master?)",
+			roster.Self, t.cfg.Slaves)
+	}
+	t.id, t.roster, t.sinks.slave = roster.Self, roster, roster.Self
+	return nil
+}
+
+// connect wires the slave to everyone but the master: the mesh (accept
+// slaves that join after us, dial everyone already there), the collector,
+// and the downstream pair sinks.
+func (t *tcpSlave) connect(resAddr string) error {
+	t.tab = newPeerTable(t.cfg.meshPatience())
+	t.rset = newReplicaSet(&t.cfg, t.proc)
+	go t.acceptMesh()
+	for _, sp := range t.roster.Slaves {
+		if sp.ID == t.id || sp.Addr == "" {
+			continue
+		}
+		c, err := dialRetry(t.cfg.transport(), sp.Addr, t.cfg.dialBudget())
+		if err != nil {
+			return fmt.Errorf("core: slave %d mesh dial to %d: %w", t.id, sp.ID, err)
+		}
+		pc := t.wrapMesh(c)
+		pc.Send(&wire.Hello{Slave: t.id, Epoch: joinEpoch})
+		t.tab.set(sp.ID, pc, func() { c.Close() })
+	}
+
+	var err error
+	if t.rc, err = dialRetry(t.cfg.transport(), resAddr, t.cfg.dialBudget()); err != nil {
+		return err
+	}
+	t.coll = &tcpAsyncSender{
 		// Write-only from this side: a collector that stops draining fails
 		// the conn within one wire deadline instead of wedging a flush.
-		conn: engine.WrapTCPBatched(proc,
-			engine.WithDeadlines(rc, 0, cfg.wireDeadline()), cfg.WireBatchBytes),
-		now:        proc.Now,
-		flushAfter: time.Duration(cfg.WireFlushMs) * time.Millisecond,
+		conn: engine.WrapTCPBatched(t.proc,
+			engine.WithDeadlines(t.rc, 0, t.cfg.wireDeadline()), t.cfg.WireBatchBytes),
+		now:        t.proc.Now,
+		flushAfter: time.Duration(t.cfg.WireFlushMs) * time.Millisecond,
 	}
+	return t.sinks.dial(&t.cfg)
+}
 
-	// Downstream pair sinks: dial each distinct consumer address directly
-	// ("-sink tcp:HOST:PORT" / per-query SinkAddrs); queries sharing an
-	// address share one connection. The SocketSinks themselves are created
-	// after the clock re-anchor below so their stats land on the run's
-	// process.
-	sinkConns := make(map[string]net.Conn)
-	defer func() {
-		for _, c := range sinkConns {
-			if c != nil {
+// wrapMesh frames a mesh or heartbeat connection. The mesh read deadline
+// fits every stream kind they carry: state moves arrive within their
+// directive's epoch, replication streams carry at least a keepalive delta per
+// distribution epoch, and pongs answer pings at once.
+func (t *tcpSlave) wrapMesh(c net.Conn) engine.Conn {
+	return engine.WrapTCPBatched(t.proc,
+		engine.WithDeadlines(c, t.cfg.meshReadDeadline(), t.cfg.wireDeadline()), t.cfg.WireBatchBytes)
+}
+
+// acceptMesh serves the mesh listener. It carries two stream kinds, told
+// apart by the first Hello's Epoch: joinEpoch marks a state-movement peer,
+// replEpoch a buddy-replication stream whose deltas feed the local
+// replicaSet. Every slave accepts replica streams, so a replicating peer
+// always has somewhere to ship to.
+func (t *tcpSlave) acceptMesh() {
+	for {
+		c, err := t.ml.Accept()
+		if err != nil {
+			return
+		}
+		go func() {
+			defer func() { recover() }() // torn-down handshake
+			pc := t.wrapMesh(c)
+			h, ok := pc.Recv().(*wire.Hello)
+			if !ok || h.Slave < 0 || h.Slave == t.id {
 				c.Close()
+				return
 			}
-		}
-	}()
-	dialSinks := func() error {
-		for _, q := range cfg.effectiveQueries() {
-			if q.SinkAddr == "" {
-				continue
+			if h.Epoch != replEpoch {
+				t.tab.set(h.Slave, pc, func() { c.Close() })
+				return
 			}
-			if _, ok := sinkConns[q.SinkAddr]; ok {
-				continue
+			// Replication reader: apply the owner's deltas until the
+			// stream ends. endReader signals take that every delta the
+			// owner flushed before dying is applied.
+			t.rset.addCloser(func() { c.Close() })
+			done := t.rset.beginReader(h.Slave)
+			defer t.rset.endReader(h.Slave, done)
+			for {
+				wd, ok := pc.Recv().(*wire.WindowDelta)
+				if !ok {
+					c.Close()
+					return
+				}
+				t.rset.apply(wd)
 			}
-			c, err := dialRetry(cfg.transport(), q.SinkAddr, cfg.dialBudget())
-			if err != nil {
-				return fmt.Errorf("core: slave %d pair sink: %w", id, err)
-			}
-			sinkConns[q.SinkAddr] = engine.WithDeadlines(c, 0, cfg.wireDeadline())
-		}
-		return nil
+		}()
 	}
-	if err := dialSinks(); err != nil {
-		return err
-	}
+}
 
-	// Master handshake: an optional QuerySet announcing the query specs
-	// (multi-query deployments; the master's set overrides local flags),
-	// then the start batch, whose receipt defines epoch zero. Re-anchor the
-	// environment clock so slot arithmetic matches the master's.
-	first := master.Recv()
+// anchor completes the handshake — an optional QuerySet announcing the query
+// specs (the master's set overrides local flags, so slave binaries need no
+// matching -query flags), then the anchor batch — restarts the clock at its
+// receipt so slot arithmetic matches the master's, and builds the slave node.
+func (t *tcpSlave) anchor() (*slaveNode, error) {
+	first := t.master.Recv()
 	if qset, ok := first.(*wire.QuerySet); ok {
-		cfg.Queries = make([]QuerySpec, len(qset.Specs))
+		t.cfg.Queries = make([]QuerySpec, len(qset.Specs))
 		for i, sp := range qset.Specs {
-			cfg.Queries[i] = QuerySpec{
+			t.cfg.Queries[i] = QuerySpec{
 				ID:        sp.Query,
 				Prober:    join.Mode(sp.Prober),
 				CountOnly: sp.CountOnly,
 				SinkAddr:  sp.SinkAddr,
 			}
 		}
-		cfg.Sink, cfg.CountOnly, cfg.SinkAddr = nil, false, ""
-		if err := cfg.Validate(); err != nil {
-			return fmt.Errorf("core: slave %d query set: %w", id, err)
+		t.cfg.Sink, t.cfg.CountOnly, t.cfg.SinkAddr = nil, false, ""
+		if err := t.cfg.Validate(); err != nil {
+			return nil, fmt.Errorf("core: slave %d query set: %w", t.id, err)
 		}
-		if err := dialSinks(); err != nil {
-			return err
+		if err := t.sinks.dial(&t.cfg); err != nil {
+			return nil, err
 		}
-		first = master.Recv()
+		first = t.master.Recv()
 	}
 	start, ok := first.(*wire.Batch)
-	if !ok || start.Epoch != startEpoch {
-		return fmt.Errorf("core: expected start batch")
+	if !ok {
+		return nil, fmt.Errorf("core: slave %d: expected anchor batch", t.id)
 	}
-	env2 := engine.NewLiveEnv()
-	proc2 := env2.NewProc(fmt.Sprintf("slave%d", id))
-	rebind := func(c engine.Conn) engine.Conn {
-		if tc, ok := c.(interface {
-			Rebind(*engine.LiveProc) engine.Conn
-		}); ok {
-			return tc.Rebind(proc2)
-		}
-		return c
-	}
-	master = rebind(master)
-	for j := range peers {
-		if peers[j] != nil {
-			peers[j] = rebind(peers[j])
-		}
-	}
-	coll.conn = rebind(coll.conn)
-	coll.now = proc2.Now
-
-	// One SocketSink per distinct consumer address; every query bound to
-	// that address multiplexes over it via ForQuery. The sink takes
-	// ownership of its connection (drop it from sinkConns so the deferred
-	// cleanup does not double-close); a connection dialed for a spec the
-	// master's QuerySet then dropped stays in sinkConns and is closed on
-	// the way out.
-	sinks := make(map[string]*engine.SocketSink)
-	for _, q := range cfg.effectiveQueries() {
-		if q.SinkAddr == "" {
-			continue
-		}
-		if _, ok := sinks[q.SinkAddr]; ok {
-			continue
-		}
-		sinks[q.SinkAddr] = cfg.newPairSink(proc2, sinkConns[q.SinkAddr], int32(id), q.SinkAddr)
-		delete(sinkConns, q.SinkAddr)
-	}
-	if len(cfg.Queries) == 0 {
-		if cfg.SinkAddr != "" {
-			cfg.Sink = sinks[cfg.SinkAddr]
-		}
-	} else {
-		queries := append([]QuerySpec(nil), cfg.Queries...)
-		for i := range queries {
-			if queries[i].SinkAddr != "" {
-				queries[i].Sink = sinks[queries[i].SinkAddr].ForQuery(queries[i].ID)
-			}
-		}
-		cfg.Queries = queries
+	// The anchor's epoch is startEpoch for a founder (epoch 0 starts now) or
+	// the admission epoch for a mid-run joiner, whose first participating
+	// epoch is the next reorganization boundary — the same arithmetic the
+	// master used (masterNode.admit).
+	base, epoch0 := int64(0), int64(0)
+	if start.Epoch != startEpoch {
+		K := t.cfg.epochsPerReorg()
+		base = start.Epoch
+		epoch0 = (start.Epoch/K + 1) * K
 	}
 
-	s := newSlave(&cfg, int32(id), proc2, master, peers, coll,
-		engine.NewLiveRunner(proc2, cfg.LiveWorkers()))
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("core: slave %d failed: %v", id, r)
+	t.env.Restart()
+	// The master never sends unsolicited after the anchor — every later
+	// message answers a Hello — so the handshake framing holds no unread
+	// bytes and the control connection can be re-framed with the
+	// steady-state deadline: reads now resume every distribution epoch.
+	t.master = engine.WrapTCPBatched(t.proc,
+		engine.WithDeadlines(t.mc, t.cfg.ctlReadDeadline(), t.cfg.wireDeadline()), t.cfg.WireBatchBytes)
+
+	// The node gets its own Config carrying the bound sinks; t.cfg stays as
+	// the mesh acceptor reads it.
+	nodeCfg := t.sinks.bind(t.cfg, t.proc)
+	s := newSlave(&nodeCfg, t.id, t.proc, t.master, t.tab, t.coll,
+		engine.NewLiveRunner(t.proc, t.cfg.LiveWorkers()))
+	s.base, s.epoch0 = base, epoch0
+	s.active = start.Activate
+	s.rset = t.rset
+	return s, nil
+}
+
+// startHeartbeat opens the second control connection, pinging every
+// HeartbeatMs from admission on — a founder already pings while the cluster
+// is still forming; leave requests ride it as Ping.Leave. A failed stream — reset,
+// or a write blocked past the wire deadline — is redialed a bounded number
+// of times, so a transient conn fault does not cost a healthy slave its
+// membership; sever cuts the stream for good, and the master refuses ping
+// streams for slots it already evicted.
+func (t *tcpSlave) startHeartbeat(leave <-chan struct{}) error {
+	dial := func() (engine.Conn, error) {
+		c, err := dialRetry(t.cfg.transport(), t.joinAddr, t.cfg.dialBudget())
+		if err != nil {
+			return nil, err
 		}
-		// The slave loop has returned (or died), so no worker can still
-		// Emit; flush every sink and surface the first delivery failure.
-		for _, sink := range sinks {
-			if cerr := sink.Close(); cerr != nil && err == nil {
-				err = fmt.Errorf("core: slave %d pair sink: %w", id, cerr)
+		t.hb.Lock()
+		defer t.hb.Unlock()
+		if t.hb.severed {
+			c.Close()
+			return nil, net.ErrClosed
+		}
+		t.hb.close = func() { c.Close() }
+		return t.wrapMesh(c), nil
+	}
+	conn, err := dial()
+	if err != nil {
+		return err
+	}
+	var leaving atomic.Bool
+	if leave != nil {
+		go func() {
+			select {
+			case <-leave:
+				leaving.Store(true)
+			case <-t.done:
 			}
+		}()
+	}
+	go func() {
+		interval := time.Duration(t.cfg.HeartbeatMs) * time.Millisecond
+		seq := int64(0)
+		for redials := 0; conn != nil && redials <= 5; redials++ {
+			tolerateTCP(func() {
+				for {
+					conn.Send(&wire.Ping{Slave: t.id, Seq: seq, Leave: leaving.Load()})
+					seq++
+					if _, ok := conn.Recv().(*wire.Pong); !ok {
+						return
+					}
+					select {
+					case <-t.done:
+						return
+					case <-time.After(interval):
+					}
+				}
+			})
+			select {
+			case <-t.done:
+				return
+			default:
+			}
+			conn, _ = dial() // nil once severed or unreachable: give up
 		}
 	}()
-	s.run()
-	return err
+	return nil
+}
+
+// replicate turns on the sending side of buddy replication (cfg.Replicate):
+// the replicator ships every owned group's window delta to the next roster
+// member each epoch, and — with pair sinks — a per-epoch delivery barrier
+// puts the pairs an epoch reports in the kernel's hands before its Hello, so
+// even an abrupt crash cannot lose output the master has accounted.
+func (t *tcpSlave) replicate(s *slaveNode) {
+	if !t.cfg.Replicate {
+		return
+	}
+	s.ws.replicate = true
+	t.repl = newReplicator(&t.cfg, t.id, t.proc, func(addr string) (engine.Conn, func(), error) {
+		c, err := t.cfg.transport().DialTimeout("tcp", addr, time.Duration(t.cfg.DistEpochMs)*time.Millisecond)
+		if err != nil {
+			return nil, nil, err
+		}
+		// Write-only from the owner side: a buddy that stops draining
+		// fails the stream within one wire deadline; the next flush
+		// redials it (needReset) instead of wedging the epoch barrier.
+		dc := engine.WithDeadlines(c, 0, t.cfg.wireDeadline())
+		return engine.WrapTCPBatched(t.proc, dc, t.cfg.WireBatchBytes), func() { c.Close() }, nil
+	})
+	t.repl.updateRoster(t.roster.Slaves)
+	s.repl = t.repl
+	if len(t.sinks.sinks) > 0 {
+		s.preFlush = t.sinks.flushBarrier
+	}
+}
+
+// sever closes every connection of the slave at once: the ordinary teardown
+// when ServeSlave returns, and — fired mid-run by a crash seam — what a
+// process kill looks like from outside. Safe to call more than once and at
+// any stage of the wiring.
+func (t *tcpSlave) sever() {
+	t.hb.Lock()
+	t.hb.severed = true
+	if t.hb.close != nil {
+		t.hb.close()
+	}
+	t.hb.Unlock()
+	for _, c := range []io.Closer{t.mc, t.rc, t.ml} {
+		if c != nil {
+			c.Close()
+		}
+	}
+	if t.tab != nil {
+		t.tab.closeAll()
+		t.rset.closeAll()
+	}
+	if t.repl != nil {
+		t.repl.close()
+	}
+}
+
+// advertiseAddr builds the mesh address a slave announces to the cluster:
+// the configured listen host (or, for an empty or wildcard host, the local
+// address of the master dial — the interface the cluster actually reaches
+// us through) with the listener's real port.
+func advertiseAddr(listenSpec string, lnAddr, localAddr net.Addr) (string, error) {
+	_, port, err := net.SplitHostPort(lnAddr.String())
+	if err != nil {
+		return "", err
+	}
+	host, _, err := net.SplitHostPort(listenSpec)
+	if err != nil || host == "" || host == "0.0.0.0" || host == "::" {
+		host, _, err = net.SplitHostPort(localAddr.String())
+		if err != nil {
+			return "", err
+		}
+	}
+	return net.JoinHostPort(host, port), nil
 }
 
 // tcpAsyncSender adapts a framed TCP connection to the AsyncSender used for

@@ -3,8 +3,13 @@ package core
 import (
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"streamjoin/internal/engine"
+	"streamjoin/internal/wire"
 )
 
 // freePorts reserves n distinct localhost TCP ports.
@@ -92,5 +97,125 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 				result.Master.WireFramesSent+result.Master.WireFramesRecv,
 				result.Master.MsgsSent+result.Master.MsgsRecv)
 		})
+	}
+}
+
+// TestFullRosterFormation: with MinSlaves 0 the cluster forms only when all
+// cfg.Slaves have joined — the epoch schedule does not start on the first
+// join, however long the last slave takes — and a control connection that
+// opens with anything but a join handshake or a Ping (here: the registration
+// Hello of an sjoin-slave predating -join) is logged and closed instead of
+// vanishing silently.
+func TestFullRosterFormation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wall-clock TCP test")
+	}
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	cfg.Slaves = 2
+	cfg.Rate = 600
+	cfg.WindowMs = 3_000
+	cfg.DistEpochMs = 250
+	cfg.ReorgEpochMs = 2_500
+	cfg.DurationMs = 3_000
+	cfg.WarmupMs = 500
+	cfg.Theta = 32 << 10
+	cfg.Domain = 20_000
+	const lateBy = 1500 * time.Millisecond
+
+	addrs := freePorts(t, 4)
+	ctl, res, mesh := addrs[0], addrs[1], addrs[2:4]
+	begin := time.Now()
+	var logMu sync.Mutex
+	var lines []string
+	var formedAfter time.Duration
+	logf := func(format string, args ...any) {
+		line := fmt.Sprintf(format, args...)
+		logMu.Lock()
+		lines = append(lines, line)
+		if strings.Contains(line, "cluster formed") {
+			formedAfter = time.Since(begin)
+		}
+		logMu.Unlock()
+		t.Log(line)
+	}
+
+	var wg sync.WaitGroup
+	slaveErr := make(chan error, cfg.Slaves)
+	for i := 0; i < cfg.Slaves; i++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			time.Sleep(time.Duration(id) * lateBy)
+			if err := ServeSlaveTCP(cfg, id, ctl, res, mesh); err != nil {
+				slaveErr <- fmt.Errorf("slave %d: %w", id, err)
+			}
+		}(i)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		time.Sleep(lateBy / 3)
+		c, err := net.Dial("tcp", ctl)
+		if err != nil {
+			t.Errorf("stale slave dial: %v", err)
+			return
+		}
+		defer c.Close()
+		stale := engine.WrapTCP(engine.NewLiveEnv().NewProc("stale-slave"), c)
+		stale.Send(&wire.Hello{Slave: 0, Epoch: startEpoch})
+		if tolerateTCP(func() { stale.Recv() }) {
+			t.Error("master answered a pre-join registration Hello instead of closing it")
+		}
+	}()
+
+	result, err := serveMaster(cfg, ctl, res, logf, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	close(slaveErr)
+	for err := range slaveErr {
+		t.Error(err)
+	}
+
+	logMu.Lock()
+	defer logMu.Unlock()
+	joins, formedAt, rejected := 0, -1, false
+	for i, line := range lines {
+		switch {
+		case strings.Contains(line, "joined"):
+			joins++
+		case strings.Contains(line, "cluster formed"):
+			formedAt = i
+			if joins != cfg.Slaves {
+				t.Errorf("cluster formed after %d joins, want %d", joins, cfg.Slaves)
+			}
+		case strings.Contains(line, "control connection from") &&
+			strings.Contains(line, "Hello{Slave: 0, Epoch: -1}"):
+			rejected = true
+		}
+	}
+	if formedAt < 0 {
+		t.Fatal("formation was never logged")
+	}
+	if formedAfter < lateBy {
+		t.Errorf("cluster formed %v in, before the last slave joined at %v", formedAfter, lateBy)
+	}
+	if !rejected {
+		t.Error("the stale registration was closed without a membership log line")
+	}
+	if result.Joins != cfg.Slaves || result.Evictions != 0 {
+		t.Errorf("joins = %d, evictions = %d, want %d and 0", result.Joins, result.Evictions, cfg.Slaves)
+	}
+	if result.Outputs == 0 {
+		t.Error("no outputs")
+	}
+	// Epochs are paced from the anchors: had the schedule started with the
+	// first join, the wait for the second slave would have added lateBy/t_d
+	// epochs (6 here) to the run's DurationMs/t_d.
+	if limit := int64(cfg.DurationMs/cfg.DistEpochMs) + 3; result.EpochsServed > limit {
+		t.Errorf("epochs served = %d, want at most %d — the schedule ran while the cluster was forming",
+			result.EpochsServed, limit)
 	}
 }

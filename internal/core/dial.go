@@ -136,3 +136,89 @@ func (c *Config) newPairSink(p *engine.LiveProc, conn io.WriteCloser, slave int3
 		},
 	})
 }
+
+// pairSinks is one slave's downstream pair consumers: one connection and one
+// SocketSink per distinct consumer address ("-sink tcp:HOST:PORT" or
+// per-query SinkAddrs), so join output never funnels through the master;
+// queries sharing an address multiplex over its sink by query id.
+type pairSinks struct {
+	slave int32
+	conns map[string]net.Conn           // dialed, not yet owned by a sink
+	sinks map[string]*engine.SocketSink // by consumer address
+}
+
+func newPairSinks(slave int32) *pairSinks {
+	return &pairSinks{
+		slave: slave,
+		conns: make(map[string]net.Conn),
+		sinks: make(map[string]*engine.SocketSink),
+	}
+}
+
+// dial connects to every consumer address cfg's queries name that is not
+// connected yet; a slave calls it again after adopting the master's QuerySet.
+func (ps *pairSinks) dial(cfg *Config) error {
+	for _, q := range cfg.effectiveQueries() {
+		if q.SinkAddr == "" || ps.conns[q.SinkAddr] != nil {
+			continue
+		}
+		c, err := dialRetry(cfg.transport(), q.SinkAddr, cfg.dialBudget())
+		if err != nil {
+			return fmt.Errorf("core: slave %d pair sink: %w", ps.slave, err)
+		}
+		ps.conns[q.SinkAddr] = engine.WithDeadlines(c, 0, cfg.wireDeadline())
+	}
+	return nil
+}
+
+// bind creates the SocketSinks, accounting to p, and returns cfg with every
+// SinkAddr resolved to its Sink. Each sink takes ownership of its
+// connection; one dialed for a spec the master's QuerySet then dropped stays
+// in conns until close.
+func (ps *pairSinks) bind(cfg Config, p *engine.LiveProc) Config {
+	for _, q := range cfg.effectiveQueries() {
+		if q.SinkAddr != "" && ps.sinks[q.SinkAddr] == nil {
+			ps.sinks[q.SinkAddr] = cfg.newPairSink(p, ps.conns[q.SinkAddr], ps.slave, q.SinkAddr)
+			delete(ps.conns, q.SinkAddr)
+		}
+	}
+	if len(cfg.Queries) == 0 {
+		if cfg.SinkAddr != "" {
+			cfg.Sink = ps.sinks[cfg.SinkAddr]
+		}
+		return cfg
+	}
+	cfg.Queries = append([]QuerySpec(nil), cfg.Queries...)
+	for i := range cfg.Queries {
+		if a := cfg.Queries[i].SinkAddr; a != "" {
+			cfg.Queries[i].Sink = ps.sinks[a].ForQuery(cfg.Queries[i].ID)
+		}
+	}
+	return cfg
+}
+
+// flushBarrier blocks until every pair emitted so far is in the kernel's
+// hands (the per-epoch delivery barrier of a replicating slave).
+func (ps *pairSinks) flushBarrier() {
+	for _, s := range ps.sinks {
+		s.FlushBarrier()
+	}
+}
+
+// close flushes and closes every sink, reporting the first delivery
+// failure, and drops any connection no sink took over. Call it only once no
+// join worker can still Emit; a second call is a no-op.
+func (ps *pairSinks) close() error {
+	var err error
+	for a, s := range ps.sinks {
+		if cerr := s.Close(); cerr != nil && err == nil {
+			err = fmt.Errorf("core: slave %d pair sink: %w", ps.slave, cerr)
+		}
+		delete(ps.sinks, a)
+	}
+	for a, c := range ps.conns {
+		c.Close()
+		delete(ps.conns, a)
+	}
+	return err
+}

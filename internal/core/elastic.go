@@ -8,8 +8,8 @@ import (
 	"streamjoin/internal/wire"
 )
 
-// This file is the master half of elastic cluster membership: slaves join,
-// leave, and fail while the join runs. The paper's cluster is fixed for the
+// This file is the master half of cluster membership: slaves join, leave,
+// and fail while the join runs. The paper's cluster is fixed for the
 // length of an experiment; its follow-up ("Processing Database Joins over a
 // Shared-Nothing System of Multicore Machines", PAPERS.md) treats node-set
 // change as the normal case and reuses the same partition-movement primitive
@@ -28,9 +28,12 @@ const (
 	evLeave
 )
 
+// startEpoch is the sentinel epoch of a founder's anchor batch: the cluster
+// has just formed and epoch 0 starts on receipt.
+const startEpoch = int64(-1)
+
 // joinEpoch is the sentinel Epoch a joining slave sends in its first Hello
-// (Slave: -1) to distinguish the elastic handshake from the fixed-topology
-// registration (which uses startEpoch).
+// (Slave: -1), and a mesh state-movement peer in its identifying Hello.
 const joinEpoch = int64(-2)
 
 // memberEvent is one membership transition, queued by the deploy layer
@@ -97,11 +100,9 @@ func (m *masterNode) querySet() *wire.QuerySet {
 }
 
 // drainEvents applies queued membership transitions at the top of epoch e.
-// Joins arriving while the run is shutting down are turned away.
+// Joins arriving while the run is shutting down are turned away. The
+// simulator and in-process runs have no queue: a nil channel is never ready.
 func (m *masterNode) drainEvents(e int64, stopping bool) {
-	if m.events == nil {
-		return
-	}
 	for {
 		select {
 		case ev := <-m.events:
@@ -146,13 +147,14 @@ func (m *masterNode) slotClean(i int32) bool {
 }
 
 // admit registers a joining slave: assign it the lowest free slot (or a
-// fully-drained dead slot), stamp its first participating epoch — the
-// reorganization boundary after e, where elasticReorg activates it and peels
-// groups toward it — and run the handshake on its new control connection:
-// Membership (assigning its ID), the query registration if any, and the
-// anchor Batch that defines its local epoch clock. At initial cluster
-// formation (e == startEpoch) the first MinSlaves joiners are admitted
-// active at epoch 0 instead.
+// fully-drained dead slot) and start the handshake on its new control
+// connection — Membership (assigning its ID) and the query registration if
+// any. A mid-run joiner (e >= 0) is also sent its anchor Batch right away:
+// the anchor's epoch defines its local clock, and its first participating
+// epoch is the reorganization boundary after e, where membershipReorg
+// activates it and peels groups toward it. At cluster formation
+// (e == startEpoch) the anchors are held back until the whole roster has
+// joined (startFormed), so every founder's epoch grid starts together.
 func (m *masterNode) admit(ev memberEvent, e int64) {
 	id := int32(-1)
 	for i := 0; i < m.cfg.Slaves; i++ {
@@ -177,7 +179,7 @@ func (m *masterNode) admit(ev memberEvent, e int64) {
 		return
 	}
 
-	initial := e == startEpoch
+	forming := e == startEpoch
 	m.conn[id] = ev.conn
 	m.joined[id] = true
 	m.dead[id] = false
@@ -185,10 +187,11 @@ func (m *masterNode) admit(ev memberEvent, e int64) {
 	m.leaveReq[id] = false
 	m.haveOcc[id] = false
 	m.members[id] = wire.MemberSpec{ID: id, Addr: ev.addr, Workers: ev.workers}
-	if initial {
+	if forming {
 		m.firstEpoch[id] = 0
 	} else {
 		m.active[id] = false
+		m.pendJoin[id] = true
 		K := m.cfg.epochsPerReorg()
 		m.firstEpoch[id] = (e/K + 1) * K
 	}
@@ -200,16 +203,28 @@ func (m *masterNode) admit(ev memberEvent, e int64) {
 	m.logf("membership: slave %d joined (mesh %s, %d workers), first epoch %d, roster %d/%d",
 		id, ev.addr, ev.workers, m.firstEpoch[id], m.memberCount(), m.cfg.Slaves)
 
-	ev.conn.Send(m.membershipFor(id))
-	m.lastMem[id] = m.memEpoch
-	if qs := m.querySet(); qs != nil {
-		ev.conn.Send(qs)
+	// A joiner that dies mid-handshake is evicted by its first exchange.
+	tolerateTCP(func() {
+		ev.conn.Send(m.membershipFor(id))
+		m.lastMem[id] = m.memEpoch
+		if qs := m.querySet(); qs != nil {
+			ev.conn.Send(qs)
+		}
+		if !forming {
+			ev.conn.Send(&wire.Batch{Epoch: e})
+		}
+	})
+}
+
+// startFormed sends every founder its anchor Batch (Epoch: startEpoch, with
+// Activate for the initially active slots). Receipt defines the slave's
+// epoch zero — the paper's "synchronize clocks with the active slaves".
+func (m *masterNode) startFormed() {
+	for i, c := range m.conn {
+		if m.joined[i] {
+			tolerateTCP(func() { c.Send(&wire.Batch{Epoch: startEpoch, Activate: m.active[i]}) })
+		}
 	}
-	anchor := &wire.Batch{Epoch: e}
-	if initial && m.active[id] {
-		anchor.Activate = true
-	}
-	ev.conn.Send(anchor)
 }
 
 // requestLeave marks a slave as gracefully leaving: the next reorganization
@@ -247,7 +262,7 @@ func (m *masterNode) handleDeath(i int32, reason string) {
 	m.dead[i] = true
 	m.active[i] = false
 	m.shutdownSent[i] = true // nothing further will be sent on its conn
-	m.pendAct[i], m.pendDeact[i], m.leaveReq[i] = false, false, false
+	m.pendAct[i], m.pendDeact[i], m.leaveReq[i], m.pendJoin[i] = false, false, false, false
 	m.haveOcc[i] = false
 	m.pendDir[i] = nil
 	m.members[i] = wire.MemberSpec{}
@@ -298,7 +313,8 @@ func (m *masterNode) handleDeath(i int32, reason string) {
 				src = ls
 			}
 			if to := m.buddyAfter(src); to >= 0 {
-				m.issuePromote(int32(g), src, to)
+				m.issueInstall(int32(g), promoteFrom(src), to)
+				m.promotions++
 				promoted++
 				continue
 			}
@@ -307,7 +323,7 @@ func (m *masterNode) handleDeath(i int32, reason string) {
 			m.logf("membership: no live slave can adopt group %d of dead slave %d", g, i)
 			continue
 		}
-		m.issueAdopt(int32(g), targets[adopted%len(targets)])
+		m.issueInstall(int32(g), -1, targets[adopted%len(targets)])
 		adopted++
 	}
 	if adopted > 0 {
@@ -332,18 +348,19 @@ func (m *masterNode) buddyAfter(src int32) int32 {
 	return -1
 }
 
-// issuePromote directs slave `to` to install group g from its local replica
-// shadow of crashed slave src (From: -2-src; see replica.go). Like an
-// adoption there is no supplier to unwind — if `to` dies before acking, the
-// next handleDeath re-creates the group on another survivor.
-func (m *masterNode) issuePromote(g, src, to int32) {
-	d := wire.Directive{MoveID: m.nextMove, Group: g, From: promoteFrom(src), To: to}
+// issueInstall directs slave `to` to create group g without a supplier:
+// empty (from = -1, an adoption) or from its local replica shadow of a
+// crashed slave (from = promoteFrom(src); see replica.go). Ownership
+// transfers on its ack like any other movement; there is nothing to unwind —
+// if `to` dies before acking, the next handleDeath re-creates the group on
+// another survivor.
+func (m *masterNode) issueInstall(g, from, to int32) {
+	d := wire.Directive{MoveID: m.nextMove, Group: g, From: from, To: to}
 	m.nextMove++
 	m.pendDir[to] = append(m.pendDir[to], d)
 	m.heldGroup[g] = true
 	m.inflight[d.MoveID] = moveInfo{id: d.MoveID, group: g, from: -1, to: to}
 	m.movesIssued++
-	m.promotions++
 	m.trackMove(d.MoveID)
 }
 
@@ -375,19 +392,6 @@ func (m *masterNode) dropPend(i int32, id int64) bool {
 	return false
 }
 
-// issueAdopt directs slave `to` to create group g empty (From: -1 — there
-// is no supplier to read state from). Ownership transfers on its ack like
-// any other movement.
-func (m *masterNode) issueAdopt(g, to int32) {
-	d := wire.Directive{MoveID: m.nextMove, Group: g, From: -1, To: to}
-	m.nextMove++
-	m.pendDir[to] = append(m.pendDir[to], d)
-	m.heldGroup[g] = true
-	m.inflight[d.MoveID] = moveInfo{id: d.MoveID, group: g, from: -1, to: to}
-	m.movesIssued++
-	m.trackMove(d.MoveID)
-}
-
 // trackMove marks the most recent movement as membership-driven: it counts
 // toward GroupsRebalanced and its ack latency toward RebalanceStallMs.
 func (m *masterNode) trackMove(id int64) {
@@ -395,14 +399,17 @@ func (m *masterNode) trackMove(id int64) {
 	m.groupsMoved++
 }
 
-// elasticReorg runs the membership half of a reorganization boundary:
-// graceful leavers drain their groups to the survivors, and joiners whose
-// first epoch is e+1 are activated with an incoming rebalance — partition
-// groups peeled off the loaded owners (heaviest reported occupancy first,
-// round-robin, never emptying an owner) until the newcomer holds roughly a
-// 1/(n+1) share. Every slave it touches is marked busy so the occupancy
-// pairing of reorganize leaves it alone this boundary.
-func (m *masterNode) elasticReorg(e int64, busy map[int32]bool) {
+// membershipReorg runs the membership half of a reorganization boundary:
+// graceful leavers drain their groups to the survivors, and slaves admitted
+// since the last boundary (pendJoin — their first epoch is e+1) are activated
+// with an incoming rebalance — partition groups peeled off the loaded owners
+// (heaviest reported occupancy first, round-robin, never emptying an owner)
+// until the newcomer holds roughly a 1/(n+1) share. Slaves that are inactive
+// because §V-A adaptation deactivated them (or InitialActive left them out)
+// are not joiners and stay with the degree-of-declustering controller. Every
+// slave it touches is marked busy so the occupancy pairing of reorganize
+// leaves it alone this boundary.
+func (m *masterNode) membershipReorg(e int64, busy map[int32]bool) {
 	for i := 0; i < m.cfg.Slaves; i++ {
 		id := int32(i)
 		if m.leaveReq[i] && m.active[i] && !busy[id] {
@@ -415,10 +422,10 @@ func (m *masterNode) elasticReorg(e int64, busy map[int32]bool) {
 
 	for j := 0; j < m.cfg.Slaves; j++ {
 		jd := int32(j)
-		if !m.joined[j] || m.dead[j] || m.active[j] || m.pendAct[j] ||
-			m.leaveReq[j] || m.shutdownSent[j] || busy[jd] || m.firstEpoch[j] > e+1 {
+		if !m.pendJoin[j] || m.leaveReq[j] || busy[jd] {
 			continue
 		}
+		m.pendJoin[j] = false
 		m.pendAct[j] = true
 		busy[jd] = true
 

@@ -204,7 +204,8 @@ func TestElasticEquivalence(t *testing.T) {
 	}
 
 	t.Run("static-baseline", func(t *testing.T) {
-		// Fixed two-slave topology over the same list: establishes that the
+		// A two-slave cluster nobody joins late or leaves, through the
+		// ServeSlaveTCP adapter, over the same list: establishes that the
 		// ground truth is what the system actually computes, so the elastic
 		// comparisons below compare against a meaningful reference.
 		cfg := elasticTestConfig()
@@ -225,7 +226,7 @@ func TestElasticEquivalence(t *testing.T) {
 				}
 			}(i)
 		}
-		result, err := serveMasterTCP(cfg, ctl, res, &listIngestor{tuples: append([]tuple.Tuple(nil), work...)})
+		result, err := serveMaster(cfg, ctl, res, t.Logf, &listIngestor{tuples: append([]tuple.Tuple(nil), work...)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,7 +259,7 @@ func TestElasticEquivalence(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				time.Sleep(delay)
-				if err := ServeSlaveJoin(cfg, ctl, res, JoinOptions{}); err != nil {
+				if err := ServeSlave(cfg, ctl, res, JoinOptions{}); err != nil {
 					slaveErr <- err
 				}
 			}()
@@ -267,7 +268,7 @@ func TestElasticEquivalence(t *testing.T) {
 		startSlave(0)
 		startSlave(3 * time.Second)
 
-		result, err := serveMasterElastic(cfg, ctl, res, t.Logf,
+		result, err := serveMaster(cfg, ctl, res, t.Logf,
 			&listIngestor{tuples: append([]tuple.Tuple(nil), work...)})
 		if err != nil {
 			t.Fatal(err)
@@ -295,15 +296,17 @@ func TestElasticEquivalence(t *testing.T) {
 			sink.tally.Pairs(), result.GroupsRebalanced, result.RebalanceStallMs)
 	})
 
-	t.Run("scale-in-crash", func(t *testing.T) {
-		// 3 → 2: the cluster forms with three slaves; one is killed ~4s in
-		// (every connection severed at once). The master must detect the
-		// crash within the heartbeat budget, re-adopt the lost groups, and
-		// finish the run: the result is a subset of the ground truth (the
-		// dead slave's windows are gone) that still contains every pair
-		// formed entirely after the cluster healed.
+	// 3 → 2: the cluster forms with three slaves; one is killed ~4s in
+	// (every connection severed at once). The master must detect the crash
+	// within the heartbeat budget, re-adopt the lost groups, and finish the
+	// run: the result is a subset of the ground truth (the dead slave's
+	// windows are gone) that still contains every pair formed entirely after
+	// the cluster healed. A full-roster cluster (MinSlaves 0: every slot is
+	// a founder, nobody can join late) recovers exactly the same way — a
+	// crashed slave is evicted, never fatal.
+	crash := func(t *testing.T, minSlaves int) {
 		cfg := elasticTestConfig()
-		cfg.MinSlaves = 3
+		cfg.MinSlaves = minSlaves
 		sink := newFPSink(t, true) // the killed slave tears its sink mid-frame
 		cfg.SinkAddr = sink.addr()
 
@@ -332,7 +335,7 @@ func TestElasticEquivalence(t *testing.T) {
 			wg.Add(1)
 			go func(opts JoinOptions) {
 				defer wg.Done()
-				slaveErr <- ServeSlaveJoin(cfg, ctl, res, opts)
+				slaveErr <- ServeSlave(cfg, ctl, res, opts)
 			}(opts)
 		}
 		var killedAt time.Time
@@ -342,7 +345,7 @@ func TestElasticEquivalence(t *testing.T) {
 			close(kill)
 		}()
 
-		result, err := serveMasterElastic(cfg, ctl, res, logf,
+		result, err := serveMaster(cfg, ctl, res, logf,
 			&listIngestor{tuples: append([]tuple.Tuple(nil), work...)})
 		if err != nil {
 			t.Fatal(err)
@@ -413,5 +416,7 @@ func TestElasticEquivalence(t *testing.T) {
 		}
 		t.Logf("scale-in: %d of %d ground-truth pairs survived the crash, %d post-recovery pairs all present",
 			got, len(expected), lateWant)
-	})
+	}
+	t.Run("scale-in-crash", func(t *testing.T) { crash(t, 3) })
+	t.Run("full-roster-crash", func(t *testing.T) { crash(t, 0) })
 }

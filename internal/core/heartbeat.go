@@ -5,7 +5,7 @@ import (
 	"time"
 )
 
-// heartbeatMonitor is the elastic master's failure detector. Every joined
+// heartbeatMonitor is the TCP master's failure detector. Every joined
 // slave opens a dedicated heartbeat connection and sends a wire.Ping each
 // HeartbeatMs; the deploy layer's per-connection reader records each ping
 // with observe and replies with a wire.Pong. A periodic check declares a
@@ -41,23 +41,14 @@ func (h *heartbeatMonitor) budget() time.Duration {
 }
 
 // observe records a heartbeat from the slave. Pings from an already-declared
-// slave are ignored (its eviction is final; a rejoin re-registers with
-// reset).
+// slave are ignored (its eviction is final; the slot revives only through
+// clear).
 func (h *heartbeatMonitor) observe(slave int32) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.dead[slave] {
 		return
 	}
-	h.lastSeen[slave] = h.now()
-}
-
-// reset starts tracking the slave afresh; used when a new heartbeat
-// connection registers, including a rejoin reusing an evicted slot.
-func (h *heartbeatMonitor) reset(slave int32) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	delete(h.dead, slave)
 	h.lastSeen[slave] = h.now()
 }
 
@@ -81,14 +72,6 @@ func (h *heartbeatMonitor) clear(slave int32) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	delete(h.dead, slave)
-}
-
-// forget stops tracking the slave without declaring it dead (graceful leave
-// or run shutdown).
-func (h *heartbeatMonitor) forget(slave int32) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	delete(h.lastSeen, slave)
 }
 
 // check declares every overdue slave dead, invoking onDead (outside the

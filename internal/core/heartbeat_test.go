@@ -22,7 +22,7 @@ func TestHeartbeatFailureDetection(t *testing.T) {
 	})
 
 	// A pinging slave stays alive forever.
-	h.reset(1)
+	h.arm(1)
 	for step := 0; step < 20; step++ {
 		clock += interval
 		h.observe(1)
@@ -58,7 +58,7 @@ func TestHeartbeatFailureDetection(t *testing.T) {
 
 	// Worst-case detection latency with a periodic checker at interval/2:
 	// strictly less than budget + interval/2 after the last ping.
-	h.reset(2)
+	h.arm(2)
 	last := clock
 	detected := time.Duration(-1)
 	for clock < last+2*budget {
@@ -75,11 +75,17 @@ func TestHeartbeatFailureDetection(t *testing.T) {
 		t.Fatalf("detection latency %v outside (%v, %v]", detected, budget, budget+interval/2)
 	}
 
-	// forget stops tracking without a death report (graceful leave).
-	h.reset(3)
-	h.forget(3)
-	clock += 10 * budget
-	if died := h.check(); len(died) != 0 {
-		t.Fatalf("forgotten slave declared dead: %v", died)
+	// An evicted slot refuses a redialed ping stream (no zombie revival)
+	// until a fresh admission recycles it.
+	if h.arm(1) {
+		t.Fatal("evicted slot 1 accepted a new ping stream")
+	}
+	h.clear(1)
+	if !h.arm(1) {
+		t.Fatal("recycled slot 1 refused its new owner's ping stream")
+	}
+	clock += budget + 1
+	if died := h.check(); len(died) != 1 || died[0] != 1 {
+		t.Fatalf("recycled slot went silent: died = %v, want [1]", died)
 	}
 }

@@ -83,3 +83,34 @@ func TestRunLiveWithMovements(t *testing.T) {
 	}
 	t.Logf("live movements: issued=%d done=%d", res.MovesIssued, res.MovesCompleted)
 }
+
+// TestRunLiveSourceDropsAccounted starves the ingest edge on purpose — a
+// 64-tuple channel under 10 000 tuples/s — and checks that no tuple vanishes
+// unaccounted: everything the sources offered was either handed to the
+// master, counted as dropped, or is still sitting in the channel, and the
+// drop count reaches the Result.
+func TestRunLiveSourceDropsAccounted(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wall-clock test")
+	}
+	cfg := liveConfig()
+	cfg.Rate = 5_000
+	cfg.DurationMs = 2_000
+	cfg.WarmupMs = 500
+	in := newLiveIngestor(64)
+	res, err := runLive(cfg, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	offered, dropped := in.offered.Load(), in.dropped.Load()
+	if dropped == 0 {
+		t.Fatalf("no drops with a 64-tuple channel under %d offered tuples — the test is vacuous", offered)
+	}
+	if got := in.pulled + dropped + int64(len(in.ch)); got != offered {
+		t.Errorf("offered %d != ingested %d + dropped %d + queued %d", offered, in.pulled, dropped, len(in.ch))
+	}
+	if res.SourceDropped != dropped {
+		t.Errorf("Result.SourceDropped = %d, want %d", res.SourceDropped, dropped)
+	}
+	t.Logf("offered %d, ingested %d, dropped %d", offered, in.pulled, dropped)
+}

@@ -71,17 +71,20 @@ type masterNode struct {
 	dodTrace      []DoDSample
 	shutdownSent  []bool
 
-	// Elastic membership (nil/zero on fixed-topology deployments; see
-	// elastic.go). joined marks slots with a registered connection; dead
-	// marks evicted ones. firstEpoch is the first epoch a joiner
+	// Cluster membership (elastic.go). The simulator and in-process runs are
+	// born with the full roster and never change it; a TCP master admits
+	// slaves one by one. joined marks slots with a registered connection;
+	// dead marks evicted ones. firstEpoch is the first epoch a joiner
 	// participates in — the reorganization boundary after its admission,
-	// computed identically by the joiner from its anchor batch. memEpoch is
-	// the roster version; each slave is sent a Membership update before its
-	// next Batch whenever lastMem lags it.
-	elastic    bool
+	// computed identically by the joiner from its anchor batch — and
+	// pendJoin marks a slave admitted mid-run that the next reorganization
+	// still has to activate and fill. memEpoch is the roster version; each
+	// slave is sent a Membership update before its next Batch whenever
+	// lastMem lags it.
 	joined     []bool
 	dead       []bool
 	leaveReq   []bool
+	pendJoin   []bool
 	firstEpoch []int64
 	memEpoch   int64
 	lastMem    []int64
@@ -141,14 +144,15 @@ func newMaster(cfg *Config, proc engine.Proc, conns []engine.Conn, in Ingestor, 
 		joined:       make([]bool, cfg.Slaves),
 		dead:         make([]bool, cfg.Slaves),
 		leaveReq:     make([]bool, cfg.Slaves),
+		pendJoin:     make([]bool, cfg.Slaves),
 		firstEpoch:   make([]int64, cfg.Slaves),
 		lastMem:      make([]int64, cfg.Slaves),
 		members:      make([]wire.MemberSpec, cfg.Slaves),
 		memMoves:     make(map[int64]time.Duration),
 		lastWindow:   make([]int64, cfg.Slaves),
 	}
-	// Fixed topologies are born with the full roster; the elastic deploy
-	// resets joined and admits slaves one by one (admit).
+	// Born with the full roster; the TCP deployment clears joined and admits
+	// slaves one by one (admit).
 	for i := range m.joined {
 		m.joined[i] = true
 	}
@@ -241,15 +245,12 @@ func (m *masterNode) ingest(uptoMs int32) {
 	m.proc.Compute(m.cfg.Cost.Master(len(ts)))
 }
 
-// serve performs one epoch exchange with slave i. On an elastic cluster the
-// exchange is fault-tolerant: a transport failure (the slave crashed, or the
-// heartbeat monitor closed its connection) is absorbed and turns into an
-// eviction instead of killing the master.
+// serve performs one epoch exchange with slave i. The exchange is
+// fault-tolerant: a transport failure (the slave crashed, or the heartbeat
+// monitor closed its connection) is absorbed and turns into an eviction
+// instead of killing the master. Only TCP connections fail that way, so the
+// recovery is inert on pipes and the simulator.
 func (m *masterNode) serve(e int64, i int32, stopping bool) {
-	if !m.elastic {
-		m.exchange(e, i, stopping)
-		return
-	}
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -296,7 +297,7 @@ func (m *masterNode) exchange(e int64, i int32, stopping bool) {
 	// was lost in transit (dead or stalled supplier, no local shadow). The
 	// run still converges; the count makes the loss exact rather than silent.
 	m.movesDegraded += len(hello.Degraded)
-	if m.elastic && m.lastMem[i] != m.memEpoch {
+	if m.lastMem[i] != m.memEpoch {
 		// Roster changed since this slave last heard from us: prefix the
 		// batch with a Membership update so it can prune dead mesh peers
 		// and learn about joiners before any directive references them.
@@ -309,7 +310,7 @@ func (m *masterNode) exchange(e int64, i int32, stopping bool) {
 		batch.Shutdown = true
 		m.shutdownSent[i] = true
 	}
-	if m.elastic && !stopping && m.leaveReq[i] && !m.active[i] && !m.pendAct[i] && m.slotClean(i) {
+	if !stopping && m.leaveReq[i] && !m.active[i] && !m.pendAct[i] && m.slotClean(i) {
 		// A graceful leaver whose groups have all drained and acked: this
 		// batch releases it from the cluster.
 		batch.Shutdown = true
@@ -504,12 +505,10 @@ func (m *masterNode) reorganize(e int64) {
 		Active: m.activeCount(),
 	})
 	busy := m.busySlaves()
-	if m.elastic {
-		// Membership transitions first: drain graceful leavers and activate
-		// joiners whose first epoch is next. Slaves they touch are marked
-		// busy so the occupancy pairing below leaves them alone.
-		m.elasticReorg(e, busy)
-	}
+	// Membership transitions first: drain graceful leavers and activate
+	// mid-run joiners. Slaves they touch are marked busy so the occupancy
+	// pairing below leaves them alone.
+	m.membershipReorg(e, busy)
 
 	var sups, cons []int32
 	for i := 0; i < m.cfg.Slaves; i++ {

@@ -7,10 +7,11 @@ import (
 	"streamjoin/internal/engine"
 )
 
-// peerTable is an elastic slave's mesh address book: slave id → live
-// connection. Entries appear asynchronously (the mesh acceptor registers
-// inbound dials, the membership handler registers outbound ones) and
-// disappear when a roster update prunes a departed peer. get blocks until
+// peerTable is a slave's mesh address book: slave id → live connection. On
+// the TCP deployment entries appear asynchronously (the mesh acceptor
+// registers inbound dials, the join handshake registers outbound ones) and
+// disappear when a roster update prunes a departed peer; the simulator and
+// in-process runs pre-fill it once (staticPeers). get blocks until
 // the requested peer is present — a directive can name a joiner whose mesh
 // dial is still in flight — and returns nil once the peer is known gone or
 // the patience budget runs out.
@@ -31,6 +32,19 @@ func newPeerTable(patience time.Duration) *peerTable {
 		patience: patience,
 	}
 	pt.cond = sync.NewCond(&pt.mu)
+	return pt
+}
+
+// staticPeers builds the table of a run whose mesh never changes: conns
+// holds one pipe or simnet connection per peer, indexed by slave id, nil at
+// the slave's own slot.
+func staticPeers(conns []engine.Conn) *peerTable {
+	pt := newPeerTable(0)
+	for id, c := range conns {
+		if c != nil {
+			pt.set(int32(id), c, nil)
+		}
+	}
 	return pt
 }
 
@@ -84,64 +98,48 @@ func (pt *peerTable) each(f func(engine.Conn)) {
 	}
 }
 
-// prune closes and forgets every peer not in the live set, and marks it
-// gone so pending and future gets fail fast. Closing the raw transport also
-// fails over any mesh read currently blocked on a dead supplier.
-func (pt *peerTable) prune(live map[int32]bool) {
-	pt.mu.Lock()
-	for id := range pt.conns {
-		if live[id] {
-			continue
-		}
-		if cl := pt.closers[id]; cl != nil {
-			cl()
-		}
-		delete(pt.conns, id)
-		delete(pt.closers, id)
-		pt.gone[id] = true
-	}
-	pt.mu.Unlock()
-	pt.cond.Broadcast()
-}
-
-// fail severs one peer after a transport error on its connection: close the
-// raw transport, forget the entry, and mark it gone so every later get fails
-// fast instead of waiting out the patience budget per directive. A stalled
-// peer thereby degrades exactly like a dead one — the master's heartbeat
-// eviction re-registers it via set if it was only slow.
-func (pt *peerTable) fail(id int32) {
-	pt.mu.Lock()
+// drop severs one peer: close the raw transport, forget the entry, and mark
+// it gone so pending and future gets fail fast. Closing the transport also
+// fails over any mesh read currently blocked on it. Callers hold mu.
+func (pt *peerTable) drop(id int32) {
 	if cl := pt.closers[id]; cl != nil {
 		cl()
 	}
 	delete(pt.conns, id)
 	delete(pt.closers, id)
 	pt.gone[id] = true
+}
+
+// prune drops every peer not in the live set (a roster update named the
+// survivors).
+func (pt *peerTable) prune(live map[int32]bool) {
+	pt.mu.Lock()
+	for id := range pt.conns {
+		if !live[id] {
+			pt.drop(id)
+		}
+	}
 	pt.mu.Unlock()
 	pt.cond.Broadcast()
 }
 
-// rebind re-wraps every registered connection (clock re-anchor after the
-// start batch; see engine.Conn Rebind).
-func (pt *peerTable) rebind(f func(engine.Conn) engine.Conn) {
+// fail drops one peer after a transport error on its connection, so every
+// later get fails fast instead of waiting out the patience budget per
+// directive. A stalled peer thereby degrades exactly like a dead one — the
+// master's heartbeat eviction re-registers it via set if it was only slow.
+func (pt *peerTable) fail(id int32) {
 	pt.mu.Lock()
-	for id, c := range pt.conns {
-		pt.conns[id] = f(c)
-	}
+	pt.drop(id)
 	pt.mu.Unlock()
+	pt.cond.Broadcast()
 }
 
-// closeAll tears down every registered transport (shutdown and the abrupt
-// crash seam used by tests).
+// closeAll drops every peer (shutdown and the abrupt crash seam used by
+// tests).
 func (pt *peerTable) closeAll() {
 	pt.mu.Lock()
-	for id, cl := range pt.closers {
-		if cl != nil {
-			cl()
-		}
-		delete(pt.conns, id)
-		delete(pt.closers, id)
-		pt.gone[id] = true
+	for id := range pt.conns {
+		pt.drop(id)
 	}
 	pt.mu.Unlock()
 	pt.cond.Broadcast()

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"streamjoin/internal/engine"
-	"streamjoin/internal/exthash"
 	"streamjoin/internal/join"
 	"streamjoin/internal/tuple"
 	"streamjoin/internal/window"
@@ -268,8 +267,11 @@ type replicaSet struct {
 	deltasRecv, tuplesRecv int64
 }
 
-func newReplicaSet(cfg *Config) *replicaSet {
+// newReplicaSet returns an empty set; proc, when non-nil, receives the
+// receive counters (the slave's process stats).
+func newReplicaSet(cfg *Config, proc *engine.LiveProc) *replicaSet {
 	return &replicaSet{
+		proc:    proc,
 		exact:   cfg.Expiry == join.ExpiryExact,
 		ttl:     cfg.replicaTTL(),
 		entries: make(map[replKey]*replEntry),
@@ -279,14 +281,6 @@ func newReplicaSet(cfg *Config) *replicaSet {
 
 func (rs *replicaSet) lock()   { rs.mu.Lock() }
 func (rs *replicaSet) unlock() { rs.mu.Unlock() }
-
-// setProc routes the receive counters into the slave's process stats (set
-// after the deploy layer's clock re-anchor).
-func (rs *replicaSet) setProc(p *engine.LiveProc) {
-	rs.lock()
-	rs.proc = p
-	rs.unlock()
-}
 
 // apply folds one delta into its shadow, creating it on first sight. Reset
 // clears first; then the ingest runs append in store order and the watermark
@@ -417,47 +411,25 @@ func (rs *replicaSet) closeAll() {
 	}
 }
 
-// promoteGroup consumes a promotion directive: install the (src, group)
-// shadow from the local replicaSet — the crashed owner chain-replicated it
-// here — or, when no shadow exists (replication was off, or the buddy
-// assignment raced the crash), fall back to the empty install the
-// pre-replication eviction path used.
-func (s *slaveNode) promoteGroup(d wire.Directive) {
-	src := promoteSrc(d.From)
-	st := join.State{ID: d.Group, Buckets: []exthash.Spec{{}}}
+// installReplica completes move d from this slave's own shadow of
+// (src, d.Group): a promotion order naming the crashed owner that
+// chain-replicated the group here, or an ordinary move whose supplier died
+// while this slave happens to be its buddy. Without a shadow — replication
+// off, or the buddy assignment raced the crash — the window contents are
+// lost: the group installs empty and the move is reported degraded in the
+// next Hello, so the loss is accounted, not silent. Either way the move is
+// acked and ownership transfers.
+func (s *slaveNode) installReplica(d wire.Directive, src int32) {
+	st, ok := emptyState(d.Group), false
 	if s.rset != nil {
 		patience := time.Duration(s.cfg.DistEpochMs) * time.Millisecond
-		if w, _, ok := s.rset.take(src, d.Group, patience); ok {
-			st.Window = w
-			s.groupsPromoted++
-		} else {
-			s.promoteMisses++
-			s.degraded = append(s.degraded, d.MoveID)
-		}
+		st.Window, _, ok = s.rset.take(src, d.Group, patience)
+	}
+	if ok {
+		s.groupsPromoted++
 	} else {
 		s.promoteMisses++
 		s.degraded = append(s.degraded, d.MoveID)
 	}
-	s.proc.Compute(s.cfg.Cost.Move(st.WindowTuples()))
-	if err := s.ws.installState(st, nil); err != nil {
-		panic(err)
-	}
-	s.acks = append(s.acks, d.MoveID)
-}
-
-// takeReplica tries the local replicaSet for a dead supplier's group during
-// a normal move whose transfer never arrived — when the consumer happens to
-// be the supplier's buddy, the move completes with full state instead of
-// the empty fail-over install.
-func (s *slaveNode) takeReplica(src, group int32) (join.State, bool) {
-	if s.rset == nil {
-		return join.State{}, false
-	}
-	patience := time.Duration(s.cfg.DistEpochMs) * time.Millisecond
-	w, _, ok := s.rset.take(src, group, patience)
-	if !ok {
-		return join.State{}, false
-	}
-	s.groupsPromoted++
-	return join.State{ID: group, Buckets: []exthash.Spec{{}}, Window: w}, true
+	s.install(st, nil, d.MoveID)
 }

@@ -57,10 +57,10 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 			wg.Add(1)
 			go func(opts JoinOptions) {
 				defer wg.Done()
-				slaveErr <- ServeSlaveJoin(cfg, ctl, res, opts)
+				slaveErr <- ServeSlave(cfg, ctl, res, opts)
 			}(opts)
 		}
-		result, err := serveMasterElastic(cfg, ctl, res, t.Logf,
+		result, err := serveMaster(cfg, ctl, res, t.Logf,
 			&listIngestor{tuples: append([]tuple.Tuple(nil), work...)})
 		if err != nil {
 			t.Fatal(err)
@@ -131,7 +131,7 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 	})
 }
 
-// newTestMaster builds an elastic masterNode with every slot joined and
+// newTestMaster builds a masterNode with every slot joined and
 // active, for driving the eviction state machine directly — no connections,
 // no clock dependence beyond move-issue timestamps nothing asserts on.
 func newTestMaster(t *testing.T, slaves int, replicate bool) *masterNode {
@@ -143,7 +143,6 @@ func newTestMaster(t *testing.T, slaves int, replicate bool) *masterNode {
 	cfg.Replicate = replicate
 	m := newMaster(&cfg, engine.NewLiveEnv().NewProc("master-test"),
 		make([]engine.Conn, slaves), nil, nil)
-	m.elastic = true
 	return m
 }
 
@@ -346,6 +345,59 @@ func TestHandleDeathAdoptsWithoutReplication(t *testing.T) {
 	}
 }
 
+// discardConn is a control connection nobody reads: admit's handshake
+// messages vanish.
+type discardConn struct{}
+
+func (discardConn) Send(wire.Message)  {}
+func (discardConn) Recv() wire.Message { return nil }
+
+// TestReorgActivatesOnlyRealJoiners: the join rebalance of a reorganization
+// boundary touches slaves admitted mid-run, and nothing else. A slave that is
+// joined but inactive because §V-A adaptation deactivated it (or
+// InitialActive left it out) belongs to the degree-of-declustering
+// controller: it must not be re-activated and re-filled as if it had just
+// joined.
+func TestReorgActivatesOnlyRealJoiners(t *testing.T) {
+	m := newTestMaster(t, 4, false)
+	for g, o := range m.groupOwner {
+		if o >= 2 {
+			m.groupOwner[g] = o - 2
+		}
+	}
+	// Slave 2: deactivated by adaptation, still a roster member.
+	m.active[2] = false
+	// Slot 3: free, taken by a newcomer at epoch 4 of the first interval.
+	m.active[3], m.joined[3] = false, false
+	m.admit(memberEvent{kind: evJoin, conn: discardConn{}, addr: "joiner:1"}, 4)
+	if !m.joined[3] || !m.pendJoin[3] {
+		t.Fatalf("newcomer not admitted into slot 3 (joined %v, pendJoin %v)", m.joined, m.pendJoin)
+	}
+	setOcc(m, 0.2, 0.2, 0, 0) // neither supplier nor consumer: no load pairing
+
+	m.reorganize(m.cfg.epochsPerReorg() - 1)
+
+	if !m.pendAct[3] {
+		t.Error("mid-run joiner not scheduled for activation at its first boundary")
+	}
+	if m.pendAct[2] {
+		t.Error("adaptation-deactivated slave 2 re-activated as if it had just joined")
+	}
+	toward := map[int32]int{}
+	for _, mi := range m.inflight {
+		toward[mi.to]++
+	}
+	if toward[3] == 0 {
+		t.Error("no groups rebalanced toward the joiner")
+	}
+	if toward[2] != 0 {
+		t.Errorf("%d groups moved toward the deactivated slave", toward[2])
+	}
+	if m.pendJoin[3] {
+		t.Error("joiner still pending after its activation was scheduled")
+	}
+}
+
 // TestBuddyAfter pins the master's buddy walk to the slave-side rule (the
 // next live roster slot, cyclically): dead and released slots are skipped,
 // and a slave alone in the cluster has no buddy.
@@ -397,7 +449,7 @@ func replicaCfg() Config {
 // checks take returns exactly the surviving tuples, removing the shadow.
 func TestReplicaSetApplyTake(t *testing.T) {
 	cfg := replicaCfg()
-	rs := newReplicaSet(&cfg)
+	rs := newReplicaSet(&cfg, nil)
 
 	mk := func(stream tuple.StreamID, key, ts int32) tuple.Tuple {
 		return tuple.Tuple{Stream: stream, Key: key, TS: ts}
@@ -470,7 +522,7 @@ func TestReplicaSetApplyTake(t *testing.T) {
 func TestReplicaSetSweep(t *testing.T) {
 	cfg := replicaCfg()
 	cfg.ReplicaTTL = 3
-	rs := newReplicaSet(&cfg)
+	rs := newReplicaSet(&cfg, nil)
 	wd := &wire.WindowDelta{From: 0, Group: 1, Epoch: 1, Cutoff: -1_000_000}
 	rs.apply(wd)
 	for i := 0; i < 3; i++ {
@@ -503,7 +555,7 @@ func TestReplicaSetSweep(t *testing.T) {
 // caller's patience.
 func TestReplicaSetReaderBarrier(t *testing.T) {
 	cfg := replicaCfg()
-	rs := newReplicaSet(&cfg)
+	rs := newReplicaSet(&cfg, nil)
 	rs.apply(&wire.WindowDelta{From: 4, Group: 2, Epoch: 1, Cutoff: -1_000_000})
 
 	ch := rs.beginReader(4)

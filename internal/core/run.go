@@ -72,9 +72,15 @@ type Result struct {
 	// EpochsServed counts master distribution epochs over the whole run.
 	EpochsServed int64
 
-	// Elastic membership counters (ServeMasterElastic only; zero on fixed
-	// topologies). Joins counts admitted slaves (initial formation
-	// included), Leaves graceful departures, Evictions crash declarations.
+	// SourceDropped counts the tuples the live engines' synthetic sources
+	// discarded because the master's ingest channel was full — offered load
+	// the cluster never saw. Zero on the simulator, which pulls on demand.
+	SourceDropped int64
+
+	// Membership counters (TCP deployment only; zero on the simulator and
+	// in-process runs, whose roster never changes). Joins counts admitted
+	// slaves (initial formation included), Leaves graceful departures,
+	// Evictions crash declarations.
 	// GroupsRebalanced counts partition-group movements driven by
 	// membership transitions (join rebalance, leave drain, crash adoption)
 	// rather than load, and RebalanceStallMs accumulates how long those
@@ -85,7 +91,7 @@ type Result struct {
 	GroupsRebalanced int
 	RebalanceStallMs int64
 
-	// Buddy-replication accounting (elastic runs with Replicate). A crashed
+	// Buddy-replication accounting (TCP runs with Replicate). A crashed
 	// slave's groups are promoted from their replicas when a buddy survives
 	// (GroupsPromoted) and adopted empty otherwise; LostWindowTuples
 	// estimates the window tuples discarded by those empty adoptions from
@@ -294,7 +300,7 @@ func RunSim(cfg Config) (*Result, error) {
 		// The simulation's virtual clock is single-threaded, so slaves run
 		// one inline join worker regardless of cfg.Workers.
 		slaves[i] = newSlave(&cfg, int32(i), engine.WrapNode(slaveNds[i]), sConns[i],
-			mesh[i], engine.NewSimAsyncSender(slaveNds[i], inbox), nil)
+			staticPeers(mesh[i]), engine.NewSimAsyncSender(slaveNds[i], inbox), nil)
 	}
 
 	masterNd.Start(func(*simnet.Node) { master.run() })
@@ -337,32 +343,65 @@ func RunSim(cfg Config) (*Result, error) {
 			master.epochsServed, expected, master.lastEpochAt)
 	}
 
+	slaveStats := make([]engine.Stats, cfg.Slaves)
+	for i, nd := range slaveNds {
+		slaveStats[i] = engine.WrapNode(nd).Stats().Sub(warmSlaves[i])
+	}
+	return newResult(cfg, cfg.DurationMs-cfg.WarmupMs, master, collector,
+		engine.WrapNode(masterNd).Stats().Sub(warmMaster), slaves, slaveStats), nil
+}
+
+// newResult assembles a run's Result from the master's and the collector's
+// end state — the one place a Result is built, for the simulator, in-process
+// pipes and the TCP deployment alike. slaves and slaveStats are nil on a TCP
+// master, whose slaves live in other processes: the per-slave resource
+// figures, window sizes, fine-tuning counts and epoch lateness then stay zero.
+func newResult(cfg Config, measuredMs int32, m *masterNode, c *collectorNode,
+	masterStats engine.Stats, slaves []*slaveNode, slaveStats []engine.Stats) *Result {
 	res := &Result{
 		Config:             cfg,
-		MeasuredMs:         cfg.DurationMs - cfg.WarmupMs,
-		Master:             engine.WrapNode(masterNd).Stats().Sub(warmMaster),
+		MeasuredMs:         measuredMs,
+		Master:             masterStats,
 		Slaves:             make([]engine.Stats, cfg.Slaves),
 		SlaveWindowBytes:   make([]int64, cfg.Slaves),
-		SlaveActive:        make([]bool, cfg.Slaves),
-		DoDTrace:           master.dodTrace,
-		MovesIssued:        master.movesIssued,
-		MovesCompleted:     master.movesDone,
-		MovesDegraded:      master.movesDegraded,
-		MasterPeakBufBytes: master.peakBuf,
-		EpochsServed:       master.epochsServed,
+		SlaveActive:        append([]bool(nil), m.active...),
+		DoDTrace:           m.dodTrace,
+		MovesIssued:        m.movesIssued,
+		MovesCompleted:     m.movesDone,
+		MovesDegraded:      m.movesDegraded,
+		MasterPeakBufBytes: m.peakBuf,
+		EpochsServed:       m.epochsServed,
+		Joins:              m.joins,
+		Leaves:             m.leaves,
+		Evictions:          m.evictions,
+		GroupsRebalanced:   m.groupsMoved,
+		RebalanceStallMs:   m.rebalStallMs,
+		GroupsPromoted:     m.promotions,
+		LostWindowTuples:   m.lostWindowTuples,
 	}
-	res.Delay, res.DelayBySlave, res.DelayByQuery = collector.Snapshot()
+	res.Delay, res.DelayBySlave, res.DelayByQuery = c.Snapshot()
 	res.Outputs = res.Delay.Count
-	for i := range slaves {
-		res.Slaves[i] = engine.WrapNode(slaveNds[i]).Stats().Sub(warmSlaves[i])
-		res.SlaveWindowBytes[i] = slaves[i].ws.windowBytes()
-		res.SlaveActive[i] = master.active[i]
-		if master.active[i] {
+	if m.tuplesDrained > 0 {
+		// Estimated pairs lost to unreplicated evictions: each window tuple
+		// discarded at an eviction would, on average, have joined with the
+		// same selectivity the run actually observed (outputs per drained
+		// tuple). Zero whenever replication promoted every group.
+		res.PairsLost = res.Outputs * m.lostWindowTuples / m.tuplesDrained
+	}
+	if li, ok := m.in.(*liveIngestor); ok {
+		res.SourceDropped = li.dropped.Load()
+	}
+	for _, a := range m.active {
+		if a {
 			res.ActiveEnd++
 		}
-		res.Splits += slaves[i].ws.splitsTotal()
-		res.Merges += slaves[i].ws.mergesTotal()
-		res.EpochLat.Merge(&slaves[i].epochLat)
 	}
-	return res, nil
+	for i, s := range slaves {
+		res.Slaves[i] = slaveStats[i]
+		res.SlaveWindowBytes[i] = s.ws.windowBytes()
+		res.Splits += s.ws.splitsTotal()
+		res.Merges += s.ws.mergesTotal()
+		res.EpochLat.Merge(&s.epochLat)
+	}
+	return res
 }

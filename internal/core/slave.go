@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"streamjoin/internal/engine"
+	"streamjoin/internal/exthash"
 	"streamjoin/internal/join"
 	"streamjoin/internal/metrics"
 	"streamjoin/internal/tuple"
@@ -26,7 +27,7 @@ type slaveNode struct {
 	id   int32
 	proc engine.Proc
 	mst  engine.Conn
-	peer []engine.Conn // by slave id; peer[id] == nil
+	ptab *peerTable // mesh connections by slave id
 	coll engine.AsyncSender
 
 	ws *workerSet
@@ -51,21 +52,19 @@ type slaveNode struct {
 
 	active bool
 
-	// Elastic membership (zero on fixed-topology deployments). ptab
-	// replaces the fixed peer slice with a dynamic mesh table; base and
-	// epoch0 anchor the local clock for a mid-run joiner, whose anchor
-	// batch arrives at master epoch `base` and whose first participating
-	// epoch is epoch0 (the next reorganization boundary).
-	ptab   *peerTable
+	// base and epoch0 anchor the local clock of a mid-run joiner, whose
+	// anchor batch arrives at master epoch `base` and whose first
+	// participating epoch is epoch0 (the next reorganization boundary); both
+	// are zero for a slave present from the start.
 	base   int64
 	epoch0 int64
 
-	// Buddy replication (nil unless the elastic deployment enabled
-	// cfg.Replicate). repl ships owned groups' window deltas to the buddy
-	// each epoch; rset holds the shadows other owners replicate here;
-	// preFlush runs before each epoch's Hello (the pair-sink delivery
-	// barrier, so downstream output never trails what the epoch reports);
-	// failHook is the fault-injection seam of the crash-recovery tests.
+	// Buddy replication (TCP deployment; repl is nil unless cfg.Replicate).
+	// repl ships owned groups' window deltas to the buddy each epoch; rset
+	// holds the shadows other owners replicate here; preFlush runs before
+	// each epoch's Hello (the pair-sink delivery barrier, so downstream
+	// output never trails what the epoch reports); failHook is the
+	// fault-injection seam of the crash-recovery tests.
 	repl     *replicator
 	rset     *replicaSet
 	preFlush func()
@@ -93,7 +92,7 @@ type slaveNode struct {
 	epochLat metrics.DelayStats
 }
 
-func newSlave(cfg *Config, id int32, proc engine.Proc, mst engine.Conn, peers []engine.Conn, coll engine.AsyncSender, runner engine.Runner) *slaveNode {
+func newSlave(cfg *Config, id int32, proc engine.Proc, mst engine.Conn, peers *peerTable, coll engine.AsyncSender, runner engine.Runner) *slaveNode {
 	active := int(id) < cfg.initialActive()
 	if runner == nil {
 		runner = engine.NewInlineRunner(proc)
@@ -103,7 +102,7 @@ func newSlave(cfg *Config, id int32, proc engine.Proc, mst engine.Conn, peers []
 		id:     id,
 		proc:   proc,
 		mst:    mst,
-		peer:   peers,
+		ptab:   peers,
 		coll:   coll,
 		ws:     newWorkerSet(cfg, id, runner),
 		active: active,
@@ -192,10 +191,9 @@ func (s *slaveNode) run() {
 			s.occSum, s.occN = 0, 0
 		}
 
-		// On an elastic cluster the batch may be preceded by Membership
-		// updates (roster changes since our last exchange): prune mesh
-		// connections of departed peers before any directive could name
-		// a new one.
+		// The batch may be preceded by Membership updates (roster changes
+		// since our last exchange): prune mesh connections of departed
+		// peers before any directive could name a new one.
 		var batch *wire.Batch
 		for batch == nil {
 			switch v := s.mst.Recv().(type) {
@@ -311,40 +309,19 @@ func (s *slaveNode) handleDirectives(dirs []wire.Directive) bool {
 	return true
 }
 
-// peerConn resolves the mesh connection to another slave: the fixed slice
-// on a static topology, the dynamic table on an elastic one (nil when the
-// peer is gone or never arrives within the table's patience).
-func (s *slaveNode) peerConn(id int32) engine.Conn {
-	if s.ptab != nil {
-		return s.ptab.get(id)
-	}
-	return s.peer[id]
-}
-
 // flushPeers pushes buffered state transfers out on every live mesh
-// connection. On an elastic mesh a peer may die mid-flush; the failure is
-// absorbed (the master re-plans around the dead consumer).
+// connection. A peer may die mid-flush; the failure is absorbed (the master
+// re-plans around the dead consumer).
 func (s *slaveNode) flushPeers() {
-	if s.ptab != nil {
-		s.ptab.each(func(p engine.Conn) {
-			tolerateTCP(func() { engine.Flush(p) })
-		})
-		return
-	}
-	for _, p := range s.peer {
-		if p != nil {
-			engine.Flush(p)
-		}
-	}
+	s.ptab.each(func(p engine.Conn) {
+		tolerateTCP(func() { engine.Flush(p) })
+	})
 }
 
 // applyMembership reacts to a roster update: mesh connections of slaves no
 // longer in the roster are closed, which also fails over any read blocked
 // on a dead supplier.
 func (s *slaveNode) applyMembership(ms *wire.Membership) {
-	if s.ptab == nil {
-		return
-	}
 	live := make(map[int32]bool, len(ms.Slaves))
 	for _, sp := range ms.Slaves {
 		live[sp.ID] = true
@@ -356,99 +333,86 @@ func (s *slaveNode) applyMembership(ms *wire.Membership) {
 }
 
 // supplyGroup performs a monolithic supply: extract the whole group and ship
-// it as one StateTransfer. On an elastic mesh the consumer may be dead or
-// unreachable; the state is then lost with the move — the master unwinds it
-// and re-adopts the group empty on a survivor (sendTo severs the peer so
-// sibling directives fail fast instead of re-waiting the patience budget).
+// it as one StateTransfer. The consumer may be dead or unreachable; the state
+// is then lost with the move — the master unwinds it and re-adopts the group
+// empty on a survivor (sendTo severs the peer so sibling directives fail fast
+// instead of re-waiting the patience budget).
 func (s *slaveNode) supplyGroup(d wire.Directive) {
 	st, pending := s.ws.extractGroup(d.Group)
 	s.proc.Compute(s.cfg.Cost.Move(st.WindowTuples() + len(pending)))
 	s.sendTo(d.To, st.ToWire(d.MoveID, pending))
 }
 
+// consumeGroup opens the consume of move d: read the supplier's first
+// message, or — when there is no live supplier to read from — install the
+// group from what this slave has locally.
 func (s *slaveNode) consumeGroup(d wire.Directive) {
 	// A consumer death mid-transfer can bounce a group right back onto its
 	// old supplier (re-adoption); any outgoing transfer of this group must
 	// die first so the install below finds the group unowned.
 	s.abortOutgoingGroup(d.Group)
-	if d.From <= -2 {
+	switch {
+	case d.From <= -2:
 		// Promotion order: the previous owner crashed, but its windows were
 		// chain-replicated here — install the local shadow (replica.go).
-		s.promoteGroup(d)
-		return
-	}
-	var msg wire.Message
-	switch {
+		s.installReplica(d, promoteSrc(d.From))
 	case d.From < 0:
-		// Adoption order (elastic): there is no supplier — the previous
-		// owner crashed and its windows are gone. Install the group empty
-		// (one depth-0 bucket) so processing resumes, and ack so ownership
-		// transfers.
-		msg = emptyTransfer(d)
-	case s.ptab != nil:
-		if p := s.peerConn(d.From); p != nil {
-			if !tolerateTCP(func() { msg = s.recvMove(p, d) }) {
-				// A deadline timeout lands here too: a supplier that stalls
-				// past the mesh read deadline is severed like a dead one.
-				s.ptab.fail(d.From)
-			}
-		} else {
-			s.ptab.fail(d.From) // cache the verdict for sibling directives
-		}
-		if msg == nil {
-			s.failoverConsume(d)
-			return
-		}
+		// Adoption order: there is no supplier — the previous owner crashed
+		// and its windows are gone. Install the group empty so processing
+		// resumes, and ack so ownership transfers.
+		s.install(emptyState(d.Group), nil, d.MoveID)
 	default:
-		msg = s.recvMove(s.peer[d.From], d)
-	}
-	if c, ok := msg.(*wire.StateChunk); ok {
-		// The supplier opened an incremental transfer: accumulate, and ack
-		// only when the closing StateTransfer completes it (transfer.go).
-		s.beginIncoming(d, c)
-		return
-	}
-	s.installTransfer(msg.(*wire.StateTransfer))
-}
-
-// failoverConsume completes a consume whose supplier died before (or while)
-// shipping the state. If this slave happens to be the supplier's buddy, the
-// group's shadow is local — install that instead of losing the windows.
-// Otherwise the window contents are lost: fall back to an empty install and
-// ack, so the movement still completes — but report the move as degraded so
-// the loss is accounted, not silent.
-func (s *slaveNode) failoverConsume(d wire.Directive) {
-	if st, ok := s.takeReplica(d.From, d.Group); ok {
-		s.proc.Compute(s.cfg.Cost.Move(st.WindowTuples()))
-		if err := s.ws.installState(st, nil); err != nil {
-			panic(err)
+		switch msg := s.recvFrom(d).(type) {
+		case nil:
+			// The supplier died before shipping: if this slave happens to be
+			// its buddy the group's shadow is local, otherwise the move
+			// completes empty and degraded.
+			s.installReplica(d, d.From)
+		case *wire.StateChunk:
+			// The supplier opened an incremental transfer: accumulate, and
+			// ack only when the closing StateTransfer completes it
+			// (transfer.go).
+			s.beginIncoming(d, msg)
+		case *wire.StateTransfer:
+			s.installTransfer(msg)
 		}
-		s.acks = append(s.acks, d.MoveID)
-		return
 	}
-	s.degraded = append(s.degraded, d.MoveID)
-	s.installTransfer(emptyTransfer(d))
 }
 
 // installTransfer installs a completed state transfer (monolithic, or the
 // assembled snapshot-plus-delta of an incremental one) and acks the move.
 func (s *slaveNode) installTransfer(msg *wire.StateTransfer) {
-	st := join.StateFromWire(msg)
-	s.proc.Compute(s.cfg.Cost.Move(st.WindowTuples() + len(msg.Pending)))
-	if err := s.ws.installState(st, msg.Pending); err != nil {
-		panic(err)
-	}
-	s.acks = append(s.acks, msg.MoveID)
+	s.install(join.StateFromWire(msg), msg.Pending, msg.MoveID)
 }
 
-// emptyTransfer is the install payload of a move whose state never arrives:
-// one depth-0 bucket, no windows.
-func emptyTransfer(d wire.Directive) *wire.StateTransfer {
-	return &wire.StateTransfer{
-		MoveID:  d.MoveID,
-		Group:   d.Group,
-		Buckets: []wire.BucketSpec{{LocalDepth: 0, Bits: 0}},
+// install makes this slave the owner of the group in st — windows, directory
+// shape and the unprocessed backlog that travelled with it — and acks the
+// move, which transfers ownership at the master.
+func (s *slaveNode) install(st join.State, pending []tuple.Tuple, moveID int64) {
+	s.proc.Compute(s.cfg.Cost.Move(st.WindowTuples() + len(pending)))
+	if err := s.ws.installState(st, pending); err != nil {
+		panic(err)
 	}
+	s.acks = append(s.acks, moveID)
+}
+
+// emptyState is the install payload of a move whose state never arrives: one
+// depth-0 bucket, no windows.
+func emptyState(group int32) join.State {
+	return join.State{ID: group, Buckets: []exthash.Spec{{}}}
+}
+
+// recvFrom reads the next message of move d from its supplier's mesh
+// connection, or returns nil when the supplier is gone, never arrives within
+// the table's patience, or stalls past the mesh read deadline — in every
+// case the peer is severed, so sibling directives fail fast instead of
+// re-waiting.
+func (s *slaveNode) recvFrom(d wire.Directive) (msg wire.Message) {
+	if p := s.ptab.get(d.From); p != nil && tolerateTCP(func() { msg = s.recvMove(p, d) }) {
+		return msg
+	}
+	s.ptab.fail(d.From)
+	return nil
 }
 
 // recvMove reads the next state-movement message matching directive d from a

@@ -298,22 +298,11 @@ func (s *slaveNode) beginIncoming(d wire.Directive, c *wire.StateChunk) {
 // exactly like a monolithic consume that never got its transfer.
 func (s *slaveNode) continueIncoming(x *inXfer) {
 	d := x.d
-	var msg wire.Message
-	if s.ptab == nil {
-		msg = s.recvMove(s.peer[d.From], d)
-	} else {
-		if p := s.peerConn(d.From); p != nil {
-			if !tolerateTCP(func() { msg = s.recvMove(p, d) }) {
-				s.ptab.fail(d.From)
-			}
-		} else {
-			s.ptab.fail(d.From)
-		}
-		if msg == nil {
-			delete(s.xferIn, d.MoveID)
-			s.failoverConsume(d)
-			return
-		}
+	msg := s.recvFrom(d)
+	if msg == nil {
+		delete(s.xferIn, d.MoveID)
+		s.installReplica(d, d.From)
+		return
 	}
 	switch m := msg.(type) {
 	case *wire.StateChunk:
@@ -376,22 +365,14 @@ func (s *slaveNode) settleTransfers() {
 	}
 }
 
-// sendTo buffers msg toward peer `to`, reporting delivery. On a fixed
-// topology a transport failure is fatal (as everywhere else); on an elastic
-// mesh the dead peer is severed and false is returned so the caller can
-// unwind (the master re-plans around the lost consumer).
+// sendTo buffers msg toward peer `to`, reporting delivery. A dead or
+// unreachable peer is severed — later sends naming it fail fast instead of
+// each waiting out the table's patience budget — and false is returned so the
+// caller can unwind (the master re-plans around the lost consumer).
 func (s *slaveNode) sendTo(to int32, msg wire.Message) bool {
-	if s.ptab == nil {
-		engine.SendBuffered(s.peer[to], msg)
+	if p := s.ptab.get(to); p != nil && tolerateTCP(func() { engine.SendBuffered(p, msg) }) {
 		return true
 	}
-	if p := s.peerConn(to); p != nil {
-		if tolerateTCP(func() { engine.SendBuffered(p, msg) }) {
-			return true
-		}
-	}
-	// Sever immediately: later sends naming this peer fail fast instead of
-	// each waiting out the table's patience budget.
 	s.ptab.fail(to)
 	return false
 }

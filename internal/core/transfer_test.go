@@ -28,8 +28,8 @@ func newXferRig(chunk int) *xferRig {
 	env := engine.NewLiveEnv()
 	pa, pb := env.NewProc("xfer-sup"), env.NewProc("xfer-con")
 	ab, ba := engine.Pipe(pa, pb)
-	r.sup = newSlave(&r.cfg, 0, pa, nil, []engine.Conn{nil, ab}, nil, nil)
-	r.con = newSlave(&r.cfg, 1, pb, nil, []engine.Conn{ba, nil}, nil, nil)
+	r.sup = newSlave(&r.cfg, 0, pa, nil, staticPeers([]engine.Conn{nil, ab}), nil, nil)
+	r.con = newSlave(&r.cfg, 1, pb, nil, staticPeers([]engine.Conn{ba, nil}), nil, nil)
 	r.supP = pa
 	return r
 }
@@ -266,12 +266,12 @@ func TestIncrementalTransferEquivalence(t *testing.T) {
 				if sp.delay > 0 {
 					time.Sleep(sp.delay)
 				}
-				if err := ServeSlaveJoin(sp.cfg, ctl, res, sp.opts); err != nil {
+				if err := ServeSlave(sp.cfg, ctl, res, sp.opts); err != nil {
 					slaveErr <- err
 				}
 			}(sp)
 		}
-		result, err := serveMasterElastic(masterCfg, ctl, res, t.Logf,
+		result, err := serveMaster(masterCfg, ctl, res, t.Logf,
 			&listIngestor{tuples: append([]tuple.Tuple(nil), work...)})
 		if err != nil {
 			t.Fatal(err)

@@ -67,7 +67,7 @@ type workerSet struct {
 	workers []*joinWorker
 
 	// replicate turns on per-round delta capture for buddy replication;
-	// set once before the slave loop starts (elastic deployment with
+	// set once before the slave loop starts (TCP deployment with
 	// cfg.Replicate).
 	replicate bool
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"streamjoin/internal/wire"
@@ -12,14 +13,26 @@ import (
 
 // LiveEnv anchors wall-clock time for a set of live processes.
 type LiveEnv struct {
-	start time.Time
+	start atomic.Pointer[time.Time]
 }
 
 // NewLiveEnv returns an environment whose clock starts now.
-func NewLiveEnv() *LiveEnv { return &LiveEnv{start: time.Now()} }
+func NewLiveEnv() *LiveEnv {
+	e := &LiveEnv{}
+	e.Restart()
+	return e
+}
 
-// Now reports the time since the environment started.
-func (e *LiveEnv) Now() time.Duration { return time.Since(e.start) }
+// Restart moves the environment's time zero to now: a TCP slave re-anchors
+// its clock on receipt of the master's anchor batch, so that its slot
+// arithmetic matches the master's. Safe while other goroutines read the clock.
+func (e *LiveEnv) Restart() {
+	now := time.Now()
+	e.start.Store(&now)
+}
+
+// Now reports the time since the environment (re)started.
+func (e *LiveEnv) Now() time.Duration { return time.Since(*e.start.Load()) }
 
 // LiveProc is a goroutine-backed Proc. Stats are mutex-guarded because
 // monitors read them from other goroutines.
@@ -260,14 +273,6 @@ func wrapTCP(p *LiveProc, c net.Conn, flushBytes int, batched bool) *tcpConn {
 		w:       w,
 		batched: batched,
 	}
-}
-
-// Rebind returns the same TCP connection accounting to a different process
-// (used when a deployment re-anchors its clock after setup).
-func (c *tcpConn) Rebind(p *LiveProc) Conn {
-	out := *c
-	out.p = p
-	return &out
 }
 
 // accountWire folds the framing layer's physical counters into the process

@@ -42,18 +42,10 @@ func (tcpTransport) Listen(network, addr string) (net.Listener, error) {
 // forever. A non-positive duration disables that side; both non-positive
 // returns c unchanged.
 func WithDeadlines(c net.Conn, rd, wd time.Duration) net.Conn {
-	return WithFormingDeadlines(c, 0, rd, wd)
-}
-
-// WithFormingDeadlines is WithDeadlines with a separate, typically much
-// longer deadline for the first read: control connections legitimately idle
-// from registration until the cluster forms (bounded by the formation
-// timeout), then settle into the epoch cadence that rd covers.
-func WithFormingDeadlines(c net.Conn, first, rd, wd time.Duration) net.Conn {
-	if first <= 0 && rd <= 0 && wd <= 0 {
+	if rd <= 0 && wd <= 0 {
 		return c
 	}
-	return &deadlineConn{Conn: c, first: first, rd: rd, wd: wd}
+	return &deadlineConn{Conn: c, rd: rd, wd: wd}
 }
 
 // deadlineConn arms a fresh deadline before each I/O operation. It
@@ -62,22 +54,13 @@ func WithFormingDeadlines(c net.Conn, first, rd, wd time.Duration) net.Conn {
 // engine's conn adapters never set deadlines themselves.
 type deadlineConn struct {
 	net.Conn
-	first time.Duration // first-read deadline (formation margin); 0 = use rd
-	rd    time.Duration // per-read idle deadline; 0 = none
-	wd    time.Duration // per-write deadline; 0 = none
-	begun bool          // first read already armed
+	rd time.Duration // per-read idle deadline; 0 = none
+	wd time.Duration // per-write deadline; 0 = none
 }
 
 func (d *deadlineConn) Read(p []byte) (int, error) {
-	rd := d.rd
-	if !d.begun {
-		d.begun = true
-		if d.first > 0 {
-			rd = d.first
-		}
-	}
-	if rd > 0 {
-		if err := d.Conn.SetReadDeadline(time.Now().Add(rd)); err != nil {
+	if d.rd > 0 {
+		if err := d.Conn.SetReadDeadline(time.Now().Add(d.rd)); err != nil {
 			return 0, err
 		}
 	}

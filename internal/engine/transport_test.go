@@ -3,13 +3,12 @@ package engine
 import (
 	"errors"
 	"net"
-	"sync"
 	"testing"
 	"time"
 )
 
 // TestWithDeadlinesPassThrough: all-zero deadlines must return the conn
-// unchanged — the fixed-topology fast path pays nothing for the seam.
+// unchanged — a deployment with deadlines disabled pays nothing for the seam.
 func TestWithDeadlinesPassThrough(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
@@ -65,39 +64,6 @@ func TestWithDeadlinesWriteTimeout(t *testing.T) {
 	_, err := c.Write(make([]byte, 1))
 	if !isTimeout(err) {
 		t.Fatalf("write against stalled peer: err = %v, want timeout", err)
-	}
-}
-
-// TestWithFormingDeadlines: the first read gets the long formation margin,
-// subsequent reads the tight steady-state deadline.
-func TestWithFormingDeadlines(t *testing.T) {
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	c := WithFormingDeadlines(a, 300*time.Millisecond, 30*time.Millisecond, 0)
-
-	// First read: the peer answers after the steady-state deadline but
-	// within the formation margin — must succeed.
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		time.Sleep(100 * time.Millisecond)
-		b.Write([]byte{1})
-	}()
-	if _, err := c.Read(make([]byte, 1)); err != nil {
-		t.Fatalf("first read within formation margin failed: %v", err)
-	}
-	wg.Wait()
-
-	// Second read: the same silence now violates the steady-state deadline.
-	start := time.Now()
-	_, err := c.Read(make([]byte, 1))
-	if !isTimeout(err) {
-		t.Fatalf("second read: err = %v, want timeout", err)
-	}
-	if el := time.Since(start); el >= 300*time.Millisecond {
-		t.Fatalf("second read used the formation margin (%v elapsed)", el)
 	}
 }
 

@@ -48,12 +48,10 @@ const (
 	// byte-identical to the pre-multi-query protocol.
 	KindResultBatchQ
 	KindPairBatchQ
-	// KindMembership, KindPing and KindPong belong to the elastic-membership
-	// extension: a joining slave announces itself with a Membership carrying
-	// its mesh address, the master broadcasts the roster back, and heartbeats
-	// ride a dedicated control connection. None of them ever appears on a
-	// fixed-topology deployment, whose traffic stays byte-identical to the
-	// pre-elastic protocol.
+	// KindMembership, KindPing and KindPong carry cluster membership on the
+	// TCP deployment: a joining slave announces itself with a Membership
+	// carrying its mesh address, the master sends the roster back, and
+	// heartbeats ride a dedicated control connection.
 	KindMembership
 	KindPing
 	KindPong
@@ -425,7 +423,7 @@ type MemberSpec struct {
 	Workers int32  // announced join-worker capacity
 }
 
-// Membership carries the elastic cluster roster in both directions. A slave
+// Membership carries the cluster roster in both directions. A slave
 // dialing into a live cluster sends one right after its registration Hello:
 // Self and the single roster entry's ID are -1 (unassigned), and the entry
 // announces the joiner's mesh address and capacity. The master replies — and
@@ -438,7 +436,7 @@ type MemberSpec struct {
 // PAPERS.md) treats the processing-node set as changeable between
 // reorganization intervals, with the coordinator re-planning partition
 // placement at interval boundaries; Membership is that coordinator view made
-// explicit on the wire. Fixed-topology deployments never send it.
+// explicit on the wire.
 type Membership struct {
 	Epoch  int64 // group-ownership epoch; bumps on every roster change
 	Self   int32 // recipient's assigned slave id; -1 slave→master
@@ -462,7 +460,7 @@ func (m *Membership) WireSize() int64 {
 }
 
 // Ping is the periodic slave→master heartbeat on the dedicated heartbeat
-// connection of an elastic deployment. Seq increments per ping; Leave set
+// connection of a TCP deployment. Seq increments per ping; Leave set
 // requests a graceful departure — the master drains the slave's
 // partition-groups to the survivors through the ordinary state-movement
 // machinery before shutting the slave down, so no window state is lost.
