@@ -128,12 +128,26 @@ func main() {
 }
 
 func headline(scenario string, res benchfmt.Result) string {
+	ingest := fmt.Sprintf("ingested %.0f of %.0f offered tuples/sec (%.0f dropped)",
+		res.Metrics["ingested_tuples_per_s"], res.Metrics["offered_tuples_per_s"], res.Metrics["dropped_tuples_per_s"])
 	if scenario == "reorg" {
-		return fmt.Sprintf("%.0f moves, max stall %.1f ms (total %.1f), p99 epoch %.1f ms",
-			res.Metrics["moves"], res.Metrics["stall-ms"], res.Metrics["stall-total-ms"], res.Metrics["p99-epoch-ms"])
+		return fmt.Sprintf("%.0f moves, max stall %.1f ms (total %.1f), p99 epoch %.1f ms, %s",
+			res.Metrics["moves"], res.Metrics["stall-ms"], res.Metrics["stall-total-ms"], res.Metrics["p99-epoch-ms"], ingest)
 	}
-	return fmt.Sprintf("%.0f outputs/sec, delay %.1f ms",
-		res.Metrics["outputs/sec"], res.Metrics["delay-ms"])
+	return fmt.Sprintf("%.0f outputs/sec, delay %.1f ms, %s",
+		res.Metrics["outputs/sec"], res.Metrics["delay-ms"], ingest)
+}
+
+// addIngest records what the sources offered, what the master ingested and
+// what the sources dropped because the master fell behind, in tuples/sec of
+// both streams over the whole run (the source counters are not reset at the
+// warm-up boundary). Outputs grow with the square of the ingested rate, so
+// when they fall short of that curve the drop column says why.
+func addIngest(m map[string]float64, res *streamjoin.Result, duration time.Duration) {
+	sec := duration.Seconds()
+	m["offered_tuples_per_s"] = float64(res.SourceOffered) / sec
+	m["ingested_tuples_per_s"] = float64(res.SourceOffered-res.SourceDropped) / sec
+	m["dropped_tuples_per_s"] = float64(res.SourceDropped) / sec
 }
 
 // baseCell is the Config every grid cell starts from.
@@ -173,6 +187,7 @@ func runCell(slaves int, rate float64, workers int, domain int32, window, td, du
 			"comm-sec":    res.AggregateComm().Seconds(),
 		},
 	}
+	addIngest(r.Metrics, res, duration)
 	return r, nil
 }
 
@@ -225,6 +240,7 @@ func runReorgCell(slaves int, rate float64, workers int, domain int32, window, t
 				"stall-total-ms": float64(res.XferStallTotal()) / float64(time.Millisecond),
 				"p99-epoch-ms":   float64(res.EpochP99()) / float64(time.Millisecond),
 			}
+			addIngest(metrics, res, duration)
 			// Best-of-reps per latency metric: scheduling noise (GC pauses,
 			// core contention) only ever inflates a stall or a quantile, so
 			// the minimum across identical runs is the cleanest measurement —

@@ -57,8 +57,12 @@ func main() {
 	fmt.Printf("average delay:  %v\n", r.MeanDelay())
 	fmt.Printf("epochs served:  %d\n", r.EpochsServed)
 	if r.SourceDropped > 0 {
-		fmt.Printf("source dropped: %d tuples (ingest channel full; offered load the cluster never saw)\n",
+		fmt.Printf("source dropped: %d tuples (master over two epochs behind its schedule; offered load the cluster never saw)\n",
 			r.SourceDropped)
+	}
+	if r.TSClamped > 0 {
+		fmt.Printf("ts clamped:     %d tuples (arrived out of order; timestamp raised to their group's latest)\n",
+			r.TSClamped)
 	}
 	fmt.Printf("movements:      %d completed\n", r.MovesCompleted)
 	if r.MovesDegraded > 0 {

@@ -12,40 +12,66 @@ import (
 	"streamjoin/internal/workload"
 )
 
-// liveIngestCap bounds the tuples the source goroutine may run ahead of the
-// master's per-slot Pull: about a second of input at the highest rates the
-// benchmark offers, beyond which the sources drop (and count) instead of
-// stalling the arrival clock.
-const liveIngestCap = 1 << 16
-
-// liveIngestor drains tuples pushed by the source goroutine. Timestamps are
-// assigned by the sources from the shared live clock; the master's
-// per-partition monotonicity clamp absorbs cross-source interleaving. The
-// counters make the ingest edge conserve tuples visibly: at any quiescent
-// point offered = pulled + dropped + len(ch).
+// liveIngestor hands the source goroutine's arrivals to the master in runs:
+// the feeder appends each tick's merged run to a queue and the master's
+// per-slot Pull swaps the whole queue out, so no tuple crosses the edge on its
+// own. Timestamps are assigned by the sources from the shared live clock, so
+// the queue is in timestamp order. An overloaded master is one that has missed
+// its fixed schedule: once the un-pulled arrivals span more than maxLagMs the
+// feeder drops (and counts) each newer run instead of stalling the arrival
+// clock or buffering without bound. The counters make the edge conserve tuples
+// visibly: offered = pulled + dropped + queued at every instant.
 type liveIngestor struct {
-	ch      chan tuple.Tuple
-	offered atomic.Int64 // generated by the sources
-	dropped atomic.Int64 // discarded because ch was full
-	pulled  int64        // handed to the master (its goroutine only)
+	maxLagMs int32 // un-pulled span beyond which new runs are dropped
+
+	mu      sync.Mutex
+	queue   []tuple.Tuple // arrivals since the last Pull
+	spare   []tuple.Tuple // the previous Pull's slice, recycled as the next queue
+	sinceMs int32         // where the un-pulled span starts (queue non-empty)
+	offered int64         // generated by the sources
+	dropped int64         // discarded because the master fell behind
+	pulled  int64         // handed to the master
 }
 
-func newLiveIngestor(capacity int) *liveIngestor {
-	return &liveIngestor{ch: make(chan tuple.Tuple, capacity)}
+// newLiveIngestor builds the source edge of a live master. The run-ahead
+// bound is derived, not tuned: the master pulls at least once per distribution
+// epoch, so arrivals spanning more than two epochs mean it is a full epoch
+// behind its schedule.
+func newLiveIngestor(cfg *Config) *liveIngestor {
+	return &liveIngestor{maxLagMs: 2 * cfg.DistEpochMs}
 }
 
-// Pull implements Ingestor; it never blocks.
+// Pull implements Ingestor; it never blocks on the sources. The two queue
+// slices alternate, so the returned one is valid until the next Pull.
 func (in *liveIngestor) Pull(int32) []tuple.Tuple {
-	var out []tuple.Tuple
-	for {
-		select {
-		case t := <-in.ch:
-			out = append(out, t)
-		default:
-			in.pulled += int64(len(out))
-			return out
-		}
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	out := in.queue
+	in.queue, in.spare = in.spare[:0], out
+	in.pulled += int64(len(out))
+	return out
+}
+
+// push queues the run of arrivals with timestamps in (fromMs, toMs], or drops
+// it whole when the master has left more than maxLagMs of arrivals un-pulled.
+func (in *liveIngestor) push(run []tuple.Tuple, fromMs, toMs int32) {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	in.offered += int64(len(run))
+	if len(in.queue) == 0 {
+		in.sinceMs = fromMs
+	} else if toMs-in.sinceMs > in.maxLagMs {
+		in.dropped += int64(len(run))
+		return
 	}
+	in.queue = append(in.queue, run...)
+}
+
+// counts returns the conservation counters and the tuples still queued.
+func (in *liveIngestor) counts() (offered, pulled, dropped, queued int64) {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return in.offered, in.pulled, in.dropped, int64(len(in.queue))
 }
 
 // feed generates both streams in real time, pushing arrivals every few
@@ -74,20 +100,8 @@ func (in *liveIngestor) feed(env *engine.LiveEnv, cfg *Config, stop *atomic.Bool
 			s2.SetRate(schedule[0].Rate)
 			schedule = schedule[1:]
 		}
-		batch := workload.Merge(s1.Batch(lastMs, nowMs), s2.Batch(lastMs, nowMs))
+		in.push(workload.Merge(s1.Batch(lastMs, nowMs), s2.Batch(lastMs, nowMs)), lastMs, nowMs)
 		lastMs = nowMs
-		dropped := 0
-		for _, t := range batch {
-			select {
-			case in.ch <- t:
-			default: // overloaded master: drop rather than block the clock
-				dropped++
-			}
-		}
-		in.offered.Add(int64(len(batch)))
-		if dropped > 0 {
-			in.dropped.Add(int64(dropped))
-		}
 	}
 }
 
@@ -107,16 +121,16 @@ type liveMaster struct {
 
 // newLiveMaster builds the master and collector over conns (one per slave
 // slot; nil entries are filled by admissions). A nil ing selects the
-// synthetic sources at their default capacity; sources start generating at
-// once. Tests pass a finite, known workload instead (or a liveIngestor with
-// a deliberately tiny channel).
+// synthetic sources; they start generating at once. Tests pass a finite, known
+// workload instead (or a liveIngestor with a deliberately tiny run-ahead
+// bound).
 func newLiveMaster(cfg *Config, conns []engine.Conn, ing Ingestor) *liveMaster {
 	lm := &liveMaster{env: engine.NewLiveEnv(), feedDone: make(chan struct{}), collDone: make(chan struct{})}
 	lm.masterP = lm.env.NewProc("master")
 	lm.collP = lm.env.NewProc("collector")
 	lm.inbox = engine.NewLiveInbox(lm.collP, 1<<14)
 	if ing == nil {
-		ing = newLiveIngestor(liveIngestCap)
+		ing = newLiveIngestor(cfg)
 	}
 	if li, ok := ing.(*liveIngestor); ok {
 		go func() { defer close(lm.feedDone); li.feed(lm.env, cfg, &lm.feedStop) }()

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
 	"streamjoin/internal/join"
+	"streamjoin/internal/tuple"
 )
 
 // liveConfig is a short wall-clock configuration for live-engine tests.
@@ -85,10 +87,10 @@ func TestRunLiveWithMovements(t *testing.T) {
 }
 
 // TestRunLiveSourceDropsAccounted starves the ingest edge on purpose — a
-// 64-tuple channel under 10 000 tuples/s — and checks that no tuple vanishes
-// unaccounted: everything the sources offered was either handed to the
-// master, counted as dropped, or is still sitting in the channel, and the
-// drop count reaches the Result.
+// run-ahead bound of 1 ms where the master pulls every ~100 ms — and checks
+// that no tuple vanishes unaccounted: everything the sources offered was
+// either handed to the master, counted as dropped, or is still queued, and
+// the drop count reaches the Result.
 func TestRunLiveSourceDropsAccounted(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock test")
@@ -97,20 +99,123 @@ func TestRunLiveSourceDropsAccounted(t *testing.T) {
 	cfg.Rate = 5_000
 	cfg.DurationMs = 2_000
 	cfg.WarmupMs = 500
-	in := newLiveIngestor(64)
+	in := &liveIngestor{maxLagMs: 1}
 	res, err := runLive(cfg, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	offered, dropped := in.offered.Load(), in.dropped.Load()
+	offered, pulled, dropped, queued := in.counts()
 	if dropped == 0 {
-		t.Fatalf("no drops with a 64-tuple channel under %d offered tuples — the test is vacuous", offered)
+		t.Fatalf("no drops with a 1 ms run-ahead bound under %d offered tuples — the test is vacuous", offered)
 	}
-	if got := in.pulled + dropped + int64(len(in.ch)); got != offered {
-		t.Errorf("offered %d != ingested %d + dropped %d + queued %d", offered, in.pulled, dropped, len(in.ch))
+	if got := pulled + dropped + queued; got != offered {
+		t.Errorf("offered %d != ingested %d + dropped %d + queued %d", offered, pulled, dropped, queued)
 	}
 	if res.SourceDropped != dropped {
 		t.Errorf("Result.SourceDropped = %d, want %d", res.SourceDropped, dropped)
 	}
-	t.Logf("offered %d, ingested %d, dropped %d", offered, in.pulled, dropped)
+	t.Logf("offered %d, ingested %d, dropped %d", offered, pulled, dropped)
+}
+
+// TestRunLiveOnScheduleDropsNothing is the opposite arm: a master pulling on
+// its fixed schedule loses nothing at a rate (200 000 tuples/s) where one
+// epoch's arrivals alone exceed any small fixed queue, so a capacity-shaped
+// ingest ceiling cannot quietly return. In-order synthetic sources also leave
+// the timestamp clamp idle.
+func TestRunLiveOnScheduleDropsNothing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wall-clock test")
+	}
+	cfg := liveConfig()
+	cfg.Rate = 100_000 // per stream
+	cfg.Domain = 1 << 23
+	cfg.WindowMs = 1_000
+	cfg.DurationMs = 1_500
+	cfg.WarmupMs = 500
+	in := newLiveIngestor(&cfg)
+	res, err := runLive(cfg, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	offered, pulled, dropped, queued := in.counts()
+	if res.SourceDropped != 0 || dropped != 0 {
+		t.Errorf("dropped %d of %d offered tuples (Result.SourceDropped %d) with the master on schedule",
+			dropped, offered, res.SourceDropped)
+	}
+	if offered < 200_000 || pulled+queued != offered {
+		t.Errorf("offered %d, pulled %d, queued %d", offered, pulled, queued)
+	}
+	if res.TSClamped != 0 {
+		t.Errorf("TSClamped = %d on in-order sources", res.TSClamped)
+	}
+}
+
+// TestLiveIngestorConservesUnderConcurrency drives the run queue the way the
+// live master does — a feeder pushing runs while another goroutine pulls —
+// with no wall clock: offered = pulled + dropped + queued must hold at the
+// end, every pulled tuple arrives once and in order, and a stalled puller
+// makes the feeder drop rather than queue without bound.
+func TestLiveIngestorConservesUnderConcurrency(t *testing.T) {
+	const (
+		ticks   = 4000
+		perTick = 7
+		tickMs  = 5
+	)
+	in := &liveIngestor{maxLagMs: 100}
+	feedDone := make(chan struct{})
+	go func() {
+		defer close(feedDone)
+		next := int32(0) // Key numbers the offered tuples
+		for k := int32(0); k < ticks; k++ {
+			run := make([]tuple.Tuple, perTick)
+			for j := range run {
+				run[j] = tuple.Tuple{Key: next, TS: (k + 1) * tickMs}
+				next++
+			}
+			in.push(run, k*tickMs, (k+1)*tickMs)
+		}
+	}()
+	var got int64
+	last := int32(-1)
+	pull := func() {
+		for _, tp := range in.Pull(0) {
+			if tp.Key <= last {
+				t.Errorf("pulled tuple %d after %d: duplicated or out of order", tp.Key, last)
+			}
+			last = tp.Key
+			got++
+		}
+	}
+	for fed := false; !fed; {
+		select {
+		case <-feedDone:
+			fed = true
+		default:
+			pull()
+			runtime.Gosched()
+		}
+	}
+	offered, pulled, dropped, queued := in.counts()
+	if offered != ticks*perTick || pulled != got || pulled+dropped+queued != offered {
+		t.Fatalf("offered %d (want %d), pulled %d (saw %d), dropped %d, queued %d",
+			offered, ticks*perTick, pulled, got, dropped, queued)
+	}
+	if queued > int64(in.maxLagMs/tickMs+1)*perTick {
+		t.Fatalf("%d tuples queued: more than the run-ahead bound admits", queued)
+	}
+	pull()
+	if _, pulled, _, queued = in.counts(); queued != 0 || pulled != got || pulled+dropped != offered {
+		t.Fatalf("after the final pull: pulled %d (saw %d), dropped %d, queued %d of %d",
+			pulled, got, dropped, queued, offered)
+	}
+
+	// A puller that never comes: the queue stops growing at the bound.
+	stalled := &liveIngestor{maxLagMs: 100}
+	for k := int32(0); k < 100; k++ {
+		stalled.push(make([]tuple.Tuple, perTick), k*tickMs, (k+1)*tickMs)
+	}
+	offered, _, dropped, queued = stalled.counts()
+	if want := int64(100 / tickMs * perTick); queued != want || dropped != offered-want {
+		t.Fatalf("stalled puller: queued %d (want %d), dropped %d of %d", queued, want, dropped, offered)
+	}
 }

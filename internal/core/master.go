@@ -13,7 +13,9 @@ import (
 
 // Ingestor supplies the master with stream tuples that arrived up to a given
 // time, in timestamp order. The simulated engine pulls from workload
-// sources; the live engine drains a channel fed by source goroutines.
+// sources; the live engine swaps out a run queue fed by the source goroutine.
+// The master copies what it keeps: the returned slice need only stay valid
+// until the next Pull.
 type Ingestor interface {
 	Pull(uptoMs int32) []tuple.Tuple
 }
@@ -32,7 +34,7 @@ type DoDSample struct {
 	Active int
 }
 
-// masterNode runs Algorithm 1: buffer incoming tuples in per-partition
+// masterNode runs Algorithm 1: buffer incoming tuples in per-partition-group
 // mini-buffers, serve slaves in a fixed order each distribution epoch, and
 // reorganize (supplier/consumer pairing, degree-of-declustering adaptation)
 // each reorganization epoch.
@@ -43,10 +45,14 @@ type masterNode struct {
 	in   Ingestor
 	stop func() bool
 
-	minibuf  [][]tuple.Tuple // per partition, timestamp-ordered
-	lastTS   []int32         // per partition, last buffered timestamp (order guard)
-	bufBytes int64
-	peakBuf  int64
+	// Mini-buffers are per partition-group — the unit of ownership,
+	// withholding and movement — so a drain is a concatenation. Drained
+	// buffers keep their capacity for the next epoch.
+	minibuf   [][]tuple.Tuple // per group, timestamp-ordered
+	lastTS    []int32         // per group, last buffered timestamp (order guard)
+	tsClamped int64           // tuples whose timestamp the order guard rewrote
+	bufBytes  int64
+	peakBuf   int64
 
 	groupOwner []int32
 	heldGroup  map[int32]bool
@@ -127,8 +133,8 @@ func newMaster(cfg *Config, proc engine.Proc, conns []engine.Conn, in Ingestor, 
 		conn:         conns,
 		in:           in,
 		stop:         stop,
-		minibuf:      make([][]tuple.Tuple, cfg.Partitions),
-		lastTS:       make([]int32, cfg.Partitions),
+		minibuf:      make([][]tuple.Tuple, cfg.NumGroups()),
+		lastTS:       make([]int32, cfg.NumGroups()),
 		groupOwner:   make([]int32, cfg.NumGroups()),
 		heldGroup:    make(map[int32]bool),
 		active:       make([]bool, cfg.Slaves),
@@ -221,28 +227,37 @@ func (m *masterNode) allShutdown() bool {
 	return true
 }
 
-// ingest buffers newly arrived tuples into their partition mini-buffers.
-// Timestamps are clamped to per-partition monotonicity (the live engine can
-// deliver cross-source arrivals marginally out of order).
+// ingest scatters newly arrived tuples into their group's mini-buffer in one
+// pass. Timestamps are clamped to per-group monotonicity (the live engine can
+// deliver cross-source arrivals marginally out of order); every clamp is
+// counted, so late data is rewritten visibly.
 func (m *masterNode) ingest(uptoMs int32) {
 	ts := m.in.Pull(uptoMs)
 	if len(ts) == 0 {
 		return
 	}
+	clamped := 0
 	for _, t := range ts {
-		p := m.cfg.PartitionOfKey(t.Key)
-		if t.TS < m.lastTS[p] {
-			t.TS = m.lastTS[p]
+		g := m.cfg.GroupOfKey(t.Key)
+		if t.TS < m.lastTS[g] {
+			t.TS = m.lastTS[g]
+			clamped++
 		} else {
-			m.lastTS[p] = t.TS
+			m.lastTS[g] = t.TS
 		}
-		m.minibuf[p] = append(m.minibuf[p], t)
+		m.minibuf[g] = append(m.minibuf[g], t)
 	}
-	m.bufBytes += int64(len(ts)) * tuple.LogicalSize
+	m.tsClamped += int64(clamped)
+	m.buffered(len(ts))
+	m.proc.Compute(m.cfg.Cost.Master(len(ts)))
+}
+
+// buffered accounts n tuples entering the mini-buffers.
+func (m *masterNode) buffered(n int) {
+	m.bufBytes += int64(n) * tuple.LogicalSize
 	if m.bufBytes > m.peakBuf {
 		m.peakBuf = m.bufBytes
 	}
-	m.proc.Compute(m.cfg.Cost.Master(len(ts)))
 }
 
 // serve performs one epoch exchange with slave i. The exchange is
@@ -357,66 +372,46 @@ func (m *masterNode) exchange(e int64, i int32, stopping bool) {
 	}
 }
 
-// rebuffer returns drained tuples to their partition mini-buffers after a
-// failed delivery. The tuples were drained this epoch with no ingest since,
-// so appending them preserves per-partition timestamp order.
+// rebuffer returns drained tuples to their group mini-buffers after a failed
+// delivery. The tuples were drained this epoch with no ingest since, so
+// appending them preserves per-group timestamp order.
 func (m *masterNode) rebuffer(ts []tuple.Tuple) {
 	for _, t := range ts {
-		p := m.cfg.PartitionOfKey(t.Key)
-		m.minibuf[p] = append(m.minibuf[p], t)
+		g := m.cfg.GroupOfKey(t.Key)
+		m.minibuf[g] = append(m.minibuf[g], t)
 	}
-	m.bufBytes += int64(len(ts)) * tuple.LogicalSize
-	if m.bufBytes > m.peakBuf {
-		m.peakBuf = m.bufBytes
-	}
+	m.buffered(len(ts))
 }
 
-// drainFor empties the mini-buffers of every partition-group owned by slave
-// i (except groups with an in-flight movement, whose tuples are withheld
-// until the consumer acknowledges) and returns the merged, timestamp-ordered
-// batch.
+// drains reports whether group g's mini-buffer ships to slave i this epoch:
+// i owns it and no movement is withholding its tuples until the consumer
+// acknowledges.
+func (m *masterNode) drains(g int, i int32) bool {
+	return m.groupOwner[g] == i && !m.heldGroup[int32(g)]
+}
+
+// drainFor empties the mini-buffers of every partition-group that drains to
+// slave i and returns them concatenated in one exactly-sized slice — the
+// wire.Batch.Tuples contract: group-contiguous, timestamp-ordered within each
+// group. The cost is O(tuples), whatever the partition count.
 func (m *masterNode) drainFor(i int32) []tuple.Tuple {
-	var lists [][]tuple.Tuple
 	total := 0
-	for g, owner := range m.groupOwner {
-		if owner != i || m.heldGroup[int32(g)] {
-			continue
-		}
-		lo := g * m.cfg.PartitionsPerGroup
-		for p := lo; p < lo+m.cfg.PartitionsPerGroup; p++ {
-			if len(m.minibuf[p]) > 0 {
-				lists = append(lists, m.minibuf[p])
-				total += len(m.minibuf[p])
-				m.minibuf[p] = nil
-			}
+	for g, buf := range m.minibuf {
+		if len(buf) > 0 && m.drains(g, i) {
+			total += len(buf)
 		}
 	}
 	if total == 0 {
 		return nil
 	}
-	m.bufBytes -= int64(total) * tuple.LogicalSize
-	return mergeTuples(lists, total)
-}
-
-// mergeTuples k-way merges timestamp-ordered lists.
-func mergeTuples(lists [][]tuple.Tuple, total int) []tuple.Tuple {
 	out := make([]tuple.Tuple, 0, total)
-	idx := make([]int, len(lists))
-	for len(out) < total {
-		best := -1
-		var bestTS int32
-		for k, l := range lists {
-			if idx[k] >= len(l) {
-				continue
-			}
-			if best == -1 || l[idx[k]].TS < bestTS {
-				best = k
-				bestTS = l[idx[k]].TS
-			}
+	for g, buf := range m.minibuf {
+		if len(buf) > 0 && m.drains(g, i) {
+			out = append(out, buf...)
+			m.minibuf[g] = buf[:0]
 		}
-		out = append(out, lists[best][idx[best]])
-		idx[best]++
 	}
+	m.bufBytes -= int64(total) * tuple.LogicalSize
 	return out
 }
 

@@ -113,9 +113,7 @@ func runMultiQuery(t *testing.T, cfg Config, msgs []wire.Message, W int) mqOut {
 					}
 					return
 				}
-				for _, t := range m.Tuples {
-					ws.enqueue(t)
-				}
+				ws.enqueue(m.Tuples)
 				epochNow.Store(int32(epoch+1) * mwEpochMs)
 				ws.processUntil(time.Hour)
 				// The per-flush contract: at most one merged result batch

@@ -210,9 +210,7 @@ func runMultiWorker(t *testing.T, cfg Config, msgs []wire.Message, W int) (mwOut
 					}
 					return
 				}
-				for _, t := range m.Tuples {
-					ws.enqueue(t)
-				}
+				ws.enqueue(m.Tuples)
 				epochNow.Store(int32(epoch+1) * mwEpochMs)
 				ws.processUntil(time.Hour)
 				// The production flush merges the workers' result batches

@@ -72,10 +72,18 @@ type Result struct {
 	// EpochsServed counts master distribution epochs over the whole run.
 	EpochsServed int64
 
-	// SourceDropped counts the tuples the live engines' synthetic sources
-	// discarded because the master's ingest channel was full — offered load
-	// the cluster never saw. Zero on the simulator, which pulls on demand.
+	// SourceOffered counts the tuples the live engines' synthetic sources
+	// generated over the whole run, and SourceDropped those of them the
+	// sources discarded because the master fell more than two distribution
+	// epochs behind its pull schedule — offered load the cluster never saw.
+	// Both are zero on the simulator, which pulls on demand.
+	SourceOffered int64
 	SourceDropped int64
+
+	// TSClamped counts the tuples whose timestamp the master raised to keep
+	// its per-group buffers in timestamp order (late, out-of-order arrivals).
+	// Zero whenever the sources deliver in order, as the synthetic ones do.
+	TSClamped int64
 
 	// Membership counters (TCP deployment only; zero on the simulator and
 	// in-process runs, whose roster never changes). Joins counts admitted
@@ -371,6 +379,7 @@ func newResult(cfg Config, measuredMs int32, m *masterNode, c *collectorNode,
 		MovesDegraded:      m.movesDegraded,
 		MasterPeakBufBytes: m.peakBuf,
 		EpochsServed:       m.epochsServed,
+		TSClamped:          m.tsClamped,
 		Joins:              m.joins,
 		Leaves:             m.leaves,
 		Evictions:          m.evictions,
@@ -389,7 +398,7 @@ func newResult(cfg Config, measuredMs int32, m *masterNode, c *collectorNode,
 		res.PairsLost = res.Outputs * m.lostWindowTuples / m.tuplesDrained
 	}
 	if li, ok := m.in.(*liveIngestor); ok {
-		res.SourceDropped = li.dropped.Load()
+		res.SourceOffered, _, res.SourceDropped, _ = li.counts()
 	}
 	for _, a := range m.active {
 		if a {

@@ -212,9 +212,7 @@ func (s *slaveNode) run() {
 		if s.handleDirectives(batch.Directives) {
 			s.addXferStall(s.proc.Now() - moveT0)
 		}
-		for _, t := range batch.Tuples {
-			s.ws.enqueue(t)
-		}
+		s.ws.enqueue(batch.Tuples)
 		if batch.Deactivate {
 			s.active = false
 		}

@@ -38,11 +38,14 @@ func newXferRig(chunk int) *xferRig {
 // into its windows (the backlog fully drains: the deadline is generous and
 // the window outlives every test timestamp).
 func (r *xferRig) ingest(s *slaveNode, key int32, n int, ts0 int32) {
+	batch := make([]tuple.Tuple, 0, 2*n)
 	for i := 0; i < n; i++ {
 		ts := ts0 + int32(i)
-		s.ws.enqueue(tuple.Tuple{Stream: tuple.S1, Key: key, TS: ts})
-		s.ws.enqueue(tuple.Tuple{Stream: tuple.S2, Key: key, TS: ts})
+		batch = append(batch,
+			tuple.Tuple{Stream: tuple.S1, Key: key, TS: ts},
+			tuple.Tuple{Stream: tuple.S2, Key: key, TS: ts})
 	}
+	s.ws.enqueue(batch)
 	s.ws.processUntil(s.proc.Now() + time.Second)
 }
 

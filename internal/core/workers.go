@@ -115,12 +115,35 @@ func (ws *workerSet) workerOf(g int32) *joinWorker {
 	return ws.workers[int(uint32(g))%len(ws.workers)]
 }
 
-// enqueue demuxes one incoming tuple to its group's worker backlog.
-func (ws *workerSet) enqueue(t tuple.Tuple) {
-	g := ws.cfg.GroupOfKey(t.Key)
-	w := ws.workerOf(g)
-	w.input[g] = append(w.input[g], t)
-	w.backlog++
+// enqueue demuxes an incoming batch to the worker backlogs run-wise: one
+// GroupOfKey per tuple finds each maximal same-group run, and the run is
+// bulk-appended to its group's queue — or, when that queue is empty, adopted
+// in place. Adoption caps the sub-slice at its own length, so a later append
+// to the group reallocates instead of overwriting the neighbouring run.
+// ts belongs to the backlog afterwards. A master batch is group-contiguous,
+// so it costs one queue operation per group; any other order is still demuxed
+// correctly, run by run.
+func (ws *workerSet) enqueue(ts []tuple.Tuple) {
+	if len(ts) == 0 {
+		return
+	}
+	g := ws.cfg.GroupOfKey(ts[0].Key)
+	for lo := 0; lo < len(ts); {
+		hi, next := lo+1, g
+		for ; hi < len(ts); hi++ {
+			if next = ws.cfg.GroupOfKey(ts[hi].Key); next != g {
+				break
+			}
+		}
+		w := ws.workerOf(g)
+		if q := w.input[g]; len(q) == 0 {
+			w.input[g] = ts[lo:hi:hi]
+		} else {
+			w.input[g] = append(q, ts[lo:hi]...)
+		}
+		w.backlog += int64(hi - lo)
+		lo, g = hi, next
+	}
 }
 
 // backlogTuples sums queued tuples across workers.

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"time"
 
@@ -38,9 +40,7 @@ func feedWorkerSet(ws *workerSet, cfg *Config, epochs int) int64 {
 	for e := 0; e < epochs; e++ {
 		batch := workload.Merge(s1.Batch(now, now+epochMs), s2.Batch(now, now+epochMs))
 		now += epochMs
-		for _, t := range batch {
-			ws.enqueue(t)
-		}
+		ws.enqueue(batch)
 		fed += int64(len(batch))
 		epochNow = now
 		ws.processUntil(time.Hour)
@@ -139,7 +139,7 @@ func TestWorkerSetBacklogDemux(t *testing.T) {
 	ws := newTestWorkerSet(t, &cfg, 3)
 	perWorker := make([]int64, 3)
 	for key := int32(0); key < 500; key++ {
-		ws.enqueue(tuple.Tuple{Stream: tuple.S1, Key: key, TS: 0})
+		ws.enqueue([]tuple.Tuple{{Stream: tuple.S1, Key: key, TS: 0}})
 		g := cfg.GroupOfKey(key)
 		perWorker[int(uint32(g))%3]++
 	}
@@ -152,6 +152,70 @@ func TestWorkerSetBacklogDemux(t *testing.T) {
 	}
 	if got := ws.backlogTuples(); got != sum || got != 500 {
 		t.Fatalf("backlogTuples() = %d, want %d (= 500)", got, sum)
+	}
+}
+
+// TestEnqueueRunwiseMatchesPerTuple: demuxing a batch run by run fills every
+// group's queue and every worker's backlog exactly as one-tuple-at-a-time
+// demuxing does — for the master's group-contiguous batches and for an
+// arbitrary order — across epochs in which queues are partly consumed, fully
+// consumed or untouched between batches. The second and third batch append to
+// queues that adopted a sub-slice of the first: the runs after them in that
+// batch must come through unharmed (the adoption caps the slice, so the append
+// reallocates instead of writing into its neighbour).
+func TestEnqueueRunwiseMatchesPerTuple(t *testing.T) {
+	cfg := wsTestConfig()
+	rng := rand.New(rand.NewPCG(14, 0xe11e))
+	for _, contiguous := range []bool{true, false} {
+		runwise := newTestWorkerSet(t, &cfg, 3)
+		perTuple := newTestWorkerSet(t, &cfg, 3)
+		for epoch := int32(0); epoch < 4; epoch++ {
+			batch := make([]tuple.Tuple, 300+rng.IntN(300))
+			for i := range batch {
+				batch[i] = tuple.Tuple{Stream: tuple.StreamID(rng.IntN(2)), Key: int32(rng.IntN(5000)), TS: epoch*1000 + int32(i)}
+			}
+			if contiguous {
+				// The master's contract: group-contiguous, timestamp-ordered
+				// within each group.
+				slices.SortStableFunc(batch, func(a, b tuple.Tuple) int {
+					return int(cfg.GroupOfKey(a.Key) - cfg.GroupOfKey(b.Key))
+				})
+			}
+			for _, tp := range batch {
+				perTuple.enqueue([]tuple.Tuple{tp})
+			}
+			runwise.enqueue(batch) // the batch now belongs to the backlog
+
+			for k, w := range runwise.workers {
+				ref := perTuple.workers[k]
+				if w.backlog != ref.backlog || len(w.input) != len(ref.input) {
+					t.Fatalf("contiguous=%v epoch %d worker %d: backlog %d over %d groups, want %d over %d",
+						contiguous, epoch, k, w.backlog, len(w.input), ref.backlog, len(ref.input))
+				}
+				for g, q := range ref.input {
+					if !slices.Equal(w.input[g], q) {
+						t.Fatalf("contiguous=%v epoch %d: group %d queue differs from per-tuple demux", contiguous, epoch, g)
+					}
+				}
+			}
+			// Consume unevenly, identically on both sides: groups 0, 3, … keep
+			// a tail (the next batch appends to an adopted slice), their batch
+			// neighbours 1, 4, … are left whole (so an append running into them
+			// would show), and 2, 5, … empty out (the next batch is adopted
+			// afresh).
+			for k, w := range runwise.workers {
+				for _, g := range w.groupList(false) {
+					if g%3 == 1 {
+						continue
+					}
+					w.curChunk = 1 + int(g%3)*500 + rng.IntN(5)
+					perTuple.workers[k].curChunk = w.curChunk
+					if got, want := w.takeChunk(g), perTuple.workers[k].takeChunk(g); !slices.Equal(got, want) {
+						t.Fatalf("contiguous=%v epoch %d: group %d chunk differs", contiguous, epoch, g)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -235,9 +299,7 @@ func BenchmarkWorkerScaling(b *testing.B) {
 			// Fill the windows to steady state before timing.
 			for now < cfg.WindowMs {
 				end := now + epochMs
-				for _, t := range nextEpoch() {
-					ws.enqueue(t)
-				}
+				ws.enqueue(nextEpoch())
 				epochNow = end
 				ws.processUntil(time.Hour)
 			}
@@ -248,9 +310,7 @@ func BenchmarkWorkerScaling(b *testing.B) {
 			b.ResetTimer()
 			tuples := 0
 			for i, batch := range epochs {
-				for _, t := range batch {
-					ws.enqueue(t)
-				}
+				ws.enqueue(batch)
 				epochNow = cfg.WindowMs + int32(i+1)*epochMs
 				ws.processUntil(time.Hour)
 				tuples += len(batch)

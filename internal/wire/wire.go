@@ -250,6 +250,13 @@ type Directive struct {
 // Batch is the master→slave response: the tuples buffered for the slave's
 // partition-groups since its last service, plus any reorganization
 // directives and declustering-degree changes.
+//
+// Tuples is group-contiguous and timestamp-ordered within each group: all
+// tuples of one partition-group form one run, in the order the master
+// buffered them; runs of different groups follow one another and the batch
+// as a whole is not timestamp-ordered. The codec neither relies on nor
+// changes the order. A receiver that gets the message by reference
+// (in-process pipes) owns Tuples once Send returns and may alias it.
 type Batch struct {
 	Epoch      int64
 	Activate   bool // slave (re)joins the active set
