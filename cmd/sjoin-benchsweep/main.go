@@ -11,13 +11,10 @@
 //     single spot values of the bench-smoke job.
 //
 //   - reorg: forced mid-run partition-group movement over few, large groups,
-//     two runs per cell — monolithic single-message transfers versus
-//     incremental chunked transfers with the overlapped collector flush
-//     (-transfer-chunk / -overlap-flush) — named
-//     LiveReorg/rate=R/workers=W/mode=M. Each record carries the
-//     reorganization stall time and the p99 epoch-servicing latency, so the
-//     uploaded BENCH_PR10.json shows how much of the movement cost the
-//     incremental protocol hides behind computation.
+//     one record per cell named LiveReorg/rate=R/workers=W. Each record
+//     carries the reorganization stall time and the p99 epoch-servicing
+//     latency, so the uploaded BENCH_PR10.json shows what a movement costs
+//     the epoch cadence.
 //
 //     sjoin-benchsweep -rates 750,1500,3000 -workers 1,2,4 -o BENCH_PR5.json
 //     sjoin-benchsweep -scenario reorg -o BENCH_PR10.json
@@ -25,7 +22,7 @@
 // Every cell is a full live run — master, slaves, collector on goroutines,
 // real join modules — so a regression anywhere in the pipeline bends the
 // curves. Durations are wall-clock: the default grid takes about
-// rates×workers×(-duration) to run (twice that for -scenario reorg).
+// rates×workers×(-duration) to run (times -reps for -scenario reorg).
 package main
 
 import (
@@ -44,7 +41,7 @@ import (
 )
 
 func main() {
-	scenario := flag.String("scenario", "sweep", `grid scenario: "sweep" (steady-state curves) or "reorg" (forced movement, monolithic vs incremental transfers)`)
+	scenario := flag.String("scenario", "sweep", `grid scenario: "sweep" (steady-state curves) or "reorg" (forced mid-run movement)`)
 	rates := flag.String("rates", "750,1500,3000", "comma-separated per-stream arrival rates (tuples/sec)")
 	workers := flag.String("workers", "1,2,4", "comma-separated join-worker counts per slave")
 	slaves := flag.Int("slaves", 2, "slave nodes per run")
@@ -54,7 +51,6 @@ func main() {
 	duration := flag.Duration("duration", 8*time.Second, "wall-clock run length per grid cell")
 	warmup := flag.Duration("warmup", 3*time.Second, "warm-up discarded from metrics")
 	seed := flag.Uint64("seed", 1, "workload seed")
-	chunk := flag.Int("transfer-chunk", 4096, "installment size (tuples) of the reorg scenario's incremental arm")
 	reps := flag.Int("reps", 1, "repetitions per reorg cell; the reported latency metrics are the best (least noise-contaminated) of the reps")
 	out := flag.String("o", "", `output file ("-" for stdout; default BENCH_PR5.json for sweep, BENCH_PR10.json for reorg)`)
 	flag.Parse()
@@ -90,25 +86,21 @@ func main() {
 	}}
 	for _, rate := range rateVals {
 		for _, w := range workerVals {
-			var results []benchfmt.Result
+			var res benchfmt.Result
 			var err error
 			switch *scenario {
 			case "sweep":
-				var r benchfmt.Result
-				r, err = runCell(*slaves, rate, w, int32(*domain), *window, *td, *duration, *warmup, *seed)
-				results = []benchfmt.Result{r}
+				res, err = runCell(*slaves, rate, w, int32(*domain), *window, *td, *duration, *warmup, *seed)
 			case "reorg":
-				results, err = runReorgCell(*slaves, rate, w, int32(*domain), *window, *td, *duration, *warmup, *seed, *chunk, *reps)
+				res, err = runReorgCell(*slaves, rate, w, int32(*domain), *window, *td, *duration, *warmup, *seed, *reps)
 			default:
 				err = fmt.Errorf("unknown scenario %q (want sweep or reorg)", *scenario)
 			}
 			if err != nil {
 				fatal(fmt.Errorf("rate=%g workers=%d: %w", rate, w, err))
 			}
-			for _, res := range results {
-				sum.Benchmarks = append(sum.Benchmarks, res)
-				fmt.Fprintf(os.Stderr, "sjoin-benchsweep: %s: %s\n", res.Name, headline(*scenario, res))
-			}
+			sum.Benchmarks = append(sum.Benchmarks, res)
+			fmt.Fprintf(os.Stderr, "sjoin-benchsweep: %s: %s\n", res.Name, headline(*scenario, res))
 		}
 	}
 
@@ -191,78 +183,63 @@ func runCell(slaves int, rate float64, workers int, domain int32, window, td, du
 	return r, nil
 }
 
-// runReorgCell executes the movement comparison at one grid cell: the same
-// forced-reorganization run under monolithic transfers (TransferChunk 0) and
-// under incremental transfers with the overlapped flush. Movement is forced
-// through the heterogeneous-memory seam (§V-B): slave 0 gets a window-memory
-// bound far below its fair share, so its reported occupancy pins near 1 and
-// every reorganization boundary classifies it as a supplier shedding a group
-// to an unbounded consumer — real occupancy arithmetic, not a synthetic
-// hook. The partition count is lowered so each moved group carries a large
-// window and the transfer cost is visible in the epoch-latency tail.
-func runReorgCell(slaves int, rate float64, workers int, domain int32, window, td, duration, warmup time.Duration, seed uint64, chunk, reps int) ([]benchfmt.Result, error) {
-	modes := []struct {
-		name    string
-		chunk   int
-		overlap bool
-	}{
-		{name: "mono", chunk: 0, overlap: false},
-		{name: "incremental", chunk: chunk, overlap: true},
-	}
+// runReorgCell executes the forced-reorganization run of one grid cell.
+// Movement is forced through the heterogeneous-memory seam (§V-B): slave 0
+// gets a window-memory bound far below its fair share, so its reported
+// occupancy pins near 1 and every reorganization boundary classifies it as a
+// supplier shedding a group to an unbounded consumer — real occupancy
+// arithmetic, not a synthetic hook. The partition count is lowered so each
+// moved group carries a large window and the transfer cost is visible in the
+// epoch-latency tail.
+func runReorgCell(slaves int, rate float64, workers int, domain int32, window, td, duration, warmup time.Duration, seed uint64, reps int) (benchfmt.Result, error) {
 	if reps < 1 {
 		reps = 1
 	}
-	var out []benchfmt.Result
-	for _, m := range modes {
-		var best map[string]float64
-		for rep := 0; rep < reps; rep++ {
-			cfg := baseCell(slaves, rate, workers, domain, window, td, duration, warmup, seed)
-			cfg.Partitions = 4 // few, large groups: each movement carries real state
-			cfg.SlaveMemBytes = []int64{256 << 10}
-			// First reorganization boundary at mid-run, when the shed groups
-			// have accumulated a full half-run of window state — movements of
-			// freshly started, near-empty groups would measure nothing.
-			epochs := int64(duration / td)
-			cfg.ReorgEpochMs = int32(epochs/2) * cfg.DistEpochMs
-			cfg.TransferChunk = m.chunk
-			cfg.OverlapFlush = m.overlap
-			res, err := streamjoin.RunLive(cfg)
-			if err != nil {
-				return nil, err
-			}
-			measuredSec := (duration - warmup).Seconds()
-			metrics := map[string]float64{
-				"outputs":        float64(res.Outputs),
-				"outputs/sec":    float64(res.Outputs) / measuredSec,
-				"delay-ms":       float64(res.MeanDelay()) / float64(time.Millisecond),
-				"moves":          float64(res.MovesCompleted),
-				"stall-ms":       float64(res.XferStallMax()) / float64(time.Millisecond),
-				"stall-total-ms": float64(res.XferStallTotal()) / float64(time.Millisecond),
-				"p99-epoch-ms":   float64(res.EpochP99()) / float64(time.Millisecond),
-			}
-			addIngest(metrics, res, duration)
-			// Best-of-reps per latency metric: scheduling noise (GC pauses,
-			// core contention) only ever inflates a stall or a quantile, so
-			// the minimum across identical runs is the cleanest measurement —
-			// the usual benchmark discipline applied per metric.
-			if best == nil {
-				best = metrics
-				continue
-			}
-			for _, k := range []string{"delay-ms", "stall-ms", "stall-total-ms", "p99-epoch-ms"} {
-				best[k] = math.Min(best[k], metrics[k])
-			}
-			for _, k := range []string{"outputs", "outputs/sec", "moves"} {
-				best[k] = math.Max(best[k], metrics[k])
-			}
+	var best map[string]float64
+	for rep := 0; rep < reps; rep++ {
+		cfg := baseCell(slaves, rate, workers, domain, window, td, duration, warmup, seed)
+		cfg.Partitions = 4 // few, large groups: each movement carries real state
+		cfg.SlaveMemBytes = []int64{256 << 10}
+		// First reorganization boundary at mid-run, when the shed groups
+		// have accumulated a full half-run of window state — movements of
+		// freshly started, near-empty groups would measure nothing.
+		epochs := int64(duration / td)
+		cfg.ReorgEpochMs = int32(epochs/2) * cfg.DistEpochMs
+		res, err := streamjoin.RunLive(cfg)
+		if err != nil {
+			return benchfmt.Result{}, err
 		}
-		out = append(out, benchfmt.Result{
-			Name:       fmt.Sprintf("LiveReorg/rate=%g/workers=%d/mode=%s", rate, workers, m.name),
-			Iterations: int64(reps),
-			Metrics:    best,
-		})
+		measuredSec := (duration - warmup).Seconds()
+		metrics := map[string]float64{
+			"outputs":        float64(res.Outputs),
+			"outputs/sec":    float64(res.Outputs) / measuredSec,
+			"delay-ms":       float64(res.MeanDelay()) / float64(time.Millisecond),
+			"moves":          float64(res.MovesCompleted),
+			"stall-ms":       float64(res.XferStallMax()) / float64(time.Millisecond),
+			"stall-total-ms": float64(res.XferStallTotal()) / float64(time.Millisecond),
+			"p99-epoch-ms":   float64(res.EpochP99()) / float64(time.Millisecond),
+		}
+		addIngest(metrics, res, duration)
+		// Best-of-reps per latency metric: scheduling noise (GC pauses,
+		// core contention) only ever inflates a stall or a quantile, so
+		// the minimum across identical runs is the cleanest measurement —
+		// the usual benchmark discipline applied per metric.
+		if best == nil {
+			best = metrics
+			continue
+		}
+		for _, k := range []string{"delay-ms", "stall-ms", "stall-total-ms", "p99-epoch-ms"} {
+			best[k] = math.Min(best[k], metrics[k])
+		}
+		for _, k := range []string{"outputs", "outputs/sec", "moves"} {
+			best[k] = math.Max(best[k], metrics[k])
+		}
 	}
-	return out, nil
+	return benchfmt.Result{
+		Name:       fmt.Sprintf("LiveReorg/rate=%g/workers=%d", rate, workers),
+		Iterations: int64(reps),
+		Metrics:    best,
+	}, nil
 }
 
 func parseFloats(s string) ([]float64, error) {

@@ -7,6 +7,7 @@ import (
 	"flag"
 	"fmt"
 	"net"
+	"strconv"
 	"strings"
 	"time"
 
@@ -47,9 +48,11 @@ func parseQuery(v string) (core.QuerySpec, error) {
 	if len(parts) != 3 {
 		return q, fmt.Errorf("query %q: want ID:PROBER:SINK", v)
 	}
-	if _, err := fmt.Sscanf(parts[0], "%d", &q.ID); err != nil || q.ID < 0 {
+	id, err := strconv.ParseInt(parts[0], 10, 32)
+	if err != nil || id < 0 {
 		return q, fmt.Errorf("query %q: bad id %q (want a non-negative integer)", v, parts[0])
 	}
+	q.ID = int32(id)
 	switch parts[1] {
 	case "hash":
 		q.Prober = join.ModeHash
@@ -103,8 +106,6 @@ func Bind(fs *flag.FlagSet) func() core.Config {
 		wiredl   = fs.Duration("wire-deadline", 30*time.Second, "per-operation write deadline on every live connection; idle read deadlines derive from it (0 disables all wire deadlines)")
 		formto   = fs.Duration("form-timeout", 2*time.Minute, "cluster formation timeout: how long the master waits for the founding slaves")
 		spool    = fs.Int64("sink-spool", 1<<20, "bytes of pair batches spooled in memory while a downstream sink connection is being re-dialed; overflow is dropped and accounted (0 = legacy fail-fast: first sink write error kills the slave)")
-		xchunk   = fs.Int("transfer-chunk", def.TransferChunk, "incremental reorganization: stream a moving partition-group's window state as installments of at most this many tuples, one per distribution epoch, while the old owner keeps processing it (0 = monolithic single-message transfer)")
-		oflush   = fs.Bool("overlap-flush", def.OverlapFlush, "double-buffer the per-epoch collector flush: a writer goroutine drains the previous epoch's result batches while the join fills the next (live engine only)")
 	)
 	prober := def.LiveProber
 	fs.Func("prober", `live join prober: "hash" (key-index, default) or "scan" (nested-loop ablation)`,
@@ -171,8 +172,6 @@ func Bind(fs *flag.FlagSet) func() core.Config {
 		cfg.HeartbeatMisses = *hbmiss
 		cfg.Replicate = *repl
 		cfg.ReplicaTTL = *replTTL
-		cfg.TransferChunk = *xchunk
-		cfg.OverlapFlush = *oflush
 		// Zero means "explicitly disabled" on the flag surface but "use the
 		// default" on the Config struct, so disabling maps to the negative
 		// sentinel.

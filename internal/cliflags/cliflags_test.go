@@ -207,6 +207,8 @@ func TestQueryFlag(t *testing.T) {
 		"0:hash",                // missing sink
 		"x:hash:count",          // bad id
 		"-1:hash:count",         // negative id
+		"1x:hash:count",         // trailing input after the id
+		"0x10:hash:count",       // not decimal
 		"0:quantum:count",       // bad prober
 		"0:hash:kafka",          // bad sink mode
 		"0:hash:tcp:nohostport", // bad sink addr

@@ -136,7 +136,8 @@ type Config struct {
 	// Net is the simulated interconnect.
 	Net simnet.Params
 	// ChunkTuples caps the tuples a slave processes per round so that it
-	// can honor epoch boundaries while backlogged.
+	// can honor epoch boundaries while backlogged. It is also the smallest
+	// installment a state movement streams per epoch (installmentSize).
 	ChunkTuples int
 	// Mode and Expiry select the join prober and expiration policy; RunSim
 	// forces Indexed/Exact, the live engines force LiveProber/Blocks.
@@ -208,27 +209,6 @@ type Config struct {
 	// reorganization boundaries and shutdown always flush). Ignored when
 	// WireBatchBytes is 0.
 	WireFlushMs int32
-
-	// --- reorganization/delivery overlap ---
-
-	// TransferChunk, when > 0, makes state movement incremental: a moving
-	// partition-group whose window snapshot exceeds this many tuples is
-	// streamed supplier→consumer as StateChunk installments of at most this
-	// size, one per distribution epoch, while the supplier keeps processing
-	// the group; rows ingested during the transfer ride the closing
-	// StateTransfer as a catch-up delta and ownership cuts over at that
-	// epoch boundary. 0 (the default) keeps the monolithic single-epoch
-	// transfer, byte-identical on the wire. Suppliers act on their own
-	// setting; consumers follow whatever arrives, so a mixed cluster stays
-	// correct — but set it uniformly: the master needs it too, to keep a
-	// slave with an unfinished transfer participating in every epoch.
-	TransferChunk int
-	// OverlapFlush moves the per-epoch collector flush off the slave loop:
-	// the loop swaps the merged result batches into one of two banks and a
-	// dedicated writer goroutine drains the other, so the encode and TCP
-	// write overlap the next round's processing instead of extending the
-	// epoch barrier. Off (the default), the flush stays synchronous.
-	OverlapFlush bool
 
 	// --- cluster membership (TCP deployment only) ---
 
@@ -377,8 +357,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("core: WireBatchBytes = %d, want [0, %d]", c.WireBatchBytes, wire.MaxFrameBytes)
 	case c.WireFlushMs < 0:
 		return fmt.Errorf("core: WireFlushMs = %d", c.WireFlushMs)
-	case c.TransferChunk < 0:
-		return fmt.Errorf("core: TransferChunk = %d, want >= 0 (0 = monolithic transfer)", c.TransferChunk)
 	case c.HeartbeatMs <= 0 || c.HeartbeatMisses < 1:
 		return fmt.Errorf("core: membership needs HeartbeatMs > 0 and HeartbeatMisses >= 1, got %d/%d",
 			c.HeartbeatMs, c.HeartbeatMisses)

@@ -24,7 +24,8 @@ import (
 //
 //   - a joining slave dials the control address and sends
 //     Hello{Slave: -1, Epoch: joinEpoch} followed by a one-entry Membership
-//     announcing its mesh address and worker count. The master replies on
+//     announcing its mesh address, worker count and wire.Version (a master
+//     of another version says which and hangs up). The master replies on
 //     the same connection with the roster (assigning the slave its ID), the
 //     query registration if any, and an anchor Batch whose receipt defines
 //     the joiner's local clock. The founders' anchors (Epoch: startEpoch) go
@@ -167,6 +168,15 @@ func (cp *controlPlane) handle(c net.Conn) {
 		ann, ok := ec.Recv().(*wire.Membership)
 		if !ok || len(ann.Slaves) != 1 {
 			reject("a join Hello but no one-entry Membership announcement")
+			return
+		}
+		if ann.Epoch != wire.Version {
+			// Tell the joiner which revision it met, so its error can name
+			// both; a slave predating wire.Version reads this as a refusal.
+			cp.logf("membership: slave at %s speaks wire v%d, this master v%d, closing",
+				c.RemoteAddr(), ann.Epoch, wire.Version)
+			ec.Send(&wire.Membership{Epoch: wire.Version, Self: -1})
+			c.Close()
 			return
 		}
 		select {
@@ -496,12 +506,15 @@ func (t *tcpSlave) join(meshListen string) error {
 	t.master = engine.WrapTCPBatched(t.proc,
 		engine.WithDeadlines(t.mc, t.cfg.formReadDeadline(), t.cfg.wireDeadline()), t.cfg.WireBatchBytes)
 	t.master.Send(&wire.Hello{Slave: -1, Epoch: joinEpoch})
-	t.master.Send(&wire.Membership{Self: -1, Slaves: []wire.MemberSpec{
+	t.master.Send(&wire.Membership{Epoch: wire.Version, Self: -1, Slaves: []wire.MemberSpec{
 		{ID: -1, Addr: advert, Workers: int32(t.cfg.LiveWorkers())},
 	}})
 	roster, ok := t.master.Recv().(*wire.Membership)
 	if !ok {
 		return fmt.Errorf("core: join: expected Membership from master")
+	}
+	if roster.Self < 0 && roster.Epoch != wire.Version {
+		return fmt.Errorf("core: join rejected: the master speaks wire v%d, this slave v%d", roster.Epoch, wire.Version)
 	}
 	if roster.Self < 0 || int(roster.Self) >= t.cfg.Slaves {
 		return fmt.Errorf("core: join rejected (assigned id %d of %d; is -slaves consistent with the master?)",

@@ -105,7 +105,8 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 // join, however long the last slave takes — and a control connection that
 // opens with anything but a join handshake or a Ping (here: the registration
 // Hello of an sjoin-slave predating -join) is logged and closed instead of
-// vanishing silently.
+// vanishing silently. So is a join handshake of another wire.Version, which
+// is also told the master's.
 func TestFullRosterFormation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock TCP test")
@@ -169,6 +170,33 @@ func TestFullRosterFormation(t *testing.T) {
 		}
 	}()
 
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		time.Sleep(lateBy / 3)
+		c, err := net.Dial("tcp", ctl)
+		if err != nil {
+			t.Errorf("other-version slave dial: %v", err)
+			return
+		}
+		defer c.Close()
+		other := engine.WrapTCP(engine.NewLiveEnv().NewProc("other-version-slave"), c)
+		other.Send(&wire.Hello{Slave: -1, Epoch: joinEpoch})
+		other.Send(&wire.Membership{Epoch: wire.Version + 1, Self: -1,
+			Slaves: []wire.MemberSpec{{ID: -1, Addr: "127.0.0.1:1", Workers: 1}}})
+		var reply wire.Message
+		if !tolerateTCP(func() { reply = other.Recv() }) {
+			t.Error("master hung up on another wire version without saying its own")
+			return
+		}
+		if ms, ok := reply.(*wire.Membership); !ok || ms.Self != -1 || ms.Epoch != wire.Version {
+			t.Errorf("master answered another wire version with %+v, want Membership{Self: -1, Epoch: %d}", reply, wire.Version)
+		}
+		if tolerateTCP(func() { other.Recv() }) {
+			t.Error("master kept talking to a slave of another wire version")
+		}
+	}()
+
 	result, err := serveMaster(cfg, ctl, res, logf, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +209,7 @@ func TestFullRosterFormation(t *testing.T) {
 
 	logMu.Lock()
 	defer logMu.Unlock()
-	joins, formedAt, rejected := 0, -1, false
+	joins, formedAt, rejected, versionLogged := 0, -1, false, false
 	for i, line := range lines {
 		switch {
 		case strings.Contains(line, "joined"):
@@ -194,7 +222,12 @@ func TestFullRosterFormation(t *testing.T) {
 		case strings.Contains(line, "control connection from") &&
 			strings.Contains(line, "Hello{Slave: 0, Epoch: -1}"):
 			rejected = true
+		case strings.Contains(line, fmt.Sprintf("speaks wire v%d, this master v%d, closing", wire.Version+1, wire.Version)):
+			versionLogged = true
 		}
+	}
+	if !versionLogged {
+		t.Error("the join of another wire version was closed without a membership log line naming both")
 	}
 	if formedAt < 0 {
 		t.Fatal("formation was never logged")
@@ -217,5 +250,34 @@ func TestFullRosterFormation(t *testing.T) {
 	if limit := int64(cfg.DurationMs/cfg.DistEpochMs) + 3; result.EpochsServed > limit {
 		t.Errorf("epochs served = %d, want at most %d — the schedule ran while the cluster was forming",
 			result.EpochsServed, limit)
+	}
+}
+
+// TestJoinNamesBothWireVersions: a slave turned away by a master of another
+// wire.Version fails its join with an error that names both.
+func TestJoinNamesBothWireVersions(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		master := engine.WrapTCP(engine.NewLiveEnv().NewProc("other-version-master"), c)
+		tolerateTCP(func() {
+			master.Recv() // join Hello
+			master.Recv() // announcement
+			master.Send(&wire.Membership{Epoch: wire.Version + 1, Self: -1})
+		})
+	}()
+	cfg := DefaultConfig()
+	err = ServeSlave(cfg, ln.Addr().String(), ln.Addr().String(), JoinOptions{})
+	want := fmt.Sprintf("the master speaks wire v%d, this slave v%d", wire.Version+1, wire.Version)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("ServeSlave = %v, want an error containing %q", err, want)
 	}
 }

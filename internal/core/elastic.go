@@ -248,10 +248,11 @@ func (m *masterNode) requestLeave(i int32) {
 //
 //   - consumer dead, directive not yet delivered to the supplier: the move
 //     is cancelled and the group stays (intact) with the supplier;
-//   - consumer dead, state already extracted toward it: the state is lost in
-//     transit — re-adopted empty, or promoted from the *supplier's* buddy,
-//     whose shadow survived the extraction (the supplier only drops its
-//     delta accumulator, never the buddy's copy);
+//   - consumer dead, directive delivered: the supplier aborts its stream and
+//     drops the group (transfer.go, abortOutgoing), so the state counts as
+//     lost in transit — re-adopted empty, or promoted from the *supplier's*
+//     buddy, whose shadow survives (the supplier only drops its delta
+//     accumulator, never the buddy's copy);
 //   - supplier dead: the consumer's mesh read fails over — to the local
 //     shadow when the consumer is the dead supplier's buddy, else to an
 //     empty install — and it acks normally, so the move completes by itself.
@@ -303,8 +304,12 @@ func (m *masterNode) handleDeath(i int32, reason string) {
 			targets = append(targets, id)
 		}
 	}
+	// What is still in flight now has the dead slave as its supplier, if it
+	// touches it at all: the consumer's fail-over completes those moves, so
+	// their groups are not re-created here.
+	moving := m.movingGroups()
 	for g, owner := range m.groupOwner {
-		if owner != i || m.heldGroup[int32(g)] {
+		if owner != i || m.heldGroup[int32(g)] || moving[int32(g)] {
 			continue
 		}
 		if m.cfg.Replicate {
@@ -393,7 +398,7 @@ func (m *masterNode) dropPend(i int32, id int64) bool {
 }
 
 // trackMove marks the most recent movement as membership-driven: it counts
-// toward GroupsRebalanced and its ack latency toward RebalanceStallMs.
+// toward GroupsRebalanced and its held time toward RebalanceStallMs.
 func (m *masterNode) trackMove(id int64) {
 	m.memMoves[id] = m.proc.Now()
 	m.groupsMoved++

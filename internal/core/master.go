@@ -105,8 +105,9 @@ type masterNode struct {
 	sending *wire.Batch
 
 	// memMoves tracks membership-driven movements (join rebalance, leave
-	// drain, crash adoption) by issue time; their ack latency accumulates
-	// into rebalStallMs.
+	// drain, crash adoption) by the time their group's tuples began to be
+	// withheld — issue for an install, the announced cut-over for a streamed
+	// move; the time from there to the ack accumulates into rebalStallMs.
 	memMoves     map[int64]time.Duration
 	joins        int
 	evictions    int
@@ -306,6 +307,9 @@ func (m *masterNode) exchange(e int64, i int32, stopping bool) {
 	for _, id := range hello.Closing {
 		if mi, ok := m.inflight[id]; ok {
 			m.heldGroup[mi.group] = true
+			if _, tracked := m.memMoves[id]; tracked {
+				m.memMoves[id] = m.proc.Now() // rebalance stall is the held time
+			}
 		}
 	}
 	// Moves the consumer completed with an empty install: the window state
@@ -342,16 +346,11 @@ func (m *masterNode) exchange(e int64, i int32, stopping bool) {
 		m.pendAct[i] = false
 		m.active[i] = true
 	}
-	deact := m.pendDeact[i]
-	if deact && m.cfg.TransferChunk > 0 && m.slaveInflight(i) {
-		// Chunked transfers stream over several consecutive epochs, and both
-		// endpoints must keep their per-epoch exchanges until the last move
-		// acks — so the deactivation waits with them (pendDeact stays set,
-		// which also keeps the slave out of new reorganization pairings).
-		// With monolithic transfers every move completes within the epoch
-		// that delivered it, so the gate never fires on the default path.
-		deact = false
-	}
+	// A transfer streams over several consecutive epochs, and both endpoints
+	// must keep their per-epoch exchanges until the last move acks — so a
+	// deactivation waits with them (pendDeact stays set, which also keeps the
+	// slave out of new reorganization pairings).
+	deact := m.pendDeact[i] && !m.slaveInflight(i)
 	if deact {
 		batch.Deactivate = true
 		m.pendDeact[i] = false
@@ -432,7 +431,7 @@ func (m *masterNode) completeMove(id int64) {
 }
 
 // slaveInflight reports whether slave i is an endpoint of any unfinished
-// movement (the deactivation gate for multi-epoch chunked transfers).
+// movement (the deactivation gate).
 func (m *masterNode) slaveInflight(i int32) bool {
 	for _, mi := range m.inflight {
 		if mi.from == i || mi.to == i {
@@ -463,15 +462,20 @@ func (m *masterNode) busySlaves() map[int32]bool {
 	return busy
 }
 
-// freeGroupsOf lists the groups owned by slave i that are not mid-movement.
-// An incremental transfer's group is not held at the master until its
-// cut-over, so in-flight moves are checked directly rather than through
-// heldGroup.
-func (m *masterNode) freeGroupsOf(i int32) []int32 {
+// movingGroups is the set of groups with an unfinished movement. A moving
+// group is not held at the master until its cut-over, so heldGroup alone does
+// not name them.
+func (m *masterNode) movingGroups() map[int32]bool {
 	moving := make(map[int32]bool, len(m.inflight))
 	for _, mi := range m.inflight {
 		moving[mi.group] = true
 	}
+	return moving
+}
+
+// freeGroupsOf lists the groups owned by slave i that are not mid-movement.
+func (m *masterNode) freeGroupsOf(i int32) []int32 {
+	moving := m.movingGroups()
 	var out []int32
 	for g, owner := range m.groupOwner {
 		if owner == i && !m.heldGroup[int32(g)] && !moving[int32(g)] {
@@ -601,19 +605,15 @@ func (m *masterNode) pickInactive() int {
 	return -1
 }
 
+// issueMove orders group g from its owner to slave `to`. The supplier keeps
+// owning and probing the group while its snapshot streams, so the group's
+// tuples keep flowing to it; withholding starts only when its Hello announces
+// the cut-over (Closing, in exchange).
 func (m *masterNode) issueMove(g, from, to int32) {
 	d := wire.Directive{MoveID: m.nextMove, Group: g, From: from, To: to}
 	m.nextMove++
 	m.pendDir[from] = append(m.pendDir[from], d)
 	m.pendDir[to] = append(m.pendDir[to], d)
-	if m.cfg.TransferChunk <= 0 {
-		// Monolithic movement: the supplier extracts the whole group the
-		// epoch the directive lands, so its tuples must be withheld from
-		// that same epoch. Incremental movement keeps the supplier owning
-		// and probing the group; withholding starts only when its Hello
-		// announces the cut-over (Closing, handled in exchange).
-		m.heldGroup[g] = true
-	}
 	m.inflight[d.MoveID] = moveInfo{id: d.MoveID, group: g, from: from, to: to}
 	m.movesIssued++
 }

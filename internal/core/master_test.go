@@ -63,8 +63,10 @@ func TestClassificationPairsSupplierWithConsumer(t *testing.T) {
 		if mi.to != 1 {
 			t.Fatalf("consumer = %d, want 1 (lowest occupancy)", mi.to)
 		}
-		if !m.heldGroup[mi.group] {
-			t.Fatal("moved group not held")
+		// The supplier keeps the group until its snapshot has streamed out:
+		// the master withholds only from the announced cut-over on.
+		if m.heldGroup[mi.group] {
+			t.Fatal("moved group held before the supplier announced its cut-over")
 		}
 	}
 	// Both sides must get the directive.

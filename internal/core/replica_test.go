@@ -274,6 +274,35 @@ func TestHandleDeathRecoverLostTransit(t *testing.T) {
 	}
 }
 
+// TestHandleDeathSupplierMidStream: the supplier of a streaming move dies.
+// Its group is not held — the supplier owned it until the cut-over — yet the
+// eviction must not re-create it: the consumer's fail-over installs the group
+// and acks, and a second install elsewhere would leave two owners.
+func TestHandleDeathSupplierMidStream(t *testing.T) {
+	m := newTestMaster(t, 3, true)
+	// The moving group is all the dead slave owns, so nothing else is promoted.
+	for g := range m.groupOwner {
+		m.groupOwner[g] = 2
+	}
+	const g = int32(0)
+	m.groupOwner[g] = 1
+	m.issueMove(g, 1, 0)
+	m.pendDir[0], m.pendDir[1] = nil, nil // delivered: the snapshot is streaming
+
+	m.handleDeath(1, "test")
+
+	if ds := directivesFor(m, g); len(ds) != 0 {
+		t.Fatalf("eviction queued %+v for a group its consumer is about to install", ds)
+	}
+	if len(m.inflight) != 1 {
+		t.Fatalf("%d moves in flight, want the one the consumer completes", len(m.inflight))
+	}
+	m.completeMove(1)
+	if m.groupOwner[g] != 0 || m.heldGroup[g] {
+		t.Errorf("after the consumer's ack: owner %d, held %v; want owner 0, released", m.groupOwner[g], m.heldGroup[g])
+	}
+}
+
 // TestHandleDeathPromoteTargetDies: the fail-over unwind — the buddy itself
 // dies before acking a promotion. The second eviction must re-create the
 // group on another survivor (best-effort: the replica may be gone with the

@@ -36,9 +36,8 @@ type Result struct {
 	// EpochLat aggregates every slave's per-epoch servicing latency over the
 	// whole run: how far past its scheduled slot a slave finished the epoch
 	// barrier work (result flush, Hello/Batch exchange, state movement) and
-	// resumed processing. Reorganization stalls surface in its tail —
-	// EpochP99 is the headline number chunked transfer and overlap flushing
-	// are meant to pull down.
+	// resumed processing. Reorganization stalls surface in its tail
+	// (EpochP99).
 	EpochLat metrics.DelayStats
 
 	// SlaveWindowBytes and SlaveActive are end-of-run snapshots.
@@ -130,7 +129,7 @@ func (r *Result) XferStallTotal() time.Duration {
 
 // XferStallMax is the worst single-epoch state-movement stall any slave
 // observed over the whole run — the pause a reorganization inserts into the
-// epoch cadence, which incremental transfers exist to bound.
+// epoch cadence, which streaming a move as installments exists to bound.
 func (r *Result) XferStallMax() time.Duration {
 	var max time.Duration
 	for _, s := range r.Slaves {

@@ -43,11 +43,11 @@ type slaveNode struct {
 	// master can account the loss exactly instead of silently absorbing it.
 	degraded []int64
 
-	// closing carries the MoveIDs of outgoing incremental transfers whose
-	// snapshot is fully shipped: the next epoch sends the catch-up
-	// StateTransfer. Announced in that epoch's Hello so the master starts
-	// withholding the group's tuples exactly when the supplier stops
-	// covering them (transfer.go).
+	// closing carries the MoveIDs of outgoing transfers whose snapshot is
+	// fully shipped: the next epoch sends the catch-up StateTransfer.
+	// Announced in that epoch's Hello so the master starts withholding the
+	// group's tuples exactly when the supplier stops covering them
+	// (transfer.go).
 	closing []int64
 
 	active bool
@@ -70,15 +70,10 @@ type slaveNode struct {
 	preFlush func()
 	failHook func(e int64)
 
-	// Incremental state movement (transfer.go; both maps stay nil with
-	// TransferChunk 0). xferOut tracks transfers this slave is streaming out,
-	// xferIn the ones it is accumulating, both keyed by MoveID.
+	// State movement (transfer.go): xferOut tracks transfers this slave is
+	// streaming out, xferIn the ones it is accumulating, both keyed by MoveID.
 	xferOut map[int64]*outXfer
 	xferIn  map[int64]*inXfer
-
-	// oflush, when non-nil, decouples the per-epoch collector flush from the
-	// slave loop (flusher.go; live engine with cfg.OverlapFlush).
-	oflush *overlapFlusher
 
 	// instrumentation
 	movesServed    int64
@@ -97,7 +92,7 @@ func newSlave(cfg *Config, id int32, proc engine.Proc, mst engine.Conn, peers *p
 	if runner == nil {
 		runner = engine.NewInlineRunner(proc)
 	}
-	s := &slaveNode{
+	return &slaveNode{
 		cfg:    cfg,
 		id:     id,
 		proc:   proc,
@@ -107,23 +102,11 @@ func newSlave(cfg *Config, id int32, proc engine.Proc, mst engine.Conn, peers *p
 		ws:     newWorkerSet(cfg, id, runner),
 		active: active,
 	}
-	if cfg.OverlapFlush && coll != nil {
-		// Overlap flushing needs a real writer goroutine, so it is a live-
-		// engine feature; the simulated engine keeps the synchronous flush
-		// (its virtual clock is single-threaded).
-		if lp, ok := proc.(*engine.LiveProc); ok {
-			s.oflush = newOverlapFlusher(coll, lp)
-		}
-	}
-	return s
 }
 
 // run is the slave process body.
 func (s *slaveNode) run() {
 	defer s.ws.close()
-	if s.oflush != nil {
-		defer s.oflush.stop()
-	}
 	td := time.Duration(s.cfg.DistEpochMs) * time.Millisecond
 	slotOff := s.cfg.slotOffset(int(s.id))
 	K := s.cfg.epochsPerReorg()
@@ -218,7 +201,7 @@ func (s *slaveNode) run() {
 		}
 		if batch.Shutdown {
 			s.settleTransfers()
-			s.closeFlush()
+			s.flushEpoch(true)
 			return
 		}
 
@@ -244,39 +227,21 @@ func (s *slaveNode) run() {
 	}
 }
 
-// flushEpoch ships the previous epoch's result batches to the collector —
-// synchronously, or through the overlap flusher's writer goroutine when one
-// is attached. At reorganization boundaries the batched transport is flushed
-// so collector staleness stays bounded by t_r.
+// flushEpoch ships the previous epoch's result batches to the collector. At
+// reorganization boundaries, and at shutdown, the batched transport is
+// flushed too, so collector staleness stays bounded by t_r and the final
+// batches reach the collector before the slave loop returns.
 func (s *slaveNode) flushEpoch(boundary bool) {
-	if s.oflush != nil {
-		s.oflush.post(s.ws, boundary)
-		return
-	}
 	s.ws.flushResults(s.coll)
 	if boundary {
 		engine.Flush(s.coll)
 	}
 }
 
-// closeFlush performs the shutdown flush: the final result batches reach the
-// collector before the slave loop returns, through whichever flush path the
-// run used.
-func (s *slaveNode) closeFlush() {
-	if s.oflush != nil {
-		s.oflush.post(s.ws, true)
-		s.oflush.stop()
-		return
-	}
-	s.ws.flushResults(s.coll)
-	engine.Flush(s.coll)
-}
-
 // handleDirectives executes this epoch's state-movement step — new movement
-// orders plus one message of every in-flight incremental transfer — and
-// reports whether any movement work ran (stall accounting). Sends come
-// first, in MoveID order: supplies of new directives (whole groups, or the
-// opening installment of an incremental transfer), then one installment or
+// orders plus one message of every in-flight transfer — and reports whether
+// any movement work ran (stall accounting). Sends come first, in MoveID
+// order: the opening installment of each new supply, then one installment or
 // final of each transfer already streaming out. All of them are buffered, so
 // several messages to the same consumer share one physical frame on a
 // batched transport; every touched peer connection is flushed before the
@@ -293,7 +258,7 @@ func (s *slaveNode) handleDirectives(dirs []wire.Directive) bool {
 	for _, d := range dirs {
 		switch {
 		case d.From == s.id:
-			s.supplyOrStart(d)
+			s.startOutgoing(d)
 			s.movesServed++
 		case d.To == s.id:
 			consumes++
@@ -330,17 +295,6 @@ func (s *slaveNode) applyMembership(ms *wire.Membership) {
 	}
 }
 
-// supplyGroup performs a monolithic supply: extract the whole group and ship
-// it as one StateTransfer. The consumer may be dead or unreachable; the state
-// is then lost with the move — the master unwinds it and re-adopts the group
-// empty on a survivor (sendTo severs the peer so sibling directives fail fast
-// instead of re-waiting the patience budget).
-func (s *slaveNode) supplyGroup(d wire.Directive) {
-	st, pending := s.ws.extractGroup(d.Group)
-	s.proc.Compute(s.cfg.Cost.Move(st.WindowTuples() + len(pending)))
-	s.sendTo(d.To, st.ToWire(d.MoveID, pending))
-}
-
 // consumeGroup opens the consume of move d: read the supplier's first
 // message, or — when there is no live supplier to read from — install the
 // group from what this slave has locally.
@@ -367,20 +321,14 @@ func (s *slaveNode) consumeGroup(d wire.Directive) {
 			// completes empty and degraded.
 			s.installReplica(d, d.From)
 		case *wire.StateChunk:
-			// The supplier opened an incremental transfer: accumulate, and
-			// ack only when the closing StateTransfer completes it
-			// (transfer.go).
+			// Accumulate, and ack only when the closing StateTransfer
+			// completes the move (transfer.go).
 			s.beginIncoming(d, msg)
-		case *wire.StateTransfer:
-			s.installTransfer(msg)
+		default:
+			panic(fmt.Sprintf("core: slave %d: transfer %d opened with %T, want the first installment",
+				s.id, d.MoveID, msg))
 		}
 	}
-}
-
-// installTransfer installs a completed state transfer (monolithic, or the
-// assembled snapshot-plus-delta of an incremental one) and acks the move.
-func (s *slaveNode) installTransfer(msg *wire.StateTransfer) {
-	s.install(join.StateFromWire(msg), msg.Pending, msg.MoveID)
 }
 
 // install makes this slave the owner of the group in st — windows, directory
@@ -414,10 +362,9 @@ func (s *slaveNode) recvFrom(d wire.Directive) (msg wire.Message) {
 }
 
 // recvMove reads the next state-movement message matching directive d from a
-// mesh connection — a monolithic (or closing) StateTransfer, or one
-// StateChunk installment of an incremental transfer. Protocol violations
-// (wrong kind, mismatched move) stay fatal; transport failures are the
-// caller's concern.
+// mesh connection — one StateChunk installment, or the closing
+// StateTransfer. Protocol violations (wrong kind, mismatched move) stay
+// fatal; transport failures are the caller's concern.
 func (s *slaveNode) recvMove(p engine.Conn, d wire.Directive) wire.Message {
 	msg := p.Recv()
 	var moveID int64

@@ -65,7 +65,6 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		func(c *Config) { c.WarmupMs = c.DurationMs },
 		func(c *Config) { c.ChunkTuples = 0 },
 		func(c *Config) { c.Beta = 1.5 },
-		func(c *Config) { c.TransferChunk = -1 },
 	}
 	for i, mutate := range mutations {
 		cfg := DefaultConfig()

@@ -7,29 +7,31 @@ import (
 	"time"
 
 	"streamjoin/internal/engine"
+	"streamjoin/internal/join"
 	"streamjoin/internal/tuple"
 	"streamjoin/internal/wire"
 )
 
-// This file implements incremental state movement — the overlap of
-// reorganization with computation. A monolithic movement (§IV-C) freezes the
-// moving partition-group for one epoch exchange: the supplier extracts the
-// whole window state and the consumer blocks until all of it has arrived,
-// so a large group turns the epoch barrier into a stall proportional to the
-// window size. With Config.TransferChunk > 0 the supplier instead snapshots
-// the group's windows at the directive epoch and streams the snapshot as
-// chunk-sized StateChunk installments, one per distribution epoch, while it
+// This file implements state movement (§IV-C): how a partition-group's
+// window state travels from its supplier to its consumer. The supplier
+// snapshots the group's windows at the directive epoch and streams the
+// snapshot as StateChunk installments, one per distribution epoch, while it
 // KEEPS OWNING AND PROCESSING the group: new arrivals that reach the group
 // during the transfer are ingested and probed locally, and recorded as a
 // catch-up delta. When the snapshot is fully shipped, the next epoch carries
-// an ordinary closing StateTransfer whose window payload is that catch-up
-// delta (everything ingested since the snapshot), plus the remaining
-// unprocessed backlog and the directory shape — the atomic cut-over at an
-// epoch boundary. The consumer concatenates snapshot installments and delta
-// and installs exactly once, then acks the MoveID as a monolithic consume
-// would; the master's Directive/ACK choreography, the buddy-replication
-// reset on install, and the degraded-move fallbacks all carry over
-// unchanged.
+// the closing StateTransfer whose window payload is that catch-up delta
+// (everything ingested since the snapshot), plus the remaining unprocessed
+// backlog and the directory shape — the atomic cut-over at an epoch
+// boundary. The consumer concatenates snapshot installments and delta,
+// installs exactly once, then acks the MoveID, which transfers ownership at
+// the master. So the epoch barrier never carries more than one installment
+// of any group: the stall a move inserts is bounded by the installment, not
+// by the window.
+//
+// The installment size is derived, not configured (installmentSize): a
+// move ordered at one reorganization boundary must have acked before the
+// master plans the next, so the paper's cadence of one group per
+// supplier/consumer pair per t_r survives.
 //
 // Correctness sketch: while the snapshot streams, the master keeps routing
 // the moving group's new tuples to the supplier — it still owns the group,
@@ -38,45 +40,45 @@ import (
 // next Hello (wire.Hello.Closing); from that epoch the master withholds the
 // group's tuples, so the closing delta — built the same epoch — covers every
 // tuple the supplier ever ingested, with nothing in flight behind it. The
-// withheld tuples (one or two epochs' worth, the same bound as a monolithic
-// move) release to the new owner when the consumer's ack completes the
-// move. Each tuple is probed exactly once against the full window of its
-// time, so the output pair multiset is identical to the monolithic
-// transfer's (TestIncrementalTransferEquivalence asserts this over real
-// TCP). Because the directive epoch itself now delivers tuples to a supplier
-// that extracts state the same epoch under a monolithic supply, chunked mode
-// routes EVERY supply through the capture path — a group at or below
-// TransferChunk simply ships its whole snapshot in the opening installment
-// and cuts over one epoch later.
+// withheld tuples (one or two epochs' worth) release to the new owner when
+// the consumer's ack completes the move. Each tuple is probed exactly once
+// against the full window of its time, so the output pair multiset is that
+// of a join that never moved anything (the *Equivalence suites assert this
+// against a brute-force oracle over real TCP). The directive epoch itself
+// delivers tuples to the supplier, so every supply takes this path — an
+// empty or small group ships its whole snapshot in the opening installment
+// and cuts over one epoch later; an extract at the directive epoch would
+// race the tuples delivered behind that very directive.
 //
 // Deadlock freedom: the endpoints of in-flight movements are excluded from
 // new reorganization pairings (busySlaves), so the set of concurrent
 // transfers always forms a bipartite supplier→consumer graph with disjoint
-// sides. Each epoch every supplier buffers its installments and flushes
-// before any slave blocks receiving, exactly the supplies-then-consumes
-// discipline of the monolithic exchange — no cycle can form, even over
-// in-process rendezvous pipes.
+// sides. Each epoch every supplier buffers its messages and flushes before
+// any slave blocks receiving — no cycle can form, even over in-process
+// rendezvous pipes.
 //
-// Paper correspondence: the follow-up work ("Processing Database Joins over
-// a Shared-Nothing System of Multicore Machines") overlaps communication
-// with computation to hide data-redistribution latency behind the join
-// itself; chunked state movement is that idea applied to the windowed
-// stream-join setting of §IV-C, where the unit of redistribution is a
-// partition-group's window state rather than a static relation fragment.
+// Paper correspondence: §IV-C describes the movement as one step; the
+// follow-up work ("Processing Database Joins over a Shared-Nothing System of
+// Multicore Machines") overlaps communication with computation to hide
+// data-redistribution latency behind the join itself. Streaming the
+// snapshot is that idea applied to the windowed stream-join setting, where
+// the unit of redistribution is a partition-group's window state rather than
+// a static relation fragment.
 
-// xferCapture accumulates the catch-up delta of one outgoing incremental
-// transfer: every tuple the supplier ingests into the moving group after its
-// snapshot, in processing order per stream. It is fed by runRound on the
+// xferCapture accumulates the catch-up delta of one outgoing transfer: every
+// tuple the supplier ingests into the moving group after its snapshot, in
+// processing order per stream. It is fed by runRound on the
 // owning worker's goroutine (like the buddy-replication capture) and read by
 // the slave loop with the workers parked, so it needs no locking.
 type xferCapture struct {
 	runs [2][]tuple.Tuple
 }
 
-// outXfer is the supplier side of one in-flight incremental movement.
+// outXfer is the supplier side of one in-flight movement.
 type outXfer struct {
 	d    wire.Directive
 	snap [2][]tuple.Tuple // unsent remainder of the wire-converted snapshot
+	size int              // snapshot tuples per installment (installmentSize)
 	seq  int32            // next installment index
 	// fresh marks a transfer whose opening installment went out this epoch
 	// (startOutgoing); the per-epoch stepOutgoing sweep skips it once so a
@@ -86,45 +88,40 @@ type outXfer struct {
 
 func (x *outXfer) snapLeft() int { return len(x.snap[0]) + len(x.snap[1]) }
 
-// inXfer is the consumer side of one in-flight incremental movement: the
-// snapshot installments received so far, awaiting the closing StateTransfer.
+// inXfer is the consumer side of one in-flight movement: the snapshot
+// installments received so far, awaiting the closing StateTransfer.
 type inXfer struct {
 	d      wire.Directive
 	window [2][]tuple.Tuple
 	next   int32 // expected next installment index
 }
 
-// supplyOrStart routes a supply directive: through the incremental transfer
-// state machine when chunked movement is enabled, monolithic otherwise. In
-// chunked mode the master keeps routing the group's tuples here until the
-// cut-over is announced — including in the directive epoch itself — so even
-// an empty or single-chunk group must take the capture path: a monolithic
-// extract would race the tuples delivered behind this very directive.
-func (s *slaveNode) supplyOrStart(d wire.Directive) {
-	if s.cfg.TransferChunk > 0 {
-		s.startOutgoing(d)
-		return
-	}
-	s.supplyGroup(d)
+// installmentSize is the number of snapshot tuples each installment of a
+// move carries, given the snapshot's length. A move delivered at a
+// reorganization boundary B sends installments in epochs B..B+n-1, cuts over
+// in B+n, and its ack rides the consumer's Hello of B+n+1; the master plans
+// the next reorganization after epoch B+K-1 (K = t_r/t_d), so n may be at
+// most K-2. The size is the smallest that keeps to that, but never below
+// ChunkTuples, the quantum a slave already works in between looks at the
+// epoch clock. With K < 3 no n meets the deadline and the opening installment
+// carries the whole snapshot.
+func (c *Config) installmentSize(snapLen int) int {
+	n := max(int(c.epochsPerReorg())-2, 1)
+	return max(c.ChunkTuples, (snapLen+n-1)/n)
 }
 
-// startOutgoing opens an incremental transfer for directive d: snapshot the
-// group without detaching it, ship the first installment, and start the
-// catch-up capture. A group not grown yet snapshots empty and cuts over one
-// epoch later, its whole state riding the catch-up delta.
+// startOutgoing opens the transfer of directive d: snapshot the group without
+// detaching it, ship the first installment, and start the catch-up capture.
+// A group not grown yet snapshots empty and cuts over one epoch later, its
+// whole state riding the catch-up delta.
 func (s *slaveNode) startOutgoing(d wire.Directive) {
 	w := s.ws.workerOf(d.Group)
 	x := &outXfer{d: d, fresh: true}
 	if g, ok := w.mod.Get(d.Group); ok {
 		snap := g.Extract()
-		for st := 0; st < 2; st++ {
-			ts := make([]tuple.Tuple, len(snap.Window[st]))
-			for i, p := range snap.Window[st] {
-				ts[i] = tuple.Tuple{Stream: tuple.StreamID(st), Key: p.Key, TS: p.TS}
-			}
-			x.snap[st] = ts
-		}
+		x.snap = snap.ToWire(d.MoveID, nil).Window
 	}
+	x.size = s.cfg.installmentSize(x.snapLeft())
 	if w.xcap == nil {
 		w.xcap = make(map[int32]*xferCapture)
 	}
@@ -136,14 +133,14 @@ func (s *slaveNode) startOutgoing(d wire.Directive) {
 	s.sendInstallment(x)
 }
 
-// sendInstallment ships the next chunk of the snapshot (at most TransferChunk
+// sendInstallment ships the next chunk of the snapshot (at most x.size
 // tuples, zero-copy sub-slices). A delivery failure aborts the transfer. The
 // installment that exhausts the snapshot schedules the cut-over: the next
 // Hello announces the move as Closing so the master stops routing the
 // group's tuples here, and the epoch after carries the closing transfer.
 func (s *slaveNode) sendInstallment(x *outXfer) {
 	chunk := &wire.StateChunk{MoveID: x.d.MoveID, Group: x.d.Group, Seq: x.seq}
-	limit := s.cfg.TransferChunk
+	limit := x.size
 	for st := 0; st < 2 && limit > 0; st++ {
 		n := min(limit, len(x.snap[st]))
 		chunk.Window[st] = x.snap[st][:n:n]
@@ -171,17 +168,10 @@ func (s *slaveNode) finishOutgoing(x *outXfer) {
 	w := s.ws.workerOf(x.d.Group)
 	delta := w.xcap[x.d.Group]
 	st, pending := s.ws.extractGroup(x.d.Group)
-	msg := &wire.StateTransfer{
-		MoveID:      x.d.MoveID,
-		Group:       x.d.Group,
-		GlobalDepth: uint8(st.GlobalDepth),
-		Pending:     pending,
-	}
+	st.Window = [2][]tuple.Packed{} // the snapshot is already on the consumer
+	msg := st.ToWire(x.d.MoveID, pending)
 	if delta != nil {
 		msg.Window = delta.runs
-	}
-	for _, sp := range st.Buckets {
-		msg.Buckets = append(msg.Buckets, wire.BucketSpec{LocalDepth: uint8(sp.Local), Bits: sp.Bits})
 	}
 	n := len(msg.Window[0]) + len(msg.Window[1]) + len(pending)
 	s.proc.Compute(s.cfg.Cost.Move(n))
@@ -191,9 +181,9 @@ func (s *slaveNode) finishOutgoing(x *outXfer) {
 }
 
 // abortOutgoing drops an in-flight outgoing transfer whose consumer is gone.
-// The group's state is discarded — the same loss profile as a monolithic
-// supply toward a dead consumer: the master unwinds the move and re-adopts
-// the group empty (or promotes a replica) on a survivor.
+// The group's state is discarded, because that is what the master assumes of
+// a move whose directive reached the supplier: it unwinds the move and
+// re-adopts the group empty (or promotes a replica) on a survivor.
 func (s *slaveNode) abortOutgoing(x *outXfer) {
 	s.ws.extractGroup(x.d.Group) // discard; also clears the catch-up capture
 	delete(s.xferOut, x.d.MoveID)
@@ -295,7 +285,7 @@ func (s *slaveNode) beginIncoming(d wire.Directive, c *wire.StateChunk) {
 // an installment extends the accumulated snapshot; the closing StateTransfer
 // completes the movement (snapshot plus catch-up delta install as one). A
 // supplier death mid-stream discards the incomplete prefix and fails over
-// exactly like a monolithic consume that never got its transfer.
+// exactly like a consume whose supplier never sent anything.
 func (s *slaveNode) continueIncoming(x *inXfer) {
 	d := x.d
 	msg := s.recvFrom(d)
@@ -317,7 +307,7 @@ func (s *slaveNode) continueIncoming(x *inXfer) {
 		delete(s.xferIn, d.MoveID)
 		m.Window[0] = append(x.window[0], m.Window[0]...)
 		m.Window[1] = append(x.window[1], m.Window[1]...)
-		s.installTransfer(m)
+		s.install(join.StateFromWire(m), m.Pending, m.MoveID)
 	}
 }
 

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"regexp"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -13,18 +16,21 @@ import (
 
 // xferRig wires a supplier and a consumer slaveNode over one in-process
 // rendezvous pipe, with no master: tests drive handleDirectives on both ends
-// directly, one epoch at a time, so every installment of an incremental
-// transfer is observable between epochs.
+// directly, one epoch at a time, so every installment of a transfer is
+// observable between epochs.
 type xferRig struct {
 	cfg      Config
 	sup, con *slaveNode
 	supP     *engine.LiveProc
 }
 
-func newXferRig(chunk int) *xferRig {
+// newXferRig builds the rig with ChunkTuples = chunk (the smallest
+// installment) and t_r = k × t_d (the deadline installmentSize works to).
+func newXferRig(chunk, k int) *xferRig {
 	r := &xferRig{cfg: DefaultConfig()}
 	r.cfg.Slaves = 2
-	r.cfg.TransferChunk = chunk
+	r.cfg.ChunkTuples = chunk
+	r.cfg.ReorgEpochMs = int32(k) * r.cfg.DistEpochMs
 	env := engine.NewLiveEnv()
 	pa, pb := env.NewProc("xfer-sup"), env.NewProc("xfer-con")
 	ab, ba := engine.Pipe(pa, pb)
@@ -80,14 +86,14 @@ func windowTuplesOf(s *slaveNode, g int32) int {
 	return st.WindowTuples()
 }
 
-// TestIncrementalTransferStateMachine drives the chunked movement protocol
+// TestIncrementalTransferStateMachine drives the movement protocol
 // deterministically through every phase: snapshot + opening installment,
 // per-epoch streaming while the supplier keeps processing (with the catch-up
 // capture), and the closing cut-over transfer that carries the delta and
 // acks the move.
 func TestIncrementalTransferStateMachine(t *testing.T) {
 	t.Run("chunked-handoff", func(t *testing.T) {
-		r := newXferRig(8)
+		r := newXferRig(8, 12) // ten installments fit the deadline
 		key := int32(7)
 		g := r.cfg.GroupOfKey(key)
 		r.ingest(r.sup, key, 40, 0) // 80 window tuples: 10 installments of 8
@@ -153,12 +159,12 @@ func TestIncrementalTransferStateMachine(t *testing.T) {
 	})
 
 	t.Run("small-group", func(t *testing.T) {
-		// A group that fits within one chunk still takes the capture path —
-		// the master routes tuples to the supplier through the directive
-		// epoch, so a same-epoch monolithic extract would race them. The
+		// A group that fits within one installment still takes the capture
+		// path — the master routes tuples to the supplier through the
+		// directive epoch, so an extract in that epoch would race them. The
 		// whole snapshot rides the opening installment and the group cuts
 		// over one epoch later.
-		r := newXferRig(8)
+		r := newXferRig(8, 12)
 		key := int32(7)
 		g := r.cfg.GroupOfKey(key)
 		r.ingest(r.sup, key, 3, 0) // 6 window tuples <= chunk
@@ -192,7 +198,7 @@ func TestIncrementalTransferStateMachine(t *testing.T) {
 		// Shutdown arrives two epochs into a stream: settleTransfers must
 		// burst the remaining installments and the cut-over symmetrically so
 		// no window state is stranded.
-		r := newXferRig(8)
+		r := newXferRig(8, 12)
 		key := int32(7)
 		g := r.cfg.GroupOfKey(key)
 		r.ingest(r.sup, key, 40, 0)
@@ -222,25 +228,114 @@ func TestIncrementalTransferStateMachine(t *testing.T) {
 	})
 }
 
-// incrementalTestConfig shapes the equivalence clusters so chunked transfers
-// genuinely engage: four large partition-groups (~190 window tuples each by
+// TestInstallmentSizeMeetsReorgDeadline pins the derived installment size
+// over snapshot sizes × t_r/t_d: a move delivered at a reorganization
+// boundary (epoch 0 here) must have its ack in the consumer's Hello by the
+// last epoch before the next boundary whenever t_r/t_d ≥ 3, using the
+// smallest installment ≥ ChunkTuples that manages it; below 3 the opening
+// installment carries the whole snapshot. Whatever the size, snapshot ∪ delta
+// installs exactly once.
+func TestInstallmentSizeMeetsReorgDeadline(t *testing.T) {
+	const chunk = 16
+	const key = int32(7)
+	for _, snap := range []int{0, 1, chunk, 10 * chunk} {
+		for _, k := range []int{1, 2, 3, 10} {
+			r := newXferRig(chunk, k)
+			g := r.cfg.GroupOfKey(key)
+			batch := make([]tuple.Tuple, snap)
+			for i := range batch {
+				batch[i] = tuple.Tuple{Stream: tuple.StreamID(i % 2), Key: key, TS: int32(i)}
+			}
+			r.sup.ws.enqueue(batch)
+			r.sup.ws.processUntil(r.sup.proc.Now() + time.Second)
+
+			// Epoch 0 delivers the directive; every epoch ships one message.
+			// perEpoch[e] is what the supplier shipped in epoch e.
+			var perEpoch []int64
+			shipped := func() {
+				n := r.supP.Stats().XferTuples
+				for _, p := range perEpoch {
+					n -= p
+				}
+				perEpoch = append(perEpoch, n)
+			}
+			r.step(t, &wire.Directive{MoveID: 3, Group: g, From: 0, To: 1})
+			shipped()
+			size := r.sup.xferOut[3].size
+			// Arrivals between the snapshot and the cut-over: the delta.
+			r.ingest(r.sup, key, 2, 10_000)
+			for len(r.con.acks) == 0 {
+				if len(perEpoch) > 2*k+4 {
+					t.Fatalf("snap %d, t_r/t_d %d: no ack after %d epochs", snap, k, len(perEpoch))
+				}
+				r.step(t, nil)
+				shipped()
+			}
+			installments := len(perEpoch) - 1 // the last message is the closing transfer
+			ackHello := len(perEpoch)         // the consumer reports the ack one epoch after installing
+
+			fits := max(k-2, 1) // installments the deadline allows
+			switch {
+			case k < 3:
+				if installments != 1 || perEpoch[0] != int64(snap) {
+					t.Errorf("snap %d, t_r/t_d %d: %d installments, the first carrying %d tuples; want the whole snapshot at once",
+						snap, k, installments, perEpoch[0])
+				}
+			default:
+				if ackHello > k-1 {
+					t.Errorf("snap %d, t_r/t_d %d: ack rides the Hello of epoch %d, after the next reorganization was planned (epoch %d)",
+						snap, k, ackHello, k-1)
+				}
+				if (snap+chunk-1)/chunk <= fits {
+					if size != chunk {
+						t.Errorf("snap %d, t_r/t_d %d: installment size %d, want ChunkTuples (%d) — it meets the deadline",
+							snap, k, size, chunk)
+					}
+				} else if (snap+size-2)/(size-1) <= fits {
+					t.Errorf("snap %d, t_r/t_d %d: installment size %d is not the smallest that meets the deadline",
+						snap, k, size)
+				}
+			}
+			if size < chunk {
+				t.Errorf("snap %d, t_r/t_d %d: installment size %d below ChunkTuples (%d)", snap, k, size, chunk)
+			}
+			for e, n := range perEpoch[:installments] {
+				if want := int64(min(size, snap-e*size)); n != want {
+					t.Errorf("snap %d, t_r/t_d %d: installment %d carried %d tuples, want %d", snap, k, e, n, want)
+				}
+			}
+			if len(r.con.acks) != 1 || r.con.acks[0] != 3 {
+				t.Errorf("snap %d, t_r/t_d %d: consumer acks = %v, want [3]", snap, k, r.con.acks)
+			}
+			if n := windowTuplesOf(r.con, g); n != snap+4 {
+				t.Errorf("snap %d, t_r/t_d %d: consumer window = %d tuples, want %d (snapshot + delta, once)",
+					snap, k, n, snap+4)
+			}
+			if n := windowTuplesOf(r.sup, g); n != -1 {
+				t.Errorf("snap %d, t_r/t_d %d: supplier still owns the group (%d tuples)", snap, k, n)
+			}
+		}
+	}
+}
+
+// incrementalTestConfig shapes the equivalence clusters so transfers
+// genuinely stream: four large partition-groups (~190 window tuples each by
 // the end of the elastic workload) instead of the default sixty sparse ones,
-// so every rebalanced group spans many installments at small TransferChunk.
+// and a small ChunkTuples, so every rebalanced group spans as many
+// installments as the reorganization deadline allows (t_r/t_d − 2 = 8).
 func incrementalTestConfig(chunk int) Config {
 	cfg := elasticTestConfig()
 	cfg.Partitions = 4
-	cfg.TransferChunk = chunk
-	cfg.OverlapFlush = true
+	cfg.ChunkTuples = chunk
 	return cfg
 }
 
-// TestIncrementalTransferEquivalence is the acceptance test of the
-// incremental-reorganization tentpole: over real TCP with W=4 join workers,
-// a cluster whose movements stream chunk-by-chunk while the supplier keeps
-// processing must produce exactly the pair multiset of the monolithic
-// protocol — which TestElasticEquivalence pins to the brute-force ground
-// truth — under a clean rebalance, under a consumer crash mid-transfer with
-// buddy replication recovering the windows, and under injected wire latency.
+// TestIncrementalTransferEquivalence is the acceptance test of streamed
+// state movement: over real TCP with W=4 join workers, a cluster whose
+// movements stream over many epochs while the supplier keeps processing must
+// produce exactly the brute-force pair multiset under a clean rebalance,
+// under a consumer crash mid-transfer with buddy replication recovering the
+// windows, and under injected wire latency.
 func TestIncrementalTransferEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock TCP test")
@@ -256,8 +351,17 @@ func TestIncrementalTransferEquivalence(t *testing.T) {
 		opts  JoinOptions
 		delay time.Duration
 	}
-	runCluster := func(t *testing.T, masterCfg Config, slaves []slaveSpec, tolerateSlaveErr bool) (*Result, int) {
+	// runCluster also returns the master's membership log.
+	runCluster := func(t *testing.T, masterCfg Config, slaves []slaveSpec, tolerateSlaveErr bool) (*Result, int, []string) {
 		t.Helper()
+		var logMu sync.Mutex
+		var logLines []string
+		logf := func(format string, args ...any) {
+			logMu.Lock()
+			logLines = append(logLines, fmt.Sprintf(format, args...))
+			logMu.Unlock()
+			t.Logf(format, args...)
+		}
 		addrs := freePorts(t, 2)
 		ctl, res := addrs[0], addrs[1]
 		var wg sync.WaitGroup
@@ -274,7 +378,7 @@ func TestIncrementalTransferEquivalence(t *testing.T) {
 				}
 			}(sp)
 		}
-		result, err := serveMaster(masterCfg, ctl, res, t.Logf,
+		result, err := serveMaster(masterCfg, ctl, res, logf,
 			&listIngestor{tuples: append([]tuple.Tuple(nil), work...)})
 		if err != nil {
 			t.Fatal(err)
@@ -290,19 +394,21 @@ func TestIncrementalTransferEquivalence(t *testing.T) {
 				t.Error(err)
 			}
 		}
-		return result, failures
+		logMu.Lock()
+		defer logMu.Unlock()
+		return result, failures, logLines
 	}
 
 	t.Run("scale-out-incremental", func(t *testing.T) {
-		// 2 → 3 with chunked transfers and the overlapped flush: the joiner's
-		// rebalance streams each moved group over many epochs while its old
-		// owner keeps processing it, and the multiset must still be exact.
+		// 2 → 3: the joiner's rebalance streams each moved group over many
+		// epochs while its old owner keeps processing it, and the multiset
+		// must still be exact.
 		cfg := incrementalTestConfig(16)
 		cfg.MinSlaves = 2
 		sink := newFPSink(t, false)
 		cfg.SinkAddr = sink.addr()
 
-		result, _ := runCluster(t, cfg, []slaveSpec{
+		result, _, _ := runCluster(t, cfg, []slaveSpec{
 			{cfg: cfg},
 			{cfg: cfg},
 			{cfg: cfg, delay: 3 * time.Second},
@@ -318,7 +424,7 @@ func TestIncrementalTransferEquivalence(t *testing.T) {
 			t.Error("no groups rebalanced toward the joiner — no transfer ever streamed")
 		}
 		if result.MovesCompleted == 0 {
-			t.Error("no movements completed — every chunked transfer stalled")
+			t.Error("no movements completed — every transfer stalled")
 		}
 		if result.MovesDegraded != 0 {
 			t.Errorf("%d moves degraded on a healthy cluster", result.MovesDegraded)
@@ -344,7 +450,7 @@ func TestIncrementalTransferEquivalence(t *testing.T) {
 		sink := newFPSink(t, true) // the killed joiner tears its sink mid-frame
 		cfg.SinkAddr = sink.addr()
 
-		result, failures := runCluster(t, cfg, []slaveSpec{
+		result, failures, logLines := runCluster(t, cfg, []slaveSpec{
 			{cfg: cfg},
 			{cfg: cfg},
 			// Joins ~3s in (epoch ~12), participates from the next reorg
@@ -362,6 +468,33 @@ func TestIncrementalTransferEquivalence(t *testing.T) {
 		if result.GroupsRebalanced == 0 {
 			t.Error("no groups rebalanced toward the joiner before the crash — the kill raced nothing")
 		}
+		// The kill must land mid-stream. Streams open at epoch 20 and the
+		// joiner dies before its Hello of epoch 23, so the master must find
+		// moves toward it still in flight, and even the smallest group moved
+		// must have had installments left to send: what arrived before the
+		// directive epoch alone makes a snapshot of at least four of them.
+		unwound := 0
+		unwoundRE := regexp.MustCompile(`(\d+) in-flight moves unwound`)
+		for _, line := range logLines {
+			if m := unwoundRE.FindStringSubmatch(line); m != nil {
+				unwound, _ = strconv.Atoi(m[1])
+			}
+		}
+		if unwound == 0 {
+			t.Error("the joiner died with no move in flight toward it — the kill missed the streams")
+		}
+		perGroup := make(map[int32]int)
+		for _, tp := range work {
+			if tp.TS < 19*cfg.DistEpochMs {
+				perGroup[cfg.GroupOfKey(tp.Key)]++
+			}
+		}
+		for g, n := range perGroup {
+			if size := cfg.installmentSize(n); (n+size-1)/size < 4 {
+				t.Errorf("group %d: a %d-tuple snapshot streams in %d installments, want >= 4 so epoch 23 is mid-stream",
+					g, n, (n+size-1)/size)
+			}
+		}
 		ms := sink.finish(t)
 		diffMultisets(t, "crash mid-transfer vs brute force", ms, expected)
 		if s := sink.tally.SeqDups(); s != 0 {
@@ -377,7 +510,7 @@ func TestIncrementalTransferEquivalence(t *testing.T) {
 
 	t.Run("chaos-latency", func(t *testing.T) {
 		// Seeded 10-20ms latency on every write of every connection while the
-		// joiner's rebalance streams chunk-by-chunk: slow wires stretch the
+		// joiner's rebalance streams installment by installment: slow wires stretch the
 		// installment schedule but may not lose, duplicate, or reorder
 		// anything, and latency is still not death.
 		cfg := incrementalTestConfig(16)
@@ -388,7 +521,7 @@ func TestIncrementalTransferEquivalence(t *testing.T) {
 		acceptRule := &faultnet.Rule{Listen: true, Latency: 10 * time.Millisecond, Jitter: 10 * time.Millisecond}
 		cfg.Transport = faultnet.New(7, dialRule, acceptRule)
 
-		result, _ := runCluster(t, cfg, []slaveSpec{
+		result, _, _ := runCluster(t, cfg, []slaveSpec{
 			{cfg: cfg},
 			{cfg: cfg},
 			{cfg: cfg, delay: 3 * time.Second},

@@ -49,9 +49,9 @@ type joinWorker struct {
 	repl map[int32]*replDelta
 
 	// xcap accumulates catch-up deltas for groups this slave is streaming
-	// out incrementally (transfer.go): while a chunked movement is in flight
-	// the group keeps processing here, and every tuple it ingests must reach
-	// the consumer in the closing transfer. Nil until a transfer starts.
+	// out (transfer.go): while a movement is in flight the group keeps
+	// processing here, and every tuple it ingests must reach the consumer in
+	// the closing transfer. Nil until a transfer starts.
 	xcap map[int32]*xferCapture
 
 	// instrumentation
@@ -244,7 +244,7 @@ func (ws *workerSet) extractGroup(id int32) (join.State, []tuple.Tuple) {
 	pending := w.input[id]
 	delete(w.input, id)
 	delete(w.repl, id) // the new owner re-replicates from its own snapshot
-	delete(w.xcap, id) // an in-flight chunked transfer of id ends with it
+	delete(w.xcap, id) // an in-flight transfer of id ends with it
 	w.backlog -= int64(len(pending))
 	return g.Extract(), pending
 }
@@ -366,8 +366,8 @@ func (w *joinWorker) runRound(ws *workerSet, g int32, chunk []tuple.Tuple) {
 		w.captureRepl(g, chunk)
 	}
 	if len(chunk) > 0 {
-		// The group is mid-movement (chunked transfer): everything ingested
-		// from here on ships in the closing transfer's catch-up delta.
+		// The group is mid-movement: everything ingested from here on ships
+		// in the closing transfer's catch-up delta.
 		if c := w.xcap[g]; c != nil {
 			for _, t := range chunk {
 				c.runs[t.Stream] = append(c.runs[t.Stream], t)

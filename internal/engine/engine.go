@@ -67,24 +67,19 @@ type Stats struct {
 	ReplDeltasRecv int64
 	ReplTuplesRecv int64
 
-	// State-movement counters (incremental reorganization). XferStall is the
-	// time the slave loop spent blocked on the epoch barrier moving state —
-	// extracting, sending, or waiting for transfer messages — the direct
-	// per-epoch cost a reorganization charges the join. XferStallMax is the
-	// worst single-epoch stall: the pause a reorganization inserts into the
-	// epoch cadence, which chunked transfers exist to bound (total stall
-	// stays roughly constant — the same state moves either way — but the
-	// maximum shrinks with the installment size). XferChunks/XferTuples
-	// count the incremental installments shipped (zero with TransferChunk 0).
+	// State-movement counters. XferStall is the time the slave loop spent
+	// blocked on the epoch barrier moving state — extracting, sending, or
+	// waiting for transfer messages — the direct per-epoch cost a
+	// reorganization charges the join. XferStallMax is the worst
+	// single-epoch stall: the pause a reorganization inserts into the epoch
+	// cadence, which streaming a move as installments exists to bound (total
+	// stall follows the state moved; the maximum follows the installment
+	// size). XferChunks/XferTuples count the transfer messages shipped —
+	// installments and closing transfers — and the tuples they carried.
 	XferStall    time.Duration
 	XferStallMax time.Duration
 	XferChunks   int64
 	XferTuples   int64
-	// FlushWait is the time the slave loop spent blocked handing the epoch's
-	// result batches to the overlap-flush writer (waiting for a free bank or
-	// for the final drain); with OverlapFlush off it is zero and the whole
-	// flush cost shows up as Comm instead.
-	FlushWait time.Duration
 }
 
 // Sub returns s minus t field-by-field (measurement-interval isolation).
@@ -136,7 +131,6 @@ func (s Stats) Sub(t Stats) Stats {
 		XferStallMax: s.XferStallMax,
 		XferChunks:   s.XferChunks - t.XferChunks,
 		XferTuples:   s.XferTuples - t.XferTuples,
-		FlushWait:    s.FlushWait - t.FlushWait,
 	}
 }
 

@@ -155,10 +155,9 @@ func (p *LiveProc) AddRepl(deltasSent, tuplesSent, deltasRecv, tuplesRecv int64)
 	p.mu.Unlock()
 }
 
-// AddXfer folds state-movement activity into the process stats: incremental
-// installments shipped (supplier side) and the time the slave loop spent
-// blocked moving state at the epoch barrier (both sides, monolithic
-// transfers included — the metric the incremental path exists to shrink).
+// AddXfer folds state-movement activity into the process stats: transfer
+// messages shipped (supplier side) and the time the slave loop spent blocked
+// moving state at the epoch barrier (both sides).
 func (p *LiveProc) AddXfer(chunks, tuples int64, stall time.Duration) {
 	p.mu.Lock()
 	p.stats.XferChunks += chunks
@@ -167,14 +166,6 @@ func (p *LiveProc) AddXfer(chunks, tuples int64, stall time.Duration) {
 	if stall > p.stats.XferStallMax {
 		p.stats.XferStallMax = stall
 	}
-	p.mu.Unlock()
-}
-
-// AddFlushWait folds the overlap-flush handoff wait into the process stats
-// (the residual barrier cost of the double-buffered collector flush).
-func (p *LiveProc) AddFlushWait(d time.Duration) {
-	p.mu.Lock()
-	p.stats.FlushWait += d
 	p.mu.Unlock()
 }
 
@@ -196,8 +187,8 @@ func Pipe(a, b *LiveProc) (Conn, Conn) {
 }
 
 // Send implements Conn. The rendezvous handoff transfers ownership of m to
-// the receiver, which may mutate it in place (incremental state transfers
-// do), so the size must be read before the channel send.
+// the receiver, which may mutate it in place (the consumer of a state
+// movement does), so the size must be read before the channel send.
 func (c *pipeConn) Send(m wire.Message) {
 	t0 := c.p.Now()
 	size := m.WireSize()

@@ -30,6 +30,17 @@ import (
 	"streamjoin/internal/tuple"
 )
 
+// Version is the revision of the protocol spoken with these messages. A
+// joining slave announces its own in the Membership that opens the join
+// handshake and the master turns away any other, so a cluster never mixes
+// revisions; a build that predates the constant announces 0. It changes
+// whenever peers of two revisions would act differently on the same
+// messages, even if every message still decodes: revision 1 streams every
+// state movement (KindStateChunk) while the master keeps routing the group
+// to its supplier, where a supplier of revision 0 gave the group up in the
+// directive epoch.
+const Version = 1
+
 // Kind discriminates message types on the wire.
 type Kind uint8
 
@@ -61,12 +72,10 @@ const (
 	// copy promoted on eviction. Never sent unless replication is enabled, so
 	// both fixed and replication-off elastic traffic stay byte-identical.
 	KindWindowDelta
-	// KindStateChunk belongs to the incremental-reorganization extension: a
-	// moving partition-group's window snapshot is streamed supplier→consumer
-	// as chunk-sized installments over consecutive epochs, closed by an
-	// ordinary StateTransfer carrying the catch-up delta. Never sent unless
-	// chunked transfer is enabled (-transfer-chunk > 0), so default traffic
-	// stays byte-identical to the monolithic-transfer protocol.
+	// KindStateChunk is one installment of a state movement: a moving
+	// partition-group's window snapshot is streamed supplier→consumer over
+	// consecutive epochs, closed by a StateTransfer carrying the catch-up
+	// delta.
 	KindStateChunk
 )
 
@@ -219,7 +228,7 @@ type Hello struct {
 	BacklogBytes int64   // unprocessed buffered tuples (metrics)
 	MoveACKs     []int64 // completed MoveIDs
 	Degraded     []int64 // MoveIDs completed with an empty install (state lost)
-	// Closing lists in-flight incremental transfers whose supplier has fully
+	// Closing lists in-flight state movements whose supplier has fully
 	// shipped its snapshot and will send the closing catch-up StateTransfer
 	// this epoch. Until then the master keeps routing the moving group's new
 	// tuples to the supplier (which probes them and folds them into the
@@ -432,11 +441,14 @@ type MemberSpec struct {
 
 // Membership carries the cluster roster in both directions. A slave
 // dialing into a live cluster sends one right after its registration Hello:
-// Self and the single roster entry's ID are -1 (unassigned), and the entry
-// announces the joiner's mesh address and capacity. The master replies — and
-// re-broadcasts on every roster change — with the assigned Self id, the
-// group-ownership Epoch (monotone, bumped per membership transition), and
-// the full live roster so members can dial new peers and prune dead ones.
+// Self and the single roster entry's ID are -1 (unassigned), the entry
+// announces the joiner's mesh address and capacity, and Epoch carries the
+// joiner's wire Version. The master replies — and re-broadcasts on every
+// roster change — with the assigned Self id, the group-ownership Epoch
+// (monotone, bumped per membership transition), and the full live roster so
+// members can dial new peers and prune dead ones. To a joiner of another
+// Version it replies with Self -1 and its own Version in Epoch instead, and
+// closes the connection.
 //
 // Paper correspondence: the follow-up paper ("Processing Database Joins over
 // a Shared-Nothing System of Multicore Machines", §on reorganization,
@@ -445,8 +457,8 @@ type MemberSpec struct {
 // placement at interval boundaries; Membership is that coordinator view made
 // explicit on the wire.
 type Membership struct {
-	Epoch  int64 // group-ownership epoch; bumps on every roster change
-	Self   int32 // recipient's assigned slave id; -1 slave→master
+	Epoch  int64 // group-ownership epoch; bumps on every roster change (with Self -1: the sender's Version)
+	Self   int32 // recipient's assigned slave id; -1 slave→master and in a rejection
 	Slaves []MemberSpec
 }
 
@@ -533,16 +545,15 @@ func (wd *WindowDelta) WireSize() int64 {
 	return headerSize + 21 + tuple.LogicalSize*n
 }
 
-// StateChunk is one installment of an incremental state movement: a
-// consecutive, per-stream slice of the moving partition-group's window
-// snapshot, identified by the movement it belongs to and its position in the
+// StateChunk is one installment of a state movement: a consecutive,
+// per-stream slice of the moving partition-group's window snapshot, identified by the movement it belongs to and its position in the
 // installment sequence (Seq, starting at 0). The supplier streams exactly one
 // installment per distribution epoch while it keeps processing the group;
 // the closing installment is an ordinary StateTransfer whose windows carry
 // only the catch-up delta — the rows ingested after the snapshot — plus the
 // unprocessed buffer and the directory shape at cut-over. The consumer
 // reassembles snapshot + delta in sequence order, so the installed window
-// is exactly what a monolithic transfer would have carried.
+// is exactly the supplier's at cut-over.
 //
 // Paper correspondence: the follow-up paper ("Processing Database Joins over
 // a Shared-Nothing System of Multicore Machines", PAPERS.md) overlaps the
