@@ -7,7 +7,7 @@
 // configuration point. The remaining benchmarks cover the substrates
 // (extendible hashing, windowed stores, join probers, wire codec, workload
 // generators, DES kernel) and the ablations behind ARCHITECTURE.md's layer
-// map (sub-group communication, θ sensitivity, ATR baseline).
+// map (sub-group communication, θ sensitivity, staggered slots).
 package streamjoin_test
 
 import (
@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"streamjoin"
-	"streamjoin/internal/baseline/atr"
 	"streamjoin/internal/bmodel"
 	"streamjoin/internal/des"
 	"streamjoin/internal/exthash"
@@ -155,41 +154,6 @@ func BenchmarkStaggeredSlots(b *testing.B) {
 				b.ReportMetric(s.Mean(), "comm-avg-sec")
 			}
 		})
-	}
-}
-
-// BenchmarkATRBaseline compares the Aligned Tuple Routing baseline (§VII)
-// against the partitioned system at the same workload: CPU concentration,
-// peak window memory, and routed tuple copies.
-func BenchmarkATRBaseline(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		acfg := atr.DefaultConfig()
-		acfg.Slaves = 3
-		acfg.Rate = 800
-		acfg.WindowMs = 20_000
-		acfg.SegmentMs = 60_000
-		acfg.DistEpochMs = 1000
-		acfg.DurationMs = 180_000
-		acfg.WarmupMs = 90_000
-		ares, err := atr.Run(acfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pcfg := streamjoin.DefaultConfig()
-		pcfg.Slaves = acfg.Slaves
-		pcfg.Rate = acfg.Rate
-		pcfg.WindowMs = acfg.WindowMs
-		pcfg.DistEpochMs = acfg.DistEpochMs
-		pcfg.ReorgEpochMs = acfg.DistEpochMs * 10
-		pcfg.DurationMs = acfg.DurationMs
-		pcfg.WarmupMs = acfg.WarmupMs
-		pres, err := streamjoin.RunSimulation(pcfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(ares.CPUShareMax, "atr-cpu-share-max")
-		b.ReportMetric(float64(ares.MaxWindowBytes)/float64(pres.MaxWindowBytes()), "atr-mem-concentration-x")
-		b.ReportMetric(float64(ares.DuplicatedTuples), "atr-dup-tuples")
 	}
 }
 
@@ -524,14 +488,12 @@ func BenchmarkReplication(b *testing.B) {
 	}
 }
 
-// BenchmarkWireFraming compares the two physical framings of the live TCP
-// transport on one Table-I epoch exchange: for each of 4 slaves a Hello
-// load report, a ~1500-tuple Batch (rate 1500 t/s per stream × t_d = 2 s,
-// split over 4 slaves), and a ResultBatch to the collector. "per-message"
-// is the legacy WriteFrame/ReadFrame path (one frame and one fresh buffer
-// per message); "batched" is the FrameWriter/FrameReader path (messages
-// coalesced into shared frames, scratch buffers reused). Same messages,
-// same logical bytes; allocs/op and MB/s are the comparison.
+// BenchmarkWireFraming times the live TCP transport's framing on one
+// Table-I epoch exchange: for each of 4 slaves a Hello load report, a
+// ~1500-tuple Batch (rate 1500 t/s per stream × t_d = 2 s, split over 4
+// slaves), and a ResultBatch to the collector, encoded through a
+// FrameWriter (messages coalesced into shared frames, scratch buffers
+// reused) and decoded through a FrameReader. allocs/op is gated in CI.
 func BenchmarkWireFraming(b *testing.B) {
 	const slaves = 4
 	epoch := func() []wire.Message {
@@ -556,32 +518,9 @@ func BenchmarkWireFraming(b *testing.B) {
 		return msgs
 	}()
 
-	b.Run("per-message", func(b *testing.B) {
-		var buf bytes.Buffer
-		rd := bytes.NewReader(nil)
-		for i := 0; i < b.N; i++ {
-			buf.Reset()
-			for _, m := range epoch {
-				if err := wire.WriteFrame(&buf, m); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if i == 0 {
-				b.SetBytes(int64(buf.Len()))
-				b.ReportAllocs()
-				b.ResetTimer() // exclude first-iteration buffer growth
-			}
-			rd.Reset(buf.Bytes())
-			for range epoch {
-				if _, err := wire.ReadFrame(rd); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
 	b.Run("batched", func(b *testing.B) {
 		var buf bytes.Buffer
-		fw := wire.NewFrameWriter(&buf, 32<<10) // the default -wire-batch threshold
+		fw := wire.NewFrameWriter(&buf, 32<<10) // the default Config.WireBatchBytes
 		rd := bytes.NewReader(nil)
 		fr := wire.NewFrameReader(rd)
 		for i := 0; i < b.N; i++ {

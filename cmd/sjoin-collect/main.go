@@ -51,9 +51,14 @@ func main() {
 	var onBatch func(*wire.PairBatch)
 	if *reframe {
 		out = bufio.NewWriterSize(os.Stdout, 1<<16)
+		fw := wire.NewFrameWriter(out, 0)
 		// Called serially under the tally's lock, so writes never interleave.
+		// One flush per batch: every batch is its own single-message frame.
 		onBatch = func(pb *wire.PairBatch) {
-			if err := wire.WriteFrame(out, pb); err != nil {
+			if err := fw.Append(pb); err != nil {
+				fatal(err)
+			}
+			if err := fw.Flush(); err != nil {
 				fatal(err)
 			}
 		}

@@ -95,8 +95,6 @@ func Bind(fs *flag.FlagSet) func() core.Config {
 		seed     = fs.Uint64("seed", def.Seed, "workload/controller seed")
 		duration = fs.Duration("duration", time.Duration(def.DurationMs)*time.Millisecond, "run length")
 		warmup   = fs.Duration("warmup", time.Duration(def.WarmupMs)*time.Millisecond, "warm-up discarded from metrics")
-		wbatch   = fs.Int("wire-batch", def.WireBatchBytes, "batched wire framing threshold in bytes (0 = one frame per message)")
-		wflush   = fs.Duration("wire-flush", time.Duration(def.WireFlushMs)*time.Millisecond, "max time a buffered result frame may wait before flushing")
 		workers  = fs.Int("workers", def.Workers, "join workers per live slave over disjoint partition-groups (0 = one per CPU core)")
 		minsl    = fs.Int("min-slaves", def.MinSlaves, "membership: start the epoch schedule once this many slaves have joined, admit up to -slaves while running (0 = start when all -slaves have joined)")
 		hbint    = fs.Duration("heartbeat", time.Duration(def.HeartbeatMs)*time.Millisecond, "membership: slave heartbeat interval")
@@ -107,9 +105,22 @@ func Bind(fs *flag.FlagSet) func() core.Config {
 		formto   = fs.Duration("form-timeout", 2*time.Minute, "cluster formation timeout: how long the master waits for the founding slaves")
 		spool    = fs.Int64("sink-spool", 1<<20, "bytes of pair batches spooled in memory while a downstream sink connection is being re-dialed; overflow is dropped and accounted (0 = legacy fail-fast: first sink write error kills the slave)")
 	)
+	// -query replaces -sink and -prober. Each callback records its flag, so
+	// whichever of a conflicting pair is parsed second fails, in either order.
+	single, multi := "", false // the single-query flag given; whether -query was
+	exclusive := func(name string) error {
+		if multi {
+			return fmt.Errorf("-%s and -query are mutually exclusive", name)
+		}
+		single = name
+		return nil
+	}
 	prober := def.LiveProber
 	fs.Func("prober", `live join prober: "hash" (key-index, default) or "scan" (nested-loop ablation)`,
 		func(v string) error {
+			if err := exclusive("prober"); err != nil {
+				return err
+			}
 			switch v {
 			case "hash":
 				prober = join.ModeHash
@@ -123,6 +134,9 @@ func Bind(fs *flag.FlagSet) func() core.Config {
 	countOnly, sinkAddr := def.CountOnly, def.SinkAddr
 	fs.Func("sink", `materialized-pair sink: "discard" (materialize each output pair, then drop it; default), "count" (count-only: skip pair materialization entirely), or "tcp:HOST:PORT" (each slave dials the downstream consumer at HOST:PORT and streams its pairs; see sjoin-collect)`,
 		func(v string) error {
+			if err := exclusive("sink"); err != nil {
+				return err
+			}
 			var err error
 			countOnly, sinkAddr, err = parseSink(v)
 			return err
@@ -130,6 +144,10 @@ func Bind(fs *flag.FlagSet) func() core.Config {
 	var queries []core.QuerySpec
 	fs.Func("query", `register one join query as "ID:PROBER:SINK" (repeatable): non-negative id, prober "hash" or "scan", and a sink in -sink syntax (e.g. -query 0:hash:count -query "1:scan:tcp:127.0.0.1:9999"). All queries share each slave's ingested windows. Mutually exclusive with -sink/-prober; omitted = the single legacy query`,
 		func(v string) error {
+			if single != "" {
+				return fmt.Errorf("-query and -%s are mutually exclusive", single)
+			}
+			multi = true
 			q, err := parseQuery(v)
 			if err != nil {
 				return err
@@ -164,8 +182,6 @@ func Bind(fs *flag.FlagSet) func() core.Config {
 		cfg.CountOnly = countOnly
 		cfg.SinkAddr = sinkAddr
 		cfg.Queries = queries
-		cfg.WireBatchBytes = *wbatch
-		cfg.WireFlushMs = int32(*wflush / time.Millisecond)
 		cfg.Workers = *workers
 		cfg.MinSlaves = *minsl
 		cfg.HeartbeatMs = int32(*hbint / time.Millisecond)

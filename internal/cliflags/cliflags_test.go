@@ -21,7 +21,7 @@ func TestDefaultsMatchDefaultConfig(t *testing.T) {
 		got.WindowMs != want.WindowMs || got.Theta != want.Theta ||
 		got.DistEpochMs != want.DistEpochMs || got.ReorgEpochMs != want.ReorgEpochMs ||
 		got.ThSup != want.ThSup || got.Partitions != want.Partitions ||
-		got.WireBatchBytes != want.WireBatchBytes || got.WireFlushMs != want.WireFlushMs {
+		got.WireBatchBytes != want.WireBatchBytes {
 		t.Fatalf("flag defaults drifted:\ngot  %+v\nwant %+v", got, want)
 	}
 	if err := got.Validate(); err != nil {
@@ -36,7 +36,7 @@ func TestFlagOverrides(t *testing.T) {
 		"-slaves", "5", "-rate", "4200", "-window", "90s", "-td", "750ms",
 		"-tr", "7500ms", "-finetune=false", "-adaptive", "-theta", "65536",
 		"-skew", "0.9", "-seed", "77", "-subgroups", "2",
-		"-wire-batch", "8192", "-wire-flush", "250ms", "-workers", "3",
+		"-workers", "3",
 	}
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
@@ -46,7 +46,7 @@ func TestFlagOverrides(t *testing.T) {
 		cfg.DistEpochMs != 750 || cfg.ReorgEpochMs != 7500 || cfg.FineTune ||
 		!cfg.Adaptive || cfg.Theta != 65536 || cfg.Skew != 0.9 ||
 		cfg.Seed != 77 || cfg.SubGroups != 2 ||
-		cfg.WireBatchBytes != 8192 || cfg.WireFlushMs != 250 || cfg.Workers != 3 {
+		cfg.Workers != 3 {
 		t.Fatalf("overrides not applied: %+v", cfg)
 	}
 	if err := cfg.Validate(); err != nil {
@@ -218,14 +218,23 @@ func TestQueryFlag(t *testing.T) {
 		}
 	}
 
-	// -query and -sink on one command line survive parsing but fail
-	// Validate (the config-level exclusivity check).
-	cfg, err = parse("-query", "0:hash:count", "-sink", "count")
-	if err != nil {
-		t.Fatal(err)
+	// -query is mutually exclusive with -sink and -prober: whichever of the
+	// pair is parsed second fails, whatever the values.
+	for _, args := range [][]string{
+		{"-query", "0:hash:count", "-sink", "count"},
+		{"-sink", "count", "-query", "0:hash:count"},
+		{"-prober", "scan", "-query", "0:hash:count"},
+		{"-query", "0:hash:count", "-prober", "scan"},
+		{"-sink", "discard", "-query", "0:hash:count"},
+		{"-query", "0:hash:count", "-sink", "discard"},
+	} {
+		if _, err := parse(args...); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
+			t.Errorf("%q: error %v, want a mutual-exclusion error", args, err)
+		}
 	}
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("-query plus -sink should fail Validate")
+	// -sink and -prober together remain one single-query configuration.
+	if cfg, err := parse("-prober", "scan", "-sink", "count"); err != nil || cfg.LiveProber != join.ModeScan || !cfg.CountOnly {
+		t.Fatalf("-prober scan -sink count = %+v (err %v)", cfg, err)
 	}
 }
 

@@ -197,18 +197,14 @@ type Config struct {
 	// slaves run the original inline loop.
 	Workers int
 
-	// WireBatchBytes enables batched wire framing on the TCP deployment:
-	// deferrable messages (state transfers to the same peer, result
-	// batches to the collector) coalesce into one length-prefixed physical
-	// frame until this many encoded payload bytes are pending. 0 keeps the
-	// per-message framing (one frame per message). Only physical framing
+	// WireBatchBytes is the batched framing threshold of the TCP
+	// deployment: deferrable messages (state transfers to the same peer,
+	// result batches to the collector) coalesce into one length-prefixed
+	// physical frame until this many encoded payload bytes are pending, or
+	// the protocol flushes (every epoch's exchange, result flush and state
+	// movement). 0 means no size-triggered flush. Only physical framing
 	// changes; WireSize accounting is untouched.
 	WireBatchBytes int
-	// WireFlushMs caps how long a buffered result batch may wait for the
-	// byte threshold before the frame is flushed anyway (0 = no time cap;
-	// reorganization boundaries and shutdown always flush). Ignored when
-	// WireBatchBytes is 0.
-	WireFlushMs int32
 
 	// --- cluster membership (TCP deployment only) ---
 
@@ -233,8 +229,8 @@ type Config struct {
 	// per-epoch window delta to the next roster member, and a crash
 	// promotes the buddy's shadows instead of re-adopting the groups empty
 	// — output that needed the dead slave's windows survives the eviction.
-	// Off, the eviction path is the pre-replication empty adoption,
-	// byte-identical on the wire.
+	// Off, a crashed slave's groups are re-adopted empty and no
+	// WindowDelta is ever sent.
 	Replicate bool
 	// ReplicaTTL bounds, in owner epochs, how long a replica shadow may go
 	// without a delta before the buddy retires it (orphan collection after
@@ -306,7 +302,6 @@ func DefaultConfig() Config {
 		Expiry:             join.ExpiryExact,
 		LiveProber:         join.ModeHash,
 		WireBatchBytes:     32 << 10,
-		WireFlushMs:        500,
 		HeartbeatMs:        500,
 		HeartbeatMisses:    3,
 	}
@@ -355,8 +350,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("core: LiveProber = %v, want hash or scan", c.LiveProber)
 	case c.WireBatchBytes < 0 || c.WireBatchBytes > wire.MaxFrameBytes:
 		return fmt.Errorf("core: WireBatchBytes = %d, want [0, %d]", c.WireBatchBytes, wire.MaxFrameBytes)
-	case c.WireFlushMs < 0:
-		return fmt.Errorf("core: WireFlushMs = %d", c.WireFlushMs)
 	case c.HeartbeatMs <= 0 || c.HeartbeatMisses < 1:
 		return fmt.Errorf("core: membership needs HeartbeatMs > 0 and HeartbeatMisses >= 1, got %d/%d",
 			c.HeartbeatMs, c.HeartbeatMisses)

@@ -260,9 +260,9 @@ func acceptResults(ln net.Listener, lm *liveMaster, readers *sync.WaitGroup) {
 			defer readers.Done()
 			defer c.Close()
 			defer func() { recover() }() // connection teardown
-			// Reads are layout-agnostic: one Recv per message whether the
-			// slave packed several result batches into a frame or not.
-			rc := engine.WrapTCP(lm.collP, c)
+			// Read-only: one Recv per message, however many result batches
+			// the slave packed into a frame.
+			rc := engine.WrapTCPBatched(lm.collP, c, 0)
 			for {
 				async.SendAsync(rc.Recv())
 			}
@@ -455,11 +455,10 @@ func ServeSlave(cfg Config, joinAddr, resAddr string, opts JoinOptions) (err err
 	t.replicate(s)
 
 	// Crash seams (tests): kill severs every connection at once, whenever
-	// it fires; failAt first delivers everything the slave already produced
-	// — results to the collector, pairs to the sinks; the epoch's
-	// replication deltas are already flushed — so exactly the state at an
-	// epoch boundary is lost. Either way the slave loop dies on its next
-	// Send.
+	// it fires; failAt first delivers the pairs still queued for the sinks —
+	// the epoch's results and replication deltas are already flushed — so
+	// exactly the state at an epoch boundary is lost. Either way the slave
+	// loop dies on its next Send.
 	if opts.kill != nil {
 		go func() {
 			select {
@@ -472,7 +471,6 @@ func ServeSlave(cfg Config, joinAddr, resAddr string, opts JoinOptions) (err err
 	if opts.failAt > 0 {
 		s.failHook = func(e int64) {
 			if e == opts.failAt {
-				engine.Flush(t.coll)
 				t.sinks.flushBarrier()
 				t.sever()
 			}
@@ -548,14 +546,10 @@ func (t *tcpSlave) connect(resAddr string) error {
 	if t.rc, err = dialRetry(t.cfg.transport(), resAddr, t.cfg.dialBudget()); err != nil {
 		return err
 	}
-	t.coll = &tcpAsyncSender{
-		// Write-only from this side: a collector that stops draining fails
-		// the conn within one wire deadline instead of wedging a flush.
-		conn: engine.WrapTCPBatched(t.proc,
-			engine.WithDeadlines(t.rc, 0, t.cfg.wireDeadline()), t.cfg.WireBatchBytes),
-		now:        t.proc.Now,
-		flushAfter: time.Duration(t.cfg.WireFlushMs) * time.Millisecond,
-	}
+	// Write-only from this side: a collector that stops draining fails the
+	// conn within one wire deadline instead of wedging a flush.
+	t.coll = &tcpAsyncSender{engine.WrapTCPBatched(t.proc,
+		engine.WithDeadlines(t.rc, 0, t.cfg.wireDeadline()), t.cfg.WireBatchBytes)}
 	return t.sinks.dial(&t.cfg)
 }
 
@@ -806,39 +800,15 @@ func advertiseAddr(listenSpec string, lnAddr, localAddr net.Addr) (string, error
 }
 
 // tcpAsyncSender adapts a framed TCP connection to the AsyncSender used for
-// the collector path (TCP buffering provides the asynchrony). On a batched
-// transport, result batches coalesce into a shared frame until the conn's
-// byte threshold trips or the oldest buffered message has waited flushAfter;
-// the slave loop additionally flushes at reorganization boundaries and
-// shutdown, so nothing is ever stranded.
+// the collector path (TCP buffering provides the asynchrony). Result batches
+// coalesce into a shared frame until the slave loop flushes at the end of
+// each epoch's result flush (or the conn's byte threshold trips first).
 type tcpAsyncSender struct {
-	conn       engine.Conn
-	now        func() time.Duration
-	flushAfter time.Duration
-
-	pending      bool
-	pendingSince time.Duration
+	conn engine.Conn
 }
 
 // SendAsync implements engine.AsyncSender.
-func (t *tcpAsyncSender) SendAsync(m wire.Message) {
-	engine.SendBuffered(t.conn, m)
-	if t.flushAfter <= 0 {
-		// No time cap: the conn's byte threshold and the slave loop's
-		// boundary/shutdown flushes govern when the frame goes out.
-		return
-	}
-	now := t.now()
-	if !t.pending {
-		t.pending, t.pendingSince = true, now
-	}
-	if now-t.pendingSince >= t.flushAfter {
-		t.Flush()
-	}
-}
+func (t *tcpAsyncSender) SendAsync(m wire.Message) { engine.SendBuffered(t.conn, m) }
 
 // Flush implements engine.Flusher: it pushes any coalescing frame out.
-func (t *tcpAsyncSender) Flush() {
-	engine.Flush(t.conn)
-	t.pending = false
-}
+func (t *tcpAsyncSender) Flush() { engine.Flush(t.conn) }

@@ -35,16 +35,14 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock TCP test")
 	}
-	// Both wire framings drive the same deployment end to end: batched
-	// (the default) with 4 join workers per slave, and the per-message
-	// ablation with the single-worker inline loop.
+	// The same deployment end to end with 4 join workers per slave (the
+	// worker pool) and with one (the inline loop).
 	for _, tc := range []struct {
-		name       string
-		batchBytes int
-		workers    int
+		name    string
+		workers int
 	}{
-		{"batched", 32 << 10, 4},
-		{"per-message", 0, 1},
+		{"batched", 4},
+		{"inline", 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig()
@@ -58,8 +56,6 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 			cfg.WarmupMs = 1_000
 			cfg.Theta = 32 << 10
 			cfg.Domain = 20_000
-			cfg.WireBatchBytes = tc.batchBytes
-			cfg.WireFlushMs = 500
 
 			addrs := freePorts(t, 4)
 			ctl, res := addrs[0], addrs[1]
@@ -163,7 +159,7 @@ func TestFullRosterFormation(t *testing.T) {
 			return
 		}
 		defer c.Close()
-		stale := engine.WrapTCP(engine.NewLiveEnv().NewProc("stale-slave"), c)
+		stale := engine.WrapTCPBatched(engine.NewLiveEnv().NewProc("stale-slave"), c, 0)
 		stale.Send(&wire.Hello{Slave: 0, Epoch: startEpoch})
 		if tolerateTCP(func() { stale.Recv() }) {
 			t.Error("master answered a pre-join registration Hello instead of closing it")
@@ -180,7 +176,7 @@ func TestFullRosterFormation(t *testing.T) {
 			return
 		}
 		defer c.Close()
-		other := engine.WrapTCP(engine.NewLiveEnv().NewProc("other-version-slave"), c)
+		other := engine.WrapTCPBatched(engine.NewLiveEnv().NewProc("other-version-slave"), c, 0)
 		other.Send(&wire.Hello{Slave: -1, Epoch: joinEpoch})
 		other.Send(&wire.Membership{Epoch: wire.Version + 1, Self: -1,
 			Slaves: []wire.MemberSpec{{ID: -1, Addr: "127.0.0.1:1", Workers: 1}}})
@@ -267,7 +263,7 @@ func TestJoinNamesBothWireVersions(t *testing.T) {
 			return
 		}
 		defer c.Close()
-		master := engine.WrapTCP(engine.NewLiveEnv().NewProc("other-version-master"), c)
+		master := engine.WrapTCPBatched(engine.NewLiveEnv().NewProc("other-version-master"), c, 0)
 		tolerateTCP(func() {
 			master.Recv() // join Hello
 			master.Recv() // announcement

@@ -5,8 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"streamjoin/internal/engine"
 	"streamjoin/internal/join"
 	"streamjoin/internal/tuple"
+	"streamjoin/internal/wire"
 )
 
 // liveConfig is a short wall-clock configuration for live-engine tests.
@@ -217,5 +219,61 @@ func TestLiveIngestorConservesUnderConcurrency(t *testing.T) {
 	offered, _, dropped, queued = stalled.counts()
 	if want := int64(100 / tickMs * perTick); queued != want || dropped != offered-want {
 		t.Fatalf("stalled puller: queued %d (want %d), dropped %d of %d", queued, want, dropped, offered)
+	}
+}
+
+// countingColl is a collector sender that counts result batches and flushes.
+type countingColl struct {
+	sends, flushes int
+	unflushed      int // batches sent since the last flush
+}
+
+func (c *countingColl) SendAsync(wire.Message) { c.sends++; c.unflushed++ }
+func (c *countingColl) Flush()                 { c.flushes++; c.unflushed = 0 }
+
+// TestSlaveFlushesResultsEveryEpoch: results reach the collector once per
+// distribution epoch (§IV-B) — the slave loop flushes its collector sender
+// after every epoch's result flush, not only at reorganization boundaries.
+func TestSlaveFlushesResultsEveryEpoch(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Slaves = 1
+	cfg.DistEpochMs = 250
+	cfg.ReorgEpochMs = 750 // K = 3: a boundary every third epoch
+	cfg.WindowMs = 3_000
+	cfg.Mode = cfg.LiveProber
+	cfg.Expiry = join.ExpiryBlocks
+	env := engine.NewLiveEnv()
+	mp, sp := env.NewProc("master"), env.NewProc("slave")
+	mc, sc := engine.Pipe(mp, sp)
+	coll := &countingColl{}
+	s := newSlave(&cfg, 0, sp, sc, staticPeers([]engine.Conn{nil}), coll, nil)
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		s.run()
+	}()
+
+	// Every epoch carries a matching S1/S2 pair, so every epoch has results.
+	const epochs = 8
+	for e := int64(0); e <= epochs; e++ {
+		if h, ok := mc.Recv().(*wire.Hello); !ok || h.Epoch != e {
+			t.Fatalf("epoch %d: slave sent %+v, want its Hello", e, h)
+		}
+		ts := int32(e) * cfg.DistEpochMs
+		mc.Send(&wire.Batch{Epoch: e, Shutdown: e == epochs, Tuples: []tuple.Tuple{
+			{Stream: tuple.S1, Key: int32(e), TS: ts},
+			{Stream: tuple.S2, Key: int32(e), TS: ts},
+		}})
+	}
+	if r := <-done; r != nil {
+		t.Fatalf("slave failed: %v", r)
+	}
+	// epochs+1 exchanges (the last one shuts down) plus the shutdown flush.
+	if want := epochs + 2; coll.flushes != want {
+		t.Fatalf("%d collector flushes over %d epochs served, want %d (one per epoch plus shutdown)",
+			coll.flushes, epochs, want)
+	}
+	if coll.sends != epochs || coll.unflushed != 0 {
+		t.Fatalf("%d result batches for %d epochs, %d left unflushed", coll.sends, epochs, coll.unflushed)
 	}
 }

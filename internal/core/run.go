@@ -201,17 +201,6 @@ func (r *Result) AvgSlaveIdle() time.Duration {
 	return total / time.Duration(n)
 }
 
-// MaxWindowBytes is the largest per-slave window state at end of run.
-func (r *Result) MaxWindowBytes() int64 {
-	var m int64
-	for _, b := range r.SlaveWindowBytes {
-		if b > m {
-			m = b
-		}
-	}
-	return m
-}
-
 // simIngestor feeds the master from two synthetic Poisson sources, applying
 // the configured rate schedule at step boundaries.
 type simIngestor struct {

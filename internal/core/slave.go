@@ -139,7 +139,7 @@ func (s *slaveNode) run() {
 		if s.preFlush != nil {
 			s.preFlush()
 		}
-		s.flushEpoch(e%K == 0)
+		s.flushEpoch()
 		if s.repl != nil {
 			s.repl.flush(s.ws, e, msOf(s.proc.Now()))
 		}
@@ -167,10 +167,7 @@ func (s *slaveNode) run() {
 		})
 		s.acks, s.degraded, s.closing = nil, nil, nil
 		if e%K == 0 {
-			// Reorganization boundary: restart the averaging window (the
-			// boundary flushEpoch above already pushed out any result batches
-			// still coalescing in the batched transport, so collector
-			// staleness is bounded by t_r).
+			// Reorganization boundary: restart the averaging window.
 			s.occSum, s.occN = 0, 0
 		}
 
@@ -201,7 +198,7 @@ func (s *slaveNode) run() {
 		}
 		if batch.Shutdown {
 			s.settleTransfers()
-			s.flushEpoch(true)
+			s.flushEpoch()
 			return
 		}
 
@@ -227,15 +224,13 @@ func (s *slaveNode) run() {
 	}
 }
 
-// flushEpoch ships the previous epoch's result batches to the collector. At
-// reorganization boundaries, and at shutdown, the batched transport is
-// flushed too, so collector staleness stays bounded by t_r and the final
-// batches reach the collector before the slave loop returns.
-func (s *slaveNode) flushEpoch(boundary bool) {
+// flushEpoch ships the previous epoch's result batches to the collector and
+// flushes the transport, so results reach the collector once per
+// distribution epoch (§IV-B) and the final batches arrive before the slave
+// loop returns.
+func (s *slaveNode) flushEpoch() {
 	s.ws.flushResults(s.coll)
-	if boundary {
-		engine.Flush(s.coll)
-	}
+	engine.Flush(s.coll)
 }
 
 // handleDirectives executes this epoch's state-movement step — new movement

@@ -65,6 +65,15 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		func(c *Config) { c.WarmupMs = c.DurationMs },
 		func(c *Config) { c.ChunkTuples = 0 },
 		func(c *Config) { c.Beta = 1.5 },
+		// Queries exclude the legacy single-query sink fields.
+		func(c *Config) {
+			c.Queries = []QuerySpec{{ID: 0, Prober: join.ModeHash}}
+			c.CountOnly = true
+		},
+		func(c *Config) {
+			c.Queries = []QuerySpec{{ID: 0, Prober: join.ModeHash}}
+			c.SinkAddr = "127.0.0.1:7402"
+		},
 	}
 	for i, mutate := range mutations {
 		cfg := DefaultConfig()

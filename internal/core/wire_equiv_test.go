@@ -17,10 +17,10 @@ import (
 
 // The live-deploy equivalence test: an identical, fully deterministic epoch
 // schedule — master-style tuple batches, a mid-run state transfer, and the
-// slave's result batches flowing back — is shipped over real TCP once
-// through the batched transport and once through the per-message transport.
-// The slave-side join must produce bit-identical round results, while the
-// batched run moves the same logical bytes in fewer physical frames.
+// slave's result batches flowing back — is shipped over real TCP through the
+// batched transport and also processed by a join module with no transport.
+// The two must produce identical round results, while the TCP run moves the
+// schedule's logical bytes in fewer physical frames than messages.
 
 // equivEpochMs is the deterministic distribution epoch of the schedule.
 const equivEpochMs = 2_000
@@ -104,10 +104,83 @@ func hashPairs(h hash.Hash64, pairs []join.Pair) {
 	}
 }
 
-// runEquivTransport ships the schedule over one real TCP connection with the
-// given batching threshold and returns the slave-side epoch signatures, the
-// result batches the driver read back, and the two procs' stats.
-func runEquivTransport(t *testing.T, msgs []wire.Message, batchBytes int) ([]epochSig, []wire.Message, engine.Stats, engine.Stats) {
+// equivSlave is the slave side of the schedule: one join module fed the
+// driver's messages in order.
+type equivSlave struct {
+	mod   *join.Module
+	epoch int
+}
+
+func newEquivSlave() *equivSlave { return &equivSlave{mod: join.MustNew(equivJoinConfig())} }
+
+// apply processes one schedule message. For an epoch's tuple batch it
+// returns the epoch's signature and the result batch the slave ships for it;
+// ok is false for a state transfer or the shutdown batch.
+func (s *equivSlave) apply(m wire.Message) (sig epochSig, rb *wire.ResultBatch, ok bool) {
+	switch m := m.(type) {
+	case *wire.StateTransfer:
+		if err := s.mod.Install(join.StateFromWire(m)); err != nil {
+			panic(err)
+		}
+		// Pending tuples join the next round of their group, exactly as
+		// slaveNode.consumeGroup queues them.
+		s.mod.Process(m.Group, int32(s.epoch)*equivEpochMs, m.Pending)
+		return sig, nil, false
+	case *wire.Batch:
+		if m.Shutdown {
+			return sig, nil, false
+		}
+		nowMs := int32(s.epoch+1) * equivEpochMs
+		h := fnv.New64a()
+		s.mod.Ensure(0) // every epoch's tuples are group 0's
+		for _, id := range s.mod.IDs() {
+			var tuples []tuple.Tuple
+			if id == 0 {
+				tuples = m.Tuples
+			}
+			res := s.mod.Process(id, nowMs, tuples)
+			sig.Outputs += res.Outputs
+			sig.Scanned += res.Scanned
+			sig.SplitMoves += res.SplitMoves
+			sig.Ingested += res.Ingested
+			sig.Expired += res.Expired
+			sig.Splits += res.Splits
+			sig.Merges += res.Merges
+			hashPairs(h, res.Pairs)
+		}
+		sig.PairsHash = h.Sum64()
+		s.epoch++
+		return sig, &wire.ResultBatch{
+			Slave:   0,
+			Outputs: sig.Outputs,
+			// Smuggle the fingerprint through existing fields so the wire
+			// carries it without a schema change.
+			DelaySumMs: int64(sig.PairsHash >> 1),
+		}, true
+	default:
+		panic("unexpected message kind")
+	}
+}
+
+// runEquivDirect processes the schedule with no transport at all: the
+// reference the TCP run must reproduce.
+func runEquivDirect(msgs []wire.Message) ([]epochSig, []wire.Message) {
+	s := newEquivSlave()
+	var sigs []epochSig
+	var results []wire.Message
+	for _, m := range msgs {
+		if sig, rb, ok := s.apply(m); ok {
+			sigs = append(sigs, sig)
+			results = append(results, rb)
+		}
+	}
+	return sigs, results
+}
+
+// runEquivTransport ships the schedule over real TCP with the given batching
+// threshold and returns the slave-side epoch signatures, the result batches
+// the driver read back, and the driver's stats.
+func runEquivTransport(t *testing.T, msgs []wire.Message, batchBytes int) ([]epochSig, []wire.Message, engine.Stats) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -142,53 +215,16 @@ func runEquivTransport(t *testing.T, msgs []wire.Message, batchBytes int) ([]epo
 		defer rc.Close()
 		conn := engine.WrapTCPBatched(slaveP, c, batchBytes)
 		res := engine.WrapTCPBatched(slaveP, rc, batchBytes)
-		mod := join.MustNew(equivJoinConfig())
-		epoch := 0
+		s := newEquivSlave()
 		for {
-			switch m := conn.Recv().(type) {
-			case *wire.StateTransfer:
-				if err := mod.Install(join.StateFromWire(m)); err != nil {
-					panic(err)
-				}
-				// Pending tuples join the next round of their group,
-				// exactly as slaveNode.consumeGroup queues them.
-				mod.Process(m.Group, int32(epoch)*equivEpochMs, m.Pending)
-			case *wire.Batch:
-				if m.Shutdown {
-					engine.Flush(res)
-					return
-				}
-				nowMs := int32(epoch+1) * equivEpochMs
-				var sig epochSig
-				h := fnv.New64a()
-				mod.Ensure(0) // every epoch's tuples are group 0's
-				for _, id := range mod.IDs() {
-					var tuples []tuple.Tuple
-					if id == 0 {
-						tuples = m.Tuples
-					}
-					res := mod.Process(id, nowMs, tuples)
-					sig.Outputs += res.Outputs
-					sig.Scanned += res.Scanned
-					sig.SplitMoves += res.SplitMoves
-					sig.Ingested += res.Ingested
-					sig.Expired += res.Expired
-					sig.Splits += res.Splits
-					sig.Merges += res.Merges
-					hashPairs(h, res.Pairs)
-				}
-				sig.PairsHash = h.Sum64()
+			m := conn.Recv()
+			if b, ok := m.(*wire.Batch); ok && b.Shutdown {
+				engine.Flush(res)
+				return
+			}
+			if sig, rb, ok := s.apply(m); ok {
 				out.sigs = append(out.sigs, sig)
-				engine.SendBuffered(res, &wire.ResultBatch{
-					Slave:   0,
-					Outputs: sig.Outputs,
-					// Smuggle the fingerprint through existing fields so
-					// the wire carries it without a schema change.
-					DelaySumMs: int64(sig.PairsHash >> 1),
-				})
-				epoch++
-			default:
-				panic("unexpected message kind")
+				engine.SendBuffered(res, rb)
 			}
 		}
 	}()
@@ -227,68 +263,67 @@ func runEquivTransport(t *testing.T, msgs []wire.Message, batchBytes int) ([]epo
 	if out.err != nil {
 		t.Fatalf("slave failed: %v", out.err)
 	}
-	return out.sigs, results, driverP.Stats(), slaveP.Stats()
+	return out.sigs, results, driverP.Stats()
 }
 
 // TestWireBatchingEquivalence is the acceptance test for the batched
-// transport: identical join output, fewer physical frames.
+// transport: the join output over TCP is identical to processing the same
+// schedule with no transport, in fewer physical frames than messages.
 func TestWireBatchingEquivalence(t *testing.T) {
 	const epochs = 24
 	msgs := equivSchedule(t, epochs)
 
-	plainSigs, plainResults, plainDriver, _ := runEquivTransport(t, msgs, 0)
-	batchSigs, batchResults, batchDriver, _ := runEquivTransport(t, msgs, 8<<10)
+	refSigs, refResults := runEquivDirect(msgs)
+	tcpSigs, tcpResults, driver := runEquivTransport(t, msgs, 8<<10)
 
-	if len(plainSigs) != epochs || len(batchSigs) != epochs {
-		t.Fatalf("epoch counts: plain=%d batched=%d want %d", len(plainSigs), len(batchSigs), epochs)
+	if len(refSigs) != epochs || len(tcpSigs) != epochs {
+		t.Fatalf("epoch counts: direct=%d tcp=%d want %d", len(refSigs), len(tcpSigs), epochs)
 	}
-	if !reflect.DeepEqual(plainSigs, batchSigs) {
-		for i := range plainSigs {
-			if plainSigs[i] != batchSigs[i] {
-				t.Fatalf("epoch %d diverged:\nplain   %+v\nbatched %+v", i, plainSigs[i], batchSigs[i])
+	if !reflect.DeepEqual(refSigs, tcpSigs) {
+		for i := range refSigs {
+			if refSigs[i] != tcpSigs[i] {
+				t.Fatalf("epoch %d diverged:\ndirect %+v\ntcp    %+v", i, refSigs[i], tcpSigs[i])
 			}
 		}
 		t.Fatal("signatures diverged")
 	}
-	if !reflect.DeepEqual(plainResults, batchResults) {
-		t.Fatal("result batches diverged between transports")
+	if !reflect.DeepEqual(refResults, tcpResults) {
+		t.Fatal("result batches diverged from the direct run")
 	}
 	var total int64
-	for _, s := range plainSigs {
+	for _, s := range refSigs {
 		total += s.Outputs
 	}
 	if total == 0 {
 		t.Fatal("schedule produced no join output; equivalence is vacuous")
 	}
 
-	// Logical accounting is framing-independent...
-	if plainDriver.BytesSent != batchDriver.BytesSent ||
-		plainDriver.BytesRecv != batchDriver.BytesRecv ||
-		plainDriver.MsgsSent != batchDriver.MsgsSent {
-		t.Fatalf("logical stats diverged:\nplain   %+v\nbatched %+v", plainDriver, batchDriver)
+	// Logical accounting is framing-independent: exactly the messages'
+	// WireSize in each direction...
+	var sent, recv int64
+	for _, m := range msgs {
+		sent += m.WireSize()
 	}
-	// ...while the batched transport needs fewer physical frames: the
-	// result batches coalesce (driver side reads them from fewer frames)
-	// and the state transfer shares a frame with the following batch.
-	if plainDriver.WireFramesRecv != plainDriver.MsgsRecv {
-		t.Fatalf("per-message transport split frames: %d frames for %d messages",
-			plainDriver.WireFramesRecv, plainDriver.MsgsRecv)
+	for _, m := range refResults {
+		recv += m.WireSize()
 	}
-	if batchDriver.WireFramesRecv >= plainDriver.WireFramesRecv {
-		t.Fatalf("batched recv frames = %d, not fewer than %d",
-			batchDriver.WireFramesRecv, plainDriver.WireFramesRecv)
+	if driver.BytesSent != sent || driver.MsgsSent != int64(len(msgs)) ||
+		driver.BytesRecv != recv || driver.MsgsRecv != int64(len(refResults)) {
+		t.Fatalf("logical stats: sent %d B / %d msgs, recv %d B / %d msgs; want %d / %d, %d / %d",
+			driver.BytesSent, driver.MsgsSent, driver.BytesRecv, driver.MsgsRecv,
+			sent, len(msgs), recv, len(refResults))
 	}
-	if batchDriver.WireFramesSent >= plainDriver.WireFramesSent {
-		t.Fatalf("batched sent frames = %d, not fewer than %d",
-			batchDriver.WireFramesSent, plainDriver.WireFramesSent)
+	// ...while the batched transport needs fewer physical frames than
+	// messages in both directions: the result batches coalesce (the driver
+	// reads them from fewer frames) and the state transfer shares a frame
+	// with the following batch.
+	if driver.WireFramesRecv >= driver.MsgsRecv {
+		t.Fatalf("recv: %d frames for %d messages, want fewer", driver.WireFramesRecv, driver.MsgsRecv)
 	}
-	if batchDriver.WireBytesRecv >= plainDriver.WireBytesRecv {
-		t.Fatalf("batched physical recv bytes = %d, not below %d",
-			batchDriver.WireBytesRecv, plainDriver.WireBytesRecv)
+	if driver.WireFramesSent >= driver.MsgsSent {
+		t.Fatalf("sent: %d frames for %d messages, want fewer", driver.WireFramesSent, driver.MsgsSent)
 	}
-	t.Logf("frames sent %d→%d, recv %d→%d; physical recv bytes %d→%d; logical bytes %d (unchanged); outputs %d",
-		plainDriver.WireFramesSent, batchDriver.WireFramesSent,
-		plainDriver.WireFramesRecv, batchDriver.WireFramesRecv,
-		plainDriver.WireBytesRecv, batchDriver.WireBytesRecv,
-		plainDriver.BytesSent, total)
+	t.Logf("frames sent %d for %d msgs, recv %d for %d msgs; physical recv bytes %d; logical sent bytes %d; outputs %d",
+		driver.WireFramesSent, driver.MsgsSent, driver.WireFramesRecv, driver.MsgsRecv,
+		driver.WireBytesRecv, driver.BytesSent, total)
 }

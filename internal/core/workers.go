@@ -205,8 +205,8 @@ func (ws *workerSet) processUntil(deadline time.Duration) {
 // query and sends them to the collector (DelayStats.Merge is
 // order-independent), so the slave ships at most one batch per query per
 // flush regardless of W and its message-count accounting stays comparable
-// across worker counts. A single-query slave therefore ships exactly the
-// legacy one-batch flush, byte-identical on the wire.
+// across worker counts. A single-query slave therefore ships at most one
+// ResultBatch (query 0, the plain kind) per flush.
 func (ws *workerSet) flushResults(coll engine.AsyncSender) {
 	for qi, q := range ws.cfg.effectiveQueries() {
 		var st metrics.DelayStats

@@ -174,7 +174,7 @@ func TestTCPConnRoundtripAndError(t *testing.T) {
 			return
 		}
 		p := env.NewProc("srv")
-		tc := WrapTCP(p, c)
+		tc := WrapTCPBatched(p, c, 0)
 		done <- tc.Recv()
 		tc.Send(&wire.Hello{Slave: 42})
 		c.Close()
@@ -185,7 +185,7 @@ func TestTCPConnRoundtripAndError(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := env.NewProc("cli")
-	tc := WrapTCP(p, c)
+	tc := WrapTCPBatched(p, c, 0)
 	tc.Send(&wire.Hello{Slave: 41})
 	if got := <-done; got.(*wire.Hello).Slave != 41 {
 		t.Fatalf("server got %+v", got)

@@ -221,9 +221,7 @@ func (e *TCPError) Unwrap() error { return e.Err }
 // FrameWriter/FrameReader pair. Send always flushes (the protocol's MPI-like
 // turnarounds depend on it); SendBuffered defers the message into a shared
 // frame until the auto-flush byte threshold trips, Flush is called, or the
-// next Recv on this conn forces the pending frame out. The reader decodes
-// both single-message and batched frames, so a batching peer and a
-// per-message peer interoperate on the same connection.
+// next Recv on this conn forces the pending frame out.
 type tcpConn struct {
 	p  *LiveProc
 	c  net.Conn
@@ -231,38 +229,23 @@ type tcpConn struct {
 	fw *wire.FrameWriter
 	w  *bufio.Writer
 
-	batched bool
-
 	// Last-sampled framing stats, for delta accounting into LiveProc.
 	sentFrames, sentBytes int64
 	recvFrames, recvBytes int64
 }
 
-// WrapTCP adapts a net.Conn for live cluster deployment with one physical
-// frame per message (the unbatched transport).
-func WrapTCP(p *LiveProc, c net.Conn) Conn {
-	return wrapTCP(p, c, 0, false)
-}
-
-// WrapTCPBatched adapts a net.Conn with batched framing: messages passed to
-// SendBuffered coalesce into one frame until flushBytes of encoded payload
-// are pending. flushBytes <= 0 degenerates to the unbatched transport.
+// WrapTCPBatched adapts a net.Conn for live cluster deployment: messages
+// passed to SendBuffered coalesce into one frame until flushBytes of encoded
+// payload are pending (flushBytes <= 0: only Flush, Send and Recv push them
+// out).
 func WrapTCPBatched(p *LiveProc, c net.Conn, flushBytes int) Conn {
-	if flushBytes <= 0 {
-		return WrapTCP(p, c)
-	}
-	return wrapTCP(p, c, flushBytes, true)
-}
-
-func wrapTCP(p *LiveProc, c net.Conn, flushBytes int, batched bool) *tcpConn {
 	w := bufio.NewWriterSize(c, 1<<16)
 	return &tcpConn{
-		p:       p,
-		c:       c,
-		fr:      wire.NewFrameReader(bufio.NewReaderSize(c, 1<<16)),
-		fw:      wire.NewFrameWriter(w, flushBytes),
-		w:       w,
-		batched: batched,
+		p:  p,
+		c:  c,
+		fr: wire.NewFrameReader(bufio.NewReaderSize(c, 1<<16)),
+		fw: wire.NewFrameWriter(w, flushBytes),
+		w:  w,
 	}
 }
 
@@ -298,14 +281,9 @@ func (c *tcpConn) Send(m wire.Message) {
 	c.p.addComm(c.p.Now()-t0, m.WireSize(), 0, 1, 0)
 }
 
-// SendBuffered implements BufferedSender: on a batched conn the message
-// joins the pending frame (flushed by threshold, Flush, or the next Recv);
-// on an unbatched conn it behaves exactly like Send.
+// SendBuffered implements BufferedSender: the message joins the pending
+// frame (flushed by threshold, Flush, or the next Recv).
 func (c *tcpConn) SendBuffered(m wire.Message) {
-	if !c.batched {
-		c.Send(m)
-		return
-	}
 	t0 := c.p.Now()
 	if err := c.fw.Append(m); err != nil {
 		panic(&TCPError{Op: "send", Err: err})

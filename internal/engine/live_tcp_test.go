@@ -102,20 +102,23 @@ func TestBatchedConnCoalesces(t *testing.T) {
 	}
 }
 
-// TestUnbatchedConnBuffersNothing checks the threshold-0 degeneration: every
-// SendBuffered is an immediate single-message frame, interoperable with a
-// batched peer.
-func TestUnbatchedConnBuffersNothing(t *testing.T) {
+// TestZeroThresholdConnFlushesOnDemand checks threshold 0: no size-triggered
+// flush, so buffered messages wait for Flush and then share one frame.
+func TestZeroThresholdConnFlushesOnDemand(t *testing.T) {
 	env := NewLiveEnv()
 	a, b, pa, _ := tcpPair(t, env, 0)
 	SendBuffered(a, &wire.Hello{Slave: 1})
 	SendBuffered(a, &wire.Hello{Slave: 2})
+	if s := pa.Stats(); s.WireFramesSent != 0 {
+		t.Fatalf("threshold-0 conn flushed %d frames before Flush", s.WireFramesSent)
+	}
+	Flush(a)
 	for want := int32(1); want <= 2; want++ {
 		if got := b.Recv().(*wire.Hello).Slave; got != want {
 			t.Fatalf("got slave %d, want %d", got, want)
 		}
 	}
-	if s := pa.Stats(); s.WireFramesSent != 2 || s.MsgsSent != 2 {
-		t.Fatalf("unbatched conn: %d frames for %d messages", s.WireFramesSent, s.MsgsSent)
+	if s := pa.Stats(); s.WireFramesSent != 1 || s.MsgsSent != 2 {
+		t.Fatalf("threshold-0 conn: %d frames for %d messages, want 1 for 2", s.WireFramesSent, s.MsgsSent)
 	}
 }

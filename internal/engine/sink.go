@@ -194,8 +194,8 @@ func (s *SocketSink) Emit(group int32, pairs []join.Pair) []join.Pair {
 // sink's connection, queue, and recycle pool — the multiplexing face of the
 // sink: N queries sharing one consumer connection cost one writer goroutine
 // and one queue, and their batches interleave as tagged PairBatch messages.
-// Query 0 returns the sink itself, whose traffic stays byte-identical to the
-// single-query protocol.
+// Query 0 returns the sink itself, whose batches encode as the plain
+// PairBatch kind, without a query id.
 func (s *SocketSink) ForQuery(query int32) join.Sink {
 	if query == 0 {
 		return s

@@ -12,7 +12,7 @@ import (
 // serial execution lanes, each with its own Proc for accounting. The live
 // engines back it with a goroutine pool (one worker per core by default);
 // the simulated engine and single-worker slaves use the inline runner, which
-// keeps the slave's event loop byte-identical to the single-threaded design.
+// runs every task on the slave's own goroutine and Proc.
 type Runner interface {
 	// Size is the number of workers.
 	Size() int

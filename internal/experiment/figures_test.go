@@ -79,7 +79,7 @@ func TestFigure11TinyShape(t *testing.T) {
 		t.Fatalf("aggregate comm should grow with nodes: %v -> %v", agg1, agg5)
 	}
 	// Note: the paper's monotonically falling per-node curve is only
-	// partially reproduced (EXPERIMENTS.md discusses why: our per-node
+	// partially reproduced (PERFORMANCE.md, "Figure 11 caveat": our per-node
 	// communication includes the serial-order synchronization wait, which
 	// grows with N); the test pins the two claims our model does make.
 	ad5, _ := f.Value(5, "adaptive aggregate")

@@ -745,22 +745,6 @@ func (g *Group) process(sc *roundScratch, nowMs int32, tuples []tuple.Tuple) []R
 	return sc.qres
 }
 
-// ProbeOnly joins the given tuples against the group's stored windows
-// without ingesting them, as the cascaded probe copies of a CTR-style
-// router require (the copy is stored at its home node only). It runs the
-// first registered query only. Expiry and tuning do not run; only Matches,
-// Outputs and Scanned are filled in (plus Pairs for the materializing
-// probers; no scratch or Sink is involved, so the returned slices are the
-// caller's to keep).
-func (g *Group) ProbeOnly(tuples []tuple.Tuple) RoundResult {
-	res := RoundResult{Query: g.cfg.Queries[0].ID}
-	for _, t := range tuples {
-		b := g.bucketFor(t.Key)
-		g.probeOne(0, b, &res, t, int(t.Stream.Opposite()))
-	}
-	return res
-}
-
 // probe joins the fresh tuples against stream opp of bucket b for query qi.
 func (g *Group) probe(qi int, b *bucket, res *RoundResult, fresh []tuple.Tuple, opp int) {
 	for _, t := range fresh {

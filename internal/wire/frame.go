@@ -13,10 +13,9 @@ import (
 //	single:  len | kind(1..4) | message body
 //	batched: len | kind=KindFrameBatch | u32 count | count × (kind | body)
 //
-// The single layout is what WriteFrame has always produced; the batched
-// layout is the envelope FrameWriter emits when more than one message is
-// pending at flush time. FrameReader decodes both, so batched and unbatched
-// peers interoperate on the same connection.
+// FrameWriter emits the single layout for a frame holding one message and
+// the batched envelope when more than one message is pending at flush time;
+// FrameReader decodes both.
 //
 // Framing is purely physical: WireSize (the paper-logical accounting size)
 // is untouched by how many messages share a frame.
@@ -38,45 +37,11 @@ const batchHeaderLen = 1 + 4
 // or an envelope shorter than its header).
 var ErrBadBatch = errors.New("wire: malformed batch frame")
 
-// WriteFrame marshals m and writes it to w as a 4-byte big-endian length
-// prefix followed by the encoded message (the single-message layout).
-func WriteFrame(w io.Writer, m Message) error {
-	body := Marshal(m)
-	if len(body) > MaxFrameBytes {
-		return fmt.Errorf("wire: frame of %d bytes exceeds limit", len(body))
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(body)
-	return err
-}
-
-// ReadFrame reads one single-message frame written by WriteFrame and decodes
-// it. It does not understand batched frames; live transports use FrameReader.
-func ReadFrame(r io.Reader) (Message, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrameBytes {
-		return nil, fmt.Errorf("wire: frame length %d exceeds limit", n)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
-	}
-	return Unmarshal(body)
-}
-
 // FrameWriter packs appended messages into length-prefixed frames, encoding
 // into a scratch buffer that is reused across flushes so the steady-state
 // send path does not allocate. A frame holding one message is written in the
-// single-message layout (byte-identical to WriteFrame); two or more messages
-// share one KindFrameBatch envelope.
+// single-message layout (length prefix, then Marshal's encoding); two or
+// more messages share one KindFrameBatch envelope.
 type FrameWriter struct {
 	w io.Writer
 
@@ -134,7 +99,7 @@ func (fw *FrameWriter) max() int {
 // multi-message frame past MaxFrameBytes — then the earlier messages go out
 // in their own frame first, so every emitted frame (envelope included) stays
 // within the limit a FrameReader accepts. A message too large for any frame
-// is rejected, exactly as WriteFrame would reject it.
+// is rejected.
 func (fw *FrameWriter) Append(m Message) error {
 	before := len(fw.buf)
 	prev := fw.count

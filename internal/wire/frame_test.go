@@ -90,71 +90,6 @@ func TestFrameWriterRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSingleMessageFrameMatchesWriteFrame checks that flushing a lone message
-// produces the exact bytes of the legacy single-message layout, so batched
-// and unbatched peers stay wire-compatible.
-func TestSingleMessageFrameMatchesWriteFrame(t *testing.T) {
-	for _, m := range sampleMessages() {
-		var legacy, batched bytes.Buffer
-		if err := WriteFrame(&legacy, m); err != nil {
-			t.Fatal(err)
-		}
-		fw := NewFrameWriter(&batched, 0)
-		if err := fw.Append(m); err != nil {
-			t.Fatal(err)
-		}
-		if err := fw.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(legacy.Bytes(), batched.Bytes()) {
-			t.Fatalf("%v: single-message frame diverged from WriteFrame", m.Kind())
-		}
-	}
-}
-
-// TestFrameReaderReadsLegacyFrames feeds WriteFrame output to FrameReader.
-func TestFrameReaderReadsLegacyFrames(t *testing.T) {
-	var buf bytes.Buffer
-	msgs := sampleMessages()
-	for _, m := range msgs {
-		if err := WriteFrame(&buf, m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fr := NewFrameReader(&buf)
-	for i, want := range msgs {
-		got, err := fr.Next()
-		if err != nil {
-			t.Fatalf("message %d: %v", i, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("message %d mismatch", i)
-		}
-	}
-}
-
-// TestReadFrameReadsSingleFlushedFrame checks the reverse interop: a legacy
-// ReadFrame peer can consume FrameWriter output as long as frames hold one
-// message each.
-func TestReadFrameReadsSingleFlushedFrame(t *testing.T) {
-	var buf bytes.Buffer
-	fw := NewFrameWriter(&buf, 0)
-	want := sampleMessages()[1]
-	if err := fw.Append(want); err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFrame(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("legacy reader could not parse single-message FrameWriter output")
-	}
-}
-
 // TestFrameWriterAutoFlushThreshold checks the byte threshold cuts frames.
 func TestFrameWriterAutoFlushThreshold(t *testing.T) {
 	var buf bytes.Buffer

@@ -55,8 +55,8 @@ const (
 	KindQuerySet
 	// KindResultBatchQ and KindPairBatchQ are the query-tagged encodings of
 	// ResultBatch and PairBatch: same body, prefixed with a non-zero query
-	// id. Query 0 always uses the legacy kinds, so single-query traffic is
-	// byte-identical to the pre-multi-query protocol.
+	// id. Query 0 always encodes as the plain kinds, so single-query
+	// traffic carries no query ids.
 	KindResultBatchQ
 	KindPairBatchQ
 	// KindMembership, KindPing and KindPong carry cluster membership on the
@@ -69,8 +69,7 @@ const (
 	// KindWindowDelta belongs to the crash-recovery replication extension:
 	// each epoch, a partition-group's owner ships the window rows it ingested
 	// (plus an expiry watermark) to its buddy slave, which maintains a shadow
-	// copy promoted on eviction. Never sent unless replication is enabled, so
-	// both fixed and replication-off elastic traffic stay byte-identical.
+	// copy promoted on eviction. Never sent unless replication is enabled.
 	KindWindowDelta
 	// KindStateChunk is one installment of a state movement: a moving
 	// partition-group's window snapshot is streamed supplier→consumer over
@@ -113,7 +112,7 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// headerSize is the logical per-message overhead charged by WireSize.
+// headerSize is the logical overhead WireSize charges for each message.
 const headerSize = 16
 
 // Message is implemented by every protocol message.
@@ -335,9 +334,9 @@ type ResultBatch struct {
 	Hist       [DelayHistBuckets]int64
 }
 
-// Kind implements Message. A batch for query 0 is the legacy ResultBatch —
-// byte-identical to the pre-multi-query protocol; any other query id uses
-// the query-tagged kind.
+// Kind implements Message. A batch for query 0 encodes as the plain
+// KindResultBatch, without a query id; any other query id uses the
+// query-tagged kind.
 func (r *ResultBatch) Kind() Kind {
 	if r.Query != 0 {
 		return KindResultBatchQ
@@ -380,9 +379,9 @@ type PairBatch struct {
 	Pairs []OutPair
 }
 
-// Kind implements Message. A batch for query 0 is the legacy PairBatch —
-// byte-identical to the pre-multi-query protocol; any other query id uses
-// the query-tagged kind.
+// Kind implements Message. A batch for query 0 encodes as the plain
+// KindPairBatch, without a query id; any other query id uses the
+// query-tagged kind.
 func (pb *PairBatch) Kind() Kind {
 	if pb.Query != 0 {
 		return KindPairBatchQ
@@ -411,9 +410,8 @@ type QuerySpec struct {
 
 // QuerySet is the master→slave deployment handshake announcing the
 // registered query specs, sent on the control connection before the start
-// batch. A single-query deployment using the legacy configuration fields
-// sends no QuerySet at all, which keeps its wire traffic byte-identical to
-// the pre-multi-query protocol.
+// batch. A single-query deployment configured through the single-query
+// fields (Config.Sink/CountOnly/SinkAddr) sends no QuerySet at all.
 type QuerySet struct {
 	Specs []QuerySpec
 }
@@ -740,7 +738,7 @@ func (d *decoder) tuples() []tuple.Tuple {
 	return out
 }
 
-// --- per-message codecs ---
+// --- message body codecs ---
 
 func (h *Hello) appendTo(b []byte) []byte {
 	b = appendI32(b, h.Slave)

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"reflect"
@@ -194,20 +195,38 @@ func TestWireSizeAccountsTuples(t *testing.T) {
 	}
 }
 
+// TestFrameRoundtrip flushes every message alone, so each travels in the
+// single-message layout, and reads the frames back.
 func TestFrameRoundtrip(t *testing.T) {
 	var buf bytes.Buffer
+	fw := NewFrameWriter(&buf, 0)
 	msgs := []Message{
 		&Hello{Slave: 1, Epoch: 2, Active: true, Occupancy: 0.5},
 		&Batch{Epoch: 3, Tuples: randomTuples(rand.New(rand.NewSource(2)), 100)},
 		&ResultBatch{Slave: 1, Outputs: 7},
 	}
 	for _, m := range msgs {
-		if err := WriteFrame(&buf, m); err != nil {
+		if err := fw.Append(m); err != nil {
+			t.Fatal(err)
+		}
+		if err := fw.Flush(); err != nil {
 			t.Fatal(err)
 		}
 	}
+	whole := append([]byte(nil), buf.Bytes()...)
+	// A lone message is framed as a big-endian u32 length then Marshal(m).
+	var layout []byte
+	for _, m := range msgs {
+		body := Marshal(m)
+		layout = binary.BigEndian.AppendUint32(layout, uint32(len(body)))
+		layout = append(layout, body...)
+	}
+	if !bytes.Equal(whole, layout) {
+		t.Fatalf("single-message frames = %x, want length-prefixed Marshal output %x", whole, layout)
+	}
+	fr := NewFrameReader(&buf)
 	for _, want := range msgs {
-		got, err := ReadFrame(&buf)
+		got, err := fr.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,15 +234,26 @@ func TestFrameRoundtrip(t *testing.T) {
 			t.Fatalf("frame roundtrip: got %+v want %+v", got, want)
 		}
 	}
-	if _, err := ReadFrame(&buf); err == nil {
+	if frames, _, _ := fr.Stats(); frames != int64(len(msgs)) {
+		t.Fatalf("frames read = %d, want %d", frames, len(msgs))
+	}
+	if _, err := fr.Next(); err == nil {
 		t.Fatal("read past end should fail")
+	}
+	// The first frame cut short, inside its header or its body, fails
+	// instead of decoding.
+	first := 4 + len(Marshal(msgs[0]))
+	for _, cut := range []int{2, 4, 10, first - 1} {
+		if _, err := NewFrameReader(bytes.NewReader(whole[:cut])).Next(); err == nil {
+			t.Fatalf("frame truncated to %d of %d bytes decoded", cut, first)
+		}
 	}
 }
 
 func TestFrameRejectsOversizedHeader(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write([]byte{0xff, 0xff, 0xff, 0xff})
-	if _, err := ReadFrame(&buf); err == nil {
+	if _, err := NewFrameReader(&buf).Next(); err == nil {
 		t.Fatal("oversized frame length not rejected")
 	}
 }
