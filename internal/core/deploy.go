@@ -27,10 +27,12 @@ import (
 //     announcing its mesh address, worker count and wire.Version (a master
 //     of another version says which and hangs up). The master replies on
 //     the same connection with the roster (assigning the slave its ID), the
-//     query registration if any, and an anchor Batch whose receipt defines
-//     the joiner's local clock. The founders' anchors (Epoch: startEpoch) go
-//     out together once cfg.MinSlaves slaves — every slot, when it is 0 —
-//     have joined; a later joiner's anchor carries the admission epoch;
+//     query registration if any, and an anchor Batch carrying the origin of
+//     the master's epoch grid, from which the slave sets its clock to the
+//     master's: the cluster has one clock and one grid. The grid starts,
+//     and the founders' anchors (Epoch: startEpoch) go out together, once
+//     cfg.MinSlaves slaves — every slot, when it is 0 — have joined; a later
+//     joiner's anchor carries the admission epoch and leaves as it begins;
 //   - every joined slave opens a second control connection for heartbeats:
 //     wire.Ping each HeartbeatMs, answered with wire.Pong. Silence beyond
 //     HeartbeatMisses intervals evicts the slave (heartbeatMonitor);
@@ -45,7 +47,8 @@ import (
 // slave control connections on ctlAddr and result connections on resAddr:
 // it forms the cluster from the first cfg.MinSlaves joiners (all cfg.Slaves
 // when 0), then serves an open-membership run for cfg.DurationMs of wall
-// time plus shutdown. Tuple timestamps are milliseconds since the call.
+// time from formation plus shutdown. Tuple timestamps are milliseconds since
+// the call, on the master's clock, which every slave reads too.
 // logf, when non-nil, receives a line for every membership transition.
 func ServeMaster(cfg Config, ctlAddr, resAddr string, logf func(format string, args ...any)) (*Result, error) {
 	return serveMaster(cfg, ctlAddr, resAddr, logf, nil)
@@ -310,8 +313,8 @@ func serveMaster(cfg Config, ctlAddr, resAddr string, logf func(string, ...any),
 	go acceptResults(resLn, lm, &resReaders)
 	go cp.accept(ctlLn)
 
-	// Cluster formation: admit the founders, then start all their clocks
-	// together.
+	// Cluster formation: admit the founders, then start the epoch grid and
+	// send every founder its anchor.
 	formTimeout := time.After(cfg.formTimeout())
 	for admitted := 0; admitted < cfg.formation(); {
 		select {
@@ -375,6 +378,10 @@ type JoinOptions struct {
 	// severs every connection at once, exactly as a crash between two
 	// epoch exchanges would look from outside. 0 disables the seam.
 	failAt int64
+	// batchWait is the clock-alignment seam: when non-nil it receives, each
+	// epoch, how long the slave waited between sending its Hello and
+	// receiving the master's Batch.
+	batchWait func(time.Duration)
 }
 
 // tcpSlave is one slave's wiring into a TCP cluster, built up step by step
@@ -386,8 +393,8 @@ type tcpSlave struct {
 	id       int32
 	roster   *wire.Membership
 
-	// env is the slave's clock, restarted when the anchor arrives; every
-	// connection accounts to proc.
+	// env is the slave's clock, set to the master's when the anchor arrives;
+	// every connection accounts to proc.
 	env  *engine.LiveEnv
 	proc *engine.LiveProc
 
@@ -468,6 +475,7 @@ func ServeSlave(cfg Config, joinAddr, resAddr string, opts JoinOptions) (err err
 			}
 		}()
 	}
+	s.batchWait = opts.batchWait
 	if opts.failAt > 0 {
 		s.failHook = func(e int64) {
 			if e == opts.failAt {
@@ -605,8 +613,8 @@ func (t *tcpSlave) acceptMesh() {
 
 // anchor completes the handshake — an optional QuerySet announcing the query
 // specs (the master's set overrides local flags, so slave binaries need no
-// matching -query flags), then the anchor batch — restarts the clock at its
-// receipt so slot arithmetic matches the master's, and builds the slave node.
+// matching -query flags), then the anchor batch — sets the slave's clock to
+// the master's, and builds the slave node.
 func (t *tcpSlave) anchor() (*slaveNode, error) {
 	first := t.master.Recv()
 	if qset, ok := first.(*wire.QuerySet); ok {
@@ -632,18 +640,23 @@ func (t *tcpSlave) anchor() (*slaveNode, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: slave %d: expected anchor batch", t.id)
 	}
-	// The anchor's epoch is startEpoch for a founder (epoch 0 starts now) or
-	// the admission epoch for a mid-run joiner, whose first participating
-	// epoch is the next reorganization boundary — the same arithmetic the
-	// master used (masterNode.admit).
-	base, epoch0 := int64(0), int64(0)
+	// The cluster has one clock, the master's. A founder's anchor
+	// (startEpoch) left the instant the grid started at Origin; a mid-run
+	// joiner's left as its admission epoch began, at Origin + epoch·t_d. The
+	// slave's clock reads that instant from here on, so tuple timestamps,
+	// window expiry and epoch slots share one time base. It lags the
+	// master's by the anchor's transit, plus the few local dials a slave
+	// admitted last makes before it reads the anchor. A joiner's first
+	// participating epoch is the next reorganization boundary — the same
+	// arithmetic the master used (masterNode.admit).
+	origin := time.Duration(start.Origin)
+	sentAt, epoch0 := origin, int64(0)
 	if start.Epoch != startEpoch {
 		K := t.cfg.epochsPerReorg()
-		base = start.Epoch
+		sentAt += time.Duration(start.Epoch) * time.Duration(t.cfg.DistEpochMs) * time.Millisecond
 		epoch0 = (start.Epoch/K + 1) * K
 	}
-
-	t.env.Restart()
+	t.env.SetNow(sentAt)
 	// The master never sends unsolicited after the anchor — every later
 	// message answers a Hello — so the handshake framing holds no unread
 	// bytes and the control connection can be re-framed with the
@@ -656,7 +669,7 @@ func (t *tcpSlave) anchor() (*slaveNode, error) {
 	nodeCfg := t.sinks.bind(t.cfg, t.proc)
 	s := newSlave(&nodeCfg, t.id, t.proc, t.master, t.tab, t.coll,
 		engine.NewLiveRunner(t.proc, t.cfg.LiveWorkers()))
-	s.base, s.epoch0 = base, epoch0
+	s.origin, s.epoch0 = origin, epoch0
 	s.active = start.Activate
 	s.rset = t.rset
 	return s, nil

@@ -29,7 +29,7 @@ const (
 )
 
 // startEpoch is the sentinel epoch of a founder's anchor batch: the cluster
-// has just formed and epoch 0 starts on receipt.
+// has just formed, the master's grid starts now, and epoch 0 with it.
 const startEpoch = int64(-1)
 
 // joinEpoch is the sentinel Epoch a joining slave sends in its first Hello
@@ -149,12 +149,13 @@ func (m *masterNode) slotClean(i int32) bool {
 // admit registers a joining slave: assign it the lowest free slot (or a
 // fully-drained dead slot) and start the handshake on its new control
 // connection — Membership (assigning its ID) and the query registration if
-// any. A mid-run joiner (e >= 0) is also sent its anchor Batch right away:
-// the anchor's epoch defines its local clock, and its first participating
-// epoch is the reorganization boundary after e, where membershipReorg
-// activates it and peels groups toward it. At cluster formation
-// (e == startEpoch) the anchors are held back until the whole roster has
-// joined (startFormed), so every founder's epoch grid starts together.
+// any. A mid-run joiner (e >= 0) is also sent its anchor Batch right away,
+// at the start of epoch e: the anchor carries the grid origin, so the
+// joiner's clock reads the master's, and its first participating epoch is
+// the reorganization boundary after e, where membershipReorg activates it
+// and peels groups toward it. At cluster formation (e == startEpoch) the
+// anchors are held back until the whole roster has joined (startFormed),
+// where the grid starts.
 func (m *masterNode) admit(ev memberEvent, e int64) {
 	id := int32(-1)
 	for i := 0; i < m.cfg.Slaves; i++ {
@@ -211,18 +212,23 @@ func (m *masterNode) admit(ev memberEvent, e int64) {
 			ev.conn.Send(qs)
 		}
 		if !forming {
-			ev.conn.Send(&wire.Batch{Epoch: e})
+			ev.conn.Send(&wire.Batch{Epoch: e, Origin: int64(m.gridAt)})
 		}
 	})
 }
 
-// startFormed sends every founder its anchor Batch (Epoch: startEpoch, with
-// Activate for the initially active slots). Receipt defines the slave's
-// epoch zero — the paper's "synchronize clocks with the active slaves".
+// startFormed starts the epoch grid at formation and sends every founder its
+// anchor Batch (Epoch: startEpoch, Origin: the grid origin, with Activate for
+// the initially active slots). A founder sets its clock to the origin on
+// receipt, so the whole cluster keeps one clock, the master's — the paper's
+// "synchronize clocks with the active slaves".
 func (m *masterNode) startFormed() {
+	m.gridAt = m.proc.Now()
 	for i, c := range m.conn {
 		if m.joined[i] {
-			tolerateTCP(func() { c.Send(&wire.Batch{Epoch: startEpoch, Activate: m.active[i]}) })
+			tolerateTCP(func() {
+				c.Send(&wire.Batch{Epoch: startEpoch, Origin: int64(m.gridAt), Activate: m.active[i]})
+			})
 		}
 	}
 }

@@ -89,6 +89,7 @@ func bruteForcePairs(work []tuple.Tuple) map[pairFP]int {
 type fpSink struct {
 	ln    net.Listener
 	ms    map[pairFP]int
+	gap   map[int32]int32 // per producing slave, the widest |TS1−TS2| delivered
 	tally *collect.Tally
 	errs  chan error
 	wg    sync.WaitGroup
@@ -100,11 +101,15 @@ func newFPSink(t *testing.T, tolerate bool) *fpSink {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &fpSink{ln: ln, ms: make(map[pairFP]int), errs: make(chan error, 16)}
-	// onBatch runs serially under the tally lock, so the map needs none.
+	s := &fpSink{ln: ln, ms: make(map[pairFP]int), gap: make(map[int32]int32), errs: make(chan error, 16)}
+	// onBatch runs serially under the tally lock, so the maps need none.
 	s.tally = collect.New(func(pb *wire.PairBatch) {
 		for _, p := range pb.Pairs {
-			s.ms[fpOf(p)]++
+			fp := fpOf(p)
+			s.ms[fp]++
+			if g := max(fp.TS1-fp.TS2, fp.TS2-fp.TS1); g > s.gap[pb.Slave] {
+				s.gap[pb.Slave] = g
+			}
 		}
 	})
 	s.wg.Add(1)

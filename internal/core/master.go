@@ -68,6 +68,11 @@ type masterNode struct {
 	nextMove int64
 	rng      *rand.Rand
 
+	// gridAt is the origin of the epoch grid on the master's clock: epoch e
+	// starts at gridAt + e·t_d. A TCP master sets it when the cluster forms
+	// (startFormed); pipes and the simulator start at zero with the clock.
+	gridAt time.Duration
+
 	// instrumentation
 	epochsServed  int64
 	lastEpochAt   time.Duration
@@ -183,8 +188,11 @@ func (m *masterNode) run() {
 
 	for e := int64(0); ; e++ {
 		stopping := m.stop()
+		epochStart := m.gridAt + time.Duration(e)*td
+		// Membership changes apply at the epoch's start, so a joiner's
+		// anchor leaves exactly when its admission epoch begins.
+		m.proc.IdleUntil(epochStart)
 		m.drainEvents(e, stopping)
-		epochStart := time.Duration(e) * td
 		for slot := 0; slot < ng; slot++ {
 			for i := slot; i < m.cfg.Slaves; i += ng {
 				if !m.shouldServe(e, i) {

@@ -52,11 +52,11 @@ type slaveNode struct {
 
 	active bool
 
-	// base and epoch0 anchor the local clock of a mid-run joiner, whose
-	// anchor batch arrives at master epoch `base` and whose first
-	// participating epoch is epoch0 (the next reorganization boundary); both
-	// are zero for a slave present from the start.
-	base   int64
+	// origin is the master's grid origin: epoch e starts at origin + e·t_d
+	// on the cluster's one clock, the master's (zero on pipes and in the
+	// simulator). epoch0 is the first epoch this slave takes part in: 0 for
+	// a founder, the reorganization boundary after a joiner's admission.
+	origin time.Duration
 	epoch0 int64
 
 	// Buddy replication (TCP deployment; repl is nil unless cfg.Replicate).
@@ -69,6 +69,9 @@ type slaveNode struct {
 	rset     *replicaSet
 	preFlush func()
 	failHook func(e int64)
+	// batchWait, when set, receives each epoch's wait from Hello to Batch
+	// (JoinOptions.batchWait).
+	batchWait func(time.Duration)
 
 	// State movement (transfer.go): xferOut tracks transfers this slave is
 	// streaming out, xferIn the ones it is accumulating, both keyed by MoveID.
@@ -113,7 +116,7 @@ func (s *slaveNode) run() {
 
 	e := s.epoch0
 	for {
-		epochStart := time.Duration(e-s.base) * td
+		epochStart := s.origin + time.Duration(e)*td
 		s.proc.IdleUntil(epochStart + slotOff)
 
 		// End-of-epoch occupancy sample (§IV-C): backlog bytes over the
@@ -154,6 +157,7 @@ func (s *slaveNode) run() {
 		if s.occN > 0 {
 			avg = s.occSum / float64(s.occN)
 		}
+		helloAt := s.proc.Now()
 		s.mst.Send(&wire.Hello{
 			Slave:        s.id,
 			Epoch:        e,
@@ -184,6 +188,9 @@ func (s *slaveNode) run() {
 			default:
 				panic(fmt.Sprintf("core: slave %d expected Batch, got %T", s.id, v))
 			}
+		}
+		if s.batchWait != nil {
+			s.batchWait(s.proc.Now() - helloAt)
 		}
 		if batch.Activate {
 			s.active = true
@@ -218,7 +225,7 @@ func (s *slaveNode) run() {
 		} else {
 			next = (e/K + 1) * K
 		}
-		deadline := time.Duration(next-s.base)*td + slotOff
+		deadline := s.origin + time.Duration(next)*td + slotOff
 		s.ws.processUntil(deadline)
 		e = next
 	}

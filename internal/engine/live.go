@@ -19,19 +19,21 @@ type LiveEnv struct {
 // NewLiveEnv returns an environment whose clock starts now.
 func NewLiveEnv() *LiveEnv {
 	e := &LiveEnv{}
-	e.Restart()
+	e.SetNow(0)
 	return e
 }
 
-// Restart moves the environment's time zero to now: a TCP slave re-anchors
-// its clock on receipt of the master's anchor batch, so that its slot
-// arithmetic matches the master's. Safe while other goroutines read the clock.
-func (e *LiveEnv) Restart() {
-	now := time.Now()
-	e.start.Store(&now)
+// SetNow moves the environment's time zero so that Now reads t at this
+// instant. A TCP cluster has one clock, the master's: a slave sets its own
+// to the master's reading carried by the anchor batch, so tuple timestamps,
+// window expiry and epoch slots all share one time base. Safe while other
+// goroutines read the clock.
+func (e *LiveEnv) SetNow(t time.Duration) {
+	zero := time.Now().Add(-t)
+	e.start.Store(&zero)
 }
 
-// Now reports the time since the environment (re)started.
+// Now reports the time since the environment's time zero.
 func (e *LiveEnv) Now() time.Duration { return time.Since(*e.start.Load()) }
 
 // LiveProc is a goroutine-backed Proc. Stats are mutex-guarded because

@@ -23,6 +23,7 @@ func sampleMessages() []Message {
 				{Stream: tuple.S2, Key: 9, TS: 101},
 			},
 			Directives: []Directive{{MoveID: 1, Group: 2, From: 0, To: 1}}},
+		&Batch{Epoch: 12, Origin: 987_654_321},
 		&StateTransfer{MoveID: 5, Group: 2, GlobalDepth: 3,
 			Buckets: []BucketSpec{{LocalDepth: 1, Bits: 0}, {LocalDepth: 2, Bits: 3}},
 			Window: [2][]tuple.Tuple{

@@ -151,6 +151,7 @@ func TestMutatedFramesNeverPanic(t *testing.T) {
 	msgs := []Message{
 		&Hello{Slave: 1, Epoch: 2, MoveACKs: []int64{1, 2, 3}},
 		&Batch{Epoch: 3, Directives: []Directive{{MoveID: 1, Group: 2, From: 0, To: 1}}},
+		&Batch{Epoch: -1, Origin: 1_250_000_000, Activate: true},
 		&StateTransfer{MoveID: 4, Buckets: []BucketSpec{{LocalDepth: 2, Bits: 1}}},
 		&ResultBatch{Slave: 1, Outputs: 10},
 		&ResultBatch{Slave: 1, Query: 2, Outputs: 10},

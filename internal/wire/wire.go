@@ -38,8 +38,10 @@ import (
 // messages, even if every message still decodes: revision 1 streams every
 // state movement (KindStateChunk) while the master keeps routing the group
 // to its supplier, where a supplier of revision 0 gave the group up in the
-// directive epoch.
-const Version = 1
+// directive epoch; revision 2 adds Batch.Origin, the master's epoch-grid
+// origin, and a slave sets its clock to the master's from the anchor batch
+// where a slave of revision 1 restarted its own clock at the anchor.
+const Version = 2
 
 // Kind discriminates message types on the wire.
 type Kind uint8
@@ -265,8 +267,15 @@ type Directive struct {
 // as a whole is not timestamp-ordered. The codec neither relies on nor
 // changes the order. A receiver that gets the message by reference
 // (in-process pipes) owns Tuples once Send returns and may alias it.
+//
+// Origin is meaningful on the anchor batch that completes a TCP join
+// handshake: the master's grid origin in nanoseconds on its clock, so
+// epoch e starts at Origin + e·t_d. It is a fixed-width field of every
+// batch and is not charged by WireSize, which stays one constant
+// per-batch overhead.
 type Batch struct {
 	Epoch      int64
+	Origin     int64
 	Activate   bool // slave (re)joins the active set
 	Deactivate bool // slave must yield all groups and go inactive
 	Shutdown   bool // live engine: orderly termination of the slave loop
@@ -786,6 +795,7 @@ func (h *Hello) decodeFrom(d *decoder) error {
 
 func (b *Batch) appendTo(buf []byte) []byte {
 	buf = appendI64(buf, b.Epoch)
+	buf = appendI64(buf, b.Origin)
 	buf = appendBool(buf, b.Activate)
 	buf = appendBool(buf, b.Deactivate)
 	buf = appendBool(buf, b.Shutdown)
@@ -802,6 +812,7 @@ func (b *Batch) appendTo(buf []byte) []byte {
 
 func (b *Batch) decodeFrom(d *decoder) error {
 	b.Epoch = d.i64()
+	b.Origin = d.i64()
 	b.Activate = d.bool()
 	b.Deactivate = d.bool()
 	b.Shutdown = d.bool()

@@ -51,6 +51,7 @@ func TestHelloEmptyACKs(t *testing.T) {
 func TestBatchRoundtrip(t *testing.T) {
 	b := &Batch{
 		Epoch:      42,
+		Origin:     2_345_678_901,
 		Activate:   true,
 		Deactivate: false,
 		Tuples: []tuple.Tuple{
@@ -147,9 +148,9 @@ func randomTuples(r *rand.Rand, n int) []tuple.Tuple {
 }
 
 func TestQuickBatchRoundtrip(t *testing.T) {
-	f := func(epoch int64, act, deact bool, seed int64, nt, nd uint8) bool {
+	f := func(epoch, origin int64, act, deact bool, seed int64, nt, nd uint8) bool {
 		r := rand.New(rand.NewSource(seed))
-		b := &Batch{Epoch: epoch, Activate: act, Deactivate: deact,
+		b := &Batch{Epoch: epoch, Origin: origin, Activate: act, Deactivate: deact,
 			Tuples: randomTuples(r, int(nt))}
 		for i := 0; i < int(nd)%8; i++ {
 			b.Directives = append(b.Directives, Directive{
@@ -188,10 +189,31 @@ func TestWireSizeAccountsTuples(t *testing.T) {
 	if b.WireSize()-empty.WireSize() != 10*tuple.LogicalSize {
 		t.Fatalf("batch tuple accounting: %d vs %d", b.WireSize(), empty.WireSize())
 	}
+	// The anchor's Origin is part of every batch's fixed overhead, so the
+	// overhead stays one constant that a byte counter can be inverted with.
+	if anchor := (&Batch{Epoch: -1, Origin: 1 << 40, Activate: true}); anchor.WireSize() != empty.WireSize() {
+		t.Fatalf("anchor batch charged %d bytes, an empty batch %d", anchor.WireSize(), empty.WireSize())
+	}
 	r := &ResultBatch{Outputs: 5}
 	r0 := &ResultBatch{}
 	if r.WireSize()-r0.WireSize() != 5*tuple.ResultSize {
 		t.Fatal("result batches must charge composite result size")
+	}
+}
+
+// TestBatchLayout pins the encoding of an anchor batch byte for byte: kind,
+// epoch, origin, the three flags, then the (empty) tuple and directive
+// counts.
+func TestBatchLayout(t *testing.T) {
+	b := &Batch{Epoch: -1, Origin: 0x0102030405060708, Activate: true}
+	want := []byte{byte(KindBatch)}
+	want = binary.BigEndian.AppendUint64(want, math.MaxUint64) // epoch -1
+	want = binary.BigEndian.AppendUint64(want, 0x0102030405060708)
+	want = append(want, 1, 0, 0)
+	want = binary.BigEndian.AppendUint32(want, 0)
+	want = binary.BigEndian.AppendUint32(want, 0)
+	if got := Marshal(b); !bytes.Equal(got, want) {
+		t.Fatalf("anchor batch encodes as %x, want %x", got, want)
 	}
 }
 
@@ -203,6 +225,7 @@ func TestFrameRoundtrip(t *testing.T) {
 	msgs := []Message{
 		&Hello{Slave: 1, Epoch: 2, Active: true, Occupancy: 0.5},
 		&Batch{Epoch: 3, Tuples: randomTuples(rand.New(rand.NewSource(2)), 100)},
+		&Batch{Epoch: -1, Origin: 1_250_000_000, Activate: true},
 		&ResultBatch{Slave: 1, Outputs: 7},
 	}
 	for _, m := range msgs {
