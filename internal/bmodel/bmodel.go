@@ -13,6 +13,7 @@ package bmodel
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand/v2"
 )
 
@@ -21,13 +22,14 @@ type Gen struct {
 	b      float64
 	domain int32
 	hot    uint64 // level l's hot half is the upper half iff bit l is set
-	rng    *rand.Rand
+	thr    uint64 // b·2^53: a level takes its hot half iff the low 53 bits of its word are below thr
+	rng    *rand.PCG
 }
 
 // New returns a generator with bias b in [0.5, 1) over [0, domain). b = 0.5
 // degenerates to the uniform distribution; the paper's default is b = 0.7.
 func New(b float64, domain int32, seed uint64) *Gen {
-	if b < 0.5 || b >= 1 {
+	if !(b >= 0.5 && b < 1) {
 		panic(fmt.Sprintf("bmodel: bias %v out of [0.5, 1)", b))
 	}
 	if domain < 1 {
@@ -37,9 +39,13 @@ func New(b float64, domain int32, seed uint64) *Gen {
 		b:      b,
 		domain: domain,
 		hot:    splitmix(seed),
-		rng:    rand.New(rand.NewPCG(seed, 0x6a09e667f3bcc909)),
+		thr:    uint64(b * (1 << 53)),
+		rng:    rand.NewPCG(seed, pcgStream),
 	}
 }
+
+// pcgStream is the second PCG seed word of every generator.
+const pcgStream = 0x6a09e667f3bcc909
 
 func splitmix(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
@@ -50,20 +56,23 @@ func splitmix(x uint64) uint64 {
 	return x ^ x>>31
 }
 
-// Next draws one value.
+// Next draws one value. Each level of the descent consumes one PCG word x
+// and takes the hot half iff x's low 53 bits are below thr — exactly the test
+// rand.Rand.Float64() < b, since Float64 is those 53 bits over 2^53 and
+// b·2^53 is an integer for b in [0.5, 1). The descent keeps the interval as
+// [lo, lo+n) and updates it through a mask rather than a branch: the taken
+// half is a coin flip the branch predictor cannot learn.
 func (g *Gen) Next() int32 {
-	lo, hi := int32(0), g.domain
-	level := uint(0)
-	for hi-lo > 1 {
-		mid := lo + (hi-lo)/2
-		hotUpper := g.hot>>(level%64)&1 == 1
-		takeHot := g.rng.Float64() < g.b
-		if hotUpper == takeHot {
-			lo = mid
-		} else {
-			hi = mid
-		}
-		level++
+	lo, n := int32(0), g.domain
+	hot, thr := g.hot, g.thr
+	for n > 1 {
+		x := g.rng.Uint64() << 11 >> 11
+		take := (x - thr) >> 63               // 1 iff x < thr: this level takes its hot half
+		upper := -int32((take ^ hot ^ 1) & 1) // all ones iff the taken half is the upper one
+		half := n >> 1                        // the lower half [lo, lo+half) is never the larger
+		lo += half & upper
+		n = half + n&1&upper
+		hot = bits.RotateLeft64(hot, -1)
 	}
 	return lo
 }

@@ -2,6 +2,7 @@ package bmodel
 
 import (
 	"math"
+	"math/rand/v2"
 	"sort"
 	"testing"
 )
@@ -128,6 +129,8 @@ func TestPanicsOnBadArgs(t *testing.T) {
 	for _, f := range []func(){
 		func() { New(0.4, 100, 1) },
 		func() { New(1.0, 100, 1) },
+		func() { New(math.NaN(), 100, 1) },
+		func() { New(math.Inf(1), 100, 1) },
 		func() { New(0.7, 0, 1) },
 	} {
 		func() {
@@ -145,5 +148,37 @@ func TestAccessors(t *testing.T) {
 	g := New(0.7, 12345, 1)
 	if g.Bias() != 0.7 || g.Domain() != 12345 {
 		t.Fatal("accessors")
+	}
+}
+
+// floatDescent is the b-model draw written the textbook way — a float
+// comparison and a branch per level — kept as the specification Next must
+// reproduce draw for draw.
+func floatDescent(b float64, domain int32, hot uint64, rng *rand.Rand) int32 {
+	lo, hi := int32(0), domain
+	for level := uint(0); hi-lo > 1; level++ {
+		mid := lo + (hi-lo)/2
+		if hot>>(level%64)&1 == 1 == (rng.Float64() < b) {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+func TestNextMatchesFloatDescent(t *testing.T) {
+	for _, d := range []int32{1, 2, 3, 7, 1000, 1 << 11, 1 << 17, 999_983, 10_000_000, math.MaxInt32} {
+		for _, b := range []float64{0.5, 0.7, 0.9, 0.99} {
+			for seed := uint64(0); seed < 4; seed++ {
+				g := New(b, d, seed)
+				ref := rand.New(rand.NewPCG(seed, pcgStream))
+				for i := 0; i < 5_000; i++ {
+					if got, want := g.Next(), floatDescent(b, d, splitmix(seed), ref); got != want {
+						t.Fatalf("b=%v domain=%d seed=%d draw %d: Next = %d, float descent = %d", b, d, seed, i, got, want)
+					}
+				}
+			}
+		}
 	}
 }

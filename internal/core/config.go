@@ -32,6 +32,7 @@ import (
 	"streamjoin/internal/simnet"
 	"streamjoin/internal/tuple"
 	"streamjoin/internal/wire"
+	"streamjoin/internal/workload"
 )
 
 // Config holds every knob of the system. DefaultConfig returns the paper's
@@ -336,9 +337,9 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("core: thresholds need 0 ≤ ThCon < ThSup < 1, got %v, %v", c.ThCon, c.ThSup)
 	case c.SlaveBufBytes <= 0:
 		return fmt.Errorf("core: SlaveBufBytes = %d", c.SlaveBufBytes)
-	case c.Rate <= 0:
+	case !workload.ValidRate(c.Rate):
 		return fmt.Errorf("core: Rate = %v", c.Rate)
-	case c.Skew < 0.5 || c.Skew >= 1:
+	case !(c.Skew >= 0.5 && c.Skew < 1):
 		return fmt.Errorf("core: Skew = %v", c.Skew)
 	case c.Domain <= 0:
 		return fmt.Errorf("core: Domain = %d", c.Domain)
@@ -420,7 +421,7 @@ func (c *Config) Validate() error {
 		}
 	}
 	for i, st := range c.RateSchedule {
-		if st.Rate <= 0 {
+		if !workload.ValidRate(st.Rate) {
 			return fmt.Errorf("core: RateSchedule[%d].Rate = %v", i, st.Rate)
 		}
 		if i > 0 && st.AtMs <= c.RateSchedule[i-1].AtMs {

@@ -9,7 +9,6 @@ import (
 	"streamjoin/internal/engine"
 	"streamjoin/internal/join"
 	"streamjoin/internal/tuple"
-	"streamjoin/internal/workload"
 )
 
 // liveIngestor hands the source goroutine's arrivals to the master in runs:
@@ -77,31 +76,23 @@ func (in *liveIngestor) counts() (offered, pulled, dropped, queued int64) {
 // feed generates both streams in real time, pushing arrivals every few
 // milliseconds, honoring the rate schedule, until stop is set.
 func (in *liveIngestor) feed(env *engine.LiveEnv, cfg *Config, stop *atomic.Bool) {
-	s1, s2 := workload.Pair(workload.Config{
-		Rate:   cfg.Rate,
-		Skew:   cfg.Skew,
-		Domain: cfg.Domain,
-		Seed:   cfg.Seed,
-	})
-	schedule := cfg.RateSchedule
-	lastMs := int32(0)
+	src := newSourceIngestor(cfg)
 	tick := time.NewTicker(5 * time.Millisecond)
 	defer tick.Stop()
 	for range tick.C {
 		if stop.Load() {
 			return
 		}
-		nowMs := int32(env.Now() / time.Millisecond)
-		if nowMs <= lastMs {
-			continue
-		}
-		for len(schedule) > 0 && schedule[0].AtMs <= nowMs {
-			s1.SetRate(schedule[0].Rate)
-			s2.SetRate(schedule[0].Rate)
-			schedule = schedule[1:]
-		}
-		in.push(workload.Merge(s1.Batch(lastMs, nowMs), s2.Batch(lastMs, nowMs)), lastMs, nowMs)
-		lastMs = nowMs
+		in.tick(src, int32(env.Now()/time.Millisecond))
+	}
+}
+
+// tick pushes the sources' arrivals since the last tick, up to nowMs, as one
+// run. The sources append into buffers they reuse and push copies the run
+// into the queue, so a tick in steady state allocates nothing.
+func (in *liveIngestor) tick(src *sourceIngestor, nowMs int32) {
+	if fromMs := src.lastMs; nowMs > fromMs {
+		in.push(src.Pull(nowMs), fromMs, nowMs)
 	}
 }
 

@@ -277,3 +277,54 @@ func TestSlaveFlushesResultsEveryEpoch(t *testing.T) {
 		t.Fatalf("%d result batches for %d epochs, %d left unflushed", coll.sends, epochs, coll.unflushed)
 	}
 }
+
+// feederTick returns one step of the live source edge at the shape of the
+// benchmark's ingest-overload workload (2 × 300 000 tuples/s over a 2^23
+// domain): a 5 ms tick of both streams pushed into the ingestor and pulled
+// by the master. The step reports how many tuples it moved.
+func feederTick() func() int {
+	cfg := DefaultConfig()
+	cfg.Rate = 300_000
+	cfg.Domain = 1 << 23
+	src := newSourceIngestor(&cfg)
+	in := newLiveIngestor(&cfg)
+	nowMs := int32(0)
+	return func() int {
+		nowMs += 5
+		in.tick(src, nowMs)
+		return len(in.Pull(nowMs))
+	}
+}
+
+// TestFeederTickAllocatesNothing: once the feeder's buffers and the
+// ingestor's two queues have grown to a tick's size, generating, merging,
+// queueing and pulling a tick allocates nothing.
+func TestFeederTickAllocatesNothing(t *testing.T) {
+	tick := feederTick()
+	for range 100 {
+		if tick() == 0 {
+			t.Fatal("empty tick at 600 000 tuples/s")
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { tick() }); allocs != 0 {
+		t.Fatalf("a steady-state feeder tick allocates %v times", allocs)
+	}
+}
+
+// BenchmarkFeederTick prices the live source edge per tuple: the b-model
+// draws, the Poisson gaps, the two-stream merge and the hand-off to the
+// master. One op is one 5 ms tick; ci/alloc-baseline.json gates it at zero
+// allocations.
+func BenchmarkFeederTick(b *testing.B) {
+	tick := feederTick()
+	for range 100 {
+		tick() // grow the buffers to their steady-state capacity
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	tuples := 0
+	for i := 0; i < b.N; i++ {
+		tuples += tick()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(tuples), "ns/tuple")
+}

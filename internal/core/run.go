@@ -201,47 +201,48 @@ func (r *Result) AvgSlaveIdle() time.Duration {
 	return total / time.Duration(n)
 }
 
-// simIngestor feeds the master from two synthetic Poisson sources, applying
-// the configured rate schedule at step boundaries.
-type simIngestor struct {
-	s1, s2   *workload.Source
-	schedule []RateStep
-	lastMs   int32
+// sourceIngestor generates the join's two synthetic Poisson streams, applying
+// the configured rate schedule at step boundaries. The simulated master pulls
+// from it directly; the live feeder pulls from it on every tick. It appends
+// into buffers it reuses, so the slice Pull returns is valid until the next
+// Pull — the Ingestor contract.
+type sourceIngestor struct {
+	s1, s2      *workload.Source
+	schedule    []RateStep
+	lastMs      int32
+	b1, b2, out []tuple.Tuple
 }
 
-func newSimIngestor(cfg *Config) *simIngestor {
-	s1, s2 := workload.Pair(workload.Config{
-		Rate:   cfg.Rate,
-		Skew:   cfg.Skew,
-		Domain: cfg.Domain,
-		Seed:   cfg.Seed,
-	})
-	return &simIngestor{s1: s1, s2: s2, schedule: cfg.RateSchedule}
+func newSourceIngestor(cfg *Config) *sourceIngestor {
+	s1, s2 := workload.Pair(workload.Config{Rate: cfg.Rate, Skew: cfg.Skew, Domain: cfg.Domain, Seed: cfg.Seed})
+	return &sourceIngestor{s1: s1, s2: s2, schedule: cfg.RateSchedule}
 }
 
 // Pull implements Ingestor.
-func (in *simIngestor) Pull(uptoMs int32) []tuple.Tuple {
+func (in *sourceIngestor) Pull(uptoMs int32) []tuple.Tuple {
 	if uptoMs <= in.lastMs {
 		return nil
 	}
-	var out []tuple.Tuple
+	in.out = in.out[:0]
 	for len(in.schedule) > 0 && in.schedule[0].AtMs < uptoMs {
 		step := in.schedule[0]
 		in.schedule = in.schedule[1:]
 		if step.AtMs > in.lastMs {
-			out = append(out, in.pull(step.AtMs)...)
+			in.pull(step.AtMs)
 		}
 		in.s1.SetRate(step.Rate)
 		in.s2.SetRate(step.Rate)
 	}
-	return append(out, in.pull(uptoMs)...)
+	in.pull(uptoMs)
+	return in.out
 }
 
-func (in *simIngestor) pull(uptoMs int32) []tuple.Tuple {
-	b1 := in.s1.Batch(in.lastMs, uptoMs)
-	b2 := in.s2.Batch(in.lastMs, uptoMs)
+// pull appends the merged arrivals in [lastMs, uptoMs) to out.
+func (in *sourceIngestor) pull(uptoMs int32) {
+	in.b1 = in.s1.AppendBatch(in.b1[:0], in.lastMs, uptoMs)
+	in.b2 = in.s2.AppendBatch(in.b2[:0], in.lastMs, uptoMs)
 	in.lastMs = uptoMs
-	return workload.Merge(b1, b2)
+	in.out = workload.AppendMerge(in.out, in.b1, in.b2)
 }
 
 // RunSim executes the full system on the simulated cluster and returns the
@@ -289,7 +290,7 @@ func RunSim(cfg Config) (*Result, error) {
 	inbox := engine.WrapInbox(simnet.NewInbox(collNd))
 
 	neverStop := func() bool { return false }
-	master := newMaster(&cfg, engine.WrapNode(masterNd), mConns, newSimIngestor(&cfg), neverStop)
+	master := newMaster(&cfg, engine.WrapNode(masterNd), mConns, newSourceIngestor(&cfg), neverStop)
 	collector := newCollector(engine.WrapNode(collNd), inbox, neverStop)
 	slaves := make([]*slaveNode, cfg.Slaves)
 	for i := range slaves {

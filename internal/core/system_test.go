@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -60,7 +61,15 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		func(c *Config) { c.ThCon, c.ThSup = 0.5, 0.01 },
 		func(c *Config) { c.SlaveBufBytes = 0 },
 		func(c *Config) { c.Rate = 0 },
+		// NaN fails every comparison, so these guards must fail closed: an
+		// infinite rate makes a source's batches endless, a NaN skew makes
+		// every draw take the same half.
+		func(c *Config) { c.Rate = math.NaN() },
+		func(c *Config) { c.Rate = math.Inf(1) },
+		func(c *Config) { c.RateSchedule = []RateStep{{AtMs: 1, Rate: math.Inf(1)}} },
 		func(c *Config) { c.Skew = 0.4 },
+		func(c *Config) { c.Skew = math.NaN() },
+		func(c *Config) { c.Skew = math.Inf(1) },
 		func(c *Config) { c.Domain = 0 },
 		func(c *Config) { c.WarmupMs = c.DurationMs },
 		func(c *Config) { c.ChunkTuples = 0 },

@@ -5,12 +5,16 @@
 // A Source is an exact event-by-event Poisson process; Batch materializes
 // the arrivals of a time interval at once, which is how the simulated master
 // ingests a distribution epoch's worth of tuples in one step without
-// per-tuple simulation events.
+// per-tuple simulation events. AppendBatch and AppendMerge do the same into
+// caller-owned buffers, so a feeder that reuses them allocates nothing per
+// interval.
 package workload
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
+	"slices"
 
 	"streamjoin/internal/bmodel"
 	"streamjoin/internal/tuple"
@@ -40,8 +44,8 @@ type Source struct {
 
 // NewSource returns a source for the given stream.
 func NewSource(stream tuple.StreamID, cfg Config) *Source {
-	if cfg.Rate <= 0 {
-		panic(fmt.Sprintf("workload: rate %v must be positive", cfg.Rate))
+	if !ValidRate(cfg.Rate) {
+		panic(fmt.Sprintf("workload: rate %v must be positive and finite", cfg.Rate))
 	}
 	if cfg.Domain <= 0 {
 		panic("workload: domain must be positive")
@@ -57,6 +61,11 @@ func NewSource(stream tuple.StreamID, cfg Config) *Source {
 	return s
 }
 
+// ValidRate reports whether rate is a usable arrival rate: positive and
+// finite (NaN fails the comparison). An infinite rate makes every gap zero,
+// so a batch would never end.
+func ValidRate(rate float64) bool { return rate > 0 && !math.IsInf(rate, 1) }
+
 // interarrival draws an exponential gap in milliseconds.
 func (s *Source) interarrival() float64 {
 	return s.rng.ExpFloat64() / s.cfg.Rate * 1000
@@ -66,8 +75,8 @@ func (s *Source) interarrival() float64 {
 // interval on. The Poisson process is memoryless, so the pending gap is
 // rescaled rather than redrawn.
 func (s *Source) SetRate(rate float64) {
-	if rate <= 0 {
-		panic(fmt.Sprintf("workload: rate %v must be positive", rate))
+	if !ValidRate(rate) {
+		panic(fmt.Sprintf("workload: rate %v must be positive and finite", rate))
 	}
 	old := s.cfg.Rate
 	s.cfg.Rate = rate
@@ -82,15 +91,18 @@ func (s *Source) Rate() float64 { return s.cfg.Rate }
 // Batch returns, in timestamp order, every tuple arriving in [fromMs, toMs).
 // Successive calls must use non-overlapping, increasing intervals; arrivals
 // that fell before fromMs (from an uncovered gap) are folded into this batch
-// at their original timestamps.
-func (s *Source) Batch(fromMs, toMs int32) []tuple.Tuple {
-	var out []tuple.Tuple
+// with their timestamps clamped to fromMs.
+func (s *Source) Batch(fromMs, toMs int32) []tuple.Tuple { return s.AppendBatch(nil, fromMs, toMs) }
+
+// AppendBatch is Batch appending to dst: it returns dst extended by the
+// interval's arrivals.
+func (s *Source) AppendBatch(dst []tuple.Tuple, fromMs, toMs int32) []tuple.Tuple {
 	for s.nextMs < float64(toMs) {
 		ts := int32(s.nextMs)
 		if ts < fromMs {
 			ts = fromMs
 		}
-		out = append(out, tuple.Tuple{
+		dst = append(dst, tuple.Tuple{
 			Stream: s.stream,
 			Key:    s.gen.Next(),
 			TS:     ts,
@@ -100,7 +112,7 @@ func (s *Source) Batch(fromMs, toMs int32) []tuple.Tuple {
 	if float64(toMs) > s.curMs {
 		s.curMs = float64(toMs)
 	}
-	return out
+	return dst
 }
 
 // Stream returns the stream this source feeds.
@@ -123,7 +135,13 @@ func Merge(a, b []tuple.Tuple) []tuple.Tuple {
 	if len(b) == 0 {
 		return a
 	}
-	out := make([]tuple.Tuple, 0, len(a)+len(b))
+	return AppendMerge(make([]tuple.Tuple, 0, len(a)+len(b)), a, b)
+}
+
+// AppendMerge is Merge appending to dst: it returns dst extended by the
+// interleaving of a and b.
+func AppendMerge(dst, a, b []tuple.Tuple) []tuple.Tuple {
+	out := slices.Grow(dst, len(a)+len(b))
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		if a[i].TS <= b[j].TS {

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"streamjoin/internal/tuple"
@@ -155,11 +156,52 @@ func TestSkewedKeysWithinDomain(t *testing.T) {
 	}
 }
 
+// TestPanicsOnBadConfig: comparisons with NaN are false, so the guards are
+// written to fail closed. An infinite rate would make every gap zero and a
+// Batch would never end; a NaN skew would silently make every draw take one
+// half.
 func TestPanicsOnBadConfig(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for zero rate")
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		f    func()
+	}{
+		{"rate 0", func() { NewSource(tuple.S1, Config{Rate: 0, Skew: 0.7, Domain: 100, Seed: 1}) }},
+		{"rate NaN", func() { NewSource(tuple.S1, Config{Rate: nan, Skew: 0.7, Domain: 100, Seed: 1}) }},
+		{"rate +Inf", func() { NewSource(tuple.S1, Config{Rate: inf, Skew: 0.7, Domain: 100, Seed: 1}) }},
+		{"skew NaN", func() { NewSource(tuple.S1, Config{Rate: 100, Skew: nan, Domain: 100, Seed: 1}) }},
+		{"SetRate NaN", func() { NewSource(tuple.S1, testConfig(100)).SetRate(nan) }},
+		{"SetRate +Inf", func() { NewSource(tuple.S1, testConfig(100)).SetRate(inf) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("accepted")
+				}
+			}()
+			tc.f()
+		})
+	}
+}
+
+// TestAppendFormsMatchBatchAndMerge: the buffer-reusing forms a feeder ticks
+// with yield exactly the tuples of Batch and Merge.
+func TestAppendFormsMatchBatchAndMerge(t *testing.T) {
+	a1, a2 := Pair(testConfig(50_000))
+	b1, b2 := Pair(testConfig(50_000))
+	var buf1, buf2, run []tuple.Tuple
+	for tick := int32(0); tick < 200; tick++ {
+		from, to := tick*5, (tick+1)*5
+		want := Merge(a1.Batch(from, to), a2.Batch(from, to))
+		buf1 = b1.AppendBatch(buf1[:0], from, to)
+		buf2 = b2.AppendBatch(buf2[:0], from, to)
+		run = AppendMerge(run[:0], buf1, buf2)
+		if !slices.Equal(run, want) {
+			t.Fatalf("tick %d: appended run of %d tuples differs from Merge of Batch (%d)", tick, len(run), len(want))
 		}
-	}()
-	NewSource(tuple.S1, Config{Rate: 0, Skew: 0.7, Domain: 100, Seed: 1})
+	}
+	prefix := []tuple.Tuple{{Key: -1}}
+	if got := AppendMerge(prefix, buf1, buf2); got[0].Key != -1 || len(got) != 1+len(buf1)+len(buf2) {
+		t.Fatal("AppendMerge did not keep dst's contents")
+	}
 }
