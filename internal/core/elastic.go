@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"streamjoin/internal/engine"
 	"streamjoin/internal/tuple"
@@ -56,11 +56,15 @@ func (m *masterNode) logf(format string, args ...any) {
 	}
 }
 
-// memberCount is the current roster size: joined, not dead, not released.
+// member reports whether slot i is on the roster: joined, not dead, not
+// released.
+func (m *masterNode) member(i int) bool { return m.joined[i] && !m.dead[i] && !m.shutdownSent[i] }
+
+// memberCount is the current roster size.
 func (m *masterNode) memberCount() int {
 	n := 0
 	for i := range m.joined {
-		if m.joined[i] && !m.dead[i] && !m.shutdownSent[i] {
+		if m.member(i) {
 			n++
 		}
 	}
@@ -71,7 +75,7 @@ func (m *masterNode) memberCount() int {
 func (m *masterNode) membershipFor(id int32) *wire.Membership {
 	ms := &wire.Membership{Epoch: m.memEpoch, Self: id}
 	for i := 0; i < m.cfg.Slaves; i++ {
-		if m.joined[i] && !m.dead[i] && !m.shutdownSent[i] {
+		if m.member(i) {
 			ms.Slaves = append(ms.Slaves, m.members[i])
 		}
 	}
@@ -130,20 +134,8 @@ func (m *masterNode) drainEvents(e int64, stopping bool) {
 // slotClean reports whether slave i holds no groups and no movement touches
 // it — the condition for releasing a leaver and for recycling a dead slot.
 func (m *masterNode) slotClean(i int32) bool {
-	if len(m.pendDir[i]) > 0 || m.pendAct[i] || m.pendDeact[i] {
-		return false
-	}
-	for _, mi := range m.inflight {
-		if mi.from == i || mi.to == i {
-			return false
-		}
-	}
-	for _, owner := range m.groupOwner {
-		if owner == i {
-			return false
-		}
-	}
-	return true
+	return len(m.pendDir[i]) == 0 && !m.pendAct[i] && !m.pendDeact[i] &&
+		!m.slaveInflight(i) && !slices.Contains(m.groupOwner, i)
 }
 
 // admit registers a joining slave: assign it the lowest free slot (or a
@@ -152,7 +144,7 @@ func (m *masterNode) slotClean(i int32) bool {
 // any. A mid-run joiner (e >= 0) is also sent its anchor Batch right away,
 // at the start of epoch e: the anchor carries the grid origin, so the
 // joiner's clock reads the master's, and its first participating epoch is
-// the reorganization boundary after e, where membershipReorg activates it
+// the reorganization boundary after e, where planBoundary activates it
 // and peels groups toward it. At cluster formation (e == startEpoch) the
 // anchors are held back until the whole roster has joined (startFormed),
 // where the grid starts.
@@ -237,7 +229,7 @@ func (m *masterNode) startFormed() {
 // drains its groups to the survivors; once every move is acknowledged, its
 // next poll batch carries Shutdown and it exits cleanly.
 func (m *masterNode) requestLeave(i int32) {
-	if i < 0 || int(i) >= m.cfg.Slaves || !m.joined[i] || m.dead[i] || m.shutdownSent[i] || m.leaveReq[i] {
+	if i < 0 || int(i) >= m.cfg.Slaves || !m.member(int(i)) || m.leaveReq[i] {
 		return
 	}
 	m.leaveReq[i] = true
@@ -263,7 +255,7 @@ func (m *masterNode) requestLeave(i int32) {
 //     shadow when the consumer is the dead supplier's buddy, else to an
 //     empty install — and it acks normally, so the move completes by itself.
 func (m *masterNode) handleDeath(i int32, reason string) {
-	if i < 0 || int(i) >= m.cfg.Slaves || !m.joined[i] || m.dead[i] || m.shutdownSent[i] {
+	if i < 0 || int(i) >= m.cfg.Slaves || !m.member(int(i)) {
 		return
 	}
 	m.dead[i] = true
@@ -302,77 +294,38 @@ func (m *masterNode) handleDeath(i int32, reason string) {
 		dropped++
 	}
 
-	adopted, promoted := 0, 0
-	var targets []int32
-	for k := 0; k < m.cfg.Slaves; k++ {
-		id := int32(k)
-		if m.active[k] && !m.dead[k] && !m.leaveReq[k] && !m.shutdownSent[k] {
-			targets = append(targets, id)
-		}
-	}
 	// What is still in flight now has the dead slave as its supplier, if it
 	// touches it at all: the consumer's fail-over completes those moves, so
-	// their groups are not re-created here.
-	moving := m.movingGroups()
-	for g, owner := range m.groupOwner {
-		if owner != i || m.heldGroup[int32(g)] || moving[int32(g)] {
-			continue
-		}
-		if m.cfg.Replicate {
-			src := i
-			if ls, ok := lostSrc[int32(g)]; ok {
-				src = ls
-			}
-			if to := m.buddyAfter(src); to >= 0 {
-				m.issueInstall(int32(g), promoteFrom(src), to)
-				m.promotions++
-				promoted++
-				continue
-			}
-		}
-		if len(targets) == 0 {
-			m.logf("membership: no live slave can adopt group %d of dead slave %d", g, i)
-			continue
-		}
-		m.issueInstall(int32(g), -1, targets[adopted%len(targets)])
-		adopted++
+	// their groups are not free and are not re-created here.
+	installs, orphans, adopted := planEviction(m.view(), i, lostSrc)
+	for _, g := range orphans {
+		m.logf("membership: no live slave can adopt group %d of dead slave %d", g, i)
 	}
-	if adopted > 0 {
-		m.accountWindowLoss(i, adopted, promoted)
-	}
+	promoted := len(installs) - adopted
+	m.promotions += promoted
+	m.apply(installs)
+	m.accountWindowLoss(i, adopted, promoted)
 	m.logf("membership: slave %d dead (%s): %d groups promoted from replicas, %d re-adopted empty, %d in-flight moves unwound, roster %d/%d",
 		i, reason, promoted, adopted, dropped, m.memberCount(), m.cfg.Slaves)
 }
 
-// buddyAfter returns the roster member every slave-side replicator picks as
-// src's buddy: the next joined, non-dead, non-released slot after src,
-// cyclically — the same walk updateRoster performs over the Membership
-// roster, so the master's promotion target is exactly where the owner has
-// been shipping its deltas. -1 when src has no possible buddy.
-func (m *masterNode) buddyAfter(src int32) int32 {
-	for k := 1; k < m.cfg.Slaves; k++ {
-		j := (int(src) + k) % m.cfg.Slaves
-		if m.joined[j] && !m.dead[j] && !m.shutdownSent[j] {
-			return int32(j)
-		}
-	}
-	return -1
-}
+// buddyAfter returns src's buddy on the current roster (placementView.buddyAfter).
+func (m *masterNode) buddyAfter(src int32) int32 { return m.view().buddyAfter(src) }
 
 // issueInstall directs slave `to` to create group g without a supplier:
 // empty (from = -1, an adoption) or from its local replica shadow of a
 // crashed slave (from = promoteFrom(src); see replica.go). Ownership
 // transfers on its ack like any other movement; there is nothing to unwind —
 // if `to` dies before acking, the next handleDeath re-creates the group on
-// another survivor.
-func (m *masterNode) issueInstall(g, from, to int32) {
+// another survivor. It returns the move's id.
+func (m *masterNode) issueInstall(g, from, to int32) int64 {
 	d := wire.Directive{MoveID: m.nextMove, Group: g, From: from, To: to}
 	m.nextMove++
 	m.pendDir[to] = append(m.pendDir[to], d)
 	m.heldGroup[g] = true
 	m.inflight[d.MoveID] = moveInfo{id: d.MoveID, group: g, from: -1, to: to}
 	m.movesIssued++
-	m.trackMove(d.MoveID)
+	return d.MoveID
 }
 
 // accountWindowLoss estimates the window tuples lost with an eviction that
@@ -403,97 +356,9 @@ func (m *masterNode) dropPend(i int32, id int64) bool {
 	return false
 }
 
-// trackMove marks the most recent movement as membership-driven: it counts
-// toward GroupsRebalanced and its held time toward RebalanceStallMs.
+// trackMove marks movement id as membership-driven: it counts toward
+// GroupsRebalanced and its held time toward RebalanceStallMs.
 func (m *masterNode) trackMove(id int64) {
 	m.memMoves[id] = m.proc.Now()
 	m.groupsMoved++
-}
-
-// membershipReorg runs the membership half of a reorganization boundary:
-// graceful leavers drain their groups to the survivors, and slaves admitted
-// since the last boundary (pendJoin — their first epoch is e+1) are activated
-// with an incoming rebalance — partition groups peeled off the loaded owners
-// (heaviest reported occupancy first, round-robin, never emptying an owner)
-// until the newcomer holds roughly a 1/(n+1) share. Slaves that are inactive
-// because §V-A adaptation deactivated them (or InitialActive left them out)
-// are not joiners and stay with the degree-of-declustering controller. Every
-// slave it touches is marked busy so the occupancy pairing of reorganize
-// leaves it alone this boundary.
-func (m *masterNode) membershipReorg(e int64, busy map[int32]bool) {
-	for i := 0; i < m.cfg.Slaves; i++ {
-		id := int32(i)
-		if m.leaveReq[i] && m.active[i] && !busy[id] {
-			if m.drainSlave(id, busy, true) {
-				busy[id] = true
-				m.logf("membership: draining slave %d for graceful leave at epoch %d", id, e)
-			}
-		}
-	}
-
-	for j := 0; j < m.cfg.Slaves; j++ {
-		jd := int32(j)
-		if !m.pendJoin[j] || m.leaveReq[j] || busy[jd] {
-			continue
-		}
-		m.pendJoin[j] = false
-		m.pendAct[j] = true
-		busy[jd] = true
-
-		// Peel toward an equal share from the heaviest owners.
-		share := m.cfg.NumGroups() / (m.activeCount() + 1)
-		var donors []rebalanceDonor
-		for k := 0; k < m.cfg.Slaves; k++ {
-			id := int32(k)
-			if !m.active[k] || busy[id] || m.leaveReq[k] || m.dead[k] {
-				continue
-			}
-			if free := m.freeGroupsOf(id); len(free) > 0 {
-				donors = append(donors, rebalanceDonor{id: id, free: free})
-			}
-		}
-		// Heaviest reported occupancy first; larger free-group count, then
-		// slave id, break ties deterministically.
-		sort.SliceStable(donors, func(a, b int) bool {
-			da, db := donors[a], donors[b]
-			if m.occ[da.id] != m.occ[db.id] {
-				return m.occ[da.id] > m.occ[db.id]
-			}
-			if len(da.free) != len(db.free) {
-				return len(da.free) > len(db.free)
-			}
-			return da.id < db.id
-		})
-		moved := 0
-		for moved < share {
-			progress := false
-			for d := range donors {
-				if moved >= share {
-					break
-				}
-				dn := &donors[d]
-				if len(dn.free) <= 1 {
-					continue // never empty a donor
-				}
-				k := m.rng.IntN(len(dn.free))
-				g := dn.free[k]
-				dn.free = append(dn.free[:k], dn.free[k+1:]...)
-				m.issueMove(g, dn.id, jd)
-				m.trackMove(m.nextMove - 1)
-				busy[dn.id] = true
-				moved++
-				progress = true
-			}
-			if !progress {
-				break
-			}
-		}
-		m.logf("membership: activating slave %d at epoch %d, rebalancing %d groups toward it", jd, e+1, moved)
-	}
-}
-
-// rebalanceDonor is an active slave a join rebalance can peel groups from.
-type rebalanceDonor struct {
-	id   int32
-	free []int32
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand/v2"
-	"sort"
 	"time"
 
 	"streamjoin/internal/engine"
@@ -218,13 +217,7 @@ func (m *masterNode) run() {
 // every epoch, inactive slaves only at reorganization boundaries (their
 // low-cost poll for reactivation).
 func (m *masterNode) shouldServe(e int64, i int) bool {
-	if !m.joined[i] || m.dead[i] || m.shutdownSent[i] {
-		return false
-	}
-	if e < m.firstEpoch[i] {
-		return false
-	}
-	return m.active[i] || e%m.cfg.epochsPerReorg() == 0
+	return m.member(i) && e >= m.firstEpoch[i] && (m.active[i] || e%m.cfg.epochsPerReorg() == 0)
 }
 
 func (m *masterNode) allShutdown() bool {
@@ -449,181 +442,88 @@ func (m *masterNode) slaveInflight(i int32) bool {
 	return false
 }
 
-// busySlaves returns the set of slaves that are part of an unfinished
-// movement or have undelivered directives; they sit out this reorganization.
-func (m *masterNode) busySlaves() map[int32]bool {
-	busy := make(map[int32]bool)
-	for _, mi := range m.inflight {
-		busy[mi.from] = true
-		busy[mi.to] = true
-	}
-	for i, dirs := range m.pendDir {
-		if len(dirs) > 0 {
-			busy[int32(i)] = true
-		}
-	}
-	for i := range m.pendAct {
-		if m.pendAct[i] || m.pendDeact[i] {
-			busy[int32(i)] = true
-		}
-	}
-	return busy
-}
-
-// movingGroups is the set of groups with an unfinished movement. A moving
-// group is not held at the master until its cut-over, so heldGroup alone does
-// not name them.
-func (m *masterNode) movingGroups() map[int32]bool {
+// view snapshots the controller state the planner reads (plan.go), walking
+// the in-flight moves, the slots and the group owners once each.
+func (m *masterNode) view() *placementView {
+	v := &placementView{cfg: m.cfg, slots: make([]slotView, m.cfg.Slaves)}
 	moving := make(map[int32]bool, len(m.inflight))
 	for _, mi := range m.inflight {
 		moving[mi.group] = true
+		v.slots[mi.to].busy = true
+		if mi.from >= 0 {
+			v.slots[mi.from].busy = true
+		}
 	}
-	return moving
-}
-
-// freeGroupsOf lists the groups owned by slave i that are not mid-movement.
-func (m *masterNode) freeGroupsOf(i int32) []int32 {
-	moving := m.movingGroups()
-	var out []int32
+	for i := range v.slots {
+		s := &v.slots[i]
+		s.occ, s.haveOcc = m.occ[i], m.haveOcc[i]
+		s.active, s.activating = m.active[i], m.pendAct[i]
+		if s.active {
+			v.active++
+		}
+		s.busy = s.busy || len(m.pendDir[i]) > 0 || m.pendAct[i] || m.pendDeact[i]
+		s.leaving, s.member, s.pendJoin = m.leaveReq[i], m.member(i), m.pendJoin[i]
+	}
 	for g, owner := range m.groupOwner {
-		if owner == i && !m.heldGroup[int32(g)] && !moving[int32(g)] {
-			out = append(out, int32(g))
+		if !m.heldGroup[int32(g)] && !moving[int32(g)] {
+			v.slots[owner].free = append(v.slots[owner].free, int32(g))
 		}
 	}
-	return out
+	return v
 }
 
-func (m *masterNode) activeCount() int {
-	n := 0
-	for _, a := range m.active {
-		if a {
-			n++
-		}
-	}
-	return n
-}
-
-// reorganize classifies slaves by reported occupancy, adapts the degree of
-// declustering, and pairs each supplier with a unique consumer, moving one
-// randomly chosen partition-group per pair (§IV-C, §V-A).
+// reorganize runs one reorganization boundary: it samples the degree of
+// declustering, plans the boundary's placement (planBoundary: §IV-C pairing,
+// §V-A adaptation, leave drains and join rebalances) and applies it.
 func (m *masterNode) reorganize(e int64) {
+	v := m.view()
 	m.dodTrace = append(m.dodTrace, DoDSample{
 		AtMs:   int32((e + 1) * int64(m.cfg.DistEpochMs)),
-		Active: m.activeCount(),
+		Active: v.active,
 	})
-	busy := m.busySlaves()
-	// Membership transitions first: drain graceful leavers and activate
-	// mid-run joiners. Slaves they touch are marked busy so the occupancy
-	// pairing below leaves them alone.
-	m.membershipReorg(e, busy)
-
-	var sups, cons []int32
-	for i := 0; i < m.cfg.Slaves; i++ {
-		id := int32(i)
-		if !m.active[i] || busy[id] || !m.haveOcc[i] || m.leaveReq[i] {
-			continue
-		}
-		switch {
-		case m.occ[i] > m.cfg.ThSup && len(m.freeGroupsOf(id)) > 0:
-			sups = append(sups, id)
-		case m.occ[i] < m.cfg.ThCon:
-			cons = append(cons, id)
-		}
+	p := planBoundary(v, m.rng)
+	m.apply(p.moves)
+	for _, j := range p.activate {
+		m.pendAct[j] = true
 	}
-	// Heaviest suppliers first, lightest consumers first; slave ID breaks
-	// ties deterministically.
-	sort.SliceStable(sups, func(a, b int) bool { return m.occ[sups[a]] > m.occ[sups[b]] })
-	sort.SliceStable(cons, func(a, b int) bool { return m.occ[cons[a]] < m.occ[cons[b]] })
-
-	if m.cfg.Adaptive {
-		if len(sups) == 0 {
-			// Everyone is neutral or consumer: shrink the degree of
-			// declustering by draining the lightest consumer.
-			m.deactivateOne(cons, busy)
-			return
-		}
-		if float64(len(sups)) > m.cfg.Beta*float64(len(cons)) {
-			// Overload signal: grow the degree of declustering. The
-			// activated slave joins the consumer side of this pairing.
-			if j := m.pickInactive(); j >= 0 {
-				m.pendAct[j] = true
-				cons = append([]int32{int32(j)}, cons...)
-			}
-		}
+	for _, j := range p.deactivate {
+		m.pendDeact[j] = true
 	}
-
-	n := len(sups)
-	if len(cons) < n {
-		n = len(cons)
+	for _, i := range p.drained {
+		m.logf("membership: draining slave %d for graceful leave at epoch %d", i, e)
 	}
-	for k := 0; k < n; k++ {
-		free := m.freeGroupsOf(sups[k])
-		if len(free) == 0 {
-			continue
-		}
-		g := free[m.rng.IntN(len(free))]
-		m.issueMove(g, sups[k], cons[k])
+	for _, j := range p.joins {
+		m.pendJoin[j.slave] = false
+		m.logf("membership: activating slave %d at epoch %d, rebalancing %d groups toward it", j.slave, e+1, j.groups)
 	}
 }
 
-// deactivateOne spreads the lightest consumer's groups over the remaining
-// active slaves and schedules its deactivation.
-func (m *masterNode) deactivateOne(cons []int32, busy map[int32]bool) {
-	if m.activeCount() <= 1 || len(cons) == 0 {
-		return
-	}
-	m.drainSlave(cons[0], busy, false)
-}
-
-// drainSlave moves every free group off victim to the other active,
-// non-busy slaves (lightest first, round-robin) and schedules the victim's
-// deactivation. tracked marks the moves as membership-driven (leave drain).
-// Returns false when no target exists, leaving the victim untouched.
-func (m *masterNode) drainSlave(victim int32, busy map[int32]bool, tracked bool) bool {
-	var targets []int32
-	for i := 0; i < m.cfg.Slaves; i++ {
-		id := int32(i)
-		if m.active[i] && id != victim && !busy[id] && !m.leaveReq[i] && !m.dead[i] {
-			targets = append(targets, id)
+// apply issues planned moves in order: a streamed move to both endpoints,
+// an install (from < 0) to its target alone.
+func (m *masterNode) apply(moves []move) {
+	for _, mv := range moves {
+		issue := m.issueMove
+		if mv.from < 0 {
+			issue = m.issueInstall
+		}
+		if id := issue(mv.group, mv.from, mv.to); mv.tracked {
+			m.trackMove(id)
 		}
 	}
-	if len(targets) == 0 {
-		return false
-	}
-	sort.SliceStable(targets, func(a, b int) bool { return m.occ[targets[a]] < m.occ[targets[b]] })
-	groups := m.freeGroupsOf(victim)
-	for k, g := range groups {
-		m.issueMove(g, victim, targets[k%len(targets)])
-		if tracked {
-			m.trackMove(m.nextMove - 1)
-		}
-	}
-	m.pendDeact[victim] = true
-	return true
-}
-
-// pickInactive returns the lowest-indexed inactive slave, or -1.
-func (m *masterNode) pickInactive() int {
-	for i := 0; i < m.cfg.Slaves; i++ {
-		if !m.active[i] && !m.pendAct[i] && !m.shutdownSent[i] &&
-			m.joined[i] && !m.dead[i] && !m.leaveReq[i] {
-			return i
-		}
-	}
-	return -1
 }
 
 // issueMove orders group g from its owner to slave `to`. The supplier keeps
 // owning and probing the group while its snapshot streams, so the group's
 // tuples keep flowing to it; withholding starts only when its Hello announces
-// the cut-over (Closing, in exchange).
-func (m *masterNode) issueMove(g, from, to int32) {
+// the cut-over (Closing, in exchange). It returns the move's id.
+func (m *masterNode) issueMove(g, from, to int32) int64 {
 	d := wire.Directive{MoveID: m.nextMove, Group: g, From: from, To: to}
 	m.nextMove++
 	m.pendDir[from] = append(m.pendDir[from], d)
 	m.pendDir[to] = append(m.pendDir[to], d)
 	m.inflight[d.MoveID] = moveInfo{id: d.MoveID, group: g, from: from, to: to}
 	m.movesIssued++
+	return d.MoveID
 }
 
 // msOf converts a duration since start to milliseconds.

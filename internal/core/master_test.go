@@ -47,176 +47,6 @@ func TestInitialPlacementRoundRobin(t *testing.T) {
 	}
 }
 
-func TestClassificationPairsSupplierWithConsumer(t *testing.T) {
-	cfg := smokeConfig()
-	cfg.Slaves = 4
-	m := testMaster(t, cfg)
-	setOcc(m, 0.9, 0.001, 0.2, 0.002)
-	m.reorganize(9)
-	if len(m.inflight) != 1 {
-		t.Fatalf("inflight moves = %d, want 1", len(m.inflight))
-	}
-	for _, mi := range m.inflight {
-		if mi.from != 0 {
-			t.Fatalf("supplier = %d, want 0", mi.from)
-		}
-		if mi.to != 1 {
-			t.Fatalf("consumer = %d, want 1 (lowest occupancy)", mi.to)
-		}
-		// The supplier keeps the group until its snapshot has streamed out:
-		// the master withholds only from the announced cut-over on.
-		if m.heldGroup[mi.group] {
-			t.Fatal("moved group held before the supplier announced its cut-over")
-		}
-	}
-	// Both sides must get the directive.
-	if len(m.pendDir[0]) != 1 || len(m.pendDir[1]) != 1 {
-		t.Fatalf("directives = %d/%d", len(m.pendDir[0]), len(m.pendDir[1]))
-	}
-}
-
-func TestMultipleSupplierConsumerPairs(t *testing.T) {
-	cfg := smokeConfig()
-	cfg.Slaves = 4
-	m := testMaster(t, cfg)
-	setOcc(m, 0.9, 0.8, 0.001, 0.0)
-	m.reorganize(9)
-	if len(m.inflight) != 2 {
-		t.Fatalf("inflight = %d, want 2", len(m.inflight))
-	}
-	// Heaviest supplier pairs with lightest consumer.
-	var sawHeavy bool
-	for _, mi := range m.inflight {
-		if mi.from == 0 && mi.to == 3 {
-			sawHeavy = true
-		}
-	}
-	if !sawHeavy {
-		t.Fatal("heaviest supplier not paired with lightest consumer")
-	}
-}
-
-func TestNeutralSlavesDoNotMove(t *testing.T) {
-	cfg := smokeConfig()
-	cfg.Slaves = 3
-	m := testMaster(t, cfg)
-	setOcc(m, 0.3, 0.2, 0.1) // all neutral (between ThCon=0.01 and ThSup=0.5)
-	m.reorganize(9)
-	if len(m.inflight) != 0 {
-		t.Fatalf("moves issued among neutral slaves: %d", len(m.inflight))
-	}
-}
-
-func TestSupplierWithoutConsumerWaits(t *testing.T) {
-	cfg := smokeConfig()
-	cfg.Slaves = 2
-	m := testMaster(t, cfg)
-	setOcc(m, 0.9, 0.3) // supplier + neutral, no consumer
-	m.reorganize(9)
-	if len(m.inflight) != 0 {
-		t.Fatalf("move issued without consumer: %d", len(m.inflight))
-	}
-}
-
-func TestBusySlavesSitOutReorganization(t *testing.T) {
-	cfg := smokeConfig()
-	cfg.Slaves = 4
-	m := testMaster(t, cfg)
-	setOcc(m, 0.9, 0.001, 0.9, 0.001)
-	m.reorganize(9)
-	n := len(m.inflight)
-	if n == 0 {
-		t.Fatal("no moves issued")
-	}
-	// Re-running with everyone still busy must not double-issue.
-	m.reorganize(19)
-	if len(m.inflight) != n {
-		t.Fatalf("busy slaves re-paired: %d -> %d", n, len(m.inflight))
-	}
-}
-
-func TestAdaptiveShrinkWhenNoSuppliers(t *testing.T) {
-	cfg := smokeConfig()
-	cfg.Slaves = 3
-	cfg.Adaptive = true
-	m := testMaster(t, cfg)
-	setOcc(m, 0.004, 0.001, 0.2)
-	m.reorganize(9)
-	if !m.pendDeact[1] {
-		t.Fatal("lightest consumer (slave 1) should be deactivated")
-	}
-	// All of slave 1's groups must be scheduled away.
-	moves := 0
-	for _, mi := range m.inflight {
-		if mi.from != 1 {
-			t.Fatalf("unexpected move source %d", mi.from)
-		}
-		if mi.to == 1 {
-			t.Fatal("move targeted the victim")
-		}
-		moves++
-	}
-	if moves != cfg.NumGroups()/3 {
-		t.Fatalf("moves = %d, want %d", moves, cfg.NumGroups()/3)
-	}
-}
-
-func TestAdaptiveNeverShrinksBelowOne(t *testing.T) {
-	cfg := smokeConfig()
-	cfg.Slaves = 2
-	cfg.InitialActive = 1
-	cfg.Adaptive = true
-	m := testMaster(t, cfg)
-	setOcc(m, 0.0)
-	m.reorganize(9)
-	if m.pendDeact[0] {
-		t.Fatal("deactivated the last active slave")
-	}
-}
-
-func TestAdaptiveGrowWhenSuppliersDominate(t *testing.T) {
-	cfg := smokeConfig()
-	cfg.Slaves = 4
-	cfg.InitialActive = 2
-	cfg.Adaptive = true
-	m := testMaster(t, cfg)
-	setOcc(m, 0.9, 0.8) // two suppliers, zero consumers: Nsup > β·Ncon
-	m.reorganize(9)
-	if !m.pendAct[2] {
-		t.Fatal("expected slave 2 to be activated")
-	}
-	// The activated slave immediately serves as a consumer.
-	found := false
-	for _, mi := range m.inflight {
-		if mi.to == 2 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("activated slave received no group")
-	}
-}
-
-func TestAdaptiveGrowRespectsBeta(t *testing.T) {
-	cfg := smokeConfig()
-	cfg.Slaves = 6
-	cfg.InitialActive = 4
-	cfg.Adaptive = true
-	cfg.Beta = 0.5
-	m := testMaster(t, cfg)
-	// 1 supplier, 3 consumers: 1 > 0.5*3 is false -> no growth.
-	setOcc(m, 0.9, 0.001, 0.002, 0.003)
-	m.reorganize(9)
-	for i := range m.pendAct {
-		if m.pendAct[i] {
-			t.Fatal("activation despite Nsup <= β·Ncon")
-		}
-	}
-	if len(m.inflight) != 1 {
-		t.Fatalf("pairing should still happen: %d", len(m.inflight))
-	}
-}
-
 func TestCompleteMoveReassignsOwnership(t *testing.T) {
 	cfg := smokeConfig()
 	cfg.Slaves = 2

@@ -381,52 +381,6 @@ type discardConn struct{}
 func (discardConn) Send(wire.Message)  {}
 func (discardConn) Recv() wire.Message { return nil }
 
-// TestReorgActivatesOnlyRealJoiners: the join rebalance of a reorganization
-// boundary touches slaves admitted mid-run, and nothing else. A slave that is
-// joined but inactive because §V-A adaptation deactivated it (or
-// InitialActive left it out) belongs to the degree-of-declustering
-// controller: it must not be re-activated and re-filled as if it had just
-// joined.
-func TestReorgActivatesOnlyRealJoiners(t *testing.T) {
-	m := newTestMaster(t, 4, false)
-	for g, o := range m.groupOwner {
-		if o >= 2 {
-			m.groupOwner[g] = o - 2
-		}
-	}
-	// Slave 2: deactivated by adaptation, still a roster member.
-	m.active[2] = false
-	// Slot 3: free, taken by a newcomer at epoch 4 of the first interval.
-	m.active[3], m.joined[3] = false, false
-	m.admit(memberEvent{kind: evJoin, conn: discardConn{}, addr: "joiner:1"}, 4)
-	if !m.joined[3] || !m.pendJoin[3] {
-		t.Fatalf("newcomer not admitted into slot 3 (joined %v, pendJoin %v)", m.joined, m.pendJoin)
-	}
-	setOcc(m, 0.2, 0.2, 0, 0) // neither supplier nor consumer: no load pairing
-
-	m.reorganize(m.cfg.epochsPerReorg() - 1)
-
-	if !m.pendAct[3] {
-		t.Error("mid-run joiner not scheduled for activation at its first boundary")
-	}
-	if m.pendAct[2] {
-		t.Error("adaptation-deactivated slave 2 re-activated as if it had just joined")
-	}
-	toward := map[int32]int{}
-	for _, mi := range m.inflight {
-		toward[mi.to]++
-	}
-	if toward[3] == 0 {
-		t.Error("no groups rebalanced toward the joiner")
-	}
-	if toward[2] != 0 {
-		t.Errorf("%d groups moved toward the deactivated slave", toward[2])
-	}
-	if m.pendJoin[3] {
-		t.Error("joiner still pending after its activation was scheduled")
-	}
-}
-
 // TestBuddyAfter pins the master's buddy walk to the slave-side rule (the
 // next live roster slot, cyclically): dead and released slots are skipped,
 // and a slave alone in the cluster has no buddy.

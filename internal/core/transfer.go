@@ -51,7 +51,7 @@ import (
 // race the tuples delivered behind that very directive.
 //
 // Deadlock freedom: the endpoints of in-flight movements are excluded from
-// new reorganization pairings (busySlaves), so the set of concurrent
+// new reorganization pairings (busy in planBoundary), so the set of concurrent
 // transfers always forms a bipartite supplier→consumer graph with disjoint
 // sides. Each epoch every supplier buffers its messages and flushes before
 // any slave blocks receiving — no cycle can form, even over in-process
@@ -167,8 +167,7 @@ func (s *slaveNode) sendInstallment(x *outXfer) {
 func (s *slaveNode) finishOutgoing(x *outXfer) {
 	w := s.ws.workerOf(x.d.Group)
 	delta := w.xcap[x.d.Group]
-	st, pending := s.ws.extractGroup(x.d.Group)
-	st.Window = [2][]tuple.Packed{} // the snapshot is already on the consumer
+	st, pending := s.ws.extractGroup(x.d.Group) // the snapshot is already on the consumer
 	msg := st.ToWire(x.d.MoveID, pending)
 	if delta != nil {
 		msg.Window = delta.runs
@@ -314,7 +313,7 @@ func (s *slaveNode) continueIncoming(x *inXfer) {
 // settleTransfers completes every in-flight transfer at shutdown: suppliers
 // burst their remaining installments and finals, then consumers drain the
 // mirror image. The supplier and consumer sides of in-flight movements are
-// disjoint (busySlaves), so burst-then-drain cannot deadlock even on
+// disjoint (busy in planBoundary), so burst-then-drain cannot deadlock even on
 // rendezvous transports.
 func (s *slaveNode) settleTransfers() {
 	if len(s.xferOut) == 0 && len(s.xferIn) == 0 {

@@ -235,8 +235,10 @@ func (ws *workerSet) flushResults(coll engine.AsyncSender) {
 	}
 }
 
-// extractGroup detaches group id (state movement supply): the owning
-// worker's module state plus its queued backlog.
+// extractGroup detaches group id (state movement supply) and returns its
+// directory shape and queued backlog. Its windows are dropped: a streamed
+// move has already shipped them as a snapshot (startOutgoing), and an
+// aborted one discards them.
 func (ws *workerSet) extractGroup(id int32) (join.State, []tuple.Tuple) {
 	w := ws.workerOf(id)
 	w.mod.Ensure(id)
@@ -246,7 +248,7 @@ func (ws *workerSet) extractGroup(id int32) (join.State, []tuple.Tuple) {
 	delete(w.repl, id) // the new owner re-replicates from its own snapshot
 	delete(w.xcap, id) // an in-flight transfer of id ends with it
 	w.backlog -= int64(len(pending))
-	return g.Extract(), pending
+	return g.Shape(), pending
 }
 
 // installState installs moved group state on its owning worker (state

@@ -236,7 +236,14 @@ func TestWorkerSetStateMovementRouting(t *testing.T) {
 	w.backlog += int64(len(pend))
 
 	before := src.windowBytes()
+	// Snapshot the windows first, as startOutgoing does; extractGroup then
+	// detaches the group and returns only its shape and backlog.
+	grp, _ := src.workerOf(g).mod.Get(g)
+	snap := grp.Extract()
 	st, pending := src.extractGroup(g)
+	if st.WindowTuples() != 0 || st.GlobalDepth != snap.GlobalDepth || !slices.Equal(st.Buckets, snap.Buckets) {
+		t.Fatalf("extracted state %+v, want the snapshot's shape without windows", st)
+	}
 	if len(pending) != len(pend) {
 		t.Fatalf("pending = %d tuples, want %d", len(pending), len(pend))
 	}
@@ -249,7 +256,7 @@ func TestWorkerSetStateMovementRouting(t *testing.T) {
 	}
 
 	// Round-trip through the wire encoding, as consumeGroup receives it.
-	msg := st.ToWire(1, pending)
+	msg := snap.ToWire(1, pending)
 	if err := dst.installState(join.StateFromWire(msg), msg.Pending); err != nil {
 		t.Fatal(err)
 	}

@@ -22,11 +22,17 @@ type State struct {
 // WindowTuples reports the total window tuples carried.
 func (st *State) WindowTuples() int { return len(st.Window[0]) + len(st.Window[1]) }
 
+// Shape returns the group's movable state without its windows: the
+// fine-tuning directory shape a consumer rebuilds the group under.
+func (g *Group) Shape() State {
+	global, specs := g.dir.Shape()
+	return State{ID: g.id, GlobalDepth: global, Buckets: specs}
+}
+
 // Extract snapshots the group's movable state. The group should no longer be
 // processed afterwards (the caller removes it from its Module).
 func (g *Group) Extract() State {
-	global, specs := g.dir.Shape()
-	st := State{ID: g.id, GlobalDepth: global, Buckets: specs}
+	st := g.Shape()
 	for s := 0; s < 2; s++ {
 		var all []tuple.Packed
 		g.dir.Buckets(func(_ uint32, _ uint, b *bucket) {
