@@ -1,13 +1,12 @@
-// Benchmarks regenerating the paper's evaluation artifacts and timing the
-// system's building blocks.
+// Benchmarks timing the system's building blocks.
 //
-// BenchmarkFigure5..14 run the exact sweep code behind each figure at the
-// Tiny smoke scale (30 s windows, trimmed sweeps); `go run ./cmd/sjoin-figures`
-// produces the full-fidelity data. BenchmarkTableI runs one Table-I default
-// configuration point. The remaining benchmarks cover the substrates
-// (extendible hashing, windowed stores, join probers, wire codec, workload
-// generators, DES kernel) and the ablations behind ARCHITECTURE.md's layer
-// map (sub-group communication, θ sensitivity, staggered slots).
+// BenchmarkTableI runs one Table-I default configuration point; the paper's
+// figures are a golden file instead (`go run ./cmd/sjoin-figures -quick
+// -seed 1` reproduces it byte for byte). The remaining benchmarks cover the
+// substrates (extendible hashing, windowed stores, join probers, wire codec,
+// workload generators, DES kernel) and the ablations behind
+// ARCHITECTURE.md's layer map (sub-group communication, θ sensitivity,
+// staggered slots).
 package streamjoin_test
 
 import (
@@ -27,36 +26,6 @@ import (
 	"streamjoin/internal/wire"
 	"streamjoin/internal/workload"
 )
-
-// --- figure regeneration benchmarks (one per paper figure) ---
-
-func benchFigure(b *testing.B, id string) {
-	g, ok := streamjoin.FigureByID(id)
-	if !ok {
-		b.Fatalf("unknown figure %s", id)
-	}
-	for i := 0; i < b.N; i++ {
-		opt := &streamjoin.ExperimentOptions{Scale: streamjoin.TinyScale, Seed: 1}
-		f, err := g.Gen(opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("\n%s", f.Table())
-		}
-	}
-}
-
-func BenchmarkFigure5(b *testing.B)  { benchFigure(b, "fig5") }
-func BenchmarkFigure6(b *testing.B)  { benchFigure(b, "fig6") }
-func BenchmarkFigure7(b *testing.B)  { benchFigure(b, "fig7") }
-func BenchmarkFigure8(b *testing.B)  { benchFigure(b, "fig8") }
-func BenchmarkFigure9(b *testing.B)  { benchFigure(b, "fig9") }
-func BenchmarkFigure10(b *testing.B) { benchFigure(b, "fig10") }
-func BenchmarkFigure11(b *testing.B) { benchFigure(b, "fig11") }
-func BenchmarkFigure12(b *testing.B) { benchFigure(b, "fig12") }
-func BenchmarkFigure13(b *testing.B) { benchFigure(b, "fig13") }
-func BenchmarkFigure14(b *testing.B) { benchFigure(b, "fig14") }
 
 // BenchmarkTableI runs one simulation at the paper's Table I defaults
 // (shrunk to the Tiny run length) and reports throughput metrics.

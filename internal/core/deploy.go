@@ -51,12 +51,32 @@ import (
 // the call, on the master's clock, which every slave reads too.
 // logf, when non-nil, receives a line for every membership transition.
 func ServeMaster(cfg Config, ctlAddr, resAddr string, logf func(format string, args ...any)) (*Result, error) {
-	return serveMaster(cfg, ctlAddr, resAddr, logf, nil)
+	ctlLn, resLn, err := listenMaster(&cfg, ctlAddr, resAddr)
+	if err != nil {
+		return nil, err
+	}
+	return serveMaster(cfg, ctlLn, resLn, logf, nil)
 }
 
 // ServeMasterTCP is ServeMaster without a membership log.
 func ServeMasterTCP(cfg Config, ctlAddr, resAddr string) (*Result, error) {
-	return serveMaster(cfg, ctlAddr, resAddr, nil, nil)
+	return ServeMaster(cfg, ctlAddr, resAddr, nil)
+}
+
+// listenMaster validates cfg and opens the master's control and result
+// listeners through its transport.
+func listenMaster(cfg *Config, ctlAddr, resAddr string) (ctlLn, resLn net.Listener, err error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, err
+	}
+	if ctlLn, err = cfg.transport().Listen("tcp", ctlAddr); err != nil {
+		return nil, nil, err
+	}
+	if resLn, err = cfg.transport().Listen("tcp", resAddr); err != nil {
+		ctlLn.Close()
+		return nil, nil, err
+	}
+	return ctlLn, resLn, nil
 }
 
 // ServeSlaveTCP is ServeSlave for callers that hold the cluster's mesh
@@ -273,29 +293,17 @@ func acceptResults(ln net.Listener, lm *liveMaster, readers *sync.WaitGroup) {
 	}
 }
 
-// serveMaster is ServeMaster with an ingestor seam: a non-nil ing replaces
-// the synthetic source goroutine (tests feed a finite, known workload
-// through it).
-func serveMaster(cfg Config, ctlAddr, resAddr string, logf func(string, ...any), ing Ingestor) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+// serveMaster is ServeMaster on the listeners listenMaster opened, which it
+// closes, with an ingestor seam: a non-nil ing replaces the synthetic source
+// goroutine (tests feed a finite, known workload through it).
+func serveMaster(cfg Config, ctlLn, resLn net.Listener, logf func(string, ...any), ing Ingestor) (*Result, error) {
+	defer ctlLn.Close()
+	defer resLn.Close()
 	if cfg.InitialActive == 0 {
 		cfg.InitialActive = cfg.formation()
 	}
 	cfg.Mode = cfg.LiveProber
 	cfg.Expiry = join.ExpiryBlocks
-
-	ctlLn, err := cfg.transport().Listen("tcp", ctlAddr)
-	if err != nil {
-		return nil, err
-	}
-	defer ctlLn.Close()
-	resLn, err := cfg.transport().Listen("tcp", resAddr)
-	if err != nil {
-		return nil, err
-	}
-	defer resLn.Close()
 
 	lm := newLiveMaster(&cfg, make([]engine.Conn, cfg.Slaves), ing)
 	defer lm.feedStop.Store(true)
@@ -335,7 +343,7 @@ func serveMaster(cfg Config, ctlAddr, resAddr string, logf func(string, ...any),
 	var monDone sync.WaitGroup
 	monDone.Add(1)
 	go func() { defer monDone.Done(); cp.monitor(monStop) }()
-	err = lm.play(&cfg, nil)
+	err := lm.play(&cfg, nil)
 	close(monStop)
 	monDone.Wait()
 	if err != nil {
@@ -370,6 +378,10 @@ type JoinOptions struct {
 	// closed abruptly — indistinguishable, at the TCP level, from the
 	// process being killed.
 	kill <-chan struct{}
+
+	// meshLn is the mesh listener of a slave whose address a test's fault
+	// rule names before the slave starts; nil listens on MeshListen.
+	meshLn net.Listener
 
 	// failAt is the deterministic fault-injection seam of the
 	// crash-recovery tests: at the start of epoch failAt — after that
@@ -446,7 +458,7 @@ func ServeSlave(cfg Config, joinAddr, resAddr string, opts JoinOptions) (err err
 		close(t.done)
 		t.sever()
 	}()
-	if err := t.join(opts.MeshListen); err != nil {
+	if err := t.join(opts.MeshListen, opts.meshLn); err != nil {
 		return err
 	}
 	if err := t.connect(resAddr); err != nil {
@@ -489,18 +501,20 @@ func ServeSlave(cfg Config, joinAddr, resAddr string, opts JoinOptions) (err err
 	return nil
 }
 
-// join opens the mesh listener, dials the master and performs the first half
-// of the handshake: announce, learn our id and the roster. The control
-// connection's reads idle until the master admits us and — for a founder —
-// until the rest of the cluster has joined, hence the formation margin on
-// this phase's read deadline.
-func (t *tcpSlave) join(meshListen string) error {
+// join opens the mesh listener (or takes ml), dials the master and performs
+// the first half of the handshake: announce, learn our id and the roster.
+// The control connection's reads idle until the master admits us and — for
+// a founder — until the rest of the cluster has joined, hence the formation
+// margin on this phase's read deadline.
+func (t *tcpSlave) join(meshListen string, ml net.Listener) error {
 	if meshListen == "" {
 		meshListen = "127.0.0.1:0"
 	}
 	var err error
-	if t.ml, err = t.cfg.transport().Listen("tcp", meshListen); err != nil {
-		return err
+	if t.ml = ml; ml == nil {
+		if t.ml, err = t.cfg.transport().Listen("tcp", meshListen); err != nil {
+			return err
+		}
 	}
 	if t.mc, err = dialRetry(t.cfg.transport(), t.joinAddr, t.cfg.dialBudget()); err != nil {
 		return err

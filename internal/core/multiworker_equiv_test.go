@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"hash/fnv"
 	"net"
 	"reflect"
@@ -26,8 +25,6 @@ import (
 // across W. The per-epoch result summaries flowing back on the result
 // connection must match too.
 
-const mwEpochMs = 2_000
-
 // mwConfig is the deterministic multi-worker cluster shape: 8 one-partition
 // groups (so W=4 owns two groups per worker), live join configuration.
 func mwConfig() Config {
@@ -42,32 +39,6 @@ func mwConfig() Config {
 	return cfg
 }
 
-// mwRoundSig fingerprints one processing round of one group.
-type mwRoundSig struct {
-	Outputs    int64
-	Scanned    int64
-	SplitMoves int64
-	Ingested   int
-	Expired    int
-	Splits     int
-	Merges     int
-	PairsHash  uint64
-}
-
-func mwHashPairs(pairs []join.Pair) uint64 {
-	h := fnv.New64a()
-	var buf [17]byte
-	for _, p := range pairs {
-		buf[0] = byte(p.Probe.Stream)
-		binary.BigEndian.PutUint32(buf[1:5], uint32(p.Probe.Key))
-		binary.BigEndian.PutUint32(buf[5:9], uint32(p.Probe.TS))
-		binary.BigEndian.PutUint32(buf[9:13], uint32(p.Stored.Key))
-		binary.BigEndian.PutUint32(buf[13:17], uint32(p.Stored.TS))
-		h.Write(buf[:])
-	}
-	return h.Sum64()
-}
-
 // mwSchedule builds the deterministic message schedule: E epochs of tuple
 // batches demuxed over all 8 groups, with a state transfer installing a
 // populated group 5 midway (W=4 routes it to worker 1, W=1 to worker 0).
@@ -78,10 +49,10 @@ func mwSchedule(t *testing.T, cfg *Config, epochs int) []wire.Message {
 	now := int32(0)
 	for e := 0; e < epochs; e++ {
 		if e == epochs/2 {
-			msgs = append(msgs, mwTransfer(t, cfg))
+			msgs = append(msgs, donorTransfer(t, 5))
 		}
-		batch := workload.Merge(s1.Batch(now, now+mwEpochMs), s2.Batch(now, now+mwEpochMs))
-		now += mwEpochMs
+		batch := workload.Merge(s1.Batch(now, now+equivEpochMs), s2.Batch(now, now+equivEpochMs))
+		now += equivEpochMs
 		if e < epochs/2 {
 			// Group 5 is owned elsewhere until the state transfer moves it
 			// here; the master withholds a moving group's tuples exactly
@@ -99,24 +70,25 @@ func mwSchedule(t *testing.T, cfg *Config, epochs int) []wire.Message {
 	return append(msgs, &wire.Batch{Shutdown: true})
 }
 
-// mwTransfer extracts a deterministic populated group 5 from a donor module,
-// exactly as a supplying slave would.
-func mwTransfer(t *testing.T, cfg *Config) *wire.StateTransfer {
+// donorTransfer extracts a deterministic populated group g from a donor
+// module, exactly as a supplying slave would. It is small enough (a few KB
+// encoded) to sit under the batching threshold and share its frame with the
+// epoch batch that follows.
+func donorTransfer(t *testing.T, g int32) *wire.StateTransfer {
 	t.Helper()
-	donor := join.MustNew(cfg.joinConfig())
+	donor := join.MustNew(equivJoinConfig())
 	s1, s2 := workload.Pair(workload.Config{Rate: 60, Skew: 0.7, Domain: 50_000, Seed: 11})
 	now := int32(0)
 	for e := 0; e < 2; e++ {
-		donor.Process(5, now+mwEpochMs, workload.Merge(s1.Batch(now, now+mwEpochMs), s2.Batch(now, now+mwEpochMs)))
-		now += mwEpochMs
+		donor.Process(g, now+equivEpochMs, workload.Merge(s1.Batch(now, now+equivEpochMs), s2.Batch(now, now+equivEpochMs)))
+		now += equivEpochMs
 	}
-	g, ok := donor.Remove(5)
+	grp, ok := donor.Remove(g)
 	if !ok {
 		t.Fatal("donor group missing")
 	}
-	st := g.Extract()
-	pending := []tuple.Tuple{{Stream: tuple.S1, Key: 42, TS: now}}
-	return st.ToWire(1, pending)
+	st := grp.Extract()
+	return st.ToWire(1, []tuple.Tuple{{Stream: tuple.S1, Key: 42, TS: now}})
 }
 
 // captureSender records what a workerSet flush would send to the collector.
@@ -126,16 +98,20 @@ type captureSender struct {
 
 func (c *captureSender) SendAsync(m wire.Message) { c.sent = append(c.sent, m) }
 
+// mwOut is what runMultiWorker's slave side traced and read back.
 type mwOut struct {
-	traces        map[int32][]mwRoundSig
+	traces        map[int32]map[int32][]epochSig // query id → group → rounds
+	results       []wire.Message                 // per epoch, one result batch per query
 	workerOutputs []int64
 	err           any
 }
 
 // runMultiWorker ships the schedule over one real TCP connection into a
-// workerSet with W join workers and returns the per-group round traces, the
-// per-epoch result summaries the driver read back, and per-worker outputs.
-func runMultiWorker(t *testing.T, cfg Config, msgs []wire.Message, W int) (mwOut, []wire.Message) {
+// workerSet with W join workers and returns the per-query, per-group round
+// traces, the per-epoch result summaries the driver read back on a second
+// connection, and per-worker outputs. A single-query config traces
+// everything under query 0.
+func runMultiWorker(t *testing.T, cfg Config, msgs []wire.Message, W int) mwOut {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -147,6 +123,7 @@ func runMultiWorker(t *testing.T, cfg Config, msgs []wire.Message, W int) (mwOut
 	driverP := env.NewProc("driver")
 	slaveP := env.NewProc("slave")
 
+	queries := cfg.effectiveQueries()
 	slaveCh := make(chan mwOut, 1)
 	go func() {
 		var out mwOut
@@ -170,17 +147,25 @@ func runMultiWorker(t *testing.T, cfg Config, msgs []wire.Message, W int) (mwOut
 		// Deterministic round clock: pinned to the epoch boundary.
 		var epochNow atomic.Int32
 		ws.nowMs = func() int32 { return epochNow.Load() }
-		// Per-group traces: the map is fully populated before the workers
-		// start, and each group is observed by exactly one worker, so the
-		// hook needs no locking.
-		out.traces = make(map[int32][]mwRoundSig, cfg.NumGroups())
-		traces := make([]*[]mwRoundSig, cfg.NumGroups())
-		for g := 0; g < cfg.NumGroups(); g++ {
-			s := []mwRoundSig{}
-			traces[g] = &s
+		// Trace storage is fully populated before the workers start; each
+		// (query, group) cell is only ever appended to by the one worker
+		// that owns the group, so the hook needs no locking.
+		traces := make(map[int32][]*[]epochSig, len(queries))
+		for _, q := range queries {
+			cells := make([]*[]epochSig, cfg.NumGroups())
+			for g := range cells {
+				cells[g] = &[]epochSig{}
+			}
+			traces[q.ID] = cells
 		}
 		ws.onRound = func(_ int, g int32, r *join.RoundResult) {
-			*traces[g] = append(*traces[g], mwRoundSig{
+			cells, ok := traces[r.Query]
+			if !ok {
+				panic("round result for unregistered query")
+			}
+			h := fnv.New64a()
+			hashPairs(h, r.Pairs)
+			*cells[g] = append(*cells[g], epochSig{
 				Outputs:    r.Outputs,
 				Scanned:    r.Scanned,
 				SplitMoves: r.SplitMoves,
@@ -188,7 +173,7 @@ func runMultiWorker(t *testing.T, cfg Config, msgs []wire.Message, W int) (mwOut
 				Expired:    r.Expired,
 				Splits:     r.Splits,
 				Merges:     r.Merges,
-				PairsHash:  mwHashPairs(r.Pairs),
+				PairsHash:  h.Sum64(),
 			})
 		}
 
@@ -202,8 +187,12 @@ func runMultiWorker(t *testing.T, cfg Config, msgs []wire.Message, W int) (mwOut
 			case *wire.Batch:
 				if m.Shutdown {
 					engine.Flush(res)
-					for g := range traces {
-						out.traces[int32(g)] = *traces[g]
+					out.traces = make(map[int32]map[int32][]epochSig, len(queries))
+					for id, cells := range traces {
+						out.traces[id] = make(map[int32][]epochSig, len(cells))
+						for g := range cells {
+							out.traces[id][int32(g)] = *cells[g]
+						}
 					}
 					for _, w := range ws.workers {
 						out.workerOutputs = append(out.workerOutputs, w.outputs)
@@ -211,21 +200,29 @@ func runMultiWorker(t *testing.T, cfg Config, msgs []wire.Message, W int) (mwOut
 					return
 				}
 				ws.enqueue(m.Tuples)
-				epochNow.Store(int32(epoch+1) * mwEpochMs)
+				epochNow.Store(int32(epoch+1) * equivEpochMs)
 				ws.processUntil(time.Hour)
 				// The production flush merges the workers' result batches
-				// into one per-epoch summary; ship it on the result
-				// connection (or an empty batch, so the driver reads
-				// exactly one message per epoch).
+				// into at most one per registered query, stamped with its id;
+				// ship each query's (or an empty one) so the driver reads a
+				// fixed count per epoch.
 				var cap captureSender
 				ws.flushResults(&cap)
-				sum := &wire.ResultBatch{Slave: 0}
-				if len(cap.sent) == 1 {
-					sum = cap.sent[0].(*wire.ResultBatch)
-				} else if len(cap.sent) > 1 {
-					panic("flushResults sent more than one batch")
+				sums := make(map[int32]*wire.ResultBatch, len(queries))
+				for _, sm := range cap.sent {
+					rb := sm.(*wire.ResultBatch)
+					if _, ok := traces[rb.Query]; !ok || sums[rb.Query] != nil {
+						panic("flushResults sent a second batch, or one for an unregistered query")
+					}
+					sums[rb.Query] = rb
 				}
-				engine.SendBuffered(res, sum)
+				for _, q := range queries {
+					sum := sums[q.ID]
+					if sum == nil {
+						sum = &wire.ResultBatch{Slave: 0, Query: q.ID}
+					}
+					engine.SendBuffered(res, sum)
+				}
 				epoch++
 			default:
 				panic("unexpected message kind")
@@ -260,7 +257,7 @@ func runMultiWorker(t *testing.T, cfg Config, msgs []wire.Message, W int) (mwOut
 	var recvErr any
 	func() {
 		defer func() { recvErr = recover() }()
-		for i := 0; i < epochs; i++ {
+		for i := 0; i < epochs*len(queries); i++ {
 			results = append(results, resConn.Recv())
 		}
 	}()
@@ -272,8 +269,34 @@ func runMultiWorker(t *testing.T, cfg Config, msgs []wire.Message, W int) (mwOut
 	if recvErr != nil {
 		t.Fatalf("W=%d driver recv failed: %v", W, recvErr)
 	}
-	return out, results
+	out.results = results
+	return out
 }
+
+// compareTraces asserts two per-group trace sets are identical after
+// mapping each signature through sig (fullSig for a bit-for-bit comparison),
+// and returns got's total outputs.
+func compareTraces(t *testing.T, label string, groups int,
+	got, want map[int32][]epochSig, sig func(epochSig) epochSig) int64 {
+	t.Helper()
+	var total int64
+	for g := int32(0); g < int32(groups); g++ {
+		a, b := got[g], want[g]
+		if len(a) != len(b) {
+			t.Fatalf("%s: group %d: %d rounds vs %d", label, g, len(a), len(b))
+		}
+		for i := range a {
+			if sig(a[i]) != sig(b[i]) {
+				t.Fatalf("%s: group %d round %d diverged:\ngot  %+v\nwant %+v",
+					label, g, i, sig(a[i]), sig(b[i]))
+			}
+			total += a[i].Outputs
+		}
+	}
+	return total
+}
+
+func fullSig(s epochSig) epochSig { return s }
 
 // TestMultiWorkerEquivalence is the tentpole acceptance test: a W=4 slave
 // produces bit-identical join output to a W=1 slave over real TCP, while
@@ -283,35 +306,22 @@ func TestMultiWorkerEquivalence(t *testing.T) {
 	const epochs = 24
 	msgs := mwSchedule(t, &cfg, epochs)
 
-	out1, res1 := runMultiWorker(t, cfg, msgs, 1)
-	out4, res4 := runMultiWorker(t, cfg, msgs, 4)
+	out1 := runMultiWorker(t, cfg, msgs, 1)
+	out4 := runMultiWorker(t, cfg, msgs, 4)
 
-	var total, expired int64
+	total := compareTraces(t, "W=4 vs W=1", cfg.NumGroups(), out4.traces[0], out1.traces[0], fullSig)
+	var expired int64
 	rounds := 0
-	for g := int32(0); g < int32(cfg.NumGroups()); g++ {
-		t1, t4 := out1.traces[g], out4.traces[g]
-		if !reflect.DeepEqual(t1, t4) {
-			n := len(t1)
-			if len(t4) < n {
-				n = len(t4)
-			}
-			for i := 0; i < n; i++ {
-				if t1[i] != t4[i] {
-					t.Fatalf("group %d round %d diverged:\nW=1 %+v\nW=4 %+v", g, i, t1[i], t4[i])
-				}
-			}
-			t.Fatalf("group %d: %d rounds at W=1 vs %d at W=4", g, len(t1), len(t4))
-		}
-		for _, r := range t1 {
-			total += r.Outputs
+	for _, trace := range out1.traces[0] {
+		for _, r := range trace {
 			expired += int64(r.Expired)
 		}
-		rounds += len(t1)
+		rounds += len(trace)
 	}
 	if total == 0 || expired == 0 || rounds < epochs {
 		t.Fatalf("vacuous schedule: outputs=%d expired=%d rounds=%d", total, expired, rounds)
 	}
-	if !reflect.DeepEqual(res1, res4) {
+	if !reflect.DeepEqual(out1.results, out4.results) {
 		t.Fatal("per-epoch result summaries diverged between W=1 and W=4")
 	}
 

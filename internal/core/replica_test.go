@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"testing"
 	"time"
 
@@ -10,126 +9,6 @@ import (
 	"streamjoin/internal/tuple"
 	"streamjoin/internal/wire"
 )
-
-// TestCrashRecoveryEquivalence is the crash-recovery acceptance test: a
-// three-slave cluster loses one slave mid-run to a deterministic fault
-// injection (JoinOptions.failAt — the slave delivers everything it produced,
-// then severs every connection at an exact epoch boundary, with no timer
-// deciding what was in flight). With buddy replication on, the crashed
-// slave's windows are promoted from its buddy's shadows, so the run must
-// produce *exactly* the brute-force ground-truth pair multiset — the same
-// multiset the static baseline produces (TestElasticEquivalence
-// establishes that baseline == brute force). With replication off, the same
-// crash visibly loses pairs, and the master's PairsLost estimate says so.
-//
-// The injection epoch sits mid-reorganization-interval (epoch 15 of K=10
-// intervals), so the eviction races no planned movement: what it races is
-// the replica delta stream itself, flushed for epoch 15 an instant before
-// the crash.
-func TestCrashRecoveryEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock TCP test")
-	}
-	const failEpoch = 15 // 3.75s in: mid-interval, mid-workload
-	work := elasticWorkload(400, 8_000, 20, 48)
-	expected := bruteForcePairs(work)
-	if len(expected) < 1_000 {
-		t.Fatalf("vacuous workload: only %d expected pairs", len(expected))
-	}
-
-	run := func(t *testing.T, replicate bool) (map[pairFP]int, *fpSink, *Result) {
-		t.Helper()
-		cfg := elasticTestConfig()
-		cfg.MinSlaves = 3
-		cfg.Replicate = replicate
-		sink := newFPSink(t, false) // failAt delivers, then dies: sinks close cleanly
-		cfg.SinkAddr = sink.addr()
-
-		addrs := freePorts(t, 2)
-		ctl, res := addrs[0], addrs[1]
-		var wg sync.WaitGroup
-		slaveErr := make(chan error, cfg.Slaves)
-		for i := 0; i < cfg.Slaves; i++ {
-			opts := JoinOptions{}
-			if i == 0 {
-				opts.failAt = failEpoch
-			}
-			wg.Add(1)
-			go func(opts JoinOptions) {
-				defer wg.Done()
-				slaveErr <- ServeSlave(cfg, ctl, res, opts)
-			}(opts)
-		}
-		result, err := serveMaster(cfg, ctl, res, t.Logf,
-			&listIngestor{tuples: append([]tuple.Tuple(nil), work...)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Wait()
-		close(slaveErr)
-		failures := 0
-		for err := range slaveErr {
-			if err != nil {
-				failures++
-				t.Logf("slave exit (expected for the crashed one): %v", err)
-			}
-		}
-		if failures != 1 {
-			t.Errorf("%d slaves failed, want exactly 1 (the injected crash)", failures)
-		}
-		if result.Evictions != 1 {
-			t.Errorf("evictions = %d, want 1", result.Evictions)
-		}
-		return sink.finish(t), sink, result
-	}
-
-	t.Run("with-replication", func(t *testing.T) {
-		ms, sink, result := run(t, true)
-		diffMultisets(t, "crash with replication vs brute force", ms, expected)
-		if s := sink.tally.SeqDups(); s != 0 {
-			t.Errorf("collector flagged %d replayed batches — dedup had to absorb output", s)
-		}
-		if result.GroupsPromoted == 0 {
-			t.Error("no groups promoted from replicas — the crash recovery was vacuous")
-		}
-		if result.LostWindowTuples != 0 || result.PairsLost != 0 {
-			t.Errorf("master estimates loss despite full promotion: %d window tuples, %d pairs",
-				result.LostWindowTuples, result.PairsLost)
-		}
-		t.Logf("with replication: %d pairs (exact), %d groups promoted, pairs lost %d",
-			sink.tally.Pairs(), result.GroupsPromoted, result.PairsLost)
-	})
-
-	t.Run("without-replication", func(t *testing.T) {
-		ms, sink, result := run(t, false)
-		// The same crash without replicas: never an invented or duplicated
-		// pair, but strictly fewer than the ground truth — the lost windows
-		// are what the with-replication arm proves it keeps.
-		missing := 0
-		for fp, c := range expected {
-			if ms[fp] < c {
-				missing += c - ms[fp]
-			}
-		}
-		for fp, c := range ms {
-			if c > expected[fp] {
-				t.Fatalf("pair %+v delivered %d times, expected at most %d", fp, c, expected[fp])
-			}
-		}
-		if missing == 0 {
-			t.Error("no pairs lost without replication — the crash-recovery comparison is vacuous")
-		}
-		if result.GroupsPromoted != 0 {
-			t.Errorf("%d groups promoted with replication off", result.GroupsPromoted)
-		}
-		if result.LostWindowTuples == 0 || result.PairsLost == 0 {
-			t.Errorf("master failed to estimate the loss: %d window tuples, %d pairs",
-				result.LostWindowTuples, result.PairsLost)
-		}
-		t.Logf("without replication: %d pairs missing of %d, estimate %d (from %d window tuples)",
-			missing, sink.tally.Pairs()+int64(missing), result.PairsLost, result.LostWindowTuples)
-	})
-}
 
 // newTestMaster builds a masterNode with every slot joined and
 // active, for driving the eviction state machine directly — no connections,

@@ -1,15 +1,10 @@
 package core
 
 import (
-	"fmt"
-	"regexp"
-	"strconv"
-	"sync"
 	"testing"
 	"time"
 
 	"streamjoin/internal/engine"
-	"streamjoin/internal/faultnet"
 	"streamjoin/internal/tuple"
 	"streamjoin/internal/wire"
 )
@@ -316,232 +311,4 @@ func TestInstallmentSizeMeetsReorgDeadline(t *testing.T) {
 			}
 		}
 	}
-}
-
-// incrementalTestConfig shapes the equivalence clusters so transfers
-// genuinely stream: four large partition-groups (~190 window tuples each by
-// the end of the elastic workload) instead of the default sixty sparse ones,
-// and a small ChunkTuples, so every rebalanced group spans as many
-// installments as the reorganization deadline allows (t_r/t_d − 2 = 8).
-func incrementalTestConfig(chunk int) Config {
-	cfg := elasticTestConfig()
-	cfg.Partitions = 4
-	cfg.ChunkTuples = chunk
-	return cfg
-}
-
-// TestIncrementalTransferEquivalence is the acceptance test of streamed
-// state movement: over real TCP with W=4 join workers, a cluster whose
-// movements stream over many epochs while the supplier keeps processing must
-// produce exactly the brute-force pair multiset under a clean rebalance,
-// under a consumer crash mid-transfer with buddy replication recovering the
-// windows, and under injected wire latency.
-func TestIncrementalTransferEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock TCP test")
-	}
-	work := elasticWorkload(400, 8_000, 20, 48)
-	expected := bruteForcePairs(work)
-	if len(expected) < 1_000 {
-		t.Fatalf("vacuous workload: only %d expected pairs", len(expected))
-	}
-
-	type slaveSpec struct {
-		cfg   Config
-		opts  JoinOptions
-		delay time.Duration
-	}
-	// runCluster also returns the master's membership log.
-	runCluster := func(t *testing.T, masterCfg Config, slaves []slaveSpec, tolerateSlaveErr bool) (*Result, int, []string) {
-		t.Helper()
-		var logMu sync.Mutex
-		var logLines []string
-		logf := func(format string, args ...any) {
-			logMu.Lock()
-			logLines = append(logLines, fmt.Sprintf(format, args...))
-			logMu.Unlock()
-			t.Logf(format, args...)
-		}
-		addrs := freePorts(t, 2)
-		ctl, res := addrs[0], addrs[1]
-		var wg sync.WaitGroup
-		slaveErr := make(chan error, len(slaves))
-		for _, sp := range slaves {
-			wg.Add(1)
-			go func(sp slaveSpec) {
-				defer wg.Done()
-				if sp.delay > 0 {
-					time.Sleep(sp.delay)
-				}
-				if err := ServeSlave(sp.cfg, ctl, res, sp.opts); err != nil {
-					slaveErr <- err
-				}
-			}(sp)
-		}
-		result, err := serveMaster(masterCfg, ctl, res, logf,
-			&listIngestor{tuples: append([]tuple.Tuple(nil), work...)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Wait()
-		close(slaveErr)
-		failures := 0
-		for err := range slaveErr {
-			failures++
-			if tolerateSlaveErr {
-				t.Logf("slave exit (expected for the crashed one): %v", err)
-			} else {
-				t.Error(err)
-			}
-		}
-		logMu.Lock()
-		defer logMu.Unlock()
-		return result, failures, logLines
-	}
-
-	t.Run("scale-out-incremental", func(t *testing.T) {
-		// 2 → 3: the joiner's rebalance streams each moved group over many
-		// epochs while its old owner keeps processing it, and the multiset
-		// must still be exact.
-		cfg := incrementalTestConfig(16)
-		cfg.MinSlaves = 2
-		sink := newFPSink(t, false)
-		cfg.SinkAddr = sink.addr()
-
-		result, _, _ := runCluster(t, cfg, []slaveSpec{
-			{cfg: cfg},
-			{cfg: cfg},
-			{cfg: cfg, delay: 3 * time.Second},
-		}, false)
-
-		if result.Joins != 3 {
-			t.Errorf("joins = %d, want 3", result.Joins)
-		}
-		if result.Evictions != 0 || result.Leaves != 0 {
-			t.Errorf("unexpected departures: %d evictions, %d leaves", result.Evictions, result.Leaves)
-		}
-		if result.GroupsRebalanced == 0 {
-			t.Error("no groups rebalanced toward the joiner — no transfer ever streamed")
-		}
-		if result.MovesCompleted == 0 {
-			t.Error("no movements completed — every transfer stalled")
-		}
-		if result.MovesDegraded != 0 {
-			t.Errorf("%d moves degraded on a healthy cluster", result.MovesDegraded)
-		}
-		diffMultisets(t, "incremental scale-out vs brute force", sink.finish(t), expected)
-		if s := sink.tally.SeqDups(); s != 0 {
-			t.Errorf("collector flagged %d replayed batches", s)
-		}
-		t.Logf("incremental scale-out: %d pairs (exact), %d rebalanced, %d moves completed",
-			sink.tally.Pairs(), result.GroupsRebalanced, result.MovesCompleted)
-	})
-
-	t.Run("crash-mid-transfer", func(t *testing.T) {
-		// The joiner dies while its rebalance is still streaming in (small
-		// chunks over big groups guarantee the transfers span the kill
-		// epoch). The supplier aborts its outgoing streams, the master
-		// unwinds the in-flight moves, and — with buddy replication on — the
-		// lost-in-transit windows are promoted from the suppliers' buddies:
-		// the output must still be the exact brute-force multiset.
-		cfg := incrementalTestConfig(8)
-		cfg.MinSlaves = 2
-		cfg.Replicate = true
-		sink := newFPSink(t, true) // the killed joiner tears its sink mid-frame
-		cfg.SinkAddr = sink.addr()
-
-		result, failures, logLines := runCluster(t, cfg, []slaveSpec{
-			{cfg: cfg},
-			{cfg: cfg},
-			// Joins ~3s in (epoch ~12), participates from the next reorg
-			// boundary (epoch 20) when the rebalance transfers start, and is
-			// killed three epochs later with those streams still in flight.
-			{cfg: cfg, opts: JoinOptions{failAt: 23}, delay: 3 * time.Second},
-		}, true)
-
-		if failures != 1 {
-			t.Errorf("%d slaves failed, want exactly 1 (the injected crash)", failures)
-		}
-		if result.Evictions != 1 {
-			t.Errorf("evictions = %d, want 1", result.Evictions)
-		}
-		if result.GroupsRebalanced == 0 {
-			t.Error("no groups rebalanced toward the joiner before the crash — the kill raced nothing")
-		}
-		// The kill must land mid-stream. Streams open at epoch 20 and the
-		// joiner dies before its Hello of epoch 23, so the master must find
-		// moves toward it still in flight, and even the smallest group moved
-		// must have had installments left to send: what arrived before the
-		// directive epoch alone makes a snapshot of at least four of them.
-		unwound := 0
-		unwoundRE := regexp.MustCompile(`(\d+) in-flight moves unwound`)
-		for _, line := range logLines {
-			if m := unwoundRE.FindStringSubmatch(line); m != nil {
-				unwound, _ = strconv.Atoi(m[1])
-			}
-		}
-		if unwound == 0 {
-			t.Error("the joiner died with no move in flight toward it — the kill missed the streams")
-		}
-		perGroup := make(map[int32]int)
-		for _, tp := range work {
-			if tp.TS < 19*cfg.DistEpochMs {
-				perGroup[cfg.GroupOfKey(tp.Key)]++
-			}
-		}
-		for g, n := range perGroup {
-			if size := cfg.installmentSize(n); (n+size-1)/size < 4 {
-				t.Errorf("group %d: a %d-tuple snapshot streams in %d installments, want >= 4 so epoch 23 is mid-stream",
-					g, n, (n+size-1)/size)
-			}
-		}
-		ms := sink.finish(t)
-		diffMultisets(t, "crash mid-transfer vs brute force", ms, expected)
-		if s := sink.tally.SeqDups(); s != 0 {
-			t.Errorf("collector flagged %d replayed batches — dedup had to absorb output", s)
-		}
-		if result.LostWindowTuples != 0 || result.PairsLost != 0 {
-			t.Errorf("master estimates loss despite promotion: %d window tuples, %d pairs",
-				result.LostWindowTuples, result.PairsLost)
-		}
-		t.Logf("crash mid-transfer: %d pairs (exact), %d promoted, %d rebalanced, %d evictions",
-			sink.tally.Pairs(), result.GroupsPromoted, result.GroupsRebalanced, result.Evictions)
-	})
-
-	t.Run("chaos-latency", func(t *testing.T) {
-		// Seeded 10-20ms latency on every write of every connection while the
-		// joiner's rebalance streams installment by installment: slow wires stretch the
-		// installment schedule but may not lose, duplicate, or reorder
-		// anything, and latency is still not death.
-		cfg := incrementalTestConfig(16)
-		cfg.MinSlaves = 2
-		sink := newFPSink(t, false)
-		cfg.SinkAddr = sink.addr()
-		dialRule := &faultnet.Rule{Latency: 10 * time.Millisecond, Jitter: 10 * time.Millisecond}
-		acceptRule := &faultnet.Rule{Listen: true, Latency: 10 * time.Millisecond, Jitter: 10 * time.Millisecond}
-		cfg.Transport = faultnet.New(7, dialRule, acceptRule)
-
-		result, _, _ := runCluster(t, cfg, []slaveSpec{
-			{cfg: cfg},
-			{cfg: cfg},
-			{cfg: cfg, delay: 3 * time.Second},
-		}, false)
-
-		if result.Evictions != 0 || result.Leaves != 0 {
-			t.Errorf("latency caused departures: %d evictions, %d leaves", result.Evictions, result.Leaves)
-		}
-		if result.GroupsRebalanced == 0 {
-			t.Error("no groups rebalanced under latency — no transfer ever streamed")
-		}
-		if result.MovesDegraded != 0 {
-			t.Errorf("latency degraded %d moves", result.MovesDegraded)
-		}
-		diffMultisets(t, "chaos-latency incremental vs brute force", sink.finish(t), expected)
-		if s := sink.tally.SeqDups(); s != 0 {
-			t.Errorf("collector flagged %d replayed batches", s)
-		}
-		if dialRule.Fired() == 0 || acceptRule.Fired() == 0 {
-			t.Errorf("latency rules never fired (dial %d, accept %d)", dialRule.Fired(), acceptRule.Fired())
-		}
-	})
 }

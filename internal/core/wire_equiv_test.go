@@ -48,7 +48,7 @@ func equivSchedule(t *testing.T, epochs int) []wire.Message {
 	now := int32(0)
 	for e := 0; e < epochs; e++ {
 		if e == epochs/2 {
-			msgs = append(msgs, equivTransfer(t))
+			msgs = append(msgs, donorTransfer(t, 1))
 		}
 		batch := workload.Merge(s1.Batch(now, now+equivEpochMs), s2.Batch(now, now+equivEpochMs))
 		now += equivEpochMs
@@ -58,38 +58,11 @@ func equivSchedule(t *testing.T, epochs int) []wire.Message {
 	return msgs
 }
 
-// equivTransfer extracts a deterministic populated group 1 from a donor
-// module, exactly as a supplying slave would.
-func equivTransfer(t *testing.T) *wire.StateTransfer {
-	t.Helper()
-	// Small enough (few KB encoded) to sit under the batching threshold and
-	// share its frame with the epoch batch that follows.
-	donor := join.MustNew(equivJoinConfig())
-	s1, s2 := workload.Pair(workload.Config{Rate: 60, Skew: 0.7, Domain: 50_000, Seed: 11})
-	now := int32(0)
-	for e := 0; e < 2; e++ {
-		donor.Process(1, now+equivEpochMs, workload.Merge(s1.Batch(now, now+equivEpochMs), s2.Batch(now, now+equivEpochMs)))
-		now += equivEpochMs
-	}
-	g, ok := donor.Remove(1)
-	if !ok {
-		t.Fatal("donor group missing")
-	}
-	st := g.Extract()
-	pending := []tuple.Tuple{{Stream: tuple.S1, Key: 42, TS: now}}
-	return st.ToWire(1, pending)
-}
-
 // equivJoinConfig is the live engine's join configuration (hash prober,
 // block expiry) at a window short enough for expiry to fire mid-schedule.
 func equivJoinConfig() join.Config {
-	return join.Config{
-		WindowMs: 8_000,
-		Theta:    16 << 10,
-		FineTune: true,
-		Mode:     join.ModeHash,
-		Expiry:   join.ExpiryBlocks,
-	}
+	cfg := mwConfig()
+	return cfg.joinConfig()
 }
 
 func hashPairs(h hash.Hash64, pairs []join.Pair) {
