@@ -72,64 +72,119 @@ func randomBody(r *rand.Rand) []byte {
 	return buf
 }
 
-// FuzzUnmarshal: Unmarshal returns an error or a message, never panics, on
-// any input — the safety property the TCP deployment relies on for
-// untrusted frames. The seeds are a valid encoding of every kind, random
-// bodies behind every kind byte, and encodings with bits flipped.
-func FuzzUnmarshal(f *testing.F) {
-	r := rand.New(rand.NewSource(7))
-	for _, m := range mutationBase() {
-		base := Marshal(m)
-		f.Add(base)
-		for range soak(500, 50) {
-			f.Add(flipBits(r, base, 4))
-		}
-	}
-	for range soak(2000, 100) {
-		f.Add(randomBody(r))
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = Unmarshal(data)
-	})
+// randomEnvelope is a batched-frame envelope of a random count over a
+// random body.
+func randomEnvelope(r *rand.Rand) []byte {
+	body := randomBody(r)
+	frame := make([]byte, 0, 9+len(body))
+	frame = binary.BigEndian.AppendUint32(frame, uint32(5+len(body)))
+	frame = append(frame, byte(KindFrameBatch))
+	frame = binary.BigEndian.AppendUint32(frame, uint32(r.Intn(64)))
+	return append(frame, body...)
 }
 
-// FuzzFrameReader: a FrameReader surfaces malformed input as an error,
-// never a panic — the hardened loop the live transports run. The seeds are
-// a well-formed multi-message frame of every kind, that frame with bits
-// flipped (corrupted counts, lengths, kinds and bodies), and batch
-// envelopes of random counts over random bodies.
-func FuzzFrameReader(f *testing.F) {
-	var base bytes.Buffer
-	fw := NewFrameWriter(&base, 0)
-	for _, m := range mutationBase() {
+// multiFrame is one well-formed frame holding every message of msgs.
+func multiFrame(tb testing.TB, msgs []Message) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	fw := NewFrameWriter(&buf, 0)
+	for _, m := range msgs {
 		if err := fw.Append(m); err != nil {
-			f.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	if err := fw.Flush(); err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
-	f.Add(base.Bytes())
+	return buf.Bytes()
+}
+
+// unmarshalSafely decodes data, reporting a panic as a test failure.
+func unmarshalSafely(t *testing.T, data []byte) {
+	t.Helper()
+	defer func() {
+		if rec := recover(); rec != nil {
+			t.Errorf("panic on %d bytes: %v", len(data), rec)
+		}
+	}()
+	_, _ = Unmarshal(data)
+}
+
+// drainFrames pulls messages from a FrameReader until an error, reporting a
+// panic as a test failure. It is the hardened loop the live transports run.
+func drainFrames(t *testing.T, raw []byte) {
+	t.Helper()
+	defer func() {
+		if rec := recover(); rec != nil {
+			t.Errorf("panic on %d-byte stream: %v", len(raw), rec)
+		}
+	}()
+	fr := NewFrameReader(bytes.NewReader(raw))
+	for {
+		if _, err := fr.Next(); err != nil {
+			return
+		}
+	}
+}
+
+// TestUnmarshalNeverPanics feeds random bodies behind every kind byte to
+// Unmarshal; it must return an error or a message, never panic. This is the
+// safety property the TCP deployment relies on for untrusted frames.
+func TestUnmarshalNeverPanics(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for range soak(2000, 100) {
+		unmarshalSafely(t, randomBody(r))
+	}
+}
+
+// TestMutatedFramesNeverPanic flips bits of a valid encoding of every kind.
+func TestMutatedFramesNeverPanic(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	for _, m := range mutationBase() {
+		base := Marshal(m)
+		for range soak(500, 50) {
+			unmarshalSafely(t, flipBits(r, base, 4))
+		}
+	}
+}
+
+// TestBatchDecoderNeverPanics feeds batched-frame envelopes of random counts
+// over random bodies, behind every kind byte, to the FrameReader. Malformed
+// input must surface as an error, never a panic.
+func TestBatchDecoderNeverPanics(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	for range soak(2000, 100) {
+		drainFrames(t, randomEnvelope(r))
+	}
+}
+
+// TestMutatedBatchFramesNeverPanic flips bits of a well-formed frame holding
+// a message of every kind: corrupted counts, lengths, kinds and bodies must
+// all be rejected without panicking.
+func TestMutatedBatchFramesNeverPanic(t *testing.T) {
+	base := multiFrame(t, mutationBase())
 	r := rand.New(rand.NewSource(11))
 	for range soak(500, 50) {
-		f.Add(flipBits(r, base.Bytes(), 6))
+		drainFrames(t, flipBits(r, base, 6))
 	}
-	for range soak(2000, 100) {
-		body := randomBody(r)
-		frame := make([]byte, 0, 9+len(body))
-		frame = binary.BigEndian.AppendUint32(frame, uint32(5+len(body)))
-		frame = append(frame, byte(KindFrameBatch))
-		frame = binary.BigEndian.AppendUint32(frame, uint32(r.Intn(64)))
-		f.Add(append(frame, body...))
+}
+
+// FuzzUnmarshal is the open-ended form of the two Unmarshal tests above
+// (go test -fuzz FuzzUnmarshal), seeded with a valid encoding of every kind.
+func FuzzUnmarshal(f *testing.F) {
+	for _, m := range mutationBase() {
+		f.Add(Marshal(m))
 	}
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		fr := NewFrameReader(bytes.NewReader(raw))
-		for {
-			if _, err := fr.Next(); err != nil {
-				return
-			}
-		}
-	})
+	f.Fuzz(unmarshalSafely)
+}
+
+// FuzzFrameReader is the open-ended form of the two FrameReader tests above
+// (go test -fuzz FuzzFrameReader), seeded with a well-formed frame of every
+// kind and one random envelope.
+func FuzzFrameReader(f *testing.F) {
+	f.Add(multiFrame(f, mutationBase()))
+	f.Add(randomEnvelope(rand.New(rand.NewSource(13))))
+	f.Fuzz(drainFrames)
 }
 
 // TestTruncatedBatchFramesNeverPanic replays every prefix of a well-formed
