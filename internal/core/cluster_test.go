@@ -103,20 +103,21 @@ type clusterRun struct {
 	out          clusterOut
 }
 
-// setupCluster opens a row's master listeners, sink and pinned mesh
+// setupCluster opens a row's sink, master listeners and pinned mesh
 // listeners, and aims its fault rules.
 func setupCluster(t *testing.T, row clusterRow) *clusterRun {
 	t.Helper()
 	r := &clusterRun{row: row, cfg: row.cfg, slaves: slices.Clone(row.slaves), done: make(chan struct{})}
 	var err error
-	if r.ctlLn, r.resLn, err = listenMaster(&r.cfg, "127.0.0.1:0", "127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
 	if row.sink != noSink {
 		if r.sink, err = newFPSink(row.sink == tolerantSink); err != nil {
 			t.Fatal(err)
 		}
 		r.cfg.SinkAddr = r.sink.addr()
+	}
+	// Listening validates the config, so the one served is the one checked.
+	if r.ctlLn, r.resLn, err = listenMaster(&r.cfg, "127.0.0.1:0", "127.0.0.1:0"); err != nil {
+		t.Fatal(err)
 	}
 	mesh := make([]string, len(r.slaves))
 	for i := range r.slaves {

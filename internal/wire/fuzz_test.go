@@ -53,6 +53,13 @@ func mutationBase() []Message {
 	}
 }
 
+// frameBase is the batched-frame mutation base: the field-rich messages of
+// every kind, tuple-bearing Batch and StateTransfer included.
+func frameBase() []Message {
+	r := rand.New(rand.NewSource(5))
+	return append(sampleMessages(), randWindowDelta(r, 4, 4), randStateChunk(r, 4, 4))
+}
+
 // flipBits returns a copy of base with 1 to maxFlips random bits flipped.
 func flipBits(r *rand.Rand, base []byte, maxFlips int) []byte {
 	buf := append([]byte(nil), base...)
@@ -159,10 +166,10 @@ func TestBatchDecoderNeverPanics(t *testing.T) {
 }
 
 // TestMutatedBatchFramesNeverPanic flips bits of a well-formed frame holding
-// a message of every kind: corrupted counts, lengths, kinds and bodies must
-// all be rejected without panicking.
+// a field-rich message of every kind: corrupted counts, lengths, kinds and
+// bodies must all be rejected without panicking.
 func TestMutatedBatchFramesNeverPanic(t *testing.T) {
-	base := multiFrame(t, mutationBase())
+	base := multiFrame(t, frameBase())
 	r := rand.New(rand.NewSource(11))
 	for range soak(500, 50) {
 		drainFrames(t, flipBits(r, base, 6))
@@ -170,9 +177,9 @@ func TestMutatedBatchFramesNeverPanic(t *testing.T) {
 }
 
 // FuzzUnmarshal is the open-ended form of the two Unmarshal tests above
-// (go test -fuzz FuzzUnmarshal), seeded with a valid encoding of every kind.
+// (go test -fuzz FuzzUnmarshal), seeded with both mutation bases' encodings.
 func FuzzUnmarshal(f *testing.F) {
-	for _, m := range mutationBase() {
+	for _, m := range append(mutationBase(), frameBase()...) {
 		f.Add(Marshal(m))
 	}
 	f.Fuzz(unmarshalSafely)
@@ -182,7 +189,7 @@ func FuzzUnmarshal(f *testing.F) {
 // (go test -fuzz FuzzFrameReader), seeded with a well-formed frame of every
 // kind and one random envelope.
 func FuzzFrameReader(f *testing.F) {
-	f.Add(multiFrame(f, mutationBase()))
+	f.Add(multiFrame(f, frameBase()))
 	f.Add(randomEnvelope(rand.New(rand.NewSource(13))))
 	f.Fuzz(drainFrames)
 }
