@@ -103,8 +103,17 @@ func Bind(fs *flag.FlagSet) func() core.Config {
 		replTTL  = fs.Int("replica-ttl", def.ReplicaTTL, "epochs a buddy retains a replica not refreshed by its owner before discarding it (0 = default)")
 		wiredl   = fs.Duration("wire-deadline", 30*time.Second, "per-operation write deadline on every live connection; idle read deadlines derive from it (0 disables all wire deadlines)")
 		formto   = fs.Duration("form-timeout", 2*time.Minute, "cluster formation timeout: how long the master waits for the founding slaves")
-		spool    = fs.Int64("sink-spool", 1<<20, "bytes of pair batches spooled in memory while a downstream sink connection is being re-dialed; overflow is dropped and accounted (0 = legacy fail-fast: first sink write error kills the slave)")
 	)
+	spool := int64(1 << 20)
+	fs.Func("sink-spool", "bytes of pair batches spooled in memory while a downstream sink connection is being re-dialed; overflow is dropped and accounted; must be > 0 (default 1048576)",
+		func(v string) error {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil || n <= 0 {
+				return fmt.Errorf("sink spool %q: want a byte count > 0", v)
+			}
+			spool = n
+			return nil
+		})
 	// -query replaces -sink and -prober. Each callback records its flag, so
 	// whichever of a conflicting pair is parsed second fails, in either order.
 	single, multi := "", false // the single-query flag given; whether -query was
@@ -197,11 +206,7 @@ func Bind(fs *flag.FlagSet) func() core.Config {
 			cfg.WireDeadlineMs = int32(*wiredl / time.Millisecond)
 		}
 		cfg.FormTimeoutMs = int32(*formto / time.Millisecond)
-		if *spool <= 0 {
-			cfg.SinkSpoolBytes = -1
-		} else {
-			cfg.SinkSpoolBytes = *spool
-		}
+		cfg.SinkSpoolBytes = spool
 		return cfg
 	}
 }

@@ -96,8 +96,8 @@ func TestWireHardeningFlags(t *testing.T) {
 			wire: 5_000, form: 45_000, spool: 4 << 20},
 		// Zero on the flag surface means "off", which the Config encodes as
 		// the negative sentinel (0 there means "use the default").
-		{name: "disabled", args: []string{"-wire-deadline", "0", "-sink-spool", "0"},
-			wire: -1, form: 120_000, spool: -1},
+		{name: "disabled", args: []string{"-wire-deadline", "0"},
+			wire: -1, form: 120_000, spool: 1 << 20},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := parse(tc.args...)
@@ -110,6 +110,15 @@ func TestWireHardeningFlags(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+	// The spool cannot be switched off: a sink always redials.
+	for _, v := range []string{"0", "-1", "lots"} {
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		fs.SetOutput(discard{})
+		Bind(fs)
+		if err := fs.Parse([]string{"-sink-spool", v}); err == nil {
+			t.Errorf("-sink-spool %s accepted", v)
+		}
 	}
 }
 

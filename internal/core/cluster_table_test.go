@@ -281,6 +281,45 @@ func clusterTable() []clusterRow {
 					out.tally.Pairs(), out.res.GroupsRebalanced, out.res.RebalanceStallMs)
 			}})
 	}
+	{
+		// 2 → 1 → 2: slave 1 leaves gracefully 1.5s in, draining every group
+		// to slave 0 at once; the master releases it at a reorganization
+		// boundary (≈5.5s), and a third process joining at 6.5s takes its
+		// slot. The drain and the rebalance toward the joiner move state
+		// losslessly, so the multiset must equal the ground truth exactly.
+		// The workload runs to 11s so the joiner joins tuples too; its
+		// sink restarts slot 1's emission sequence, which the collector
+		// flags, as it does for any reused slave id.
+		cfg := elasticTestConfig()
+		cfg.Slaves = 2
+		slaves := slavesAt(cfg, 0, 400*ms, 6_500*ms)
+		slaves[1].leaveAt = 1_500 * ms
+		work := elasticWorkload(400, 11_000, 20, 48)
+		want := bruteForcePairs(work)
+		add(clusterRow{suite: "TestElasticEquivalence", name: "leave-then-rejoin",
+			cfg: cfg, work: work, sink: strictSink, slaves: slaves,
+			check: func(t *testing.T, out *clusterOut) {
+				if out.res.Joins != 3 || out.res.Leaves != 1 || out.res.Evictions != 0 {
+					t.Errorf("joins %d, leaves %d, evictions %d; want 3, 1, 0",
+						out.res.Joins, out.res.Leaves, out.res.Evictions)
+				}
+				admitted := 0
+				for _, line := range out.log {
+					if strings.HasPrefix(line, "membership: slave 1 joined") {
+						admitted++
+					}
+				}
+				if admitted != 2 {
+					t.Errorf("slot 1 admitted %d times, want 2: the joiner did not take the leaver's slot", admitted)
+				}
+				if missing, extra := oracleDiff(t, out, want); missing > 0 || extra > 0 {
+					t.Errorf("%d pairs missing, %d unexpected", missing, extra)
+				}
+				if out.tally.SeqDups() == 0 {
+					t.Error("slot 1's second occupant emitted nothing the collector could tell apart")
+				}
+			}})
+	}
 	// 3 → 2: one slave is killed 4s in (every connection severed at once).
 	// The master must detect the crash within the heartbeat budget, re-adopt
 	// the lost groups, and finish: the result is a subset of the ground

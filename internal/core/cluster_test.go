@@ -64,13 +64,15 @@ const (
 
 // slaveSpec is one slave of a row, dialing at offset at from the master's
 // start. A slave with killAt or opts.failAt set must fail and be evicted;
-// any other must neither fail nor leave.
+// one with leaveAt set must leave gracefully; any other must neither fail
+// nor leave.
 type slaveSpec struct {
-	cfg    Config
-	opts   JoinOptions
-	at     time.Duration
-	pin    bool          // its mesh listener is opened up front, for aim
-	killAt time.Duration // when > 0, every connection is severed at this offset
+	cfg     Config
+	opts    JoinOptions
+	at      time.Duration
+	pin     bool          // its mesh listener is opened up front, for aim
+	killAt  time.Duration // when > 0, every connection is severed at this offset
+	leaveAt time.Duration // when > 0, a graceful leave is requested at this offset
 	// serve, when set, replaces ServeSlave(cfg, ctl, res, opts).
 	serve func(cfg Config, ctl, res string) error
 }
@@ -184,6 +186,11 @@ func (r *clusterRun) runCluster() {
 				close(kill)
 			}()
 		}
+		if sp.leaveAt > 0 {
+			leave := make(chan struct{})
+			sp.opts.Leave = leave
+			time.AfterFunc(sp.leaveAt-time.Since(t0), func() { close(leave) })
+		}
 		serve := sp.serve
 		if serve == nil {
 			serve = func(cfg Config, ctl, res string) error { return ServeSlave(cfg, ctl, res, sp.opts) }
@@ -227,10 +234,13 @@ func (r *clusterRun) assert(t *testing.T) {
 	if out.err != nil {
 		t.Fatal(out.err)
 	}
-	crashes := 0
+	crashes, leaves := 0, 0
 	for _, sp := range r.row.slaves {
 		if sp.killAt > 0 || sp.opts.failAt > 0 {
 			crashes++
+		}
+		if sp.leaveAt > 0 {
+			leaves++
 		}
 	}
 	if len(out.slaveErrs) != crashes {
@@ -240,8 +250,8 @@ func (r *clusterRun) assert(t *testing.T) {
 			t.Logf("slave exit (expected for the crashed one): %v", err)
 		}
 	}
-	if out.res.Evictions != crashes || out.res.Leaves != 0 {
-		t.Errorf("%d evictions, %d leaves; want %d and 0", out.res.Evictions, out.res.Leaves, crashes)
+	if out.res.Evictions != crashes || out.res.Leaves != leaves {
+		t.Errorf("%d evictions, %d leaves; want %d and %d", out.res.Evictions, out.res.Leaves, crashes, leaves)
 	}
 	for _, err := range out.sinkErrs {
 		t.Errorf("sink consumer: %v", err)

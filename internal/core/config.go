@@ -265,8 +265,7 @@ type Config struct {
 	// SinkSpoolBytes bounds the pair bytes a slave's SocketSink spools in
 	// memory while reconnecting to a dead downstream consumer; batches
 	// beyond the cap are dropped and accounted (Stats dropped counter).
-	// 0 means the default 1 MiB; negative disables reconnection entirely,
-	// restoring the pre-PR-9 fail-fast drop.
+	// 0 means the default 1 MiB.
 	SinkSpoolBytes int64
 }
 
@@ -360,6 +359,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("core: FormTimeoutMs = %d, want >= 0 (0 = default)", c.FormTimeoutMs)
 	case c.DialBudgetMs < 0:
 		return fmt.Errorf("core: DialBudgetMs = %d, want >= 0 (0 = default)", c.DialBudgetMs)
+	case c.SinkSpoolBytes < 0:
+		return fmt.Errorf("core: SinkSpoolBytes = %d, want >= 0 (0 = default)", c.SinkSpoolBytes)
 	case c.CountOnly && c.Sink != nil:
 		return fmt.Errorf("core: CountOnly skips materialization, so Sink would never fire")
 	case c.SinkAddr != "" && c.CountOnly:
@@ -654,18 +655,6 @@ func (c *Config) dialBudget() time.Duration {
 		return time.Duration(c.DialBudgetMs) * time.Millisecond
 	}
 	return 20 * time.Second
-}
-
-// sinkSpool resolves SinkSpoolBytes (0 = default 1 MiB; negative = no
-// reconnection, the legacy fail-fast sink).
-func (c *Config) sinkSpool() int64 {
-	switch {
-	case c.SinkSpoolBytes < 0:
-		return -1
-	case c.SinkSpoolBytes == 0:
-		return 1 << 20
-	}
-	return c.SinkSpoolBytes
 }
 
 // replicaTTL resolves ReplicaTTL (0 = default 8 owner epochs).

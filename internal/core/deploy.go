@@ -234,6 +234,13 @@ func (cp *controlPlane) pong(c net.Conn, ec engine.Conn, msg *wire.Ping) {
 	}
 	cp.register(id, func() { c.Close() })
 	leaveSent := false
+	defer func() {
+		if leaveSent {
+			// A leaver's stream ends when it is released: its last ping
+			// must not outlive it and declare the slot's next occupant dead.
+			cp.hb.clear(id)
+		}
+	}()
 	for {
 		cp.hb.observe(id)
 		if msg.Leave && !leaveSent {
@@ -305,10 +312,12 @@ func serveMaster(cfg Config, ctlLn, resLn net.Listener, logf func(string, ...any
 	cfg.Mode = cfg.LiveProber
 	cfg.Expiry = join.ExpiryBlocks
 
-	lm := newLiveMaster(&cfg, make([]engine.Conn, cfg.Slaves), ing)
+	lm := newLiveMaster(&cfg, ing)
 	defer lm.feedStop.Store(true)
 	master := lm.master
-	clear(master.joined) // slots fill by admission
+	for i := range master.slots {
+		master.slots[i].phase = phaseFree // slots fill by admission
+	}
 	master.logfn = logf
 	cp := newControlPlane(&cfg, lm)
 	defer cp.sever(-1)

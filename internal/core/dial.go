@@ -116,17 +116,12 @@ func dialRetry(tr engine.Transport, addr string, budget time.Duration) (net.Conn
 	return d.dial(context.Background(), addr)
 }
 
-// newPairSink builds the deployment-side SocketSink for a consumer at addr:
-// reconnect-with-bounded-spool by default, or the legacy fail-fast sink when
-// SinkSpoolBytes is negative. Redialed connections get the same write
-// deadline as the original.
+// newPairSink builds the deployment-side SocketSink for a consumer at addr,
+// spooling up to SinkSpoolBytes (0 = the engine's default) while it redials.
+// Redialed connections get the same write deadline as the original.
 func (c *Config) newPairSink(p *engine.LiveProc, conn io.WriteCloser, slave int32, addr string) *engine.SocketSink {
-	spool := c.sinkSpool()
-	if spool <= 0 {
-		return engine.NewSocketSink(p, conn, slave, 0)
-	}
 	return engine.NewSocketSinkWith(p, conn, slave, engine.SinkOptions{
-		SpoolBytes: spool,
+		SpoolBytes: c.SinkSpoolBytes,
 		Redial: func() (io.WriteCloser, error) {
 			nc, err := c.transport().DialTimeout("tcp", addr, dialPerAttempt)
 			if err != nil {

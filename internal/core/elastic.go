@@ -56,15 +56,11 @@ func (m *masterNode) logf(format string, args ...any) {
 	}
 }
 
-// member reports whether slot i is on the roster: joined, not dead, not
-// released.
-func (m *masterNode) member(i int) bool { return m.joined[i] && !m.dead[i] && !m.shutdownSent[i] }
-
 // memberCount is the current roster size.
 func (m *masterNode) memberCount() int {
 	n := 0
-	for i := range m.joined {
-		if m.member(i) {
+	for i := range m.slots {
+		if m.slots[i].member() {
 			n++
 		}
 	}
@@ -74,9 +70,9 @@ func (m *masterNode) memberCount() int {
 // membershipFor builds the roster announcement for slave id.
 func (m *masterNode) membershipFor(id int32) *wire.Membership {
 	ms := &wire.Membership{Epoch: m.memEpoch, Self: id}
-	for i := 0; i < m.cfg.Slaves; i++ {
-		if m.member(i) {
-			ms.Slaves = append(ms.Slaves, m.members[i])
+	for i := range m.slots {
+		if m.slots[i].member() {
+			ms.Slaves = append(ms.Slaves, m.slots[i].spec)
 		}
 	}
 	return ms
@@ -132,38 +128,40 @@ func (m *masterNode) drainEvents(e int64, stopping bool) {
 }
 
 // slotClean reports whether slave i holds no groups and no movement touches
-// it — the condition for releasing a leaver and for recycling a dead slot.
+// it — the condition for releasing a leaver and for recycling its slot.
 func (m *masterNode) slotClean(i int32) bool {
-	return len(m.pendDir[i]) == 0 && !m.pendAct[i] && !m.pendDeact[i] &&
+	s := &m.slots[i]
+	return len(s.dirs) == 0 && !s.activating && !s.deactivating &&
 		!m.slaveInflight(i) && !slices.Contains(m.groupOwner, i)
 }
 
-// admit registers a joining slave: assign it the lowest free slot (or a
-// fully-drained dead slot) and start the handshake on its new control
-// connection — Membership (assigning its ID) and the query registration if
-// any. A mid-run joiner (e >= 0) is also sent its anchor Batch right away,
-// at the start of epoch e: the anchor carries the grid origin, so the
-// joiner's clock reads the master's, and its first participating epoch is
-// the reorganization boundary after e, where planBoundary activates it
-// and peels groups toward it. At cluster formation (e == startEpoch) the
-// anchors are held back until the whole roster has joined (startFormed),
-// where the grid starts.
+// freeSlot picks the slot a joiner takes: the lowest never-used one, else
+// the lowest departed or dead one whose groups have all drained; -1 when
+// none is.
+func (m *masterNode) freeSlot() int32 {
+	reuse := int32(-1)
+	for i := range m.slots {
+		switch ph := m.slots[i].phase; {
+		case ph == phaseFree:
+			return int32(i)
+		case reuse < 0 && (ph == phaseGone || ph == phaseDead) && m.slotClean(int32(i)):
+			reuse = int32(i)
+		}
+	}
+	return reuse
+}
+
+// admit registers a joining slave: assign it a slot (freeSlot) and start
+// the handshake on its new control connection — Membership (assigning its
+// ID) and the query registration if any. A mid-run joiner (e >= 0) is also
+// sent its anchor Batch right away, at the start of epoch e: the anchor
+// carries the grid origin, so the joiner's clock reads the master's, and
+// its first participating epoch is the reorganization boundary after e,
+// where planBoundary activates it and peels groups toward it. At cluster
+// formation (e == startEpoch) the anchors are held back until the whole
+// roster has joined (startFormed), where the grid starts.
 func (m *masterNode) admit(ev memberEvent, e int64) {
-	id := int32(-1)
-	for i := 0; i < m.cfg.Slaves; i++ {
-		if !m.joined[i] && m.conn[i] == nil {
-			id = int32(i)
-			break
-		}
-	}
-	if id < 0 {
-		for i := 0; i < m.cfg.Slaves; i++ {
-			if m.dead[i] && m.slotClean(int32(i)) {
-				id = int32(i)
-				break
-			}
-		}
-	}
+	id := m.freeSlot()
 	if id < 0 {
 		m.logf("membership: join from %s rejected: cluster at capacity (%d slaves)", ev.addr, m.cfg.Slaves)
 		if ev.close != nil {
@@ -172,21 +170,14 @@ func (m *masterNode) admit(ev memberEvent, e int64) {
 		return
 	}
 
+	// The slot starts afresh; a founder keeps its initial activation.
+	s := &m.slots[id]
 	forming := e == startEpoch
-	m.conn[id] = ev.conn
-	m.joined[id] = true
-	m.dead[id] = false
-	m.shutdownSent[id] = false
-	m.leaveReq[id] = false
-	m.haveOcc[id] = false
-	m.members[id] = wire.MemberSpec{ID: id, Addr: ev.addr, Workers: ev.workers}
-	if forming {
-		m.firstEpoch[id] = 0
-	} else {
-		m.active[id] = false
-		m.pendJoin[id] = true
+	*s = slot{conn: ev.conn, phase: phaseMember, active: forming && s.active,
+		spec: wire.MemberSpec{ID: id, Addr: ev.addr, Workers: ev.workers}}
+	if !forming {
 		K := m.cfg.epochsPerReorg()
-		m.firstEpoch[id] = (e/K + 1) * K
+		s.phase, s.firstEpoch = phaseJoining, (e/K+1)*K
 	}
 	m.memEpoch++
 	m.joins++
@@ -194,12 +185,12 @@ func (m *masterNode) admit(ev memberEvent, e int64) {
 		m.onAdmit(id, ev.close)
 	}
 	m.logf("membership: slave %d joined (mesh %s, %d workers), first epoch %d, roster %d/%d",
-		id, ev.addr, ev.workers, m.firstEpoch[id], m.memberCount(), m.cfg.Slaves)
+		id, ev.addr, ev.workers, s.firstEpoch, m.memberCount(), m.cfg.Slaves)
 
 	// A joiner that dies mid-handshake is evicted by its first exchange.
 	tolerateTCP(func() {
 		ev.conn.Send(m.membershipFor(id))
-		m.lastMem[id] = m.memEpoch
+		s.lastMem = m.memEpoch
 		if qs := m.querySet(); qs != nil {
 			ev.conn.Send(qs)
 		}
@@ -216,10 +207,10 @@ func (m *masterNode) admit(ev memberEvent, e int64) {
 // "synchronize clocks with the active slaves".
 func (m *masterNode) startFormed() {
 	m.gridAt = m.proc.Now()
-	for i, c := range m.conn {
-		if m.joined[i] {
+	for i := range m.slots {
+		if s := &m.slots[i]; s.member() {
 			tolerateTCP(func() {
-				c.Send(&wire.Batch{Epoch: startEpoch, Origin: int64(m.gridAt), Activate: m.active[i]})
+				s.conn.Send(&wire.Batch{Epoch: startEpoch, Origin: int64(m.gridAt), Activate: s.active})
 			})
 		}
 	}
@@ -229,10 +220,14 @@ func (m *masterNode) startFormed() {
 // drains its groups to the survivors; once every move is acknowledged, its
 // next poll batch carries Shutdown and it exits cleanly.
 func (m *masterNode) requestLeave(i int32) {
-	if i < 0 || int(i) >= m.cfg.Slaves || !m.member(int(i)) || m.leaveReq[i] {
+	if i < 0 || int(i) >= m.cfg.Slaves {
 		return
 	}
-	m.leaveReq[i] = true
+	s := &m.slots[i]
+	if s.phase != phaseJoining && s.phase != phaseMember {
+		return
+	}
+	s.phase = phaseLeaving
 	m.logf("membership: slave %d requested graceful leave", i)
 }
 
@@ -255,16 +250,13 @@ func (m *masterNode) requestLeave(i int32) {
 //     shadow when the consumer is the dead supplier's buddy, else to an
 //     empty install — and it acks normally, so the move completes by itself.
 func (m *masterNode) handleDeath(i int32, reason string) {
-	if i < 0 || int(i) >= m.cfg.Slaves || !m.member(int(i)) {
+	if i < 0 || int(i) >= m.cfg.Slaves || !m.slots[i].member() {
 		return
 	}
-	m.dead[i] = true
-	m.active[i] = false
-	m.shutdownSent[i] = true // nothing further will be sent on its conn
-	m.pendAct[i], m.pendDeact[i], m.leaveReq[i], m.pendJoin[i] = false, false, false, false
-	m.haveOcc[i] = false
-	m.pendDir[i] = nil
-	m.members[i] = wire.MemberSpec{}
+	// Nothing further is sent on its conn. accountWindowLoss below reads
+	// its last reported window.
+	s := &m.slots[i]
+	*s = slot{conn: s.conn, phase: phaseDead, lastWindow: s.lastWindow}
 	m.memEpoch++
 	m.evictions++
 
@@ -321,7 +313,7 @@ func (m *masterNode) buddyAfter(src int32) int32 { return m.view().buddyAfter(sr
 func (m *masterNode) issueInstall(g, from, to int32) int64 {
 	d := wire.Directive{MoveID: m.nextMove, Group: g, From: from, To: to}
 	m.nextMove++
-	m.pendDir[to] = append(m.pendDir[to], d)
+	m.slots[to].dirs = append(m.slots[to].dirs, d)
 	m.heldGroup[g] = true
 	m.inflight[d.MoveID] = moveInfo{id: d.MoveID, group: g, from: -1, to: to}
 	m.movesIssued++
@@ -337,7 +329,7 @@ func (m *masterNode) accountWindowLoss(i int32, adopted, promoted int) {
 	if adopted <= 0 {
 		return
 	}
-	tuples := m.lastWindow[i] / tuple.LogicalSize
+	tuples := m.slots[i].lastWindow / tuple.LogicalSize
 	m.lostWindowTuples += tuples * int64(adopted) / int64(adopted+promoted)
 }
 
@@ -347,9 +339,10 @@ func (m *masterNode) dropPend(i int32, id int64) bool {
 	if i < 0 || int(i) >= m.cfg.Slaves {
 		return false
 	}
-	for k, d := range m.pendDir[i] {
+	s := &m.slots[i]
+	for k, d := range s.dirs {
 		if d.MoveID == id {
-			m.pendDir[i] = append(m.pendDir[i][:k], m.pendDir[i][k+1:]...)
+			s.dirs = slices.Delete(s.dirs, k, k+1)
 			return true
 		}
 	}

@@ -67,11 +67,13 @@ func (h *heartbeatMonitor) arm(slave int32) bool {
 	return true
 }
 
-// clear removes the dead mark from a slot (fresh admission recycling it).
+// clear forgets a slot (fresh admission recycling it): its dead mark, and
+// its last ping, which was its previous occupant's.
 func (h *heartbeatMonitor) clear(slave int32) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	delete(h.dead, slave)
+	delete(h.lastSeen, slave)
 }
 
 // check declares every overdue slave dead, invoking onDead (outside the

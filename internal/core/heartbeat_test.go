@@ -89,3 +89,29 @@ func TestHeartbeatFailureDetection(t *testing.T) {
 		t.Fatalf("recycled slot went silent: died = %v, want [1]", died)
 	}
 }
+
+// TestHeartbeatClearForgetsLastPing: a slot recycled by a fresh admission is
+// not judged by its previous occupant's last ping. The new occupant's ping
+// stream arms it again.
+func TestHeartbeatClearForgetsLastPing(t *testing.T) {
+	const interval = 100 * time.Millisecond
+	var clock time.Duration
+	var deaths []int32
+	h := newHeartbeatMonitor(interval, 3, func() time.Duration { return clock }, func(s int32) {
+		deaths = append(deaths, s)
+	})
+	h.arm(1)
+	clock = 250 * time.Millisecond
+	h.observe(1) // the departing occupant's last ping
+	clock = 500 * time.Millisecond
+	h.clear(1) // a joiner takes the slot; its ping stream is not armed yet
+	clock = 600 * time.Millisecond
+	if died := h.check(); len(died) != 0 || len(deaths) != 0 {
+		t.Fatalf("recycled slot declared dead on its previous occupant's ping: %v", died)
+	}
+	h.arm(1)
+	clock += 3*interval + 1
+	if died := h.check(); len(died) != 1 || died[0] != 1 {
+		t.Fatalf("new occupant went silent: died = %v, want [1]", died)
+	}
+}

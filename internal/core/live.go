@@ -110,12 +110,11 @@ type liveMaster struct {
 	feedDone, collDone             chan struct{}
 }
 
-// newLiveMaster builds the master and collector over conns (one per slave
-// slot; nil entries are filled by admissions). A nil ing selects the
-// synthetic sources; they start generating at once. Tests pass a finite, known
-// workload instead (or a liveIngestor with a deliberately tiny run-ahead
-// bound).
-func newLiveMaster(cfg *Config, conns []engine.Conn, ing Ingestor) *liveMaster {
+// newLiveMaster builds the master and collector; the caller hands the master
+// its slots' connections. A nil ing selects the synthetic sources; they start
+// generating at once. Tests pass a finite, known workload instead (or a
+// liveIngestor with a deliberately tiny run-ahead bound).
+func newLiveMaster(cfg *Config, ing Ingestor) *liveMaster {
 	lm := &liveMaster{env: engine.NewLiveEnv(), feedDone: make(chan struct{}), collDone: make(chan struct{})}
 	lm.masterP = lm.env.NewProc("master")
 	lm.collP = lm.env.NewProc("collector")
@@ -128,7 +127,7 @@ func newLiveMaster(cfg *Config, conns []engine.Conn, ing Ingestor) *liveMaster {
 	} else {
 		close(lm.feedDone)
 	}
-	lm.master = newMaster(cfg, lm.masterP, conns, ing, lm.masterStop.Load)
+	lm.master = newMaster(cfg, lm.masterP, ing, lm.masterStop.Load)
 	lm.collector = newCollector(lm.collP, lm.inbox, lm.collStop.Load)
 	return lm
 }
@@ -195,15 +194,14 @@ func runLive(cfg Config, ing Ingestor) (*Result, error) {
 	cfg.Mode = cfg.LiveProber
 	cfg.Expiry = join.ExpiryBlocks
 
-	mConns := make([]engine.Conn, cfg.Slaves)
-	lm := newLiveMaster(&cfg, mConns, ing)
+	lm := newLiveMaster(&cfg, ing)
 	slaveP := make([]*engine.LiveProc, cfg.Slaves)
 	sConns := make([]engine.Conn, cfg.Slaves)
 	mesh := make([][]engine.Conn, cfg.Slaves)
 	sinks := make([]*pairSinks, cfg.Slaves)
 	for i := range slaveP {
 		slaveP[i] = lm.env.NewProc(fmt.Sprintf("slave%d", i))
-		mConns[i], sConns[i] = engine.Pipe(lm.masterP, slaveP[i])
+		lm.master.slots[i].conn, sConns[i] = engine.Pipe(lm.masterP, slaveP[i])
 		mesh[i] = make([]engine.Conn, cfg.Slaves)
 		sinks[i] = newPairSinks(int32(i))
 	}

@@ -33,16 +33,71 @@ type DoDSample struct {
 	Active int
 }
 
+// phase is a slave slot's place in the membership lifecycle. Every
+// transition, and where it is made:
+//
+//	free             → member   admitted while the cluster forms (admit)
+//	free             → joining  admitted mid-run (admit)
+//	joining          → member   activated at a boundary (reorganize)
+//	joining, member  → leaving  graceful leave requested (requestLeave)
+//	leaving          → gone     drained and released (exchange)
+//	any roster phase → dead     crashed (handleDeath)
+//	any roster phase → gone     sent the end-of-run shutdown (exchange)
+//	gone, dead       → joining  re-admitted once slotClean (admit)
+//
+// joining, member and leaving are the roster phases (slot.member). The
+// simulator and in-process runs start every slot as a founder member; a TCP
+// master starts them free.
+type phase uint8
+
+const (
+	phaseFree phase = iota
+	phaseJoining
+	phaseMember
+	phaseLeaving
+	phaseGone
+	phaseDead
+)
+
+// slot is the master's record of one slave slot.
+type slot struct {
+	conn  engine.Conn
+	phase phase
+	spec  wire.MemberSpec // its roster entry
+
+	// Placement: active takes tuples every epoch; activating and
+	// deactivating are scheduled flips not yet delivered, and dirs the
+	// movement directives waiting for its next batch.
+	active, activating, deactivating bool
+	dirs                             []wire.Directive
+
+	occ        float64 // its last occupancy report (haveOcc: one arrived)
+	haveOcc    bool
+	lastWindow int64 // its last reported window footprint (accountWindowLoss)
+
+	// firstEpoch is the first epoch it takes part in: 0 for a founder, the
+	// reorganization boundary after a joiner's admission, computed
+	// identically by the joiner from its anchor batch. lastMem is the roster
+	// version it last heard; it is sent a Membership update before its next
+	// Batch whenever that lags memEpoch.
+	firstEpoch, lastMem int64
+}
+
+// member reports whether the slot is on the roster.
+func (s *slot) member() bool {
+	return s.phase == phaseJoining || s.phase == phaseMember || s.phase == phaseLeaving
+}
+
 // masterNode runs Algorithm 1: buffer incoming tuples in per-partition-group
 // mini-buffers, serve slaves in a fixed order each distribution epoch, and
 // reorganize (supplier/consumer pairing, degree-of-declustering adaptation)
 // each reorganization epoch.
 type masterNode struct {
-	cfg  *Config
-	proc engine.Proc
-	conn []engine.Conn
-	in   Ingestor
-	stop func() bool
+	cfg   *Config
+	proc  engine.Proc
+	slots []slot
+	in    Ingestor
+	stop  func() bool
 
 	// Mini-buffers are per partition-group — the unit of ownership,
 	// withholding and movement — so a drain is a concatenation. Drained
@@ -55,13 +110,6 @@ type masterNode struct {
 
 	groupOwner []int32
 	heldGroup  map[int32]bool
-
-	active    []bool
-	occ       []float64
-	haveOcc   []bool
-	pendDir   [][]wire.Directive
-	pendAct   []bool
-	pendDeact []bool
 
 	inflight map[int64]moveInfo
 	nextMove int64
@@ -79,30 +127,13 @@ type masterNode struct {
 	movesDone     int
 	movesDegraded int
 	dodTrace      []DoDSample
-	shutdownSent  []bool
 
-	// Cluster membership (elastic.go). The simulator and in-process runs are
-	// born with the full roster and never change it; a TCP master admits
-	// slaves one by one. joined marks slots with a registered connection;
-	// dead marks evicted ones. firstEpoch is the first epoch a joiner
-	// participates in — the reorganization boundary after its admission,
-	// computed identically by the joiner from its anchor batch — and
-	// pendJoin marks a slave admitted mid-run that the next reorganization
-	// still has to activate and fill. memEpoch is the roster version; each
-	// slave is sent a Membership update before its next Batch whenever
-	// lastMem lags it.
-	joined     []bool
-	dead       []bool
-	leaveReq   []bool
-	pendJoin   []bool
-	firstEpoch []int64
-	memEpoch   int64
-	lastMem    []int64
-	members    []wire.MemberSpec
-	events     chan memberEvent
-	onAdmit    func(id int32, closeCtl func())
-	qset       *wire.QuerySet
-	logfn      func(format string, args ...any)
+	// Cluster membership (elastic.go): memEpoch is the roster version.
+	memEpoch int64
+	events   chan memberEvent
+	onAdmit  func(id int32, closeCtl func())
+	qset     *wire.QuerySet
+	logfn    func(format string, args ...any)
 
 	// sending, non-nil while a drained batch is in flight to a slave, lets
 	// the death recovery re-buffer tuples the failed Send never delivered.
@@ -119,59 +150,40 @@ type masterNode struct {
 	groupsMoved  int
 	rebalStallMs int64
 
-	// Crash-recovery accounting (replica.go / elastic.go). lastWindow is
-	// each slave's last reported window footprint — the basis of the
-	// lost-output estimate when its groups are re-adopted empty.
-	// tuplesDrained counts every tuple delivered to a slave, promotions the
-	// replica promotions issued, lostWindowTuples the estimated window
-	// tuples lost to unrecovered evictions.
-	lastWindow       []int64
+	// Crash-recovery accounting (replica.go / elastic.go). tuplesDrained
+	// counts every tuple delivered to a slave, promotions the replica
+	// promotions issued, lostWindowTuples the estimated window tuples lost
+	// to unrecovered evictions.
 	tuplesDrained    int64
 	promotions       int
 	lostWindowTuples int64
 }
 
-func newMaster(cfg *Config, proc engine.Proc, conns []engine.Conn, in Ingestor, stop func() bool) *masterNode {
+// newMaster builds a master whose slots are all founder members; the caller
+// hands each slot its connection (slots[i].conn), and a TCP master frees
+// them to fill by admission.
+func newMaster(cfg *Config, proc engine.Proc, in Ingestor, stop func() bool) *masterNode {
 	m := &masterNode{
-		cfg:          cfg,
-		proc:         proc,
-		conn:         conns,
-		in:           in,
-		stop:         stop,
-		minibuf:      make([][]tuple.Tuple, cfg.NumGroups()),
-		lastTS:       make([]int32, cfg.NumGroups()),
-		groupOwner:   make([]int32, cfg.NumGroups()),
-		heldGroup:    make(map[int32]bool),
-		active:       make([]bool, cfg.Slaves),
-		occ:          make([]float64, cfg.Slaves),
-		haveOcc:      make([]bool, cfg.Slaves),
-		pendDir:      make([][]wire.Directive, cfg.Slaves),
-		pendAct:      make([]bool, cfg.Slaves),
-		pendDeact:    make([]bool, cfg.Slaves),
-		inflight:     make(map[int64]moveInfo),
-		nextMove:     1,
-		rng:          rand.New(rand.NewPCG(cfg.Seed, 0x51700a75e1ec0111)),
-		shutdownSent: make([]bool, cfg.Slaves),
-		joined:       make([]bool, cfg.Slaves),
-		dead:         make([]bool, cfg.Slaves),
-		leaveReq:     make([]bool, cfg.Slaves),
-		pendJoin:     make([]bool, cfg.Slaves),
-		firstEpoch:   make([]int64, cfg.Slaves),
-		lastMem:      make([]int64, cfg.Slaves),
-		members:      make([]wire.MemberSpec, cfg.Slaves),
-		memMoves:     make(map[int64]time.Duration),
-		lastWindow:   make([]int64, cfg.Slaves),
-	}
-	// Born with the full roster; the TCP deployment clears joined and admits
-	// slaves one by one (admit).
-	for i := range m.joined {
-		m.joined[i] = true
+		cfg:        cfg,
+		proc:       proc,
+		slots:      make([]slot, cfg.Slaves),
+		in:         in,
+		stop:       stop,
+		minibuf:    make([][]tuple.Tuple, cfg.NumGroups()),
+		lastTS:     make([]int32, cfg.NumGroups()),
+		groupOwner: make([]int32, cfg.NumGroups()),
+		heldGroup:  make(map[int32]bool),
+		inflight:   make(map[int64]moveInfo),
+		nextMove:   1,
+		rng:        rand.New(rand.NewPCG(cfg.Seed, 0x51700a75e1ec0111)),
+		memMoves:   make(map[int64]time.Duration),
 	}
 	// Initial placement: partition-groups round-robin over the initially
 	// active slaves.
 	n0 := cfg.initialActive()
-	for i := 0; i < n0; i++ {
-		m.active[i] = true
+	for i := range m.slots {
+		m.slots[i].phase = phaseMember
+		m.slots[i].active = i < n0
 	}
 	for g := range m.groupOwner {
 		m.groupOwner[g] = int32(g % n0)
@@ -204,7 +216,7 @@ func (m *masterNode) run() {
 		}
 		m.epochsServed++
 		m.lastEpochAt = m.proc.Now()
-		if stopping && m.allShutdown() {
+		if stopping && m.memberCount() == 0 {
 			return
 		}
 		if !stopping && (e+1)%K == 0 {
@@ -217,16 +229,8 @@ func (m *masterNode) run() {
 // every epoch, inactive slaves only at reorganization boundaries (their
 // low-cost poll for reactivation).
 func (m *masterNode) shouldServe(e int64, i int) bool {
-	return m.member(i) && e >= m.firstEpoch[i] && (m.active[i] || e%m.cfg.epochsPerReorg() == 0)
-}
-
-func (m *masterNode) allShutdown() bool {
-	for i, s := range m.shutdownSent {
-		if !s && m.joined[i] {
-			return false
-		}
-	}
-	return true
+	s := &m.slots[i]
+	return s.member() && e >= s.firstEpoch && (s.active || e%m.cfg.epochsPerReorg() == 0)
 }
 
 // ingest scatters newly arrived tuples into their group's mini-buffer in one
@@ -291,13 +295,12 @@ func (m *masterNode) serve(e int64, i int32, stopping bool) {
 // Hello (load report and movement ACKs), then send the tuples buffered for
 // its partition-groups plus any pending directives.
 func (m *masterNode) exchange(e int64, i int32, stopping bool) {
-	hello, ok := m.conn[i].Recv().(*wire.Hello)
+	s := &m.slots[i]
+	hello, ok := s.conn.Recv().(*wire.Hello)
 	if !ok {
 		panic(fmt.Sprintf("core: master expected Hello from slave %d", i))
 	}
-	m.occ[i] = hello.Occupancy
-	m.haveOcc[i] = true
-	m.lastWindow[i] = hello.WindowBytes
+	s.occ, s.haveOcc, s.lastWindow = hello.Occupancy, true, hello.WindowBytes
 	for _, ack := range hello.MoveACKs {
 		m.completeMove(ack)
 	}
@@ -317,58 +320,54 @@ func (m *masterNode) exchange(e int64, i int32, stopping bool) {
 	// was lost in transit (dead or stalled supplier, no local shadow). The
 	// run still converges; the count makes the loss exact rather than silent.
 	m.movesDegraded += len(hello.Degraded)
-	if m.lastMem[i] != m.memEpoch {
+	if s.lastMem != m.memEpoch {
 		// Roster changed since this slave last heard from us: prefix the
 		// batch with a Membership update so it can prune dead mesh peers
 		// and learn about joiners before any directive references them.
-		m.conn[i].Send(m.membershipFor(i))
-		m.lastMem[i] = m.memEpoch
+		s.conn.Send(m.membershipFor(i))
+		s.lastMem = m.memEpoch
 	}
 
 	batch := &wire.Batch{Epoch: e}
-	if stopping {
+	switch {
+	case stopping:
 		batch.Shutdown = true
-		m.shutdownSent[i] = true
-	}
-	if !stopping && m.leaveReq[i] && !m.active[i] && !m.pendAct[i] && m.slotClean(i) {
+		s.phase = phaseGone
+	case s.phase == phaseLeaving && !s.active && !s.activating && m.slotClean(i):
 		// A graceful leaver whose groups have all drained and acked: this
 		// batch releases it from the cluster.
 		batch.Shutdown = true
-		m.shutdownSent[i] = true
-		m.leaveReq[i] = false
-		m.members[i] = wire.MemberSpec{}
+		s.phase, s.spec = phaseGone, wire.MemberSpec{}
 		m.memEpoch++
 		m.leaves++
 		m.logf("membership: slave %d left gracefully at epoch %d, roster %d/%d",
 			i, e, m.memberCount(), m.cfg.Slaves)
 	}
-	if m.pendAct[i] {
+	if s.activating {
 		batch.Activate = true
-		m.pendAct[i] = false
-		m.active[i] = true
+		s.activating, s.active = false, true
 	}
 	// A transfer streams over several consecutive epochs, and both endpoints
 	// must keep their per-epoch exchanges until the last move acks — so a
-	// deactivation waits with them (pendDeact stays set, which also keeps the
-	// slave out of new reorganization pairings).
-	deact := m.pendDeact[i] && !m.slaveInflight(i)
+	// deactivation waits with them (deactivating stays set, which also keeps
+	// the slave out of new reorganization pairings).
+	deact := s.deactivating && !m.slaveInflight(i)
 	if deact {
 		batch.Deactivate = true
-		m.pendDeact[i] = false
+		s.deactivating = false
 	}
-	batch.Directives = m.pendDir[i]
-	m.pendDir[i] = nil
+	batch.Directives, s.dirs = s.dirs, nil
 
-	if m.active[i] {
+	if s.active {
 		batch.Tuples = m.drainFor(i)
 	}
 	m.tuplesDrained += int64(len(batch.Tuples))
 	m.proc.Compute(m.cfg.Cost.Master(len(batch.Tuples)))
 	m.sending = batch
-	m.conn[i].Send(batch)
+	s.conn.Send(batch)
 	m.sending = nil
 	if deact {
-		m.active[i] = false
+		s.active = false
 	}
 }
 
@@ -455,14 +454,14 @@ func (m *masterNode) view() *placementView {
 		}
 	}
 	for i := range v.slots {
-		s := &v.slots[i]
-		s.occ, s.haveOcc = m.occ[i], m.haveOcc[i]
-		s.active, s.activating = m.active[i], m.pendAct[i]
+		s, ms := &v.slots[i], &m.slots[i]
+		s.occ, s.haveOcc = ms.occ, ms.haveOcc
+		s.active, s.activating = ms.active, ms.activating
 		if s.active {
 			v.active++
 		}
-		s.busy = s.busy || len(m.pendDir[i]) > 0 || m.pendAct[i] || m.pendDeact[i]
-		s.leaving, s.member, s.pendJoin = m.leaveReq[i], m.member(i), m.pendJoin[i]
+		s.busy = s.busy || len(ms.dirs) > 0 || ms.activating || ms.deactivating
+		s.leaving, s.member, s.joining = ms.phase == phaseLeaving, ms.member(), ms.phase == phaseJoining
 	}
 	for g, owner := range m.groupOwner {
 		if !m.heldGroup[int32(g)] && !moving[int32(g)] {
@@ -484,16 +483,16 @@ func (m *masterNode) reorganize(e int64) {
 	p := planBoundary(v, m.rng)
 	m.apply(p.moves)
 	for _, j := range p.activate {
-		m.pendAct[j] = true
+		m.slots[j].activating = true
 	}
 	for _, j := range p.deactivate {
-		m.pendDeact[j] = true
+		m.slots[j].deactivating = true
 	}
 	for _, i := range p.drained {
 		m.logf("membership: draining slave %d for graceful leave at epoch %d", i, e)
 	}
 	for _, j := range p.joins {
-		m.pendJoin[j.slave] = false
+		m.slots[j.slave].phase = phaseMember
 		m.logf("membership: activating slave %d at epoch %d, rebalancing %d groups toward it", j.slave, e+1, j.groups)
 	}
 }
@@ -519,8 +518,8 @@ func (m *masterNode) apply(moves []move) {
 func (m *masterNode) issueMove(g, from, to int32) int64 {
 	d := wire.Directive{MoveID: m.nextMove, Group: g, From: from, To: to}
 	m.nextMove++
-	m.pendDir[from] = append(m.pendDir[from], d)
-	m.pendDir[to] = append(m.pendDir[to], d)
+	m.slots[from].dirs = append(m.slots[from].dirs, d)
+	m.slots[to].dirs = append(m.slots[to].dirs, d)
 	m.inflight[d.MoveID] = moveInfo{id: d.MoveID, group: g, from: from, to: to}
 	m.movesIssued++
 	return d.MoveID

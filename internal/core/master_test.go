@@ -19,13 +19,12 @@ func testMaster(t *testing.T, cfg Config) *masterNode {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	return newMaster(&cfg, nil, nil, nil, func() bool { return false })
+	return newMaster(&cfg, nil, nil, func() bool { return false })
 }
 
 func setOcc(m *masterNode, occ ...float64) {
 	for i, o := range occ {
-		m.occ[i] = o
-		m.haveOcc[i] = true
+		m.slots[i].occ, m.slots[i].haveOcc = o, true
 	}
 }
 
@@ -298,8 +297,8 @@ func TestIssueMoveDeliversDirectiveToBothSides(t *testing.T) {
 	m := testMaster(t, cfg)
 	m.issueMove(4, 0, 2)
 	want := wire.Directive{MoveID: 1, Group: 4, From: 0, To: 2}
-	if m.pendDir[0][0] != want || m.pendDir[2][0] != want {
-		t.Fatalf("directives: %+v / %+v", m.pendDir[0], m.pendDir[2])
+	if m.slots[0].dirs[0] != want || m.slots[2].dirs[0] != want {
+		t.Fatalf("directives: %+v / %+v", m.slots[0].dirs, m.slots[2].dirs)
 	}
 }
 
@@ -323,7 +322,7 @@ func BenchmarkMasterIngestDrain(b *testing.B) {
 	const epochMs = 250
 	s1, s2 := workload.Pair(workload.Config{Rate: 300_000, Skew: 0.7, Domain: 1 << 23, Seed: 1})
 	epoch := replayIngestor(workload.Merge(s1.Batch(0, epochMs), s2.Batch(0, epochMs)))
-	m := newMaster(&cfg, engine.NewLiveEnv().NewProc("master"), nil, epoch, func() bool { return false })
+	m := newMaster(&cfg, engine.NewLiveEnv().NewProc("master"), epoch, func() bool { return false })
 	runEpoch := func() {
 		clear(m.lastTS) // the same epoch replays: rewind the order guard
 		m.ingest(epochMs)
@@ -345,4 +344,64 @@ func BenchmarkMasterIngestDrain(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(epoch)), "ns/tuple")
 	b.ReportMetric(float64(len(epoch)), "tuples/epoch")
+}
+
+// helloConn is a slave's control connection as the master sees it: every
+// Recv is an empty Hello, every Send vanishes.
+type helloConn struct{}
+
+func (helloConn) Send(wire.Message)  {}
+func (helloConn) Recv() wire.Message { return &wire.Hello{} }
+
+// admissionMaster builds a master whose slots fill by admission, as a TCP
+// master's do.
+func admissionMaster(t *testing.T, cfg Config) *masterNode {
+	t.Helper()
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	m := newMaster(&cfg, engine.NewLiveEnv().NewProc("master"), nil, func() bool { return false })
+	for i := range m.slots {
+		m.slots[i].phase = phaseFree
+	}
+	return m
+}
+
+// TestAdmitReusesDepartedSlot: in a full two-slave cluster, slave 1 leaves
+// gracefully; once its groups have drained and it is released, the next
+// joiner takes its slot instead of being turned away at capacity.
+func TestAdmitReusesDepartedSlot(t *testing.T) {
+	cfg := smokeConfig()
+	cfg.Slaves, cfg.MinSlaves, cfg.InitialActive = 2, 2, 2
+	m := admissionMaster(t, cfg)
+	join := func(e int64) {
+		m.admit(memberEvent{kind: evJoin, conn: helloConn{}, addr: "127.0.0.1:1"}, e)
+	}
+	join(startEpoch)
+	join(startEpoch)
+
+	m.requestLeave(1)
+	K := cfg.epochsPerReorg()
+	m.reorganize(K - 1) // drains slave 1 toward slave 0
+	if len(m.inflight) == 0 {
+		t.Fatal("no drain issued for the leaver")
+	}
+	for id := range m.inflight {
+		m.completeMove(id)
+	}
+	for e := K; m.leaves == 0 && e < K+4; e++ {
+		m.exchange(e, 1, false)
+	}
+	if m.leaves != 1 {
+		t.Fatalf("leaver never released: leaves = %d", m.leaves)
+	}
+
+	join(K + 4)
+	if m.joins != 3 {
+		t.Fatalf("joins = %d after a leave freed a slot, want 3", m.joins)
+	}
+	if s := &m.slots[1]; s.phase != phaseJoining || s.active || s.firstEpoch != 2*K {
+		t.Fatalf("slot 1 after re-admission: phase %d, active %v, first epoch %d",
+			s.phase, s.active, s.firstEpoch)
+	}
 }

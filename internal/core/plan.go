@@ -21,10 +21,10 @@ type slotView struct {
 	active     bool
 	activating bool // Activate scheduled, not yet delivered
 	busy       bool // a move, directive or (de)activation is unfinished
-	leaving    bool // graceful leave requested
-	member     bool // on the roster: joined, not dead, not released
-	pendJoin   bool // admitted mid-run, not yet activated
 	free       []int32
+	// The slot's membership phase (master.go): leaving and joining are
+	// roster phases, and member holds in any roster phase.
+	leaving, member, joining bool
 }
 
 // live reports whether the slot may receive groups: an active roster member
@@ -96,7 +96,7 @@ func planBoundary(v *placementView, rng *rand.Rand) boundaryPlan {
 		}
 	}
 	for j := range sl {
-		if sl[j].pendJoin && !sl[j].leaving && !sl[j].busy {
+		if sl[j].joining && !sl[j].busy {
 			sl[j].busy, sl[j].activating = true, true
 			p.activate = append(p.activate, int32(j))
 			n := p.rebalance(sl, int32(j), v.cfg.NumGroups()/(v.active+1), rng)

@@ -159,7 +159,7 @@ func TestReorgActivatesOnlyRealJoiners(t *testing.T) {
 	cfg.Slaves = 4
 	cfg.InitialActive = 2
 	v := planView(t, cfg, 0.2, 0.2) // neither supplier nor consumer
-	v.slots[3].pendJoin = true      // slot 2 stays deactivated
+	v.slots[3].joining = true       // slot 2 stays deactivated
 	p := planBoundary(v, planRNG())
 	if !slices.Equal(p.activate, []int32{3}) {
 		t.Fatalf("activate = %v, want only the joiner, slave 3", p.activate)
@@ -195,7 +195,7 @@ func TestPlan(t *testing.T) {
 	t.Run("join rebalance", func(t *testing.T) {
 		v := planView(t, cfg)
 		v.slots[3].active, v.active = false, 3
-		v.slots[3].pendJoin = true
+		v.slots[3].joining = true
 		v.slots[0].free, v.slots[0].occ = groups(0, 2), 0.1 // can give one group
 		v.slots[1].free, v.slots[1].occ = groups(2, 40), 0.4
 		v.slots[2].free, v.slots[2].occ = groups(40, 60), 0.3
@@ -305,8 +305,8 @@ func TestReorganizeHoldsOnlyAfterCutOver(t *testing.T) {
 			t.Fatal("moved group held before the supplier announced its cut-over")
 		}
 	}
-	if len(m.pendDir[0]) != 1 || len(m.pendDir[1]) != 1 {
-		t.Fatalf("directives = %d/%d", len(m.pendDir[0]), len(m.pendDir[1]))
+	if len(m.slots[0].dirs) != 1 || len(m.slots[1].dirs) != 1 {
+		t.Fatalf("directives = %d/%d", len(m.slots[0].dirs), len(m.slots[1].dirs))
 	}
 	if len(m.memMoves) != 0 || m.groupsMoved != 0 {
 		t.Fatal("a load-balancing move was tracked as membership-driven")

@@ -20,17 +20,15 @@ func newTestMaster(t *testing.T, slaves int, replicate bool) *masterNode {
 	cfg.MinSlaves = slaves
 	cfg.InitialActive = slaves
 	cfg.Replicate = replicate
-	m := newMaster(&cfg, engine.NewLiveEnv().NewProc("master-test"),
-		make([]engine.Conn, slaves), nil, nil)
-	return m
+	return newMaster(&cfg, engine.NewLiveEnv().NewProc("master-test"), nil, nil)
 }
 
 // directivesFor collects the pending directives for group g across every
 // slave's undelivered queue.
 func directivesFor(m *masterNode, g int32) []wire.Directive {
 	var out []wire.Directive
-	for i := range m.pendDir {
-		for _, d := range m.pendDir[i] {
+	for i := range m.slots {
+		for _, d := range m.slots[i].dirs {
 			if d.Group == g {
 				out = append(out, d)
 			}
@@ -45,7 +43,7 @@ func directivesFor(m *masterNode, g int32) []wire.Directive {
 // deltas — and estimates no window loss.
 func TestHandleDeathPromotesToBuddy(t *testing.T) {
 	m := newTestMaster(t, 3, true)
-	m.lastWindow[0] = 512 * tuple.LogicalSize
+	m.slots[0].lastWindow = 512 * tuple.LogicalSize
 	owned := 0
 	for _, o := range m.groupOwner {
 		if o == 0 {
@@ -61,10 +59,10 @@ func TestHandleDeathPromotesToBuddy(t *testing.T) {
 	if m.promotions != owned {
 		t.Errorf("promotions = %d, want %d (every group of the dead slave)", m.promotions, owned)
 	}
-	if got := len(m.pendDir[1]); got != owned {
+	if got := len(m.slots[1].dirs); got != owned {
 		t.Errorf("%d directives queued at the buddy, want %d", got, owned)
 	}
-	for _, d := range m.pendDir[1] {
+	for _, d := range m.slots[1].dirs {
 		if d.From != promoteFrom(0) {
 			t.Errorf("directive %+v: From = %d, want promoteFrom(0) = %d", d, d.From, promoteFrom(0))
 		}
@@ -78,7 +76,7 @@ func TestHandleDeathPromotesToBuddy(t *testing.T) {
 	if m.lostWindowTuples != 0 {
 		t.Errorf("lostWindowTuples = %d after full promotion, want 0", m.lostWindowTuples)
 	}
-	if !m.dead[0] || m.active[0] {
+	if m.slots[0].phase != phaseDead || m.slots[0].active {
 		t.Error("dead slave not marked dead+inactive")
 	}
 }
@@ -132,7 +130,7 @@ func TestHandleDeathRecoverLostTransit(t *testing.T) {
 	m.issueMove(g, 1, 0)
 	// Simulate the directive having been delivered to both sides (the state
 	// is on the wire toward the doomed consumer).
-	m.pendDir[0], m.pendDir[1] = nil, nil
+	m.slots[0].dirs, m.slots[1].dirs = nil, nil
 
 	m.handleDeath(0, "test")
 
@@ -166,7 +164,7 @@ func TestHandleDeathSupplierMidStream(t *testing.T) {
 	const g = int32(0)
 	m.groupOwner[g] = 1
 	m.issueMove(g, 1, 0)
-	m.pendDir[0], m.pendDir[1] = nil, nil // delivered: the snapshot is streaming
+	m.slots[0].dirs, m.slots[1].dirs = nil, nil // delivered: the snapshot is streaming
 
 	m.handleDeath(1, "test")
 
@@ -194,18 +192,18 @@ func TestHandleDeathPromoteTargetDies(t *testing.T) {
 	m.handleDeath(0, "test")
 	// Promotions queued at slave 1; simulate their delivery, then kill 1
 	// before any ack.
-	delivered := len(m.pendDir[1])
+	delivered := len(m.slots[1].dirs)
 	if delivered == 0 {
 		t.Fatal("no promotions queued at the buddy")
 	}
-	m.pendDir[1] = nil
+	m.slots[1].dirs = nil
 
 	m.handleDeath(1, "test")
 
-	if got := len(m.pendDir[2]); got != delivered {
+	if got := len(m.slots[2].dirs); got != delivered {
 		t.Errorf("%d directives re-issued at the last survivor, want %d", got, delivered)
 	}
-	for _, d := range m.pendDir[2] {
+	for _, d := range m.slots[2].dirs {
 		if d.From != promoteFrom(1) {
 			t.Errorf("directive %+v: From = %d, want promoteFrom(1) = %d (the dead promotion target)",
 				d, d.From, promoteFrom(1))
@@ -222,7 +220,7 @@ func TestHandleDeathPromoteTargetDies(t *testing.T) {
 func TestHandleDeathAdoptsWithoutReplication(t *testing.T) {
 	m := newTestMaster(t, 3, false)
 	const tuples = 768
-	m.lastWindow[0] = tuples * tuple.LogicalSize
+	m.slots[0].lastWindow = tuples * tuple.LogicalSize
 	owned := 0
 	for _, o := range m.groupOwner {
 		if o == 0 {
@@ -234,7 +232,7 @@ func TestHandleDeathAdoptsWithoutReplication(t *testing.T) {
 
 	adopts := 0
 	for i := 1; i <= 2; i++ {
-		for _, d := range m.pendDir[i] {
+		for _, d := range m.slots[i].dirs {
 			if d.From != -1 {
 				t.Errorf("directive %+v: From = %d, want -1 (empty adoption)", d, d.From)
 			}
@@ -271,12 +269,12 @@ func TestBuddyAfter(t *testing.T) {
 	if b := m.buddyAfter(3); b != 0 {
 		t.Errorf("buddyAfter(3) = %d, want 0 (cyclic)", b)
 	}
-	m.dead[1] = true
-	m.shutdownSent[2] = true
+	m.slots[1].phase = phaseDead
+	m.slots[2].phase = phaseGone
 	if b := m.buddyAfter(0); b != 3 {
 		t.Errorf("buddyAfter(0) = %d with 1 dead and 2 released, want 3", b)
 	}
-	m.dead[3] = true
+	m.slots[3].phase = phaseDead
 	if b := m.buddyAfter(0); b != -1 {
 		t.Errorf("buddyAfter(0) = %d with no live peer, want -1", b)
 	}
@@ -286,7 +284,7 @@ func TestBuddyAfter(t *testing.T) {
 // adopted empty) charges only the adopted share of the footprint.
 func TestAccountWindowLoss(t *testing.T) {
 	m := newTestMaster(t, 3, true)
-	m.lastWindow[0] = 900 * tuple.LogicalSize
+	m.slots[0].lastWindow = 900 * tuple.LogicalSize
 	m.accountWindowLoss(0, 1, 2) // 1 adopted, 2 promoted: a third of the windows lost
 	if m.lostWindowTuples != 300 {
 		t.Errorf("lostWindowTuples = %d, want 300", m.lostWindowTuples)

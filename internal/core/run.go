@@ -268,11 +268,12 @@ func RunSim(cfg Config) (*Result, error) {
 	}
 
 	// Master <-> slave connections.
-	mConns := make([]engine.Conn, cfg.Slaves)
+	neverStop := func() bool { return false }
+	master := newMaster(&cfg, engine.WrapNode(masterNd), newSourceIngestor(&cfg), neverStop)
 	sConns := make([]engine.Conn, cfg.Slaves)
 	for i, nd := range slaveNds {
 		em, es := simnet.Connect(masterNd, nd)
-		mConns[i] = engine.WrapEndpoint(em)
+		master.slots[i].conn = engine.WrapEndpoint(em)
 		sConns[i] = engine.WrapEndpoint(es)
 	}
 	// Slave mesh for state movement.
@@ -289,8 +290,6 @@ func RunSim(cfg Config) (*Result, error) {
 	}
 	inbox := engine.WrapInbox(simnet.NewInbox(collNd))
 
-	neverStop := func() bool { return false }
-	master := newMaster(&cfg, engine.WrapNode(masterNd), mConns, newSourceIngestor(&cfg), neverStop)
 	collector := newCollector(engine.WrapNode(collNd), inbox, neverStop)
 	slaves := make([]*slaveNode, cfg.Slaves)
 	for i := range slaves {
@@ -361,7 +360,7 @@ func newResult(cfg Config, measuredMs int32, m *masterNode, c *collectorNode,
 		Master:             masterStats,
 		Slaves:             make([]engine.Stats, cfg.Slaves),
 		SlaveWindowBytes:   make([]int64, cfg.Slaves),
-		SlaveActive:        append([]bool(nil), m.active...),
+		SlaveActive:        make([]bool, cfg.Slaves),
 		DoDTrace:           m.dodTrace,
 		MovesIssued:        m.movesIssued,
 		MovesCompleted:     m.movesDone,
@@ -389,8 +388,8 @@ func newResult(cfg Config, measuredMs int32, m *masterNode, c *collectorNode,
 	if li, ok := m.in.(*liveIngestor); ok {
 		res.SourceOffered, _, res.SourceDropped, _ = li.counts()
 	}
-	for _, a := range m.active {
-		if a {
+	for i, s := range m.slots {
+		if res.SlaveActive[i] = s.active; s.active {
 			res.ActiveEnd++
 		}
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -69,7 +71,9 @@ func TestSocketSinkEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := engine.NewSocketSink(nil, sc, 0, 0)
+	sink := engine.NewSocketSinkWith(nil, sc, 0, engine.SinkOptions{
+		Redial: func() (io.WriteCloser, error) { return nil, errors.New("consumer gone") },
+	})
 	cfgB := cfg
 	cfgB.Sink = sink
 	outB := runMultiWorker(t, cfgB, msgs, 4)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"streamjoin/internal/engine"
@@ -240,37 +239,28 @@ func (s *slaveNode) flushEpoch() {
 	engine.Flush(s.coll)
 }
 
-// handleDirectives executes this epoch's state-movement step — new movement
-// orders plus one message of every in-flight transfer — and reports whether
-// any movement work ran (stall accounting). Sends come first, in MoveID
-// order: the opening installment of each new supply, then one installment or
-// final of each transfer already streaming out. All of them are buffered, so
-// several messages to the same consumer share one physical frame on a
-// batched transport; every touched peer connection is flushed before the
-// first blocking receive, which keeps the exchange deadlock-free. Receives
-// follow, also in MoveID order — the opening receive of each new consume
-// interleaved with one message of each transfer already streaming in —
-// matching the send order of every supplier.
+// handleDirectives registers this epoch's movement orders and runs one
+// transfer step (stepTransfers), reporting whether any movement work ran
+// (stall accounting).
 func (s *slaveNode) handleDirectives(dirs []wire.Directive) bool {
 	if len(dirs) == 0 && len(s.xferOut) == 0 && len(s.xferIn) == 0 {
 		return false
 	}
-	sort.Slice(dirs, func(i, j int) bool { return dirs[i].MoveID < dirs[j].MoveID })
-	consumes := 0
 	for _, d := range dirs {
 		switch {
 		case d.From == s.id:
 			s.startOutgoing(d)
-			s.movesServed++
 		case d.To == s.id:
-			consumes++
+			if s.xferIn == nil {
+				s.xferIn = make(map[int64]*inXfer)
+			}
+			s.xferIn[d.MoveID] = &inXfer{d: d}
 		default:
 			panic(fmt.Sprintf("core: slave %d got foreign directive %+v", s.id, d))
 		}
+		s.movesServed++
 	}
-	s.stepOutgoing()
-	s.flushPeers()
-	s.stepIncoming(dirs, consumes)
+	s.stepTransfers()
 	return true
 }
 
@@ -294,42 +284,6 @@ func (s *slaveNode) applyMembership(ms *wire.Membership) {
 	s.ptab.prune(live)
 	if s.repl != nil {
 		s.repl.updateRoster(ms.Slaves)
-	}
-}
-
-// consumeGroup opens the consume of move d: read the supplier's first
-// message, or — when there is no live supplier to read from — install the
-// group from what this slave has locally.
-func (s *slaveNode) consumeGroup(d wire.Directive) {
-	// A consumer death mid-transfer can bounce a group right back onto its
-	// old supplier (re-adoption); any outgoing transfer of this group must
-	// die first so the install below finds the group unowned.
-	s.abortOutgoingGroup(d.Group)
-	switch {
-	case d.From <= -2:
-		// Promotion order: the previous owner crashed, but its windows were
-		// chain-replicated here — install the local shadow (replica.go).
-		s.installReplica(d, promoteSrc(d.From))
-	case d.From < 0:
-		// Adoption order: there is no supplier — the previous owner crashed
-		// and its windows are gone. Install the group empty so processing
-		// resumes, and ack so ownership transfers.
-		s.install(emptyState(d.Group), nil, d.MoveID)
-	default:
-		switch msg := s.recvFrom(d).(type) {
-		case nil:
-			// The supplier died before shipping: if this slave happens to be
-			// its buddy the group's shadow is local, otherwise the move
-			// completes empty and degraded.
-			s.installReplica(d, d.From)
-		case *wire.StateChunk:
-			// Accumulate, and ack only when the closing StateTransfer
-			// completes the move (transfer.go).
-			s.beginIncoming(d, msg)
-		default:
-			panic(fmt.Sprintf("core: slave %d: transfer %d opened with %T, want the first installment",
-				s.id, d.MoveID, msg))
-		}
 	}
 }
 

@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"slices"
-	"sort"
 	"time"
 
 	"streamjoin/internal/engine"
@@ -50,12 +50,17 @@ import (
 // and cuts over one epoch later; an extract at the directive epoch would
 // race the tuples delivered behind that very directive.
 //
-// Deadlock freedom: the endpoints of in-flight movements are excluded from
-// new reorganization pairings (busy in planBoundary), so the set of concurrent
-// transfers always forms a bipartite supplier→consumer graph with disjoint
-// sides. Each epoch every supplier buffers its messages and flushes before
-// any slave blocks receiving — no cycle can form, even over in-process
-// rendezvous pipes.
+// Ordering and deadlock freedom: one step (stepTransfers) moves every
+// transfer, at every epoch and at shutdown. On each supplier→consumer link
+// both ends walk their transfers in ascending MoveID, so the consumer reads
+// messages in the order the supplier sent them. (A graceful leaver drains
+// several groups to one survivor at once; they share a link.) MoveIDs
+// ascend, so a transfer opened this epoch sorts after any already on its
+// link, though there is none: planBoundary never gives a busy supplier a new
+// move. That exclusion also keeps the set of concurrent transfers a
+// bipartite supplier→consumer graph with disjoint sides. Every supplier
+// buffers its step's messages and flushes before any slave blocks
+// receiving, so no cycle can form, even over in-process rendezvous pipes.
 //
 // Paper correspondence: §IV-C describes the movement as one step; the
 // follow-up work ("Processing Database Joins over a Shared-Nothing System of
@@ -80,10 +85,6 @@ type outXfer struct {
 	snap [2][]tuple.Tuple // unsent remainder of the wire-converted snapshot
 	size int              // snapshot tuples per installment (installmentSize)
 	seq  int32            // next installment index
-	// fresh marks a transfer whose opening installment went out this epoch
-	// (startOutgoing); the per-epoch stepOutgoing sweep skips it once so a
-	// transfer ships exactly one message per epoch.
-	fresh bool
 }
 
 func (x *outXfer) snapLeft() int { return len(x.snap[0]) + len(x.snap[1]) }
@@ -93,7 +94,7 @@ func (x *outXfer) snapLeft() int { return len(x.snap[0]) + len(x.snap[1]) }
 type inXfer struct {
 	d      wire.Directive
 	window [2][]tuple.Tuple
-	next   int32 // expected next installment index
+	next   int32 // expected next installment index; 0 until the first step
 }
 
 // installmentSize is the number of snapshot tuples each installment of a
@@ -110,13 +111,13 @@ func (c *Config) installmentSize(snapLen int) int {
 	return max(c.ChunkTuples, (snapLen+n-1)/n)
 }
 
-// startOutgoing opens the transfer of directive d: snapshot the group without
-// detaching it, ship the first installment, and start the catch-up capture.
-// A group not grown yet snapshots empty and cuts over one epoch later, its
-// whole state riding the catch-up delta.
+// startOutgoing registers the transfer of directive d: snapshot the group
+// without detaching it and start the catch-up capture. A group not grown yet
+// snapshots empty; its opening installment is empty too, and its whole state
+// rides the catch-up delta.
 func (s *slaveNode) startOutgoing(d wire.Directive) {
 	w := s.ws.workerOf(d.Group)
-	x := &outXfer{d: d, fresh: true}
+	x := &outXfer{d: d}
 	if g, ok := w.mod.Get(d.Group); ok {
 		snap := g.Extract()
 		x.snap = snap.ToWire(d.MoveID, nil).Window
@@ -130,7 +131,6 @@ func (s *slaveNode) startOutgoing(d wire.Directive) {
 		s.xferOut = make(map[int64]*outXfer)
 	}
 	s.xferOut[d.MoveID] = x
-	s.sendInstallment(x)
 }
 
 // sendInstallment ships the next chunk of the snapshot (at most x.size
@@ -201,99 +201,66 @@ func (s *slaveNode) abortOutgoingGroup(g int32) {
 	}
 }
 
-// stepOutgoing advances every in-flight outgoing transfer by exactly one
-// buffered message — the next installment, or the closing StateTransfer once
-// the snapshot is fully shipped — in MoveID order (the consumer reads in the
-// same order). Transfers opened this epoch already sent their installment.
-func (s *slaveNode) stepOutgoing() {
-	if len(s.xferOut) == 0 {
-		return
-	}
-	ids := make([]int64, 0, len(s.xferOut))
-	for id := range s.xferOut {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		x, ok := s.xferOut[id]
-		if !ok {
-			continue // aborted by an earlier install this epoch
-		}
-		if x.fresh {
-			x.fresh = false
-			continue
-		}
-		if x.snapLeft() > 0 {
+// stepTransfers advances every in-flight transfer by one message, the same
+// step at every epoch and, repeated until none is left, at shutdown. Sends
+// come first, in MoveID order: each outgoing transfer ships installment 0
+// (even of an empty snapshot), then one installment per step, then the
+// closing StateTransfer. They are buffered, so several messages to one
+// consumer share a physical frame on a batched transport; every touched
+// peer connection is flushed before the first blocking receive. Receives
+// follow, also in MoveID order: one message of each incoming transfer.
+func (s *slaveNode) stepTransfers() {
+	for _, id := range slices.Sorted(maps.Keys(s.xferOut)) {
+		x := s.xferOut[id]
+		if x.seq == 0 || x.snapLeft() > 0 {
 			s.sendInstallment(x)
 		} else {
 			s.finishOutgoing(x)
 		}
 	}
-}
-
-// stepIncoming performs this epoch's blocking receives: one message per
-// in-flight incoming transfer plus the opening receive of every new consume
-// directive, interleaved in MoveID order to match the suppliers' send order.
-func (s *slaveNode) stepIncoming(dirs []wire.Directive, consumes int) {
-	if consumes == 0 && len(s.xferIn) == 0 {
-		return
-	}
-	type step struct {
-		id int64
-		d  wire.Directive
-		x  *inXfer // nil for a fresh consume directive
-	}
-	steps := make([]step, 0, consumes+len(s.xferIn))
-	for _, d := range dirs {
-		if d.To == s.id {
-			steps = append(steps, step{id: d.MoveID, d: d})
-		}
-	}
-	for id, x := range s.xferIn {
-		steps = append(steps, step{id: id, x: x})
-	}
-	sort.Slice(steps, func(i, j int) bool { return steps[i].id < steps[j].id })
-	for _, st := range steps {
-		if st.x != nil {
-			s.continueIncoming(st.x)
-		} else {
-			s.consumeGroup(st.d)
-			s.movesServed++
-		}
+	s.flushPeers()
+	for _, id := range slices.Sorted(maps.Keys(s.xferIn)) {
+		s.stepIncoming(s.xferIn[id])
 	}
 }
 
-// beginIncoming registers a transfer whose opening message was a StateChunk:
-// the consume completes — and acks — only when the closing StateTransfer
-// arrives.
-func (s *slaveNode) beginIncoming(d wire.Directive, c *wire.StateChunk) {
-	if c.Seq != 0 {
-		panic(fmt.Sprintf("core: slave %d: transfer %d opened with installment %d",
-			s.id, d.MoveID, c.Seq))
-	}
-	if s.xferIn == nil {
-		s.xferIn = make(map[int64]*inXfer)
-	}
-	x := &inXfer{d: d, next: 1}
-	x.window[0] = c.Window[0]
-	x.window[1] = c.Window[1]
-	s.xferIn[d.MoveID] = x
-}
-
-// continueIncoming receives one message of an in-flight incoming transfer:
-// an installment extends the accumulated snapshot; the closing StateTransfer
-// completes the movement (snapshot plus catch-up delta install as one). A
-// supplier death mid-stream discards the incomplete prefix and fails over
-// exactly like a consume whose supplier never sent anything.
-func (s *slaveNode) continueIncoming(x *inXfer) {
+// stepIncoming receives one message of incoming transfer x: an installment
+// extends the accumulated snapshot; the closing StateTransfer completes the
+// movement (snapshot plus catch-up delta install as one) and acks it. The
+// first step opens the transfer: an install or promotion (From < 0)
+// completes at once, and a stream must open with installment 0. A supplier
+// death at any step discards the incomplete prefix and fails over to what
+// this slave holds locally.
+func (s *slaveNode) stepIncoming(x *inXfer) {
 	d := x.d
-	msg := s.recvFrom(d)
-	if msg == nil {
+	if x.next == 0 {
+		// A consumer death mid-transfer can bounce a group right back onto
+		// its old supplier (re-adoption); any outgoing transfer of this group
+		// must die first so the install finds the group unowned.
+		s.abortOutgoingGroup(d.Group)
+		switch {
+		case d.From <= -2:
+			// Promotion order: the previous owner crashed, but its windows
+			// were chain-replicated here — install the local shadow
+			// (replica.go).
+			delete(s.xferIn, d.MoveID)
+			s.installReplica(d, promoteSrc(d.From))
+			return
+		case d.From < 0:
+			// Adoption order: the previous owner crashed and its windows are
+			// gone. Install the group empty so processing resumes, and ack
+			// so ownership transfers.
+			delete(s.xferIn, d.MoveID)
+			s.install(emptyState(d.Group), nil, d.MoveID)
+			return
+		}
+	}
+	switch m := s.recvFrom(d).(type) {
+	case nil:
+		// If this slave happens to be the dead supplier's buddy the group's
+		// shadow is local; otherwise the move completes empty and degraded.
 		delete(s.xferIn, d.MoveID)
 		s.installReplica(d, d.From)
-		return
-	}
-	switch m := msg.(type) {
 	case *wire.StateChunk:
 		if m.Seq != x.next {
 			panic(fmt.Sprintf("core: slave %d: transfer %d installment %d, want %d",
@@ -303,6 +270,10 @@ func (s *slaveNode) continueIncoming(x *inXfer) {
 		x.window[0] = append(x.window[0], m.Window[0]...)
 		x.window[1] = append(x.window[1], m.Window[1]...)
 	case *wire.StateTransfer:
+		if x.next == 0 {
+			panic(fmt.Sprintf("core: slave %d: transfer %d opened with %T, want the first installment",
+				s.id, d.MoveID, m))
+		}
 		delete(s.xferIn, d.MoveID)
 		m.Window[0] = append(x.window[0], m.Window[0]...)
 		m.Window[1] = append(x.window[1], m.Window[1]...)
@@ -310,47 +281,10 @@ func (s *slaveNode) continueIncoming(x *inXfer) {
 	}
 }
 
-// settleTransfers completes every in-flight transfer at shutdown: suppliers
-// burst their remaining installments and finals, then consumers drain the
-// mirror image. The supplier and consumer sides of in-flight movements are
-// disjoint (busy in planBoundary), so burst-then-drain cannot deadlock even on
-// rendezvous transports.
+// settleTransfers completes every in-flight transfer at shutdown.
 func (s *slaveNode) settleTransfers() {
-	if len(s.xferOut) == 0 && len(s.xferIn) == 0 {
-		return
-	}
-	outIDs := make([]int64, 0, len(s.xferOut))
-	for id := range s.xferOut {
-		outIDs = append(outIDs, id)
-	}
-	slices.Sort(outIDs)
-	for _, id := range outIDs {
-		for {
-			x, ok := s.xferOut[id]
-			if !ok {
-				break
-			}
-			if x.snapLeft() > 0 {
-				s.sendInstallment(x)
-			} else {
-				s.finishOutgoing(x)
-			}
-		}
-	}
-	s.flushPeers()
-	inIDs := make([]int64, 0, len(s.xferIn))
-	for id := range s.xferIn {
-		inIDs = append(inIDs, id)
-	}
-	slices.Sort(inIDs)
-	for _, id := range inIDs {
-		for {
-			x, ok := s.xferIn[id]
-			if !ok {
-				break
-			}
-			s.continueIncoming(x)
-		}
+	for len(s.xferOut) > 0 || len(s.xferIn) > 0 {
+		s.stepTransfers()
 	}
 }
 

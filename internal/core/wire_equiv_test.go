@@ -96,7 +96,7 @@ func (s *equivSlave) apply(m wire.Message) (sig epochSig, rb *wire.ResultBatch, 
 			panic(err)
 		}
 		// Pending tuples join the next round of their group, exactly as
-		// slaveNode.consumeGroup queues them.
+		// slaveNode.install queues them.
 		s.mod.Process(m.Group, int32(s.epoch)*equivEpochMs, m.Pending)
 		return sig, nil, false
 	case *wire.Batch:

@@ -255,7 +255,7 @@ func TestWorkerSetStateMovementRouting(t *testing.T) {
 		t.Fatal("extract moved no window state")
 	}
 
-	// Round-trip through the wire encoding, as consumeGroup receives it.
+	// Round-trip through the wire encoding, as stepIncoming receives it.
 	msg := snap.ToWire(1, pending)
 	if err := dst.installState(join.StateFromWire(msg), msg.Pending); err != nil {
 		t.Fatal(err)

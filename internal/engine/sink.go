@@ -34,24 +34,21 @@ import (
 // module, so the join's zero-allocation steady state survives the sink as
 // long as the queue is keeping up (asserted by TestSocketSinkEmitNoAllocs).
 //
-// Failure: without a Redial option, a write error (consumer gone) marks the
-// sink failed; subsequent Emits recycle immediately and count the pairs as
-// dropped rather than deadlocking the slave, and Close reports the first
-// error. With Redial set (NewSocketSinkWith), a write error instead enters
-// reconnect mode: the dead connection is closed, a background goroutine
-// redials with backoff, and meanwhile the writer keeps draining the queue —
-// batches are retained in a bounded spool (estimated at the encoded pair
-// size) and replayed on reconnection, or counted dropped once the spool cap
-// is hit. Everything encoded but not yet flushed when the conn died is
-// reclassified from shipped to dropped, so delivered + dropped always
-// equals emitted exactly. Emit backpressure is unchanged: the bounded queue
+// Failure: a write error (consumer gone) enters reconnect mode: the dead
+// connection is closed, a background goroutine redials with backoff, and
+// meanwhile the writer keeps draining the queue — batches are retained in a
+// bounded spool (estimated at the encoded pair size) and replayed on
+// reconnection, or counted dropped once the spool cap is hit, so Emit never
+// deadlocks the slave against a dead consumer. Everything encoded but not
+// yet flushed when the conn died is reclassified from shipped to dropped,
+// so delivered + dropped always equals emitted exactly. Emit backpressure is unchanged: the bounded queue
 // still stalls the join when the consumer is merely slow — the spool only
 // engages while the connection is down.
 //
 // Termination contract: like ChanSink, the sink cannot know when the run
 // ends. Call Close only after the engine has fully stopped (no join worker
 // can still Emit); Close flushes everything pending, closes the connection,
-// and returns the first write error, if any.
+// and reports a write error, or a consumer still gone.
 type SocketSink struct {
 	p     *LiveProc // stats target (nil in tests)
 	slave int32
@@ -60,16 +57,13 @@ type SocketSink struct {
 	w    *bufio.Writer
 	fw   *wire.FrameWriter
 
-	q        chan sinkBatch
-	recycle  chan []join.Pair
-	failed   chan struct{} // closed on first write error
-	failOnce sync.Once
-	err      atomic.Value // error
-	wg       sync.WaitGroup
+	q       chan sinkBatch
+	recycle chan []join.Pair
+	wg      sync.WaitGroup
 
 	seq atomic.Int64 // emission sequence, stamped into PairBatch.Epoch
 
-	// reconnect configuration (nil redial = legacy fail-fast)
+	// reconnect configuration
 	redial   func() (io.WriteCloser, error)
 	spoolCap int64
 
@@ -127,7 +121,7 @@ const DefaultSinkSpool = 1 << 20
 // against the spool cap on top of the encoded pair size.
 const spoolBatchOverhead = 32
 
-// SinkOptions configures NewSocketSinkWith beyond the legacy constructor.
+// SinkOptions configures NewSocketSinkWith.
 type SinkOptions struct {
 	// Queue is the bounded in-flight depth (0 = DefaultSinkQueue).
 	Queue int
@@ -135,20 +129,17 @@ type SinkOptions struct {
 	// the connection is down (0 = DefaultSinkSpool). Batches beyond the cap
 	// are counted dropped.
 	SpoolBytes int64
-	// Redial reopens the consumer connection after a write failure. nil
-	// keeps the legacy fail-fast behavior.
+	// Redial reopens the consumer connection after a write failure
+	// (required).
 	Redial func() (io.WriteCloser, error)
 }
 
-// NewSocketSink returns a running sink over conn for the given slave ID.
-// queue is the bounded in-flight depth (0 = DefaultSinkQueue); p, when
-// non-nil, receives the pairs/bytes/stall accounting.
-func NewSocketSink(p *LiveProc, conn io.WriteCloser, slave int32, queue int) *SocketSink {
-	return NewSocketSinkWith(p, conn, slave, SinkOptions{Queue: queue})
-}
-
-// NewSocketSinkWith is NewSocketSink with reconnect options.
+// NewSocketSinkWith returns a running sink over conn for the given slave ID;
+// p, when non-nil, receives the pairs/bytes/stall accounting.
 func NewSocketSinkWith(p *LiveProc, conn io.WriteCloser, slave int32, o SinkOptions) *SocketSink {
+	if o.Redial == nil {
+		panic("engine: a SocketSink needs a Redial")
+	}
 	s := newSocketSink(p, conn, slave, o.Queue)
 	s.redial = o.Redial
 	s.spoolCap = o.SpoolBytes
@@ -175,7 +166,6 @@ func newSocketSink(p *LiveProc, conn io.WriteCloser, slave int32, queue int) *So
 		fw:      wire.NewFrameWriter(w, sinkFlushBytes),
 		q:       make(chan sinkBatch, queue),
 		recycle: make(chan []join.Pair, queue+1),
-		failed:  make(chan struct{}),
 		redialc: make(chan io.WriteCloser, 1),
 		bye:     make(chan struct{}),
 	}
@@ -220,21 +210,8 @@ func (s *SocketSink) emit(query, group int32, pairs []join.Pair) []join.Pair {
 	select {
 	case s.q <- b: // fast path: queue has room, no stall
 	default:
-		select {
-		case <-s.failed:
-			// Writer is gone; recycle straight back so the join never
-			// deadlocks against a dead consumer.
-			s.dropped.Add(int64(len(pairs)))
-			return pairs
-		default:
-		}
 		t0 := time.Now()
-		select {
-		case s.q <- b:
-		case <-s.failed:
-			s.dropped.Add(int64(len(pairs)))
-			return pairs
-		}
+		s.q <- b
 		d := time.Since(t0)
 		s.stall.Add(d.Nanoseconds())
 		if s.p != nil {
@@ -290,14 +267,13 @@ func (s *SocketSink) writeNext() bool {
 	}
 }
 
-// writeBatch encodes one batch (unless the sink already failed), recycles
-// its buffer, and flushes if the queue is idle. Disconnected sinks spool or
-// drop instead of encoding.
+// writeBatch encodes one batch, recycles its buffer, and flushes if the
+// queue is idle. Disconnected sinks spool or drop instead of encoding.
 func (s *SocketSink) writeBatch(b sinkBatch) {
 	if b.barrier != nil {
-		if !s.down && s.err.Load() == nil {
+		if !s.down {
 			if err := s.flush(); err != nil {
-				s.wireFail(err)
+				s.wireFail()
 			}
 		}
 		// While disconnected the barrier degrades to a no-op: its pairs sit
@@ -310,24 +286,19 @@ func (s *SocketSink) writeBatch(b sinkBatch) {
 		s.spoolBatch(b)
 		return
 	}
-	if s.err.Load() == nil {
-		encoded, err := s.write(b)
-		if err != nil {
-			s.wireFail(err)
-			if s.down {
-				// Reconnect mode: wireFail reclassified everything unflushed
-				// (including this batch's encoded prefix) as dropped; the
-				// unencoded tail goes to the spool, which owns the buffer.
-				s.spoolBatch(sinkBatch{query: b.query, group: b.group, epoch: b.epoch, pairs: b.pairs[encoded:]})
-				return
-			}
-		} else if len(s.q) == 0 {
-			if err := s.flush(); err != nil {
-				s.wireFail(err)
-			}
+	encoded, err := s.write(b)
+	if err != nil {
+		// wireFail reclassifies everything unflushed (including this batch's
+		// encoded prefix) as dropped; the unencoded tail goes to the spool,
+		// which owns the buffer.
+		s.wireFail()
+		s.spoolBatch(sinkBatch{query: b.query, group: b.group, epoch: b.epoch, pairs: b.pairs[encoded:]})
+		return
+	}
+	if len(s.q) == 0 {
+		if err := s.flush(); err != nil {
+			s.wireFail()
 		}
-	} else {
-		s.dropped.Add(int64(len(b.pairs)))
 	}
 	select {
 	case s.recycle <- b.pairs:
@@ -387,14 +358,9 @@ func (s *SocketSink) account(query int32, n int64) {
 	}
 }
 
-// wireFail handles a connection-level write error: legacy sinks fail for
-// good; reconnecting sinks close the dead conn, reclassify the pairs it
-// swallowed, and hand the problem to the redialer.
-func (s *SocketSink) wireFail(err error) {
-	if s.redial == nil {
-		s.fail(err)
-		return
-	}
+// wireFail handles a connection-level write error: close the dead conn,
+// reclassify the pairs it swallowed, and hand the problem to the redialer.
+func (s *SocketSink) wireFail() {
 	// Everything encoded since the last successful flush never reached the
 	// consumer: move it from shipped to dropped, keeping
 	// delivered + dropped == emitted exact. (The per-process stats are not
@@ -452,7 +418,7 @@ func (s *SocketSink) attach(c io.WriteCloser) {
 		}
 		encoded, err := s.write(b)
 		if err != nil {
-			s.wireFail(err)
+			s.wireFail()
 			s.spoolBatch(sinkBatch{query: b.query, group: b.group, epoch: b.epoch, pairs: b.pairs[encoded:]})
 			continue
 		}
@@ -463,7 +429,7 @@ func (s *SocketSink) attach(c io.WriteCloser) {
 	}
 	if !s.down {
 		if err := s.flush(); err != nil {
-			s.wireFail(err)
+			s.wireFail()
 		}
 	}
 }
@@ -493,23 +459,6 @@ func (s *SocketSink) redialer() {
 	}
 }
 
-// fail records the first write error and releases every blocked or future
-// Emit.
-func (s *SocketSink) fail(err error) {
-	s.failOnce.Do(func() {
-		s.err.Store(fmt.Errorf("engine: pair sink: %w", err))
-		close(s.failed)
-	})
-}
-
-// Err reports the sink's first write error, if any (nil while healthy).
-func (s *SocketSink) Err() error {
-	if e := s.err.Load(); e != nil {
-		return e.(error)
-	}
-	return nil
-}
-
 // Stats reports pairs shipped, physical bytes written (frame headers
 // included), cumulative Emit stall time, and pairs dropped after a failure.
 func (s *SocketSink) Stats() (pairs, bytes int64, stall time.Duration, dropped int64) {
@@ -517,42 +466,33 @@ func (s *SocketSink) Stats() (pairs, bytes int64, stall time.Duration, dropped i
 }
 
 // Reconnects reports how many times the sink re-established its consumer
-// connection (always 0 without a Redial option).
+// connection.
 func (s *SocketSink) Reconnects() int64 { return s.reconnects.Load() }
 
 // FlushBarrier blocks until every batch emitted before the call has been
-// encoded and flushed to the connection (or the sink has failed): once it
-// returns, the kernel holds every pair the join has produced so far, so
+// encoded and flushed to the connection (or spooled while it is down): once
+// it returns, the kernel holds every pair the join has produced so far, so
 // even an abrupt process death cannot lose output already reported. The
 // replicating elastic slave runs one barrier per epoch. Safe to call
 // concurrently with Emit; must not race Close.
 func (s *SocketSink) FlushBarrier() {
 	done := make(chan struct{})
-	select {
-	case s.q <- sinkBatch{barrier: done}:
-	case <-s.failed:
-		return
-	}
-	select {
-	case <-done:
-	case <-s.failed:
-	}
+	s.q <- sinkBatch{barrier: done}
+	<-done
 }
 
 // Close drains and flushes everything pending, closes the connection, and
-// returns the sink's first error. It must only be called after the engine
-// has stopped (no concurrent Emit).
+// reports a final flush error, or that the consumer was still gone. It must
+// only be called after the engine has stopped (no concurrent Emit).
 func (s *SocketSink) Close() error {
 	close(s.q)
 	s.wg.Wait()
 	close(s.bye) // stop any in-flight redialer
-	err := s.Err()
-	if err == nil {
-		if s.down {
-			err = fmt.Errorf("engine: pair sink: closed while disconnected (%d pairs dropped)", s.dropped.Load())
-		} else {
-			err = s.flush()
-		}
+	var err error
+	if s.down {
+		err = fmt.Errorf("engine: pair sink: closed while disconnected (%d pairs dropped)", s.dropped.Load())
+	} else {
+		err = s.flush()
 	}
 	if cerr := s.conn.Close(); err == nil {
 		err = cerr

