@@ -188,6 +188,74 @@ func benchLiveProber(b *testing.B, mode join.Mode) {
 	b.ReportMetric(float64(outputs)/float64(b.N), "outputs/epoch")
 }
 
+// BenchmarkProbeHeavyRound times one steady-state round at the probe-heavy
+// benchmark workload's shape through one hash module: a 2^11 key domain at
+// skew 0.7, one slave's share of the rate (10k tuples/s per stream) and of
+// the default 60 partition-groups, a 5 s window and 250 ms epochs. Tens of
+// pairs per tuple make pair emission the round's cost — the path
+// BenchmarkLiveProberHash (Table-I shape, few matches) never exercises.
+// Pairs are materialized into a DiscardSink. It reports ns/pair and
+// pairs/op; allocs/op must stay 0. The warm-up is eight windows, not two:
+// after two, the block free lists and the pair buffer are still reaching
+// new high-water marks (about 40 allocations in the next 20 rounds); after
+// eight, a handful.
+func BenchmarkProbeHeavyRound(b *testing.B) {
+	cfg := join.Config{
+		WindowMs: 5_000,
+		Theta:    1_500_000,
+		FineTune: true,
+		Mode:     join.ModeHash,
+		Expiry:   join.ExpiryBlocks,
+		Sink:     join.DiscardSink{},
+	}
+	m := join.MustNew(cfg)
+	s1, s2 := workload.Pair(workload.Config{
+		Rate: 10_000, Skew: 0.7, Domain: 1 << 11, Seed: 1,
+	})
+	const (
+		epochMs = 250
+		groups  = 30
+	)
+	now := int32(0)
+	// nextEpoch routes one epoch's tuples to their partition-groups, as the
+	// master does before distribution.
+	nextEpoch := func() [groups][]tuple.Tuple {
+		var byGroup [groups][]tuple.Tuple
+		for _, t := range workload.Merge(s1.Batch(now, now+epochMs), s2.Batch(now, now+epochMs)) {
+			g := tuple.PartitionOf(t.Key, groups)
+			byGroup[g] = append(byGroup[g], t)
+		}
+		now += epochMs
+		return byGroup
+	}
+	round := func(end int32, epoch *[groups][]tuple.Tuple) (pairs int64) {
+		for g := range epoch {
+			pairs += m.Process(int32(g), end, epoch[g]).Outputs
+		}
+		return pairs
+	}
+	for now < 8*cfg.WindowMs {
+		end := now + epochMs
+		epoch := nextEpoch()
+		round(end, &epoch)
+	}
+	// Epochs are generated with the timer stopped rather than all up front:
+	// at this rate b.N of them would hold a hundred megabytes.
+	b.ReportAllocs()
+	b.ResetTimer()
+	var pairs int64
+	for range b.N {
+		b.StopTimer()
+		end := now + epochMs
+		epoch := nextEpoch()
+		b.StartTimer()
+		pairs += round(end, &epoch)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pairs), "ns/pair")
+	b.ReportMetric(float64(pairs)/float64(b.N), "pairs/op")
+}
+
 // BenchmarkRoundAllocs pins the zero-allocation hot path: a steady-state
 // count-only round (the live slave's inner loop with "-sink count") at the
 // Table-I workload shape, for both live probers. allocs/op should be 0 for

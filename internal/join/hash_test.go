@@ -174,9 +174,9 @@ func TestThreeProbersAgainstBruteForce(t *testing.T) {
 }
 
 // TestHashIndexSurvivesForcedSplitsAndMerges drives the directory through
-// explicit split and merge storms and checks the index still resolves every
-// live tuple afterwards (probes after relocation find exactly the stored
-// partners).
+// explicit split and merge storms and checks the index still mirrors every
+// live tuple afterwards (the auditor after each storm, and probes after
+// relocation find exactly the stored partners).
 func TestHashIndexSurvivesForcedSplitsAndMerges(t *testing.T) {
 	cfg := testCfg(ModeHash)
 	m := MustNew(cfg)
@@ -188,6 +188,7 @@ func TestHashIndexSurvivesForcedSplitsAndMerges(t *testing.T) {
 	if res := m.Process(0, 200, batch); res.Splits == 0 {
 		t.Fatal("no splits despite overflow")
 	}
+	hashFootprint(t, m) // audits every index against its store
 	// After relocation, every key must still find its exact partner.
 	var probes []tuple.Tuple
 	for i := int32(0); i < 2000; i += 97 {
@@ -202,10 +203,16 @@ func TestHashIndexSurvivesForcedSplitsAndMerges(t *testing.T) {
 			t.Fatalf("pair %v does not point at the stored partner", p)
 		}
 	}
-	// Merges: expire everything, then verify the index is empty.
-	if res := m.Process(0, 100_000, nil); res.Merges == 0 {
+	// Merges: expire everything but a few survivors ingested in the same
+	// round, so the merged buckets rebuild their indexes from live content.
+	var survivors []tuple.Tuple
+	for i := int32(0); i < 20; i++ {
+		survivors = append(survivors, tup(tuple.StreamID(i%2), 1000+i%7, 99_000))
+	}
+	if res := m.Process(0, 100_000, survivors); res.Merges == 0 {
 		t.Fatal("no merges after mass expiry")
 	}
+	hashFootprint(t, m) // audits every index against its store
 	if res := m.Process(0, 100_100, []tuple.Tuple{tup(tuple.S2, 42, 100_050)}); res.Outputs != 0 {
 		t.Fatalf("outputs = %d after mass expiry, want 0", res.Outputs)
 	}
@@ -214,6 +221,7 @@ func TestHashIndexSurvivesForcedSplitsAndMerges(t *testing.T) {
 	if res := m.Process(0, 100_400, refill); res.Outputs != 1 {
 		t.Fatalf("outputs = %d after refill, want 1", res.Outputs)
 	}
+	hashFootprint(t, m) // audits every index against its store
 }
 
 // TestHashProbeCostIsMatches pins the tentpole's complexity claim: Scanned

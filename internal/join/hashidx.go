@@ -7,34 +7,35 @@ import (
 	"streamjoin/internal/tuple"
 )
 
-// hashIndex is the hash prober's per-bucket, per-stream key→tuple-slot
+// hashIndex is the hash prober's per-bucket, per-stream key→timestamps
 // index: a compact open-addressing table over int32 join keys whose values
-// are runs of window append-sequence numbers stored in one shared []int64
-// arena.
+// are runs of the key's live tuple timestamps, in append order, stored in
+// one shared []int32 arena. A stored tuple is exactly its key and its
+// timestamp, so a run is the key's whole live content: a probe emits its
+// pairs from the run alone and never reads the window store.
 //
-// The previous implementation was a map[int32][]int64, which allocated a
-// slice header per live key and churned those headers on every ingest and
-// expiry. Here a probe is one linear-probe lookup plus a contiguous scan of
-// the key's run, ingestion appends into the run in place (growing it by
-// power-of-two run classes), and expiry advances the run's start — stores
-// expire strictly oldest-first, so the expiring tuple's slot is always the
-// head of its key's run. Freed runs are recycled through per-class intrusive
-// free lists threaded through the arena itself, so steady-state rounds
-// allocate nothing, and the structure's footprint is exactly the table plus
-// the arena — which is what footprint reports, making Module.IndexBytes
-// exact instead of estimated.
+// A map of slices would allocate a slice header per live key and churn
+// those headers on every ingest and expiry. Here a probe is one linear-probe
+// lookup plus a contiguous read of the key's run, ingestion appends into the
+// run in place (growing it by power-of-two run classes), and expiry advances
+// the run's start — stores expire strictly oldest-first, so the expiring
+// tuple is always the head of its key's run. Freed runs are recycled through
+// per-class intrusive free lists threaded through the arena itself, so
+// steady-state rounds allocate nothing, and the structure's footprint is
+// exactly the table plus the arena — which is what footprint reports, making
+// Module.IndexBytes exact instead of estimated.
 type hashIndex struct {
 	entries []idxEntry // open-addressing table, power-of-two length
 	keys    int        // live keys (occupied table entries)
-	arena   []int64    // slot runs; freed runs double as free-list links
+	arena   []int32    // timestamp runs; freed runs double as free-list links
 	// freeHead[c] heads the free list of runs with capacity 1<<c; the first
 	// slot of a freed run holds the offset of the next free run (-1 ends).
 	freeHead [numRunClasses]int32
 }
 
-// idxEntry is one table entry: a key and its slot run in the arena. The live
-// slots are arena[off+start : off+start+n]; cap is the run's capacity (a
-// power of two) and doubles as the occupancy marker (cap == 0 ⇒ empty).
+// idxEntry is one table entry: a key and its timestamp run in the arena. The
+// live slots are arena[off+start : off+start+n]; cap is the run's capacity
+// (a power of two) and doubles as the occupancy marker (cap == 0 ⇒ empty).
 type idxEntry struct {
 	key   int32
 	off   int32 // arena offset of the run
@@ -46,6 +47,8 @@ type idxEntry struct {
 const (
 	// idxEntryBytes is the exact size of an idxEntry (five int32 fields).
 	idxEntryBytes = 20
+	// idxSlotBytes is the size of one arena slot (an int32 timestamp).
+	idxSlotBytes = 4
 	// minTableSize is the initial table length (power of two).
 	minTableSize = 8
 	// numRunClasses bounds run capacities at 1<<30 slots.
@@ -86,9 +89,9 @@ func (h *hashIndex) find(key int32) int {
 	}
 }
 
-// slots returns the live slot run of key in ascending append-sequence order
+// slots returns the timestamps of key's live tuples in append order
 // (aliasing the arena; valid until the next mutation), or nil.
-func (h *hashIndex) slots(key int32) []int64 {
+func (h *hashIndex) slots(key int32) []int32 {
 	i := h.find(key)
 	if i < 0 {
 		return nil
@@ -97,9 +100,9 @@ func (h *hashIndex) slots(key int32) []int64 {
 	return h.arena[e.off+e.start : e.off+e.start+e.n]
 }
 
-// add records that the tuple with the given append sequence carries key.
-// Sequences must be added in ascending order (window appends).
-func (h *hashIndex) add(key int32, seq int64) {
+// add records a tuple appended to the store with the given key and
+// timestamp. Tuples must be added in the store's append order.
+func (h *hashIndex) add(key, ts int32) {
 	if len(h.entries) == 0 {
 		h.entries = make([]idxEntry, minTableSize)
 	}
@@ -115,27 +118,27 @@ func (h *hashIndex) add(key int32, seq int64) {
 			// re-probe recursion terminates immediately.
 			if (h.keys+1)*4 > len(h.entries)*3 {
 				h.rehash(len(h.entries) * 2)
-				h.add(key, seq)
+				h.add(key, ts)
 				return
 			}
 			off := h.allocRun(0)
-			h.arena[off] = seq
+			h.arena[off] = ts
 			*e = idxEntry{key: key, off: off, n: 1, cap: 1}
 			h.keys++
 			return
 		}
 		if e.key == key {
-			h.appendSlot(e, seq)
+			h.appendSlot(e, ts)
 			return
 		}
 		i = (i + 1) & mask
 	}
 }
 
-// appendSlot pushes seq onto e's run, compacting the dead prefix in place
+// appendSlot pushes ts onto e's run, compacting the dead prefix in place
 // when at least half the run has expired, or migrating to a run of the next
 // capacity class otherwise.
-func (h *hashIndex) appendSlot(e *idxEntry, seq int64) {
+func (h *hashIndex) appendSlot(e *idxEntry, ts int32) {
 	if e.start+e.n == e.cap {
 		if e.start >= e.cap/2 && e.cap > 1 {
 			copy(h.arena[e.off:], h.arena[e.off+e.start:e.off+e.start+e.n])
@@ -148,7 +151,7 @@ func (h *hashIndex) appendSlot(e *idxEntry, seq int64) {
 			e.off, e.start, e.cap = noff, 0, e.cap*2
 		}
 	}
-	h.arena[e.off+e.start+e.n] = seq
+	h.arena[e.off+e.start+e.n] = ts
 	e.n++
 }
 
@@ -232,7 +235,7 @@ func (h *hashIndex) rehash(newSize int) {
 // recycling a freed run of that class when one is available.
 func (h *hashIndex) allocRun(class int) int32 {
 	if head := h.freeHead[class]; head >= 0 {
-		h.freeHead[class] = int32(h.arena[head])
+		h.freeHead[class] = h.arena[head]
 		return head
 	}
 	need := len(h.arena) + (1 << class)
@@ -244,7 +247,7 @@ func (h *hashIndex) allocRun(class int) int32 {
 		if c < 64 {
 			c = 64
 		}
-		na := make([]int64, len(h.arena), c)
+		na := make([]int32, len(h.arena), c)
 		copy(na, h.arena)
 		h.arena = na
 	}
@@ -256,7 +259,7 @@ func (h *hashIndex) allocRun(class int) int32 {
 // freeRun pushes a run onto its class's free list, reusing the run's first
 // slot as the link.
 func (h *hashIndex) freeRun(off int32, class int) {
-	h.arena[off] = int64(h.freeHead[class])
+	h.arena[off] = h.freeHead[class]
 	h.freeHead[class] = off
 }
 
@@ -272,7 +275,7 @@ func (h *hashIndex) release() {
 // whole arena (live runs, dead prefixes, and free runs alike — all of it is
 // resident memory).
 func (h *hashIndex) footprint() int64 {
-	return int64(len(h.entries))*idxEntryBytes + int64(cap(h.arena))*8
+	return int64(len(h.entries))*idxEntryBytes + int64(cap(h.arena))*idxSlotBytes
 }
 
 // liveSlots counts the live slots across all keys (must equal the window

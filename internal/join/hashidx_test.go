@@ -8,16 +8,10 @@ import (
 
 // refIndex is the map-of-slices reference the arena index replaced.
 type refIndex struct {
-	m   map[int32][]int64
-	seq int64
+	m map[int32][]int32
 }
 
-func (r *refIndex) add(key int32) int64 {
-	s := r.seq
-	r.seq++
-	r.m[key] = append(r.m[key], s)
-	return s
-}
+func (r *refIndex) add(key, ts int32) { r.m[key] = append(r.m[key], ts) }
 
 func (r *refIndex) removeOldest(key int32) {
 	if l := r.m[key]; len(l) > 1 {
@@ -29,19 +23,24 @@ func (r *refIndex) removeOldest(key int32) {
 
 // TestHashIndexMatchesMapReference drives the arena index and the old map
 // implementation through identical randomized add/expire sequences and
-// checks every key's slot run after each operation. Expiry is oldest-first
-// across keys, mirroring how window stores expire.
+// checks every key's timestamp run after each operation. Expiry is
+// oldest-first across keys, mirroring how window stores expire. Timestamps
+// are non-decreasing with frequent repeats, as in a round whose tuples share
+// a millisecond, so a run may hold equal neighbours.
 func TestHashIndexMatchesMapReference(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		h := newHashIndex()
-		ref := &refIndex{m: make(map[int32][]int64)}
+		ref := &refIndex{m: make(map[int32][]int32)}
 		var liveOrder []int32 // keys in append order (expiry order)
 		const domain = 60
+		ts := int32(0)
 		for op := 0; op < 3000; op++ {
 			if r.Intn(3) < 2 || len(liveOrder) == 0 {
 				key := r.Int31n(domain)
-				h.add(key, ref.add(key))
+				ts += r.Int31n(2)
+				h.add(key, ts)
+				ref.add(key, ts)
 				liveOrder = append(liveOrder, key)
 			} else {
 				key := liveOrder[0]
@@ -93,14 +92,14 @@ func TestHashIndexMatchesMapReference(t *testing.T) {
 // zero footprint (exact accounting for idle buckets) and stays usable.
 func TestHashIndexReleaseOnDrain(t *testing.T) {
 	h := newHashIndex()
-	for i := int64(0); i < 100; i++ {
-		h.add(int32(i%10), i)
+	for i := int32(0); i < 100; i++ {
+		h.add(i%10, i)
 	}
 	if h.footprint() == 0 {
 		t.Fatal("live index reports zero footprint")
 	}
-	for i := int64(0); i < 100; i++ {
-		h.removeOldest(int32(i % 10))
+	for i := int32(0); i < 100; i++ {
+		h.removeOldest(i % 10)
 	}
 	if h.footprint() != 0 || h.liveKeys() != 0 || h.liveSlots() != 0 {
 		t.Fatalf("drained index: footprint=%d keys=%d slots=%d",
@@ -117,13 +116,13 @@ func TestHashIndexReleaseOnDrain(t *testing.T) {
 // the free lists are primed.
 func TestHashIndexRecyclesRuns(t *testing.T) {
 	h := newHashIndex()
-	seq := int64(0)
+	ts := int32(0)
 	var order []int32
 	// Prime: 512 keys, up to 4 duplicate slots each, then one full cycle.
 	for rounds := 0; rounds < 4; rounds++ {
 		for k := int32(0); k < 512; k++ {
-			h.add(k, seq)
-			seq++
+			h.add(k, ts)
+			ts++
 			order = append(order, k)
 		}
 	}
@@ -131,8 +130,8 @@ func TestHashIndexRecyclesRuns(t *testing.T) {
 	step := func() {
 		key := order[cursor%len(order)]
 		h.removeOldest(key)
-		h.add(key, seq)
-		seq++
+		h.add(key, ts)
+		ts++
 		cursor++
 	}
 	for i := 0; i < len(order); i++ { // settle one full population cycle

@@ -27,12 +27,15 @@
 // ModeIndexed maintains per-bucket key→count maps and produces identical
 // match counts in O(1) per probe while *reporting* the scan length the
 // nested loop would have performed; the simulation charges virtual CPU from
-// that figure. ModeHash maintains per-bucket key→tuple-slot indexes over the
-// windowed stores and emits the actual matching pairs in O(matches) per
-// probe — the live engine's default prober. The index is kept coherent
-// across every mutation path of the window store: ingestion, block and exact
-// expiry, and bucket splits and merges under fine tuning. The equivalence of
-// the three modes is asserted by tests against a brute-force reference join.
+// that figure. ModeHash maintains per-bucket indexes from each key to the
+// timestamps of its live tuples, in append order, and emits the actual
+// matching pairs in O(matches) per probe from that one contiguous run — the
+// live engine's default prober. A stored tuple is only its key and
+// timestamp, so the index mirrors the store exactly and a probe never reads
+// the store. The index is kept coherent across every mutation path of the
+// window store: ingestion, block and exact expiry, and bucket splits and
+// merges under fine tuning. The equivalence of the three modes is asserted
+// by tests against a brute-force reference join.
 //
 // # Queries
 //
@@ -51,7 +54,7 @@
 // # Allocation discipline
 //
 // Steady-state rounds are allocation-free. The hash prober's index is an
-// open-addressing table over a slot arena with free-run recycling
+// open-addressing table over a timestamp arena with free-run recycling
 // (hashIndex), not a map of slices; the per-round working set — bucket
 // partitioning state and the backing arrays of RoundResult.Pairs and
 // RoundResult.Matches, pooled per query — lives in a roundScratch owned by
@@ -494,7 +497,7 @@ func (m *Module) ProcessAll(id int32, nowMs int32, tuples []tuple.Tuple) []Round
 type bucketQuery struct {
 	mode   Mode
 	counts [2]map[int32]int32 // key → live count; ModeIndexed only
-	idx    [2]*hashIndex      // key → live tuple slots, ascending; ModeHash only
+	idx    [2]*hashIndex      // key → live timestamps, append order; ModeHash only
 }
 
 // bucket is one fine-tuning unit: a mini-partition-group in paper terms.
@@ -541,8 +544,8 @@ func newBucket(queries []QueryConfig) *bucket {
 }
 
 // expireAux drops expired tuples from every query's auxiliary structures.
-// Stores expire strictly oldest-first, so an expiring tuple's slot is always
-// the head of its key's run in a hash index.
+// Stores expire strictly oldest-first, so an expiring tuple is always the
+// head of its key's run in a hash index.
 func (b *bucket) expireAux(s int) func([]tuple.Packed) {
 	return func(chunk []tuple.Packed) {
 		for qi := range b.qs {
@@ -601,13 +604,12 @@ func (b *bucket) ingest(t tuple.Tuple) {
 // installation — goes through it.
 func (b *bucket) ingestPacked(s int, p tuple.Packed) {
 	b.w[s].Append(p)
-	seq := b.w[s].Appended() - 1
 	for qi := range b.qs {
 		switch q := &b.qs[qi]; q.mode {
 		case ModeIndexed:
 			q.counts[s][p.Key]++
 		case ModeHash:
-			q.idx[s].add(p.Key, seq)
+			q.idx[s].add(p.Key, p.TS)
 		}
 	}
 }
@@ -616,11 +618,9 @@ func (b *bucket) ingestPacked(s int, p tuple.Packed) {
 // content (used after a buddy merge, which rebuilds the store wholesale).
 func (b *bucket) rebuildIndex(qi, s int) {
 	idx := newHashIndex()
-	seq := b.w[s].Expired()
 	b.w[s].Chunks(func(chunk []tuple.Packed) {
 		for _, p := range chunk {
-			idx.add(p.Key, seq)
-			seq++
+			idx.add(p.Key, p.TS)
 		}
 	})
 	b.qs[qi].idx[s] = idx
@@ -786,13 +786,17 @@ func (g *Group) probeOne(qi int, b *bucket, res *RoundResult, t tuple.Tuple, opp
 		}
 		res.Scanned += int64(b.w[opp].Len())
 	case ModeHash:
-		slots := b.qs[qi].idx[opp].slots(t.Key)
-		if !qc.CountOnly {
-			for _, seq := range slots {
-				res.Pairs = append(res.Pairs, Pair{Probe: t, Stored: b.w[opp].At(seq)})
+		run := b.qs[qi].idx[opp].slots(t.Key)
+		if !qc.CountOnly && len(run) > 0 {
+			// The run is the key's whole live content, so the pairs are
+			// written straight from it without touching the window store.
+			base := len(res.Pairs)
+			res.Pairs = slices.Grow(res.Pairs, len(run))[:base+len(run)]
+			for i, ts := range run {
+				res.Pairs[base+i] = Pair{Probe: t, Stored: tuple.Packed{Key: t.Key, TS: ts}}
 			}
 		}
-		n = int64(len(slots))
+		n = int64(len(run))
 		res.Scanned += n
 	}
 	if n > 0 {

@@ -341,6 +341,9 @@ func TestStateExtractInstallRoundtrip(t *testing.T) {
 		if err := dst.Install(st2); err != nil {
 			t.Fatal(err)
 		}
+		if got, want := dst.IndexBytes(), hashFootprint(t, dst); mode == ModeHash && got != want {
+			t.Fatalf("installed index bytes = %d, want %d", got, want)
+		}
 		// Replay identical further rounds on a control copy and the moved
 		// module: outputs must match exactly.
 		control := MustNew(testCfg(mode))

@@ -1,9 +1,11 @@
 package join
 
 import (
+	"slices"
 	"testing"
 
 	"streamjoin/internal/tuple"
+	"streamjoin/internal/window"
 )
 
 // distinctRound builds one round of n tuples with distinct keys per stream.
@@ -18,8 +20,9 @@ func distinctRound(n int, ts int32) []tuple.Tuple {
 }
 
 // hashFootprint recomputes the module's hash-index footprint from the index
-// internals: every bucket's open-addressing tables plus slot arenas, summed
-// over every hash-mode query.
+// internals — every bucket's open-addressing tables plus timestamp arenas,
+// summed over every hash-mode query — and audits each index against its
+// store on the way (auditHashIndex).
 func hashFootprint(t *testing.T, m *Module) int64 {
 	t.Helper()
 	var n int64
@@ -33,17 +36,38 @@ func hashFootprint(t *testing.T, m *Module) int64 {
 				idx := b.qs[qi].idx
 				for s := 0; s < 2; s++ {
 					n += int64(len(idx[s].entries))*idxEntryBytes +
-						int64(cap(idx[s].arena))*8
-					// The index must cover exactly the live tuples, one slot
-					// each.
-					if got, want := idx[s].liveSlots(), b.w[s].Len(); got != want {
-						t.Fatalf("index covers %d slots for %d live tuples", got, want)
-					}
+						int64(cap(idx[s].arena))*idxSlotBytes
+					auditHashIndex(t, idx[s], b.w[s])
 				}
 			}
 		})
 	}
 	return n
+}
+
+// auditHashIndex checks that idx mirrors store exactly: the same keys, and
+// for every key a run equal to the store's timestamps for that key in append
+// order. A probe emits pairs from the run alone, so a stale, missing or
+// reordered entry would surface as a wrong pair and nothing else.
+func auditHashIndex(t *testing.T, idx *hashIndex, store *window.Store) {
+	t.Helper()
+	want := make(map[int32][]int32)
+	store.Chunks(func(chunk []tuple.Packed) {
+		for _, p := range chunk {
+			want[p.Key] = append(want[p.Key], p.TS)
+		}
+	})
+	if got := idx.liveSlots(); got != store.Len() {
+		t.Fatalf("index covers %d slots for %d live tuples", got, store.Len())
+	}
+	if idx.liveKeys() != len(want) {
+		t.Fatalf("index holds %d keys, store %d", idx.liveKeys(), len(want))
+	}
+	for key, ts := range want {
+		if run := idx.slots(key); !slices.Equal(run, ts) {
+			t.Fatalf("key %d: index run %v, store timestamps %v", key, run, ts)
+		}
+	}
 }
 
 // TestIndexBytesTracksHashIndex checks the exact accounting: the hash

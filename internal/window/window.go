@@ -173,21 +173,6 @@ func (s *Store) FromSeq(seq int64, fn func(tuple.Packed)) {
 	})
 }
 
-// At returns the live tuple with the given append sequence number. Blocks
-// retain their dead prefix until dropped whole and every block except the
-// newest is full, so the offset arithmetic is exact. At panics when seq is
-// outside the live range [Expired(), Appended()); it exists so key→sequence
-// indexes (the hash prober) can resolve matches without scanning.
-func (s *Store) At(seq int64) tuple.Packed {
-	if seq < s.expired || seq >= s.appended {
-		panic(fmt.Sprintf("window: At(%d) outside live range [%d, %d)",
-			seq, s.expired, s.appended))
-	}
-	// blocks[0] begins at sequence expired−start (its dead prefix included).
-	off := seq - (s.expired - int64(s.start))
-	return s.blocks[off/tuple.TuplesPerBlock][off%tuple.TuplesPerBlock]
-}
-
 // Snapshot returns the live tuples in temporal order (state movement).
 func (s *Store) Snapshot() []tuple.Packed {
 	out := make([]tuple.Packed, 0, s.Len())

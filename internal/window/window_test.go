@@ -381,38 +381,3 @@ func TestBlockRecyclingSteadyState(t *testing.T) {
 		t.Fatalf("steady-state append/expire allocates %v per op", allocs)
 	}
 }
-
-func TestAtResolvesLiveSequences(t *testing.T) {
-	s := NewStore()
-	const n = 200 // spans several 64-tuple blocks
-	for i := int32(0); i < n; i++ {
-		s.Append(pk(i, i))
-	}
-	// Expire a prefix that ends mid-block.
-	s.ExpireExact(70, nil)
-	if s.Expired() != 70 {
-		t.Fatalf("expired = %d", s.Expired())
-	}
-	for seq := s.Expired(); seq < s.Appended(); seq++ {
-		if p := s.At(seq); p.Key != int32(seq) || p.TS != int32(seq) {
-			t.Fatalf("At(%d) = %+v", seq, p)
-		}
-	}
-	// Expire whole blocks too (block 1 boundary at 128) and re-check.
-	s.ExpireExact(130, nil)
-	for seq := s.Expired(); seq < s.Appended(); seq++ {
-		if p := s.At(seq); p.Key != int32(seq) {
-			t.Fatalf("after block expiry: At(%d) = %+v", seq, p)
-		}
-	}
-	for _, dead := range []int64{s.Expired() - 1, s.Appended()} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("At(%d) outside the live range should panic", dead)
-				}
-			}()
-			s.At(dead)
-		}()
-	}
-}
