@@ -451,7 +451,7 @@ func BenchmarkReplication(b *testing.B) {
 					stores[t.Stream].Append(t.Packed())
 				}
 				for s := range stores {
-					stores[s].Expire(cutoff, false, nil) // the live engine's block policy
+					stores[s].ExpireBlocks(cutoff, nil) // the live engine's policy
 				}
 			}
 			// Warm both sides to steady state — a full window plus slack for
@@ -513,7 +513,7 @@ func BenchmarkReplication(b *testing.B) {
 						scratch = append(scratch, t.Packed())
 					}
 					shadow[s].AppendRun(scratch)
-					shadow[s].Expire(got.Cutoff, false, nil)
+					shadow[s].ExpireBlocks(got.Cutoff, nil)
 				}
 			}
 			b.StopTimer()

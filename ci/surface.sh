@@ -1,18 +1,21 @@
 #!/usr/bin/env bash
 # Prints the surface counts that ROADMAP.md and every simplicity change
 # report: internal/core non-test and test lines, Config fields, cliflags
-# registrations and wire message kinds. Informational; it never fails a build.
+# registrations, wire message kinds, non-test lines per internal/ package,
+# and the Go line totals outside bench/ (its own module). Informational; it
+# never fails a build.
 #
 # Usage: ci/surface.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-core_lines() { awk 'END { print NR }' "$@"; }
+# /dev/null first: an empty file list must not make awk read stdin.
+count_lines() { awk 'END { print NR }' /dev/null "$@"; }
 mapfile -t src < <(ls internal/core/*.go | grep -v '_test\.go$')
 mapfile -t tst < <(ls internal/core/*_test.go)
 
-echo "internal/core non-test lines: $(core_lines "${src[@]}")"
-echo "internal/core test lines:     $(core_lines "${tst[@]}")"
+echo "internal/core non-test lines: $(count_lines "${src[@]}")"
+echo "internal/core test lines:     $(count_lines "${tst[@]}")"
 echo "Config fields:                $(awk '/^type Config struct/ { on = 1; next }
   on && /^}/ { on = 0 }
   on && /^\t[A-Z][A-Za-z0-9]*(, [A-Z][A-Za-z0-9]*)*[ \t]+[^ \t]/ { n++ }
@@ -23,3 +26,15 @@ echo "wire kinds:                   $(awk '/KindHello Kind = 1 \+ iota/ { on = 1
   on && /^\)/ { on = 0 }
   on && /^\tKind[A-Za-z]+$/ { n++ }
   END { print n }' internal/wire/wire.go)"
+echo "non-test lines per internal/ package:"
+for d in internal/*/; do
+  mapfile -t pkg < <(ls "$d"*.go | grep -v '_test\.go$')
+  printf '  %-26s %6d\n' "${d%/}" "$(count_lines "${pkg[@]}")"
+done
+# Every Go file of the main module: bench/ and hidden directories (build
+# caches) are pruned.
+go_files() { find . \( -path ./bench -o -path './.*' \) -prune -o -name '*.go' -print; }
+mapfile -t all_src < <(go_files | grep -v '_test\.go$')
+mapfile -t all_tst < <(go_files | grep '_test\.go$')
+echo "non-test lines outside bench/: $(count_lines "${all_src[@]}")"
+echo "test lines outside bench/:     $(count_lines "${all_tst[@]}")"

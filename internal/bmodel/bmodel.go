@@ -19,7 +19,6 @@ import (
 
 // Gen draws values in [0, Domain) with b-model skew.
 type Gen struct {
-	b      float64
 	domain int32
 	hot    uint64 // level l's hot half is the upper half iff bit l is set
 	thr    uint64 // b·2^53: a level takes its hot half iff the low 53 bits of its word are below thr
@@ -36,7 +35,6 @@ func New(b float64, domain int32, seed uint64) *Gen {
 		panic("bmodel: domain must be positive")
 	}
 	return &Gen{
-		b:      b,
 		domain: domain,
 		hot:    splitmix(seed),
 		thr:    uint64(b * (1 << 53)),
@@ -76,9 +74,3 @@ func (g *Gen) Next() int32 {
 	}
 	return lo
 }
-
-// Bias returns the generator's b parameter.
-func (g *Gen) Bias() float64 { return g.b }
-
-// Domain returns the exclusive upper bound of generated values.
-func (g *Gen) Domain() int32 { return g.domain }

@@ -144,13 +144,6 @@ func TestPanicsOnBadArgs(t *testing.T) {
 	}
 }
 
-func TestAccessors(t *testing.T) {
-	g := New(0.7, 12345, 1)
-	if g.Bias() != 0.7 || g.Domain() != 12345 {
-		t.Fatal("accessors")
-	}
-}
-
 // floatDescent is the b-model draw written the textbook way — a float
 // comparison and a branch per level — kept as the specification Next must
 // reproduce draw for draw.

@@ -147,17 +147,6 @@ func (t *Tally) Snapshot(elapsed time.Duration) Summary {
 	return s
 }
 
-// PerQuery copies the per-query pair counts keyed by query ID.
-func (t *Tally) PerQuery() map[int32]int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make(map[int32]int64, len(t.perQuery))
-	for q, n := range t.perQuery {
-		out[q] = n
-	}
-	return out
-}
-
 // PerGroup copies the per-group pair counts keyed by group ID.
 func (t *Tally) PerGroup() map[int32]int64 {
 	t.mu.Lock()

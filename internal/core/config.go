@@ -140,15 +140,16 @@ type Config struct {
 	// can honor epoch boundaries while backlogged. It is also the smallest
 	// installment a state movement streams per epoch (installmentSize).
 	ChunkTuples int
-	// Mode and Expiry select the join prober and expiration policy; RunSim
-	// forces Indexed/Exact, the live engines force LiveProber/Blocks.
-	Mode   join.Mode
-	Expiry join.Expiry
 	// LiveProber selects the prober the live engines (RunLive and the TCP
 	// deployment) run: join.ModeHash (the default, key→tuple-slot indexes,
 	// O(matches) probes) or join.ModeScan (the paper's block-nested-loop
 	// scan, kept as the ablation baseline). The simulation ignores it.
 	LiveProber join.Mode
+	// sim is set by RunSim: the simulation joins with the indexed prober
+	// (virtual CPU is charged from the modeled scan length) and exact expiry
+	// (byte-precise window accounting), the live engines with LiveProber
+	// and the paper's block expiry.
+	sim bool
 
 	// Sink, when non-nil, receives every round's materialized pairs from
 	// the live probers (see join.Sink for the buffer hand-off contract).
@@ -298,8 +299,6 @@ func DefaultConfig() Config {
 		Cost:               DefaultCostModel(),
 		Net:                simnet.DefaultParams(),
 		ChunkTuples:        4096,
-		Mode:               join.ModeIndexed,
-		Expiry:             join.ExpiryExact,
 		LiveProber:         join.ModeHash,
 		WireBatchBytes:     32 << 10,
 		HeartbeatMs:        500,
@@ -673,16 +672,17 @@ func (c *Config) epochsPerReorg() int64 {
 // joinConfig builds the join-module configuration. Without registered
 // Queries it keeps the legacy single-query shape (so existing modules are
 // bit-for-bit unchanged); with them it maps each QuerySpec to a
-// join.QueryConfig, forcing the indexed prober when the engine forced
-// c.Mode to it (RunSim — the live runners overwrite Mode with a live
-// prober before building modules).
+// join.QueryConfig. The simulation runs every query indexed (see sim).
 func (c *Config) joinConfig() join.Config {
 	jc := join.Config{
 		WindowMs: c.WindowMs,
 		Theta:    c.Theta,
 		FineTune: c.FineTune,
-		Mode:     c.Mode,
-		Expiry:   c.Expiry,
+		Mode:     c.LiveProber,
+		Expiry:   join.ExpiryBlocks,
+	}
+	if c.sim {
+		jc.Mode, jc.Expiry = join.ModeIndexed, join.ExpiryExact
 	}
 	if len(c.Queries) == 0 {
 		jc.Sink = c.Sink
@@ -692,7 +692,7 @@ func (c *Config) joinConfig() join.Config {
 	jc.Queries = make([]join.QueryConfig, len(c.Queries))
 	for i, q := range c.Queries {
 		mode := q.Prober
-		if c.Mode == join.ModeIndexed {
+		if c.sim {
 			mode = join.ModeIndexed
 		}
 		jc.Queries[i] = join.QueryConfig{ID: q.ID, Mode: mode, Sink: q.Sink, CountOnly: q.CountOnly}

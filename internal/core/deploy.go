@@ -309,9 +309,6 @@ func serveMaster(cfg Config, ctlLn, resLn net.Listener, logf func(string, ...any
 	if cfg.InitialActive == 0 {
 		cfg.InitialActive = cfg.formation()
 	}
-	cfg.Mode = cfg.LiveProber
-	cfg.Expiry = join.ExpiryBlocks
-
 	lm := newLiveMaster(&cfg, ing)
 	defer lm.feedStop.Store(true)
 	master := lm.master
@@ -446,9 +443,6 @@ func ServeSlave(cfg Config, joinAddr, resAddr string, opts JoinOptions) (err err
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	cfg.Mode = cfg.LiveProber
-	cfg.Expiry = join.ExpiryBlocks
-
 	t := &tcpSlave{cfg: cfg, joinAddr: joinAddr, id: -1, sinks: newPairSinks(-1),
 		env: engine.NewLiveEnv(), done: make(chan struct{})}
 	t.proc = t.env.NewProc("slave")

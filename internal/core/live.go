@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"streamjoin/internal/engine"
-	"streamjoin/internal/join"
 	"streamjoin/internal/tuple"
 )
 
@@ -191,9 +190,6 @@ func runLive(cfg Config, ing Ingestor) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg.Mode = cfg.LiveProber
-	cfg.Expiry = join.ExpiryBlocks
-
 	lm := newLiveMaster(&cfg, ing)
 	slaveP := make([]*engine.LiveProc, cfg.Slaves)
 	sConns := make([]engine.Conn, cfg.Slaves)

@@ -240,8 +240,6 @@ func TestSlaveFlushesResultsEveryEpoch(t *testing.T) {
 	cfg.DistEpochMs = 250
 	cfg.ReorgEpochMs = 750 // K = 3: a boundary every third epoch
 	cfg.WindowMs = 3_000
-	cfg.Mode = cfg.LiveProber
-	cfg.Expiry = join.ExpiryBlocks
 	env := engine.NewLiveEnv()
 	mp, sp := env.NewProc("master"), env.NewProc("slave")
 	mc, sc := engine.Pipe(mp, sp)

@@ -34,7 +34,6 @@ func TestMultiQueryEquivalence(t *testing.T) {
 
 	// Single-query baselines, one per prober (legacy config shape).
 	scanCfg := cfg
-	scanCfg.Mode = join.ModeScan
 	scanCfg.LiveProber = join.ModeScan
 	baseHash := runMultiWorker(t, cfg, msgs, 4)
 	baseScan := runMultiWorker(t, scanCfg, msgs, 4)

@@ -34,8 +34,6 @@ func mwConfig() Config {
 	cfg.WindowMs = 8_000
 	cfg.Theta = 16 << 10
 	cfg.Domain = 100_000
-	cfg.Mode = join.ModeHash
-	cfg.Expiry = join.ExpiryBlocks
 	return cfg
 }
 

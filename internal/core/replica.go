@@ -255,7 +255,6 @@ type replEntry struct {
 // The mutex spans reader goroutines (apply) and the slave loop (take/sweep).
 type replicaSet struct {
 	mu      sync.Mutex
-	exact   bool
 	ttl     int
 	entries map[replKey]*replEntry
 	readers map[int32]chan struct{}
@@ -272,7 +271,6 @@ type replicaSet struct {
 func newReplicaSet(cfg *Config, proc *engine.LiveProc) *replicaSet {
 	return &replicaSet{
 		proc:    proc,
-		exact:   cfg.Expiry == join.ExpiryExact,
 		ttl:     cfg.replicaTTL(),
 		entries: make(map[replKey]*replEntry),
 		readers: make(map[int32]chan struct{}),
@@ -284,8 +282,8 @@ func (rs *replicaSet) unlock() { rs.mu.Unlock() }
 
 // apply folds one delta into its shadow, creating it on first sight. Reset
 // clears first; then the ingest runs append in store order and the watermark
-// expires under the same policy the primary runs — the shadow stays
-// slot-for-slot identical to the primary (TestReplicaReplayIdentity).
+// expires whole blocks, the policy every live primary runs — the shadow
+// stays slot-for-slot identical to the primary (TestReplicaReplayIdentity).
 func (rs *replicaSet) apply(wd *wire.WindowDelta) {
 	if wd.Group < 0 {
 		return // keepalive from an owner with nothing to replicate
@@ -311,7 +309,7 @@ func (rs *replicaSet) apply(wd *wire.WindowDelta) {
 			e.stores[s].AppendRun(rs.scratch)
 			rs.tuplesRecv += int64(len(run))
 		}
-		e.stores[s].Expire(wd.Cutoff, rs.exact, nil)
+		e.stores[s].ExpireBlocks(wd.Cutoff, nil)
 	}
 	e.epoch = wd.Epoch
 	e.ticks = 0

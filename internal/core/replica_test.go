@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"streamjoin/internal/engine"
-	"streamjoin/internal/join"
 	"streamjoin/internal/tuple"
 	"streamjoin/internal/wire"
 )
@@ -296,19 +295,11 @@ func TestAccountWindowLoss(t *testing.T) {
 	}
 }
 
-// replicaCfg builds the config a replicaSet test runs under; the elastic
-// deployment always forces block expiry, so that is what the shadows use.
-func replicaCfg() Config {
-	cfg := DefaultConfig()
-	cfg.Expiry = join.ExpiryBlocks
-	return cfg
-}
-
 // TestReplicaSetApplyTake drives a replicaSet through the receive path —
 // reset snapshot, incremental deltas, an advancing expiry watermark — and
 // checks take returns exactly the surviving tuples, removing the shadow.
 func TestReplicaSetApplyTake(t *testing.T) {
-	cfg := replicaCfg()
+	cfg := DefaultConfig()
 	rs := newReplicaSet(&cfg, nil)
 
 	mk := func(stream tuple.StreamID, key, ts int32) tuple.Tuple {
@@ -380,7 +371,7 @@ func TestReplicaSetApplyTake(t *testing.T) {
 // TestReplicaSetSweep: shadows the owner keeps refreshing live forever;
 // orphaned ones are retired after the TTL.
 func TestReplicaSetSweep(t *testing.T) {
-	cfg := replicaCfg()
+	cfg := DefaultConfig()
 	cfg.ReplicaTTL = 3
 	rs := newReplicaSet(&cfg, nil)
 	wd := &wire.WindowDelta{From: 0, Group: 1, Epoch: 1, Cutoff: -1_000_000}
@@ -414,7 +405,7 @@ func TestReplicaSetSweep(t *testing.T) {
 // a closed reader releases it immediately, a stuck one only holds it for the
 // caller's patience.
 func TestReplicaSetReaderBarrier(t *testing.T) {
-	cfg := replicaCfg()
+	cfg := DefaultConfig()
 	rs := newReplicaSet(&cfg, nil)
 	rs.apply(&wire.WindowDelta{From: 4, Group: 2, Epoch: 1, Cutoff: -1_000_000})
 

@@ -6,7 +6,6 @@ import (
 
 	"streamjoin/internal/des"
 	"streamjoin/internal/engine"
-	"streamjoin/internal/join"
 	"streamjoin/internal/metrics"
 	"streamjoin/internal/simnet"
 	"streamjoin/internal/tuple"
@@ -251,11 +250,7 @@ func RunSim(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	// The simulation requires the indexed prober (virtual CPU is charged
-	// from the modeled scan length) and exact expiry (byte-precise window
-	// accounting).
-	cfg.Mode = join.ModeIndexed
-	cfg.Expiry = join.ExpiryExact
+	cfg.sim = true
 
 	env := des.NewEnv()
 	net := simnet.New(env, cfg.Net)

@@ -23,6 +23,7 @@ type xferRig struct {
 // installment) and t_r = k × t_d (the deadline installmentSize works to).
 func newXferRig(chunk, k int) *xferRig {
 	r := &xferRig{cfg: DefaultConfig()}
+	r.cfg.sim = true // the simulation's join: indexed prober, exact expiry
 	r.cfg.Slaves = 2
 	r.cfg.ChunkTuples = chunk
 	r.cfg.ReorgEpochMs = int32(k) * r.cfg.DistEpochMs

@@ -23,8 +23,6 @@ func wsTestConfig() Config {
 	cfg.WindowMs = 6_000
 	cfg.Theta = 16 << 10
 	cfg.Domain = 50_000
-	cfg.Mode = join.ModeHash
-	cfg.Expiry = join.ExpiryBlocks
 	return cfg
 }
 
@@ -288,8 +286,8 @@ func BenchmarkWorkerScaling(b *testing.B) {
 		b.Run(fmt.Sprintf("W=%d", w), func(b *testing.B) {
 			cfg := wsTestConfig()
 			cfg.Partitions = 8
-			cfg.Mode = join.ModeScan // honest nested loops: CPU-bound
-			cfg.FineTune = false     // monolithic per-group scan units
+			cfg.LiveProber = join.ModeScan // honest nested loops: CPU-bound
+			cfg.FineTune = false           // monolithic per-group scan units
 			cfg.WindowMs = 20_000
 			ws := newTestWorkerSet(b, &cfg, w)
 

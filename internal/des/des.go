@@ -35,9 +35,6 @@ func (t Time) Add(d time.Duration) Time {
 	return s
 }
 
-// Sub returns the duration between t and earlier time u.
-func (t Time) Sub(u Time) time.Duration { return time.Duration(t - u) }
-
 // Duration converts t to a duration since simulation start.
 func (t Time) Duration() time.Duration { return time.Duration(t) }
 

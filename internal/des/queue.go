@@ -81,44 +81,3 @@ func (q *Queue[T]) dropWaiter(p *Proc) {
 		}
 	}
 }
-
-// Resource is a counting semaphore over virtual time.
-type Resource struct {
-	env     *Env
-	cap     int
-	inUse   int
-	waiters []*Proc
-}
-
-// NewResource returns a resource with the given capacity (minimum 1).
-func NewResource(env *Env, capacity int) *Resource {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Resource{env: env, cap: capacity}
-}
-
-// InUse reports the number of held units.
-func (r *Resource) InUse() int { return r.inUse }
-
-// Acquire blocks the calling process until a unit is available and takes it.
-func (r *Resource) Acquire(p *Proc) {
-	for r.inUse >= r.cap {
-		r.waiters = append(r.waiters, p)
-		p.block()
-	}
-	r.inUse++
-}
-
-// Release returns a unit and wakes the longest-waiting acquirer, if any.
-func (r *Resource) Release() {
-	if r.inUse <= 0 {
-		panic("des: Release without Acquire")
-	}
-	r.inUse--
-	if len(r.waiters) > 0 {
-		w := r.waiters[0]
-		r.waiters = r.waiters[1:]
-		w.unblock()
-	}
-}

@@ -10,7 +10,6 @@ package experiment
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"streamjoin/internal/core"
@@ -476,12 +475,5 @@ func seq(from, to, step float64) []float64 {
 	for v := from; v <= to+1e-9; v += step {
 		out = append(out, v)
 	}
-	return out
-}
-
-// SortedSeries returns series names sorted (stable output for tests).
-func SortedSeries(f *Figure) []string {
-	out := append([]string(nil), f.Series...)
-	sort.Strings(out)
 	return out
 }

@@ -70,12 +70,6 @@ func (d *Dir[B]) LocalDepth(h uint64) uint {
 	return d.slots[d.slotOf(h)].local
 }
 
-// Replace swaps the bucket responsible for h (useful when bucket values are
-// immutable snapshots; bucket pointers normally make this unnecessary).
-func (d *Dir[B]) Replace(h uint64, v B) {
-	d.slots[d.slotOf(h)].val = v
-}
-
 // CanonicalBits returns the canonical identifier of the bucket holding h:
 // its low local-depth bits.
 func (d *Dir[B]) CanonicalBits(h uint64) uint32 {
@@ -223,8 +217,8 @@ func FromShape[B any](global uint, specs []Spec, mk func(bits uint32, local uint
 	return &Dir[B]{global: global, slots: slots, maxDepth: DefaultMaxDepth}, nil
 }
 
-// Validate checks the directory invariants; it is used by tests and when
-// installing a moved partition-group.
+// Validate checks the directory invariants. Only tests call it: installing a
+// moved partition-group goes through FromShape, which checks its input.
 func (d *Dir[B]) Validate() error {
 	if len(d.slots) != 1<<d.global {
 		return fmt.Errorf("exthash: %d slots for global depth %d", len(d.slots), d.global)

@@ -352,9 +352,6 @@ func MustNew(cfg Config) *Module {
 	return m
 }
 
-// Config returns the module configuration.
-func (m *Module) Config() Config { return m.cfg }
-
 // Ensure returns the group with the given ID, creating it empty if needed.
 func (m *Module) Ensure(id int32) *Group {
 	if g, ok := m.groups[id]; ok {
@@ -645,9 +642,6 @@ func newGroup(cfg *Config, id int32) *Group {
 	g.dir.SetMaxDepth(cfg.MaxDepth)
 	return g
 }
-
-// ID returns the group's identifier.
-func (g *Group) ID() int32 { return g.id }
 
 // WindowBytes reports the group's combined window size.
 func (g *Group) WindowBytes() int64 {

@@ -70,9 +70,6 @@ func New(env *des.Env, p Params) *Net {
 // Env returns the underlying simulation environment.
 func (n *Net) Env() *des.Env { return n.env }
 
-// Params returns the interconnect parameters.
-func (n *Net) Params() Params { return n.p }
-
 // transferTime is the sender-side occupancy of moving size bytes.
 func (n *Net) transferTime(size int64) time.Duration {
 	return n.p.ExchangeOverhead + time.Duration(float64(size)/n.p.Bandwidth*float64(time.Second))
@@ -91,20 +88,6 @@ type Stats struct {
 	BytesRecv int64
 	MsgsSent  int64
 	MsgsRecv  int64
-}
-
-// Sub returns s minus t, field by field (used to isolate the measurement
-// interval after warm-up).
-func (s Stats) Sub(t Stats) Stats {
-	return Stats{
-		Comm:      s.Comm - t.Comm,
-		Idle:      s.Idle - t.Idle,
-		CPU:       s.CPU - t.CPU,
-		BytesSent: s.BytesSent - t.BytesSent,
-		BytesRecv: s.BytesRecv - t.BytesRecv,
-		MsgsSent:  s.MsgsSent - t.MsgsSent,
-		MsgsRecv:  s.MsgsRecv - t.MsgsRecv,
-	}
 }
 
 // Node is a simulated machine running a single-threaded process.
@@ -227,9 +210,6 @@ func Connect(a, b *Node) (epA, epB *Endpoint) {
 	return &Endpoint{send: c.dir[0], recv: c.dir[1], node: a},
 		&Endpoint{send: c.dir[1], recv: c.dir[0], node: b}
 }
-
-// Node returns the owning node of the endpoint.
-func (ep *Endpoint) Node() *Node { return ep.node }
 
 // Send transmits m to the peer, blocking until a matching Recv pairs with it
 // and the transfer completes. The blocked duration is accounted as

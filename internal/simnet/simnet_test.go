@@ -205,15 +205,6 @@ func TestComputeAndIdleAccounting(t *testing.T) {
 	}
 }
 
-func TestStatsSub(t *testing.T) {
-	s := Stats{Comm: 5, Idle: 4, CPU: 3, BytesSent: 100, BytesRecv: 50, MsgsSent: 2, MsgsRecv: 1}
-	u := Stats{Comm: 1, Idle: 1, CPU: 1, BytesSent: 40, BytesRecv: 20, MsgsSent: 1, MsgsRecv: 0}
-	d := s.Sub(u)
-	if d.Comm != 4 || d.Idle != 3 || d.CPU != 2 || d.BytesSent != 60 || d.BytesRecv != 30 || d.MsgsSent != 1 || d.MsgsRecv != 1 {
-		t.Fatalf("d = %+v", d)
-	}
-}
-
 func TestAsyncInboxDelivery(t *testing.T) {
 	env := des.NewEnv()
 	net := New(env, testParams())

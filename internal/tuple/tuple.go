@@ -22,9 +22,6 @@ const (
 	S2 StreamID = 1
 )
 
-// Opposite returns the other stream.
-func (s StreamID) Opposite() StreamID { return s ^ 1 }
-
 func (s StreamID) String() string {
 	if s == S1 {
 		return "S1"

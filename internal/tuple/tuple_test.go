@@ -14,10 +14,7 @@ func TestConstantsAreConsistent(t *testing.T) {
 	}
 }
 
-func TestStreamOpposite(t *testing.T) {
-	if S1.Opposite() != S2 || S2.Opposite() != S1 {
-		t.Fatal("Opposite is not an involution on {S1,S2}")
-	}
+func TestStreamString(t *testing.T) {
 	if S1.String() != "S1" || S2.String() != "S2" {
 		t.Fatal("String")
 	}

@@ -29,24 +29,12 @@ func (s *Store) AppendRun(run []tuple.Packed) {
 	}
 }
 
-// Clear empties the store, recycling every block buffer into the free list
-// and resetting the sequence counters. A replica receiving a Reset snapshot
-// clears before applying so a stale shadow cannot survive underneath.
+// Clear empties the store, recycling every block buffer into the free list.
+// A replica receiving a Reset snapshot clears before applying so a stale
+// shadow cannot survive underneath.
 func (s *Store) Clear() {
 	for len(s.blocks) > 0 {
 		s.dropBlock()
 	}
-	s.appended = 0
-	s.expired = 0
-}
-
-// Expire applies the given expiry policy: exact trims every tuple with
-// TS < cutoff, block-granularity drops only whole dead blocks. It lets the
-// replica applier mirror whichever policy the primary runs without switching
-// at every call site.
-func (s *Store) Expire(cutoff int32, exact bool, fn func([]tuple.Packed)) int {
-	if exact {
-		return s.ExpireExact(cutoff, fn)
-	}
-	return s.ExpireBlocks(cutoff, fn)
+	s.n = 0
 }

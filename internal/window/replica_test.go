@@ -11,7 +11,7 @@ import (
 // at a watermark — the shape of live join processing) while batching the
 // same runs into per-epoch deltas, exactly what the owner slave emits to its
 // buddy. The replica applies one delta per epoch: AppendRun of the epoch's
-// ingest, then one Expire at the epoch's final watermark.
+// ingest, then one expiry at the epoch's final watermark.
 type replicaHarness struct {
 	primary *Store
 	replica *Store
@@ -24,9 +24,8 @@ type replicaHarness struct {
 	// primaryEmptiedMidEpoch notes an epoch where the primary store went
 	// fully empty on an intermediate round and refilled before the epoch
 	// closed. Exact expiry then restarts the primary's block fill at an
-	// unaligned sequence position the batched replica never sees, so the
-	// physical block layout may legitimately differ (the live content and
-	// sequence counters still may not).
+	// unaligned position the batched replica never sees, so the physical
+	// block layout may legitimately differ (the live content still may not).
 	primaryEmptiedMidEpoch bool
 }
 
@@ -34,32 +33,38 @@ func (h *replicaHarness) round(run []tuple.Packed, cutoff int32) {
 	for _, p := range run {
 		h.primary.Append(p)
 	}
-	h.primary.Expire(cutoff, h.exact, nil)
+	h.expire(h.primary, cutoff)
 	h.runs = append(h.runs, run...)
 	if cutoff > h.cutoff {
 		h.cutoff = cutoff
 	}
 }
 
+// expire applies the harness's policy, the one the primary's join runs.
+func (h *replicaHarness) expire(s *Store, cutoff int32) {
+	if h.exact {
+		s.ExpireExact(cutoff, nil)
+	} else {
+		s.ExpireBlocks(cutoff, nil)
+	}
+}
+
 func (h *replicaHarness) closeEpoch(t *testing.T) {
 	t.Helper()
 	h.replica.AppendRun(h.runs)
-	h.replica.Expire(h.cutoff, h.exact, nil)
+	h.expire(h.replica, h.cutoff)
 	h.runs = h.runs[:0]
 	h.check(t)
 }
 
 // check asserts the replica is slot-for-slot identical to the primary: same
-// sequence counters (so FromSeq addressing agrees), same live content in the
-// same order, and — whenever the epoch-batched replay cannot have shifted
-// block alignment — the same physical block layout and intra-block offset.
+// live count, same live content in the same order, and — whenever the
+// epoch-batched replay cannot have shifted block alignment — the same
+// physical block layout and intra-block offset.
 func (h *replicaHarness) check(t *testing.T) {
 	t.Helper()
-	if h.primary.Appended() != h.replica.Appended() {
-		t.Fatalf("appended: primary %d, replica %d", h.primary.Appended(), h.replica.Appended())
-	}
-	if h.primary.Expired() != h.replica.Expired() {
-		t.Fatalf("expired: primary %d, replica %d", h.primary.Expired(), h.replica.Expired())
+	if h.primary.Len() != h.replica.Len() {
+		t.Fatalf("len: primary %d, replica %d", h.primary.Len(), h.replica.Len())
 	}
 	ps, rs := h.primary.Snapshot(), h.replica.Snapshot()
 	if len(ps) != len(rs) {
@@ -98,7 +103,7 @@ func TestReplicaReplayIdentity(t *testing.T) {
 			for seed := int64(0); seed < 20; seed++ {
 				r := rand.New(rand.NewSource(seed))
 				h := &replicaHarness{primary: NewStore(), replica: NewStore(), exact: tc.exact}
-				ts, cutoff := int32(0), int32(0)
+				ts, cutoff, appended := int32(0), int32(0), 0
 				for epoch := 0; epoch < 40; epoch++ {
 					rounds := 1 + r.Intn(4)
 					emptied := false
@@ -125,7 +130,8 @@ func TestReplicaReplayIdentity(t *testing.T) {
 							cutoff = c
 						}
 						h.round(run, cutoff)
-						if h.primary.Len() == 0 && h.primary.Appended() > 0 {
+						appended += n
+						if h.primary.Len() == 0 && appended > 0 {
 							emptied = true
 						} else if emptied && h.exact {
 							// Refilled after a mid-epoch empty-out: only exact
@@ -143,7 +149,7 @@ func TestReplicaReplayIdentity(t *testing.T) {
 }
 
 // TestReplicaResetClear checks the Reset path: Clear recycles every block and
-// zeroes the counters so a snapshot replay lands on a pristine store.
+// zeroes the live count so a snapshot replay lands on a pristine store.
 func TestReplicaResetClear(t *testing.T) {
 	s := NewStore()
 	for i := 0; i < tuple.TuplesPerBlock*3+7; i++ {
@@ -151,9 +157,8 @@ func TestReplicaResetClear(t *testing.T) {
 	}
 	s.ExpireExact(2, nil)
 	s.Clear()
-	if s.Len() != 0 || s.Appended() != 0 || s.Expired() != 0 || len(s.blocks) != 0 {
-		t.Fatalf("clear left len=%d appended=%d expired=%d blocks=%d",
-			s.Len(), s.Appended(), s.Expired(), len(s.blocks))
+	if s.Len() != 0 || s.Bytes() != 0 || len(s.blocks) != 0 {
+		t.Fatalf("clear left len=%d bytes=%d blocks=%d", s.Len(), s.Bytes(), len(s.blocks))
 	}
 	if len(s.free) == 0 {
 		t.Fatal("clear recycled no blocks")
@@ -161,7 +166,7 @@ func TestReplicaResetClear(t *testing.T) {
 	// The cleared store must be immediately reusable with recycled buffers.
 	run := []tuple.Packed{{Key: 1, TS: 10}, {Key: 2, TS: 10}, {Key: 3, TS: 11}}
 	s.AppendRun(run)
-	if got := s.Snapshot(); len(got) != 3 || got[0] != run[0] || got[2] != run[2] {
+	if got := s.Snapshot(); s.Len() != 3 || len(got) != 3 || got[0] != run[0] || got[2] != run[2] {
 		t.Fatalf("post-clear snapshot %+v", got)
 	}
 }

@@ -9,16 +9,12 @@
 // used by the live engine) and ExpireExact trims to the exact cutoff (used
 // by the simulation, where byte-precise window accounting matters).
 //
-// Positions for "fresh tuple" tracking are absolute append sequence numbers,
-// which stay valid across expiry: live tuples always form the contiguous
-// sequence range [Expired(), Appended()).
-//
 // # Allocation discipline
 //
 // The store is built for an allocation-free steady state: expired block
 // buffers are recycled into a small free list that Append draws from, the
 // block directory is compacted in place instead of re-sliced, and iteration
-// is chunked (Chunks, FromSeqChunks, and the chunk-slice expiry callbacks)
+// is chunked (Chunks and the chunk-slice expiry callbacks)
 // so hot loops run over contiguous []tuple.Packed runs instead of paying a
 // function call per tuple.
 package window
@@ -36,31 +32,20 @@ const maxFreeBlocks = 32
 
 // Store is one stream's window content within a fine-tuning bucket.
 type Store struct {
-	blocks   [][]tuple.Packed
-	start    int              // live offset into blocks[0]
-	appended int64            // tuples ever appended
-	expired  int64            // tuples ever expired
-	free     [][]tuple.Packed // recycled block buffers (len 0, full capacity)
+	blocks [][]tuple.Packed
+	start  int              // live offset into blocks[0]
+	n      int              // live tuples
+	free   [][]tuple.Packed // recycled block buffers (len 0, full capacity)
 }
 
 // NewStore returns an empty store.
 func NewStore() *Store { return &Store{} }
 
 // Len reports the number of live tuples.
-func (s *Store) Len() int { return int(s.appended - s.expired) }
+func (s *Store) Len() int { return s.n }
 
 // Bytes reports the logical size of the live window content.
 func (s *Store) Bytes() int64 { return int64(s.Len()) * tuple.LogicalSize }
-
-// Blocks reports the number of blocks held (including a partial head block).
-func (s *Store) Blocks() int { return len(s.blocks) }
-
-// Appended returns the append sequence number of the next tuple; it is the
-// Mark used for fresh-tuple tracking.
-func (s *Store) Appended() int64 { return s.appended }
-
-// Expired returns the number of tuples expired so far.
-func (s *Store) Expired() int64 { return s.expired }
 
 // newBlock returns an empty block buffer, recycled when one is available.
 func (s *Store) newBlock() []tuple.Packed {
@@ -97,7 +82,7 @@ func (s *Store) push(p tuple.Packed) {
 		n++
 	}
 	s.blocks[n-1] = append(s.blocks[n-1], p)
-	s.appended++
+	s.n++
 }
 
 // Append adds p at the head of the window. Tuples must arrive in
@@ -115,10 +100,9 @@ func (s *Store) Append(p tuple.Packed) {
 }
 
 // Chunks calls fn for every contiguous run of live tuples in temporal order.
-// It is the bulk form of All: hot loops (probe scans, split relocation,
-// index rebuilds) iterate the run with an inner range loop instead of paying
-// a function call per tuple. The slices alias the store's blocks and are
-// only valid during the call.
+// Hot loops (probe scans, split relocation, index rebuilds) iterate the run
+// with an inner range loop instead of paying a function call per tuple. The
+// slices alias the store's blocks and are only valid during the call.
 func (s *Store) Chunks(fn func([]tuple.Packed)) {
 	for i, blk := range s.blocks {
 		if i == 0 {
@@ -128,49 +112,6 @@ func (s *Store) Chunks(fn func([]tuple.Packed)) {
 			fn(blk)
 		}
 	}
-}
-
-// All calls fn for every live tuple in temporal order.
-func (s *Store) All(fn func(tuple.Packed)) {
-	s.Chunks(func(chunk []tuple.Packed) {
-		for _, p := range chunk {
-			fn(p)
-		}
-	})
-}
-
-// FromSeqChunks calls fn for every contiguous run of live tuples with append
-// sequence ≥ seq, in temporal order (the chunked form of FromSeq; the same
-// aliasing rules as Chunks apply).
-func (s *Store) FromSeqChunks(seq int64, fn func([]tuple.Packed)) {
-	if seq < s.expired {
-		seq = s.expired
-	}
-	skip := seq - s.expired
-	for i, blk := range s.blocks {
-		ts := blk
-		if i == 0 {
-			ts = blk[s.start:]
-		}
-		if skip >= int64(len(ts)) {
-			skip -= int64(len(ts))
-			continue
-		}
-		if len(ts[skip:]) > 0 {
-			fn(ts[skip:])
-		}
-		skip = 0
-	}
-}
-
-// FromSeq calls fn for every live tuple with append sequence ≥ seq, in
-// temporal order.
-func (s *Store) FromSeq(seq int64, fn func(tuple.Packed)) {
-	s.FromSeqChunks(seq, func(chunk []tuple.Packed) {
-		for _, p := range chunk {
-			fn(p)
-		}
-	})
 }
 
 // Snapshot returns the live tuples in temporal order (state movement).
@@ -217,7 +158,7 @@ func (s *Store) ExpireExact(cutoff int32, fn func([]tuple.Packed)) int {
 	if len(s.blocks) == 0 {
 		s.start = 0
 	}
-	s.expired += int64(removed)
+	s.n -= removed
 	return removed
 }
 
@@ -241,23 +182,8 @@ func (s *Store) ExpireBlocks(cutoff int32, fn func([]tuple.Packed)) int {
 	if len(s.blocks) == 0 {
 		s.start = 0
 	}
-	s.expired += int64(removed)
+	s.n -= removed
 	return removed
-}
-
-// OldestTS returns the timestamp of the oldest live tuple, or ok=false when
-// the store is empty.
-func (s *Store) OldestTS() (int32, bool) {
-	for i, blk := range s.blocks {
-		ts := blk
-		if i == 0 {
-			ts = blk[s.start:]
-		}
-		if len(ts) > 0 {
-			return ts[0].TS, true
-		}
-	}
-	return 0, false
 }
 
 // NewestTS returns the timestamp of the newest live tuple, or ok=false when

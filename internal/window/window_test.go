@@ -22,8 +22,8 @@ func TestAppendAndLen(t *testing.T) {
 		t.Fatalf("bytes = %d", s.Bytes())
 	}
 	// 200 tuples at 64/block -> 4 blocks (3 full + 1 partial).
-	if s.Blocks() != 4 {
-		t.Fatalf("blocks = %d", s.Blocks())
+	if len(s.blocks) != 4 {
+		t.Fatalf("blocks = %d", len(s.blocks))
 	}
 }
 
@@ -38,13 +38,18 @@ func TestAppendOutOfOrderPanics(t *testing.T) {
 	s.Append(pk(2, 9))
 }
 
+// TestAllIteratesInOrder: Chunks visits every live tuple, in append order.
 func TestAllIteratesInOrder(t *testing.T) {
 	s := NewStore()
 	for i := int32(0); i < 150; i++ {
 		s.Append(pk(i, i))
 	}
 	var got []int32
-	s.All(func(p tuple.Packed) { got = append(got, p.Key) })
+	s.Chunks(func(c []tuple.Packed) {
+		for _, p := range c {
+			got = append(got, p.Key)
+		}
+	})
 	if len(got) != 150 {
 		t.Fatalf("len = %d", len(got))
 	}
@@ -52,45 +57,6 @@ func TestAllIteratesInOrder(t *testing.T) {
 		if k != int32(i) {
 			t.Fatalf("got[%d] = %d", i, k)
 		}
-	}
-}
-
-func TestFromSeqIteratesSuffix(t *testing.T) {
-	s := NewStore()
-	for i := int32(0); i < 100; i++ {
-		s.Append(pk(i, i))
-	}
-	mark := s.Appended()
-	for i := int32(100); i < 130; i++ {
-		s.Append(pk(i, i))
-	}
-	var got []int32
-	s.FromSeq(mark, func(p tuple.Packed) { got = append(got, p.Key) })
-	if len(got) != 30 || got[0] != 100 || got[29] != 129 {
-		t.Fatalf("suffix = %v", got)
-	}
-}
-
-func TestFromSeqAfterExpiry(t *testing.T) {
-	s := NewStore()
-	for i := int32(0); i < 100; i++ {
-		s.Append(pk(i, i))
-	}
-	mark := s.Appended() // 100
-	s.ExpireExact(50, nil)
-	for i := int32(100); i < 110; i++ {
-		s.Append(pk(i, i))
-	}
-	var got []int32
-	s.FromSeq(mark, func(p tuple.Packed) { got = append(got, p.Key) })
-	if len(got) != 10 || got[0] != 100 {
-		t.Fatalf("suffix after expiry = %v", got)
-	}
-	// A mark older than all expired tuples clamps to the live range.
-	var all []int32
-	s.FromSeq(0, func(p tuple.Packed) { all = append(all, p.Key) })
-	if len(all) != s.Len() {
-		t.Fatalf("clamped iteration: %d vs %d", len(all), s.Len())
 	}
 }
 
@@ -113,11 +79,8 @@ func TestExpireExact(t *testing.T) {
 			t.Fatalf("expired live tuple ts=%d", ts)
 		}
 	}
-	if old, ok := s.OldestTS(); !ok || old != 500 {
-		t.Fatalf("oldest = %d, %v", old, ok)
-	}
-	if s.Expired() != 50 {
-		t.Fatalf("expired counter = %d", s.Expired())
+	if snap := s.Snapshot(); len(snap) != 50 || snap[0].TS != 500 {
+		t.Fatalf("live after expiry = %+v", snap)
 	}
 }
 
@@ -132,8 +95,8 @@ func TestExpireExactEverything(t *testing.T) {
 	if s.Len() != 0 {
 		t.Fatal("store should be empty")
 	}
-	if _, ok := s.OldestTS(); ok {
-		t.Fatal("OldestTS on empty store")
+	if len(s.Snapshot()) != 0 {
+		t.Fatal("Snapshot on empty store")
 	}
 	if _, ok := s.NewestTS(); ok {
 		t.Fatal("NewestTS on empty store")
@@ -202,11 +165,13 @@ func TestSnapshotMatchesAll(t *testing.T) {
 		t.Fatalf("snapshot len %d vs %d", len(snap), s.Len())
 	}
 	i := 0
-	s.All(func(p tuple.Packed) {
-		if snap[i] != p {
-			t.Fatalf("snapshot[%d] mismatch", i)
+	s.Chunks(func(c []tuple.Packed) {
+		for _, p := range c {
+			if snap[i] != p {
+				t.Fatalf("snapshot[%d] mismatch", i)
+			}
+			i++
 		}
-		i++
 	})
 }
 
@@ -221,12 +186,12 @@ func TestMergeStoresInterleaves(t *testing.T) {
 		t.Fatalf("merged len = %d", m.Len())
 	}
 	last := int32(-1)
-	m.All(func(p tuple.Packed) {
+	for _, p := range m.Snapshot() {
 		if p.TS < last {
 			t.Fatalf("merge out of order: %d after %d", p.TS, last)
 		}
 		last = p.TS
-	})
+	}
 }
 
 func TestMergeEmptyStores(t *testing.T) {
@@ -241,38 +206,40 @@ func TestMergeEmptyStores(t *testing.T) {
 }
 
 func TestQuickLivenessInvariant(t *testing.T) {
-	// After arbitrary append/expire sequences, Len == Appended - Expired and
-	// iteration visits exactly Len tuples in order.
+	// After arbitrary Append, AppendRun, ExpireExact, ExpireBlocks and Clear
+	// sequences, Len counts exactly the tuples a snapshot holds, they are in
+	// timestamp order, and Bytes is Len logical tuples.
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		s := NewStore()
 		ts := int32(0)
 		for op := 0; op < 200; op++ {
-			if r.Intn(3) < 2 {
+			switch k := r.Intn(12); {
+			case k < 5:
 				ts += int32(r.Intn(3))
 				s.Append(pk(int32(op), ts))
-			} else {
-				cutoff := ts - int32(r.Intn(10)) + 2
-				if r.Intn(2) == 0 {
-					s.ExpireExact(cutoff, nil)
-				} else {
-					s.ExpireBlocks(cutoff, nil)
+			case k < 7:
+				run := make([]tuple.Packed, r.Intn(2*tuple.TuplesPerBlock))
+				for i := range run {
+					ts += int32(r.Intn(2))
+					run[i] = pk(int32(op), ts)
 				}
+				s.AppendRun(run)
+			case k < 9:
+				s.ExpireExact(ts-int32(r.Intn(10))+2, nil)
+			case k < 11:
+				s.ExpireBlocks(ts-int32(r.Intn(10))+2, nil)
+			default:
+				s.Clear()
 			}
-			if int64(s.Len()) != s.Appended()-s.Expired() {
+			snap := s.Snapshot()
+			if s.Len() != len(snap) || s.Bytes() != int64(s.Len())*tuple.LogicalSize {
 				return false
 			}
-			n, last := 0, int32(-1)
-			bad := false
-			s.All(func(p tuple.Packed) {
-				if p.TS < last {
-					bad = true
+			for i := 1; i < len(snap); i++ {
+				if snap[i].TS < snap[i-1].TS {
+					return false
 				}
-				last = p.TS
-				n++
-			})
-			if bad || n != s.Len() {
-				return false
 			}
 		}
 		return true
@@ -288,37 +255,19 @@ func TestChunksMatchAll(t *testing.T) {
 		s.Append(pk(i, i/3))
 	}
 	s.ExpireExact(50, nil)
+	// Every appended tuple with TS >= 50 survives, in append order.
 	var fromAll, fromChunks []tuple.Packed
-	s.All(func(p tuple.Packed) { fromAll = append(fromAll, p) })
+	for i := int32(150); i < 500; i++ {
+		fromAll = append(fromAll, pk(i, i/3))
+	}
 	s.Chunks(func(c []tuple.Packed) { fromChunks = append(fromChunks, c...) })
 	if len(fromChunks) != len(fromAll) || len(fromChunks) != s.Len() {
-		t.Fatalf("chunks yielded %d tuples, All %d, Len %d",
+		t.Fatalf("chunks yielded %d tuples, want %d, Len %d",
 			len(fromChunks), len(fromAll), s.Len())
 	}
 	for i := range fromAll {
 		if fromAll[i] != fromChunks[i] {
 			t.Fatalf("chunk iteration diverges at %d", i)
-		}
-	}
-}
-
-func TestFromSeqChunksMatchesFromSeq(t *testing.T) {
-	s := NewStore()
-	for i := int32(0); i < 300; i++ {
-		s.Append(pk(i, i))
-	}
-	s.ExpireExact(90, nil)
-	for _, mark := range []int64{0, 90, 100, 170, 299, 300} {
-		var a, b []tuple.Packed
-		s.FromSeq(mark, func(p tuple.Packed) { a = append(a, p) })
-		s.FromSeqChunks(mark, func(c []tuple.Packed) { b = append(b, c...) })
-		if len(a) != len(b) {
-			t.Fatalf("mark %d: %d vs %d tuples", mark, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("mark %d: diverges at %d", mark, i)
-			}
 		}
 	}
 }

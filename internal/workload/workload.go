@@ -85,9 +85,6 @@ func (s *Source) SetRate(rate float64) {
 	}
 }
 
-// Rate returns the current mean arrival rate.
-func (s *Source) Rate() float64 { return s.cfg.Rate }
-
 // Batch returns, in timestamp order, every tuple arriving in [fromMs, toMs).
 // Successive calls must use non-overlapping, increasing intervals; arrivals
 // that fell before fromMs (from an uncovered gap) are folded into this batch
@@ -114,9 +111,6 @@ func (s *Source) AppendBatch(dst []tuple.Tuple, fromMs, toMs int32) []tuple.Tupl
 	}
 	return dst
 }
-
-// Stream returns the stream this source feeds.
-func (s *Source) Stream() tuple.StreamID { return s.stream }
 
 // Pair returns sources for both streams of the join with correlated
 // configuration (same rate, skew and domain; independent arrival processes

@@ -85,7 +85,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 func TestStreamsAreIndependent(t *testing.T) {
 	s1, s2 := Pair(testConfig(1000))
 	b1, b2 := s1.Batch(0, 10000), s2.Batch(0, 10000)
-	if s1.Stream() != tuple.S1 || s2.Stream() != tuple.S2 {
+	if b1[0].Stream != tuple.S1 || b2[0].Stream != tuple.S2 {
 		t.Fatal("stream tags")
 	}
 	if len(b1) == 0 || len(b2) == 0 {
