@@ -100,7 +100,6 @@ func Bind(fs *flag.FlagSet) func() core.Config {
 		hbint    = fs.Duration("heartbeat", time.Duration(def.HeartbeatMs)*time.Millisecond, "membership: slave heartbeat interval")
 		hbmiss   = fs.Int("heartbeat-misses", def.HeartbeatMisses, "membership: consecutive missed heartbeats before a slave is declared dead")
 		repl     = fs.Bool("replicate", def.Replicate, "chain-replicate each slave's window state to a buddy every epoch, so a crashed slave's groups are promoted from their replicas instead of restarting empty")
-		replTTL  = fs.Int("replica-ttl", def.ReplicaTTL, "epochs a buddy retains a replica not refreshed by its owner before discarding it (0 = default)")
 		wiredl   = fs.Duration("wire-deadline", 30*time.Second, "per-operation write deadline on every live connection; idle read deadlines derive from it (0 disables all wire deadlines)")
 		formto   = fs.Duration("form-timeout", 2*time.Minute, "cluster formation timeout: how long the master waits for the founding slaves")
 	)
@@ -196,7 +195,6 @@ func Bind(fs *flag.FlagSet) func() core.Config {
 		cfg.HeartbeatMs = int32(*hbint / time.Millisecond)
 		cfg.HeartbeatMisses = *hbmiss
 		cfg.Replicate = *repl
-		cfg.ReplicaTTL = *replTTL
 		// Zero means "explicitly disabled" on the flag surface but "use the
 		// default" on the Config struct, so disabling maps to the negative
 		// sentinel.

@@ -234,10 +234,6 @@ type Config struct {
 	// Off, a crashed slave's groups are re-adopted empty and no
 	// WindowDelta is ever sent.
 	Replicate bool
-	// ReplicaTTL bounds, in owner epochs, how long a replica shadow may go
-	// without a delta before the buddy retires it (orphan collection after
-	// the owner switched buddies or shed the group). 0 means the default 8.
-	ReplicaTTL int
 
 	// --- transport hardening (TCP deployment only) ---
 
@@ -352,8 +348,6 @@ func (c *Config) Validate() error {
 	case c.HeartbeatMs <= 0 || c.HeartbeatMisses < 1:
 		return fmt.Errorf("core: membership needs HeartbeatMs > 0 and HeartbeatMisses >= 1, got %d/%d",
 			c.HeartbeatMs, c.HeartbeatMisses)
-	case c.ReplicaTTL < 0:
-		return fmt.Errorf("core: ReplicaTTL = %d, want >= 0 (0 = default)", c.ReplicaTTL)
 	case c.FormTimeoutMs < 0:
 		return fmt.Errorf("core: FormTimeoutMs = %d, want >= 0 (0 = default)", c.FormTimeoutMs)
 	case c.DialBudgetMs < 0:
@@ -654,14 +648,6 @@ func (c *Config) dialBudget() time.Duration {
 		return time.Duration(c.DialBudgetMs) * time.Millisecond
 	}
 	return 20 * time.Second
-}
-
-// replicaTTL resolves ReplicaTTL (0 = default 8 owner epochs).
-func (c *Config) replicaTTL() int {
-	if c.ReplicaTTL > 0 {
-		return c.ReplicaTTL
-	}
-	return 8
 }
 
 // epochsPerReorg is t_r / t_d.

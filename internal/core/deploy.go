@@ -552,7 +552,7 @@ func (t *tcpSlave) join(meshListen string, ml net.Listener) error {
 // and the downstream pair sinks.
 func (t *tcpSlave) connect(resAddr string) error {
 	t.tab = newPeerTable(t.cfg.meshPatience())
-	t.rset = newReplicaSet(&t.cfg, t.proc)
+	t.rset = newReplicaSet(t.proc)
 	go t.acceptMesh()
 	for _, sp := range t.roster.Slaves {
 		if sp.ID == t.id || sp.Addr == "" {
@@ -611,14 +611,15 @@ func (t *tcpSlave) acceptMesh() {
 				return
 			}
 			// Replication reader: apply the owner's deltas until the
-			// stream ends. endReader signals take that every delta the
-			// owner flushed before dying is applied.
+			// stream ends — or carries anything but a replication delta.
+			// endReader signals take that every delta the owner flushed
+			// before dying is applied.
 			t.rset.addCloser(func() { c.Close() })
 			done := t.rset.beginReader(h.Slave)
 			defer t.rset.endReader(h.Slave, done)
 			for {
 				wd, ok := pc.Recv().(*wire.WindowDelta)
-				if !ok {
+				if !ok || wd.MoveID != 0 || wd.Close {
 					c.Close()
 					return
 				}

@@ -14,8 +14,8 @@ import (
 // Shared-Nothing System of Multicore Machines", PAPERS.md) treats node-set
 // change as the normal case and reuses the same partition-movement primitive
 // for it. We do the same: every membership transition is expressed as
-// ordinary state movements (wire.Directive + wire.StateTransfer through the
-// slaves' workerSets), so the join-correctness argument of §IV-C carries
+// ordinary state movements (a wire.Directive, then a wire.WindowDelta
+// stream through the slaves' workerSets), so the join-correctness argument of §IV-C carries
 // over unchanged — the only new mechanics are the roster itself
 // (wire.Membership), the failure detector (wire.Ping/Pong heartbeats), and
 // the empty-state adoption used when a crashed slave's windows are

@@ -72,7 +72,7 @@ func mwSchedule(t *testing.T, cfg *Config, epochs int) []wire.Message {
 // module, exactly as a supplying slave would. It is small enough (a few KB
 // encoded) to sit under the batching threshold and share its frame with the
 // epoch batch that follows.
-func donorTransfer(t *testing.T, g int32) *wire.StateTransfer {
+func donorTransfer(t *testing.T, g int32) *wire.WindowDelta {
 	t.Helper()
 	donor := join.MustNew(equivJoinConfig())
 	s1, s2 := workload.Pair(workload.Config{Rate: 60, Skew: 0.7, Domain: 50_000, Seed: 11})
@@ -86,7 +86,7 @@ func donorTransfer(t *testing.T, g int32) *wire.StateTransfer {
 		t.Fatal("donor group missing")
 	}
 	st := grp.Extract()
-	return st.ToWire(1, []tuple.Tuple{{Stream: tuple.S1, Key: 42, TS: now}})
+	return closeDelta(wire.Directive{MoveID: 1, Group: g}, st, []tuple.Tuple{{Stream: tuple.S1, Key: 42, TS: now}})
 }
 
 // captureSender records what a workerSet flush would send to the collector.
@@ -178,8 +178,8 @@ func runMultiWorker(t *testing.T, cfg Config, msgs []wire.Message, W int) mwOut 
 		epoch := 0
 		for {
 			switch m := conn.Recv().(type) {
-			case *wire.StateTransfer:
-				if err := ws.installState(join.StateFromWire(m), m.Pending); err != nil {
+			case *wire.WindowDelta:
+				if err := ws.installState(closedState(m), m.Pending); err != nil {
 					panic(err)
 				}
 			case *wire.Batch:
@@ -242,7 +242,7 @@ func runMultiWorker(t *testing.T, cfg Config, msgs []wire.Message, W int) mwOut 
 	resConn := engine.WrapTCPBatched(driverP, rc, cfg.WireBatchBytes)
 	epochs := 0
 	for _, m := range msgs {
-		if _, ok := m.(*wire.StateTransfer); ok {
+		if _, ok := m.(*wire.WindowDelta); ok {
 			engine.SendBuffered(driver, m)
 			continue
 		}

@@ -28,18 +28,31 @@ const replEpoch = int64(-3)
 
 // Promotion directives encode the crashed source slave in the From field
 // below the empty-adoption sentinel -1: From = -2 - src. The consumer takes
-// the (src, group) shadow from its own replicaSet instead of reading a
-// StateTransfer off the mesh.
+// the (src, group) shadow from its own replicaSet instead of reading the
+// group's deltas off the mesh.
 func promoteFrom(src int32) int32 { return -2 - src }
 func promoteSrc(from int32) int32 { return -2 - from }
 
-// replDelta accumulates one partition-group's window growth since the last
-// epoch flush: the tuples ingested, per stream, in store order. reset marks
-// a full snapshot (the group was just installed here, or the buddy changed),
-// telling the receiver to discard its prior shadow first.
+// replDelta accumulates one partition-group's window growth: the tuples
+// ingested, per stream, in store order. A worker keeps one per group for
+// replication (since the last epoch flush) and one per group it is moving
+// out (since the move's snapshot, transfer.go); a group can be both at once,
+// so the two never share a buffer. reset marks a full replication snapshot
+// (the group was just installed here, or the buddy changed), telling the
+// receiver to discard its prior shadow first.
 type replDelta struct {
 	reset bool
 	runs  [2][]tuple.Tuple
+}
+
+// record appends a processed chunk to the delta. It runs on the owning
+// worker's goroutine (runRound); group→worker routing is static, so no other
+// goroutine touches a group's deltas during processing, and the slave loop
+// only reads them with the workers parked.
+func (d *replDelta) record(chunk []tuple.Tuple) {
+	for _, t := range chunk {
+		d.runs[t.Stream] = append(d.runs[t.Stream], t)
+	}
 }
 
 func (d *replDelta) clear() {
@@ -48,38 +61,24 @@ func (d *replDelta) clear() {
 	d.runs[1] = d.runs[1][:0]
 }
 
-// captureRepl records a processed chunk into the group's pending delta. It
-// runs on the worker's goroutine (runRound); group→worker routing is static,
-// so no other goroutine touches this map entry during processing, and the
-// slave loop only reads it with the workers parked.
-func (w *joinWorker) captureRepl(g int32, chunk []tuple.Tuple) {
+// replOf returns the group's pending replication delta, creating it empty.
+func (w *joinWorker) replOf(g int32) *replDelta {
 	d := w.repl[g]
 	if d == nil {
 		d = &replDelta{}
 		w.repl[g] = d
 	}
-	for _, t := range chunk {
-		d.runs[t.Stream] = append(d.runs[t.Stream], t)
-	}
+	return d
 }
 
 // markReplReset replaces the group's pending delta with a full snapshot of
 // the given state (what a just-installed group holds). Anything captured
 // before is superseded: the snapshot already contains it.
 func (ws *workerSet) markReplReset(st join.State) {
-	w := ws.workerOf(st.ID)
-	d := w.repl[st.ID]
-	if d == nil {
-		d = &replDelta{}
-		w.repl[st.ID] = d
-	}
+	d := ws.workerOf(st.ID).replOf(st.ID)
 	d.clear()
 	d.reset = true
-	for s := 0; s < 2; s++ {
-		for _, p := range st.Window[s] {
-			d.runs[s] = append(d.runs[s], tuple.Tuple{Stream: tuple.StreamID(s), Key: p.Key, TS: p.TS})
-		}
-	}
+	d.runs = stateRuns(d.runs, st)
 }
 
 // markReplResetAll snapshots every owned group — the full re-replication run
@@ -239,6 +238,10 @@ type replKey struct {
 	group int32
 }
 
+// replicaTTL bounds, in owner epochs, how long a replica shadow may go
+// without a delta before the buddy retires it.
+const replicaTTL = 8
+
 // replEntry is one partition-group shadow: both stream windows rebuilt from
 // the owner's deltas, the owner epoch last applied, and an idle-epoch count
 // for TTL retirement (a shadow whose owner stopped replicating it — the
@@ -255,7 +258,6 @@ type replEntry struct {
 // The mutex spans reader goroutines (apply) and the slave loop (take/sweep).
 type replicaSet struct {
 	mu      sync.Mutex
-	ttl     int
 	entries map[replKey]*replEntry
 	readers map[int32]chan struct{}
 	closers []func()
@@ -268,10 +270,9 @@ type replicaSet struct {
 
 // newReplicaSet returns an empty set; proc, when non-nil, receives the
 // receive counters (the slave's process stats).
-func newReplicaSet(cfg *Config, proc *engine.LiveProc) *replicaSet {
+func newReplicaSet(proc *engine.LiveProc) *replicaSet {
 	return &replicaSet{
 		proc:    proc,
-		ttl:     cfg.replicaTTL(),
 		entries: make(map[replKey]*replEntry),
 		readers: make(map[int32]chan struct{}),
 	}
@@ -378,7 +379,7 @@ func (rs *replicaSet) sweep() {
 	defer rs.unlock()
 	for k, e := range rs.entries {
 		e.ticks++
-		if e.ticks > rs.ttl {
+		if e.ticks > replicaTTL {
 			delete(rs.entries, k)
 		}
 	}

@@ -299,8 +299,7 @@ func TestAccountWindowLoss(t *testing.T) {
 // reset snapshot, incremental deltas, an advancing expiry watermark — and
 // checks take returns exactly the surviving tuples, removing the shadow.
 func TestReplicaSetApplyTake(t *testing.T) {
-	cfg := DefaultConfig()
-	rs := newReplicaSet(&cfg, nil)
+	rs := newReplicaSet(nil)
 
 	mk := func(stream tuple.StreamID, key, ts int32) tuple.Tuple {
 		return tuple.Tuple{Stream: stream, Key: key, TS: ts}
@@ -371,29 +370,28 @@ func TestReplicaSetApplyTake(t *testing.T) {
 // TestReplicaSetSweep: shadows the owner keeps refreshing live forever;
 // orphaned ones are retired after the TTL.
 func TestReplicaSetSweep(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ReplicaTTL = 3
-	rs := newReplicaSet(&cfg, nil)
+	rs := newReplicaSet(nil)
 	wd := &wire.WindowDelta{From: 0, Group: 1, Epoch: 1, Cutoff: -1_000_000}
 	rs.apply(wd)
-	for i := 0; i < 3; i++ {
+	for range replicaTTL {
 		rs.sweep()
 	}
 	if _, _, ok := rs.take(0, 1, 0); !ok {
 		t.Fatal("shadow retired within its TTL")
 	}
 	rs.apply(wd)
-	rs.sweep()
-	rs.sweep()
+	for range replicaTTL - 1 {
+		rs.sweep()
+	}
 	rs.apply(wd) // owner refresh: idle count restarts
-	for i := 0; i < 3; i++ {
+	for range replicaTTL {
 		rs.sweep()
 	}
 	if _, _, ok := rs.take(0, 1, 0); !ok {
 		t.Fatal("refreshed shadow retired early")
 	}
 	rs.apply(wd)
-	for i := 0; i < 4; i++ {
+	for range replicaTTL + 1 {
 		rs.sweep()
 	}
 	if _, _, ok := rs.take(0, 1, 0); ok {
@@ -405,8 +403,7 @@ func TestReplicaSetSweep(t *testing.T) {
 // a closed reader releases it immediately, a stuck one only holds it for the
 // caller's patience.
 func TestReplicaSetReaderBarrier(t *testing.T) {
-	cfg := DefaultConfig()
-	rs := newReplicaSet(&cfg, nil)
+	rs := newReplicaSet(nil)
 	rs.apply(&wire.WindowDelta{From: 4, Group: 2, Epoch: 1, Cutoff: -1_000_000})
 
 	ch := rs.beginReader(4)

@@ -43,7 +43,7 @@ type slaveNode struct {
 	degraded []int64
 
 	// closing carries the MoveIDs of outgoing transfers whose snapshot is
-	// fully shipped: the next epoch sends the catch-up StateTransfer.
+	// fully shipped: the next epoch sends the closing catch-up delta.
 	// Announced in that epoch's Hello so the master starts withholding the
 	// group's tuples exactly when the supplier stops covering them
 	// (transfer.go).
@@ -196,7 +196,7 @@ func (s *slaveNode) run() {
 		}
 		moveT0 := s.proc.Now()
 		if s.handleDirectives(batch.Directives) {
-			s.addXferStall(s.proc.Now() - moveT0)
+			s.addXfer(0, 0, s.proc.Now()-moveT0)
 		}
 		s.ws.enqueue(batch.Tuples)
 		if batch.Deactivate {
@@ -304,40 +304,27 @@ func emptyState(group int32) join.State {
 	return join.State{ID: group, Buckets: []exthash.Spec{{}}}
 }
 
-// recvFrom reads the next message of move d from its supplier's mesh
-// connection, or returns nil when the supplier is gone, never arrives within
-// the table's patience, or stalls past the mesh read deadline — in every
-// case the peer is severed, so sibling directives fail fast instead of
-// re-waiting.
-func (s *slaveNode) recvFrom(d wire.Directive) (msg wire.Message) {
-	if p := s.ptab.get(d.From); p != nil && tolerateTCP(func() { msg = s.recvMove(p, d) }) {
-		return msg
+// recvFrom reads the next delta of move d — an installment, or the closing
+// delta — from its supplier's mesh connection, or returns nil when the
+// supplier is gone, never arrives within the table's patience, or stalls
+// past the mesh read deadline; in every case the peer is severed, so sibling
+// directives fail fast instead of re-waiting. Protocol violations (wrong
+// kind, mismatched move) stay fatal.
+func (s *slaveNode) recvFrom(d wire.Directive) *wire.WindowDelta {
+	var msg wire.Message
+	if p := s.ptab.get(d.From); p == nil || !tolerateTCP(func() { msg = p.Recv() }) {
+		s.ptab.fail(d.From)
+		return nil
 	}
-	s.ptab.fail(d.From)
-	return nil
-}
-
-// recvMove reads the next state-movement message matching directive d from a
-// mesh connection — one StateChunk installment, or the closing
-// StateTransfer. Protocol violations (wrong kind, mismatched move) stay
-// fatal; transport failures are the caller's concern.
-func (s *slaveNode) recvMove(p engine.Conn, d wire.Directive) wire.Message {
-	msg := p.Recv()
-	var moveID int64
-	var group int32
-	switch m := msg.(type) {
-	case *wire.StateTransfer:
-		moveID, group = m.MoveID, m.Group
-	case *wire.StateChunk:
-		moveID, group = m.MoveID, m.Group
-	default:
+	m, ok := msg.(*wire.WindowDelta)
+	if !ok {
 		panic(fmt.Sprintf("core: slave %d expected state transfer from %d, got %T", s.id, d.From, msg))
 	}
-	if moveID != d.MoveID || group != d.Group {
+	if m.MoveID != d.MoveID || m.Group != d.Group {
 		panic(fmt.Sprintf("core: slave %d: transfer %d/%d does not match directive %+v",
-			s.id, moveID, group, d))
+			s.id, m.MoveID, m.Group, d))
 	}
-	return msg
+	return m
 }
 
 // tolerateTCP runs f, absorbing a transport failure (*engine.TCPError

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"streamjoin/internal/engine"
+	"streamjoin/internal/exthash"
 	"streamjoin/internal/join"
 	"streamjoin/internal/tuple"
 	"streamjoin/internal/wire"
@@ -15,18 +16,18 @@ import (
 // This file implements state movement (§IV-C): how a partition-group's
 // window state travels from its supplier to its consumer. The supplier
 // snapshots the group's windows at the directive epoch and streams the
-// snapshot as StateChunk installments, one per distribution epoch, while it
-// KEEPS OWNING AND PROCESSING the group: new arrivals that reach the group
-// during the transfer are ingested and probed locally, and recorded as a
-// catch-up delta. When the snapshot is fully shipped, the next epoch carries
-// the closing StateTransfer whose window payload is that catch-up delta
-// (everything ingested since the snapshot), plus the remaining unprocessed
-// backlog and the directory shape — the atomic cut-over at an epoch
-// boundary. The consumer concatenates snapshot installments and delta,
-// installs exactly once, then acks the MoveID, which transfers ownership at
-// the master. So the epoch barrier never carries more than one installment
-// of any group: the stall a move inserts is bounded by the installment, not
-// by the window.
+// snapshot as wire.WindowDelta installments, one per distribution epoch (the
+// first a Reset), while it KEEPS OWNING AND PROCESSING the group: new
+// arrivals that reach the group during the transfer are ingested and probed
+// locally, and recorded as a catch-up delta. When the snapshot is fully
+// shipped, the next epoch carries the closing delta (Close set) whose runs
+// are that catch-up delta (everything ingested since the snapshot), plus the
+// remaining unprocessed backlog and the directory shape — the atomic
+// cut-over at an epoch boundary. The consumer concatenates snapshot
+// installments and delta, installs exactly once, then acks the MoveID, which
+// transfers ownership at the master. So the epoch barrier never carries
+// more than one installment of any group: the stall a move inserts is
+// bounded by the installment, not by the window.
 //
 // The installment size is derived, not configured (installmentSize): a
 // move ordered at one reorganization boundary must have acked before the
@@ -70,19 +71,10 @@ import (
 // the unit of redistribution is a partition-group's window state rather than
 // a static relation fragment.
 
-// xferCapture accumulates the catch-up delta of one outgoing transfer: every
-// tuple the supplier ingests into the moving group after its snapshot, in
-// processing order per stream. It is fed by runRound on the
-// owning worker's goroutine (like the buddy-replication capture) and read by
-// the slave loop with the workers parked, so it needs no locking.
-type xferCapture struct {
-	runs [2][]tuple.Tuple
-}
-
 // outXfer is the supplier side of one in-flight movement.
 type outXfer struct {
 	d    wire.Directive
-	snap [2][]tuple.Tuple // unsent remainder of the wire-converted snapshot
+	snap [2][]tuple.Tuple // unsent remainder of the snapshot, as runs
 	size int              // snapshot tuples per installment (installmentSize)
 	seq  int32            // next installment index
 }
@@ -90,7 +82,7 @@ type outXfer struct {
 func (x *outXfer) snapLeft() int { return len(x.snap[0]) + len(x.snap[1]) }
 
 // inXfer is the consumer side of one in-flight movement: the snapshot
-// installments received so far, awaiting the closing StateTransfer.
+// installments received so far, awaiting the closing delta.
 type inXfer struct {
 	d      wire.Directive
 	window [2][]tuple.Tuple
@@ -111,6 +103,46 @@ func (c *Config) installmentSize(snapLen int) int {
 	return max(c.ChunkTuples, (snapLen+n-1)/n)
 }
 
+// stateRuns appends the windows of st to dst as per-stream tuple runs, in
+// the temporal order its stores hold them: the payload of a move's snapshot
+// and of a replication reset.
+func stateRuns(dst [2][]tuple.Tuple, st join.State) [2][]tuple.Tuple {
+	for s := range 2 {
+		dst[s] = slices.Grow(dst[s], len(st.Window[s]))
+		for _, p := range st.Window[s] {
+			dst[s] = append(dst[s], tuple.Tuple{Stream: tuple.StreamID(s), Key: p.Key, TS: p.TS})
+		}
+	}
+	return dst
+}
+
+// closeDelta is the closing delta of move d carrying st — its directory
+// shape and windows — and the group's unprocessed backlog.
+func closeDelta(d wire.Directive, st join.State, pending []tuple.Tuple) *wire.WindowDelta {
+	wd := &wire.WindowDelta{From: d.From, Group: d.Group, MoveID: d.MoveID, Close: true,
+		GlobalDepth: uint8(st.GlobalDepth), Runs: stateRuns([2][]tuple.Tuple{}, st), Pending: pending}
+	for _, sp := range st.Buckets {
+		wd.Buckets = append(wd.Buckets, wire.BucketSpec{LocalDepth: uint8(sp.Local), Bits: sp.Bits})
+	}
+	return wd
+}
+
+// closedState is the group state a closing delta installs: its directory
+// shape and its runs as windows (the backlog stays on the delta).
+func closedState(wd *wire.WindowDelta) join.State {
+	st := join.State{ID: wd.Group, GlobalDepth: uint(wd.GlobalDepth)}
+	for _, sp := range wd.Buckets {
+		st.Buckets = append(st.Buckets, exthash.Spec{Local: uint(sp.LocalDepth), Bits: sp.Bits})
+	}
+	for s := range 2 {
+		st.Window[s] = make([]tuple.Packed, len(wd.Runs[s]))
+		for i, t := range wd.Runs[s] {
+			st.Window[s][i] = t.Packed()
+		}
+	}
+	return st
+}
+
 // startOutgoing registers the transfer of directive d: snapshot the group
 // without detaching it and start the catch-up capture. A group not grown yet
 // snapshots empty; its opening installment is empty too, and its whole state
@@ -119,64 +151,56 @@ func (s *slaveNode) startOutgoing(d wire.Directive) {
 	w := s.ws.workerOf(d.Group)
 	x := &outXfer{d: d}
 	if g, ok := w.mod.Get(d.Group); ok {
-		snap := g.Extract()
-		x.snap = snap.ToWire(d.MoveID, nil).Window
+		x.snap = stateRuns(x.snap, g.Extract())
 	}
 	x.size = s.cfg.installmentSize(x.snapLeft())
-	if w.xcap == nil {
-		w.xcap = make(map[int32]*xferCapture)
-	}
-	w.xcap[d.Group] = &xferCapture{}
+	w.xcap[d.Group] = &replDelta{}
 	if s.xferOut == nil {
 		s.xferOut = make(map[int64]*outXfer)
 	}
 	s.xferOut[d.MoveID] = x
 }
 
-// sendInstallment ships the next chunk of the snapshot (at most x.size
-// tuples, zero-copy sub-slices). A delivery failure aborts the transfer. The
-// installment that exhausts the snapshot schedules the cut-over: the next
-// Hello announces the move as Closing so the master stops routing the
-// group's tuples here, and the epoch after carries the closing transfer.
-func (s *slaveNode) sendInstallment(x *outXfer) {
-	chunk := &wire.StateChunk{MoveID: x.d.MoveID, Group: x.d.Group, Seq: x.seq}
-	limit := x.size
-	for st := 0; st < 2 && limit > 0; st++ {
-		n := min(limit, len(x.snap[st]))
-		chunk.Window[st] = x.snap[st][:n:n]
-		x.snap[st] = x.snap[st][n:]
-		limit -= n
+// sendNext ships move x's next delta. While snapshot is left, and at least
+// once even for an empty snapshot, that is an installment: at most x.size
+// tuples as zero-copy sub-slices, the first a Reset. The installment that
+// exhausts the snapshot schedules the cut-over: the next Hello announces the
+// move as Closing so the master stops routing the group's tuples here. The
+// step after sends the closing delta: the group now really leaves this slave
+// (extractGroup), and the delta carries the catch-up runs — the snapshot is
+// already on the consumer — plus the remaining backlog and the directory
+// shape the consumer rebuilds under. A failed installment aborts the move.
+func (s *slaveNode) sendNext(x *outXfer) {
+	var wd *wire.WindowDelta
+	last := x.seq > 0 && x.snapLeft() == 0
+	if last {
+		catchUp := s.ws.workerOf(x.d.Group).xcap[x.d.Group]
+		st, pending := s.ws.extractGroup(x.d.Group)
+		wd = closeDelta(x.d, st, pending)
+		wd.Runs = catchUp.runs
+		delete(s.xferOut, x.d.MoveID)
+	} else {
+		wd = &wire.WindowDelta{From: x.d.From, Group: x.d.Group, MoveID: x.d.MoveID, Reset: x.seq == 0}
+		limit := x.size
+		for st := 0; st < 2 && limit > 0; st++ {
+			n := min(limit, len(x.snap[st]))
+			wd.Runs[st] = x.snap[st][:n:n]
+			x.snap[st] = x.snap[st][n:]
+			limit -= n
+		}
 	}
+	wd.Epoch = int64(x.seq)
 	x.seq++
-	n := len(chunk.Window[0]) + len(chunk.Window[1])
+	n := len(wd.Runs[0]) + len(wd.Runs[1]) + len(wd.Pending)
 	s.proc.Compute(s.cfg.Cost.Move(n))
-	s.addXfer(1, int64(n))
-	if !s.sendTo(x.d.To, chunk) {
+	s.addXfer(1, int64(n), 0)
+	switch ok := s.sendTo(x.d.To, wd); {
+	case last:
+	case !ok:
 		s.abortOutgoing(x)
-		return
-	}
-	if x.snapLeft() == 0 {
+	case x.snapLeft() == 0:
 		s.closing = append(s.closing, x.d.MoveID)
 	}
-}
-
-// finishOutgoing cuts the movement over: the group now really leaves this
-// slave (extractGroup) and the closing StateTransfer carries the catch-up
-// delta — the snapshot itself is already on the consumer — plus the
-// remaining backlog and the directory shape the consumer rebuilds under.
-func (s *slaveNode) finishOutgoing(x *outXfer) {
-	w := s.ws.workerOf(x.d.Group)
-	delta := w.xcap[x.d.Group]
-	st, pending := s.ws.extractGroup(x.d.Group) // the snapshot is already on the consumer
-	msg := st.ToWire(x.d.MoveID, pending)
-	if delta != nil {
-		msg.Window = delta.runs
-	}
-	n := len(msg.Window[0]) + len(msg.Window[1]) + len(pending)
-	s.proc.Compute(s.cfg.Cost.Move(n))
-	s.addXfer(1, int64(n))
-	delete(s.xferOut, x.d.MoveID)
-	s.sendTo(x.d.To, msg)
 }
 
 // abortOutgoing drops an in-flight outgoing transfer whose consumer is gone.
@@ -205,18 +229,13 @@ func (s *slaveNode) abortOutgoingGroup(g int32) {
 // step at every epoch and, repeated until none is left, at shutdown. Sends
 // come first, in MoveID order: each outgoing transfer ships installment 0
 // (even of an empty snapshot), then one installment per step, then the
-// closing StateTransfer. They are buffered, so several messages to one
+// closing delta. They are buffered, so several messages to one
 // consumer share a physical frame on a batched transport; every touched
 // peer connection is flushed before the first blocking receive. Receives
 // follow, also in MoveID order: one message of each incoming transfer.
 func (s *slaveNode) stepTransfers() {
 	for _, id := range slices.Sorted(maps.Keys(s.xferOut)) {
-		x := s.xferOut[id]
-		if x.seq == 0 || x.snapLeft() > 0 {
-			s.sendInstallment(x)
-		} else {
-			s.finishOutgoing(x)
-		}
+		s.sendNext(s.xferOut[id])
 	}
 	s.flushPeers()
 	for _, id := range slices.Sorted(maps.Keys(s.xferIn)) {
@@ -224,13 +243,13 @@ func (s *slaveNode) stepTransfers() {
 	}
 }
 
-// stepIncoming receives one message of incoming transfer x: an installment
-// extends the accumulated snapshot; the closing StateTransfer completes the
-// movement (snapshot plus catch-up delta install as one) and acks it. The
-// first step opens the transfer: an install or promotion (From < 0)
-// completes at once, and a stream must open with installment 0. A supplier
-// death at any step discards the incomplete prefix and fails over to what
-// this slave holds locally.
+// stepIncoming receives one delta of incoming transfer x: an installment
+// extends the accumulated snapshot; the closing delta completes the movement
+// (snapshot plus catch-up delta install as one) and acks it. The first step
+// opens the transfer: an install or promotion (From < 0) completes at once,
+// and a stream must open with the Reset installment 0; every delta must
+// arrive in sequence. A supplier death at any step discards the incomplete
+// prefix and fails over to what this slave holds locally.
 func (s *slaveNode) stepIncoming(x *inXfer) {
 	d := x.d
 	if x.next == 0 {
@@ -255,29 +274,25 @@ func (s *slaveNode) stepIncoming(x *inXfer) {
 			return
 		}
 	}
-	switch m := s.recvFrom(d).(type) {
-	case nil:
+	m := s.recvFrom(d)
+	switch {
+	case m == nil:
 		// If this slave happens to be the dead supplier's buddy the group's
 		// shadow is local; otherwise the move completes empty and degraded.
 		delete(s.xferIn, d.MoveID)
 		s.installReplica(d, d.From)
-	case *wire.StateChunk:
-		if m.Seq != x.next {
-			panic(fmt.Sprintf("core: slave %d: transfer %d installment %d, want %d",
-				s.id, d.MoveID, m.Seq, x.next))
-		}
-		x.next++
-		x.window[0] = append(x.window[0], m.Window[0]...)
-		x.window[1] = append(x.window[1], m.Window[1]...)
-	case *wire.StateTransfer:
-		if x.next == 0 {
-			panic(fmt.Sprintf("core: slave %d: transfer %d opened with %T, want the first installment",
-				s.id, d.MoveID, m))
-		}
+		return
+	case m.Epoch != int64(x.next) || m.Reset != (x.next == 0) || m.Close && x.next == 0:
+		panic(fmt.Sprintf("core: slave %d: transfer %d got installment %d (reset %v, close %v), want %d",
+			s.id, d.MoveID, m.Epoch, m.Reset, m.Close, x.next))
+	}
+	x.next++
+	x.window[0] = append(x.window[0], m.Runs[0]...)
+	x.window[1] = append(x.window[1], m.Runs[1]...)
+	if m.Close {
 		delete(s.xferIn, d.MoveID)
-		m.Window[0] = append(x.window[0], m.Window[0]...)
-		m.Window[1] = append(x.window[1], m.Window[1]...)
-		s.install(join.StateFromWire(m), m.Pending, m.MoveID)
+		m.Runs = x.window
+		s.install(closedState(m), m.Pending, m.MoveID)
 	}
 }
 
@@ -300,17 +315,11 @@ func (s *slaveNode) sendTo(to int32, msg wire.Message) bool {
 	return false
 }
 
-// addXfer accounts shipped transfer messages (live engine; the simulated
-// engine carries movement cost through the modeled clock instead).
-func (s *slaveNode) addXfer(chunks, tuples int64) {
+// addXfer accounts shipped transfer messages and epoch-barrier time spent
+// moving state (live engine; the simulated engine carries movement cost
+// through the modeled clock instead).
+func (s *slaveNode) addXfer(msgs, tuples int64, stall time.Duration) {
 	if lp, ok := s.proc.(*engine.LiveProc); ok {
-		lp.AddXfer(chunks, tuples, 0)
-	}
-}
-
-// addXferStall accounts epoch-barrier time spent moving state.
-func (s *slaveNode) addXferStall(d time.Duration) {
-	if lp, ok := s.proc.(*engine.LiveProc); ok {
-		lp.AddXfer(0, 0, d)
+		lp.AddXfer(msgs, tuples, stall)
 	}
 }

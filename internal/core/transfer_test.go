@@ -154,6 +154,51 @@ func TestIncrementalTransferStateMachine(t *testing.T) {
 		}
 	})
 
+	t.Run("replicated-and-moving", func(t *testing.T) {
+		// A replicated group can be moving too: its replication delta and
+		// its catch-up capture record the same rounds into separate
+		// buffers, and clearing the first at an epoch flush must leave the
+		// move's catch-up intact.
+		r := newXferRig(8, 12)
+		r.sup.ws.replicate = true
+		key := int32(7)
+		g := r.cfg.GroupOfKey(key)
+		w := r.sup.ws.workerOf(g)
+		r.ingest(r.sup, key, 40, 0)
+		w.repl[g].clear()
+		r.step(t, &wire.Directive{MoveID: 7, Group: g, From: 0, To: 1})
+
+		r.ingest(r.sup, key, 2, 1_000)
+		repl, cap := w.repl[g], w.xcap[g]
+		if repl == nil || cap == nil {
+			t.Fatalf("replication delta %v, catch-up capture %v: want both", repl, cap)
+		}
+		for name, d := range map[string]*replDelta{"replication delta": repl, "catch-up capture": cap} {
+			if len(d.runs[0]) != 2 || len(d.runs[1]) != 2 {
+				t.Fatalf("%s holds %d/%d tuples, want 2/2", name, len(d.runs[0]), len(d.runs[1]))
+			}
+		}
+		repl.clear() // the epoch flush ships and clears the replication delta
+		if len(cap.runs[0]) != 2 || len(cap.runs[1]) != 2 {
+			t.Fatalf("clearing the replication delta left the capture at %d/%d tuples, want 2/2",
+				len(cap.runs[0]), len(cap.runs[1]))
+		}
+
+		steps := 1
+		for len(r.sup.xferOut) > 0 || len(r.con.xferIn) > 0 {
+			r.step(t, nil)
+			if steps++; steps > 40 {
+				t.Fatal("transfer did not converge")
+			}
+		}
+		if steps != 11 {
+			t.Errorf("transfer took %d epochs, want 11 (10 installments + cut-over)", steps)
+		}
+		if n := windowTuplesOf(r.con, g); n != 84 {
+			t.Errorf("consumer window = %d tuples after cut-over, want 84 (snapshot + delta)", n)
+		}
+	})
+
 	t.Run("small-group", func(t *testing.T) {
 		// A group that fits within one installment still takes the capture
 		// path — the master routes tuples to the supplier through the

@@ -39,8 +39,8 @@ type epochSig struct {
 
 // equivSchedule builds the deterministic message schedule: E epochs of
 // Table-I-shaped tuple batches for group 0, with a state transfer installing
-// a populated group 1 midway (so a big StateTransfer shares frames with a
-// Batch, like a supplier's buffered exchange).
+// a populated group 1 midway (so a big closing WindowDelta shares frames
+// with a Batch, like a supplier's buffered exchange).
 func equivSchedule(t *testing.T, epochs int) []wire.Message {
 	t.Helper()
 	s1, s2 := workload.Pair(workload.Config{Rate: 1500, Skew: 0.7, Domain: 100_000, Seed: 7})
@@ -91,8 +91,8 @@ func newEquivSlave() *equivSlave { return &equivSlave{mod: join.MustNew(equivJoi
 // ok is false for a state transfer or the shutdown batch.
 func (s *equivSlave) apply(m wire.Message) (sig epochSig, rb *wire.ResultBatch, ok bool) {
 	switch m := m.(type) {
-	case *wire.StateTransfer:
-		if err := s.mod.Install(join.StateFromWire(m)); err != nil {
+	case *wire.WindowDelta:
+		if err := s.mod.Install(closedState(m)); err != nil {
 			panic(err)
 		}
 		// Pending tuples join the next round of their group, exactly as
@@ -216,7 +216,7 @@ func runEquivTransport(t *testing.T, msgs []wire.Message, batchBytes int) ([]epo
 	resConn := engine.WrapTCPBatched(driverP, rc, batchBytes)
 	epochs := 0
 	for _, m := range msgs {
-		if _, ok := m.(*wire.StateTransfer); ok {
+		if _, ok := m.(*wire.WindowDelta); ok {
 			// A supplier buffers state so it can share a frame with the
 			// epoch batch that follows.
 			engine.SendBuffered(driver, m)

@@ -51,8 +51,8 @@ type joinWorker struct {
 	// xcap accumulates catch-up deltas for groups this slave is streaming
 	// out (transfer.go): while a movement is in flight the group keeps
 	// processing here, and every tuple it ingests must reach the consumer in
-	// the closing transfer. Nil until a transfer starts.
-	xcap map[int32]*xferCapture
+	// the closing delta.
+	xcap map[int32]*replDelta
 
 	// instrumentation
 	outputs   int64
@@ -103,6 +103,7 @@ func newWorkerSet(cfg *Config, slave int32, runner engine.Runner) *workerSet {
 			rbs:      rbs,
 			curChunk: cfg.ChunkTuples,
 			repl:     make(map[int32]*replDelta),
+			xcap:     make(map[int32]*replDelta),
 		}
 	}
 	return ws
@@ -364,16 +365,14 @@ func (w *joinWorker) takeChunk(g int32) []tuple.Tuple {
 // records the production delays of each query's outputs into that query's
 // result batch.
 func (w *joinWorker) runRound(ws *workerSet, g int32, chunk []tuple.Tuple) {
-	if ws.replicate && len(chunk) > 0 {
-		w.captureRepl(g, chunk)
-	}
 	if len(chunk) > 0 {
+		if ws.replicate {
+			w.replOf(g).record(chunk)
+		}
 		// The group is mid-movement: everything ingested from here on ships
-		// in the closing transfer's catch-up delta.
+		// in the closing delta's catch-up runs.
 		if c := w.xcap[g]; c != nil {
-			for _, t := range chunk {
-				c.runs[t.Stream] = append(c.runs[t.Stream], t)
-			}
+			c.record(chunk)
 		}
 	}
 	results := w.mod.ProcessAll(g, ws.roundNow(w), chunk)

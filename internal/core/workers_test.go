@@ -10,6 +10,7 @@ import (
 	"streamjoin/internal/engine"
 	"streamjoin/internal/join"
 	"streamjoin/internal/tuple"
+	"streamjoin/internal/wire"
 	"streamjoin/internal/workload"
 )
 
@@ -254,8 +255,12 @@ func TestWorkerSetStateMovementRouting(t *testing.T) {
 	}
 
 	// Round-trip through the wire encoding, as stepIncoming receives it.
-	msg := snap.ToWire(1, pending)
-	if err := dst.installState(join.StateFromWire(msg), msg.Pending); err != nil {
+	decoded, err := wire.Unmarshal(wire.Marshal(closeDelta(wire.Directive{MoveID: 1, Group: g}, snap, pending)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := decoded.(*wire.WindowDelta)
+	if err := dst.installState(closedState(msg), msg.Pending); err != nil {
 		t.Fatal(err)
 	}
 	own := dst.workerOf(g)

@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"streamjoin/internal/tuple"
-	"streamjoin/internal/wire"
 )
 
 func testCfg(mode Mode) Config {
@@ -329,16 +328,12 @@ func TestStateExtractInstallRoundtrip(t *testing.T) {
 		if !ok {
 			t.Fatal("group missing")
 		}
+		// The wire leg of a move (core's closeDelta/closedState) is
+		// covered by core's TestWorkerSetStateMovementRouting; here the
+		// state goes straight from Extract to Install.
 		st := g.Extract()
-		// Through the wire: encode and decode the transfer.
-		msg := st.ToWire(99, nil)
-		decoded, err := wire.Unmarshal(wire.Marshal(msg))
-		if err != nil {
-			t.Fatal(err)
-		}
-		st2 := StateFromWire(decoded.(*wire.StateTransfer))
 		dst := MustNew(testCfg(mode))
-		if err := dst.Install(st2); err != nil {
+		if err := dst.Install(st); err != nil {
 			t.Fatal(err)
 		}
 		if got, want := dst.IndexBytes(), hashFootprint(t, dst); mode == ModeHash && got != want {

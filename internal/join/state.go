@@ -6,7 +6,6 @@ import (
 
 	"streamjoin/internal/exthash"
 	"streamjoin/internal/tuple"
-	"streamjoin/internal/wire"
 )
 
 // State is a partition-group's movable state: the fine-tuning directory
@@ -67,42 +66,4 @@ func (m *Module) Install(st State) error {
 	}
 	m.groups[st.ID] = g
 	return nil
-}
-
-// ToWire converts the state to its transfer message. Pending tuples (the
-// supplier's unprocessed buffer for this group) are attached by the caller.
-func (st *State) ToWire(moveID int64, pending []tuple.Tuple) *wire.StateTransfer {
-	w := &wire.StateTransfer{
-		MoveID:      moveID,
-		Group:       st.ID,
-		GlobalDepth: uint8(st.GlobalDepth),
-		Pending:     pending,
-	}
-	for _, sp := range st.Buckets {
-		w.Buckets = append(w.Buckets, wire.BucketSpec{LocalDepth: uint8(sp.Local), Bits: sp.Bits})
-	}
-	for s := 0; s < 2; s++ {
-		ts := make([]tuple.Tuple, len(st.Window[s]))
-		for i, p := range st.Window[s] {
-			ts[i] = tuple.Tuple{Stream: tuple.StreamID(s), Key: p.Key, TS: p.TS}
-		}
-		w.Window[s] = ts
-	}
-	return w
-}
-
-// StateFromWire reverses ToWire (the pending tuples stay on the message).
-func StateFromWire(w *wire.StateTransfer) State {
-	st := State{ID: w.Group, GlobalDepth: uint(w.GlobalDepth)}
-	for _, sp := range w.Buckets {
-		st.Buckets = append(st.Buckets, exthash.Spec{Local: uint(sp.LocalDepth), Bits: sp.Bits})
-	}
-	for s := 0; s < 2; s++ {
-		ps := make([]tuple.Packed, len(w.Window[s]))
-		for i, t := range w.Window[s] {
-			ps[i] = t.Packed()
-		}
-		st.Window[s] = ps
-	}
-	return st
 }

@@ -24,9 +24,9 @@ func sampleMessages() []Message {
 			},
 			Directives: []Directive{{MoveID: 1, Group: 2, From: 0, To: 1}}},
 		&Batch{Epoch: 12, Origin: 987_654_321},
-		&StateTransfer{MoveID: 5, Group: 2, GlobalDepth: 3,
+		&WindowDelta{From: 1, Group: 2, MoveID: 5, Epoch: 3, Close: true, GlobalDepth: 3,
 			Buckets: []BucketSpec{{LocalDepth: 1, Bits: 0}, {LocalDepth: 2, Bits: 3}},
-			Window: [2][]tuple.Tuple{
+			Runs: [2][]tuple.Tuple{
 				{{Stream: tuple.S1, Key: 1, TS: 10}},
 				{{Stream: tuple.S2, Key: 2, TS: 11}},
 			},

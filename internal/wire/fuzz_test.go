@@ -12,7 +12,7 @@ import (
 
 // lastKind is the highest message kind: random bodies are put behind every
 // kind byte up to it.
-const lastKind = KindStateChunk
+const lastKind = KindWindowDelta
 
 // soak is how many generated inputs a plain go test feeds a decoder: full,
 // or short under -short.
@@ -30,7 +30,7 @@ func mutationBase() []Message {
 		&Hello{Slave: 1, Epoch: 2, MoveACKs: []int64{1, 2, 3}},
 		&Batch{Epoch: 3, Directives: []Directive{{MoveID: 1, Group: 2, From: 0, To: 1}}},
 		&Batch{Epoch: -1, Origin: 1_250_000_000, Activate: true},
-		&StateTransfer{MoveID: 4, Buckets: []BucketSpec{{LocalDepth: 2, Bits: 1}}},
+		&WindowDelta{MoveID: 4, Close: true, Buckets: []BucketSpec{{LocalDepth: 2, Bits: 1}}},
 		&ResultBatch{Slave: 1, Outputs: 10},
 		&ResultBatch{Slave: 1, Query: 2, Outputs: 10},
 		&PairBatch{Slave: 1, Group: 3, Epoch: 9, Pairs: []OutPair{
@@ -49,15 +49,15 @@ func mutationBase() []Message {
 		&Ping{Slave: 2, Seq: 17, Leave: true},
 		&Pong{Slave: 2, Seq: 17},
 		randWindowDelta(r, 4, 4),
-		randStateChunk(r, 4, 4),
+		randInstallment(r, 4, 4),
 	}
 }
 
 // frameBase is the batched-frame mutation base: the field-rich messages of
-// every kind, tuple-bearing Batch and StateTransfer included.
+// every kind, tuple-bearing Batch and WindowDelta of every role included.
 func frameBase() []Message {
 	r := rand.New(rand.NewSource(5))
-	return append(sampleMessages(), randWindowDelta(r, 4, 4), randStateChunk(r, 4, 4))
+	return append(sampleMessages(), randWindowDelta(r, 4, 4), randInstallment(r, 4, 4))
 }
 
 // flipBits returns a copy of base with 1 to maxFlips random bits flipped.

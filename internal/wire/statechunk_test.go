@@ -1,41 +1,32 @@
 package wire
 
 import (
-	"bytes"
-	"encoding/binary"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"streamjoin/internal/tuple"
 )
 
-func randStateChunk(r *rand.Rand, n0, n1 int) *StateChunk {
-	return &StateChunk{
-		MoveID: r.Int63n(1 << 40),
-		Group:  r.Int31n(64),
-		Seq:    r.Int31n(1 << 10),
-		Window: [2][]tuple.Tuple{randDeltaRun(r, n0), randDeltaRun(r, n1)},
+// A state chunk is one WindowDelta of a state movement: an installment
+// (non-zero MoveID) or the movement's closing delta. These tests cover the
+// movement roles; the WindowDelta tests cover replication.
+
+// stateChunks is one delta of each movement role with the given run shape.
+func stateChunks(r *rand.Rand, n0, n1 int) map[string]*WindowDelta {
+	return map[string]*WindowDelta{
+		"installment": randInstallment(r, n0, n1),
+		"close":       randCloseDelta(r, n0, n1, 2, 2),
 	}
 }
 
-// TestStateChunkRoundTrip checks Marshal/Unmarshal identity across window
-// shapes, empty slices included, plus the WireSize accounting.
+// TestStateChunkRoundTrip checks Marshal/Unmarshal identity of installments
+// and closing deltas across run shapes, empty runs included, plus the
+// WireSize accounting of an installment.
 func TestStateChunkRoundTrip(t *testing.T) {
+	checkDeltaRoundTrip(t, 3, stateChunks)
 	r := rand.New(rand.NewSource(3))
-	for _, shape := range [][2]int{{0, 0}, {1, 0}, {0, 1}, {5, 7}, {256, 9}, {1000, 1000}} {
-		in := randStateChunk(r, shape[0], shape[1])
-		out, err := Unmarshal(Marshal(in))
-		if err != nil {
-			t.Fatalf("shape %v: %v", shape, err)
-		}
-		got, ok := out.(*StateChunk)
-		if !ok {
-			t.Fatalf("shape %v: decoded %T", shape, out)
-		}
-		if !reflect.DeepEqual(got, in) {
-			t.Fatalf("shape %v:\ngot  %+v\nwant %+v", shape, got, in)
-		}
+	for _, shape := range [][2]int{{0, 0}, {1, 0}, {5, 7}, {1000, 1000}} {
+		in := randInstallment(r, shape[0], shape[1])
 		want := int64(headerSize+16) + tuple.LogicalSize*int64(shape[0]+shape[1])
 		if in.WireSize() != want {
 			t.Fatalf("shape %v: WireSize = %d, want %d", shape, in.WireSize(), want)
@@ -43,112 +34,46 @@ func TestStateChunkRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStateChunkTruncated replays every strict prefix of an encoded chunk;
-// each must fail cleanly (no panic, no fabricated message).
+// TestStateChunkTruncated replays every strict prefix of an encoded
+// installment and closing delta; each must fail cleanly.
 func TestStateChunkTruncated(t *testing.T) {
-	full := Marshal(randStateChunk(rand.New(rand.NewSource(7)), 6, 3))
-	for cut := 0; cut < len(full); cut++ {
-		if got, err := Unmarshal(full[:cut]); err == nil {
-			t.Fatalf("prefix %d of %d decoded as %v", cut, len(full), got.Kind())
-		}
-	}
+	checkDeltaTruncated(t, stateChunks(rand.New(rand.NewSource(7)), 6, 3))
 }
 
-// stateChunkCountOff locates the window-count prefixes inside an encoding:
-// kind(1) + moveID(8) + group(4) + seq(4), then count0(4) + 9 bytes per
-// stream-0 tuple, then count1.
-const stateChunkCountOff = 1 + 8 + 4 + 4
-
-// TestStateChunkMutatedCount rewrites both window-count prefixes of a valid
-// encoding to every interesting wrong value: decoding must error and must
-// never panic.
+// TestStateChunkMutatedCount rewrites every count prefix of an installment
+// and a closing delta (runs, buckets, pending) to wrong values.
 func TestStateChunkMutatedCount(t *testing.T) {
-	in := randStateChunk(rand.New(rand.NewSource(9)), 4, 2)
-	full := Marshal(in)
-	off1 := stateChunkCountOff + 4 + tupleEncSize*len(in.Window[0])
-	for _, off := range []int{stateChunkCountOff, off1} {
-		for _, count := range []uint32{1, 3, 5, 1 << 16, 1 << 27, 1<<28 + 1, ^uint32(0)} {
-			buf := append([]byte(nil), full...)
-			binary.BigEndian.PutUint32(buf[off:], count)
-			if m, err := Unmarshal(buf); err == nil {
-				t.Fatalf("count %d at offset %d accepted as %v", count, off, m.Kind())
-			}
-		}
-	}
+	checkDeltaMutatedCount(t, stateChunks(rand.New(rand.NewSource(9)), 4, 2))
 }
 
-// TestStateChunkCorruptCountNoGiantAlloc proves a huge window count over a
-// tiny body cannot force a proportional preallocation.
+// TestStateChunkCorruptCountNoGiantAlloc checks the preallocation bound at
+// every count prefix of an installment and a closing delta.
 func TestStateChunkCorruptCountNoGiantAlloc(t *testing.T) {
-	buf := Marshal(randStateChunk(rand.New(rand.NewSource(1)), 2, 0))
-	binary.BigEndian.PutUint32(buf[stateChunkCountOff:], 1<<28)
-	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := Unmarshal(buf); err == nil {
-			t.Fatal("corrupt count accepted")
-		}
-	})
-	if allocs > 8 {
-		t.Fatalf("corrupt count cost %.0f allocs/op", allocs)
-	}
-	var sc StateChunk
-	d := &decoder{buf: buf[1:]}
-	if err := sc.decodeFrom(d); err == nil {
-		t.Fatal("corrupt count accepted by decodeFrom")
-	}
-	if cap(sc.Window[0]) > 8 || cap(sc.Window[1]) > 8 {
-		t.Fatalf("corrupt count preallocated %d/%d window slots", cap(sc.Window[0]), cap(sc.Window[1]))
-	}
+	checkDeltaCorruptCountNoGiantAlloc(t, stateChunks(rand.New(rand.NewSource(1)), 2, 0))
 }
 
-// TestStateChunkFramedRoundTrip runs chunks through the batched physical
-// framing interleaved with the closing StateTransfer, as an incremental
-// movement does on the mesh.
+// TestStateChunkFramedRoundTrip runs installments through the batched
+// physical framing, interleaved with another kind and closed by the closing
+// delta, as a state movement does on the mesh.
 func TestStateChunkFramedRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
-	msgs := []Message{
-		randStateChunk(r, 3, 0),
-		randStateChunk(r, 0, 0),
+	checkFramedRoundTrip(t, []Message{
+		randInstallment(r, 3, 0),
+		randInstallment(r, 0, 0),
 		&Hello{Slave: 1, Epoch: 2},
-		randStateChunk(r, 40, 40),
-		&StateTransfer{MoveID: 9, Group: 3, Buckets: []BucketSpec{{LocalDepth: 1, Bits: 1}},
-			Window: [2][]tuple.Tuple{randDeltaRun(r, 2), nil}},
-	}
-	var buf bytes.Buffer
-	fw := NewFrameWriter(&buf, 0)
-	for _, m := range msgs {
-		if err := fw.Append(m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := fw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	fr := NewFrameReader(&buf)
-	for i, want := range msgs {
-		got, err := fr.Next()
-		if err != nil {
-			t.Fatalf("message %d: %v", i, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("message %d: %+v != %+v", i, got, want)
-		}
-	}
+		randInstallment(r, 40, 40),
+		randCloseDelta(r, 2, 0, 1, 0),
+	})
 }
 
-// FuzzStateChunkDecode feeds arbitrary bytes to the decoder: it must never
-// panic, and every accepted message must re-encode to the same bytes.
+// FuzzStateChunkDecode fuzzes the decoder from installment and
+// closing-delta seeds.
 func FuzzStateChunkDecode(f *testing.F) {
 	r := rand.New(rand.NewSource(11))
-	f.Add(Marshal(randStateChunk(r, 4, 4)))
-	f.Add(Marshal(randStateChunk(r, 0, 0)))
-	f.Add([]byte{byte(KindStateChunk)})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := Unmarshal(data)
-		if err != nil {
-			return
-		}
-		if !bytes.Equal(Marshal(m), data) {
-			t.Fatalf("accepted message %+v does not re-encode to its input", m)
-		}
-	})
+	f.Add(Marshal(randInstallment(r, 4, 4)))
+	f.Add(Marshal(randInstallment(r, 0, 0)))
+	f.Add([]byte{byte(KindWindowDelta)})
+	f.Add(Marshal(randCloseDelta(r, 4, 4, 2, 3)))
+	f.Add(Marshal(randCloseDelta(r, 0, 0, 0, 0)))
+	f.Fuzz(fuzzDecodeRoundTrip)
 }

@@ -11,9 +11,9 @@
 // Paper correspondence: the message set is the paper's fixed per-epoch
 // communication pattern (§IV-B/§IV-C) — Hello is the slave's load report
 // opening each epoch exchange, Batch carries the master's drained
-// mini-buffers plus reorganization directives, StateTransfer is the direct
-// supplier→consumer partition-group movement, and ResultBatch is the
-// slave→collector output summary — plus PairBatch, the beyond-the-paper
+// mini-buffers plus reorganization directives, a stream of WindowDeltas is
+// the direct supplier→consumer partition-group movement, and ResultBatch is
+// the slave→collector output summary — plus PairBatch, the beyond-the-paper
 // slave→downstream-consumer delivery of materialized output pairs (the
 // engine's SocketSink produces it, cmd/sjoin-collect consumes it) and the
 // elastic-membership control kinds (Membership roster broadcasts and
@@ -36,12 +36,16 @@ import (
 // revisions; a build that predates the constant announces 0. It changes
 // whenever peers of two revisions would act differently on the same
 // messages, even if every message still decodes: revision 1 streams every
-// state movement (KindStateChunk) while the master keeps routing the group
+// state movement in installments while the master keeps routing the group
 // to its supplier, where a supplier of revision 0 gave the group up in the
 // directive epoch; revision 2 adds Batch.Origin, the master's epoch-grid
 // origin, and a slave sets its clock to the master's from the anchor batch
-// where a slave of revision 1 restarted its own clock at the anchor.
-const Version = 2
+// where a slave of revision 1 restarted its own clock at the anchor;
+// revision 3 streams a state movement as WindowDeltas (a MoveID and a
+// closing part added to the replication delta) where revision 2 sent
+// StateChunk installments closed by a StateTransfer, two kinds it no longer
+// has.
+const Version = 3
 
 // Kind discriminates message types on the wire.
 type Kind uint8
@@ -50,7 +54,7 @@ type Kind uint8
 const (
 	KindHello Kind = 1 + iota
 	KindBatch
-	KindStateTransfer
+	_ // 3 was StateTransfer, before state movement became a WindowDelta stream
 	KindResultBatch
 	_ // 5 is KindFrameBatch, the physical frame envelope (frame.go)
 	KindPairBatch
@@ -68,16 +72,11 @@ const (
 	KindMembership
 	KindPing
 	KindPong
-	// KindWindowDelta belongs to the crash-recovery replication extension:
-	// each epoch, a partition-group's owner ships the window rows it ingested
-	// (plus an expiry watermark) to its buddy slave, which maintains a shadow
-	// copy promoted on eviction. Never sent unless replication is enabled.
+	// KindWindowDelta carries window state slave→slave: the installments
+	// of a state movement, and the crash-recovery replication stream by
+	// which each epoch a partition-group's owner ships the window rows it
+	// ingested (plus an expiry watermark) to its buddy slave.
 	KindWindowDelta
-	// KindStateChunk is one installment of a state movement: a moving
-	// partition-group's window snapshot is streamed supplier→consumer over
-	// consecutive epochs, closed by a StateTransfer carrying the catch-up
-	// delta.
-	KindStateChunk
 )
 
 func (k Kind) String() string {
@@ -86,8 +85,6 @@ func (k Kind) String() string {
 		return "Hello"
 	case KindBatch:
 		return "Batch"
-	case KindStateTransfer:
-		return "StateTransfer"
 	case KindResultBatch:
 		return "ResultBatch"
 	case KindFrameBatch:
@@ -108,8 +105,6 @@ func (k Kind) String() string {
 		return "Pong"
 	case KindWindowDelta:
 		return "WindowDelta"
-	case KindStateChunk:
-		return "StateChunk"
 	}
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
@@ -160,8 +155,6 @@ func decodeMessage(d *decoder) (Message, error) {
 		m = &Hello{}
 	case KindBatch:
 		m = &Batch{}
-	case KindStateTransfer:
-		m = &StateTransfer{}
 	case KindResultBatch:
 		m = &ResultBatch{}
 	case KindPairBatch:
@@ -176,8 +169,6 @@ func decodeMessage(d *decoder) (Message, error) {
 		m = &Pong{}
 	case KindWindowDelta:
 		m = &WindowDelta{}
-	case KindStateChunk:
-		m = &StateChunk{}
 	case KindResultBatchQ, KindPairBatchQ:
 		// Query-tagged variants: a non-zero query id precedes the legacy
 		// body. Query 0 must use the legacy kind (the canonical encoding),
@@ -230,8 +221,8 @@ type Hello struct {
 	MoveACKs     []int64 // completed MoveIDs
 	Degraded     []int64 // MoveIDs completed with an empty install (state lost)
 	// Closing lists in-flight state movements whose supplier has fully
-	// shipped its snapshot and will send the closing catch-up StateTransfer
-	// this epoch. Until then the master keeps routing the moving group's new
+	// shipped its snapshot and will send the closing catch-up delta this
+	// epoch. Until then the master keeps routing the moving group's new
 	// tuples to the supplier (which probes them and folds them into the
 	// delta); on Closing it starts withholding them, so the consumer's
 	// catch-up backlog is bounded by the ack round trip — one or two epochs —
@@ -300,27 +291,6 @@ func (b *Batch) WireSize() int64 {
 type BucketSpec struct {
 	LocalDepth uint8
 	Bits       uint32 // canonical low `LocalDepth` bits identifying the bucket
-}
-
-// StateTransfer moves a partition-group supplier→consumer: the window
-// contents of both streams in temporal order, unprocessed buffered tuples,
-// and the fine-tuning directory shape.
-type StateTransfer struct {
-	MoveID      int64
-	Group       int32
-	GlobalDepth uint8
-	Buckets     []BucketSpec
-	Window      [2][]tuple.Tuple
-	Pending     []tuple.Tuple
-}
-
-// Kind implements Message.
-func (*StateTransfer) Kind() Kind { return KindStateTransfer }
-
-// WireSize implements Message.
-func (st *StateTransfer) WireSize() int64 {
-	n := int64(len(st.Window[0]) + len(st.Window[1]) + len(st.Pending))
-	return headerSize + 24 + 5*int64(len(st.Buckets)) + tuple.LogicalSize*n
 }
 
 // DelayHistBuckets is the number of power-of-two millisecond delay buckets
@@ -515,73 +485,69 @@ func (*Pong) Kind() Kind { return KindPong }
 // WireSize implements Message.
 func (*Pong) WireSize() int64 { return headerSize + 12 }
 
-// WindowDelta replicates one partition-group's window growth owner→buddy: the
-// per-stream tuple runs the owner ingested since its previous delta (temporal
-// order, exactly as they entered the window stores) and the expiry watermark
-// its last processing round applied. The buddy appends the runs to its shadow
-// stores and trims them at the watermark, so the replica tracks the primary's
-// semantic window one epoch behind. Reset marks a full-window snapshot — sent
-// when a group is first adopted or changes buddy — telling the receiver to
-// discard any stale replica before applying. Epoch is the owner's distribution
-// epoch the delta closes; it is monotone per (From, Group), letting receivers
-// drop stale re-deliveries and prune replicas whose owner stopped refreshing.
+// WindowDelta ships one partition-group's window state slave→slave: the
+// per-stream tuple runs the sender ingested (temporal order, exactly as they
+// entered its window stores). It has two roles.
+//
+// Replication (MoveID 0): an owner sends its buddy one delta per owned group
+// every epoch — the runs ingested since its previous delta and the expiry
+// watermark its last processing round applied. The buddy appends the runs to
+// its shadow stores and trims them at the watermark, so the replica tracks
+// the primary's semantic window one epoch behind. Reset marks a full-window
+// snapshot — sent when a group is first adopted or changes buddy — telling
+// the receiver to discard any stale replica first. Epoch is the owner's
+// distribution epoch the delta closes; the buddy records it with the shadow
+// and applies deltas in arrival order without comparing it.
+//
+// Movement (MoveID ≠ 0, §IV-C): the supplier streams the group to its
+// consumer as installments, one per distribution epoch, while it keeps
+// processing the group. Epoch is the installment's position in the stream,
+// from 0; installment 0 carries Reset and opens the snapshot, later ones
+// continue it, and the last — Close set — carries the catch-up runs (every
+// tuple ingested after the snapshot), the unprocessed backlog (Pending) and
+// the directory shape the consumer rebuilds under. Cutoff is unused. The
+// close part is encoded only when Close is set.
 //
 // Paper correspondence: the follow-up paper ("Processing Database Joins over a
 // Shared-Nothing System of Multicore Machines", PAPERS.md) treats window state
-// as an ordinarily transferable asset between shared-nothing nodes; WindowDelta
-// extends that from movement to continuous replication so eviction (elastic
-// membership, PR 7) no longer erases the lost node's windows.
+// as an ordinarily transferable asset between shared-nothing nodes and
+// overlaps its communication with computation; WindowDelta is that asset on
+// the wire, for movement and for continuous replication alike.
 type WindowDelta struct {
-	From   int32 // replicating owner's slave id
-	Group  int32 // partition-group the delta shadows
-	Epoch  int64 // owner's distribution epoch this delta closes
-	Reset  bool  // full snapshot: discard prior replica state first
-	Cutoff int32 // expiry watermark: window rows with TS < Cutoff are dead
+	From   int32 // sending slave's id
+	Group  int32 // partition-group the delta carries
+	MoveID int64 // state movement this installment belongs to; 0 for replication
+	Epoch  int64 // replication: owner's epoch; movement: installment index
+	Reset  bool  // full snapshot: discard prior state first
+	Cutoff int32 // replication expiry watermark: window rows with TS < Cutoff are dead
 	// Runs holds, per stream, the tuples ingested since the previous delta
-	// (or the full window when Reset), in the temporal order the owner's
+	// (or the full window when Reset), in the temporal order the sender's
 	// stores hold them.
 	Runs [2][]tuple.Tuple
+
+	// The close part of a movement: cut-over directory shape and backlog.
+	Close       bool
+	GlobalDepth uint8
+	Buckets     []BucketSpec
+	Pending     []tuple.Tuple
 }
 
 // Kind implements Message.
 func (*WindowDelta) Kind() Kind { return KindWindowDelta }
 
-// WireSize implements Message.
+// WireSize implements Message. Each role has its own fixed overhead: the
+// simulator times movement and replication by these charges, so changing one
+// moves the golden figures.
 func (wd *WindowDelta) WireSize() int64 {
 	n := int64(len(wd.Runs[0]) + len(wd.Runs[1]))
+	switch {
+	case wd.Close:
+		n += int64(len(wd.Pending))
+		return headerSize + 24 + 5*int64(len(wd.Buckets)) + tuple.LogicalSize*n
+	case wd.MoveID != 0:
+		return headerSize + 16 + tuple.LogicalSize*n
+	}
 	return headerSize + 21 + tuple.LogicalSize*n
-}
-
-// StateChunk is one installment of a state movement: a consecutive,
-// per-stream slice of the moving partition-group's window snapshot, identified by the movement it belongs to and its position in the
-// installment sequence (Seq, starting at 0). The supplier streams exactly one
-// installment per distribution epoch while it keeps processing the group;
-// the closing installment is an ordinary StateTransfer whose windows carry
-// only the catch-up delta — the rows ingested after the snapshot — plus the
-// unprocessed buffer and the directory shape at cut-over. The consumer
-// reassembles snapshot + delta in sequence order, so the installed window
-// is exactly the supplier's at cut-over.
-//
-// Paper correspondence: the follow-up paper ("Processing Database Joins over
-// a Shared-Nothing System of Multicore Machines", PAPERS.md) overlaps the
-// communication of join state with computation instead of serializing them;
-// StateChunk is that overlap applied to §IV-C state movement — the transfer
-// rides epochs the supplier is still processing, and only the (small)
-// catch-up delta ever sits on the cut-over barrier.
-type StateChunk struct {
-	MoveID int64
-	Group  int32
-	Seq    int32 // installment index within the movement, starting at 0
-	Window [2][]tuple.Tuple
-}
-
-// Kind implements Message.
-func (*StateChunk) Kind() Kind { return KindStateChunk }
-
-// WireSize implements Message.
-func (sc *StateChunk) WireSize() int64 {
-	n := int64(len(sc.Window[0]) + len(sc.Window[1]))
-	return headerSize + 16 + tuple.LogicalSize*n
 }
 
 // --- encoding helpers ---
@@ -829,37 +795,6 @@ func (b *Batch) decodeFrom(d *decoder) error {
 	return d.err
 }
 
-func (st *StateTransfer) appendTo(b []byte) []byte {
-	b = appendI64(b, st.MoveID)
-	b = appendI32(b, st.Group)
-	b = appendU8(b, st.GlobalDepth)
-	b = appendU32(b, uint32(len(st.Buckets)))
-	for _, bk := range st.Buckets {
-		b = appendU8(b, bk.LocalDepth)
-		b = appendU32(b, bk.Bits)
-	}
-	b = appendTuples(b, st.Window[0])
-	b = appendTuples(b, st.Window[1])
-	return appendTuples(b, st.Pending)
-}
-
-func (st *StateTransfer) decodeFrom(d *decoder) error {
-	st.MoveID = d.i64()
-	st.Group = d.i32()
-	st.GlobalDepth = d.u8()
-	n := d.sliceLen()
-	for i := 0; i < n && d.err == nil; i++ {
-		st.Buckets = append(st.Buckets, BucketSpec{
-			LocalDepth: d.u8(),
-			Bits:       d.u32(),
-		})
-	}
-	st.Window[0] = d.tuples()
-	st.Window[1] = d.tuples()
-	st.Pending = d.tuples()
-	return d.err
-}
-
 func (pb *PairBatch) appendTo(b []byte) []byte {
 	// The query id precedes the legacy body, and only for the query-tagged
 	// kind (its decode counterpart lives in decodeMessage).
@@ -1033,47 +968,48 @@ func (p *Pong) decodeFrom(d *decoder) error {
 func (wd *WindowDelta) appendTo(b []byte) []byte {
 	b = appendI32(b, wd.From)
 	b = appendI32(b, wd.Group)
+	b = appendI64(b, wd.MoveID)
 	b = appendI64(b, wd.Epoch)
 	b = appendBool(b, wd.Reset)
 	b = appendI32(b, wd.Cutoff)
 	b = appendTuples(b, wd.Runs[0])
-	return appendTuples(b, wd.Runs[1])
+	b = appendTuples(b, wd.Runs[1])
+	b = appendBool(b, wd.Close)
+	if !wd.Close {
+		return b
+	}
+	b = appendU8(b, wd.GlobalDepth)
+	b = appendU32(b, uint32(len(wd.Buckets)))
+	for _, bk := range wd.Buckets {
+		b = appendU8(b, bk.LocalDepth)
+		b = appendU32(b, bk.Bits)
+	}
+	return appendTuples(b, wd.Pending)
 }
 
 func (wd *WindowDelta) decodeFrom(d *decoder) error {
 	wd.From = d.i32()
 	wd.Group = d.i32()
+	wd.MoveID = d.i64()
 	wd.Epoch = d.i64()
 	wd.Reset = d.bool()
 	wd.Cutoff = d.i32()
 	// tuples() caps its preallocation at what the remaining bytes could hold,
-	// so a corrupt run count cannot force a giant allocation.
+	// so a corrupt run count cannot force a giant allocation; the bucket
+	// list grows only as its entries decode.
 	wd.Runs[0] = d.tuples()
 	wd.Runs[1] = d.tuples()
-	if d.err != nil {
-		wd.Runs[0], wd.Runs[1] = nil, nil
+	wd.Close = d.bool()
+	if wd.Close {
+		wd.GlobalDepth = d.u8()
+		n := d.sliceLen()
+		for i := 0; i < n && d.err == nil; i++ {
+			wd.Buckets = append(wd.Buckets, BucketSpec{LocalDepth: d.u8(), Bits: d.u32()})
+		}
+		wd.Pending = d.tuples()
 	}
-	return d.err
-}
-
-func (sc *StateChunk) appendTo(b []byte) []byte {
-	b = appendI64(b, sc.MoveID)
-	b = appendI32(b, sc.Group)
-	b = appendI32(b, sc.Seq)
-	b = appendTuples(b, sc.Window[0])
-	return appendTuples(b, sc.Window[1])
-}
-
-func (sc *StateChunk) decodeFrom(d *decoder) error {
-	sc.MoveID = d.i64()
-	sc.Group = d.i32()
-	sc.Seq = d.i32()
-	// tuples() caps its preallocation at what the remaining bytes could hold,
-	// so a corrupt count cannot force a giant allocation.
-	sc.Window[0] = d.tuples()
-	sc.Window[1] = d.tuples()
 	if d.err != nil {
-		sc.Window[0], sc.Window[1] = nil, nil
+		*wd = WindowDelta{}
 	}
 	return d.err
 }

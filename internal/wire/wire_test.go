@@ -66,10 +66,15 @@ func TestBatchRoundtrip(t *testing.T) {
 	}
 }
 
+// TestStateTransferRoundtrip round-trips the closing delta of a state
+// transfer: catch-up runs, directory shape and backlog.
 func TestStateTransferRoundtrip(t *testing.T) {
-	st := &StateTransfer{
+	st := &WindowDelta{
+		From:        2,
 		MoveID:      77,
 		Group:       5,
+		Epoch:       4,
+		Close:       true,
 		GlobalDepth: 3,
 		Buckets: []BucketSpec{
 			{LocalDepth: 2, Bits: 1},
@@ -78,9 +83,9 @@ func TestStateTransferRoundtrip(t *testing.T) {
 		},
 		Pending: []tuple.Tuple{{Stream: tuple.S1, Key: 1, TS: 2}},
 	}
-	st.Window[0] = []tuple.Tuple{{Stream: tuple.S1, Key: 10, TS: 20}}
-	st.Window[1] = []tuple.Tuple{{Stream: tuple.S2, Key: 11, TS: 21}, {Stream: tuple.S2, Key: 12, TS: 22}}
-	got := roundtrip(t, st).(*StateTransfer)
+	st.Runs[0] = []tuple.Tuple{{Stream: tuple.S1, Key: 10, TS: 20}}
+	st.Runs[1] = []tuple.Tuple{{Stream: tuple.S2, Key: 11, TS: 21}, {Stream: tuple.S2, Key: 12, TS: 22}}
+	got := roundtrip(t, st).(*WindowDelta)
 	if !reflect.DeepEqual(st, got) {
 		t.Fatalf("got %+v want %+v", got, st)
 	}
@@ -165,15 +170,16 @@ func TestQuickBatchRoundtrip(t *testing.T) {
 	}
 }
 
+// TestQuickStateTransferRoundtrip round-trips random closing deltas.
 func TestQuickStateTransferRoundtrip(t *testing.T) {
 	f := func(moveID int64, group int32, gd uint8, seed int64, n0, n1, np uint8) bool {
 		r := rand.New(rand.NewSource(seed))
-		st := &StateTransfer{MoveID: moveID, Group: group, GlobalDepth: gd % 16}
+		st := &WindowDelta{MoveID: moveID, Group: group, Close: true, GlobalDepth: gd % 16}
 		for i := 0; i < int(gd)%5; i++ {
 			st.Buckets = append(st.Buckets, BucketSpec{LocalDepth: uint8(r.Intn(16)), Bits: r.Uint32() & 0xffff})
 		}
-		st.Window[0] = randomTuples(r, int(n0))
-		st.Window[1] = randomTuples(r, int(n1))
+		st.Runs[0] = randomTuples(r, int(n0))
+		st.Runs[1] = randomTuples(r, int(n1))
 		st.Pending = randomTuples(r, int(np))
 		got, err := Unmarshal(Marshal(st))
 		return err == nil && reflect.DeepEqual(got, st)
@@ -282,7 +288,7 @@ func TestFrameRejectsOversizedHeader(t *testing.T) {
 }
 
 func TestKindString(t *testing.T) {
-	for _, k := range []Kind{KindHello, KindBatch, KindStateTransfer, KindResultBatch, KindPairBatch} {
+	for _, k := range []Kind{KindHello, KindBatch, KindWindowDelta, KindResultBatch, KindPairBatch} {
 		if k.String() == "" || k.String()[0] == 'K' {
 			t.Fatalf("bad name %q", k.String())
 		}
