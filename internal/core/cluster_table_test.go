@@ -401,6 +401,38 @@ func clusterTable() []clusterRow {
 		}
 	})
 
+	// The same crash in the middle of epoch 15: the slave takes its epoch
+	// batch, then resets every connection before its first data slot, so
+	// the master's data-slot send fails. The tuples of that send go back
+	// to the mini-buffers and on to the groups' new owners, so every pair
+	// of two tuples that arrived after the epoch batch left is delivered;
+	// what the dead slave held — its window without replication, the epoch
+	// batch either way — may be missing.
+	for _, replicate := range []bool{true, false} {
+		cfg := elasticTestConfig()
+		cfg.MinSlaves = 3
+		cfg.Replicate = replicate
+		slaves := slavesAt(cfg, 0, 0, 0)
+		slaves[0].opts.failAt, slaves[0].opts.failSlot = 15, 1
+		name := "mid-epoch-without-replication"
+		if replicate {
+			name = "mid-epoch-with-replication"
+		}
+		add(clusterRow{suite: "TestCrashRecoveryEquivalence", name: name,
+			cfg: cfg, work: work, sink: tolerantSink, slaves: slaves,
+			check: func(t *testing.T, out *clusterOut) {
+				noneInvented(t, out, want)
+				// The epoch batch left at the grid's epoch 15, within a
+				// few ms of formation + 15·t_d; the failed send would have
+				// carried what arrived from then to t_d/2 later.
+				healedPresent(t, out, want, out.formedMs+15*cfg.DistEpochMs+cfg.DistEpochMs/5)
+				sendFailed := regexp.MustCompile(`slave \d+ dead \(connection failed: tcp (send|flush)`)
+				if !slices.ContainsFunc(out.log, sendFailed.MatchString) {
+					t.Error("no data-slot send to the crashed slave failed — the crash missed the data slot")
+				}
+			}})
+	}
+
 	// TestIncrementalTransferEquivalence: movements that stream over many
 	// epochs while the supplier keeps processing still produce exactly the
 	// ground truth — under a clean rebalance, under a consumer crash
@@ -530,26 +562,27 @@ func clusterTable() []clusterRow {
 					t.Errorf("pairs from %d slaves, want both", len(out.gap))
 				}
 				// Both slaves stay active, so the master pulls twice per
-				// epoch: the first of each pair opens the epoch. The grid's
-				// phase is read off the earliest of them, so one late pull
-				// cannot skew the rest.
+				// epoch at their exchanges and twice at each data slot:
+				// the first of each epoch's pulls opens the epoch. The
+				// grid's phase is read off the earliest of them, so one
+				// late pull cannot skew the rest.
 				td := cfg.DistEpochMs
-				pulls := out.pulls
-				if len(pulls) < 2*int(cfg.DurationMs/td) {
+				pulls, n := out.pulls, 2*cfg.dataSlots()
+				if len(pulls) < n*int(cfg.DurationMs/td) {
 					t.Fatalf("%d pulls over a %d ms run", len(pulls), cfg.DurationMs)
 				}
 				grid := pulls[0]
-				for e := 0; 2*e < len(pulls); e++ {
-					grid = min(grid, pulls[2*e]-int32(e)*td)
+				for e := 0; n*e < len(pulls); e++ {
+					grid = min(grid, pulls[n*e]-int32(e)*td)
 				}
 				if d := grid - out.formedMs; d < -2 || d > td/5 {
 					t.Errorf("epoch grid starts %d ms after the cluster formed, want at formation", d)
 				}
 				var off []int32
-				for e := 0; 2*e < len(pulls); e++ {
-					d := pulls[2*e] - grid - int32(e)*td
+				for e := 0; n*e < len(pulls); e++ {
+					d := pulls[n*e] - grid - int32(e)*td
 					if d > td/5 {
-						t.Errorf("epoch %d pulled at %d ms, %d ms after grid start + e·t_d", e, pulls[2*e], d)
+						t.Errorf("epoch %d pulled at %d ms, %d ms after grid start + e·t_d", e, pulls[n*e], d)
 					}
 					off = append(off, d)
 				}
@@ -595,6 +628,25 @@ func clusterTable() []clusterRow {
 				}
 				checkPairGaps(t, cfg, out, work)
 				t.Logf("joiner batch waits %v", waits)
+			}})
+	}
+
+	// TestTCPClusterEndToEnd/sub-epoch-delivery: over TCP too, a tuple
+	// waits for its slave's next data slot, not the next epoch exchange, so
+	// the mean production delay stays under 0.4·t_d, with every pair
+	// delivered exactly once.
+	{
+		cfg := elasticTestConfig()
+		cfg.Slaves = 2
+		add(clusterRow{suite: "TestTCPClusterEndToEnd", name: "sub-epoch-delivery",
+			cfg: cfg, work: work, sink: strictSink, slaves: slavesAt(cfg, 0, 0),
+			check: func(t *testing.T, out *clusterOut) {
+				sameAsOracle(t, out, want)
+				td := time.Duration(cfg.DistEpochMs) * ms
+				if d := out.res.MeanDelay(); d >= td*4/10 {
+					t.Errorf("mean delay %v, want under 0.4·t_d = %v", d, td*4/10)
+				}
+				t.Logf("mean delay %v at t_d %v", out.res.MeanDelay(), td)
 			}})
 	}
 

@@ -523,6 +523,24 @@ func (c *Config) slotOffset(i int) time.Duration {
 	return off
 }
 
+// liveDataSlots is k of the live engines: how many times per distribution
+// epoch the master ships an active slave its tuples (PERFORMANCE.md, "Data
+// slots", has the k sweep). Each extra slot cuts the wait in the
+// mini-buffers, but also makes the join's rounds smaller, and a small round
+// loses the cache warmth of the group it probes.
+const liveDataSlots = 2
+
+// dataSlots returns k: an active slave takes its tuples at its epoch
+// exchange and at k−1 data slots t_d/k apart, while control — Hello,
+// directives, flags, acks, the result flush — stays once per epoch. The
+// simulation keeps the paper's one delivery per epoch.
+func (c *Config) dataSlots() int {
+	if c.sim {
+		return 1
+	}
+	return liveDataSlots
+}
+
 // slowdown returns the CPU dilation factor of slave i under its background
 // load.
 func (c *Config) slowdown(i int32) float64 {

@@ -396,6 +396,11 @@ type JoinOptions struct {
 	// severs every connection at once, exactly as a crash between two
 	// epoch exchanges would look from outside. 0 disables the seam.
 	failAt int64
+	// failSlot > 0 moves the failAt crash to the middle of the epoch: once
+	// its batch is in, before data slot failSlot. The control connection
+	// is reset, not closed, so the master's next data send fails instead
+	// of vanishing into a half-closed socket.
+	failSlot int
 	// batchWait is the clock-alignment seam: when non-nil it receives, each
 	// epoch, how long the slave waited between sending its Hello and
 	// receiving the master's Batch.
@@ -492,11 +497,15 @@ func ServeSlave(cfg Config, joinAddr, resAddr string, opts JoinOptions) (err err
 	}
 	s.batchWait = opts.batchWait
 	if opts.failAt > 0 {
-		s.failHook = func(e int64) {
-			if e == opts.failAt {
-				t.sinks.flushBarrier()
-				t.sever()
+		s.failHook = func(e int64, slot int) {
+			if e != opts.failAt || slot != opts.failSlot {
+				return
 			}
+			t.sinks.flushBarrier()
+			if l, ok := t.mc.(interface{ SetLinger(int) error }); ok && slot > 0 {
+				l.SetLinger(0)
+			}
+			t.sever()
 		}
 	}
 
@@ -675,10 +684,12 @@ func (t *tcpSlave) anchor() (*slaveNode, error) {
 		epoch0 = (start.Epoch/K + 1) * K
 	}
 	t.env.SetNow(sentAt)
-	// The master never sends unsolicited after the anchor — every later
-	// message answers a Hello — so the handshake framing holds no unread
-	// bytes and the control connection can be re-framed with the
-	// steady-state deadline: reads now resume every distribution epoch.
+	// After the anchor the master sends nothing before this slave's first
+	// Hello: an epoch's Batch (with any Membership before it) answers the
+	// epoch's Hello, and its data-slot Batches follow that one. So the
+	// handshake framing holds no unread bytes and the control connection
+	// can be re-framed with the steady-state deadline: reads now resume at
+	// every exchange and data slot.
 	t.master = engine.WrapTCPBatched(t.proc,
 		engine.WithDeadlines(t.mc, t.cfg.ctlReadDeadline(), t.cfg.wireDeadline()), t.cfg.WireBatchBytes)
 

@@ -2,6 +2,8 @@ package core
 
 import (
 	"runtime"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -45,6 +47,54 @@ func TestRunLiveSmoke(t *testing.T) {
 		t.Fatalf("mean delay = %v", res.MeanDelay())
 	}
 	t.Logf("live: outputs=%d delay=%v epochs=%d", res.Outputs, res.MeanDelay(), res.EpochsServed)
+}
+
+// TestRunLiveDeliversWithinTheEpoch: over pipes, a tuple waits in the
+// master's mini-buffer for its slave's next data slot, t_d/k away, not for
+// the next epoch exchange. The mean production delay stays under 0.4·t_d
+// (one delivery per epoch holds it near t_d/2), and the pairs are the
+// oracle's — also with staggered sub-groups, where a slave's data slot can
+// fall after the next epoch has begun.
+func TestRunLiveDeliversWithinTheEpoch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wall-clock test")
+	}
+	for _, c := range []struct {
+		name              string
+		slaves, subGroups int
+	}{{"one-group", 2, 1}, {"staggered-subgroups", 3, 2}} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := liveConfig()
+			cfg.Slaves, cfg.SubGroups, cfg.StaggerSlots = c.slaves, c.subGroups, c.subGroups > 1
+			cfg.DistEpochMs = 250
+			cfg.ReorgEpochMs = 2_500
+			cfg.WindowMs = 600_000 // outlives the run: the oracle is S1×S2 per key
+			cfg.DurationMs = 5_000
+			work := elasticWorkload(400, 4_000, 10, 48)
+			got := make(pairMultiset[pairFP])
+			var mu sync.Mutex
+			cfg.Sink = join.SinkFunc(func(_ int32, pairs []join.Pair) {
+				mu.Lock()
+				defer mu.Unlock()
+				for _, p := range pairs {
+					got[fpOf(wire.OutPair{Probe: p.Probe, Stored: p.Stored})]++
+				}
+			})
+			res, err := runLive(cfg, &listIngestor{tuples: slices.Clone(work)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := bruteForcePairs(work)
+			if missing, extra := got.diff(want); missing > 0 || extra > 0 || len(want) < 1_000 {
+				t.Errorf("%d of %d pairs missing, %d unexpected", missing, want.total(), extra)
+			}
+			td := time.Duration(cfg.DistEpochMs) * time.Millisecond
+			if d := res.MeanDelay(); d >= td*4/10 {
+				t.Errorf("mean delay %v, want under 0.4·t_d = %v", d, td*4/10)
+			}
+			t.Logf("mean delay %v at t_d %v, %d pairs", res.MeanDelay(), td, got.total())
+		})
+	}
 }
 
 // TestRunLiveScanAblation runs the live engine with the ModeScan ablation
@@ -262,6 +312,10 @@ func TestSlaveFlushesResultsEveryEpoch(t *testing.T) {
 			{Stream: tuple.S1, Key: int32(e), TS: ts},
 			{Stream: tuple.S2, Key: int32(e), TS: ts},
 		}})
+		// The active slave then waits for the epoch's data slots.
+		for j := 1; j < cfg.dataSlots() && e < epochs; j++ {
+			mc.Send(&wire.Batch{Epoch: e})
+		}
 	}
 	if r := <-done; r != nil {
 		t.Fatalf("slave failed: %v", r)

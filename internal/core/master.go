@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"time"
 
 	"streamjoin/internal/engine"
@@ -138,6 +140,9 @@ type masterNode struct {
 	// sending, non-nil while a drained batch is in flight to a slave, lets
 	// the death recovery re-buffer tuples the failed Send never delivered.
 	sending *wire.Batch
+	// due holds the data slots scheduled by this and the previous epoch's
+	// exchanges and not yet sent, in time order.
+	due []dataSlot
 
 	// memMoves tracks membership-driven movements (join rebalance, leave
 	// drain, crash adoption) by the time their group's tuples began to be
@@ -191,7 +196,22 @@ func newMaster(cfg *Config, proc engine.Proc, in Ingestor, stop func() bool) *ma
 	return m
 }
 
-// run is the master process body.
+// dataSlot is one data delivery on the master's schedule: at `at`, slave
+// `slave` is sent the tuples buffered for it since its last delivery, in a
+// plain Batch of `epoch`.
+type dataSlot struct {
+	at    time.Duration
+	slave int32
+	epoch int64
+}
+
+// run is the master process body. Control runs once per distribution epoch:
+// each served slave's exchange at its slot. Data runs k = dataSlots() times
+// per epoch: an active slave also takes a plain Batch at each of its k−1
+// data slots, t_d/k apart after its exchange. Both are fixed in advance, so
+// the communication pattern stays predefined (§IV-B); a slave's data slots
+// can fall after the next epoch starts, so they are sent in time order
+// among the next epoch's events.
 func (m *masterNode) run() {
 	td := time.Duration(m.cfg.DistEpochMs) * time.Millisecond
 	ng := m.cfg.SubGroups
@@ -200,6 +220,7 @@ func (m *masterNode) run() {
 	for e := int64(0); ; e++ {
 		stopping := m.stop()
 		epochStart := m.gridAt + time.Duration(e)*td
+		m.sendDataUntil(epochStart)
 		// Membership changes apply at the epoch's start, so a joiner's
 		// anchor leaves exactly when its admission epoch begins.
 		m.proc.IdleUntil(epochStart)
@@ -209,9 +230,14 @@ func (m *masterNode) run() {
 				if !m.shouldServe(e, i) {
 					continue
 				}
-				m.proc.IdleUntil(epochStart + m.cfg.slotOffset(i))
+				at := epochStart + m.cfg.slotOffset(i)
+				m.sendDataUntil(at)
+				m.proc.IdleUntil(at)
 				m.ingest(msOf(m.proc.Now()))
-				m.serve(e, int32(i), stopping)
+				m.serve(int32(i), func() { m.exchange(e, int32(i), stopping) })
+				if !stopping {
+					m.scheduleData(e, int32(i), at)
+				}
 			}
 		}
 		m.epochsServed++
@@ -222,6 +248,39 @@ func (m *masterNode) run() {
 		if !stopping && (e+1)%K == 0 {
 			m.reorganize(e)
 		}
+	}
+}
+
+// scheduleData queues the data slots of slave i's epoch e, whose exchange
+// began at `at`: one every t_d/k until its next exchange, if the exchange
+// left it active. A stopping epoch has none.
+func (m *masterNode) scheduleData(e int64, i int32, at time.Duration) {
+	s, k := &m.slots[i], m.cfg.dataSlots()
+	if k == 1 || !s.member() || !s.active {
+		return
+	}
+	td := time.Duration(m.cfg.DistEpochMs) * time.Millisecond
+	for j := 1; j < k; j++ {
+		m.due = append(m.due, dataSlot{at: at + time.Duration(j)*td/time.Duration(k), slave: i, epoch: e})
+	}
+	slices.SortStableFunc(m.due, func(a, b dataSlot) int { return cmp.Compare(a.at, b.at) })
+}
+
+// sendDataUntil sends every queued data slot due at or before t, in time
+// order: the slots' tuples, arrived up to each slot, to a slave still active
+// on the roster. A failed send is an eviction (serve).
+func (m *masterNode) sendDataUntil(t time.Duration) {
+	for len(m.due) > 0 && m.due[0].at <= t {
+		d := m.due[0]
+		m.due = m.due[1:]
+		if s := &m.slots[d.slave]; !s.member() || !s.active {
+			continue
+		}
+		m.proc.IdleUntil(d.at)
+		m.ingest(msOf(m.proc.Now()))
+		m.serve(d.slave, func() {
+			m.deliver(d.slave, &wire.Batch{Epoch: d.epoch, Tuples: m.drainFor(d.slave)})
+		})
 	}
 }
 
@@ -266,12 +325,12 @@ func (m *masterNode) buffered(n int) {
 	}
 }
 
-// serve performs one epoch exchange with slave i. The exchange is
-// fault-tolerant: a transport failure (the slave crashed, or the heartbeat
-// monitor closed its connection) is absorbed and turns into an eviction
-// instead of killing the master. Only TCP connections fail that way, so the
-// recovery is inert on pipes and the simulator.
-func (m *masterNode) serve(e int64, i int32, stopping bool) {
+// serve runs one step of slave i's schedule — its epoch exchange or a data
+// slot — fault-tolerantly: a transport failure (the slave crashed, or the
+// heartbeat monitor closed its connection) is absorbed and turns into an
+// eviction instead of killing the master. Only TCP connections fail that
+// way, so the recovery is inert on pipes and the simulator.
+func (m *masterNode) serve(i int32, step func()) {
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -281,14 +340,14 @@ func (m *masterNode) serve(e int64, i int32, stopping bool) {
 			panic(r)
 		}
 		if b := m.sending; b != nil {
-			// The failed Send never delivered this epoch's drain; put the
-			// tuples back so the groups' new owners receive them.
+			// The failed Send never delivered this drain; put the tuples
+			// back so the groups' new owners receive them.
 			m.sending = nil
 			m.rebuffer(b.Tuples)
 		}
 		m.handleDeath(i, fmt.Sprintf("connection failed: %v", r))
 	}()
-	m.exchange(e, i, stopping)
+	step()
 }
 
 // exchange is one epoch's Hello/Batch round trip with slave i: receive its
@@ -361,19 +420,25 @@ func (m *masterNode) exchange(e int64, i int32, stopping bool) {
 	if s.active {
 		batch.Tuples = m.drainFor(i)
 	}
-	m.tuplesDrained += int64(len(batch.Tuples))
-	m.proc.Compute(m.cfg.Cost.Master(len(batch.Tuples)))
-	m.sending = batch
-	s.conn.Send(batch)
-	m.sending = nil
+	m.deliver(i, batch)
 	if deact {
 		s.active = false
 	}
 }
 
+// deliver sends slave i a batch of drained tuples. While the Send is in
+// flight, m.sending holds the batch for serve's recovery.
+func (m *masterNode) deliver(i int32, batch *wire.Batch) {
+	m.tuplesDrained += int64(len(batch.Tuples))
+	m.proc.Compute(m.cfg.Cost.Master(len(batch.Tuples)))
+	m.sending = batch
+	m.slots[i].conn.Send(batch)
+	m.sending = nil
+}
+
 // rebuffer returns drained tuples to their group mini-buffers after a failed
-// delivery. The tuples were drained this epoch with no ingest since, so
-// appending them preserves per-group timestamp order.
+// delivery. The tuples were drained at this exchange or data slot with no
+// ingest since, so appending them preserves per-group timestamp order.
 func (m *masterNode) rebuffer(ts []tuple.Tuple) {
 	for _, t := range ts {
 		g := m.cfg.GroupOfKey(t.Key)

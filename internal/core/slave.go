@@ -63,11 +63,13 @@ type slaveNode struct {
 	// holds the shadows other owners replicate here; preFlush runs before
 	// each epoch's Hello (the pair-sink delivery barrier, so downstream
 	// output never trails what the epoch reports); failHook is the
-	// fault-injection seam of the crash-recovery tests.
+	// fault-injection seam of the crash-recovery tests, called with slot 0
+	// at the start of epoch e and with slot j once the epoch's batch is in,
+	// before data slot j.
 	repl     *replicator
 	rset     *replicaSet
 	preFlush func()
-	failHook func(e int64)
+	failHook func(e int64, slot int)
 	// batchWait, when set, receives each epoch's wait from Hello to Batch
 	// (JoinOptions.batchWait).
 	batchWait func(time.Duration)
@@ -112,6 +114,7 @@ func (s *slaveNode) run() {
 	td := time.Duration(s.cfg.DistEpochMs) * time.Millisecond
 	slotOff := s.cfg.slotOffset(int(s.id))
 	K := s.cfg.epochsPerReorg()
+	k := s.cfg.dataSlots()
 
 	e := s.epoch0
 	for {
@@ -149,7 +152,7 @@ func (s *slaveNode) run() {
 			s.rset.sweep()
 		}
 		if s.failHook != nil {
-			s.failHook(e)
+			s.failHook(e, 0)
 		}
 
 		avg := 0.0
@@ -217,6 +220,18 @@ func (s *slaveNode) run() {
 			s.epochLat.Add(0, 1)
 		}
 
+		// The epoch's data slots: an active slave processes until each and
+		// takes the tuples the master buffered for it since.
+		if s.active {
+			for j := 1; j < k; j++ {
+				if s.failHook != nil {
+					s.failHook(e, j)
+				}
+				s.ws.processUntil(epochStart + slotOff + time.Duration(j)*td/time.Duration(k))
+				s.ws.enqueue(s.recvData(e))
+			}
+		}
+
 		// Process until the next participation point.
 		var next int64
 		if s.active {
@@ -228,6 +243,18 @@ func (s *slaveNode) run() {
 		s.ws.processUntil(deadline)
 		e = next
 	}
+}
+
+// recvData reads the Batch of one of epoch e's data slots. It carries tuples
+// only: another kind, another epoch, a flag or a directive breaks the fixed
+// schedule.
+func (s *slaveNode) recvData(e int64) []tuple.Tuple {
+	msg := s.mst.Recv()
+	b, ok := msg.(*wire.Batch)
+	if !ok || b.Epoch != e || b.Activate || b.Deactivate || b.Shutdown || len(b.Directives) > 0 {
+		panic(fmt.Sprintf("core: slave %d expected a data batch of epoch %d, got %T", s.id, e, msg))
+	}
+	return b.Tuples
 }
 
 // flushEpoch ships the previous epoch's result batches to the collector and

@@ -289,5 +289,6 @@ func FuzzWindowDeltaDecode(f *testing.F) {
 	f.Add(Marshal(randWindowDelta(r, 4, 4)))
 	f.Add(Marshal(randWindowDelta(r, 0, 0)))
 	f.Add([]byte{byte(KindWindowDelta)})
+	f.Add(nonCanonicalReset(f))
 	f.Fuzz(fuzzDecodeRoundTrip)
 }

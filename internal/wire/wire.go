@@ -44,8 +44,10 @@ import (
 // revision 3 streams a state movement as WindowDeltas (a MoveID and a
 // closing part added to the replication delta) where revision 2 sent
 // StateChunk installments closed by a StateTransfer, two kinds it no longer
-// has.
-const Version = 3
+// has; revision 4 follows an active slave's epoch Batch with data-slot
+// Batches (tuples only, same epoch) before its next Hello, where a slave of
+// revision 3 sent that Hello at once.
+const Version = 4
 
 // Kind discriminates message types on the wire.
 type Kind uint8
@@ -620,7 +622,15 @@ func (d *decoder) u8() uint8 {
 	return v[0]
 }
 
-func (d *decoder) bool() bool { return d.u8() != 0 }
+// bool accepts only the canonical encodings 0 and 1, so every message that
+// decodes re-encodes to its input.
+func (d *decoder) bool() bool {
+	v := d.u8()
+	if d.err == nil && v > 1 {
+		d.err = fmt.Errorf("wire: bool byte %#x", v)
+	}
+	return v == 1
+}
 
 func (d *decoder) u32() uint32 {
 	v := d.take(4)
@@ -643,9 +653,15 @@ func (d *decoder) i32() int32   { return int32(d.u32()) }
 func (d *decoder) i64() int64   { return int64(d.u64()) }
 func (d *decoder) f64() float64 { return math.Float64frombits(d.u64()) }
 
+// tuple rejects a stream byte other than S1 and S2: the join indexes its
+// per-stream state by it.
 func (d *decoder) tuple() tuple.Tuple {
+	s := d.u8()
+	if d.err == nil && s > uint8(tuple.S2) {
+		d.err = fmt.Errorf("wire: stream byte %#x", s)
+	}
 	return tuple.Tuple{
-		Stream: tuple.StreamID(d.u8()),
+		Stream: tuple.StreamID(s),
 		Key:    d.i32(),
 		TS:     d.i32(),
 	}
