@@ -272,7 +272,7 @@ func (m *masterNode) scheduleData(e int64, i int32, at time.Duration) {
 func (m *masterNode) sendDataUntil(t time.Duration) {
 	for len(m.due) > 0 && m.due[0].at <= t {
 		d := m.due[0]
-		m.due = m.due[1:]
+		m.due = slices.Delete(m.due, 0, 1)
 		if s := &m.slots[d.slave]; !s.member() || !s.active {
 			continue
 		}
