@@ -524,10 +524,10 @@ func (c *Config) slotOffset(i int) time.Duration {
 }
 
 // liveDataSlots is k of the live engines: how many times per distribution
-// epoch the master ships an active slave its tuples (PERFORMANCE.md, "Data
-// slots", has the k sweep). Each extra slot cuts the wait in the
-// mini-buffers, but also makes the join's rounds smaller, and a small round
-// loses the cache warmth of the group it probes.
+// epoch the master ships an active slave its tuples. Each extra slot cuts
+// the wait in the mini-buffers, but the slave then resumes its join rounds
+// more often, each time on colder caches, so CPU per tuple rises
+// (PERFORMANCE.md has the sweep over k).
 const liveDataSlots = 2
 
 // dataSlots returns k: an active slave takes its tuples at its epoch
