@@ -402,13 +402,16 @@ func clusterTable() []clusterRow {
 	})
 
 	// The same crash in the middle of epoch 15: the slave takes its epoch
-	// batch, then resets every connection before its first data slot, so
-	// the master's data-slot send fails. The tuples of that send go back
-	// to the mini-buffers and on to the groups' new owners, so every pair
-	// of two tuples that arrived after the epoch batch left is delivered;
-	// what the dead slave held — its window without replication, the epoch
-	// batch either way — may be missing. The crashing slave joins first,
-	// so it is slave 0 and its exchange opens every epoch.
+	// batch, then closes every connection before its first data slot, as
+	// a killed process does. The master finds the close waiting when it
+	// is about to send the data slot and fails the send (a plain Send into
+	// the half-closed socket would succeed). The tuples of that send go
+	// back to the mini-buffers and on to the groups' new owners, so every
+	// pair of two tuples that arrived after the epoch batch left is
+	// delivered; what the dead slave held — its window without
+	// replication, the epoch batch either way — may be missing. The
+	// crashing slave joins first, so it is slave 0 and its exchange opens
+	// every epoch.
 	for _, replicate := range []bool{true, false} {
 		cfg := elasticTestConfig()
 		cfg.MinSlaves = 3

@@ -397,9 +397,9 @@ type JoinOptions struct {
 	// epoch exchanges would look from outside. 0 disables the seam.
 	failAt int64
 	// failSlot > 0 moves the failAt crash to the middle of the epoch: once
-	// its batch is in, before data slot failSlot. The control connection
-	// is reset, not closed, so the master's next data send fails instead
-	// of vanishing into a half-closed socket.
+	// its batch is in, before data slot failSlot. The connections close as
+	// a killed process's do, so the master learns of the crash only from
+	// the FIN waiting on its control connection.
 	failSlot int
 	// batchWait is the clock-alignment seam: when non-nil it receives, each
 	// epoch, how long the slave waited between sending its Hello and
@@ -503,11 +503,6 @@ func ServeSlave(cfg Config, joinAddr, resAddr string, opts JoinOptions) (err err
 				return
 			}
 			t.sinks.flushBarrier()
-			if l, ok := t.mc.(interface{ SetLinger(int) error }); ok && slot > 0 {
-				// On failure the close is a plain one; the test that set
-				// failSlot checks that a data-slot send failed.
-				_ = l.SetLinger(0)
-			}
 			t.sever()
 		}
 	}

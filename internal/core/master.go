@@ -432,6 +432,10 @@ func (m *masterNode) deliver(i int32, batch *wire.Batch) {
 	m.tuplesDrained += int64(len(batch.Tuples))
 	m.proc.Compute(m.cfg.Cost.Master(len(batch.Tuples)))
 	m.sending = batch
+	// A slave that crashed since its last message has closed its end, yet
+	// a Send would still succeed and the tuples vanish with it; failing
+	// here lets serve re-buffer them for the groups' new owners.
+	engine.CheckPeer(m.slots[i].conn)
 	m.slots[i].conn.Send(batch)
 	m.sending = nil
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -218,6 +219,26 @@ type TCPError struct {
 func (e *TCPError) Error() string { return fmt.Sprintf("tcp %s: %v", e.Op, e.Err) }
 
 func (e *TCPError) Unwrap() error { return e.Err }
+
+// CheckPeer panics with a TCPError, as a failed Send does, when c is a live
+// TCP conn whose peer has already closed or reset it; on any other conn it
+// does nothing. A crashed process's sockets close with a FIN, and a Send
+// into such a socket still succeeds — only the reset that answers it tells
+// the kernel the peer is gone — so a sender that could hand the message's
+// contents to someone else checks before it sends. The check peeks without
+// blocking and reads nothing: a message already waiting keeps its place.
+// Only the conn's reader may call it.
+func CheckPeer(c Conn) {
+	if tc, ok := c.(*tcpConn); ok {
+		if err := peerGone(tc.c); err != nil {
+			panic(&TCPError{Op: "send", Err: err})
+		}
+	}
+}
+
+// errPeerClosed is peerGone's verdict on a connection whose peer closed its
+// end.
+var errPeerClosed = errors.New("peer closed the connection")
 
 // tcpConn frames wire messages over a net.Conn through a reused-buffer
 // FrameWriter/FrameReader pair. Send always flushes (the protocol's MPI-like

@@ -4,6 +4,7 @@ import (
 	"net"
 	"reflect"
 	"testing"
+	"time"
 
 	"streamjoin/internal/wire"
 )
@@ -120,5 +121,88 @@ func TestZeroThresholdConnFlushesOnDemand(t *testing.T) {
 	}
 	if s := pa.Stats(); s.WireFramesSent != 1 || s.MsgsSent != 2 {
 		t.Fatalf("threshold-0 conn: %d frames for %d messages, want 1 for 2", s.WireFramesSent, s.MsgsSent)
+	}
+}
+
+// checkPeerErr runs CheckPeer and returns the TCPError it panicked with, or
+// nil.
+func checkPeerErr(c Conn) (err *TCPError) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = r.(*TCPError)
+		}
+	}()
+	CheckPeer(c)
+	return nil
+}
+
+// TestCheckPeerSeesClose: CheckPeer passes while the peer is there — also
+// with a message waiting, which it must leave unread — and fails once the
+// peer has closed or reset its end, through the deadline wrapper the live
+// control connections use. On a pipe it does nothing.
+func TestCheckPeerSeesClose(t *testing.T) {
+	for _, reset := range []bool{false, true} {
+		name := "close"
+		if reset {
+			name = "reset"
+		}
+		t.Run(name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			cli, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cli.Close()
+			srv, err := ln.Accept()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			env := NewLiveEnv()
+			a := WrapTCPBatched(env.NewProc("a"), WithDeadlines(cli, time.Minute, time.Minute), 0)
+			b := WrapTCPBatched(env.NewProc("b"), srv, 0)
+
+			if err := checkPeerErr(a); err != nil {
+				t.Fatalf("peer present, nothing waiting: %v", err)
+			}
+			b.Send(&wire.Hello{Slave: 2, Epoch: 7})
+			// Give the frame time to reach a's socket, so the check peeks
+			// at a waiting message (it must pass either way).
+			time.Sleep(20 * time.Millisecond)
+			if err := checkPeerErr(a); err != nil {
+				t.Fatalf("peer present, a message waiting: %v", err)
+			}
+			if h, ok := a.Recv().(*wire.Hello); !ok || h.Slave != 2 || h.Epoch != 7 {
+				t.Fatalf("the waiting message did not survive the check: %+v", h)
+			}
+
+			if reset {
+				if err := srv.(*net.TCPConn).SetLinger(0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			srv.Close()
+			deadline := time.Now().Add(2 * time.Second)
+			for {
+				if err := checkPeerErr(a); err != nil {
+					t.Logf("peer gone: %v", err)
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("CheckPeer never saw the peer go")
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		})
+	}
+
+	env := NewLiveEnv()
+	p, _ := Pipe(env.NewProc("a"), env.NewProc("b"))
+	if err := checkPeerErr(p); err != nil {
+		t.Fatalf("pipe: %v", err)
 	}
 }
