@@ -527,8 +527,13 @@ func (c *Config) slotOffset(i int) time.Duration {
 // epoch the master ships an active slave its tuples. Each extra slot cuts
 // the wait in the mini-buffers, but the slave then resumes its join rounds
 // more often, each time on colder caches, so CPU per tuple rises
-// (PERFORMANCE.md has the sweep over k).
-const liveDataSlots = 2
+// (PERFORMANCE.md has the sweep over k). k is 3 for two reasons. A fourth
+// slot costs much more CPU per tuple than the third, for a smaller cut in
+// delay. And k stays odd, so no send of the default schedule lands on an
+// epoch's midpoint e·t_d + t_d/2: a caller that samples the run there,
+// between two sends (the benchmark's warm-up boundary and stop), would
+// otherwise race a data slot's batch.
+const liveDataSlots = 3
 
 // dataSlots returns k: an active slave takes its tuples at its epoch
 // exchange and at k−1 data slots t_d/k apart, while control — Hello,

@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"slices"
 	"testing"
+	"time"
 
 	"streamjoin/internal/engine"
 	"streamjoin/internal/tuple"
@@ -289,6 +290,43 @@ func TestShouldServeSchedule(t *testing.T) {
 	}
 	if !m.shouldServe(K, 1) || !m.shouldServe(0, 1) {
 		t.Fatal("inactive slave must poll at reorg boundaries")
+	}
+}
+
+// TestNoSendOnTheHalfEpoch: on the default schedule — one sub-group, no
+// stagger — neither a slave's exchange nor any of its k−1 data slots comes
+// near an epoch's midpoint e·t_d + t_d/2, where a caller samples the run
+// between two sends (the benchmark's warm-up boundary and stop). An even k
+// puts a data slot right on it.
+func TestNoSendOnTheHalfEpoch(t *testing.T) {
+	for _, tdMs := range []int32{DefaultConfig().DistEpochMs, 250} {
+		cfg := DefaultConfig()
+		cfg.DistEpochMs = tdMs
+		m := testMaster(t, cfg)
+		td := time.Duration(tdMs) * time.Millisecond
+		const epochs = 4
+		var sends []time.Duration
+		for e := range int64(epochs) {
+			for i := range cfg.Slaves {
+				at := m.gridAt + time.Duration(e)*td + cfg.slotOffset(i)
+				sends = append(sends, at)
+				m.scheduleData(e, int32(i), at)
+			}
+		}
+		for _, d := range m.due {
+			sends = append(sends, d.at)
+		}
+		if want := epochs * cfg.Slaves * cfg.dataSlots(); len(sends) != want || cfg.dataSlots() < 2 {
+			t.Fatalf("t_d %v: %d sends over %d epochs of %d slaves at k = %d, want %d with k ≥ 2",
+				td, len(sends), epochs, cfg.Slaves, cfg.dataSlots(), want)
+		}
+		near := slices.DeleteFunc(sends, func(at time.Duration) bool {
+			d := (at - m.gridAt) % td
+			return d <= td/2-td/10 || d >= td/2+td/10
+		})
+		if len(near) > 0 {
+			t.Errorf("t_d %v: %d sends within t_d/10 of an epoch's midpoint, the first at %v", td, len(near), near[0])
+		}
 	}
 }
 

@@ -46,8 +46,9 @@ import (
 // StateChunk installments closed by a StateTransfer, two kinds it no longer
 // has; revision 4 follows an active slave's epoch Batch with data-slot
 // Batches (tuples only, same epoch) before its next Hello, where a slave of
-// revision 3 sent that Hello at once.
-const Version = 4
+// revision 3 sent that Hello at once; revision 5 sends two data-slot
+// Batches per epoch, t_d/3 apart, where a slave of revision 4 expected one.
+const Version = 5
 
 // Kind discriminates message types on the wire.
 type Kind uint8
