@@ -524,16 +524,19 @@ func (c *Config) slotOffset(i int) time.Duration {
 }
 
 // liveDataSlots is k of the live engines: how many times per distribution
-// epoch the master ships an active slave its tuples. Each extra slot cuts
-// the wait in the mini-buffers, but the slave then resumes its join rounds
-// more often, each time on colder caches, so CPU per tuple rises
-// (PERFORMANCE.md has the sweep over k). k is 3 for two reasons. A fourth
-// slot costs much more CPU per tuple than the third, for a smaller cut in
-// delay. And k stays odd, so no send of the default schedule lands on an
-// epoch's midpoint e·t_d + t_d/2: a caller that samples the run there,
-// between two sends (the benchmark's warm-up boundary and stop), would
-// otherwise race a data slot's batch.
-const liveDataSlots = 3
+// epoch the master ships an active slave its tuples. A tuple waits in the
+// mini-buffers for the next send, about t_d/(2k), so each extra slot cuts
+// the delay; but the slave resumes its join rounds more often, each time on
+// colder caches, so CPU per tuple rises (PERFORMANCE.md has the sweep over
+// k and the per-slot CPU budget). k is 5: going from 3 to 5 took the
+// benchmark's steady-tcp delay p50 from about 47 to 31 ms for 10–20 % more
+// CPU per tuple, nearly all of it in the join index's lookups on cold
+// entries; 7 would buy about 7 ms more for two more resumes per epoch. And
+// k stays odd, so no send of the default schedule lands on an epoch's
+// midpoint e·t_d + t_d/2: a caller that samples the run there, between two
+// sends (the benchmark's warm-up boundary and stop), would otherwise race a
+// data slot's batch.
+const liveDataSlots = 5
 
 // dataSlots returns k: an active slave takes its tuples at its epoch
 // exchange and at k−1 data slots t_d/k apart, while control — Hello,

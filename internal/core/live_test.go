@@ -51,9 +51,9 @@ func TestRunLiveSmoke(t *testing.T) {
 
 // TestRunLiveDeliversWithinTheEpoch: over pipes, a tuple waits in the
 // master's mini-buffer for its slave's next data slot, t_d/k away, not for
-// the next epoch exchange. The mean production delay stays under 0.22·t_d
-// (k = 3 holds it near t_d/6; one delivery per epoch holds it near t_d/2,
-// two near t_d/4), and the pairs are the oracle's — also with staggered
+// the next epoch exchange. The mean production delay stays under 0.13·t_d
+// (k = 5 holds it near t_d/10; k = 3 near t_d/6, one delivery per epoch
+// near t_d/2), and the pairs are the oracle's — also with staggered
 // sub-groups, where a slave's data slot can fall after the next epoch has
 // begun.
 func TestRunLiveDeliversWithinTheEpoch(t *testing.T) {
@@ -90,8 +90,8 @@ func TestRunLiveDeliversWithinTheEpoch(t *testing.T) {
 				t.Errorf("%d of %d pairs missing, %d unexpected", missing, want.total(), extra)
 			}
 			td := time.Duration(cfg.DistEpochMs) * time.Millisecond
-			if d := res.MeanDelay(); d >= td*22/100 {
-				t.Errorf("mean delay %v, want under 0.22·t_d = %v", d, td*22/100)
+			if d := res.MeanDelay(); d >= td*13/100 {
+				t.Errorf("mean delay %v, want under 0.13·t_d = %v", d, td*13/100)
 			}
 			t.Logf("mean delay %v at t_d %v, %d pairs", res.MeanDelay(), td, got.total())
 		})

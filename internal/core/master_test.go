@@ -295,9 +295,10 @@ func TestShouldServeSchedule(t *testing.T) {
 
 // TestNoSendOnTheHalfEpoch: on the default schedule — one sub-group, no
 // stagger — neither a slave's exchange nor any of its k−1 data slots comes
-// near an epoch's midpoint e·t_d + t_d/2, where a caller samples the run
-// between two sends (the benchmark's warm-up boundary and stop). An even k
-// puts a data slot right on it.
+// within t_d/(2k) of an epoch's midpoint e·t_d + t_d/2, where a caller
+// samples the run between two sends (the benchmark's warm-up boundary and
+// stop). An odd k keeps exactly that margin: the midpoint lies halfway
+// between two sends t_d/k apart. An even k puts a data slot right on it.
 func TestNoSendOnTheHalfEpoch(t *testing.T) {
 	for _, tdMs := range []int32{DefaultConfig().DistEpochMs, 250} {
 		cfg := DefaultConfig()
@@ -320,12 +321,14 @@ func TestNoSendOnTheHalfEpoch(t *testing.T) {
 			t.Fatalf("t_d %v: %d sends over %d epochs of %d slaves at k = %d, want %d with k ≥ 2",
 				td, len(sends), epochs, cfg.Slaves, cfg.dataSlots(), want)
 		}
+		margin := td / time.Duration(2*cfg.dataSlots())
 		near := slices.DeleteFunc(sends, func(at time.Duration) bool {
 			d := (at - m.gridAt) % td
-			return d <= td/2-td/10 || d >= td/2+td/10
+			return d <= td/2-margin || d >= td/2+margin
 		})
 		if len(near) > 0 {
-			t.Errorf("t_d %v: %d sends within t_d/10 of an epoch's midpoint, the first at %v", td, len(near), near[0])
+			t.Errorf("t_d %v: %d sends within t_d/(2k) = %v of an epoch's midpoint, the first at %v",
+				td, len(near), margin, near[0])
 		}
 	}
 }

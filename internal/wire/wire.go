@@ -47,8 +47,10 @@ import (
 // has; revision 4 follows an active slave's epoch Batch with data-slot
 // Batches (tuples only, same epoch) before its next Hello, where a slave of
 // revision 3 sent that Hello at once; revision 5 sends two data-slot
-// Batches per epoch, t_d/3 apart, where a slave of revision 4 expected one.
-const Version = 5
+// Batches per epoch, t_d/3 apart, where a slave of revision 4 expected one;
+// revision 6 sends four, t_d/5 apart, where a slave of revision 5 expected
+// two.
+const Version = 6
 
 // Kind discriminates message types on the wire.
 type Kind uint8
