@@ -538,7 +538,7 @@ func BenchmarkWireFraming(b *testing.B) {
 		r := rand.New(rand.NewSource(9))
 		for s := 0; s < slaves; s++ {
 			msgs = append(msgs, &wire.Hello{
-				Slave: int32(s), Epoch: 7, Active: true, Occupancy: 0.3,
+				Slave: int32(s), Epoch: 7, Occupancy: 0.3,
 				MoveACKs: []int64{int64(s)},
 			})
 			tuples := make([]tuple.Tuple, 1500)

@@ -7,7 +7,8 @@
 #      (-sink tcp:...) and ships its materialized join pairs as wire
 #      PairBatch frames; the check asserts the consumer's pair total equals
 #      the master's result summary exactly (the per-group counts in
-#      collect.json sum to the same figure).
+#      collect.json sum to the same figure, and the whole stream is counted
+#      under query id 0).
 #   2. Two queries (-query 0:hash:... -query 1:scan:...) over one shared
 #      window set: the master announces the query set over the control
 #      handshake (the slaves take no sink flags at all), both queries
@@ -55,12 +56,14 @@ outputs=$(awk '/^outputs:/{print $2}' "$WORK/master.out")
 pairs=$(sed -n 's/^  "pairs": \([0-9][0-9]*\),$/\1/p' "$WORK/collect.json")
 group_sum=$(sed -n '/"groups"/,/}/s/[^:]*: \([0-9][0-9]*\),\{0,1\}$/\1/p' "$WORK/collect.json" |
   awk '{s+=$1} END {print s+0}')
-echo "e2e-sink: master outputs=$outputs collect pairs=$pairs per-group sum=$group_sum"
+q0_pairs=$(sed -n '/"queries"/,/}/s/^ *"0": \([0-9][0-9]*\),\{0,1\}$/\1/p' "$WORK/collect.json")
+echo "e2e-sink: master outputs=$outputs collect pairs=$pairs per-group sum=$group_sum query 0=$q0_pairs"
 
 test -n "$outputs"
 test "$outputs" -gt 0
 test "$outputs" = "$pairs"
 test "$outputs" = "$group_sum"
+test "$pairs" = "$q0_pairs"
 echo "e2e-sink: single-query OK"
 
 # --- Two queries over one shared window set -------------------------------

@@ -247,7 +247,7 @@ func (cp *controlPlane) pong(c net.Conn, ec engine.Conn, msg *wire.Ping) {
 			leaveSent = true
 			cp.post(memberEvent{kind: evLeave, slave: id})
 		}
-		ec.Send(&wire.Pong{Slave: id, Seq: msg.Seq})
+		ec.Send(&wire.Pong{})
 		next, ok := ec.Recv().(*wire.Ping)
 		if !ok {
 			return
@@ -740,12 +740,10 @@ func (t *tcpSlave) startHeartbeat(leave <-chan struct{}) error {
 	}
 	go func() {
 		interval := time.Duration(t.cfg.HeartbeatMs) * time.Millisecond
-		seq := int64(0)
 		for redials := 0; conn != nil && redials <= 5; redials++ {
 			tolerateTCP(func() {
 				for {
-					conn.Send(&wire.Ping{Slave: t.id, Seq: seq, Leave: leaving.Load()})
-					seq++
+					conn.Send(&wire.Ping{Slave: t.id, Leave: leaving.Load()})
 					if _, ok := conn.Recv().(*wire.Pong); !ok {
 						return
 					}

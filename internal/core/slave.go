@@ -161,15 +161,13 @@ func (s *slaveNode) run() {
 		}
 		helloAt := s.proc.Now()
 		s.mst.Send(&wire.Hello{
-			Slave:        s.id,
-			Epoch:        e,
-			Active:       s.active,
-			Occupancy:    avg,
-			WindowBytes:  s.ws.windowBytes(),
-			BacklogBytes: backlogBytes,
-			MoveACKs:     s.acks,
-			Degraded:     s.degraded,
-			Closing:      s.closing,
+			Slave:       s.id,
+			Epoch:       e,
+			Occupancy:   avg,
+			WindowBytes: s.ws.windowBytes(),
+			MoveACKs:    s.acks,
+			Degraded:    s.degraded,
+			Closing:     s.closing,
 		})
 		s.acks, s.degraded, s.closing = nil, nil, nil
 		if e%K == 0 {

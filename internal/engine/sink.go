@@ -171,7 +171,7 @@ func newSocketSink(p *LiveProc, conn io.WriteCloser, slave int32, queue int) *So
 	}
 }
 
-// Emit implements join.Sink for query 0 (the legacy single-query path): it
+// Emit implements join.Sink for query 0 (the single-query path): it
 // transfers ownership of pairs to the writer goroutine and hands back a
 // recycled buffer when one is available. It blocks only when the in-flight
 // queue is full (downstream backpressure). Safe for concurrent use by all of
@@ -183,9 +183,8 @@ func (s *SocketSink) Emit(group int32, pairs []join.Pair) []join.Pair {
 // ForQuery returns a join.Sink that emits with the given query id over this
 // sink's connection, queue, and recycle pool — the multiplexing face of the
 // sink: N queries sharing one consumer connection cost one writer goroutine
-// and one queue, and their batches interleave as tagged PairBatch messages.
-// Query 0 returns the sink itself, whose batches encode as the plain
-// PairBatch kind, without a query id.
+// and one queue, and their batches interleave as PairBatch messages, each
+// carrying its query id. Query 0 returns the sink itself.
 func (s *SocketSink) ForQuery(query int32) join.Sink {
 	if query == 0 {
 		return s

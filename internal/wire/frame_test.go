@@ -15,8 +15,8 @@ import (
 // field content.
 func sampleMessages() []Message {
 	return []Message{
-		&Hello{Slave: 3, Epoch: 41, Active: true, Occupancy: 0.25,
-			WindowBytes: 1 << 20, BacklogBytes: 512, MoveACKs: []int64{9, 12}},
+		&Hello{Slave: 3, Epoch: 41, Occupancy: 0.25,
+			WindowBytes: 1 << 20, MoveACKs: []int64{9, 12}},
 		&Batch{Epoch: 42, Activate: true,
 			Tuples: []tuple.Tuple{
 				{Stream: tuple.S1, Key: 7, TS: 100},
@@ -49,8 +49,8 @@ func sampleMessages() []Message {
 			{ID: 1, Addr: "127.0.0.1:7411", Workers: 8},
 			{ID: 3, Addr: "10.0.0.7:9000", Workers: 2},
 		}},
-		&Ping{Slave: 3, Seq: 12, Leave: true},
-		&Pong{Slave: 3, Seq: 12},
+		&Ping{Slave: 3, Leave: true},
+		&Pong{},
 	}
 }
 
@@ -175,8 +175,9 @@ func TestFrameWriterSplitsAtFrameLimit(t *testing.T) {
 	fw := NewFrameWriter(&buf, 0)
 	fw.limit = 128
 
-	small := &Hello{Slave: 1} // 42 encoded bytes
-	for i := 0; i < 3; i++ {  // 3×42+5 = 131 > 128: the third must split
+	// 49 encoded bytes: 3×49+5 = 152 > 128, so the third must split.
+	small := &Hello{Slave: 1, MoveACKs: []int64{2}}
+	for i := 0; i < 3; i++ {
 		if err := fw.Append(small); err != nil {
 			t.Fatal(err)
 		}

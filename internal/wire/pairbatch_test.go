@@ -10,6 +10,10 @@ import (
 	"streamjoin/internal/tuple"
 )
 
+// pairCountOff is the offset of a PairBatch's pair count in its encoding:
+// kind(1) + query(4) + slave(4) + group(4) + epoch(8).
+const pairCountOff = 1 + 4 + 4 + 4 + 8
+
 func randPairBatch(r *rand.Rand, n int) *PairBatch {
 	pb := &PairBatch{
 		Slave: r.Int31n(16),
@@ -109,11 +113,9 @@ func TestPairBatchTruncated(t *testing.T) {
 // bytes) and must never panic.
 func TestPairBatchMutatedCount(t *testing.T) {
 	full := Marshal(randPairBatch(rand.New(rand.NewSource(9)), 8))
-	// Layout: kind(1) + slave(4) + group(4) + epoch(8) + count(4) + pairs.
-	const countOff = 1 + 4 + 4 + 8
 	for _, count := range []uint32{0, 1, 7, 9, 1 << 16, 1 << 27, 1<<28 + 1, ^uint32(0)} {
 		buf := append([]byte(nil), full...)
-		binary.BigEndian.PutUint32(buf[countOff:], count)
+		binary.BigEndian.PutUint32(buf[pairCountOff:], count)
 		if m, err := Unmarshal(buf); err == nil {
 			t.Fatalf("count %d accepted as %v", count, m.Kind())
 		}
@@ -127,8 +129,7 @@ func TestPairBatchCorruptCountNoGiantAlloc(t *testing.T) {
 	// A valid header claiming maxSliceLen pairs, followed by one pair's
 	// worth of bytes.
 	buf := Marshal(randPairBatch(rand.New(rand.NewSource(1)), 1))
-	const countOff = 1 + 4 + 4 + 8
-	binary.BigEndian.PutUint32(buf[countOff:], 1<<28)
+	binary.BigEndian.PutUint32(buf[pairCountOff:], 1<<28)
 	bytesAlloc := testing.AllocsPerRun(10, func() {
 		if _, err := Unmarshal(buf); err == nil {
 			t.Fatal("corrupt count accepted")

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -106,61 +107,43 @@ func randQueryPairBatch(r *rand.Rand, query int32, n int) *PairBatch {
 	return pb
 }
 
-// TestQueryTaggedKindSelection pins the kind rule: query 0 encodes as the
-// legacy kinds (byte-identical traffic), anything else as the tagged kinds.
-func TestQueryTaggedKindSelection(t *testing.T) {
-	if k := (&PairBatch{}).Kind(); k != KindPairBatch {
-		t.Fatalf("query-0 pair batch kind = %v", k)
-	}
-	if k := (&PairBatch{Query: 3}).Kind(); k != KindPairBatchQ {
-		t.Fatalf("tagged pair batch kind = %v", k)
-	}
-	if k := (&ResultBatch{}).Kind(); k != KindResultBatch {
-		t.Fatalf("query-0 result batch kind = %v", k)
-	}
-	if k := (&ResultBatch{Query: 3}).Kind(); k != KindResultBatchQ {
-		t.Fatalf("tagged result batch kind = %v", k)
-	}
-}
-
-// TestQueryZeroEncodingUnchanged proves the single-query wire layout is
-// byte-identical to the legacy protocol: zeroing the Query field of a
-// tagged batch must reproduce the legacy encoding exactly.
-func TestQueryZeroEncodingUnchanged(t *testing.T) {
-	r := rand.New(rand.NewSource(2))
-	tagged := randQueryPairBatch(r, 5, 12)
-	legacy := *tagged
-	legacy.Query = 0
-	et, el := Marshal(tagged), Marshal(&legacy)
-	if len(et) != len(el)+4 {
-		t.Fatalf("tagged encoding %d bytes, legacy %d: want legacy+4", len(et), len(el))
-	}
-	// Tagged layout: new kind byte + query id + the legacy body verbatim.
-	if !bytes.Equal(et[5:], el[1:]) {
-		t.Fatal("tagged body diverged from legacy body")
-	}
-	if el[0] != byte(KindPairBatch) || et[0] != byte(KindPairBatchQ) {
-		t.Fatalf("kind bytes %d/%d", el[0], et[0])
-	}
-
-	rbT := &ResultBatch{Slave: 2, Query: 7, Outputs: 11, DelaySumMs: 40, DelayMinMs: 1, DelayMaxMs: 9}
-	rbL := *rbT
-	rbL.Query = 0
-	et, el = Marshal(rbT), Marshal(&rbL)
-	if len(et) != len(el)+4 || !bytes.Equal(et[5:], el[1:]) {
-		t.Fatal("tagged result batch diverged from legacy body")
+// TestQueryIDSharesOneKind: a batch for query 0 and one for query 7 share a
+// kind, an encoded length and a WireSize, and their encodings differ only in
+// the query id that follows the kind byte.
+func TestQueryIDSharesOneKind(t *testing.T) {
+	pb := randPairBatch(rand.New(rand.NewSource(2)), 12)
+	pb7 := *pb
+	pb7.Query = 7
+	rb := &ResultBatch{Slave: 2, Outputs: 11, DelaySumMs: 40, DelayMinMs: 1, DelayMaxMs: 9}
+	rb7 := *rb
+	rb7.Query = 7
+	for _, c := range [][2]Message{{pb, &pb7}, {rb, &rb7}} {
+		zero, seven := c[0], c[1]
+		if zero.Kind() != seven.Kind() || zero.WireSize() != seven.WireSize() {
+			t.Fatalf("query 0: %v, %d bytes charged; query 7: %v, %d",
+				zero.Kind(), zero.WireSize(), seven.Kind(), seven.WireSize())
+		}
+		e0, e7 := Marshal(zero), Marshal(seven)
+		want := append([]byte(nil), e0...)
+		binary.BigEndian.PutUint32(want[1:], 7)
+		if !bytes.Equal(e7, want) {
+			t.Fatalf("%v: query 7 encodes as %x, want query 0's %x with id 7", zero.Kind(), e7, e0)
+		}
 	}
 }
 
-// TestQueryTaggedRoundTrip round-trips query-tagged pair and result batches
-// directly and through the batched physical framing.
+// TestQueryTaggedRoundTrip round-trips pair and result batches of query 0
+// and of other query ids, directly and through the batched physical framing.
 func TestQueryTaggedRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	msgs := []Message{
 		randQueryPairBatch(r, 1, 10),
 		randQueryPairBatch(r, 9, 0),
+		randQueryPairBatch(r, 0, 5),
 		&ResultBatch{Slave: 1, Query: 2, Outputs: 3, Hist: [DelayHistBuckets]int64{1: 3}},
+		&ResultBatch{Slave: 1, Outputs: 3, Hist: [DelayHistBuckets]int64{2: 3}},
 		randQueryPairBatch(r, 1<<20, 300),
+		randQueryPairBatch(r, math.MaxInt32, 1),
 		&QuerySet{Specs: []QuerySpec{{Query: 1, Prober: 2, SinkAddr: "a:1"}, {Query: 2}}},
 	}
 	for i, in := range msgs {
@@ -194,58 +177,48 @@ func TestQueryTaggedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestQueryTaggedRejectsQueryZero pins the canonical-encoding rule from the
-// decode side: a tagged kind byte carrying query id 0 must be rejected, so
-// every message has exactly one valid encoding.
-func TestQueryTaggedRejectsQueryZero(t *testing.T) {
-	full := Marshal(randQueryPairBatch(rand.New(rand.NewSource(6)), 3, 4))
-	binary.BigEndian.PutUint32(full[1:], 0) // query id field
-	if m, err := Unmarshal(full); err == nil {
-		t.Fatalf("tagged kind with query 0 accepted as %v", m.Kind())
-	}
-}
-
-// TestQueryTaggedPairBatchTruncated replays every strict prefix of a tagged
-// encoding; each must fail cleanly.
+// TestQueryTaggedPairBatchTruncated replays every strict prefix of pair and
+// result batches, of query 0 and of another id; each must fail cleanly.
 func TestQueryTaggedPairBatchTruncated(t *testing.T) {
-	full := Marshal(randQueryPairBatch(rand.New(rand.NewSource(8)), 17, 25))
-	for cut := 0; cut < len(full); cut++ {
-		if m, err := Unmarshal(full[:cut]); err == nil {
-			t.Fatalf("prefix %d of %d decoded as %v", cut, len(full), m.Kind())
-		}
-	}
-	full = Marshal(&ResultBatch{Slave: 1, Query: 4, Outputs: 9})
-	for cut := 0; cut < len(full); cut++ {
-		if m, err := Unmarshal(full[:cut]); err == nil {
-			t.Fatalf("result prefix %d of %d decoded as %v", cut, len(full), m.Kind())
+	for _, q := range []int32{0, 17} {
+		for _, m := range []Message{
+			randQueryPairBatch(rand.New(rand.NewSource(8)), q, 25),
+			&ResultBatch{Slave: 1, Query: q, Outputs: 9},
+		} {
+			full := Marshal(m)
+			for cut := 0; cut < len(full); cut++ {
+				if got, err := Unmarshal(full[:cut]); err == nil {
+					t.Fatalf("query %d: %v prefix %d of %d decoded as %v", q, m.Kind(), cut, len(full), got.Kind())
+				}
+			}
 		}
 	}
 }
 
-// TestQueryTaggedPairBatchMutatedCount rewrites the pair-count prefix of a
-// valid tagged encoding to every interesting wrong value; decoding must
-// error and never panic, and a huge count must stay within a small
-// allocation budget.
+// TestQueryTaggedPairBatchMutatedCount rewrites the pair-count prefix of
+// valid pair batches, of query 0 and of another id, to every interesting
+// wrong value; decoding must error and never panic, and a huge count must
+// stay within a small allocation budget.
 func TestQueryTaggedPairBatchMutatedCount(t *testing.T) {
-	full := Marshal(randQueryPairBatch(rand.New(rand.NewSource(9)), 6, 8))
-	// Tagged layout: kind(1) + query(4) + slave(4) + group(4) + epoch(8) + count(4).
-	const countOff = 1 + 4 + 4 + 4 + 8
-	for _, count := range []uint32{0, 1, 7, 9, 1 << 16, 1 << 27, 1<<28 + 1, ^uint32(0)} {
+	for _, q := range []int32{0, 6} {
+		full := Marshal(randQueryPairBatch(rand.New(rand.NewSource(9)), q, 8))
+		for _, count := range []uint32{0, 1, 7, 9, 1 << 16, 1 << 27, 1<<28 + 1, ^uint32(0)} {
+			buf := append([]byte(nil), full...)
+			binary.BigEndian.PutUint32(buf[pairCountOff:], count)
+			if m, err := Unmarshal(buf); err == nil {
+				t.Fatalf("query %d: count %d accepted as %v", q, count, m.Kind())
+			}
+		}
 		buf := append([]byte(nil), full...)
-		binary.BigEndian.PutUint32(buf[countOff:], count)
-		if m, err := Unmarshal(buf); err == nil {
-			t.Fatalf("count %d accepted as %v", count, m.Kind())
+		binary.BigEndian.PutUint32(buf[pairCountOff:], 1<<28)
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := Unmarshal(buf); err == nil {
+				t.Fatal("corrupt count accepted")
+			}
+		})
+		if allocs > 8 {
+			t.Fatalf("query %d: corrupt count cost %.0f allocs/op", q, allocs)
 		}
-	}
-	buf := append([]byte(nil), full...)
-	binary.BigEndian.PutUint32(buf[countOff:], 1<<28)
-	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := Unmarshal(buf); err == nil {
-			t.Fatal("corrupt count accepted")
-		}
-	})
-	if allocs > 8 {
-		t.Fatalf("corrupt count cost %.0f allocs/op", allocs)
 	}
 }
 

@@ -1,21 +1,22 @@
 package wire
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"streamjoin/internal/tuple"
 )
 
-// TestNonCanonicalBytesRejected: a bool field decodes from 0 or 1 only, and
-// a tuple's stream byte from S1 or S2 only. Each row builds one message
-// twice, differing in one field whose encodings are the bytes 0 and 1; the
-// first byte where the two encodings differ is that field. The byte is then
-// set to bad, and the frame must fail to decode instead of decoding into a
-// message that re-encodes differently (a bool) or indexes past the join's
-// two streams (a stream).
+// TestNonCanonicalBytesRejected: a bool field decodes from 0 or 1 only, a
+// tuple's stream byte from S1 or S2 only, and a query id only when it is not
+// negative. Each row of the first table builds one message twice, differing
+// in one field whose encodings are the bytes 0 and 1; the first byte where
+// the two encodings differ is that field. The byte is then set to bad, and
+// the frame must fail to decode instead of decoding into a message that
+// re-encodes differently (a bool) or indexes past the join's two streams (a
+// stream).
 func TestNonCanonicalBytesRejected(t *testing.T) {
-	hello := func(v bool) Message { return &Hello{Slave: 1, Epoch: 2, Active: v, MoveACKs: []int64{3}} }
 	batch := func(flag int) func(bool) Message {
 		return func(v bool) Message {
 			b := &Batch{Epoch: 5, Tuples: []tuple.Tuple{{Stream: tuple.S1, Key: 7, TS: 9}},
@@ -49,14 +50,13 @@ func TestNonCanonicalBytesRejected(t *testing.T) {
 		msg  func(bool) Message // the field at false and at true
 		bad  byte
 	}{
-		{"Hello.Active", hello, 2},
 		{"Batch.Activate", batch(0), 0x30},
 		{"Batch.Deactivate", batch(1), 0xff},
 		{"Batch.Shutdown", batch(2), 2},
 		{"QuerySpec.CountOnly", func(v bool) Message {
 			return &QuerySet{Specs: []QuerySpec{{Query: 1, CountOnly: v, SinkAddr: "h:1"}}}
 		}, 2},
-		{"Ping.Leave", func(v bool) Message { return &Ping{Slave: 1, Seq: 2, Leave: v} }, 0x80},
+		{"Ping.Leave", func(v bool) Message { return &Ping{Slave: 1, Leave: v} }, 0x80},
 		{"WindowDelta.Reset", delta(false), 0x30},
 		{"WindowDelta.Close", delta(true), 0x30},
 		{"Batch tuple stream", func(v bool) Message {
@@ -76,6 +76,21 @@ func TestNonCanonicalBytesRejected(t *testing.T) {
 			enc[at] = row.bad
 			if m, err := Unmarshal(enc); err == nil {
 				t.Fatalf("byte %#x at offset %d decoded into %+v", row.bad, at, m)
+			}
+		})
+	}
+	// A query id is an i32 that Config.Validate keeps non-negative.
+	for _, row := range []struct {
+		name string
+		msg  Message
+	}{
+		{"ResultBatch.Query", &ResultBatch{Slave: 1, Query: -1, Outputs: 2}},
+		{"PairBatch.Query", &PairBatch{Slave: 1, Query: math.MinInt32, Group: 2, Epoch: 3,
+			Pairs: []OutPair{{Probe: tuple.Tuple{Key: 4, TS: 5}, Stored: tuple.Packed{Key: 4, TS: 1}}}}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			if m, err := Unmarshal(Marshal(row.msg)); err == nil {
+				t.Fatalf("negative query id decoded into %+v", m)
 			}
 		})
 	}

@@ -49,8 +49,10 @@ import (
 // revision 3 sent that Hello at once; revision 5 sends two data-slot
 // Batches per epoch, t_d/3 apart, where a slave of revision 4 expected one;
 // revision 6 sends four, t_d/5 apart, where a slave of revision 5 expected
-// two.
-const Version = 6
+// two; revision 7 gives ResultBatch and PairBatch one kind each, always
+// carrying the query id, and drops the unread Hello.Active,
+// Hello.BacklogBytes, Ping.Seq and Pong fields.
+const Version = 7
 
 // Kind discriminates message types on the wire.
 type Kind uint8
@@ -64,12 +66,8 @@ const (
 	_ // 5 is KindFrameBatch, the physical frame envelope (frame.go)
 	KindPairBatch
 	KindQuerySet
-	// KindResultBatchQ and KindPairBatchQ are the query-tagged encodings of
-	// ResultBatch and PairBatch: same body, prefixed with a non-zero query
-	// id. Query 0 always encodes as the plain kinds, so single-query
-	// traffic carries no query ids.
-	KindResultBatchQ
-	KindPairBatchQ
+	_ // 8 was ResultBatchQ, before every ResultBatch carried its query id
+	_ // 9 was PairBatchQ, before every PairBatch carried its query id
 	// KindMembership, KindPing and KindPong carry cluster membership on the
 	// TCP deployment: a joining slave announces itself with a Membership
 	// carrying its mesh address, the master sends the roster back, and
@@ -98,10 +96,6 @@ func (k Kind) String() string {
 		return "PairBatch"
 	case KindQuerySet:
 		return "QuerySet"
-	case KindResultBatchQ:
-		return "ResultBatchQ"
-	case KindPairBatchQ:
-		return "PairBatchQ"
 	case KindMembership:
 		return "Membership"
 	case KindPing:
@@ -174,22 +168,6 @@ func decodeMessage(d *decoder) (Message, error) {
 		m = &Pong{}
 	case KindWindowDelta:
 		m = &WindowDelta{}
-	case KindResultBatchQ, KindPairBatchQ:
-		// Query-tagged variants: a non-zero query id precedes the legacy
-		// body. Query 0 must use the legacy kind (the canonical encoding),
-		// so the id is validated here.
-		query := d.i32()
-		if d.err != nil {
-			return nil, d.err
-		}
-		if query == 0 {
-			return nil, fmt.Errorf("wire: %v carries query id 0 (legacy kind required)", k)
-		}
-		if k == KindResultBatchQ {
-			m = &ResultBatch{Query: query}
-		} else {
-			m = &PairBatch{Query: query}
-		}
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrUnknownKind, k)
 	}
@@ -217,14 +195,12 @@ func Unmarshal(b []byte) (Message, error) {
 // over the current reorganization interval, and acknowledgements of
 // completed partition-group movements.
 type Hello struct {
-	Slave        int32
-	Epoch        int64
-	Active       bool
-	Occupancy    float64 // average buffer occupancy in [0,1]
-	WindowBytes  int64   // current window state held (metrics)
-	BacklogBytes int64   // unprocessed buffered tuples (metrics)
-	MoveACKs     []int64 // completed MoveIDs
-	Degraded     []int64 // MoveIDs completed with an empty install (state lost)
+	Slave       int32
+	Epoch       int64
+	Occupancy   float64 // average buffer occupancy in [0,1]
+	WindowBytes int64   // current window state held (metrics)
+	MoveACKs    []int64 // completed MoveIDs
+	Degraded    []int64 // MoveIDs completed with an empty install (state lost)
 	// Closing lists in-flight state movements whose supplier has fully
 	// shipped its snapshot and will send the closing catch-up delta this
 	// epoch. Until then the master keeps routing the moving group's new
@@ -238,7 +214,8 @@ type Hello struct {
 // Kind implements Message.
 func (*Hello) Kind() Kind { return KindHello }
 
-// WireSize implements Message.
+// WireSize implements Message. Its fixed charge is an accounting figure,
+// larger than the encoding: the simulator times every exchange by it.
 func (h *Hello) WireSize() int64 {
 	return headerSize + 48 + 8*int64(len(h.MoveACKs)+len(h.Degraded)+len(h.Closing))
 }
@@ -310,7 +287,7 @@ const DelayHistBuckets = 24
 // that ships every output tuple.
 type ResultBatch struct {
 	Slave      int32
-	Query      int32 // producing query id; 0 encodes as the legacy kind
+	Query      int32 // producing query id, ≥ 0
 	Outputs    int64
 	DelaySumMs int64
 	DelayMinMs int32
@@ -318,23 +295,12 @@ type ResultBatch struct {
 	Hist       [DelayHistBuckets]int64
 }
 
-// Kind implements Message. A batch for query 0 encodes as the plain
-// KindResultBatch, without a query id; any other query id uses the
-// query-tagged kind.
-func (r *ResultBatch) Kind() Kind {
-	if r.Query != 0 {
-		return KindResultBatchQ
-	}
-	return KindResultBatch
-}
+// Kind implements Message.
+func (*ResultBatch) Kind() Kind { return KindResultBatch }
 
 // WireSize implements Message.
 func (r *ResultBatch) WireSize() int64 {
-	n := int64(headerSize + 24 + tuple.ResultSize*r.Outputs)
-	if r.Query != 0 {
-		n += 4
-	}
-	return n
+	return headerSize + 24 + tuple.ResultSize*r.Outputs
 }
 
 // OutPair is one materialized join output as shipped downstream: the probing
@@ -357,29 +323,18 @@ type OutPair struct {
 // matching the accounting ResultBatch uses for the same outputs.
 type PairBatch struct {
 	Slave int32
-	Query int32 // producing query id; 0 encodes as the legacy kind
+	Query int32 // producing query id, ≥ 0
 	Group int32
 	Epoch int64
 	Pairs []OutPair
 }
 
-// Kind implements Message. A batch for query 0 encodes as the plain
-// KindPairBatch, without a query id; any other query id uses the
-// query-tagged kind.
-func (pb *PairBatch) Kind() Kind {
-	if pb.Query != 0 {
-		return KindPairBatchQ
-	}
-	return KindPairBatch
-}
+// Kind implements Message.
+func (*PairBatch) Kind() Kind { return KindPairBatch }
 
 // WireSize implements Message.
 func (pb *PairBatch) WireSize() int64 {
-	n := int64(headerSize + 16 + tuple.ResultSize*int64(len(pb.Pairs)))
-	if pb.Query != 0 {
-		n += 4
-	}
-	return n
+	return headerSize + 16 + tuple.ResultSize*int64(len(pb.Pairs))
 }
 
 // QuerySpec announces one registered query in a QuerySet: its id, prober
@@ -461,13 +416,12 @@ func (m *Membership) WireSize() int64 {
 }
 
 // Ping is the periodic slave→master heartbeat on the dedicated heartbeat
-// connection of a TCP deployment. Seq increments per ping; Leave set
-// requests a graceful departure — the master drains the slave's
-// partition-groups to the survivors through the ordinary state-movement
-// machinery before shutting the slave down, so no window state is lost.
+// connection of a TCP deployment. Leave set requests a graceful departure —
+// the master drains the slave's partition-groups to the survivors through
+// the ordinary state-movement machinery before shutting the slave down, so
+// no window state is lost.
 type Ping struct {
 	Slave int32
-	Seq   int64
 	Leave bool // graceful-leave request
 }
 
@@ -477,12 +431,9 @@ func (*Ping) Kind() Kind { return KindPing }
 // WireSize implements Message.
 func (*Ping) WireSize() int64 { return headerSize + 13 }
 
-// Pong is the master's echo of a heartbeat Ping; a slave that stops seeing
-// them knows the master is gone.
-type Pong struct {
-	Slave int32
-	Seq   int64
-}
+// Pong is the master's answer to a heartbeat Ping; a slave that stops
+// seeing them knows the master is gone. Its kind byte is all it carries.
+type Pong struct{}
 
 // Kind implements Message.
 func (*Pong) Kind() Kind { return KindPong }
@@ -656,6 +607,15 @@ func (d *decoder) i32() int32   { return int32(d.u32()) }
 func (d *decoder) i64() int64   { return int64(d.u64()) }
 func (d *decoder) f64() float64 { return math.Float64frombits(d.u64()) }
 
+// query rejects a negative query id: the engines register ids ≥ 0 only.
+func (d *decoder) query() int32 {
+	q := d.i32()
+	if d.err == nil && q < 0 {
+		d.err = fmt.Errorf("wire: query id %d", q)
+	}
+	return q
+}
+
 // tuple rejects a stream byte other than S1 and S2: the join indexes its
 // per-stream state by it.
 func (d *decoder) tuple() tuple.Tuple {
@@ -737,10 +697,8 @@ func (d *decoder) tuples() []tuple.Tuple {
 func (h *Hello) appendTo(b []byte) []byte {
 	b = appendI32(b, h.Slave)
 	b = appendI64(b, h.Epoch)
-	b = appendBool(b, h.Active)
 	b = appendF64(b, h.Occupancy)
 	b = appendI64(b, h.WindowBytes)
-	b = appendI64(b, h.BacklogBytes)
 	b = appendU32(b, uint32(len(h.MoveACKs)))
 	for _, a := range h.MoveACKs {
 		b = appendI64(b, a)
@@ -759,10 +717,8 @@ func (h *Hello) appendTo(b []byte) []byte {
 func (h *Hello) decodeFrom(d *decoder) error {
 	h.Slave = d.i32()
 	h.Epoch = d.i64()
-	h.Active = d.bool()
 	h.Occupancy = d.f64()
 	h.WindowBytes = d.i64()
-	h.BacklogBytes = d.i64()
 	n := d.sliceLen()
 	for i := 0; i < n && d.err == nil; i++ {
 		h.MoveACKs = append(h.MoveACKs, d.i64())
@@ -815,11 +771,7 @@ func (b *Batch) decodeFrom(d *decoder) error {
 }
 
 func (pb *PairBatch) appendTo(b []byte) []byte {
-	// The query id precedes the legacy body, and only for the query-tagged
-	// kind (its decode counterpart lives in decodeMessage).
-	if pb.Query != 0 {
-		b = appendI32(b, pb.Query)
-	}
+	b = appendI32(b, pb.Query)
 	b = appendI32(b, pb.Slave)
 	b = appendI32(b, pb.Group)
 	b = appendI64(b, pb.Epoch)
@@ -833,6 +785,7 @@ func (pb *PairBatch) appendTo(b []byte) []byte {
 }
 
 func (pb *PairBatch) decodeFrom(d *decoder) error {
+	pb.Query = d.query()
 	pb.Slave = d.i32()
 	pb.Group = d.i32()
 	pb.Epoch = d.i64()
@@ -862,11 +815,7 @@ func (pb *PairBatch) decodeFrom(d *decoder) error {
 }
 
 func (r *ResultBatch) appendTo(b []byte) []byte {
-	// The query id precedes the legacy body, and only for the query-tagged
-	// kind (its decode counterpart lives in decodeMessage).
-	if r.Query != 0 {
-		b = appendI32(b, r.Query)
-	}
+	b = appendI32(b, r.Query)
 	b = appendI32(b, r.Slave)
 	b = appendI64(b, r.Outputs)
 	b = appendI64(b, r.DelaySumMs)
@@ -879,6 +828,7 @@ func (r *ResultBatch) appendTo(b []byte) []byte {
 }
 
 func (r *ResultBatch) decodeFrom(d *decoder) error {
+	r.Query = d.query()
 	r.Slave = d.i32()
 	r.Outputs = d.i64()
 	r.DelaySumMs = d.i64()
@@ -962,27 +912,18 @@ func (m *Membership) decodeFrom(d *decoder) error {
 
 func (p *Ping) appendTo(b []byte) []byte {
 	b = appendI32(b, p.Slave)
-	b = appendI64(b, p.Seq)
 	return appendBool(b, p.Leave)
 }
 
 func (p *Ping) decodeFrom(d *decoder) error {
 	p.Slave = d.i32()
-	p.Seq = d.i64()
 	p.Leave = d.bool()
 	return d.err
 }
 
-func (p *Pong) appendTo(b []byte) []byte {
-	b = appendI32(b, p.Slave)
-	return appendI64(b, p.Seq)
-}
+func (*Pong) appendTo(b []byte) []byte { return b }
 
-func (p *Pong) decodeFrom(d *decoder) error {
-	p.Slave = d.i32()
-	p.Seq = d.i64()
-	return d.err
-}
+func (*Pong) decodeFrom(d *decoder) error { return d.err }
 
 func (wd *WindowDelta) appendTo(b []byte) []byte {
 	b = appendI32(b, wd.From)

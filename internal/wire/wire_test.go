@@ -24,15 +24,13 @@ func roundtrip(t *testing.T, m Message) Message {
 
 func TestHelloRoundtrip(t *testing.T) {
 	h := &Hello{
-		Slave:        3,
-		Epoch:        1234567,
-		Active:       true,
-		Occupancy:    0.375,
-		WindowBytes:  1 << 30,
-		BacklogBytes: 4096,
-		MoveACKs:     []int64{9, 10, 11},
-		Degraded:     []int64{10},
-		Closing:      []int64{12},
+		Slave:       3,
+		Epoch:       1234567,
+		Occupancy:   0.375,
+		WindowBytes: 1 << 30,
+		MoveACKs:    []int64{9, 10, 11},
+		Degraded:    []int64{10},
+		Closing:     []int64{12},
 	}
 	got := roundtrip(t, h).(*Hello)
 	if !reflect.DeepEqual(h, got) {
@@ -229,7 +227,7 @@ func TestFrameRoundtrip(t *testing.T) {
 	var buf bytes.Buffer
 	fw := NewFrameWriter(&buf, 0)
 	msgs := []Message{
-		&Hello{Slave: 1, Epoch: 2, Active: true, Occupancy: 0.5},
+		&Hello{Slave: 1, Epoch: 2, Occupancy: 0.5},
 		&Batch{Epoch: 3, Tuples: randomTuples(rand.New(rand.NewSource(2)), 100)},
 		&Batch{Epoch: -1, Origin: 1_250_000_000, Activate: true},
 		&ResultBatch{Slave: 1, Outputs: 7},
