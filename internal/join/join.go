@@ -24,18 +24,18 @@
 // ModeScan performs the honest block-nested-loop scan, tuple comparisons and
 // all — the paper's algorithm and the live engine's ablation baseline.
 //
-// ModeIndexed maintains per-bucket key→count maps and produces identical
-// match counts in O(1) per probe while *reporting* the scan length the
-// nested loop would have performed; the simulation charges virtual CPU from
-// that figure. ModeHash maintains per-bucket indexes from each key to the
-// timestamps of its live tuples, in append order, and emits the actual
-// matching pairs in O(matches) per probe from that one contiguous run — the
-// live engine's default prober. A stored tuple is only its key and
-// timestamp, so the index mirrors the store exactly and a probe never reads
-// the store. The index is kept coherent across every mutation path of the
-// window store: ingestion, block and exact expiry, and bucket splits and
-// merges under fine tuning. The equivalence of the three modes is asserted
-// by tests against a brute-force reference join.
+// ModeHash maintains per-bucket indexes from each key to the timestamps of
+// its live tuples, in append order, and emits the actual matching pairs in
+// O(matches) per probe from that one contiguous run — the live engine's
+// default prober. A stored tuple is only its key and timestamp, so the index
+// mirrors the store exactly and a probe never reads the store. The index is
+// kept coherent across every mutation path of the window store: ingestion,
+// block and exact expiry, and bucket splits and merges under fine tuning.
+// ModeIndexed keeps the same index but only counts: a probe's match count is
+// the length of its key's run, while the prober *reports* the scan length
+// the nested loop would have performed; the simulation charges virtual CPU
+// from that figure. The equivalence of the three modes is asserted by tests
+// against a brute-force reference join.
 //
 // # Queries
 //
@@ -43,8 +43,8 @@
 // The windowed stores are the query-independent layer: every bucket keeps
 // exactly one pair of window.Stores regardless of query count, ingested and
 // expired once per round. Each registered query (Config.Queries) adds only
-// its probe state on top — a hash index, count maps, or nothing for the
-// scan prober — plus its own pooled round results and its own Sink.
+// its probe state on top — a hash index, or nothing for the scan prober —
+// plus its own pooled round results and its own Sink.
 // ProcessAll runs every query against the same arrival batch and window
 // content; because probing never mutates the windows, each query's output
 // is bit-identical to what a single-query module running it alone would
@@ -91,7 +91,8 @@ import (
 type Mode uint8
 
 const (
-	// ModeIndexed matches via key→count maps (simulation).
+	// ModeIndexed counts matches via the hash index and reports the
+	// nested-loop scan length (simulation).
 	ModeIndexed Mode = iota
 	// ModeScan matches via real nested-loop scans (live ablation baseline).
 	ModeScan
@@ -421,8 +422,9 @@ func (m *Module) WindowBytes() int64 {
 
 // IndexBytes reports the in-memory footprint of the prober's auxiliary
 // structures across all groups: exact for ModeHash (the open-addressing
-// tables plus the slot arenas, measured, not modeled), estimated for
-// ModeIndexed's key→count maps, zero for ModeScan (which keeps none).
+// tables plus the slot arenas, measured, not modeled), modeled for
+// ModeIndexed as one key→count entry per live key, zero for ModeScan (which
+// keeps none).
 // Memory-limited reorganization charges this against SlaveMemBytes, so a
 // node's true footprint — window blocks plus index — drives load shedding.
 func (m *Module) IndexBytes() int64 {
@@ -489,12 +491,11 @@ func (m *Module) ProcessAll(id int32, nowMs int32, tuples []tuple.Tuple) []Round
 }
 
 // bucketQuery is one query's probe state over a bucket's shared windows:
-// the key→count maps of the indexed prober or the key→slot hash indexes of
-// the hash prober. The scan prober keeps no per-query state at all.
+// the key→slot hash indexes of the hash and indexed probers. The scan
+// prober keeps no per-query state at all.
 type bucketQuery struct {
-	mode   Mode
-	counts [2]map[int32]int32 // key → live count; ModeIndexed only
-	idx    [2]*hashIndex      // key → live timestamps, append order; ModeHash only
+	mode Mode
+	idx  [2]*hashIndex // key → live timestamps, append order; nil for ModeScan
 }
 
 // bucket is one fine-tuning unit: a mini-partition-group in paper terms.
@@ -504,10 +505,9 @@ type bucketQuery struct {
 type bucket struct {
 	w  [2]*window.Store
 	qs []bucketQuery
-	// onExp keeps every query's per-stream auxiliary structures coherent
-	// with expiry; built once per bucket so rounds create no closures. The
-	// hooks read counts/idx through the bucket, surviving merge-time
-	// rebuilds.
+	// onExp keeps every query's per-stream hash indexes coherent with
+	// expiry; built once per bucket so rounds create no closures. The hooks
+	// read idx through the bucket, surviving merge-time rebuilds.
 	onExp [2]func([]tuple.Packed)
 	// scratchRound/scratchIdx locate this bucket's perBucket entry in the
 	// round's scratch (valid when scratchRound matches the current round).
@@ -522,12 +522,7 @@ func newBucket(queries []QueryConfig) *bucket {
 	for qi := range queries {
 		q := &b.qs[qi]
 		q.mode = queries[qi].Mode
-		switch q.mode {
-		case ModeIndexed:
-			q.counts[0] = make(map[int32]int32)
-			q.counts[1] = make(map[int32]int32)
-			aux = true
-		case ModeHash:
+		if q.mode != ModeScan {
 			q.idx[0], q.idx[1] = newHashIndex(), newHashIndex()
 			aux = true
 		}
@@ -540,24 +535,13 @@ func newBucket(queries []QueryConfig) *bucket {
 	return b
 }
 
-// expireAux drops expired tuples from every query's auxiliary structures.
-// Stores expire strictly oldest-first, so an expiring tuple is always the
-// head of its key's run in a hash index.
+// expireAux drops expired tuples from every query's hash index. Stores
+// expire strictly oldest-first, so an expiring tuple is always the head of
+// its key's run.
 func (b *bucket) expireAux(s int) func([]tuple.Packed) {
 	return func(chunk []tuple.Packed) {
 		for qi := range b.qs {
-			switch q := &b.qs[qi]; q.mode {
-			case ModeIndexed:
-				counts := q.counts[s]
-				for _, p := range chunk {
-					if c := counts[p.Key] - 1; c > 0 {
-						counts[p.Key] = c
-					} else {
-						delete(counts, p.Key)
-					}
-				}
-			case ModeHash:
-				idx := q.idx[s]
+			if idx := b.qs[qi].idx[s]; idx != nil {
 				for _, p := range chunk {
 					idx.removeOldest(p.Key)
 				}
@@ -568,22 +552,22 @@ func (b *bucket) expireAux(s int) func([]tuple.Packed) {
 
 func (b *bucket) bytes() int64 { return b.w[0].Bytes() + b.w[1].Bytes() }
 
-// countIndexKeyBytes estimates an indexed-mode count entry (int32 key plus
-// int32 count, with Go map bucket overhead and load-factor slack amortized).
-// The hash prober needs no such estimate: its index reports an exact
-// footprint.
+// countIndexKeyBytes models one indexed-mode entry per live key: an int32
+// key plus an int32 count, with Go map bucket overhead and load-factor slack
+// amortized. The simulator's memory figures were recorded with this model;
+// the hash prober reports its index's exact footprint instead.
 const countIndexKeyBytes = 16
 
 // indexBytes reports the footprint of the bucket's prober structures across
-// all queries — exact for the hash indexes, estimated for the count maps.
-// The shared window stores are deliberately excluded: they are charged once
-// through bucket.bytes, never per query.
+// all queries — exact for ModeHash, modeled for ModeIndexed. The shared
+// window stores are deliberately excluded: they are charged once through
+// bucket.bytes, never per query.
 func (b *bucket) indexBytes() int64 {
 	var n int64
 	for qi := range b.qs {
 		switch q := &b.qs[qi]; q.mode {
 		case ModeIndexed:
-			n += int64(len(q.counts[0])+len(q.counts[1])) * countIndexKeyBytes
+			n += int64(q.idx[0].liveKeys()+q.idx[1].liveKeys()) * countIndexKeyBytes
 		case ModeHash:
 			n += q.idx[0].footprint() + q.idx[1].footprint()
 		}
@@ -602,11 +586,8 @@ func (b *bucket) ingest(t tuple.Tuple) {
 func (b *bucket) ingestPacked(s int, p tuple.Packed) {
 	b.w[s].Append(p)
 	for qi := range b.qs {
-		switch q := &b.qs[qi]; q.mode {
-		case ModeIndexed:
-			q.counts[s][p.Key]++
-		case ModeHash:
-			q.idx[s].add(p.Key, p.TS)
+		if idx := b.qs[qi].idx[s]; idx != nil {
+			idx.add(p.Key, p.TS)
 		}
 	}
 }
@@ -621,12 +602,6 @@ func (b *bucket) rebuildIndex(qi, s int) {
 		}
 	})
 	b.qs[qi].idx[s] = idx
-}
-
-// countIn returns the number of live tuples of stream s with the given key
-// for query qi (indexed mode only).
-func (b *bucket) countIn(qi, s int, key int32) int64 {
-	return int64(b.qs[qi].counts[s][key])
 }
 
 // Group is one partition-group: the unit of load movement, holding a
@@ -756,7 +731,7 @@ func (g *Group) probeOne(qi int, b *bucket, res *RoundResult, t tuple.Tuple, opp
 	var n int64
 	switch qc.Mode {
 	case ModeIndexed:
-		n = b.countIn(qi, opp, t.Key)
+		n = int64(len(b.qs[qi].idx[opp].slots(t.Key)))
 		res.Scanned += int64(b.w[opp].Len())
 	case ModeScan:
 		key := t.Key
@@ -862,17 +837,7 @@ func (g *Group) tune(res *RoundResult) {
 					nb.w[0] = window.MergeStores(zero.w[0], one.w[0])
 					nb.w[1] = window.MergeStores(zero.w[1], one.w[1])
 					for qi := range nb.qs {
-						switch nb.qs[qi].mode {
-						case ModeIndexed:
-							for s := 0; s < 2; s++ {
-								for k, v := range zero.qs[qi].counts[s] {
-									nb.qs[qi].counts[s][k] += v
-								}
-								for k, v := range one.qs[qi].counts[s] {
-									nb.qs[qi].counts[s][k] += v
-								}
-							}
-						case ModeHash:
+						if nb.qs[qi].mode != ModeScan {
 							nb.rebuildIndex(qi, 0)
 							nb.rebuildIndex(qi, 1)
 						}

@@ -115,8 +115,8 @@ func TestIndexBytesTracksHashIndex(t *testing.T) {
 }
 
 // TestIndexBytesByMode checks that every prober charges its own structures:
-// the scan prober keeps none, the simulation's count maps cost less than the
-// hash prober's table-plus-arena.
+// the scan prober keeps none, the simulation's modeled count entries cost
+// less than the hash prober's table-plus-arena.
 func TestIndexBytesByMode(t *testing.T) {
 	round := distinctRound(200, 50)
 	scan := MustNew(testCfg(ModeScan))
@@ -137,7 +137,7 @@ func TestIndexBytesByMode(t *testing.T) {
 			indexed.IndexBytes(), hash.IndexBytes())
 	}
 	if indexed.IndexBytes() >= hash.IndexBytes() {
-		t.Fatalf("count maps (%d) should cost less than the slot index (%d)",
+		t.Fatalf("count entries (%d) should cost less than the slot index (%d)",
 			indexed.IndexBytes(), hash.IndexBytes())
 	}
 }
