@@ -107,10 +107,24 @@ func randQueryPairBatch(r *rand.Rand, query int32, n int) *PairBatch {
 	return pb
 }
 
-// TestQueryIDSharesOneKind: a batch for query 0 and one for query 7 share a
-// kind, an encoded length and a WireSize, and their encodings differ only in
-// the query id that follows the kind byte.
-func TestQueryIDSharesOneKind(t *testing.T) {
+// TestQueryTaggedKindSelection pins the kind rule: a pair or result batch
+// has one kind whatever its query id, query 0 included.
+func TestQueryTaggedKindSelection(t *testing.T) {
+	for _, q := range []int32{0, 3, 1 << 20} {
+		if k := (&PairBatch{Query: q}).Kind(); k != KindPairBatch {
+			t.Fatalf("query-%d pair batch kind = %v", q, k)
+		}
+		if k := (&ResultBatch{Query: q}).Kind(); k != KindResultBatch {
+			t.Fatalf("query-%d result batch kind = %v", q, k)
+		}
+	}
+}
+
+// TestQueryZeroEncodingUnchanged: a batch for query 0 and one for query 7
+// have the same encoded length and WireSize, and their encodings differ only
+// in the query id that follows the kind byte, so query 0's traffic is
+// charged exactly as a batch of any other query.
+func TestQueryZeroEncodingUnchanged(t *testing.T) {
 	pb := randPairBatch(rand.New(rand.NewSource(2)), 12)
 	pb7 := *pb
 	pb7.Query = 7
@@ -119,9 +133,9 @@ func TestQueryIDSharesOneKind(t *testing.T) {
 	rb7.Query = 7
 	for _, c := range [][2]Message{{pb, &pb7}, {rb, &rb7}} {
 		zero, seven := c[0], c[1]
-		if zero.Kind() != seven.Kind() || zero.WireSize() != seven.WireSize() {
-			t.Fatalf("query 0: %v, %d bytes charged; query 7: %v, %d",
-				zero.Kind(), zero.WireSize(), seven.Kind(), seven.WireSize())
+		if zero.WireSize() != seven.WireSize() {
+			t.Fatalf("%v: query 0 charged %d bytes, query 7 %d",
+				zero.Kind(), zero.WireSize(), seven.WireSize())
 		}
 		e0, e7 := Marshal(zero), Marshal(seven)
 		want := append([]byte(nil), e0...)
