@@ -200,6 +200,33 @@ func benchLiveProber(b *testing.B, mode join.Mode) {
 // new high-water marks (about 40 allocations in the next 20 rounds); after
 // eight, a handful.
 func BenchmarkProbeHeavyRound(b *testing.B) {
+	_, pairs := benchSlaveRounds(b, 10_000, 1<<11, 250)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pairs), "ns/pair")
+	b.ReportMetric(float64(pairs)/float64(b.N), "pairs/op")
+}
+
+// BenchmarkIngestOverloadRound times one round at the ingest-overload
+// benchmark workload's shape through one hash module: one slave's share of
+// the rate (150k tuples/s per stream) and of the default 60
+// partition-groups, a 2^23 key domain at skew 0.7, a 5 s window, and a
+// round every 50 ms — t_d/k with k = 5, the cadence at which a live slave
+// receives its data slots. Almost every tuple finds no partner, so the
+// round's cost is the hash index's: a probe, an append and, a window
+// later, an expiry per tuple. It reports ns/tuple.
+func BenchmarkIngestOverloadRound(b *testing.B) {
+	tuples, _ := benchSlaveRounds(b, 150_000, 1<<23, 50)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(tuples), "ns/tuple")
+}
+
+// benchSlaveRounds runs b.N steady-state rounds of one slave's share of a
+// live workload (rate tuples/s per stream over a domain of keys at skew
+// 0.7, routed to 30 of 60 partition-groups, a 5 s window with block expiry,
+// one round every roundMs) through one fine-tuned hash module whose pairs go
+// to a DiscardSink, after eight windows of warm-up. Each round's tuples are
+// generated with the timer stopped rather than all up front: at these
+// rates b.N rounds would hold a hundred megabytes. It returns the tuples
+// processed and the pairs emitted inside the timer.
+func benchSlaveRounds(b *testing.B, rate float64, domain, roundMs int32) (tuples, pairs int64) {
 	cfg := join.Config{
 		WindowMs: 5_000,
 		Theta:    1_500_000,
@@ -210,50 +237,45 @@ func BenchmarkProbeHeavyRound(b *testing.B) {
 	}
 	m := join.MustNew(cfg)
 	s1, s2 := workload.Pair(workload.Config{
-		Rate: 10_000, Skew: 0.7, Domain: 1 << 11, Seed: 1,
+		Rate: rate, Skew: 0.7, Domain: domain, Seed: 1,
 	})
-	const (
-		epochMs = 250
-		groups  = 30
-	)
+	const groups = 30
 	now := int32(0)
-	// nextEpoch routes one epoch's tuples to their partition-groups, as the
+	// nextRound routes one round's tuples to their partition-groups, as the
 	// master does before distribution.
-	nextEpoch := func() [groups][]tuple.Tuple {
-		var byGroup [groups][]tuple.Tuple
-		for _, t := range workload.Merge(s1.Batch(now, now+epochMs), s2.Batch(now, now+epochMs)) {
+	var byGroup [groups][]tuple.Tuple
+	nextRound := func() (n int64) {
+		for g := range byGroup {
+			byGroup[g] = byGroup[g][:0]
+		}
+		for _, t := range workload.Merge(s1.Batch(now, now+roundMs), s2.Batch(now, now+roundMs)) {
 			g := tuple.PartitionOf(t.Key, groups)
 			byGroup[g] = append(byGroup[g], t)
+			n++
 		}
-		now += epochMs
-		return byGroup
+		now += roundMs
+		return n
 	}
-	round := func(end int32, epoch *[groups][]tuple.Tuple) (pairs int64) {
-		for g := range epoch {
-			pairs += m.Process(int32(g), end, epoch[g]).Outputs
+	round := func() (pairs int64) {
+		for g := range byGroup {
+			pairs += m.Process(int32(g), now, byGroup[g]).Outputs
 		}
 		return pairs
 	}
 	for now < 8*cfg.WindowMs {
-		end := now + epochMs
-		epoch := nextEpoch()
-		round(end, &epoch)
+		nextRound()
+		round()
 	}
-	// Epochs are generated with the timer stopped rather than all up front:
-	// at this rate b.N of them would hold a hundred megabytes.
 	b.ReportAllocs()
 	b.ResetTimer()
-	var pairs int64
 	for range b.N {
 		b.StopTimer()
-		end := now + epochMs
-		epoch := nextEpoch()
+		tuples += nextRound()
 		b.StartTimer()
-		pairs += round(end, &epoch)
+		pairs += round()
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pairs), "ns/pair")
-	b.ReportMetric(float64(pairs)/float64(b.N), "pairs/op")
+	return tuples, pairs
 }
 
 // BenchmarkRoundAllocs pins the zero-allocation hot path: a steady-state

@@ -24,13 +24,16 @@
 // ModeScan performs the honest block-nested-loop scan, tuple comparisons and
 // all — the paper's algorithm and the live engine's ablation baseline.
 //
-// ModeHash maintains per-bucket indexes from each key to the timestamps of
-// its live tuples, in append order, and emits the actual matching pairs in
-// O(matches) per probe from that one contiguous run — the live engine's
-// default prober. A stored tuple is only its key and timestamp, so the index
-// mirrors the store exactly and a probe never reads the store. The index is
-// kept coherent across every mutation path of the window store: ingestion,
-// block and exact expiry, and bucket splits and merges under fine tuning.
+// ModeHash maintains one index per bucket, over both streams, from each
+// (key, stream) pair to the timestamps of its live tuples, in append order,
+// and emits the actual matching pairs in O(matches) per probe from that one
+// contiguous run — the live engine's default prober. A key's two entries
+// share a probe cluster, so a tuple's probe and its append touch one cache
+// line, and a key's first timestamp lives in its entry. A stored tuple is
+// only its key and timestamp, so the index mirrors the store exactly and a
+// probe never reads the store. The index is kept coherent across every
+// mutation path of the window store: ingestion, block and exact expiry, and
+// bucket splits and merges under fine tuning.
 // ModeIndexed keeps the same index but only counts: a probe's match count is
 // the length of its key's run, while the prober *reports* the scan length
 // the nested loop would have performed; the simulation charges virtual CPU
@@ -96,8 +99,9 @@ const (
 	ModeIndexed Mode = iota
 	// ModeScan matches via real nested-loop scans (live ablation baseline).
 	ModeScan
-	// ModeHash matches via per-bucket key→tuple-slot indexes and emits the
-	// actual matching pairs in O(matches) per probe (live default).
+	// ModeHash matches via a per-bucket key→timestamps index over both
+	// streams and emits the actual matching pairs in O(matches) per probe
+	// (live default).
 	ModeHash
 )
 
@@ -491,11 +495,11 @@ func (m *Module) ProcessAll(id int32, nowMs int32, tuples []tuple.Tuple) []Round
 }
 
 // bucketQuery is one query's probe state over a bucket's shared windows:
-// the key→slot hash indexes of the hash and indexed probers. The scan
-// prober keeps no per-query state at all.
+// the key→timestamps hash index of the hash and indexed probers, one table
+// over both streams. The scan prober keeps no per-query state at all.
 type bucketQuery struct {
 	mode Mode
-	idx  [2]*hashIndex // key → live timestamps, append order; nil for ModeScan
+	idx  *hashIndex // (key, stream) → live timestamps, append order; nil for ModeScan
 }
 
 // bucket is one fine-tuning unit: a mini-partition-group in paper terms.
@@ -505,7 +509,7 @@ type bucketQuery struct {
 type bucket struct {
 	w  [2]*window.Store
 	qs []bucketQuery
-	// onExp keeps every query's per-stream hash indexes coherent with
+	// onExp keeps every query's hash index coherent with each stream's
 	// expiry; built once per bucket so rounds create no closures. The hooks
 	// read idx through the bucket, surviving merge-time rebuilds.
 	onExp [2]func([]tuple.Packed)
@@ -523,7 +527,7 @@ func newBucket(queries []QueryConfig) *bucket {
 		q := &b.qs[qi]
 		q.mode = queries[qi].Mode
 		if q.mode != ModeScan {
-			q.idx[0], q.idx[1] = newHashIndex(), newHashIndex()
+			q.idx = newHashIndex()
 			aux = true
 		}
 	}
@@ -535,15 +539,15 @@ func newBucket(queries []QueryConfig) *bucket {
 	return b
 }
 
-// expireAux drops expired tuples from every query's hash index. Stores
-// expire strictly oldest-first, so an expiring tuple is always the head of
-// its key's run.
+// expireAux drops stream s's expired tuples from every query's hash index.
+// Stores expire strictly oldest-first, so an expiring tuple is always the
+// head of its key's run.
 func (b *bucket) expireAux(s int) func([]tuple.Packed) {
 	return func(chunk []tuple.Packed) {
 		for qi := range b.qs {
-			if idx := b.qs[qi].idx[s]; idx != nil {
+			if idx := b.qs[qi].idx; idx != nil {
 				for _, p := range chunk {
-					idx.removeOldest(p.Key)
+					idx.removeOldest(p.Key, s)
 				}
 			}
 		}
@@ -567,9 +571,9 @@ func (b *bucket) indexBytes() int64 {
 	for qi := range b.qs {
 		switch q := &b.qs[qi]; q.mode {
 		case ModeIndexed:
-			n += int64(q.idx[0].liveKeys()+q.idx[1].liveKeys()) * countIndexKeyBytes
+			n += int64(q.idx.liveKeys(0)+q.idx.liveKeys(1)) * countIndexKeyBytes
 		case ModeHash:
-			n += q.idx[0].footprint() + q.idx[1].footprint()
+			n += q.idx.footprint()
 		}
 	}
 	return n
@@ -586,22 +590,25 @@ func (b *bucket) ingest(t tuple.Tuple) {
 func (b *bucket) ingestPacked(s int, p tuple.Packed) {
 	b.w[s].Append(p)
 	for qi := range b.qs {
-		if idx := b.qs[qi].idx[s]; idx != nil {
-			idx.add(p.Key, p.TS)
+		if idx := b.qs[qi].idx; idx != nil {
+			idx.add(p.Key, s, p.TS)
 		}
 	}
 }
 
-// rebuildIndex reconstructs query qi's stream-s hash index from the store
-// content (used after a buddy merge, which rebuilds the store wholesale).
-func (b *bucket) rebuildIndex(qi, s int) {
+// rebuildIndex reconstructs query qi's hash index over both streams from
+// the stores' content (used after a buddy merge, which rebuilds the stores
+// wholesale).
+func (b *bucket) rebuildIndex(qi int) {
 	idx := newHashIndex()
-	b.w[s].Chunks(func(chunk []tuple.Packed) {
-		for _, p := range chunk {
-			idx.add(p.Key, p.TS)
-		}
-	})
-	b.qs[qi].idx[s] = idx
+	for s := 0; s < 2; s++ {
+		b.w[s].Chunks(func(chunk []tuple.Packed) {
+			for _, p := range chunk {
+				idx.add(p.Key, s, p.TS)
+			}
+		})
+	}
+	b.qs[qi].idx = idx
 }
 
 // Group is one partition-group: the unit of load movement, holding a
@@ -731,7 +738,7 @@ func (g *Group) probeOne(qi int, b *bucket, res *RoundResult, t tuple.Tuple, opp
 	var n int64
 	switch qc.Mode {
 	case ModeIndexed:
-		n = int64(len(b.qs[qi].idx[opp].slots(t.Key)))
+		n = int64(len(b.qs[qi].idx.slots(t.Key, opp)))
 		res.Scanned += int64(b.w[opp].Len())
 	case ModeScan:
 		key := t.Key
@@ -755,7 +762,7 @@ func (g *Group) probeOne(qi int, b *bucket, res *RoundResult, t tuple.Tuple, opp
 		}
 		res.Scanned += int64(b.w[opp].Len())
 	case ModeHash:
-		run := b.qs[qi].idx[opp].slots(t.Key)
+		run := b.qs[qi].idx.slots(t.Key, opp)
 		if !qc.CountOnly && len(run) > 0 {
 			// The run is the key's whole live content, so the pairs are
 			// written straight from it without touching the window store.
@@ -838,8 +845,7 @@ func (g *Group) tune(res *RoundResult) {
 					nb.w[1] = window.MergeStores(zero.w[1], one.w[1])
 					for qi := range nb.qs {
 						if nb.qs[qi].mode != ModeScan {
-							nb.rebuildIndex(qi, 0)
-							nb.rebuildIndex(qi, 1)
+							nb.rebuildIndex(qi)
 						}
 					}
 					res.SplitMoves += int64(nb.w[0].Len() + nb.w[1].Len())

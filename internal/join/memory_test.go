@@ -20,9 +20,9 @@ func distinctRound(n int, ts int32) []tuple.Tuple {
 }
 
 // hashFootprint recomputes the module's hash-index footprint from the index
-// internals — every bucket's open-addressing tables plus timestamp arenas,
+// internals — every bucket's open-addressing table plus timestamp arena,
 // summed over every hash-mode query — and audits each index against its
-// store on the way (auditHashIndex).
+// stores on the way (auditHashIndex).
 func hashFootprint(t *testing.T, m *Module) int64 {
 	t.Helper()
 	var n int64
@@ -34,38 +34,60 @@ func hashFootprint(t *testing.T, m *Module) int64 {
 					continue
 				}
 				idx := b.qs[qi].idx
-				for s := 0; s < 2; s++ {
-					n += int64(len(idx[s].entries))*idxEntryBytes +
-						int64(cap(idx[s].arena))*idxSlotBytes
-					auditHashIndex(t, idx[s], b.w[s])
-				}
+				n += int64(len(idx.entries))*idxEntryBytes + int64(cap(idx.arena))*idxSlotBytes
+				auditHashIndex(t, idx, b.w)
 			}
 		})
 	}
 	return n
 }
 
-// auditHashIndex checks that idx mirrors store exactly: the same keys, and
-// for every key a run equal to the store's timestamps for that key in append
-// order. A probe emits pairs from the run alone, so a stale, missing or
-// reordered entry would surface as a wrong pair and nothing else.
-func auditHashIndex(t *testing.T, idx *hashIndex, store *window.Store) {
+// auditHashIndex checks that idx mirrors both stores exactly: per stream the
+// same keys, and for every key a run equal to that store's timestamps for
+// the key in append order. It walks the table itself, so every live entry
+// must mirror a key of the store its stream bit names and be reachable by
+// find from its home slot. A probe emits pairs from the run alone, so a
+// stale, missing, misfiled or reordered entry would surface as a wrong pair
+// and nothing else.
+func auditHashIndex(t *testing.T, idx *hashIndex, stores [2]*window.Store) {
 	t.Helper()
-	want := make(map[int32][]int32)
-	store.Chunks(func(chunk []tuple.Packed) {
-		for _, p := range chunk {
-			want[p.Key] = append(want[p.Key], p.TS)
+	var want [2]map[int32][]int32
+	for s, store := range stores {
+		want[s] = make(map[int32][]int32)
+		store.Chunks(func(chunk []tuple.Packed) {
+			for _, p := range chunk {
+				want[s][p.Key] = append(want[s][p.Key], p.TS)
+			}
+		})
+		if got := idx.liveSlots(s); got != store.Len() {
+			t.Fatalf("index covers %d stream-%d slots for %d live tuples", got, s, store.Len())
 		}
-	})
-	if got := idx.liveSlots(); got != store.Len() {
-		t.Fatalf("index covers %d slots for %d live tuples", got, store.Len())
+		if idx.liveKeys(s) != len(want[s]) {
+			t.Fatalf("index holds %d stream-%d keys, store %d", idx.liveKeys(s), s, len(want[s]))
+		}
 	}
-	if idx.liveKeys() != len(want) {
-		t.Fatalf("index holds %d keys, store %d", idx.liveKeys(), len(want))
+	var entries [2]int
+	for i := range idx.entries {
+		e := &idx.entries[i]
+		if e.n == 0 {
+			continue
+		}
+		s := e.stream()
+		entries[s]++
+		ts, ok := want[s][e.key]
+		if !ok {
+			t.Fatalf("entry %d: key %d filed under stream %d, which does not hold it", i, e.key, s)
+		}
+		if run := idx.run(e); !slices.Equal(run, ts) {
+			t.Fatalf("key %d stream %d: index run %v, store timestamps %v", e.key, s, run, ts)
+		}
+		if got := idx.find(e.key, s); got != i {
+			t.Fatalf("key %d stream %d: entry at %d, find reaches %d", e.key, s, i, got)
+		}
 	}
-	for key, ts := range want {
-		if run := idx.slots(key); !slices.Equal(run, ts) {
-			t.Fatalf("key %d: index run %v, store timestamps %v", key, run, ts)
+	for s := range entries {
+		if entries[s] != len(want[s]) {
+			t.Fatalf("table holds %d stream-%d entries for %d store keys", entries[s], s, len(want[s]))
 		}
 	}
 }
