@@ -279,8 +279,8 @@ func benchSlaveRounds(b *testing.B, rate float64, domain, roundMs int32) (tuples
 }
 
 // BenchmarkRoundAllocs pins the zero-allocation hot path: a steady-state
-// count-only round (the live slave's inner loop with "-sink count") at the
-// Table-I workload shape, for both live probers. allocs/op should be 0 for
+// count-only round (the live slave's inner loop with "-query 0:PROBER:count")
+// at the Table-I workload shape, for both live probers. allocs/op should be 0 for
 // hash and scan once the window is warm; the companion AllocsPerRun tests
 // in internal/join assert exactly that, this benchmark keeps the number in
 // the machine-readable perf record (BENCH_PR4.json).
@@ -288,12 +288,11 @@ func BenchmarkRoundAllocs(b *testing.B) {
 	for _, mode := range []join.Mode{join.ModeHash, join.ModeScan} {
 		b.Run(mode.String(), func(b *testing.B) {
 			cfg := join.Config{
-				WindowMs:  30_000,
-				Theta:     1_500_000,
-				FineTune:  true,
-				Mode:      mode,
-				Expiry:    join.ExpiryBlocks,
-				CountOnly: true,
+				WindowMs: 30_000,
+				Theta:    1_500_000,
+				FineTune: true,
+				Expiry:   join.ExpiryBlocks,
+				Queries:  []join.QueryConfig{{Mode: mode, CountOnly: true}},
 			}
 			m := join.MustNew(cfg)
 			s1, s2 := workload.Pair(workload.Config{

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end chaos check: a live 3-slave TCP cluster whose entire control
 # plane is routed through the sjoin-chaos fault-injecting proxy, with
-# sjoin-collect attached downstream and the race detector on.
+# sjoin-collect attached downstream and the race detector on. The master
+# declares the pair sink (-query 0:hash:tcp:...); the slaves take no sink
+# flag and learn it from the master's join handshake.
 #
 #   t≈0s   sjoin-chaos starts, fronting the master's control port. Every
 #          proxied connection carries 2ms(+1ms jitter) per-write latency;
@@ -53,20 +55,20 @@ FLAGS=(-slaves 3 -min-slaves 3 -rate 600 -window 3s -td 250ms -tr 2500ms
 CHAOS=$!
 "$WORK/sjoin-collect" -listen "$SINK" -conns 3 -json "$WORK/collect.json" &
 COLLECT=$!
-"$WORK/sjoin-master" "${FLAGS[@]}" -ctl "$CTL" -results "$RES" \
+"$WORK/sjoin-master" "${FLAGS[@]}" -query "0:hash:tcp:$SINK" -ctl "$CTL" -results "$RES" \
   >"$WORK/master.out" 2>"$WORK/master.log" &
 MASTER=$!
 sleep 0.5
 
 # Slave 0 joins alone: proxy connection #1 is its control stream and #2 its
 # heartbeat stream, which pins the reset to the heartbeat path.
-"$WORK/sjoin-slave" "${FLAGS[@]}" -join "$PROXY" -results "$RES" -sink "tcp:$SINK" &
+"$WORK/sjoin-slave" "${FLAGS[@]}" -join "$PROXY" -results "$RES" &
 SLAVE0=$!
 sleep 1
-"$WORK/sjoin-slave" "${FLAGS[@]}" -join "$PROXY" -results "$RES" -sink "tcp:$SINK" &
+"$WORK/sjoin-slave" "${FLAGS[@]}" -join "$PROXY" -results "$RES" &
 SLAVE1=$!
 sleep 0.2
-"$WORK/sjoin-slave" "${FLAGS[@]}" -join "$PROXY" -results "$RES" -sink "tcp:$SINK" &
+"$WORK/sjoin-slave" "${FLAGS[@]}" -join "$PROXY" -results "$RES" &
 SLAVE2=$!
 
 wait "$MASTER"
@@ -90,7 +92,8 @@ pairs=$(sed -n 's/^  "pairs": \([0-9][0-9]*\),$/\1/p' "$WORK/collect.json")
 group_sum=$(sed -n '/"groups"/,/}/s/[^:]*: \([0-9][0-9]*\),\{0,1\}$/\1/p' "$WORK/collect.json" |
   awk '{s+=$1} END {print s+0}')
 seq_dups=$(sed -n 's/^  "seq_dups": \([0-9][0-9]*\)$/\1/p' "$WORK/collect.json")
-echo "e2e-chaos: master outputs=$outputs collect pairs=$pairs per-group sum=$group_sum seq_dups=$seq_dups membership=[$membership]"
+q0_pairs=$(sed -n '/"queries"/,/}/s/^ *"0": \([0-9][0-9]*\),\{0,1\}$/\1/p' "$WORK/collect.json")
+echo "e2e-chaos: master outputs=$outputs collect pairs=$pairs per-group sum=$group_sum query 0=$q0_pairs seq_dups=$seq_dups membership=[$membership]"
 
 # Both injected faults actually happened: latency shaped the control plane,
 # and the scheduled reset killed heartbeat connection #2 mid-run.
@@ -103,5 +106,6 @@ test -n "$outputs"
 test "$outputs" -gt 0
 test "$outputs" = "$pairs"
 test "$outputs" = "$group_sum"
+test "$pairs" = "$q0_pairs"
 test "$seq_dups" = "0"
 echo "e2e-chaos: OK"

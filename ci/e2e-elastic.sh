@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end elastic-membership checks against a live TCP cluster with
-# sjoin-collect attached downstream and the race detector on. Two scenarios:
+# sjoin-collect attached downstream and the race detector on. In both
+# scenarios the master declares the pair sink (-query 0:hash:tcp:...); the
+# slaves, joiners included, take no sink flag and learn it from the master's
+# join handshake.
 #
 # Scenario A — lossless transitions (join rebalance + graceful leave):
 #   t≈0s   master starts elastic (-min-slaves 2 -slaves 3); two slaves dial
@@ -59,22 +62,22 @@ FLAGS=(-slaves 3 -min-slaves 2 -rate 600 -window 3s -td 250ms -tr 2500ms
 
 "$WORK/sjoin-collect" -listen "$SINK" -conns 3 -json "$WORK/collect.json" &
 COLLECT=$!
-"$WORK/sjoin-master" "${FLAGS[@]}" -ctl "$CTL" -results "$RES" \
+"$WORK/sjoin-master" "${FLAGS[@]}" -query "0:hash:tcp:$SINK" -ctl "$CTL" -results "$RES" \
   >"$WORK/master.out" 2>"$WORK/master.log" &
 MASTER=$!
 sleep 0.5
 
 # Initial cluster: two slaves join; the master assigns ids 0 and 1 and
 # starts the epoch schedule.
-"$WORK/sjoin-slave" "${FLAGS[@]}" -join "$CTL" -results "$RES" -sink "tcp:$SINK" &
+"$WORK/sjoin-slave" "${FLAGS[@]}" -join "$CTL" -results "$RES" &
 SLAVE0=$!
 sleep 0.2   # deterministic id order (0 before 1) keeps the kill target fixed
-"$WORK/sjoin-slave" "${FLAGS[@]}" -join "$CTL" -results "$RES" -sink "tcp:$SINK" &
+"$WORK/sjoin-slave" "${FLAGS[@]}" -join "$CTL" -results "$RES" &
 SLAVE1=$!
 
 # Scale out: a third slave dials into the live run (assigned id 2).
 sleep 3
-"$WORK/sjoin-slave" "${FLAGS[@]}" -join "$CTL" -results "$RES" -sink "tcp:$SINK" &
+"$WORK/sjoin-slave" "${FLAGS[@]}" -join "$CTL" -results "$RES" &
 SLAVE2=$!
 
 # Scale in: SIGTERM asks slave 0 for a graceful leave; the master drains its
@@ -99,7 +102,8 @@ pairs=$(sed -n 's/^  "pairs": \([0-9][0-9]*\),$/\1/p' "$WORK/collect.json")
 group_sum=$(sed -n '/"groups"/,/}/s/[^:]*: \([0-9][0-9]*\),\{0,1\}$/\1/p' "$WORK/collect.json" |
   awk '{s+=$1} END {print s+0}')
 seq_dups=$(sed -n 's/^  "seq_dups": \([0-9][0-9]*\)$/\1/p' "$WORK/collect.json")
-echo "e2e-elastic: master outputs=$outputs collect pairs=$pairs per-group sum=$group_sum seq_dups=$seq_dups membership=[$membership]"
+q0_pairs=$(sed -n '/"queries"/,/}/s/^ *"0": \([0-9][0-9]*\),\{0,1\}$/\1/p' "$WORK/collect.json")
+echo "e2e-elastic: master outputs=$outputs collect pairs=$pairs per-group sum=$group_sum query 0=$q0_pairs seq_dups=$seq_dups membership=[$membership]"
 
 # Both membership transitions actually happened...
 grep -q 'membership: activating slave 2' "$WORK/master.log"
@@ -110,6 +114,7 @@ test -n "$outputs"
 test "$outputs" -gt 0
 test "$outputs" = "$pairs"
 test "$outputs" = "$group_sum"
+test "$pairs" = "$q0_pairs"
 test "$seq_dups" = "0"
 echo "e2e-elastic scenario A: OK"
 
@@ -124,19 +129,19 @@ BFLAGS=(-slaves 3 -min-slaves 3 -replicate -rate 600 -window 3s -td 250ms
 "$WORK/sjoin-collect" -listen "$SINK" -conns 4 -json "$WORK/collect-b.json" \
   2>"$WORK/collect-b.log" &
 COLLECTB=$!
-"$WORK/sjoin-master" "${BFLAGS[@]}" -ctl "$CTL" -results "$RES" \
+"$WORK/sjoin-master" "${BFLAGS[@]}" -query "0:hash:tcp:$SINK" -ctl "$CTL" -results "$RES" \
   >"$WORK/master-b.out" 2>"$WORK/master-b.log" &
 MASTERB=$!
 sleep 0.5
 
 # Initial cluster: three slaves; the first is the crash victim.
-"$WORK/sjoin-slave" "${BFLAGS[@]}" -join "$CTL" -results "$RES" -sink "tcp:$SINK" &
+"$WORK/sjoin-slave" "${BFLAGS[@]}" -join "$CTL" -results "$RES" &
 VICTIM=$!
 sleep 0.2   # deterministic id order keeps the kill target at slot 0
-"$WORK/sjoin-slave" "${BFLAGS[@]}" -join "$CTL" -results "$RES" -sink "tcp:$SINK" &
+"$WORK/sjoin-slave" "${BFLAGS[@]}" -join "$CTL" -results "$RES" &
 SLAVEB1=$!
 sleep 0.2
-"$WORK/sjoin-slave" "${BFLAGS[@]}" -join "$CTL" -results "$RES" -sink "tcp:$SINK" &
+"$WORK/sjoin-slave" "${BFLAGS[@]}" -join "$CTL" -results "$RES" &
 SLAVEB2=$!
 
 # Crash: SIGKILL gives the victim no chance to flush anything. The master
@@ -148,7 +153,7 @@ kill -9 "$VICTIM"
 # restarts the emission sequence for slot 0, so the collector's seq_dups
 # dedup signal must fire once it regains groups the victim emitted for.
 sleep 3
-"$WORK/sjoin-slave" "${BFLAGS[@]}" -join "$CTL" -results "$RES" -sink "tcp:$SINK" &
+"$WORK/sjoin-slave" "${BFLAGS[@]}" -join "$CTL" -results "$RES" &
 SLAVEB3=$!
 
 wait "$MASTERB"
@@ -170,7 +175,8 @@ pairs_b=$(sed -n 's/^  "pairs": \([0-9][0-9]*\),$/\1/p' "$WORK/collect-b.json")
 group_sum_b=$(sed -n '/"groups"/,/}/s/[^:]*: \([0-9][0-9]*\),\{0,1\}$/\1/p' "$WORK/collect-b.json" |
   awk '{s+=$1} END {print s+0}')
 seq_dups_b=$(sed -n 's/^  "seq_dups": \([0-9][0-9]*\)$/\1/p' "$WORK/collect-b.json")
-echo "e2e-elastic B: master outputs=$outputs_b collect pairs=$pairs_b per-group sum=$group_sum_b seq_dups=$seq_dups_b promoted=$promoted_b membership=[$membership_b]"
+q0_pairs_b=$(sed -n '/"queries"/,/}/s/^ *"0": \([0-9][0-9]*\),\{0,1\}$/\1/p' "$WORK/collect-b.json")
+echo "e2e-elastic B: master outputs=$outputs_b collect pairs=$pairs_b per-group sum=$group_sum_b query 0=$q0_pairs_b seq_dups=$seq_dups_b promoted=$promoted_b membership=[$membership_b]"
 
 # The crash was detected, the windows were promoted (not re-adopted empty),
 # and the replacement joined the recycled slot.
@@ -185,6 +191,7 @@ test -n "$outputs_b"
 test "$outputs_b" -gt 0
 test "$pairs_b" -ge "$outputs_b"
 test "$group_sum_b" = "$pairs_b"
+test "$pairs_b" = "$q0_pairs_b"
 # The recycled slot restarted its emission sequence: the dedup signal fired.
 test "$seq_dups_b" -gt 0
 echo "e2e-elastic scenario B: OK"

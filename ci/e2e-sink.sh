@@ -3,18 +3,21 @@
 # the sjoin-collect downstream consumer — over loopback, with the race
 # detector on. Two topologies run back to back:
 #
-#   1. Single query: every slave dials the consumer directly
-#      (-sink tcp:...) and ships its materialized join pairs as wire
+#   1. Single query (-query 0:hash:tcp:... on the master): the master
+#      announces it over the control handshake, and every slave dials the
+#      consumer directly and ships its materialized join pairs as wire
 #      PairBatch frames; the check asserts the consumer's pair total equals
 #      the master's result summary exactly (the per-group counts in
 #      collect.json sum to the same figure, and the whole stream is counted
 #      under query id 0).
 #   2. Two queries (-query 0:hash:... -query 1:scan:...) over one shared
-#      window set: the master announces the query set over the control
-#      handshake (the slaves take no sink flags at all), both queries
-#      multiplex onto one consumer connection per slave, and the check
-#      asserts each query's collected pair count equals its own line in the
-#      master summary — and that the hash and scan queries agree exactly.
+#      window set: both queries multiplex onto one consumer connection per
+#      slave, and the check asserts each query's collected pair count equals
+#      its own line in the master summary — and that the hash and scan
+#      queries agree exactly.
+#
+# In both, the slaves take no query or sink flags at all: the master's
+# QuerySet handshake is the single source of truth for what runs where.
 #
 # Usage: ci/e2e-sink.sh            (race detector on; RACE= to disable)
 set -euo pipefail
@@ -38,12 +41,12 @@ FLAGS=(-slaves 2 -rate 600 -window 3s -td 250ms -tr 2500ms
 
 "$WORK/sjoin-collect" -listen "$SINK" -conns 2 -json "$WORK/collect.json" &
 COLLECT=$!
-"$WORK/sjoin-master" "${FLAGS[@]}" -ctl "$CTL" -results "$RES" >"$WORK/master.out" &
+"$WORK/sjoin-master" "${FLAGS[@]}" -query "0:hash:tcp:$SINK" -ctl "$CTL" -results "$RES" >"$WORK/master.out" &
 MASTER=$!
 sleep 0.5
-"$WORK/sjoin-slave" "${FLAGS[@]}" -join "$CTL" -results "$RES" -sink "tcp:$SINK" &
+"$WORK/sjoin-slave" "${FLAGS[@]}" -join "$CTL" -results "$RES" &
 SLAVE0=$!
-"$WORK/sjoin-slave" "${FLAGS[@]}" -join "$CTL" -results "$RES" -sink "tcp:$SINK" &
+"$WORK/sjoin-slave" "${FLAGS[@]}" -join "$CTL" -results "$RES" &
 SLAVE1=$!
 
 wait "$MASTER"
@@ -67,9 +70,7 @@ test "$pairs" = "$q0_pairs"
 echo "e2e-sink: single-query OK"
 
 # --- Two queries over one shared window set -------------------------------
-# Fresh ports so lingering sockets from run 1 can't interfere. The slaves
-# get no sink or query flags: the master's QuerySet handshake is the single
-# source of truth for what runs where.
+# Fresh ports so lingering sockets from run 1 can't interfere.
 CTL=127.0.0.1:7420
 RES=127.0.0.1:7421
 SINK=127.0.0.1:7422

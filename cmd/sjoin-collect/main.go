@@ -1,6 +1,7 @@
 // Command sjoin-collect is the reference downstream consumer of a TCP
-// cluster deployment: every slave started with `-sink tcp:HOST:PORT` dials
-// it directly and streams its materialized join pairs as wire.PairBatch
+// cluster deployment: for every query the master declares with
+// `-query ID:PROBER:tcp:HOST:PORT`, each slave dials it directly and
+// streams the query's materialized join pairs as wire.PairBatch
 // messages (join output never funnels through the master). The collector
 // keeps per-group and per-slave counts and receive rates, optionally
 // re-frames the decoded batches to stdout for the next stage of a pipeline,
@@ -8,9 +9,9 @@
 // compares its pair total against the master's result summary.
 //
 //	sjoin-collect -listen :7402 -conns 2 -json summary.json
-//	sjoin-master  -ctl :7400 -results :7401 -slaves 2 ...
-//	sjoin-slave   -join localhost:7400 ... -sink tcp:localhost:7402
-//	sjoin-slave   -join localhost:7400 ... -sink tcp:localhost:7402
+//	sjoin-master  -ctl :7400 -results :7401 -slaves 2 ... -query 0:hash:tcp:localhost:7402
+//	sjoin-slave   -join localhost:7400 ...
+//	sjoin-slave   -join localhost:7400 ...
 //
 // With -conns N it exits once N producers have connected and hung up (a
 // bounded run); otherwise it runs until -duration elapses or SIGINT/SIGTERM.

@@ -1,12 +1,13 @@
 // Command sjoin-slave hosts one slave node of a TCP cluster deployment. Run
 // it with the same system flags as the master. Each slave process drives
 // -workers join workers (one per CPU core by default), each owning a
-// disjoint subset of the slave's partition-groups. -sink selects what
-// happens to materialized join pairs: "discard" (materialize then drop, the
-// default), "count" (skip pair materialization, counts unchanged), or
-// "tcp:HOST:PORT" (dial the downstream consumer at that address — e.g.
-// sjoin-collect — and stream the pairs; a slow consumer backpressures the
-// join workers).
+// disjoint subset of the slave's partition-groups. The slave takes no
+// query flags: the master's -query declarations reach it at the join
+// handshake, and with them what happens to each query's materialized pairs
+// — "discard" (materialize then drop, the default), "count" (skip pair
+// materialization, counts unchanged), or "tcp:HOST:PORT" (dial the
+// downstream consumer at that address — e.g. sjoin-collect — and stream
+// the pairs; a slow consumer backpressures the join workers).
 //
 // The slave dials the master at -join; the master assigns its ID, the mesh
 // is discovered from the roster, and the slave may be started before the

@@ -15,12 +15,13 @@ import (
 	"streamjoin/internal/join"
 )
 
-// sinkModes names every valid -sink value; unknown values are rejected with
-// an error listing them rather than silently falling back to the default.
+// sinkModes names every valid SINK of -query; unknown values are rejected
+// with an error listing them rather than silently falling back to the
+// default.
 const sinkModes = `"discard", "count", or "tcp:HOST:PORT"`
 
-// parseSink parses the -sink flag value into the (CountOnly, SinkAddr)
-// configuration pair.
+// parseSink parses the SINK of a -query value into the query's
+// (CountOnly, SinkAddr) pair.
 func parseSink(v string) (countOnly bool, sinkAddr string, err error) {
 	switch {
 	case v == "discard":
@@ -40,8 +41,8 @@ func parseSink(v string) (countOnly bool, sinkAddr string, err error) {
 
 // parseQuery parses one -query flag value, "ID:PROBER:SINK", into a
 // core.QuerySpec: a non-negative query id, a prober ("hash" or "scan"), and
-// a sink in the -sink syntax (the tcp form keeps its own colons:
-// "1:hash:tcp:127.0.0.1:9999").
+// a sink, "discard", "count" or "tcp:HOST:PORT" (the tcp form keeps its own
+// colons: "1:hash:tcp:127.0.0.1:9999").
 func parseQuery(v string) (core.QuerySpec, error) {
 	var q core.QuerySpec
 	parts := strings.SplitN(v, ":", 3)
@@ -113,49 +114,9 @@ func Bind(fs *flag.FlagSet) func() core.Config {
 			spool = n
 			return nil
 		})
-	// -query replaces -sink and -prober. Each callback records its flag, so
-	// whichever of a conflicting pair is parsed second fails, in either order.
-	single, multi := "", false // the single-query flag given; whether -query was
-	exclusive := func(name string) error {
-		if multi {
-			return fmt.Errorf("-%s and -query are mutually exclusive", name)
-		}
-		single = name
-		return nil
-	}
-	prober := def.LiveProber
-	fs.Func("prober", `live join prober: "hash" (key-index, default) or "scan" (nested-loop ablation)`,
-		func(v string) error {
-			if err := exclusive("prober"); err != nil {
-				return err
-			}
-			switch v {
-			case "hash":
-				prober = join.ModeHash
-			case "scan":
-				prober = join.ModeScan
-			default:
-				return fmt.Errorf("unknown prober %q (want hash or scan)", v)
-			}
-			return nil
-		})
-	countOnly, sinkAddr := def.CountOnly, def.SinkAddr
-	fs.Func("sink", `materialized-pair sink: "discard" (materialize each output pair, then drop it; default), "count" (count-only: skip pair materialization entirely), or "tcp:HOST:PORT" (each slave dials the downstream consumer at HOST:PORT and streams its pairs; see sjoin-collect)`,
-		func(v string) error {
-			if err := exclusive("sink"); err != nil {
-				return err
-			}
-			var err error
-			countOnly, sinkAddr, err = parseSink(v)
-			return err
-		})
 	var queries []core.QuerySpec
-	fs.Func("query", `register one join query as "ID:PROBER:SINK" (repeatable): non-negative id, prober "hash" or "scan", and a sink in -sink syntax (e.g. -query 0:hash:count -query "1:scan:tcp:127.0.0.1:9999"). All queries share each slave's ingested windows. Mutually exclusive with -sink/-prober; omitted = the single legacy query`,
+	fs.Func("query", `register one join query as "ID:PROBER:SINK" (repeatable; declared on the master, which sends its queries to every slave): non-negative id, prober "hash" (key-index) or "scan" (nested-loop ablation), and sink "discard" (materialize each output pair, then drop it), "count" (skip pair materialization entirely) or "tcp:HOST:PORT" (each slave dials the downstream consumer at HOST:PORT and streams the query's pairs; see sjoin-collect), e.g. -query 0:hash:count -query "1:scan:tcp:127.0.0.1:9999". All queries share each slave's ingested windows. Omitted = one query, 0:hash:discard`,
 		func(v string) error {
-			if single != "" {
-				return fmt.Errorf("-query and -%s are mutually exclusive", single)
-			}
-			multi = true
 			q, err := parseQuery(v)
 			if err != nil {
 				return err
@@ -186,9 +147,6 @@ func Bind(fs *flag.FlagSet) func() core.Config {
 		cfg.Seed = *seed
 		cfg.DurationMs = int32(*duration / time.Millisecond)
 		cfg.WarmupMs = int32(*warmup / time.Millisecond)
-		cfg.LiveProber = prober
-		cfg.CountOnly = countOnly
-		cfg.SinkAddr = sinkAddr
 		cfg.Queries = queries
 		cfg.Workers = *workers
 		cfg.MinSlaves = *minsl

@@ -122,16 +122,19 @@ func TestWireHardeningFlags(t *testing.T) {
 	}
 }
 
-func TestSinkFlag(t *testing.T) {
-	parse := func(args ...string) (core.Config, error) {
-		fs := flag.NewFlagSet("t", flag.ContinueOnError)
-		fs.SetOutput(discard{})
-		get := Bind(fs)
-		if err := fs.Parse(args); err != nil {
-			return core.Config{}, err
-		}
-		return get(), nil
+// parseArgs binds a fresh flag set and parses args into a Config.
+func parseArgs(args ...string) (core.Config, error) {
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	fs.SetOutput(discard{})
+	get := Bind(fs)
+	if err := fs.Parse(args); err != nil {
+		return core.Config{}, err
 	}
+	return get(), nil
+}
+
+// TestSinkFlag covers the SINK field of -query ID:PROBER:SINK.
+func TestSinkFlag(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		args      []string
@@ -140,18 +143,18 @@ func TestSinkFlag(t *testing.T) {
 		wantErr   string // substring of the parse error ("" = success)
 	}{
 		{name: "default materializes", args: nil},
-		{name: "count", args: []string{"-sink", "count"}, countOnly: true},
-		{name: "discard", args: []string{"-sink", "discard"}},
-		{name: "tcp", args: []string{"-sink", "tcp:localhost:7402"}, sinkAddr: "localhost:7402"},
-		{name: "tcp ip", args: []string{"-sink", "tcp:10.0.0.3:9999"}, sinkAddr: "10.0.0.3:9999"},
-		{name: "tcp missing port", args: []string{"-sink", "tcp:localhost"}, wantErr: "tcp:HOST:PORT"},
-		{name: "tcp empty", args: []string{"-sink", "tcp:"}, wantErr: "tcp:HOST:PORT"},
+		{name: "count", args: []string{"-query", "0:hash:count"}, countOnly: true},
+		{name: "discard", args: []string{"-query", "0:hash:discard"}},
+		{name: "tcp", args: []string{"-query", "0:hash:tcp:localhost:7402"}, sinkAddr: "localhost:7402"},
+		{name: "tcp ip", args: []string{"-query", "0:hash:tcp:10.0.0.3:9999"}, sinkAddr: "10.0.0.3:9999"},
+		{name: "tcp missing port", args: []string{"-query", "0:hash:tcp:localhost"}, wantErr: "tcp:HOST:PORT"},
+		{name: "tcp empty", args: []string{"-query", "0:hash:tcp:"}, wantErr: "tcp:HOST:PORT"},
 		// Unknown modes fail listing the valid ones — no silent fallback.
-		{name: "unknown", args: []string{"-sink", "kafka"}, wantErr: `valid modes: "discard", "count", or "tcp:HOST:PORT"`},
-		{name: "empty", args: []string{"-sink", ""}, wantErr: "valid modes"},
+		{name: "unknown", args: []string{"-query", "0:hash:kafka"}, wantErr: `valid modes: "discard", "count", or "tcp:HOST:PORT"`},
+		{name: "empty", args: []string{"-query", "0:hash:"}, wantErr: "valid modes"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg, err := parse(tc.args...)
+			cfg, err := parseArgs(tc.args...)
 			if tc.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 					t.Fatalf("error %v, want substring %q", err, tc.wantErr)
@@ -161,9 +164,13 @@ func TestSinkFlag(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if cfg.CountOnly != tc.countOnly || cfg.SinkAddr != tc.sinkAddr {
+			var q core.QuerySpec // no -query: one query, 0:hash:discard
+			if len(cfg.Queries) > 0 {
+				q = cfg.Queries[0]
+			}
+			if q.CountOnly != tc.countOnly || q.SinkAddr != tc.sinkAddr {
 				t.Fatalf("countOnly=%v sinkAddr=%q, want %v/%q",
-					cfg.CountOnly, cfg.SinkAddr, tc.countOnly, tc.sinkAddr)
+					q.CountOnly, q.SinkAddr, tc.countOnly, tc.sinkAddr)
 			}
 			if err := cfg.Validate(); err != nil {
 				t.Fatal(err)
@@ -173,17 +180,7 @@ func TestSinkFlag(t *testing.T) {
 }
 
 func TestQueryFlag(t *testing.T) {
-	parse := func(args ...string) (core.Config, error) {
-		fs := flag.NewFlagSet("t", flag.ContinueOnError)
-		fs.SetOutput(discard{})
-		get := Bind(fs)
-		if err := fs.Parse(args); err != nil {
-			return core.Config{}, err
-		}
-		return get(), nil
-	}
-
-	cfg, err := parse(
+	cfg, err := parseArgs(
 		"-query", "0:hash:count",
 		"-query", "1:scan:tcp:127.0.0.1:7402",
 		"-query", "2:hash:discard",
@@ -208,7 +205,7 @@ func TestQueryFlag(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if cfg, err := parse(); err != nil || len(cfg.Queries) != 0 {
+	if cfg, err := parseArgs(); err != nil || len(cfg.Queries) != 0 {
 		t.Fatalf("default queries = %v (err %v), want none", cfg.Queries, err)
 	}
 
@@ -222,28 +219,16 @@ func TestQueryFlag(t *testing.T) {
 		"0:hash:kafka",          // bad sink mode
 		"0:hash:tcp:nohostport", // bad sink addr
 	} {
-		if _, err := parse("-query", bad); err == nil {
+		if _, err := parseArgs("-query", bad); err == nil {
 			t.Errorf("-query %q parsed, want error", bad)
 		}
 	}
 
-	// -query is mutually exclusive with -sink and -prober: whichever of the
-	// pair is parsed second fails, whatever the values.
-	for _, args := range [][]string{
-		{"-query", "0:hash:count", "-sink", "count"},
-		{"-sink", "count", "-query", "0:hash:count"},
-		{"-prober", "scan", "-query", "0:hash:count"},
-		{"-query", "0:hash:count", "-prober", "scan"},
-		{"-sink", "discard", "-query", "0:hash:count"},
-		{"-query", "0:hash:count", "-sink", "discard"},
-	} {
-		if _, err := parse(args...); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-			t.Errorf("%q: error %v, want a mutual-exclusion error", args, err)
+	// -query is the one way to declare a query: -sink and -prober are gone.
+	for _, args := range [][]string{{"-sink", "count"}, {"-prober", "scan"}} {
+		if _, err := parseArgs(args...); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%q: error %v, want an undefined-flag error", args, err)
 		}
-	}
-	// -sink and -prober together remain one single-query configuration.
-	if cfg, err := parse("-prober", "scan", "-sink", "count"); err != nil || cfg.LiveProber != join.ModeScan || !cfg.CountOnly {
-		t.Fatalf("-prober scan -sink count = %+v (err %v)", cfg, err)
 	}
 }
 
@@ -252,25 +237,17 @@ type discard struct{}
 
 func (discard) Write(p []byte) (int, error) { return len(p), nil }
 
+// TestProberFlag covers the PROBER field of -query ID:PROBER:SINK.
 func TestProberFlag(t *testing.T) {
-	parse := func(args ...string) (core.Config, error) {
-		fs := flag.NewFlagSet("t", flag.ContinueOnError)
-		get := Bind(fs)
-		if err := fs.Parse(args); err != nil {
-			return core.Config{}, err
+	if cfg, err := parseArgs(); err != nil || len(cfg.Queries) != 0 || cfg.LiveProber != join.ModeHash {
+		t.Fatalf("default: queries %v, prober %v (err %v), want none and hash", cfg.Queries, cfg.LiveProber, err)
+	}
+	for v, want := range map[string]join.Mode{"scan": join.ModeScan, "hash": join.ModeHash} {
+		if cfg, err := parseArgs("-query", "0:"+v+":discard"); err != nil || cfg.Queries[0].Prober != want {
+			t.Fatalf("-query 0:%s:discard = %+v (err %v)", v, cfg.Queries, err)
 		}
-		return get(), nil
 	}
-	if cfg, err := parse(); err != nil || cfg.LiveProber != join.ModeHash {
-		t.Fatalf("default prober = %v (err %v), want hash", cfg.LiveProber, err)
-	}
-	if cfg, err := parse("-prober", "scan"); err != nil || cfg.LiveProber != join.ModeScan {
-		t.Fatalf("-prober scan = %v (err %v)", cfg.LiveProber, err)
-	}
-	if cfg, err := parse("-prober", "hash"); err != nil || cfg.LiveProber != join.ModeHash {
-		t.Fatalf("-prober hash = %v (err %v)", cfg.LiveProber, err)
-	}
-	if _, err := parse("-prober", "quantum"); err == nil {
+	if _, err := parseArgs("-query", "0:quantum:discard"); err == nil {
 		t.Fatal("unknown prober should fail to parse")
 	}
 }

@@ -8,11 +8,13 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"streamjoin/internal/engine"
 	"streamjoin/internal/faultnet"
+	"streamjoin/internal/join"
 	"streamjoin/internal/tuple"
 	"streamjoin/internal/wire"
 )
@@ -794,8 +796,9 @@ func clusterTable() []clusterRow {
 	}
 
 	// TestTCPClusterSocketSink: the full deployment with the slaves dialing
-	// a downstream consumer directly (Config.SinkAddr); the consumer's count
-	// matches the master's result summary exactly.
+	// a downstream consumer directly (query 0's SinkAddr, declared on the
+	// master); the consumer's count matches the master's result summary
+	// exactly.
 	{
 		cfg := deployTestConfig(2)
 		add(clusterRow{suite: "TestTCPClusterSocketSink", name: "two-slaves",
@@ -815,7 +818,46 @@ func clusterTable() []clusterRow {
 				t.Logf("cluster → collect: %d pairs over %d groups", out.res.Outputs, len(out.tally.PerGroup()))
 			}})
 	}
+
+	// TestTCPClusterSocketSink/in-process-sink: the benchmark's TCP arm.
+	// Master and slaves share one Config whose in-process Sink is query 0's,
+	// and no Queries: the master sends no QuerySet, so each slave keeps the
+	// Sink it was given. Every oracle pair reaches it exactly once, and the
+	// master counts exactly those.
+	{
+		cfg := elasticTestConfig()
+		cfg.Slaves = 2
+		sink := &memSink{ms: make(pairMultiset[pairFP])}
+		cfg.Sink = sink
+		add(clusterRow{suite: "TestTCPClusterSocketSink", name: "in-process-sink",
+			cfg: cfg, work: work, slaves: tcpSlavesAt(cfg, 0, 0),
+			check: func(t *testing.T, out *clusterOut) {
+				if missing, extra := sink.ms.diff(want); missing > 0 || extra > 0 {
+					t.Errorf("%d pairs missing, %d unexpected (got %d distinct, want %d)",
+						missing, extra, len(sink.ms), len(want))
+				}
+				if n := int64(sink.ms.total()); n != out.res.Outputs {
+					t.Errorf("sink received %d pairs, master summary says %d", n, out.res.Outputs)
+				}
+			}})
+	}
 	return rows
+}
+
+// memSink is an in-process pair sink that folds every pair into a
+// fingerprint multiset; the join workers of every slave call it at once.
+type memSink struct {
+	mu sync.Mutex
+	ms pairMultiset[pairFP]
+}
+
+func (s *memSink) Emit(_ int32, pairs []join.Pair) []join.Pair {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, p := range pairs {
+		s.ms[fpOf(wire.OutPair{Probe: p.Probe, Stored: p.Stored})]++
+	}
+	return pairs
 }
 
 // blockSpanMs is the widest timestamp span of TuplesPerBlock consecutive

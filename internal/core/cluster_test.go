@@ -111,11 +111,15 @@ func setupCluster(t *testing.T, row clusterRow) *clusterRun {
 	t.Helper()
 	r := &clusterRun{row: row, cfg: row.cfg, slaves: slices.Clone(row.slaves), done: make(chan struct{})}
 	var err error
+	sinkAddr := ""
 	if row.sink != noSink {
 		if r.sink, err = newFPSink(row.sink == tolerantSink); err != nil {
 			t.Fatal(err)
 		}
-		r.cfg.SinkAddr = r.sink.addr()
+		// Declared on the master only: every slave takes it from the
+		// master's QuerySet.
+		sinkAddr = r.sink.addr()
+		r.cfg.Queries = []QuerySpec{{ID: 0, Prober: join.ModeHash, SinkAddr: sinkAddr}}
 	}
 	// Listening validates the config, so the one served is the one checked.
 	if r.ctlLn, r.resLn, err = listenMaster(&r.cfg, "127.0.0.1:0", "127.0.0.1:0"); err != nil {
@@ -124,7 +128,6 @@ func setupCluster(t *testing.T, row clusterRow) *clusterRun {
 	mesh := make([]string, len(r.slaves))
 	for i := range r.slaves {
 		sp := &r.slaves[i]
-		sp.cfg.SinkAddr = r.cfg.SinkAddr
 		if sp.pin {
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
@@ -134,7 +137,7 @@ func setupCluster(t *testing.T, row clusterRow) *clusterRun {
 		}
 	}
 	if row.aim != nil {
-		row.aim(r.cfg.SinkAddr, mesh)
+		row.aim(sinkAddr, mesh)
 	}
 	return r
 }

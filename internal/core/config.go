@@ -140,50 +140,38 @@ type Config struct {
 	// can honor epoch boundaries while backlogged. It is also the smallest
 	// installment a state movement streams per epoch (installmentSize).
 	ChunkTuples int
-	// LiveProber selects the prober the live engines (RunLive and the TCP
-	// deployment) run: join.ModeHash (the default, key→tuple-slot indexes,
-	// O(matches) probes) or join.ModeScan (the paper's block-nested-loop
-	// scan, kept as the ablation baseline). The simulation ignores it.
+	// LiveProber is query 0's prober when Queries is empty: join.ModeHash
+	// (the default, key→tuple-slot indexes, O(matches) probes) or
+	// join.ModeScan (the paper's block-nested-loop scan, kept as the
+	// ablation baseline). With Queries it must stay join.ModeHash; each
+	// query names its own. The simulation ignores it.
 	LiveProber join.Mode
 	// sim is set by RunSim: the simulation joins with the indexed prober
 	// (virtual CPU is charged from the modeled scan length) and exact expiry
-	// (byte-precise window accounting), the live engines with LiveProber
-	// and the paper's block expiry.
+	// (byte-precise window accounting), the live engines with each query's
+	// prober and the paper's block expiry.
 	sim bool
 
-	// Sink, when non-nil, receives every round's materialized pairs from
-	// the live probers (see join.Sink for the buffer hand-off contract).
-	// Library callers of RunLive/ServeSlaveTCP set it to consume join
-	// output in-process; nil keeps the default discard-after-count
-	// behavior. A slave running several join workers calls the one Sink
-	// from all of them, so implementations must be safe for concurrent
-	// use. The simulation ignores it (the indexed prober materializes
+	// Sink is query 0's Sink when Queries is empty: it receives every
+	// round's materialized pairs from the live probers (see join.Sink for
+	// the buffer hand-off contract). Library callers of
+	// RunLive/ServeSlaveTCP set it to consume join output in-process; nil
+	// keeps the default discard-after-count behavior. A slave running
+	// several join workers calls the one Sink from all of them, so
+	// implementations must be safe for concurrent use. With Queries it must
+	// stay nil. The simulation ignores it (the indexed prober materializes
 	// nothing).
 	Sink join.Sink
-	// CountOnly makes the live probers skip pair materialization entirely:
-	// output counts, delay accounting, and every figure stay identical,
-	// but no join.Pair is ever formed ("-sink count"). Mutually exclusive
-	// with Sink.
-	CountOnly bool
-	// SinkAddr, when non-empty, ships every materialized pair to an
-	// external downstream consumer at this HOST:PORT ("-sink tcp:..."):
-	// each live slave dials the consumer directly and streams
-	// wire.PairBatch messages through an engine.SocketSink, whose bounded
-	// in-flight queue backpressures the join workers when the consumer
-	// falls behind (see cmd/sjoin-collect for the reference consumer).
-	// Join output never funnels through the master. Mutually exclusive
-	// with Sink and CountOnly; ignored by the simulation.
-	SinkAddr string
 
-	// Queries registers multiple join queries to run over the same ingested
-	// window set: every live slave ingests and expires each partition-group's
-	// windows once per round and probes them for every registered query,
-	// producing per-query result batches and (with per-query SinkAddrs or
-	// Sinks) per-query pair streams. Empty means one query built from the
-	// legacy fields (ID 0, LiveProber, CountOnly, SinkAddr, Sink) — the
-	// exact single-query behavior, wire traffic included. When Queries is
-	// set, the legacy Sink/CountOnly/SinkAddr fields must stay unset.
-	// The simulation runs every query with its indexed prober.
+	// Queries registers the join queries to run over the same ingested
+	// window set: every live slave ingests and expires each
+	// partition-group's windows once per round and probes them for every
+	// registered query, producing per-query result batches and (with
+	// per-query SinkAddrs or Sinks) per-query pair streams. Empty means one
+	// query, ID 0, with LiveProber and Sink (effectiveQueries). A TCP
+	// master sends its Queries to every slave, whose own are replaced; a
+	// master without Queries sends none. The simulation runs every query
+	// with its indexed prober.
 	Queries []QuerySpec
 
 	// Workers is the number of join workers a live slave process hosts:
@@ -341,8 +329,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("core: run interval [%d, %d) empty", c.WarmupMs, c.DurationMs)
 	case c.ChunkTuples < 1:
 		return fmt.Errorf("core: ChunkTuples = %d", c.ChunkTuples)
-	case c.LiveProber != join.ModeHash && c.LiveProber != join.ModeScan:
-		return fmt.Errorf("core: LiveProber = %v, want hash or scan", c.LiveProber)
 	case c.WireBatchBytes < 0 || c.WireBatchBytes > wire.MaxFrameBytes:
 		return fmt.Errorf("core: WireBatchBytes = %d, want [0, %d]", c.WireBatchBytes, wire.MaxFrameBytes)
 	case c.HeartbeatMs <= 0 || c.HeartbeatMisses < 1:
@@ -354,12 +340,10 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("core: DialBudgetMs = %d, want >= 0 (0 = default)", c.DialBudgetMs)
 	case c.SinkSpoolBytes < 0:
 		return fmt.Errorf("core: SinkSpoolBytes = %d, want >= 0 (0 = default)", c.SinkSpoolBytes)
-	case c.CountOnly && c.Sink != nil:
-		return fmt.Errorf("core: CountOnly skips materialization, so Sink would never fire")
-	case c.SinkAddr != "" && c.CountOnly:
-		return fmt.Errorf("core: CountOnly skips materialization, so SinkAddr would receive nothing")
-	case c.SinkAddr != "" && c.Sink != nil:
-		return fmt.Errorf("core: Sink and SinkAddr are mutually exclusive")
+	case len(c.Queries) > 0 && c.Sink != nil:
+		return fmt.Errorf("core: Sink is query 0's when Queries is empty; with Queries, set each query's Sink")
+	case len(c.Queries) > 0 && c.LiveProber != join.ModeHash:
+		return fmt.Errorf("core: LiveProber is query 0's when Queries is empty; with Queries, set each query's Prober")
 	case c.Workers < 0:
 		return fmt.Errorf("core: Workers = %d, want >= 0 (0 = one per core)", c.Workers)
 	case c.Beta <= 0 || c.Beta >= 1:
@@ -371,38 +355,28 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("core: %d memory bounds for %d slaves",
 			len(c.SlaveMemBytes), c.Slaves)
 	}
-	if c.SinkAddr != "" {
-		if _, _, err := net.SplitHostPort(c.SinkAddr); err != nil {
-			return fmt.Errorf("core: SinkAddr: %w", err)
+	seen := make(map[int32]bool, len(c.Queries))
+	for i, q := range c.effectiveQueries() {
+		switch {
+		case q.ID < 0:
+			return fmt.Errorf("core: Queries[%d].ID = %d, want >= 0", i, q.ID)
+		case seen[q.ID]:
+			return fmt.Errorf("core: duplicate query id %d (Queries[%d])", q.ID, i)
+		case q.Prober != join.ModeHash && q.Prober != join.ModeScan:
+			return fmt.Errorf("core: query %d: Prober = %v, want hash or scan", q.ID, q.Prober)
+		case q.CountOnly && q.Sink != nil:
+			return fmt.Errorf("core: query %d: CountOnly skips materialization, so Sink would never fire", q.ID)
+		case q.CountOnly && q.SinkAddr != "":
+			return fmt.Errorf("core: query %d: CountOnly skips materialization, so SinkAddr would receive nothing", q.ID)
+		case q.SinkAddr != "" && q.Sink != nil:
+			return fmt.Errorf("core: query %d: Sink and SinkAddr are mutually exclusive", q.ID)
 		}
-	}
-	if len(c.Queries) > 0 {
-		if c.Sink != nil || c.CountOnly || c.SinkAddr != "" {
-			return fmt.Errorf("core: Queries and the legacy Sink/CountOnly/SinkAddr fields are mutually exclusive")
-		}
-		seen := make(map[int32]bool, len(c.Queries))
-		for i, q := range c.Queries {
-			switch {
-			case q.ID < 0:
-				return fmt.Errorf("core: Queries[%d].ID = %d, want >= 0", i, q.ID)
-			case seen[q.ID]:
-				return fmt.Errorf("core: duplicate query id %d (Queries[%d])", q.ID, i)
-			case q.Prober != join.ModeHash && q.Prober != join.ModeScan:
-				return fmt.Errorf("core: Queries[%d].Prober = %v, want hash or scan", i, q.Prober)
-			case q.CountOnly && q.Sink != nil:
-				return fmt.Errorf("core: query %d: CountOnly skips materialization, so Sink would never fire", q.ID)
-			case q.CountOnly && q.SinkAddr != "":
-				return fmt.Errorf("core: query %d: CountOnly skips materialization, so SinkAddr would receive nothing", q.ID)
-			case q.SinkAddr != "" && q.Sink != nil:
-				return fmt.Errorf("core: query %d: Sink and SinkAddr are mutually exclusive", q.ID)
+		if q.SinkAddr != "" {
+			if _, _, err := net.SplitHostPort(q.SinkAddr); err != nil {
+				return fmt.Errorf("core: query %d: SinkAddr: %w", q.ID, err)
 			}
-			if q.SinkAddr != "" {
-				if _, _, err := net.SplitHostPort(q.SinkAddr); err != nil {
-					return fmt.Errorf("core: query %d: SinkAddr: %w", q.ID, err)
-				}
-			}
-			seen[q.ID] = true
 		}
+		seen[q.ID] = true
 	}
 	for i, m := range c.SlaveMemBytes {
 		if m < 0 {
@@ -436,38 +410,38 @@ type RateStep struct {
 // windows; a query adds only its probe state and its own output path.
 type QuerySpec struct {
 	// ID identifies the query in every result and pair batch it produces.
-	// IDs must be unique; ID 0 keeps the legacy single-query wire layout
-	// for its traffic.
+	// IDs must be unique.
 	ID int32
 	// Prober selects the query's live prober: join.ModeHash or
 	// join.ModeScan. The simulation ignores it (every query runs indexed).
 	Prober join.Mode
-	// CountOnly skips pair materialization for this query (see
-	// Config.CountOnly). Mutually exclusive with Sink and SinkAddr.
+	// CountOnly makes the live probers skip the query's pair
+	// materialization entirely: output counts, delay accounting, and every
+	// figure stay identical, but no join.Pair is ever formed
+	// ("-query ID:PROBER:count"). Mutually exclusive with Sink and SinkAddr.
 	CountOnly bool
-	// SinkAddr ships the query's materialized pairs to a downstream
-	// consumer at this HOST:PORT (see Config.SinkAddr). Queries sharing an
-	// address share one connection, multiplexed by query id. Mutually
-	// exclusive with Sink.
+	// SinkAddr, when non-empty, ships the query's materialized pairs to an
+	// external downstream consumer at this HOST:PORT
+	// ("-query ID:PROBER:tcp:HOST:PORT"): each live slave dials the
+	// consumer directly and streams wire.PairBatch messages through an
+	// engine.SocketSink, whose bounded in-flight queue backpressures the
+	// join workers when the consumer falls behind (see cmd/sjoin-collect
+	// for the reference consumer). Join output never funnels through the
+	// master. Queries sharing an address share one connection, multiplexed
+	// by query id. Mutually exclusive with Sink; ignored by the simulation.
 	SinkAddr string
 	// Sink consumes the query's pairs in-process (library callers; see
-	// Config.Sink).
+	// join.Sink).
 	Sink join.Sink
 }
 
-// effectiveQueries resolves Config.Queries: the registered specs, or the
-// one-element legacy default built from the single-query fields.
+// effectiveQueries resolves Config.Queries: the registered specs, or query
+// 0 with LiveProber and Sink — the one place either field is read.
 func (c *Config) effectiveQueries() []QuerySpec {
 	if len(c.Queries) > 0 {
 		return c.Queries
 	}
-	return []QuerySpec{{
-		ID:        0,
-		Prober:    c.LiveProber,
-		CountOnly: c.CountOnly,
-		SinkAddr:  c.SinkAddr,
-		Sink:      c.Sink,
-	}}
+	return []QuerySpec{{ID: 0, Prober: c.LiveProber, Sink: c.Sink}}
 }
 
 // LiveWorkers resolves Workers for a slave that has a whole process (and
@@ -681,28 +655,21 @@ func (c *Config) epochsPerReorg() int64 {
 	return int64(c.ReorgEpochMs / c.DistEpochMs)
 }
 
-// joinConfig builds the join-module configuration. Without registered
-// Queries it keeps the legacy single-query shape (so existing modules are
-// bit-for-bit unchanged); with them it maps each QuerySpec to a
-// join.QueryConfig. The simulation runs every query indexed (see sim).
+// joinConfig builds the join-module configuration, one join.QueryConfig
+// per effective query. The simulation runs every query indexed (see sim).
 func (c *Config) joinConfig() join.Config {
 	jc := join.Config{
 		WindowMs: c.WindowMs,
 		Theta:    c.Theta,
 		FineTune: c.FineTune,
-		Mode:     c.LiveProber,
 		Expiry:   join.ExpiryBlocks,
 	}
 	if c.sim {
-		jc.Mode, jc.Expiry = join.ModeIndexed, join.ExpiryExact
+		jc.Expiry = join.ExpiryExact
 	}
-	if len(c.Queries) == 0 {
-		jc.Sink = c.Sink
-		jc.CountOnly = c.CountOnly
-		return jc
-	}
-	jc.Queries = make([]join.QueryConfig, len(c.Queries))
-	for i, q := range c.Queries {
+	qs := c.effectiveQueries()
+	jc.Queries = make([]join.QueryConfig, len(qs))
+	for i, q := range qs {
 		mode := q.Prober
 		if c.sim {
 			mode = join.ModeIndexed

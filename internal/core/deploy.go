@@ -637,22 +637,23 @@ func (t *tcpSlave) acceptMesh() {
 }
 
 // anchor completes the handshake — an optional QuerySet announcing the query
-// specs (the master's set overrides local flags, so slave binaries need no
-// matching -query flags), then the anchor batch — sets the slave's clock to
-// the master's, and builds the slave node.
+// specs (the master's set replaces the slave's queries, so slave binaries
+// need no matching -query flags), then the anchor batch — sets the slave's
+// clock to the master's, and builds the slave node.
 func (t *tcpSlave) anchor() (*slaveNode, error) {
 	first := t.master.Recv()
 	if qset, ok := first.(*wire.QuerySet); ok {
-		t.cfg.Queries = make([]QuerySpec, len(qset.Specs))
+		qs := make([]QuerySpec, len(qset.Specs))
 		for i, sp := range qset.Specs {
-			t.cfg.Queries[i] = QuerySpec{
+			qs[i] = QuerySpec{
 				ID:        sp.Query,
 				Prober:    join.Mode(sp.Prober),
 				CountOnly: sp.CountOnly,
 				SinkAddr:  sp.SinkAddr,
 			}
 		}
-		t.cfg.Sink, t.cfg.CountOnly, t.cfg.SinkAddr = nil, false, ""
+		// The set replaces query 0's Sink and LiveProber too.
+		t.cfg.Queries, t.cfg.Sink, t.cfg.LiveProber = qs, nil, join.ModeHash
 		if err := t.cfg.Validate(); err != nil {
 			return nil, fmt.Errorf("core: slave %d query set: %w", t.id, err)
 		}

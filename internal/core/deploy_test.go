@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"streamjoin/internal/engine"
+	"streamjoin/internal/join"
 	"streamjoin/internal/wire"
 )
 
@@ -63,7 +64,7 @@ func TestServeMasterListenErrors(t *testing.T) {
 	}
 	defer busy.Close()
 	invalid := DefaultConfig()
-	invalid.SinkAddr, invalid.CountOnly = "127.0.0.1:9", true
+	invalid.Queries = []QuerySpec{{ID: 0, Prober: join.ModeHash, SinkAddr: "127.0.0.1:9", CountOnly: true}}
 	for _, tc := range []struct {
 		cfg        Config
 		res        string

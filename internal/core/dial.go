@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"slices"
 	"time"
 
 	"streamjoin/internal/engine"
@@ -133,9 +134,9 @@ func (c *Config) newPairSink(p *engine.LiveProc, conn io.WriteCloser, slave int3
 }
 
 // pairSinks is one slave's downstream pair consumers: one connection and one
-// SocketSink per distinct consumer address ("-sink tcp:HOST:PORT" or
-// per-query SinkAddrs), so join output never funnels through the master;
-// queries sharing an address multiplex over its sink by query id.
+// SocketSink per distinct consumer address among its queries' SinkAddrs, so
+// join output never funnels through the master; queries sharing an address
+// multiplex over its sink by query id.
 type pairSinks struct {
 	slave int32
 	conns map[string]net.Conn           // dialed, not yet owned by a sink
@@ -153,7 +154,7 @@ func newPairSinks(slave int32) *pairSinks {
 // dial connects to every consumer address cfg's queries name that is not
 // connected yet; a slave calls it again after adopting the master's QuerySet.
 func (ps *pairSinks) dial(cfg *Config) error {
-	for _, q := range cfg.effectiveQueries() {
+	for _, q := range cfg.Queries {
 		if q.SinkAddr == "" || ps.conns[q.SinkAddr] != nil {
 			continue
 		}
@@ -167,27 +168,23 @@ func (ps *pairSinks) dial(cfg *Config) error {
 }
 
 // bind creates the SocketSinks, accounting to p, and returns cfg with every
-// SinkAddr resolved to its Sink. Each sink takes ownership of its
+// SinkAddr resolved to its query's Sink. Each sink takes ownership of its
 // connection; one dialed for a spec the master's QuerySet then dropped stays
 // in conns until close.
 func (ps *pairSinks) bind(cfg Config, p *engine.LiveProc) Config {
-	for _, q := range cfg.effectiveQueries() {
-		if q.SinkAddr != "" && ps.sinks[q.SinkAddr] == nil {
-			ps.sinks[q.SinkAddr] = cfg.newPairSink(p, ps.conns[q.SinkAddr], ps.slave, q.SinkAddr)
+	cfg.Queries = slices.Clone(cfg.Queries)
+	for i := range cfg.Queries {
+		q := &cfg.Queries[i]
+		if q.SinkAddr == "" {
+			continue
+		}
+		s := ps.sinks[q.SinkAddr]
+		if s == nil {
+			s = cfg.newPairSink(p, ps.conns[q.SinkAddr], ps.slave, q.SinkAddr)
+			ps.sinks[q.SinkAddr] = s
 			delete(ps.conns, q.SinkAddr)
 		}
-	}
-	if len(cfg.Queries) == 0 {
-		if cfg.SinkAddr != "" {
-			cfg.Sink = ps.sinks[cfg.SinkAddr]
-		}
-		return cfg
-	}
-	cfg.Queries = append([]QuerySpec(nil), cfg.Queries...)
-	for i := range cfg.Queries {
-		if a := cfg.Queries[i].SinkAddr; a != "" {
-			cfg.Queries[i].Sink = ps.sinks[a].ForQuery(cfg.Queries[i].ID)
-		}
+		q.Sink = s.ForQuery(q.ID)
 	}
 	return cfg
 }

@@ -78,8 +78,8 @@ func (m *masterNode) membershipFor(id int32) *wire.Membership {
 	return ms
 }
 
-// querySet returns the cluster's query registration message, or nil for the
-// legacy single-query configuration.
+// querySet returns the cluster's query registration message, or nil when
+// the master registers no queries.
 func (m *masterNode) querySet() *wire.QuerySet {
 	if len(m.cfg.Queries) == 0 {
 		return nil

@@ -32,7 +32,7 @@ func TestMultiQueryEquivalence(t *testing.T) {
 	const epochs = 24
 	msgs := mwSchedule(t, &cfg, epochs)
 
-	// Single-query baselines, one per prober (legacy config shape).
+	// Single-query baselines, one per prober (query 0 from LiveProber).
 	scanCfg := cfg
 	scanCfg.LiveProber = join.ModeScan
 	baseHash := runMultiWorker(t, cfg, msgs, 4)

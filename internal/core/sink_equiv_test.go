@@ -75,7 +75,7 @@ func TestSocketSinkEquivalence(t *testing.T) {
 		Redial: func() (io.WriteCloser, error) { return nil, errors.New("consumer gone") },
 	})
 	cfgB := cfg
-	cfgB.Sink = sink
+	cfgB.Sink = sink.ForQuery(0)
 	outB := runMultiWorker(t, cfgB, msgs, 4)
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)

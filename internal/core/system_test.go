@@ -74,14 +74,14 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		func(c *Config) { c.WarmupMs = c.DurationMs },
 		func(c *Config) { c.ChunkTuples = 0 },
 		func(c *Config) { c.Beta = 1.5 },
-		// Queries exclude the legacy single-query sink fields.
+		// Sink and LiveProber are query 0's only while Queries is empty.
 		func(c *Config) {
 			c.Queries = []QuerySpec{{ID: 0, Prober: join.ModeHash}}
-			c.CountOnly = true
+			c.Sink = join.DiscardSink{}
 		},
 		func(c *Config) {
-			c.Queries = []QuerySpec{{ID: 0, Prober: join.ModeHash}}
-			c.SinkAddr = "127.0.0.1:7402"
+			c.Queries = []QuerySpec{{ID: 0, Prober: join.ModeScan}}
+			c.LiveProber = join.ModeScan
 		},
 	}
 	for i, mutate := range mutations {

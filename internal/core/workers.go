@@ -41,7 +41,7 @@ type joinWorker struct {
 
 	// rbs accumulates one result batch per registered query (parallel to
 	// cfg.effectiveQueries()); a single-query slave has exactly one, with
-	// Query 0 — the legacy batch.
+	// Query 0.
 	rbs []*wire.ResultBatch
 
 	// repl accumulates per-group window deltas for buddy replication

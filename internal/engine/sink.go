@@ -16,18 +16,18 @@ import (
 // consumer as wire.PairBatch messages over the standard batched framing,
 // closing the pipeline the paper leaves at the collector: source → master →
 // slaves → downstream consumer. Each slave dials the consumer directly, so
-// join output never funnels through the master. A multi-query slave
-// multiplexes every query sharing this consumer over the one connection:
-// ForQuery hands out per-query join.Sinks that stamp their query id into
-// each PairBatch while reusing the sink's writer, queue, and recycle pool.
+// join output never funnels through the master. Every query sharing this
+// consumer emits over the one connection: ForQuery hands out per-query
+// join.Sinks that stamp their query id into each PairBatch while reusing
+// the sink's writer, queue, and recycle pool.
 //
-// Concurrency and backpressure: Emit (called by every join worker of the
-// slave, see join.Sink) hands the pair buffer to a single writer goroutine
-// through a bounded in-flight queue. While the queue has room, Emit is a
-// non-blocking channel send; when the consumer falls behind and the queue
-// fills, Emit blocks — the join workers stall instead of the sink dropping
-// output or buffering unboundedly. The stalled time is accounted as
-// Stats.SinkStall on the slave's process.
+// Concurrency and backpressure: Emit (of a ForQuery sink, called by every
+// join worker of the slave, see join.Sink) hands the pair buffer to a
+// single writer goroutine through a bounded in-flight queue. While the
+// queue has room, Emit is a non-blocking channel send; when the consumer
+// falls behind and the queue fills, Emit blocks — the join workers stall
+// instead of the sink dropping output or buffering unboundedly. The stalled
+// time is accounted as Stats.SinkStall on the slave's process.
 //
 // Buffer recycling: the writer returns each encoded buffer through a
 // recycle queue, and Emit hands a recycled buffer back to the emitting
@@ -171,24 +171,12 @@ func newSocketSink(p *LiveProc, conn io.WriteCloser, slave int32, queue int) *So
 	}
 }
 
-// Emit implements join.Sink for query 0 (the single-query path): it
-// transfers ownership of pairs to the writer goroutine and hands back a
-// recycled buffer when one is available. It blocks only when the in-flight
-// queue is full (downstream backpressure). Safe for concurrent use by all of
-// a slave's join workers.
-func (s *SocketSink) Emit(group int32, pairs []join.Pair) []join.Pair {
-	return s.emit(0, group, pairs)
-}
-
-// ForQuery returns a join.Sink that emits with the given query id over this
-// sink's connection, queue, and recycle pool — the multiplexing face of the
-// sink: N queries sharing one consumer connection cost one writer goroutine
-// and one queue, and their batches interleave as PairBatch messages, each
-// carrying its query id. Query 0 returns the sink itself.
+// ForQuery returns the join.Sink through which query emits over this
+// sink's connection, queue, and recycle pool — the sink's one entry point:
+// N queries sharing one consumer connection cost one writer goroutine and
+// one queue, and their batches interleave as PairBatch messages, each
+// carrying its query id.
 func (s *SocketSink) ForQuery(query int32) join.Sink {
-	if query == 0 {
-		return s
-	}
 	return &querySink{s: s, query: query}
 }
 
@@ -199,7 +187,10 @@ type querySink struct {
 	query int32
 }
 
-// Emit implements join.Sink.
+// Emit implements join.Sink: it transfers ownership of pairs to the writer
+// goroutine and hands back a recycled buffer when one is available. It
+// blocks only when the in-flight queue is full (downstream backpressure).
+// Safe for concurrent use by all of a slave's join workers.
 func (qs *querySink) Emit(group int32, pairs []join.Pair) []join.Pair {
 	return qs.s.emit(qs.query, group, pairs)
 }

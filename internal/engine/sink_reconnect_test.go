@@ -49,7 +49,7 @@ func TestSocketSinkReconnect(t *testing.T) {
 	var emitted int64
 	deadline := time.Now().Add(10 * time.Second)
 	for s.Reconnects() == 0 && time.Now().Before(deadline) {
-		s.Emit(1, mkPairs(32, 1))
+		s.ForQuery(0).Emit(1, mkPairs(32, 1))
 		emitted += 32
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -58,7 +58,7 @@ func TestSocketSinkReconnect(t *testing.T) {
 	}
 	// Traffic that must arrive on the replacement connection.
 	for i := 0; i < 20; i++ {
-		s.Emit(1, mkPairs(32, 1))
+		s.ForQuery(0).Emit(1, mkPairs(32, 1))
 		emitted += 32
 	}
 	if err := s.Close(); err != nil {
@@ -96,7 +96,7 @@ func TestSocketSinkSpoolBound(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < batches; i++ {
-			s.Emit(1, mkPairs(per, 1))
+			s.ForQuery(0).Emit(1, mkPairs(per, 1))
 		}
 	}()
 	select {
@@ -139,7 +139,7 @@ func TestSocketSinkBackpressureBeforeSpool(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < total; i++ {
-			s.Emit(1, mkPairs(perBatch, 1))
+			s.ForQuery(0).Emit(1, mkPairs(perBatch, 1))
 			emitted.Add(1)
 		}
 	}()

@@ -96,7 +96,7 @@ func TestSocketSinkDelivery(t *testing.T) {
 				} else {
 					copy(buf, mkPairs(perRound, int32(w)))
 				}
-				buf = s.Emit(int32(w), buf)
+				buf = s.ForQuery(0).Emit(int32(w), buf)
 			}
 		}(w)
 	}
@@ -170,7 +170,7 @@ func TestSocketSinkBackpressure(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < total; i++ {
-			s.Emit(1, mkPairs(perBatch, 1))
+			s.ForQuery(0).Emit(1, mkPairs(perBatch, 1))
 			emitted.Add(1)
 		}
 	}()
@@ -215,10 +215,11 @@ func TestSocketSinkBackpressure(t *testing.T) {
 // goroutine so the recycle hand-off is exact.
 func TestSocketSinkEmitNoAllocs(t *testing.T) {
 	s := newSocketSink(nil, nopWriteCloser{io.Discard}, 0, 4)
+	q := s.ForQuery(0)
 	cur := mkPairs(128, 1)
 	// Warm-up: size the encode scratch and prime the recycle loop.
 	for i := 0; i < 8; i++ {
-		next := s.Emit(1, cur)
+		next := q.Emit(1, cur)
 		if !s.writeNext() {
 			t.Fatal("queue unexpectedly empty")
 		}
@@ -228,7 +229,7 @@ func TestSocketSinkEmitNoAllocs(t *testing.T) {
 		cur = next
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		next := s.Emit(1, cur)
+		next := q.Emit(1, cur)
 		if !s.writeNext() {
 			t.Fatal("queue unexpectedly empty")
 		}

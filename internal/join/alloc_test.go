@@ -50,11 +50,10 @@ func (g *steadyGen) fill(i int) []tuple.Tuple {
 func testSteadyStateAllocs(t *testing.T, mode Mode) {
 	const epochMs = 500
 	cfg := Config{
-		WindowMs:  8 * epochMs,
-		FineTune:  false, // steady state: tuning would be a one-off transient
-		Mode:      mode,
-		Expiry:    ExpiryBlocks, // the live engine's policy
-		CountOnly: true,
+		WindowMs: 8 * epochMs,
+		FineTune: false,        // steady state: tuning would be a one-off transient
+		Expiry:   ExpiryBlocks, // the live engine's policy
+		Queries:  []QueryConfig{{Mode: mode, CountOnly: true}},
 	}
 	m := MustNew(cfg)
 	g := newSteadyGen(256, epochMs)

@@ -2,6 +2,7 @@ package join
 
 import (
 	"fmt"
+	"math/bits"
 
 	"streamjoin/internal/tuple"
 )
@@ -263,18 +264,71 @@ func (h *hashIndex) deleteAt(i int) {
 func (h *hashIndex) rehash(newSize int) {
 	old := h.entries
 	h.entries = make([]idxEntry, newSize)
-	mask := newSize - 1
 	for _, e := range old {
-		if e.n == 0 {
-			continue
+		if e.n != 0 {
+			h.place(e)
 		}
-		i := int(idxHash(e.key)) & mask
-		for h.entries[i].n != 0 {
-			i = (i + 1) & mask
-		}
-		h.entries[i] = e
 	}
 }
+
+// place inserts e into a table that has room for it and holds no other
+// entry of its key and stream.
+func (h *hashIndex) place(e idxEntry) {
+	mask := len(h.entries) - 1
+	i := int(idxHash(e.key)) & mask
+	for h.entries[i].n != 0 {
+		i = (i + 1) & mask
+	}
+	h.entries[i] = e
+}
+
+// fill loads the live entries of srcs whose keys keep passes (nil keeps
+// all) into the empty index h, sizing the table and the arena from srcs so
+// a split or merge allocates each once: relocating tuple by tuple would pay
+// a rehash per table doubling and promote every run class by class. Each
+// run moves whole into the smallest class that holds it. The srcs must
+// hold disjoint keys, as a split's parent or a merge's buddies do.
+func (h *hashIndex) fill(keep func(key int32) bool, srcs ...*hashIndex) {
+	each := func(f func(src *hashIndex, e idxEntry)) {
+		for _, src := range srcs {
+			for _, e := range src.entries {
+				if e.n > 0 && (keep == nil || keep(e.key)) {
+					f(src, e)
+				}
+			}
+		}
+	}
+	live, slots := 0, 0
+	each(func(_ *hashIndex, e idxEntry) {
+		if live++; e.n > 1 {
+			slots += 1 << runClass(e.n)
+		}
+	})
+	if live == 0 {
+		return
+	}
+	size := minTableSize
+	for live*4 > size*3 {
+		size *= 2
+	}
+	h.entries, h.arena = make([]idxEntry, size), make([]int32, 0, slots)
+	each(func(src *hashIndex, e idxEntry) {
+		run, c := src.run(&e), runClass(e.n)
+		if c == 0 {
+			e.off[0] = run[0]
+		} else {
+			e.off[0] = int32(len(h.arena))
+			h.arena = append(h.arena, run...)[:int(e.off[0])+1<<c]
+		}
+		e.setRun(0, c)
+		h.place(e)
+		h.keys[e.stream()]++
+	})
+}
+
+// runClass is the smallest run class that holds n timestamps: 0 (inline)
+// for one, else ⌈log2 n⌉.
+func runClass(n int32) int { return bits.Len32(uint32(n - 1)) }
 
 // allocRun returns the arena offset of a run with capacity 1<<class,
 // recycling a freed run of that class when one is available.
@@ -321,18 +375,6 @@ func (h *hashIndex) release() {
 // resident memory).
 func (h *hashIndex) footprint() int64 {
 	return int64(len(h.entries))*idxEntryBytes + int64(cap(h.arena))*idxSlotBytes
-}
-
-// liveSlots counts stream s's live slots across all keys (must equal that
-// window store's live length; used by accounting invariants and tests).
-func (h *hashIndex) liveSlots(s int) int {
-	n := 0
-	for i := range h.entries {
-		if e := &h.entries[i]; e.n > 0 && e.stream() == s {
-			n += int(e.n)
-		}
-	}
-	return n
 }
 
 // liveKeys reports the number of distinct live keys in stream s.

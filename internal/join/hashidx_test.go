@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"unsafe"
+
+	"streamjoin/internal/tuple"
 )
 
 // TestHashIndexMatchesMapReference drives the index and a map-of-slices
@@ -232,4 +234,73 @@ func TestHashIndexRecyclesRuns(t *testing.T) {
 	if allocs := testing.AllocsPerRun(2000, step); allocs != 0 {
 		t.Fatalf("steady-state index cycle allocates %v per op", allocs)
 	}
+}
+
+// TestSplitAllocsIndependentOfKeys forces one split of a bucket holding a
+// fixed number of tuples over a growing number of distinct keys. Each
+// child's index table and arena are sized from the parent's and allocated
+// once, so the split's allocation count must not grow with the keys; an
+// index rebuilt tuple by tuple would grow its table from minTableSize,
+// paying one allocation per doubling. The keys divide evenly on the split's
+// bit, so the children's stores allocate alike for every key count.
+func TestSplitAllocsIndependentOfKeys(t *testing.T) {
+	const perStream, runs = 2048, 3
+	cfg := Config{
+		WindowMs: 1 << 30,                       // nothing expires
+		Theta:    perStream * tuple.LogicalSize, // the filled bucket is exactly 2θ
+		FineTune: true,
+		Mode:     ModeHash,
+		Expiry:   ExpiryBlocks,
+	}
+	// One more tuple, of a key the fill never uses, pushes it over 2θ.
+	extra := []tuple.Tuple{tup(tuple.S1, -1, perStream)}
+	var want float64
+	for i, keys := range []int{64, 256, 1024} {
+		var side [2][]int32 // keys by FineHash bit 0, the first split's bit
+		for k := int32(0); len(side[0])+len(side[1]) < keys; k++ {
+			if b := tuple.FineHash(k) & 1; len(side[b]) < keys/2 {
+				side[b] = append(side[b], k)
+			}
+		}
+		ks := append(side[0], side[1]...)
+		fill := make([]tuple.Tuple, 0, 2*perStream)
+		for j := 0; j < perStream; j++ {
+			k := ks[j%keys]
+			fill = append(fill, tup(tuple.S1, k, int32(j)), tup(tuple.S2, k, int32(j)))
+		}
+		ms := make([]*Module, runs+1)
+		for r := range ms {
+			ms[r] = MustNew(cfg)
+			ms[r].Process(0, perStream, fill)
+		}
+		n := 0
+		allocs := testing.AllocsPerRun(runs, func() {
+			ms[n].Process(0, perStream+1, extra)
+			n++
+		})
+		for _, m := range ms {
+			if g, _ := m.Get(0); g.NumBuckets() != 2 || m.Splits() != 1 {
+				t.Fatalf("%d keys: %d buckets after %d splits, want 2 after 1", keys, g.NumBuckets(), m.Splits())
+			}
+			hashFootprint(t, m) // audits every index against its stores
+		}
+		t.Logf("%d keys: %v allocations per split", keys, allocs)
+		if i == 0 {
+			want = allocs
+		} else if allocs != want {
+			t.Errorf("split of %d keys allocates %v, of 64 keys %v", keys, allocs, want)
+		}
+	}
+}
+
+// liveSlots counts stream s's live slots across all keys (must equal that
+// window store's live length).
+func (h *hashIndex) liveSlots(s int) int {
+	n := 0
+	for i := range h.entries {
+		if e := &h.entries[i]; e.n > 0 && e.stream() == s {
+			n += int(e.n)
+		}
+	}
+	return n
 }

@@ -51,8 +51,8 @@
 // ProcessAll runs every query against the same arrival batch and window
 // content; because probing never mutates the windows, each query's output
 // is bit-identical to what a single-query module running it alone would
-// produce. The legacy single-query fields (Mode, Sink, CountOnly) remain
-// the one-element default.
+// produce. Without Config.Queries a module hosts one query, ID 0, built
+// from Config.Mode and Config.Sink.
 //
 // # Allocation discipline
 //
@@ -66,8 +66,8 @@
 // callers that retain them must copy. A configured Sink takes over the pair
 // hand-off entirely: rounds deliver pairs to Sink.Emit (which can recycle
 // the buffer by returning it) and RoundResult.Pairs stays nil.
-// Config.CountOnly skips pair materialization altogether for count-only
-// runs.
+// QueryConfig.CountOnly skips pair materialization altogether for
+// count-only queries.
 //
 // # Concurrency
 //
@@ -137,11 +137,13 @@ type QueryConfig struct {
 	ID int32
 	// Mode selects the query's prober.
 	Mode Mode
-	// Sink, when non-nil, consumes the query's materialized pairs (see
-	// Config.Sink).
+	// Sink, when non-nil, consumes the query's materialized pairs: rounds
+	// deliver them to Sink.Emit and RoundResult.Pairs is nil. See Sink for
+	// the buffer hand-off contract.
 	Sink Sink
-	// CountOnly skips pair materialization for this query (see
-	// Config.CountOnly).
+	// CountOnly skips pair materialization entirely: rounds still count
+	// matches (Outputs, Matches and Scanned are unchanged) but no Pair is
+	// ever formed and no Sink is invoked. Mutually exclusive with Sink.
 	CountOnly bool
 }
 
@@ -155,26 +157,18 @@ type Config struct {
 	// FineTune enables partition tuning; disabled, every partition-group is
 	// one monolithic scan unit (the paper's "no fine-tuning" ablation).
 	FineTune bool
-	// Mode selects the prober of the default single query (ignored when
-	// Queries is set).
+	// Mode selects the prober of query 0 when Queries is empty (ignored
+	// otherwise).
 	Mode Mode
 	// Expiry selects the expiration policy.
 	Expiry Expiry
 	// MaxDepth bounds extendible-hashing local depths (0 = default).
 	MaxDepth uint
-	// Sink, when non-nil, consumes each round's materialized pairs: Process
-	// delivers them to Sink.Emit and RoundResult.Pairs is nil. See Sink for
-	// the buffer hand-off contract. Ignored when Queries is set (each query
-	// carries its own Sink).
+	// Sink is query 0's Sink when Queries is empty; it must be nil
+	// otherwise (each query carries its own).
 	Sink Sink
-	// CountOnly skips pair materialization entirely: rounds still count
-	// matches (Outputs, Matches and Scanned are unchanged) but no Pair is
-	// ever formed and no Sink is invoked. Mutually exclusive with Sink.
-	// Ignored when Queries is set.
-	CountOnly bool
 	// Queries registers the module's join queries over the shared windows.
-	// Empty means one query built from the legacy fields above
-	// (ID 0, Mode, Sink, CountOnly) — the exact pre-multi-query behavior.
+	// Empty means one query, ID 0, with Mode and Sink.
 	Queries []QueryConfig
 }
 
@@ -186,21 +180,11 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("join: WindowMs = %d, want > 0", c.WindowMs)
 	case c.FineTune && c.Theta <= 0:
 		return fmt.Errorf("join: Theta = %d, want > 0 when fine tuning", c.Theta)
-	}
-	if len(c.Queries) == 0 {
-		switch {
-		case c.Mode > ModeHash:
-			return fmt.Errorf("join: unknown prober %v", c.Mode)
-		case c.CountOnly && c.Sink != nil:
-			return fmt.Errorf("join: CountOnly skips materialization, so a Sink would never fire")
-		}
-		return nil
-	}
-	if c.Sink != nil || c.CountOnly {
-		return fmt.Errorf("join: Queries and the legacy Sink/CountOnly fields are mutually exclusive")
+	case len(c.Queries) > 0 && c.Sink != nil:
+		return fmt.Errorf("join: Sink is query 0's when Queries is empty; with Queries, set each query's Sink")
 	}
 	seen := make(map[int32]bool, len(c.Queries))
-	for i, q := range c.Queries {
+	for i, q := range c.withDefaults().Queries {
 		switch {
 		case q.Mode > ModeHash:
 			return fmt.Errorf("join: query %d: unknown prober %v", q.ID, q.Mode)
@@ -220,11 +204,11 @@ func (c *Config) withDefaults() Config {
 		out.MaxDepth = exthash.DefaultMaxDepth
 	}
 	if len(out.Queries) == 0 {
-		out.Queries = []QueryConfig{{ID: 0, Mode: out.Mode, Sink: out.Sink, CountOnly: out.CountOnly}}
+		out.Queries = []QueryConfig{{ID: 0, Mode: out.Mode, Sink: out.Sink}}
 	} else {
 		// Own the slice: callers may reuse theirs, and the module's groups
 		// hold a pointer to this Config for the lifetime of the module.
-		out.Queries = append([]QueryConfig(nil), out.Queries...)
+		out.Queries = slices.Clone(out.Queries)
 	}
 	return out
 }
@@ -286,19 +270,6 @@ type roundScratch struct {
 	round     uint64 // round stamp validating bucket.scratchIdx
 }
 
-// ensureQueries sizes the per-query pools. Queries are fixed at module
-// construction, so this allocates on the first round only.
-func (sc *roundScratch) ensureQueries(n int) {
-	for len(sc.pairs) < n {
-		sc.pairs = append(sc.pairs, nil)
-		sc.matches = append(sc.matches, nil)
-	}
-	if cap(sc.qres) < n {
-		sc.qres = make([]RoundResult, n)
-	}
-	sc.qres = sc.qres[:n]
-}
-
 // acquire appends a (reused) perBucket entry for b and returns its index.
 func (sc *roundScratch) acquire(b *bucket) int32 {
 	n := len(sc.perBucket)
@@ -343,7 +314,10 @@ func New(cfg Config) (*Module, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Module{cfg: cfg.withDefaults(), groups: make(map[int32]*Group)}, nil
+	cfg = cfg.withDefaults()
+	n := len(cfg.Queries) // fixed for the module's lifetime, and so are the pools
+	sc := roundScratch{qres: make([]RoundResult, n), pairs: make([][]Pair, n), matches: make([][]Match, n)}
+	return &Module{cfg: cfg, groups: make(map[int32]*Group), sc: sc}, nil
 }
 
 // MustNew is New for configurations already validated by the caller (the
@@ -449,15 +423,12 @@ func (m *Module) Splits() int64 { return m.splits }
 // Merges reports cumulative buddy merges.
 func (m *Module) Merges() int64 { return m.merges }
 
-// Process runs one round for the group and returns the first registered
-// query's result (the only one, for a single-query module): ingest and probe
-// the given stream-tagged tuples (timestamp-ordered), then expire, then
-// fine-tune. Every owned group should be processed every round (with
-// tuples=nil when none arrived) so expiration keeps up. With a configured
-// Sink the round's materialized pairs are delivered to it instead of being
-// returned; see RoundResult for the returned slices' lifetime. Multi-query
-// modules use ProcessAll; Process still ingests, expires, and probes for
-// every registered query — it just reports only the first one.
+// Process runs one round for the group — ingest and probe the given
+// stream-tagged tuples (timestamp-ordered) for every registered query, then
+// expire, then fine-tune — and returns the first query's result (ProcessAll
+// returns every query's). Every owned group should be processed every round
+// (with tuples=nil when none arrived) so expiration keeps up. See
+// RoundResult for the returned slices' lifetime.
 func (m *Module) Process(id int32, nowMs int32, tuples []tuple.Tuple) RoundResult {
 	return m.ProcessAll(id, nowMs, tuples)[0]
 }
@@ -476,19 +447,15 @@ func (m *Module) ProcessAll(id int32, nowMs int32, tuples []tuple.Tuple) []Round
 	m.merges += int64(results[0].Merges)
 	for qi := range results {
 		res := &results[qi]
-		m.sc.matches[qi] = res.Matches
+		m.sc.matches[qi], m.sc.pairs[qi] = res.Matches, res.Pairs
 		if sink := m.cfg.Queries[qi].Sink; sink != nil {
 			if len(res.Pairs) > 0 {
 				// Hand the buffer off; the sink decides whether it comes back.
 				m.sc.pairs[qi] = sink.Emit(id, res.Pairs)
-			} else {
-				m.sc.pairs[qi] = res.Pairs
 			}
 			// A sink-configured query never exposes its pooled buffer, even
 			// on a zero-match round.
 			res.Pairs = nil
-		} else {
-			m.sc.pairs[qi] = res.Pairs
 		}
 	}
 	return results
@@ -510,8 +477,7 @@ type bucket struct {
 	w  [2]*window.Store
 	qs []bucketQuery
 	// onExp keeps every query's hash index coherent with each stream's
-	// expiry; built once per bucket so rounds create no closures. The hooks
-	// read idx through the bucket, surviving merge-time rebuilds.
+	// expiry; built once per bucket so rounds create no closures.
 	onExp [2]func([]tuple.Packed)
 	// scratchRound/scratchIdx locate this bucket's perBucket entry in the
 	// round's scratch (valid when scratchRound matches the current round).
@@ -579,14 +545,10 @@ func (b *bucket) indexBytes() int64 {
 	return n
 }
 
-func (b *bucket) ingest(t tuple.Tuple) {
-	b.ingestPacked(int(t.Stream), t.Packed())
-}
-
 // ingestPacked appends p to stream s's window — once, regardless of query
-// count — and keeps every query's auxiliary structures coherent. Every path
-// that grows a store — round ingestion, split relocation, state
-// installation — goes through it.
+// count — and keeps every query's auxiliary structures coherent. Round
+// ingestion and state installation go through it; a split or merge moves
+// whole index entries instead (fillIndexes).
 func (b *bucket) ingestPacked(s int, p tuple.Packed) {
 	b.w[s].Append(p)
 	for qi := range b.qs {
@@ -596,19 +558,18 @@ func (b *bucket) ingestPacked(s int, p tuple.Packed) {
 	}
 }
 
-// rebuildIndex reconstructs query qi's hash index over both streams from
-// the stores' content (used after a buddy merge, which rebuilds the stores
-// wholesale).
-func (b *bucket) rebuildIndex(qi int) {
-	idx := newHashIndex()
-	for s := 0; s < 2; s++ {
-		b.w[s].Chunks(func(chunk []tuple.Packed) {
-			for _, p := range chunk {
-				idx.add(p.Key, s, p.TS)
+// fillIndexes loads each query's empty hash index with the entries of the
+// same query's indexes in srcs whose keys keep passes (nil keeps all).
+func (b *bucket) fillIndexes(keep func(key int32) bool, srcs ...*bucket) {
+	var from [2]*hashIndex
+	for qi := range b.qs {
+		if idx := b.qs[qi].idx; idx != nil {
+			for i, src := range srcs {
+				from[i] = src.qs[qi].idx
 			}
-		})
+			idx.fill(keep, from[:len(srcs)]...)
+		}
 	}
-	b.qs[qi].idx = idx
 }
 
 // Group is one partition-group: the unit of load movement, holding a
@@ -650,7 +611,6 @@ func (g *Group) bucketFor(key int32) *bucket {
 
 func (g *Group) process(sc *roundScratch, nowMs int32, tuples []tuple.Tuple) []RoundResult {
 	nq := len(g.cfg.Queries)
-	sc.ensureQueries(nq)
 	for qi := range sc.qres {
 		sc.qres[qi] = RoundResult{
 			Query:   g.cfg.Queries[qi].ID,
@@ -687,14 +647,14 @@ func (g *Group) process(sc *roundScratch, nowMs int32, tuples []tuple.Tuple) []R
 			g.probe(qi, b, &sc.qres[qi], pb.f[0], 1)
 		}
 		for _, t := range pb.f[0] {
-			b.ingest(t)
+			b.ingestPacked(int(t.Stream), t.Packed())
 		}
 		// fresh(S2) probes stored(S1) including the now-stale S1 tuples.
 		for qi := 0; qi < nq; qi++ {
 			g.probe(qi, b, &sc.qres[qi], pb.f[1], 0)
 		}
 		for _, t := range pb.f[1] {
-			b.ingest(t)
+			b.ingestPacked(int(t.Stream), t.Packed())
 		}
 		sc.qres[0].Ingested += len(pb.f[0]) + len(pb.f[1])
 	}
@@ -802,20 +762,20 @@ func (g *Group) tune(res *RoundResult) {
 				continue
 			}
 			ok := g.dir.Split(uint64(bits), func(old *bucket, bit uint) (*bucket, *bucket) {
-				zero, one := newBucket(g.cfg.Queries), newBucket(g.cfg.Queries)
+				kids := [2]*bucket{newBucket(g.cfg.Queries), newBucket(g.cfg.Queries)}
+				side := func(key int32) int { return int(tuple.FineHash(key) >> bit & 1) }
 				for s := 0; s < 2; s++ {
 					old.w[s].Chunks(func(chunk []tuple.Packed) {
 						for _, p := range chunk {
-							dst := zero
-							if tuple.FineHash(p.Key)>>bit&1 == 1 {
-								dst = one
-							}
-							dst.ingestPacked(s, p)
-							res.SplitMoves++
+							kids[side(p.Key)].w[s].Append(p)
 						}
 					})
 				}
-				return zero, one
+				for k, kid := range kids {
+					kid.fillIndexes(func(key int32) bool { return side(key) == k }, old)
+				}
+				res.SplitMoves += int64(old.w[0].Len() + old.w[1].Len())
+				return kids[0], kids[1]
 			})
 			if ok {
 				split = true
@@ -843,11 +803,7 @@ func (g *Group) tune(res *RoundResult) {
 					nb := newBucket(g.cfg.Queries)
 					nb.w[0] = window.MergeStores(zero.w[0], one.w[0])
 					nb.w[1] = window.MergeStores(zero.w[1], one.w[1])
-					for qi := range nb.qs {
-						if nb.qs[qi].mode != ModeScan {
-							nb.rebuildIndex(qi)
-						}
-					}
+					nb.fillIndexes(nil, zero, one) // buddies hold disjoint keys
 					res.SplitMoves += int64(nb.w[0].Len() + nb.w[1].Len())
 					return nb
 				})

@@ -88,7 +88,7 @@ func TestSinkRetentionContract(t *testing.T) {
 func TestCountOnlyMatchesMaterializing(t *testing.T) {
 	for _, mode := range []Mode{ModeScan, ModeHash} {
 		cfgCount := testCfg(mode)
-		cfgCount.CountOnly = true
+		cfgCount.Queries = []QueryConfig{{Mode: mode, CountOnly: true}}
 		mc := MustNew(cfgCount)
 		ref := MustNew(testCfg(mode))
 		now := int32(0)

@@ -349,8 +349,8 @@ type QuerySpec struct {
 
 // QuerySet is the master→slave deployment handshake announcing the
 // registered query specs, sent on the control connection before the start
-// batch. A single-query deployment configured through the single-query
-// fields (Config.Sink/CountOnly/SinkAddr) sends no QuerySet at all.
+// batch. A master that registers no queries sends no QuerySet at all; its
+// slaves run query 0 as configured locally.
 type QuerySet struct {
 	Specs []QuerySpec
 }

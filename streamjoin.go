@@ -35,9 +35,11 @@ import (
 	"streamjoin/internal/join"
 )
 
-// Live prober modes for Config.LiveProber: the hash-index prober emits
-// matching pairs in O(matches) per probe and is the default; the scan prober
-// is the paper's block-nested-loop algorithm, kept as the ablation baseline.
+// Live prober modes, for Config.LiveProber (query 0's prober when
+// Config.Queries is empty) or Config.Queries[i].Prober; on the command
+// line, the PROBER of -query ID:PROBER:SINK. The hash-index prober emits matching
+// pairs in O(matches) per probe and is the default; the scan prober is the
+// paper's block-nested-loop algorithm, kept as the ablation baseline.
 const (
 	ProberHash = join.ModeHash
 	ProberScan = join.ModeScan
@@ -48,7 +50,8 @@ const (
 type Pair = join.Pair
 
 // Sink is a pluggable consumer for materialized pairs, set through
-// Config.Sink. Emit receives ownership of a pooled buffer and hands one
+// Config.Sink (query 0's when Config.Queries is empty) or
+// Config.Queries[i].Sink. Emit receives ownership of a pooled buffer and hands one
 // back for recycling by returning it; see the join.Sink contract. With
 // Config.Workers > 1 the sink is called concurrently from every join
 // worker and must be safe for concurrent use.
