@@ -443,8 +443,8 @@ func BenchmarkWindowAppendExpire(b *testing.B) {
 // "on" additionally performs everything replication adds per epoch — the
 // owner-side capture of the ingested runs, the WindowDelta encode through the
 // batched frame writer, the buddy-side decode, and the shadow-store apply
-// (AppendRun + Expire), mirroring core's captureRepl/replicator.flush and
-// replicaSet.apply. The ns/op spread between the variants is the replication
+// (AppendRun + Expire), mirroring core's shadowOut.record/replicator.flush and
+// shadowSet.apply. The ns/op spread between the variants is the replication
 // overhead; allocs/op is gated — the capture buffers, frame scratch, and
 // shadow blocks are all reused, so the only steady-state allocations are the
 // decoder's per-delta message and run slices.
@@ -488,7 +488,7 @@ func BenchmarkReplication(b *testing.B) {
 			}
 			t0 := now - int32(b.N)*epochMs
 
-			var runs [2][]tuple.Tuple // owner-side capture (captureRepl)
+			var runs [2][]tuple.Tuple // owner-side capture (shadowOut.record)
 			var scratch []tuple.Packed
 			var buf bytes.Buffer
 			fw := wire.NewFrameWriter(&buf, 32<<10)
@@ -521,7 +521,7 @@ func BenchmarkReplication(b *testing.B) {
 					b.Fatal(err)
 				}
 				replBytes += int64(buf.Len())
-				// Buddy: decode and apply to the shadow stores (replicaSet.apply).
+				// Buddy: decode and apply to the shadow stores (shadowSet.apply).
 				rd.Reset(buf.Bytes())
 				msg, err := fr.Next()
 				if err != nil {

@@ -2,8 +2,9 @@
 # Prints the surface counts that ROADMAP.md and every simplicity change
 # report: internal/core non-test and test lines, Config fields, cliflags
 # registrations, wire message kinds, non-test lines per internal/ package,
-# and the Go line totals outside bench/ (its own module). Informational; it
-# never fails a build.
+# the largest internal/core files and the window-stream pair (transfer.go,
+# replica.go), and the Go line totals outside bench/ (its own module).
+# Informational; it never fails a build.
 #
 # Usage: ci/surface.sh
 set -euo pipefail
@@ -26,6 +27,13 @@ echo "wire kinds:                   $(awk '/KindHello Kind = 1 \+ iota/ { on = 1
   on && /^\)/ { on = 0 }
   on && /^\tKind[A-Za-z]+$/ { n++ }
   END { print n }' internal/wire/wire.go)"
+echo "largest internal/core non-test files:"
+for f in "${src[@]}"; do printf '%6d %s\n' "$(count_lines "$f")" "${f##*/}"; done |
+  sort -rn | head -5 | sed 's/^/  /'
+echo "window-stream files:"
+for f in transfer.go replica.go; do
+  printf '  %-26s %6d\n' "$f" "$(count_lines "internal/core/$f" 2>/dev/null || echo 0)"
+done
 echo "non-test lines per internal/ package:"
 for d in internal/*/; do
   mapfile -t pkg < <(ls "$d"*.go | grep -v '_test\.go$')

@@ -215,12 +215,12 @@ type Config struct {
 	// continues without it. Default 3.
 	HeartbeatMisses int
 	// Replicate enables buddy replication of window state on the TCP
-	// deployment: every slave chain-replicates each owned partition-group's
-	// per-epoch window delta to the next roster member, and a crash
-	// promotes the buddy's shadows instead of re-adopting the groups empty
-	// — output that needed the dead slave's windows survives the eviction.
-	// Off, a crashed slave's groups are re-adopted empty and no
-	// WindowDelta is ever sent.
+	// deployment: besides the window stream every move already sends, each
+	// slave keeps one buddy stream per owned partition-group toward the next
+	// roster member, one WindowDelta per epoch, and a crash promotes the
+	// buddy's shadows instead of re-adopting the groups empty — output that
+	// needed the dead slave's windows survives the eviction. Off, a crashed
+	// slave's groups are re-adopted empty, and only moves send WindowDeltas.
 	Replicate bool
 
 	// --- transport hardening (TCP deployment only) ---

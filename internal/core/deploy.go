@@ -426,7 +426,7 @@ type tcpSlave struct {
 	master engine.Conn
 	coll   *tcpAsyncSender
 	tab    *peerTable
-	rset   *replicaSet
+	rset   *shadowSet
 	repl   *replicator
 	sinks  *pairSinks
 
@@ -559,7 +559,7 @@ func (t *tcpSlave) join(meshListen string, ml net.Listener) error {
 // and the downstream pair sinks.
 func (t *tcpSlave) connect(resAddr string) error {
 	t.tab = newPeerTable(t.cfg.meshPatience())
-	t.rset = newReplicaSet(t.proc)
+	t.rset = newShadowSet(t.proc)
 	go t.acceptMesh()
 	for _, sp := range t.roster.Slaves {
 		if sp.ID == t.id || sp.Addr == "" {
@@ -597,7 +597,7 @@ func (t *tcpSlave) wrapMesh(c net.Conn) engine.Conn {
 // acceptMesh serves the mesh listener. It carries two stream kinds, told
 // apart by the first Hello's Epoch: joinEpoch marks a state-movement peer,
 // replEpoch a buddy-replication stream whose deltas feed the local
-// replicaSet. Every slave accepts replica streams, so a replicating peer
+// shadowSet. Every slave accepts replica streams, so a replicating peer
 // always has somewhere to ship to.
 func (t *tcpSlave) acceptMesh() {
 	for {
@@ -621,8 +621,7 @@ func (t *tcpSlave) acceptMesh() {
 			// stream ends — or carries anything but a replication delta.
 			// endReader signals take that every delta the owner flushed
 			// before dying is applied.
-			t.rset.addCloser(func() { c.Close() })
-			done := t.rset.beginReader(h.Slave)
+			done := t.rset.beginReader(h.Slave, func() { c.Close() })
 			defer t.rset.endReader(h.Slave, done)
 			for {
 				wd, ok := pc.Recv().(*wire.WindowDelta)
@@ -775,7 +774,6 @@ func (t *tcpSlave) replicate(s *slaveNode) {
 	if !t.cfg.Replicate {
 		return
 	}
-	s.ws.replicate = true
 	t.repl = newReplicator(&t.cfg, t.id, t.proc, func(addr string) (engine.Conn, func(), error) {
 		c, err := t.cfg.transport().DialTimeout("tcp", addr, time.Duration(t.cfg.DistEpochMs)*time.Millisecond)
 		if err != nil {
@@ -783,7 +781,8 @@ func (t *tcpSlave) replicate(s *slaveNode) {
 		}
 		// Write-only from the owner side: a buddy that stops draining
 		// fails the stream within one wire deadline; the next flush
-		// redials it (needReset) instead of wedging the epoch barrier.
+		// redials it, restarting every buddy stream, instead of wedging
+		// the epoch barrier.
 		dc := engine.WithDeadlines(c, 0, t.cfg.wireDeadline())
 		return engine.WrapTCPBatched(t.proc, dc, t.cfg.WireBatchBytes), func() { c.Close() }, nil
 	})

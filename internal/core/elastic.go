@@ -235,20 +235,22 @@ func (m *masterNode) requestLeave(i int32) {
 // timeout). With replication off its window contents are gone with the node,
 // so every group it owned is re-adopted empty by a survivor (a From: -1
 // directive installing a fresh group); with cfg.Replicate the groups are
-// instead promoted from the buddy's shadows (a From: -2-src directive — the
-// buddy installs the replica it has been fed every epoch). In-flight
-// movements touching the dead slave are unwound:
+// instead promoted from the buddy's replicas (a From: -2-src directive — the
+// buddy promotes the shadow its buddy stream fed every epoch). In-flight
+// moves touching the dead slave are unwound:
 //
 //   - consumer dead, directive not yet delivered to the supplier: the move
 //     is cancelled and the group stays (intact) with the supplier;
-//   - consumer dead, directive delivered: the supplier aborts its stream and
-//     drops the group (transfer.go, abortOutgoing), so the state counts as
-//     lost in transit — re-adopted empty, or promoted from the *supplier's*
-//     buddy, whose shadow survives (the supplier only drops its delta
-//     accumulator, never the buddy's copy);
-//   - supplier dead: the consumer's mesh read fails over — to the local
-//     shadow when the consumer is the dead supplier's buddy, else to an
-//     empty install — and it acks normally, so the move completes by itself.
+//   - consumer dead, directive delivered: the supplier aborts its move
+//     stream and drops the group (transfer.go, abortOutgoing), so the state
+//     counts as lost in transit — re-adopted empty and charged to the
+//     supplier's reported window, or promoted from the *supplier's* buddy,
+//     whose replica survives (the group's buddy stream ended with the group,
+//     but what it shipped stays on the buddy until its TTL);
+//   - supplier dead: the consumer's mesh read fails over — to its replica
+//     when the consumer is the dead supplier's buddy, else to an empty,
+//     degraded install — and it acks normally, so the move completes by
+//     itself.
 func (m *masterNode) handleDeath(i int32, reason string) {
 	if i < 0 || int(i) >= m.cfg.Slaves || !m.slots[i].member() {
 		return
@@ -295,8 +297,27 @@ func (m *masterNode) handleDeath(i int32, reason string) {
 	}
 	promoted := len(installs) - adopted
 	m.promotions += promoted
+	// Each group re-adopted empty is charged to the slave whose last report
+	// held its window: the supplier of a group lost in transit, else i.
+	reporter := func(g int32) int32 {
+		if src, ok := lostSrc[g]; ok {
+			return src
+		}
+		return m.groupOwner[g]
+	}
+	reported, lost := make(map[int32]int), make(map[int32]int)
+	for g := range m.groupOwner {
+		reported[reporter(int32(g))]++
+	}
+	for _, mv := range installs {
+		if mv.from == -1 {
+			lost[reporter(mv.group)]++
+		}
+	}
+	for j, n := range lost {
+		m.accountWindowLoss(j, n, reported[j]-n)
+	}
 	m.apply(installs)
-	m.accountWindowLoss(i, adopted, promoted)
 	m.logf("membership: slave %d dead (%s): %d groups promoted from replicas, %d re-adopted empty, %d in-flight moves unwound, roster %d/%d",
 		i, reason, promoted, adopted, dropped, m.memberCount(), m.cfg.Slaves)
 }
@@ -320,17 +341,18 @@ func (m *masterNode) issueInstall(g, from, to int32) int64 {
 	return d.MoveID
 }
 
-// accountWindowLoss estimates the window tuples lost with an eviction that
-// re-adopted `adopted` groups empty (and promoted `promoted` from replicas):
-// the dead slave's last reported window footprint, prorated over the groups
-// that actually lost their windows. The master cannot see per-group sizes —
-// this is an estimate, surfaced as such in the final summary (PairsLost).
-func (m *masterNode) accountWindowLoss(i int32, adopted, promoted int) {
+// accountWindowLoss estimates the window tuples lost when `adopted` groups
+// whose windows slave i last reported are re-adopted empty while `kept` of
+// its groups keep theirs (promoted, or still owned): i's last reported window
+// footprint, prorated over the groups that actually lost their windows. The
+// master cannot see per-group sizes — this is an estimate, surfaced as such
+// in the final summary (PairsLost).
+func (m *masterNode) accountWindowLoss(i int32, adopted, kept int) {
 	if adopted <= 0 {
 		return
 	}
 	tuples := m.slots[i].lastWindow / tuple.LogicalSize
-	m.lostWindowTuples += tuples * int64(adopted) / int64(adopted+promoted)
+	m.lostWindowTuples += tuples * int64(adopted) / int64(adopted+kept)
 }
 
 // dropPend removes the directive with the given move id from slave i's

@@ -148,6 +148,9 @@ func TestHandleDeathRecoverLostTransit(t *testing.T) {
 	if m.promotions != 1 {
 		t.Errorf("promotions = %d, want 1", m.promotions)
 	}
+	if m.lostWindowTuples != 0 {
+		t.Errorf("lostWindowTuples = %d with the group promoted, want 0", m.lostWindowTuples)
+	}
 }
 
 // TestHandleDeathSupplierMidStream: the supplier of a streaming move dies.
@@ -279,8 +282,10 @@ func TestBuddyAfter(t *testing.T) {
 	}
 }
 
-// TestAccountWindowLossProrates: a mixed eviction (some groups promoted, some
-// adopted empty) charges only the adopted share of the footprint.
+// TestAccountWindowLoss: a mixed eviction (some groups promoted, some
+// adopted empty) charges only the adopted share of the footprint, and a
+// group lost in transit to a dead consumer is charged its supplier's share,
+// not the consumer's.
 func TestAccountWindowLoss(t *testing.T) {
 	m := newTestMaster(t, 3, true)
 	m.slots[0].lastWindow = 900 * tuple.LogicalSize
@@ -293,13 +298,28 @@ func TestAccountWindowLoss(t *testing.T) {
 	if m.lostWindowTuples != 0 {
 		t.Errorf("lostWindowTuples = %d with nothing adopted, want 0", m.lostWindowTuples)
 	}
+
+	// Replication off: supplier 1 owns every group at 100 tuples each; the
+	// joiner it streams group 0 to has reported no window yet and dies after
+	// the directive was delivered.
+	m = newTestMaster(t, 3, false)
+	for g := range m.groupOwner {
+		m.groupOwner[g] = 1
+	}
+	m.slots[1].lastWindow = 100 * int64(len(m.groupOwner)) * tuple.LogicalSize
+	m.issueMove(0, 1, 0)
+	m.slots[0].dirs, m.slots[1].dirs = nil, nil
+	m.handleDeath(0, "test")
+	if m.lostWindowTuples != 100 {
+		t.Errorf("lostWindowTuples = %d for a group lost in transit, want its supplier's share (100)", m.lostWindowTuples)
+	}
 }
 
-// TestReplicaSetApplyTake drives a replicaSet through the receive path —
+// TestReplicaSetApplyTake drives a shadowSet through the receive path —
 // reset snapshot, incremental deltas, an advancing expiry watermark — and
 // checks take returns exactly the surviving tuples, removing the shadow.
 func TestReplicaSetApplyTake(t *testing.T) {
-	rs := newReplicaSet(nil)
+	rs := newShadowSet(nil)
 
 	mk := func(stream tuple.StreamID, key, ts int32) tuple.Tuple {
 		return tuple.Tuple{Stream: stream, Key: key, TS: ts}
@@ -324,7 +344,7 @@ func TestReplicaSetApplyTake(t *testing.T) {
 		Runs: [2][]tuple.Tuple{{mk(tuple.S1, 9, 90)}, nil},
 	})
 
-	w, epoch, ok := rs.take(0, 7, 0)
+	w, epoch, ok := rs.take(shadowKey{src: 0, group: 7}, 0)
 	if !ok {
 		t.Fatal("take found no shadow")
 	}
@@ -346,10 +366,10 @@ func TestReplicaSetApplyTake(t *testing.T) {
 			}
 		}
 	}
-	if _, _, ok := rs.take(0, 7, 0); ok {
+	if _, _, ok := rs.take(shadowKey{src: 0, group: 7}, 0); ok {
 		t.Error("second take found the shadow again — promotion must consume it")
 	}
-	if w, _, ok := rs.take(1, 7, 0); !ok || len(w[0]) != 1 || w[0][0].Key != 9 {
+	if w, _, ok := rs.take(shadowKey{src: 1, group: 7}, 0); !ok || len(w[0]) != 1 || w[0][0].Key != 9 {
 		t.Errorf("other owner's shadow disturbed: ok=%v %+v", ok, w)
 	}
 
@@ -362,7 +382,7 @@ func TestReplicaSetApplyTake(t *testing.T) {
 		From: 0, Group: 3, Epoch: 5, Reset: true, Cutoff: -1_000_000,
 		Runs: [2][]tuple.Tuple{{mk(tuple.S1, 8, 80)}, nil},
 	})
-	if w, _, ok := rs.take(0, 3, 0); !ok || len(w[0]) != 1 || w[0][0].Key != 8 || len(w[1]) != 0 {
+	if w, _, ok := rs.take(shadowKey{src: 0, group: 3}, 0); !ok || len(w[0]) != 1 || w[0][0].Key != 8 || len(w[1]) != 0 {
 		t.Errorf("reset did not supersede the prior shadow: ok=%v %+v", ok, w)
 	}
 }
@@ -370,13 +390,13 @@ func TestReplicaSetApplyTake(t *testing.T) {
 // TestReplicaSetSweep: shadows the owner keeps refreshing live forever;
 // orphaned ones are retired after the TTL.
 func TestReplicaSetSweep(t *testing.T) {
-	rs := newReplicaSet(nil)
+	rs := newShadowSet(nil)
 	wd := &wire.WindowDelta{From: 0, Group: 1, Epoch: 1, Cutoff: -1_000_000}
 	rs.apply(wd)
 	for range replicaTTL {
 		rs.sweep()
 	}
-	if _, _, ok := rs.take(0, 1, 0); !ok {
+	if _, _, ok := rs.take(shadowKey{src: 0, group: 1}, 0); !ok {
 		t.Fatal("shadow retired within its TTL")
 	}
 	rs.apply(wd)
@@ -387,14 +407,14 @@ func TestReplicaSetSweep(t *testing.T) {
 	for range replicaTTL {
 		rs.sweep()
 	}
-	if _, _, ok := rs.take(0, 1, 0); !ok {
+	if _, _, ok := rs.take(shadowKey{src: 0, group: 1}, 0); !ok {
 		t.Fatal("refreshed shadow retired early")
 	}
 	rs.apply(wd)
 	for range replicaTTL + 1 {
 		rs.sweep()
 	}
-	if _, _, ok := rs.take(0, 1, 0); ok {
+	if _, _, ok := rs.take(shadowKey{src: 0, group: 1}, 0); ok {
 		t.Fatal("orphaned shadow survived past its TTL")
 	}
 }
@@ -403,19 +423,19 @@ func TestReplicaSetSweep(t *testing.T) {
 // a closed reader releases it immediately, a stuck one only holds it for the
 // caller's patience.
 func TestReplicaSetReaderBarrier(t *testing.T) {
-	rs := newReplicaSet(nil)
+	rs := newShadowSet(nil)
 	rs.apply(&wire.WindowDelta{From: 4, Group: 2, Epoch: 1, Cutoff: -1_000_000})
 
-	ch := rs.beginReader(4)
+	ch := rs.beginReader(4, func() {})
 	rs.endReader(4, ch)
-	if _, _, ok := rs.take(4, 2, time.Hour); !ok { // must not block: reader done
+	if _, _, ok := rs.take(shadowKey{src: 4, group: 2}, time.Hour); !ok { // must not block: reader done
 		t.Fatal("take missed the shadow after the reader ended")
 	}
 
 	rs.apply(&wire.WindowDelta{From: 4, Group: 2, Epoch: 2, Cutoff: -1_000_000})
-	_ = rs.beginReader(4) // never ends: patience bounds the wait
+	_ = rs.beginReader(4, func() {}) // never ends: patience bounds the wait
 	start := time.Now()
-	if _, _, ok := rs.take(4, 2, 10*time.Millisecond); !ok {
+	if _, _, ok := rs.take(shadowKey{src: 4, group: 2}, 10*time.Millisecond); !ok {
 		t.Fatal("take missed the shadow after its patience ran out")
 	}
 	if waited := time.Since(start); waited > 5*time.Second {
@@ -423,12 +443,12 @@ func TestReplicaSetReaderBarrier(t *testing.T) {
 	}
 
 	// A stale registration must not shadow a newer reader generation.
-	ch1 := rs.beginReader(9)
-	ch2 := rs.beginReader(9)
+	ch1 := rs.beginReader(9, func() {})
+	ch2 := rs.beginReader(9, func() {})
 	rs.endReader(9, ch1) // old generation: closed, but not deregistered over ch2
-	rs.lock()
+	rs.mu.Lock()
 	cur := rs.readers[9]
-	rs.unlock()
+	rs.mu.Unlock()
 	if cur != ch2 {
 		t.Error("stale endReader deregistered the newer reader")
 	}

@@ -58,32 +58,27 @@ type slaveNode struct {
 	origin time.Duration
 	epoch0 int64
 
-	// Buddy replication (TCP deployment; repl is nil unless cfg.Replicate).
-	// repl ships owned groups' window deltas to the buddy each epoch; rset
-	// holds the shadows other owners replicate here; preFlush runs before
-	// each epoch's Hello (the pair-sink delivery barrier, so downstream
-	// output never trails what the epoch reports); failHook is the
-	// fault-injection seam of the crash-recovery tests, called with slot 0
-	// at the start of epoch e and with slot j once the epoch's batch is in,
-	// before data slot j.
+	// Window streams (transfer.go, replica.go). repl ships owned groups'
+	// buddy deltas each epoch (TCP deployment; nil unless cfg.Replicate);
+	// rset holds the shadows streamed here, moves' and replicas'. preFlush
+	// runs before each epoch's Hello (the pair-sink delivery barrier, so
+	// downstream output never trails what the epoch reports); failHook is
+	// the fault-injection seam of the crash-recovery tests, called with slot
+	// 0 at the start of epoch e and with slot j once the epoch's batch is
+	// in, before data slot j.
 	repl     *replicator
-	rset     *replicaSet
+	rset     *shadowSet
 	preFlush func()
 	failHook func(e int64, slot int)
 	// batchWait, when set, receives each epoch's wait from Hello to Batch
 	// (JoinOptions.batchWait).
 	batchWait func(time.Duration)
 
-	// State movement (transfer.go): xferOut tracks transfers this slave is
-	// streaming out, xferIn the ones it is accumulating, both keyed by MoveID.
-	xferOut map[int64]*outXfer
+	// Moves in flight (transfer.go), keyed by MoveID: xferOut the streams
+	// this slave supplies, xferIn the ones it consumes.
+	xferOut map[int64]*shadowOut
 	xferIn  map[int64]*inXfer
 
-	// instrumentation
-	movesServed    int64
-	groupsPromoted int64
-	promoteMisses  int64
-	xfersAborted   int64
 	// epochLat records, per epoch, how far past its scheduled slot this
 	// slave finished the barrier work (flush, Hello/Batch exchange, state
 	// movement) and resumed processing — the latency reorganization stalls
@@ -96,15 +91,19 @@ func newSlave(cfg *Config, id int32, proc engine.Proc, mst engine.Conn, peers *p
 	if runner == nil {
 		runner = engine.NewInlineRunner(proc)
 	}
+	lp, _ := proc.(*engine.LiveProc)
 	return &slaveNode{
-		cfg:    cfg,
-		id:     id,
-		proc:   proc,
-		mst:    mst,
-		ptab:   peers,
-		coll:   coll,
-		ws:     newWorkerSet(cfg, id, runner),
-		active: active,
+		cfg:     cfg,
+		id:      id,
+		proc:    proc,
+		mst:     mst,
+		ptab:    peers,
+		coll:    coll,
+		ws:      newWorkerSet(cfg, id, runner),
+		rset:    newShadowSet(lp),
+		xferOut: make(map[int64]*shadowOut),
+		xferIn:  make(map[int64]*inXfer),
+		active:  active,
 	}
 }
 
@@ -148,9 +147,7 @@ func (s *slaveNode) run() {
 		if s.repl != nil {
 			s.repl.flush(s.ws, e, msOf(s.proc.Now()))
 		}
-		if s.rset != nil {
-			s.rset.sweep()
-		}
+		s.rset.sweep()
 		if s.failHook != nil {
 			s.failHook(e, 0)
 		}
@@ -276,14 +273,10 @@ func (s *slaveNode) handleDirectives(dirs []wire.Directive) bool {
 		case d.From == s.id:
 			s.startOutgoing(d)
 		case d.To == s.id:
-			if s.xferIn == nil {
-				s.xferIn = make(map[int64]*inXfer)
-			}
 			s.xferIn[d.MoveID] = &inXfer{d: d}
 		default:
 			panic(fmt.Sprintf("core: slave %d got foreign directive %+v", s.id, d))
 		}
-		s.movesServed++
 	}
 	s.stepTransfers()
 	return true
@@ -350,6 +343,27 @@ func (s *slaveNode) recvFrom(d wire.Directive) *wire.WindowDelta {
 			s.id, m.MoveID, m.Group, d))
 	}
 	return m
+}
+
+// sendTo buffers msg toward peer `to`, reporting delivery. A dead or
+// unreachable peer is severed — later sends naming it fail fast instead of
+// each waiting out the table's patience budget — and false is returned so the
+// caller can unwind (the master re-plans around the lost consumer).
+func (s *slaveNode) sendTo(to int32, msg wire.Message) bool {
+	if p := s.ptab.get(to); p != nil && tolerateTCP(func() { engine.SendBuffered(p, msg) }) {
+		return true
+	}
+	s.ptab.fail(to)
+	return false
+}
+
+// addXfer accounts shipped move messages and epoch-barrier time spent
+// moving state (live engine; the simulated engine carries movement cost
+// through the modeled clock instead).
+func (s *slaveNode) addXfer(msgs, tuples int64, stall time.Duration) {
+	if lp, ok := s.proc.(*engine.LiveProc); ok {
+		lp.AddXfer(msgs, tuples, stall)
+	}
 }
 
 // tolerateTCP runs f, absorbing a transport failure (*engine.TCPError

@@ -3,90 +3,82 @@ package core
 import (
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 	"time"
 
-	"streamjoin/internal/engine"
 	"streamjoin/internal/exthash"
 	"streamjoin/internal/join"
 	"streamjoin/internal/tuple"
 	"streamjoin/internal/wire"
 )
 
-// This file implements state movement (§IV-C): how a partition-group's
-// window state travels from its supplier to its consumer. The supplier
-// snapshots the group's windows at the directive epoch and streams the
-// snapshot as wire.WindowDelta installments, one per distribution epoch (the
-// first a Reset), while it KEEPS OWNING AND PROCESSING the group: new
-// arrivals that reach the group during the transfer are ingested and probed
-// locally, and recorded as a catch-up delta. When the snapshot is fully
-// shipped, the next epoch carries the closing delta (Close set) whose runs
-// are that catch-up delta (everything ingested since the snapshot), plus the
-// remaining unprocessed backlog and the directory shape — the atomic
-// cut-over at an epoch boundary. The consumer concatenates snapshot
-// installments and delta, installs exactly once, then acks the MoveID, which
-// transfers ownership at the master. So the epoch barrier never carries
-// more than one installment of any group: the stall a move inserts is
-// bounded by the installment, not by the window.
+// This file implements the window stream: how a partition-group's window
+// state travels to another slave while its owner KEEPS OWNING AND PROCESSING
+// the group (§IV-C, overlapped with computation as in the multicore
+// follow-up paper). A move (MoveID ≠ 0) streams the group to its consumer,
+// which promotes the shadow at the closing delta; buddy replication (MoveID
+// 0, replica.go) streams every owned group to the next roster member, which
+// promotes its replica only if the owner crashes. The supplier side
+// (shadowOut) opens on a snapshot of the group's windows and captures every
+// chunk the group ingests from then on; each step sends one WindowDelta
+// (next). The consumer side is the slave's shadowSet (replica.go). A move is
+// paced at installmentSize tuples per epoch, so the stall it inserts into
+// the epoch barrier is bounded by the installment, not by the window.
+// ARCHITECTURE.md ("How a partition-group moves") draws the choreography.
 //
-// The installment size is derived, not configured (installmentSize): a
-// move ordered at one reorganization boundary must have acked before the
-// master plans the next, so the paper's cadence of one group per
-// supplier/consumer pair per t_r survives.
+// Correctness sketch: while a move's snapshot streams, the master keeps
+// routing the group's new tuples to the supplier, which probes them on
+// arrival and captures them. Once the snapshot is fully shipped the supplier
+// announces the cut-over in its next Hello (wire.Hello.Closing); from that
+// epoch the master withholds the group's tuples, so the closing delta —
+// built the same epoch — covers every tuple the supplier ever ingested, with
+// nothing in flight behind it. The withheld tuples release to the new owner
+// when the consumer's ack completes the move. Each tuple is probed exactly
+// once against the full window of its time, so the output pair multiset is
+// that of a join that never moved anything (the *Equivalence suites). The
+// directive epoch itself delivers tuples to the supplier, so even an empty
+// group ships an opening installment and cuts over one epoch later.
 //
-// Correctness sketch: while the snapshot streams, the master keeps routing
-// the moving group's new tuples to the supplier — it still owns the group,
-// probes them on arrival, and the capture folds them into the delta. When
-// the snapshot is fully shipped the supplier announces the cut-over in its
-// next Hello (wire.Hello.Closing); from that epoch the master withholds the
-// group's tuples, so the closing delta — built the same epoch — covers every
-// tuple the supplier ever ingested, with nothing in flight behind it. The
-// withheld tuples (one or two epochs' worth) release to the new owner when
-// the consumer's ack completes the move. Each tuple is probed exactly once
-// against the full window of its time, so the output pair multiset is that
-// of a join that never moved anything (the *Equivalence suites assert this
-// against a brute-force oracle over real TCP). The directive epoch itself
-// delivers tuples to the supplier, so every supply takes this path — an
-// empty or small group ships its whole snapshot in the opening installment
-// and cuts over one epoch later; an extract at the directive epoch would
-// race the tuples delivered behind that very directive.
-//
-// Ordering and deadlock freedom: one step (stepTransfers) moves every
-// transfer, at every epoch and at shutdown. On each supplier→consumer link
-// both ends walk their transfers in ascending MoveID, so the consumer reads
-// messages in the order the supplier sent them. (A graceful leaver drains
-// several groups to one survivor at once; they share a link.) MoveIDs
-// ascend, so a transfer opened this epoch sorts after any already on its
-// link, though there is none: planBoundary never gives a busy supplier a new
-// move. That exclusion also keeps the set of concurrent transfers a
-// bipartite supplier→consumer graph with disjoint sides. Every supplier
-// buffers its step's messages and flushes before any slave blocks
-// receiving, so no cycle can form, even over in-process rendezvous pipes.
-//
-// Paper correspondence: §IV-C describes the movement as one step; the
-// follow-up work ("Processing Database Joins over a Shared-Nothing System of
-// Multicore Machines") overlaps communication with computation to hide
-// data-redistribution latency behind the join itself. Streaming the
-// snapshot is that idea applied to the windowed stream-join setting, where
-// the unit of redistribution is a partition-group's window state rather than
-// a static relation fragment.
+// Ordering and deadlock freedom: moves ride the mesh links, and one step
+// (stepTransfers) moves every one of them, at every epoch and at shutdown,
+// both ends of a link in ascending MoveID. The concurrent moves form a
+// bipartite supplier→consumer graph (planBoundary never gives a busy
+// supplier a new move), and every supplier flushes its step before any
+// slave blocks receiving, so no cycle can form, even over rendezvous pipes.
 
-// outXfer is the supplier side of one in-flight movement.
-type outXfer struct {
-	d    wire.Directive
-	snap [2][]tuple.Tuple // unsent remainder of the snapshot, as runs
-	size int              // snapshot tuples per installment (installmentSize)
-	seq  int32            // next installment index
+// shadowOut is the supplier side of one window stream: group d.Group from
+// slave d.From to slave d.To, for move d.MoveID (0 for the buddy's stream).
+type shadowOut struct {
+	d       wire.Directive
+	size    int              // snapshot tuples per installment
+	seq     int64            // index of the next delta
+	snap    [2][]tuple.Tuple // unsent remainder of the snapshot, as runs
+	capture [2][]tuple.Tuple // chunks the group ingested since the snapshot
 }
 
-func (x *outXfer) snapLeft() int { return len(x.snap[0]) + len(x.snap[1]) }
+func (o *shadowOut) snapLeft() int { return len(o.snap[0]) + len(o.snap[1]) }
 
-// inXfer is the consumer side of one in-flight movement: the snapshot
-// installments received so far, awaiting the closing delta.
+// record appends a processed chunk to the capture, on the owning worker's
+// goroutine (runRound): group→worker routing is static, and the slave loop
+// touches a group's streams only with the workers parked.
+func (o *shadowOut) record(chunk []tuple.Tuple) {
+	for _, t := range chunk {
+		o.capture[t.Stream] = append(o.capture[t.Stream], t)
+	}
+}
+
+// clearCapture empties the capture once a buddy delta carrying it is
+// encoded, keeping its buffers.
+func (o *shadowOut) clearCapture() {
+	o.capture[0], o.capture[1] = o.capture[0][:0], o.capture[1][:0]
+}
+
+// inXfer is the consumer side of one in-flight move: its directive and the
+// index of the delta expected next (the windows build up in the shadowSet).
 type inXfer struct {
-	d      wire.Directive
-	window [2][]tuple.Tuple
-	next   int32 // expected next installment index; 0 until the first step
+	d    wire.Directive
+	next int64
 }
 
 // installmentSize is the number of snapshot tuples each installment of a
@@ -104,8 +96,7 @@ func (c *Config) installmentSize(snapLen int) int {
 }
 
 // stateRuns appends the windows of st to dst as per-stream tuple runs, in
-// the temporal order its stores hold them: the payload of a move's snapshot
-// and of a replication reset.
+// the temporal order its stores hold them: a stream's snapshot.
 func stateRuns(dst [2][]tuple.Tuple, st join.State) [2][]tuple.Tuple {
 	for s := range 2 {
 		dst[s] = slices.Grow(dst[s], len(st.Window[s]))
@@ -116,123 +107,106 @@ func stateRuns(dst [2][]tuple.Tuple, st join.State) [2][]tuple.Tuple {
 	return dst
 }
 
-// closeDelta is the closing delta of move d carrying st — its directory
-// shape and windows — and the group's unprocessed backlog.
-func closeDelta(d wire.Directive, st join.State, pending []tuple.Tuple) *wire.WindowDelta {
-	wd := &wire.WindowDelta{From: d.From, Group: d.Group, MoveID: d.MoveID, Close: true,
-		GlobalDepth: uint8(st.GlobalDepth), Runs: stateRuns([2][]tuple.Tuple{}, st), Pending: pending}
-	for _, sp := range st.Buckets {
-		wd.Buckets = append(wd.Buckets, wire.BucketSpec{LocalDepth: uint8(sp.Local), Bits: sp.Bits})
+// bucketSpecs is st's directory shape as a closing delta carries it.
+func bucketSpecs(st join.State) []wire.BucketSpec {
+	specs := make([]wire.BucketSpec, len(st.Buckets))
+	for i, sp := range st.Buckets {
+		specs[i] = wire.BucketSpec{LocalDepth: uint8(sp.Local), Bits: sp.Bits}
 	}
-	return wd
+	return specs
 }
 
-// closedState is the group state a closing delta installs: its directory
-// shape and its runs as windows (the backlog stays on the delta).
-func closedState(wd *wire.WindowDelta) join.State {
+// closedShape is the directory shape a closing delta installs under.
+func closedShape(wd *wire.WindowDelta) join.State {
 	st := join.State{ID: wd.Group, GlobalDepth: uint(wd.GlobalDepth)}
 	for _, sp := range wd.Buckets {
 		st.Buckets = append(st.Buckets, exthash.Spec{Local: uint(sp.LocalDepth), Bits: sp.Bits})
 	}
-	for s := range 2 {
-		st.Window[s] = make([]tuple.Packed, len(wd.Runs[s]))
-		for i, t := range wd.Runs[s] {
-			st.Window[s][i] = t.Packed()
-		}
-	}
 	return st
 }
 
-// startOutgoing registers the transfer of directive d: snapshot the group
-// without detaching it and start the catch-up capture. A group not grown yet
-// snapshots empty; its opening installment is empty too, and its whole state
-// rides the catch-up delta.
-func (s *slaveNode) startOutgoing(d wire.Directive) {
-	w := s.ws.workerOf(d.Group)
-	x := &outXfer{d: d}
+// open starts stream d on a snapshot of the group's windows, without
+// detaching the group; a group not grown yet snapshots empty. The stream
+// ships its snapshot in one installment unless the caller paces it (size).
+func (w *joinWorker) open(d wire.Directive) *shadowOut {
+	o := &shadowOut{d: d, size: math.MaxInt}
 	if g, ok := w.mod.Get(d.Group); ok {
-		x.snap = stateRuns(x.snap, g.Extract())
+		o.snap = stateRuns(o.snap, g.Extract())
 	}
-	x.size = s.cfg.installmentSize(x.snapLeft())
-	w.xcap[d.Group] = &replDelta{}
-	if s.xferOut == nil {
-		s.xferOut = make(map[int64]*outXfer)
-	}
-	s.xferOut[d.MoveID] = x
+	w.streams[d.Group] = append(w.streams[d.Group], o)
+	return o
 }
 
-// sendNext ships move x's next delta. While snapshot is left, and at least
-// once even for an empty snapshot, that is an installment: at most x.size
-// tuples as zero-copy sub-slices, the first a Reset. The installment that
-// exhausts the snapshot schedules the cut-over: the next Hello announces the
-// move as Closing so the master stops routing the group's tuples here. The
-// step after sends the closing delta: the group now really leaves this slave
-// (extractGroup), and the delta carries the catch-up runs — the snapshot is
-// already on the consumer — plus the remaining backlog and the directory
-// shape the consumer rebuilds under. A failed installment aborts the move.
-func (s *slaveNode) sendNext(x *outXfer) {
-	var wd *wire.WindowDelta
-	last := x.seq > 0 && x.snapLeft() == 0
-	if last {
-		catchUp := s.ws.workerOf(x.d.Group).xcap[x.d.Group]
-		st, pending := s.ws.extractGroup(x.d.Group)
-		wd = closeDelta(x.d, st, pending)
-		wd.Runs = catchUp.runs
-		delete(s.xferOut, x.d.MoveID)
-	} else {
-		wd = &wire.WindowDelta{From: x.d.From, Group: x.d.Group, MoveID: x.d.MoveID, Reset: x.seq == 0}
-		limit := x.size
-		for st := 0; st < 2 && limit > 0; st++ {
-			n := min(limit, len(x.snap[st]))
-			wd.Runs[st] = x.snap[st][:n:n]
-			x.snap[st] = x.snap[st][n:]
+// next builds stream o's next delta. While snapshot is left, and at least
+// once even for an empty snapshot, that is an installment: at most o.size
+// tuples as zero-copy sub-slices, the first a Reset. After it a buddy's
+// delta carries the capture (the caller clears it once the delta is
+// encoded), and a move's is the closing delta: the group now really leaves
+// this slave (extractGroup), and the delta carries the capture — the
+// snapshot is already on the consumer — plus the remaining backlog and the
+// directory shape the consumer rebuilds under.
+func (ws *workerSet) next(o *shadowOut) wire.WindowDelta {
+	wd := wire.WindowDelta{From: o.d.From, Group: o.d.Group, MoveID: o.d.MoveID, Epoch: o.seq, Reset: o.seq == 0}
+	switch {
+	case wd.Reset || o.snapLeft() > 0:
+		limit := o.size
+		for s := range 2 {
+			n := min(limit, len(o.snap[s]))
+			wd.Runs[s], o.snap[s] = o.snap[s][:n:n], o.snap[s][n:]
+			if len(o.snap[s]) == 0 {
+				o.snap[s] = nil // a buddy stream outlives its snapshot
+			}
 			limit -= n
 		}
+	case o.d.MoveID == 0:
+		wd.Runs = o.capture
+	default:
+		st, pending := ws.extractGroup(o.d.Group)
+		wd.Close, wd.GlobalDepth, wd.Runs, wd.Pending = true, uint8(st.GlobalDepth), o.capture, pending
+		wd.Buckets = bucketSpecs(st)
 	}
-	wd.Epoch = int64(x.seq)
-	x.seq++
+	o.seq++
+	return wd
+}
+
+// startOutgoing opens the stream of move d, paced to meet the deadline.
+func (s *slaveNode) startOutgoing(d wire.Directive) {
+	o := s.ws.workerOf(d.Group).open(d)
+	o.size = s.cfg.installmentSize(o.snapLeft())
+	s.xferOut[d.MoveID] = o
+}
+
+// sendNext ships move o's next delta. The installment that exhausts the
+// snapshot schedules the cut-over: the next Hello announces the move as
+// Closing so the master stops routing the group's tuples here, and the step
+// after sends the closing delta. A failed installment aborts the move.
+func (s *slaveNode) sendNext(o *shadowOut) {
+	wd := s.ws.next(o)
 	n := len(wd.Runs[0]) + len(wd.Runs[1]) + len(wd.Pending)
 	s.proc.Compute(s.cfg.Cost.Move(n))
 	s.addXfer(1, int64(n), 0)
-	switch ok := s.sendTo(x.d.To, wd); {
-	case last:
+	switch ok := s.sendTo(o.d.To, &wd); {
+	case wd.Close:
+		delete(s.xferOut, o.d.MoveID)
 	case !ok:
-		s.abortOutgoing(x)
-	case x.snapLeft() == 0:
-		s.closing = append(s.closing, x.d.MoveID)
+		s.abortOutgoing(o)
+	case o.snapLeft() == 0:
+		s.closing = append(s.closing, o.d.MoveID)
 	}
 }
 
-// abortOutgoing drops an in-flight outgoing transfer whose consumer is gone.
-// The group's state is discarded, because that is what the master assumes of
-// a move whose directive reached the supplier: it unwinds the move and
-// re-adopts the group empty (or promotes a replica) on a survivor.
-func (s *slaveNode) abortOutgoing(x *outXfer) {
-	s.ws.extractGroup(x.d.Group) // discard; also clears the catch-up capture
-	delete(s.xferOut, x.d.MoveID)
-	s.xfersAborted++
+// abortOutgoing drops an in-flight move whose consumer is gone. The group's
+// state is discarded, because that is what the master assumes of a move
+// whose directive reached the supplier: it unwinds the move and re-adopts
+// the group empty (or promotes a replica) on a survivor.
+func (s *slaveNode) abortOutgoing(o *shadowOut) {
+	s.ws.extractGroup(o.d.Group) // discard; also ends the group's streams
+	delete(s.xferOut, o.d.MoveID)
 }
 
-// abortOutgoingGroup aborts any outgoing transfer of group g before an
-// install of the same group: when a consumer dies mid-transfer the master
-// may re-adopt g anywhere — including right back onto its old supplier —
-// and the install must find the group unowned.
-func (s *slaveNode) abortOutgoingGroup(g int32) {
-	for _, x := range s.xferOut {
-		if x.d.Group == g {
-			s.abortOutgoing(x)
-		}
-	}
-}
-
-// stepTransfers advances every in-flight transfer by one message, the same
-// step at every epoch and, repeated until none is left, at shutdown. Sends
-// come first, in MoveID order: each outgoing transfer ships installment 0
-// (even of an empty snapshot), then one installment per step, then the
-// closing delta. They are buffered, so several messages to one
-// consumer share a physical frame on a batched transport; every touched
-// peer connection is flushed before the first blocking receive. Receives
-// follow, also in MoveID order: one message of each incoming transfer.
+// stepTransfers advances every in-flight move by one message: sends first,
+// buffered so several messages to one consumer share a frame, and flushed
+// before the first blocking receive; then one receive per incoming move.
 func (s *slaveNode) stepTransfers() {
 	for _, id := range slices.Sorted(maps.Keys(s.xferOut)) {
 		s.sendNext(s.xferOut[id])
@@ -243,83 +217,75 @@ func (s *slaveNode) stepTransfers() {
 	}
 }
 
-// stepIncoming receives one delta of incoming transfer x: an installment
-// extends the accumulated snapshot; the closing delta completes the movement
-// (snapshot plus catch-up delta install as one) and acks it. The first step
-// opens the transfer: an install or promotion (From < 0) completes at once,
-// and a stream must open with the Reset installment 0; every delta must
-// arrive in sequence. A supplier death at any step discards the incomplete
-// prefix and fails over to what this slave holds locally.
+// stepIncoming receives one delta of incoming move x into its shadow; the
+// closing delta promotes the shadow. An adoption or promotion order
+// (From < 0) completes at once. A stream must open with the Reset
+// installment 0, and every delta must arrive in sequence. A supplier death
+// at any step discards the incomplete shadow and fails over to the replica
+// this slave holds if it is the supplier's buddy.
 func (s *slaveNode) stepIncoming(x *inXfer) {
 	d := x.d
-	if x.next == 0 {
+	if d.From < 0 {
 		// A consumer death mid-transfer can bounce a group right back onto
-		// its old supplier (re-adoption); any outgoing transfer of this group
-		// must die first so the install finds the group unowned.
-		s.abortOutgoingGroup(d.Group)
-		switch {
-		case d.From <= -2:
-			// Promotion order: the previous owner crashed, but its windows
-			// were chain-replicated here — install the local shadow
-			// (replica.go).
-			delete(s.xferIn, d.MoveID)
-			s.installReplica(d, promoteSrc(d.From))
-			return
-		case d.From < 0:
-			// Adoption order: the previous owner crashed and its windows are
-			// gone. Install the group empty so processing resumes, and ack
-			// so ownership transfers.
-			delete(s.xferIn, d.MoveID)
-			s.install(emptyState(d.Group), nil, d.MoveID)
-			return
+		// its old supplier; its outgoing move must die first so the install
+		// finds the group unowned.
+		delete(s.xferIn, d.MoveID)
+		for _, o := range s.xferOut {
+			if o.d.Group == d.Group {
+				s.abortOutgoing(o)
+			}
 		}
+		if d.From == -1 {
+			// Adoption order: the previous owner's windows are gone.
+			s.install(emptyState(d.Group), nil, d.MoveID)
+		} else {
+			// Promotion order: they were chain-replicated here.
+			s.promote(d, shadowKey{src: promoteSrc(d.From), group: d.Group}, nil)
+		}
+		return
 	}
+	k := shadowKey{src: d.From, group: d.Group, move: d.MoveID}
 	m := s.recvFrom(d)
 	switch {
 	case m == nil:
-		// If this slave happens to be the dead supplier's buddy the group's
-		// shadow is local; otherwise the move completes empty and degraded.
 		delete(s.xferIn, d.MoveID)
-		s.installReplica(d, d.From)
+		s.rset.take(k, 0) // drop the incomplete shadow
+		s.promote(d, shadowKey{src: d.From, group: d.Group}, nil)
 		return
-	case m.Epoch != int64(x.next) || m.Reset != (x.next == 0) || m.Close && x.next == 0:
+	case m.Epoch != x.next || m.Reset != (x.next == 0) || m.Close && x.next == 0:
 		panic(fmt.Sprintf("core: slave %d: transfer %d got installment %d (reset %v, close %v), want %d",
 			s.id, d.MoveID, m.Epoch, m.Reset, m.Close, x.next))
 	}
 	x.next++
-	x.window[0] = append(x.window[0], m.Runs[0]...)
-	x.window[1] = append(x.window[1], m.Runs[1]...)
+	s.rset.apply(m)
 	if m.Close {
 		delete(s.xferIn, d.MoveID)
-		m.Runs = x.window
-		s.install(closedState(m), m.Pending, m.MoveID)
+		s.promote(d, k, m)
 	}
 }
 
-// settleTransfers completes every in-flight transfer at shutdown.
+// promote completes move d from shadow k: a move's own shadow at its
+// closing delta wd, installed with wd's directory shape and backlog, or —
+// wd nil, the default shape — the replica a crashed owner chain-replicated
+// here. A missing replica (replication off, or the buddy assignment raced
+// the crash) installs the group empty and reports the move degraded in the
+// next Hello, so the loss is accounted, not silent. Either way the move is
+// acked and ownership transfers.
+func (s *slaveNode) promote(d wire.Directive, k shadowKey, wd *wire.WindowDelta) {
+	st, pending := emptyState(d.Group), []tuple.Tuple(nil)
+	if wd != nil {
+		st, pending = closedShape(wd), wd.Pending
+	}
+	var ok bool
+	if st.Window, _, ok = s.rset.take(k, time.Duration(s.cfg.DistEpochMs)*time.Millisecond); !ok && wd == nil {
+		s.degraded = append(s.degraded, d.MoveID)
+	}
+	s.install(st, pending, d.MoveID)
+}
+
+// settleTransfers completes every in-flight move at shutdown.
 func (s *slaveNode) settleTransfers() {
 	for len(s.xferOut) > 0 || len(s.xferIn) > 0 {
 		s.stepTransfers()
-	}
-}
-
-// sendTo buffers msg toward peer `to`, reporting delivery. A dead or
-// unreachable peer is severed — later sends naming it fail fast instead of
-// each waiting out the table's patience budget — and false is returned so the
-// caller can unwind (the master re-plans around the lost consumer).
-func (s *slaveNode) sendTo(to int32, msg wire.Message) bool {
-	if p := s.ptab.get(to); p != nil && tolerateTCP(func() { engine.SendBuffered(p, msg) }) {
-		return true
-	}
-	s.ptab.fail(to)
-	return false
-}
-
-// addXfer accounts shipped transfer messages and epoch-barrier time spent
-// moving state (live engine; the simulated engine carries movement cost
-// through the modeled clock instead).
-func (s *slaveNode) addXfer(msgs, tuples int64, stall time.Duration) {
-	if lp, ok := s.proc.(*engine.LiveProc); ok {
-		lp.AddXfer(msgs, tuples, stall)
 	}
 }

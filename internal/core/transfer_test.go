@@ -1,10 +1,12 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"streamjoin/internal/engine"
+	"streamjoin/internal/join"
 	"streamjoin/internal/tuple"
 	"streamjoin/internal/wire"
 )
@@ -71,6 +73,38 @@ func (r *xferRig) step(t *testing.T, d *wire.Directive) {
 	}
 }
 
+// closeDelta is a closing delta of move d carrying all of st — its
+// directory shape and windows — and the group's backlog: a group moved in
+// one message, as the wire-level schedules ship it.
+func closeDelta(d wire.Directive, st join.State, pending []tuple.Tuple) *wire.WindowDelta {
+	return &wire.WindowDelta{From: d.From, Group: d.Group, MoveID: d.MoveID, Close: true,
+		GlobalDepth: uint8(st.GlobalDepth), Buckets: bucketSpecs(st),
+		Runs: stateRuns([2][]tuple.Tuple{}, st), Pending: pending}
+}
+
+// closedState is the whole group such a closing delta carries; a streamed
+// move's consumer takes the windows from its shadow instead (promote).
+func closedState(wd *wire.WindowDelta) join.State {
+	st := closedShape(wd)
+	for s := range 2 {
+		for _, t := range wd.Runs[s] {
+			st.Window[s] = append(st.Window[s], t.Packed())
+		}
+	}
+	return st
+}
+
+// applyConn is a replication connection whose buddy applies every delta to
+// a shadowSet as it is sent.
+type applyConn struct{ rs *shadowSet }
+
+func (c applyConn) Send(m wire.Message) {
+	if wd, ok := m.(*wire.WindowDelta); ok {
+		c.rs.apply(wd)
+	}
+}
+func (applyConn) Recv() wire.Message { return nil }
+
 // windowTuplesOf reads the current window size of group g on a slave, or -1
 // when the slave does not own it.
 func windowTuplesOf(s *slaveNode, g int32) int {
@@ -110,12 +144,12 @@ func TestIncrementalTransferStateMachine(t *testing.T) {
 		// The supplier keeps ingesting and probing the moving group; the new
 		// tuples must land in the catch-up capture, not the shipped snapshot.
 		r.ingest(r.sup, key, 2, 1_000)
-		cap := r.sup.ws.workerOf(g).xcap[g]
-		if cap == nil {
-			t.Fatal("no catch-up capture registered for the moving group")
+		streams := r.sup.ws.workerOf(g).streams[g]
+		if len(streams) != 1 || streams[0] != r.sup.xferOut[7] {
+			t.Fatalf("moving group has streams %v, want the move's alone", streams)
 		}
-		if len(cap.runs[0]) != 2 || len(cap.runs[1]) != 2 {
-			t.Fatalf("capture holds %d/%d tuples, want 2/2", len(cap.runs[0]), len(cap.runs[1]))
+		if cap := streams[0].capture; len(cap[0]) != 2 || len(cap[1]) != 2 {
+			t.Fatalf("capture holds %d/%d tuples, want 2/2", len(cap[0]), len(cap[1]))
 		}
 
 		steps := 1
@@ -135,8 +169,11 @@ func TestIncrementalTransferStateMachine(t *testing.T) {
 		if n := windowTuplesOf(r.sup, g); n != -1 {
 			t.Errorf("supplier still owns the group (%d tuples) after cut-over", n)
 		}
-		if len(r.sup.ws.workerOf(g).xcap) != 0 {
-			t.Error("catch-up capture not cleared at cut-over")
+		if len(r.sup.ws.workerOf(g).streams) != 0 {
+			t.Error("move stream not ended at cut-over")
+		}
+		if len(r.con.rset.entries) != 0 {
+			t.Errorf("consumer kept %d shadows after the promotion, want 0", len(r.con.rset.entries))
 		}
 		if len(r.con.acks) != 1 || r.con.acks[0] != 7 {
 			t.Errorf("consumer acks = %v, want [7] — only the closing transfer acks", r.con.acks)
@@ -155,33 +192,32 @@ func TestIncrementalTransferStateMachine(t *testing.T) {
 	})
 
 	t.Run("replicated-and-moving", func(t *testing.T) {
-		// A replicated group can be moving too: its replication delta and
-		// its catch-up capture record the same rounds into separate
-		// buffers, and clearing the first at an epoch flush must leave the
-		// move's catch-up intact.
+		// A replicated group can be moving too: its buddy stream and its
+		// move stream record the same rounds into separate captures, and
+		// clearing the first at an epoch flush must leave the move's intact.
 		r := newXferRig(8, 12)
-		r.sup.ws.replicate = true
 		key := int32(7)
 		g := r.cfg.GroupOfKey(key)
 		w := r.sup.ws.workerOf(g)
 		r.ingest(r.sup, key, 40, 0)
-		w.repl[g].clear()
+		buddy := w.buddyStream(wire.Directive{Group: g, From: 0, To: 2})
+		r.sup.ws.next(buddy) // the flush that opened it ships its snapshot
 		r.step(t, &wire.Directive{MoveID: 7, Group: g, From: 0, To: 1})
 
 		r.ingest(r.sup, key, 2, 1_000)
-		repl, cap := w.repl[g], w.xcap[g]
-		if repl == nil || cap == nil {
-			t.Fatalf("replication delta %v, catch-up capture %v: want both", repl, cap)
-		}
-		for name, d := range map[string]*replDelta{"replication delta": repl, "catch-up capture": cap} {
-			if len(d.runs[0]) != 2 || len(d.runs[1]) != 2 {
-				t.Fatalf("%s holds %d/%d tuples, want 2/2", name, len(d.runs[0]), len(d.runs[1]))
+		move := r.sup.xferOut[7]
+		for name, o := range map[string]*shadowOut{"buddy stream": buddy, "move stream": move} {
+			if len(o.capture[0]) != 2 || len(o.capture[1]) != 2 {
+				t.Fatalf("%s captured %d/%d tuples, want 2/2", name, len(o.capture[0]), len(o.capture[1]))
 			}
 		}
-		repl.clear() // the epoch flush ships and clears the replication delta
-		if len(cap.runs[0]) != 2 || len(cap.runs[1]) != 2 {
-			t.Fatalf("clearing the replication delta left the capture at %d/%d tuples, want 2/2",
-				len(cap.runs[0]), len(cap.runs[1]))
+		if wd := r.sup.ws.next(buddy); len(wd.Runs[0]) != 2 || len(wd.Runs[1]) != 2 || wd.Reset {
+			t.Fatalf("buddy delta carries %d/%d tuples (reset %v), want the 2/2 captured", len(wd.Runs[0]), len(wd.Runs[1]), wd.Reset)
+		}
+		buddy.clearCapture() // the epoch flush ships and clears the buddy's capture
+		if len(move.capture[0]) != 2 || len(move.capture[1]) != 2 {
+			t.Fatalf("clearing the buddy's capture left the move's at %d/%d tuples, want 2/2",
+				len(move.capture[0]), len(move.capture[1]))
 		}
 
 		steps := 1
@@ -196,6 +232,70 @@ func TestIncrementalTransferStateMachine(t *testing.T) {
 		}
 		if n := windowTuplesOf(r.con, g); n != 84 {
 			t.Errorf("consumer window = %d tuples after cut-over, want 84 (snapshot + delta)", n)
+		}
+	})
+
+	t.Run("move-to-buddy", func(t *testing.T) {
+		// The consumer of the move is also the supplier's buddy: the move's
+		// shadow and the replica of the same (supplier, group) stay apart.
+		// The promoted windows are the supplier's at the cut-over, slot for
+		// slot, and the replica lives on until its TTL retires it.
+		r := newXferRig(8, 12)
+		key := int32(7)
+		g := r.cfg.GroupOfKey(key)
+		repl := newReplicator(&r.cfg, 0, nil, func(string) (engine.Conn, func(), error) {
+			return applyConn{r.con.rset}, func() {}, nil
+		})
+		repl.updateRoster([]wire.MemberSpec{{ID: 0, Addr: "sup"}, {ID: 1, Addr: "con"}})
+		const cutoff = -1_000_000 // nowMs - WindowMs: nothing expires
+		flush := func(e int64) { repl.flush(r.sup.ws, e, cutoff+r.cfg.WindowMs) }
+		r.ingest(r.sup, key, 40, 0)
+		flush(1)
+		r.step(t, &wire.Directive{MoveID: 7, Group: g, From: 0, To: 1})
+		r.ingest(r.sup, key, 2, 1_000)
+		flush(2)
+
+		replica := shadowKey{src: 0, group: g}
+		var atCutOver join.State
+		for e := int64(3); len(r.sup.xferOut) > 0 || len(r.con.xferIn) > 0; e++ {
+			if e > 40 {
+				t.Fatal("transfer did not converge")
+			}
+			if grp, ok := r.sup.ws.workerOf(g).mod.Get(g); ok {
+				atCutOver = grp.Extract()
+			}
+			if _, ok := r.con.rset.entries[replica]; !ok {
+				t.Fatalf("epoch %d: the buddy's replica is gone mid-move", e)
+			}
+			r.step(t, nil)
+		}
+		got, ok := r.con.ws.workerOf(g).mod.Get(g)
+		if !ok {
+			t.Fatal("consumer does not own the group after the cut-over")
+		}
+		promoted := got.Extract()
+		for s := range 2 {
+			if len(promoted.Window[s]) != 42 || !slices.Equal(promoted.Window[s], atCutOver.Window[s]) {
+				t.Errorf("stream %d: promoted %d tuples, want the supplier's %d at the cut-over slot for slot",
+					s, len(promoted.Window[s]), len(atCutOver.Window[s]))
+			}
+		}
+		if len(r.con.acks) != 1 || r.con.acks[0] != 7 || len(r.con.degraded) != 0 {
+			t.Errorf("consumer acks %v, degraded %v; want [7], none", r.con.acks, r.con.degraded)
+		}
+		e, ok := r.con.rset.entries[replica]
+		if !ok || e.stores[0].Len() != 42 || e.stores[1].Len() != 42 {
+			t.Fatalf("replica after the move: present %v, want 42/42 tuples (snapshot + one delta)", ok)
+		}
+		for range replicaTTL {
+			r.con.rset.sweep()
+		}
+		if _, ok := r.con.rset.entries[replica]; !ok {
+			t.Fatal("replica retired before its TTL")
+		}
+		r.con.rset.sweep()
+		if len(r.con.rset.entries) != 0 {
+			t.Errorf("%d shadows left past the replica's TTL, want 0", len(r.con.rset.entries))
 		}
 	})
 

@@ -44,15 +44,10 @@ type joinWorker struct {
 	// Query 0.
 	rbs []*wire.ResultBatch
 
-	// repl accumulates per-group window deltas for buddy replication
-	// (replica.go); only populated when the workerSet replicates.
-	repl map[int32]*replDelta
-
-	// xcap accumulates catch-up deltas for groups this slave is streaming
-	// out (transfer.go): while a movement is in flight the group keeps
-	// processing here, and every tuple it ingests must reach the consumer in
-	// the closing delta.
-	xcap map[int32]*replDelta
+	// streams holds each group's open window streams (transfer.go): a
+	// move's and the buddy's. The group keeps processing here, and every
+	// chunk it ingests is recorded into each of them.
+	streams map[int32][]*shadowOut
 
 	// instrumentation
 	outputs   int64
@@ -65,11 +60,6 @@ type workerSet struct {
 	slave   int32
 	runner  engine.Runner
 	workers []*joinWorker
-
-	// replicate turns on per-round delta capture for buddy replication;
-	// set once before the slave loop starts (TCP deployment with
-	// cfg.Replicate).
-	replicate bool
 
 	// nowMs overrides the round-timestamp clock (worker wall clock when
 	// nil); deterministic tests pin it to epoch boundaries.
@@ -102,8 +92,7 @@ func newWorkerSet(cfg *Config, slave int32, runner engine.Runner) *workerSet {
 			input:    make(map[int32][]tuple.Tuple),
 			rbs:      rbs,
 			curChunk: cfg.ChunkTuples,
-			repl:     make(map[int32]*replDelta),
-			xcap:     make(map[int32]*replDelta),
+			streams:  make(map[int32][]*shadowOut),
 		}
 	}
 	return ws
@@ -239,30 +228,25 @@ func (ws *workerSet) flushResults(coll engine.AsyncSender) {
 // extractGroup detaches group id (state movement supply) and returns its
 // directory shape and queued backlog. Its windows are dropped: a streamed
 // move has already shipped them as a snapshot (startOutgoing), and an
-// aborted one discards them.
+// aborted one discards them. Every stream of the group ends with it.
 func (ws *workerSet) extractGroup(id int32) (join.State, []tuple.Tuple) {
 	w := ws.workerOf(id)
 	w.mod.Ensure(id)
 	g, _ := w.mod.Remove(id)
 	pending := w.input[id]
 	delete(w.input, id)
-	delete(w.repl, id) // the new owner re-replicates from its own snapshot
-	delete(w.xcap, id) // an in-flight transfer of id ends with it
+	delete(w.streams, id)
 	w.backlog -= int64(len(pending))
 	return g.Shape(), pending
 }
 
 // installState installs moved group state on its owning worker (state
-// movement consume), queueing the supplier's pending tuples behind it.
+// movement consume), queueing the supplier's pending tuples behind it. With
+// replication on, the next epoch's flush opens the group's buddy stream.
 func (ws *workerSet) installState(st join.State, pending []tuple.Tuple) error {
 	w := ws.workerOf(st.ID)
 	if err := w.mod.Install(st); err != nil {
 		return err
-	}
-	if ws.replicate {
-		// The group's replica chain restarts here: the next epoch flush
-		// ships its full window to this slave's buddy.
-		ws.markReplReset(st)
 	}
 	if len(pending) > 0 {
 		w.input[st.ID] = append(w.input[st.ID], pending...)
@@ -366,13 +350,8 @@ func (w *joinWorker) takeChunk(g int32) []tuple.Tuple {
 // result batch.
 func (w *joinWorker) runRound(ws *workerSet, g int32, chunk []tuple.Tuple) {
 	if len(chunk) > 0 {
-		if ws.replicate {
-			w.replOf(g).record(chunk)
-		}
-		// The group is mid-movement: everything ingested from here on ships
-		// in the closing delta's catch-up runs.
-		if c := w.xcap[g]; c != nil {
-			c.record(chunk)
+		for _, o := range w.streams[g] {
+			o.record(chunk)
 		}
 	}
 	results := w.mod.ProcessAll(g, ws.roundNow(w), chunk)

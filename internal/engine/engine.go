@@ -60,8 +60,9 @@ type Stats struct {
 	SinkQueryPairs map[int32]int64
 
 	// Buddy-replication counters (crash-recovery window replication; zero
-	// with Replicate off). Sent counts cover the deltas a slave ships to
-	// its buddy, Recv the deltas it applies as the buddy of others.
+	// with Replicate off). Sent counts cover the buddy-stream deltas a slave
+	// ships, Recv the ones it applies as the buddy of others; a move's
+	// deltas are counted under Xfer, by its supplier only.
 	ReplDeltasSent int64
 	ReplTuplesSent int64
 	ReplDeltasRecv int64
@@ -74,8 +75,9 @@ type Stats struct {
 	// single-epoch stall: the pause a reorganization inserts into the epoch
 	// cadence, which streaming a move as installments exists to bound (total
 	// stall follows the state moved; the maximum follows the installment
-	// size). XferChunks/XferTuples count the transfer messages shipped —
-	// installments and closing transfers — and the tuples they carried.
+	// size). XferChunks/XferTuples count the WindowDeltas a supplier ships
+	// for its moves — installments and closing deltas — and the tuples they
+	// carried (backlog included); buddy-stream deltas count under Repl.
 	XferStall    time.Duration
 	XferStallMax time.Duration
 	XferChunks   int64

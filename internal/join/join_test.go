@@ -328,7 +328,7 @@ func TestStateExtractInstallRoundtrip(t *testing.T) {
 		if !ok {
 			t.Fatal("group missing")
 		}
-		// The wire leg of a move (core's closeDelta/closedState) is
+		// The wire leg of a move (core's closeDelta/closedShape) is
 		// covered by core's TestWorkerSetStateMovementRouting; here the
 		// state goes straight from Extract to Install.
 		st := g.Extract()
