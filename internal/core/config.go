@@ -214,13 +214,14 @@ type Config struct {
 	// its groups are re-adopted empty by the survivors, and the run
 	// continues without it. Default 3.
 	HeartbeatMisses int
-	// Replicate enables buddy replication of window state on the TCP
+	// Replicate enables buddy replication of window state in every
 	// deployment: besides the window stream every move already sends, each
 	// slave keeps one buddy stream per owned partition-group toward the next
-	// roster member, one WindowDelta per epoch, and a crash promotes the
-	// buddy's shadows instead of re-adopting the groups empty — output that
-	// needed the dead slave's windows survives the eviction. Off, a crashed
-	// slave's groups are re-adopted empty, and only moves send WindowDeltas.
+	// roster member's inbox, one WindowDelta per epoch. On TCP a crash
+	// promotes the buddy's shadows instead of re-adopting the groups empty —
+	// output that needed the dead slave's windows survives the eviction.
+	// Off, a crashed slave's groups are re-adopted empty, and only moves
+	// send WindowDeltas.
 	Replicate bool
 
 	// --- transport hardening (TCP deployment only) ---
@@ -653,6 +654,13 @@ func (c *Config) dialBudget() time.Duration {
 // epochsPerReorg is t_r / t_d.
 func (c *Config) epochsPerReorg() int64 {
 	return int64(c.ReorgEpochMs / c.DistEpochMs)
+}
+
+// streamInboxLen sizes a slave's inbox so that no owner blocks on it: one
+// delta per group per epoch, plus a Hello and an end marker, between the
+// drains of a buddy that is inactive but at reorganization boundaries.
+func (c *Config) streamInboxLen() int {
+	return int(c.epochsPerReorg()+2) * (c.NumGroups() + 2)
 }
 
 // joinConfig builds the join-module configuration, one join.QueryConfig

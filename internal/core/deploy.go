@@ -426,17 +426,16 @@ type tcpSlave struct {
 	master engine.Conn
 	coll   *tcpAsyncSender
 	tab    *peerTable
-	rset   *shadowSet
-	repl   *replicator
+	inbox  *engine.LiveInbox // buddy streams toward this slave
 	sinks  *pairSinks
 
-	// done closes when ServeSlave returns; hb guards the heartbeat stream,
-	// which its goroutine may redial while a crash seam severs it for good.
-	done chan struct{}
-	hb   struct {
+	// done closes when ServeSlave returns. links holds the heartbeat and
+	// replication connections sever closes (hold).
+	done  chan struct{}
+	links struct {
 		sync.Mutex
 		severed bool
-		close   func()
+		conns   []net.Conn
 	}
 }
 
@@ -559,8 +558,9 @@ func (t *tcpSlave) join(meshListen string, ml net.Listener) error {
 // and the downstream pair sinks.
 func (t *tcpSlave) connect(resAddr string) error {
 	t.tab = newPeerTable(t.cfg.meshPatience())
-	t.rset = newShadowSet(t.proc)
-	go t.acceptMesh()
+	rp := t.env.NewProc("replicas") // the mesh reads already account to t.proc
+	t.inbox = engine.NewLiveInbox(rp, t.cfg.streamInboxLen())
+	go t.acceptMesh(engine.NewLiveAsyncSender(rp, t.inbox))
 	for _, sp := range t.roster.Slaves {
 		if sp.ID == t.id || sp.Addr == "" {
 			continue
@@ -596,17 +596,17 @@ func (t *tcpSlave) wrapMesh(c net.Conn) engine.Conn {
 
 // acceptMesh serves the mesh listener. It carries two stream kinds, told
 // apart by the first Hello's Epoch: joinEpoch marks a state-movement peer,
-// replEpoch a buddy-replication stream whose deltas feed the local
-// shadowSet. Every slave accepts replica streams, so a replicating peer
-// always has somewhere to ship to.
-func (t *tcpSlave) acceptMesh() {
+// replEpoch a buddy stream, whose reader posts the Hello and every delta,
+// then the end marker once the stream ends or strays. Every slave accepts
+// buddy streams, so a replicating peer always has somewhere to ship to.
+func (t *tcpSlave) acceptMesh(post engine.AsyncSender) {
 	for {
 		c, err := t.ml.Accept()
 		if err != nil {
 			return
 		}
 		go func() {
-			defer func() { recover() }() // torn-down handshake
+			defer func() { recover() }() // torn-down connection
 			pc := t.wrapMesh(c)
 			h, ok := pc.Recv().(*wire.Hello)
 			if !ok || h.Slave < 0 || h.Slave == t.id {
@@ -617,22 +617,33 @@ func (t *tcpSlave) acceptMesh() {
 				t.tab.set(h.Slave, pc, func() { c.Close() })
 				return
 			}
-			// Replication reader: apply the owner's deltas until the
-			// stream ends — or carries anything but a replication delta.
-			// endReader signals take that every delta the owner flushed
-			// before dying is applied.
-			done := t.rset.beginReader(h.Slave, func() { c.Close() })
-			defer t.rset.endReader(h.Slave, done)
+			if !t.hold(c) {
+				return
+			}
+			post.SendAsync(h)
+			defer post.SendAsync(streamEnd(h.Slave))
 			for {
 				wd, ok := pc.Recv().(*wire.WindowDelta)
 				if !ok || wd.MoveID != 0 || wd.Close {
 					c.Close()
 					return
 				}
-				t.rset.apply(wd)
+				post.SendAsync(wd)
 			}
 		}()
 	}
+}
+
+// hold registers c for sever, or closes it and reports false after sever.
+func (t *tcpSlave) hold(c net.Conn) bool {
+	t.links.Lock()
+	defer t.links.Unlock()
+	if t.links.severed {
+		c.Close()
+		return false
+	}
+	t.links.conns = append(t.links.conns, c)
+	return true
 }
 
 // anchor completes the handshake — an optional QuerySet announcing the query
@@ -694,11 +705,10 @@ func (t *tcpSlave) anchor() (*slaveNode, error) {
 	// The node gets its own Config carrying the bound sinks; t.cfg stays as
 	// the mesh acceptor reads it.
 	nodeCfg := t.sinks.bind(t.cfg, t.proc)
-	s := newSlave(&nodeCfg, t.id, t.proc, t.master, t.tab, t.coll,
+	s := newSlave(&nodeCfg, t.id, t.proc, t.master, t.tab, t.coll, t.inbox,
 		engine.NewLiveRunner(t.proc, t.cfg.LiveWorkers()))
 	s.origin, s.epoch0 = origin, epoch0
 	s.active = start.Activate
-	s.rset = t.rset
 	return s, nil
 }
 
@@ -715,13 +725,9 @@ func (t *tcpSlave) startHeartbeat(leave <-chan struct{}) error {
 		if err != nil {
 			return nil, err
 		}
-		t.hb.Lock()
-		defer t.hb.Unlock()
-		if t.hb.severed {
-			c.Close()
+		if !t.hold(c) {
 			return nil, net.ErrClosed
 		}
-		t.hb.close = func() { c.Close() }
 		return t.wrapMesh(c), nil
 	}
 	conn, err := dial()
@@ -765,30 +771,27 @@ func (t *tcpSlave) startHeartbeat(leave <-chan struct{}) error {
 	return nil
 }
 
-// replicate turns on the sending side of buddy replication (cfg.Replicate):
-// the replicator ships every owned group's window delta to the next roster
-// member each epoch, and — with pair sinks — a per-epoch delivery barrier
-// puts the pairs an epoch reports in the kernel's hands before its Hello, so
-// even an abrupt crash cannot lose output the master has accounted.
+// replicate turns on the sending side of buddy replication (cfg.Replicate)
+// over the mesh, and — with pair sinks — a per-epoch delivery barrier puts
+// the pairs an epoch reports in the kernel's hands before its Hello, so even
+// an abrupt crash cannot lose output the master has accounted.
 func (t *tcpSlave) replicate(s *slaveNode) {
-	if !t.cfg.Replicate {
-		return
-	}
-	t.repl = newReplicator(&t.cfg, t.id, t.proc, func(addr string) (engine.Conn, func(), error) {
-		c, err := t.cfg.transport().DialTimeout("tcp", addr, time.Duration(t.cfg.DistEpochMs)*time.Millisecond)
+	s.replicate(t.roster.Slaves, func(buddy wire.MemberSpec) (engine.AsyncSender, func(), error) {
+		c, err := t.cfg.transport().DialTimeout("tcp", buddy.Addr, time.Duration(t.cfg.DistEpochMs)*time.Millisecond)
 		if err != nil {
 			return nil, nil, err
+		}
+		if !t.hold(c) { // sever closes it
+			return nil, nil, net.ErrClosed
 		}
 		// Write-only from the owner side: a buddy that stops draining
 		// fails the stream within one wire deadline; the next flush
 		// redials it, restarting every buddy stream, instead of wedging
 		// the epoch barrier.
 		dc := engine.WithDeadlines(c, 0, t.cfg.wireDeadline())
-		return engine.WrapTCPBatched(t.proc, dc, t.cfg.WireBatchBytes), func() { c.Close() }, nil
+		return &tcpAsyncSender{engine.WrapTCPBatched(t.proc, dc, t.cfg.WireBatchBytes)}, func() { c.Close() }, nil
 	})
-	t.repl.updateRoster(t.roster.Slaves)
-	s.repl = t.repl
-	if len(t.sinks.sinks) > 0 {
+	if s.repl != nil && len(t.sinks.sinks) > 0 {
 		s.preFlush = t.sinks.flushBarrier
 	}
 }
@@ -798,12 +801,12 @@ func (t *tcpSlave) replicate(s *slaveNode) {
 // process kill looks like from outside. Safe to call more than once and at
 // any stage of the wiring.
 func (t *tcpSlave) sever() {
-	t.hb.Lock()
-	t.hb.severed = true
-	if t.hb.close != nil {
-		t.hb.close()
+	t.links.Lock()
+	t.links.severed = true
+	for _, c := range t.links.conns {
+		c.Close()
 	}
-	t.hb.Unlock()
+	t.links.Unlock()
 	for _, c := range []io.Closer{t.mc, t.rc, t.ml} {
 		if c != nil {
 			c.Close()
@@ -811,10 +814,6 @@ func (t *tcpSlave) sever() {
 	}
 	if t.tab != nil {
 		t.tab.closeAll()
-		t.rset.closeAll()
-	}
-	if t.repl != nil {
-		t.repl.close()
 	}
 }
 

@@ -181,22 +181,29 @@ func (lm *liveMaster) stopCollector() {
 // RunLive executes the full system on real goroutines with in-process
 // rendezvous transports. The join module runs the configured LiveProber —
 // hash-index probing by default, honest nested-loop scans (ModeScan) as the
-// ablation baseline — with the paper's block-granularity expiry.
+// ablation baseline — with the paper's block-granularity expiry. With
+// Replicate, each slave streams its groups to the next founder's inbox.
 // Configuration durations are wall-clock: keep them short.
-func RunLive(cfg Config) (*Result, error) { return runLive(cfg, nil) }
+func RunLive(cfg Config) (*Result, error) {
+	res, _, err := runLive(cfg, nil)
+	return res, err
+}
 
-// runLive is RunLive with the ingestor seam of newLiveMaster.
-func runLive(cfg Config, ing Ingestor) (*Result, error) {
+// runLive is RunLive with the ingestor seam of newLiveMaster; it also
+// returns the stopped slaves.
+func runLive(cfg Config, ing Ingestor) (*Result, []*slaveNode, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	lm := newLiveMaster(&cfg, ing)
 	slaveP := make([]*engine.LiveProc, cfg.Slaves)
 	sConns := make([]engine.Conn, cfg.Slaves)
 	mesh := make([][]engine.Conn, cfg.Slaves)
 	sinks := make([]*pairSinks, cfg.Slaves)
+	inboxes := make([]*engine.LiveInbox, cfg.Slaves)
 	for i := range slaveP {
 		slaveP[i] = lm.env.NewProc(fmt.Sprintf("slave%d", i))
+		inboxes[i] = engine.NewLiveInbox(slaveP[i], cfg.streamInboxLen())
 		lm.master.slots[i].conn, sConns[i] = engine.Pipe(lm.masterP, slaveP[i])
 		mesh[i] = make([]engine.Conn, cfg.Slaves)
 		sinks[i] = newPairSinks(int32(i))
@@ -227,12 +234,15 @@ func runLive(cfg Config, ing Ingestor) (*Result, error) {
 	nodes := make(map[string]func(), cfg.Slaves)
 	for i := range slaves {
 		if err := sinks[i].dial(&cfg); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		own := sinks[i].bind(cfg, slaveP[i])
 		slaves[i] = newSlave(&own, int32(i), slaveP[i], sConns[i], staticPeers(mesh[i]),
-			engine.NewLiveAsyncSender(slaveP[i], lm.inbox),
+			engine.NewLiveAsyncSender(slaveP[i], lm.inbox), inboxes[i],
 			engine.NewLiveRunner(slaveP[i], cfg.inProcessWorkers()))
+		slaves[i].replicateLocal(func(id int32) engine.AsyncSender {
+			return engine.NewLiveAsyncSender(slaveP[i], inboxes[id])
+		})
 		nodes[slaveP[i].Name()] = slaves[i].run
 	}
 
@@ -249,13 +259,13 @@ func runLive(cfg Config, ing Ingestor) (*Result, error) {
 	defer warmTimer.Stop()
 
 	if err := lm.play(&cfg, nodes); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	lm.stopCollector()
 	// All slaves have returned, so no join worker can still Emit; flush the
 	// downstream sinks and surface any delivery failure.
 	if err := closeSinks(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	slaveStats := make([]engine.Stats, cfg.Slaves)
@@ -263,5 +273,5 @@ func runLive(cfg Config, ing Ingestor) (*Result, error) {
 		slaveStats[i] = p.Stats().Sub(warmSlaves[i])
 	}
 	return newResult(cfg, cfg.DurationMs-cfg.WarmupMs, lm.master, lm.collector,
-		lm.masterP.Stats().Sub(warmMaster), slaves, slaveStats), nil
+		lm.masterP.Stats().Sub(warmMaster), slaves, slaveStats), slaves, nil
 }

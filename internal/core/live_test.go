@@ -81,7 +81,7 @@ func TestRunLiveDeliversWithinTheEpoch(t *testing.T) {
 					got[fpOf(wire.OutPair{Probe: p.Probe, Stored: p.Stored})]++
 				}
 			})
-			res, err := runLive(cfg, &listIngestor{tuples: slices.Clone(work)})
+			res, _, err := runLive(cfg, &listIngestor{tuples: slices.Clone(work)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -153,7 +153,7 @@ func TestRunLiveSourceDropsAccounted(t *testing.T) {
 	cfg.DurationMs = 2_000
 	cfg.WarmupMs = 500
 	in := &liveIngestor{maxLagMs: 1}
-	res, err := runLive(cfg, in)
+	res, _, err := runLive(cfg, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestRunLiveOnScheduleDropsNothing(t *testing.T) {
 	cfg.DurationMs = 1_500
 	cfg.WarmupMs = 500
 	in := newLiveIngestor(&cfg)
-	res, err := runLive(cfg, in)
+	res, _, err := runLive(cfg, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestSlaveFlushesResultsEveryEpoch(t *testing.T) {
 	mp, sp := env.NewProc("master"), env.NewProc("slave")
 	mc, sc := engine.Pipe(mp, sp)
 	coll := &countingColl{}
-	s := newSlave(&cfg, 0, sp, sc, staticPeers([]engine.Conn{nil}), coll, nil)
+	s := newSlave(&cfg, 0, sp, sc, staticPeers([]engine.Conn{nil}), coll, engine.NewLiveInbox(sp, 1), nil)
 	done := make(chan any, 1)
 	go func() {
 		defer func() { done <- recover() }()

@@ -2,7 +2,6 @@ package core
 
 import (
 	"slices"
-	"sync"
 	"time"
 
 	"streamjoin/internal/engine"
@@ -12,11 +11,10 @@ import (
 )
 
 // This file holds buddy replication — an owner's buddy stream of every owned
-// group (replicator) — and the consumer side of every window stream
-// (shadowSet). When the master evicts a crashed slave it promotes the
-// buddy's replicas instead of re-adopting the groups empty (elastic.go), so
-// they resume with their windows intact. A replica stream rides the mesh
-// listener, opened with Hello{Epoch: replEpoch} instead of joinEpoch.
+// group into its buddy's inbox (replicator) — and the consumer side of every
+// window stream (shadowSet). When the master evicts a crashed slave it
+// promotes the buddy's replicas instead of re-adopting the groups empty
+// (elastic.go), so they resume with their windows intact.
 
 // replEpoch is the Epoch of the Hello (Slave: the owner) that opens a
 // replication stream, where a mesh peer sends joinEpoch.
@@ -29,113 +27,127 @@ func promoteFrom(src int32) int32 { return -2 - src }
 func promoteSrc(from int32) int32 { return -2 - from }
 
 // replicator is the owner side of buddy replication: it tracks the roster,
-// keeps one batched connection to the current buddy's mesh listener, and
-// sends every owned group's buddy-stream delta each distribution epoch —
-// empty deltas included, so the buddy's shadows expire in lockstep and their
-// TTL stays refreshed while the owner lives.
+// keeps one stream open toward the current buddy's inbox — dial opens it:
+// in process on pipes and in the simulator, over the mesh on TCP — and
+// sends every owned group's delta each distribution epoch, empty deltas
+// included, so the buddy's shadows expire in lockstep and their TTL stays
+// refreshed while the owner lives.
 type replicator struct {
 	cfg  *Config
 	self int32
-	dial func(addr string) (engine.Conn, func(), error)
-	proc *engine.LiveProc
+	proc engine.Proc
+	dial func(buddy wire.MemberSpec) (engine.AsyncSender, func(), error)
 
-	buddy     int32
-	buddyAddr string
-	conn      engine.Conn
-	connClose func()
+	buddy    wire.MemberSpec // ID -1: none; the zero value until updateRoster
+	out      engine.AsyncSender
+	outClose func()
 
-	wd  wire.WindowDelta // scratch
-	ids []int32          // scratch
-}
-
-func newReplicator(cfg *Config, self int32, proc *engine.LiveProc,
-	dial func(addr string) (engine.Conn, func(), error)) *replicator {
-	return &replicator{cfg: cfg, self: self, proc: proc, dial: dial, buddy: -1}
+	ids []int32 // scratch
 }
 
 // updateRoster recomputes the buddy from a roster announcement: the next
 // roster member after self, cyclically (the master's buddyAfter walks the
 // same order over the same membership predicate, so owner and master agree
-// on where every group's replica lives). A buddy change drops the old
+// on where every group's replica lives). A buddy change ends the old
 // stream, which restarts every buddy stream.
 func (r *replicator) updateRoster(slaves []wire.MemberSpec) {
-	buddy, addr := int32(-1), ""
+	buddy := wire.MemberSpec{ID: -1}
 	at := slices.IndexFunc(slaves, func(sp wire.MemberSpec) bool { return sp.ID == r.self })
 	if at >= 0 && len(slaves) > 1 {
-		next := slaves[(at+1)%len(slaves)]
-		buddy, addr = next.ID, next.Addr
+		buddy = slaves[(at+1)%len(slaves)]
 	}
-	if buddy == r.buddy && addr == r.buddyAddr {
+	if buddy == r.buddy {
 		return
 	}
-	r.buddy, r.buddyAddr = buddy, addr
+	r.buddy = buddy
 	r.close()
 }
 
-// close tears the replication connection down: on a buddy change, a
-// transport failure, slave shutdown or the kill seam.
+// close ends the stream: on a buddy change, a transport failure, slave
+// shutdown or the kill seam.
 func (r *replicator) close() {
-	if r.connClose != nil {
-		r.connClose()
+	if r.outClose != nil {
+		r.outClose()
 	}
-	r.conn, r.connClose = nil, nil
+	r.out, r.outClose = nil, nil
 }
 
 // flush sends every owned group's buddy delta for the epoch just closed. A
-// new connection starts every group's buddy stream over from a fresh
-// snapshot (the receiver may have missed deltas, or be another slave); a
-// group installed here since the last flush opens its stream the same way.
-// A transport failure drops the connection and is retried next epoch —
-// replication degrades, it never takes the owner down.
+// new stream opens with Hello{Slave: self, Epoch: replEpoch} and starts
+// every group's buddy stream over from a fresh snapshot (the receiver may
+// have missed deltas, or be another slave); a group installed here since the
+// last flush opens its stream the same way. Each delta is a fresh message
+// owning its runs (next hands the capture over): an in-process inbox keeps
+// what it is sent. A transport failure ends the stream, reopened next
+// epoch: replication degrades, it never takes the owner down.
 func (r *replicator) flush(ws *workerSet, epoch int64, nowMs int32) {
-	if r.conn == nil {
+	opened := r.out == nil
+	if opened {
 		ws.endBuddyStreams()
-		if r.buddy < 0 || r.buddyAddr == "" {
+		if r.buddy.ID < 0 {
 			return
 		}
-		conn, cl, err := r.dial(r.buddyAddr)
+		out, cl, err := r.dial(r.buddy)
 		if err != nil {
 			return // buddy unreachable; retry next epoch
 		}
-		r.conn, r.connClose = conn, cl
-		if !tolerateTCP(func() { conn.Send(&wire.Hello{Slave: r.self, Epoch: replEpoch}) }) {
-			r.close()
-			return
-		}
+		r.out, r.outClose = out, cl
 	}
 	cutoff := nowMs - r.cfg.WindowMs
 	var deltas, tuples int64
 	ok := tolerateTCP(func() {
+		if opened {
+			r.out.SendAsync(&wire.Hello{Slave: r.self, Epoch: replEpoch})
+		}
 		for _, w := range ws.workers {
 			r.ids = w.mod.AppendIDs(r.ids[:0])
 			for _, g := range r.ids {
-				o := w.buddyStream(wire.Directive{Group: g, From: r.self, To: r.buddy})
-				r.wd = ws.next(o)
-				r.wd.Epoch, r.wd.Cutoff = epoch, cutoff
-				// SendBuffered encodes into the pending frame before
-				// returning, so the capture is immediately reusable.
-				engine.SendBuffered(r.conn, &r.wd)
-				o.clearCapture()
+				o := w.buddyStream(wire.Directive{Group: g, From: r.self, To: r.buddy.ID})
+				wd := ws.next(o)
+				wd.Epoch, wd.Cutoff = epoch, cutoff
+				r.out.SendAsync(&wd)
 				deltas++
-				tuples += int64(len(r.wd.Runs[0]) + len(r.wd.Runs[1]))
+				tuples += int64(len(wd.Runs[0]) + len(wd.Runs[1]))
 			}
 		}
 		if deltas == 0 {
 			// Keepalive (Group -1, discarded): an owner with no groups still
 			// moves a byte per epoch, so the buddy's read deadline never
 			// mistakes a healthy idle stream for a wedged one.
-			r.wd = wire.WindowDelta{From: r.self, Group: -1, Epoch: epoch, Cutoff: cutoff}
-			engine.SendBuffered(r.conn, &r.wd)
+			r.out.SendAsync(&wire.WindowDelta{From: r.self, Group: -1, Epoch: epoch, Cutoff: cutoff})
 		}
-		engine.Flush(r.conn)
+		engine.Flush(r.out)
 	})
 	if !ok {
 		r.close()
 		return
 	}
-	if r.proc != nil {
-		r.proc.AddRepl(deltas, tuples, 0, 0)
+	if lp, ok := r.proc.(*engine.LiveProc); ok {
+		lp.AddRepl(deltas, tuples, 0, 0)
 	}
+}
+
+// replicate turns buddy replication on (cfg.Replicate) from roster; dial
+// opens the stream to a buddy.
+func (s *slaveNode) replicate(roster []wire.MemberSpec, dial func(buddy wire.MemberSpec) (engine.AsyncSender, func(), error)) {
+	if s.cfg.Replicate {
+		s.repl = &replicator{cfg: s.cfg, self: s.id, proc: s.proc, dial: dial}
+		s.repl.updateRoster(roster)
+	}
+}
+
+// replicateLocal is replicate in process, on pipes or in the simulator:
+// send(id) posts into slave id's inbox, and the roster is the static
+// founder one the master's buddyAfter walks.
+func (s *slaveNode) replicateLocal(send func(id int32) engine.AsyncSender) {
+	roster := make([]wire.MemberSpec, s.cfg.Slaves)
+	for i := range roster {
+		roster[i].ID = int32(i)
+	}
+	s.replicate(roster, func(buddy wire.MemberSpec) (engine.AsyncSender, func(), error) {
+		out := send(buddy.ID)
+		return out, func() { out.SendAsync(streamEnd(s.id)) }, nil
+	})
 }
 
 // buddyStream returns group d.Group's buddy stream, opening it as d.
@@ -169,6 +181,12 @@ type shadowKey struct {
 // delta before the buddy retires it.
 const replicaTTL = 8
 
+// streamEnd is the end marker of owner src's buddy stream, posted by the
+// inbox's local writer (a TCP reader, an in-process replicator), never sent.
+func streamEnd(src int32) *wire.WindowDelta {
+	return &wire.WindowDelta{From: src, Group: -1, Close: true}
+}
+
 // shadow is one partition-group shadow: both stream windows rebuilt from the
 // deltas, the last delta's Epoch, and the idle epochs a replica's TTL counts
 // (an orphan — the group moved away, the owner changed buddy — must go).
@@ -179,24 +197,41 @@ type shadow struct {
 }
 
 // shadowSet is the consumer side of every window stream, one per slave:
-// shadows indexed by shadowKey, fed by the slave loop (moves) and the mesh
-// listener's replication readers, consumed by promote. The mutex spans
-// reader goroutines (apply) and the slave loop.
+// shadows indexed by shadowKey, consumed by promote. Moves' deltas arrive on
+// the slave loop's mesh reads; buddy streams queue in the inbox, which the
+// slave loop drains each epoch and before a promotion, so every apply runs
+// on the slave loop.
 type shadowSet struct {
-	mu      sync.Mutex
 	entries map[shadowKey]*shadow
-	readers map[int32]chan struct{}
-	closers []func()
+	in      engine.Inbox
+	open    map[int32]int // buddy streams per owner: opened by a Hello, not yet ended
+	proc    engine.Proc   // take's clock; a LiveProc counts the replication
 
 	scratch []tuple.Packed
-	proc    *engine.LiveProc // receives the replication counters; may be nil
 }
 
-func newShadowSet(proc *engine.LiveProc) *shadowSet {
-	return &shadowSet{
-		proc:    proc,
-		entries: make(map[shadowKey]*shadow),
-		readers: make(map[int32]chan struct{}),
+func newShadowSet(proc engine.Proc, in engine.Inbox) *shadowSet {
+	return &shadowSet{entries: make(map[shadowKey]*shadow), in: in, open: make(map[int32]int), proc: proc}
+}
+
+// drain applies every buddy-stream message queued in the inbox, at once.
+func (ss *shadowSet) drain() {
+	for m, ok := ss.in.TryRecv(); ok; m, ok = ss.in.TryRecv() {
+		ss.receive(m)
+	}
+}
+
+// receive takes a buddy stream's opening Hello, a delta, or its end marker.
+func (ss *shadowSet) receive(m wire.Message) {
+	switch v := m.(type) {
+	case *wire.Hello:
+		ss.open[v.Slave]++
+	case *wire.WindowDelta:
+		if v.Close {
+			ss.open[v.From]--
+		} else {
+			ss.apply(v)
+		}
 	}
 }
 
@@ -209,8 +244,6 @@ func (ss *shadowSet) apply(wd *wire.WindowDelta) {
 	if wd.Group < 0 {
 		return // keepalive from an owner with nothing to replicate
 	}
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
 	k := shadowKey{src: wd.From, group: wd.Group, move: wd.MoveID}
 	e := ss.entries[k]
 	if e == nil {
@@ -231,50 +264,26 @@ func (ss *shadowSet) apply(wd *wire.WindowDelta) {
 		}
 	}
 	e.epoch, e.ticks = wd.Epoch, 0
-	if wd.MoveID == 0 && ss.proc != nil {
-		ss.proc.AddRepl(0, 0, 1, int64(len(wd.Runs[0])+len(wd.Runs[1])))
+	if lp, ok := ss.proc.(*engine.LiveProc); ok && wd.MoveID == 0 {
+		lp.AddRepl(0, 0, 1, int64(len(wd.Runs[0])+len(wd.Runs[1])))
 	}
-}
-
-// beginReader registers the reader goroutine draining owner src's
-// replication stream, and closeConn, its connection's teardown for closeAll
-// (slave shutdown and the kill seam). The returned channel is closed by
-// endReader when the stream ends, which is what take waits for (stream
-// down ⇒ every delta the owner flushed before dying has been applied).
-func (ss *shadowSet) beginReader(src int32, closeConn func()) chan struct{} {
-	ch := make(chan struct{})
-	ss.mu.Lock()
-	ss.readers[src] = ch
-	ss.closers = append(ss.closers, closeConn)
-	ss.mu.Unlock()
-	return ch
-}
-
-func (ss *shadowSet) endReader(src int32, ch chan struct{}) {
-	ss.mu.Lock()
-	if ss.readers[src] == ch {
-		delete(ss.readers, src)
-	}
-	ss.mu.Unlock()
-	close(ch)
 }
 
 // take removes and returns shadow k's windows and last delta Epoch. For a
-// replica it first waits (bounded by patience) for src's replication reader
-// to finish, so a delta already on the wire when the owner crashed is
-// applied before the snapshot.
+// replica it first drains the inbox and, while src's buddy stream is open,
+// waits (bounded by patience) for its end marker, so a delta already on the
+// wire when the owner crashed is applied before the snapshot.
 func (ss *shadowSet) take(k shadowKey, patience time.Duration) ([2][]tuple.Packed, int64, bool) {
-	ss.mu.Lock()
-	ch := ss.readers[k.src]
-	ss.mu.Unlock()
-	if ch != nil && k.move == 0 {
-		select {
-		case <-ch:
-		case <-time.After(patience):
+	if k.move == 0 {
+		ss.drain()
+		for deadline := ss.proc.Now() + patience; ss.open[k.src] > 0; {
+			m, ok := ss.in.RecvBefore(deadline)
+			if !ok {
+				break
+			}
+			ss.receive(m)
 		}
 	}
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
 	e := ss.entries[k]
 	if e == nil {
 		return [2][]tuple.Packed{}, 0, false
@@ -288,22 +297,9 @@ func (ss *shadowSet) take(k shadowKey, patience time.Duration) ([2][]tuple.Packe
 // only orphans — owner switched buddies, group moved away, owner released —
 // ever reach it. A move's shadow ends at its close or its supplier's death.
 func (ss *shadowSet) sweep() {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
 	for k, e := range ss.entries {
 		if e.ticks++; k.move == 0 && e.ticks > replicaTTL {
 			delete(ss.entries, k)
 		}
-	}
-}
-
-// closeAll severs every inbound replication stream.
-func (ss *shadowSet) closeAll() {
-	ss.mu.Lock()
-	closers := ss.closers
-	ss.closers = nil
-	ss.mu.Unlock()
-	for _, f := range closers {
-		f()
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -319,7 +320,7 @@ func TestAccountWindowLoss(t *testing.T) {
 // reset snapshot, incremental deltas, an advancing expiry watermark — and
 // checks take returns exactly the surviving tuples, removing the shadow.
 func TestReplicaSetApplyTake(t *testing.T) {
-	rs := newShadowSet(nil)
+	rs, _ := newTestShadowSet()
 
 	mk := func(stream tuple.StreamID, key, ts int32) tuple.Tuple {
 		return tuple.Tuple{Stream: stream, Key: key, TS: ts}
@@ -390,7 +391,7 @@ func TestReplicaSetApplyTake(t *testing.T) {
 // TestReplicaSetSweep: shadows the owner keeps refreshing live forever;
 // orphaned ones are retired after the TTL.
 func TestReplicaSetSweep(t *testing.T) {
-	rs := newShadowSet(nil)
+	rs, _ := newTestShadowSet()
 	wd := &wire.WindowDelta{From: 0, Group: 1, Epoch: 1, Cutoff: -1_000_000}
 	rs.apply(wd)
 	for range replicaTTL {
@@ -419,38 +420,212 @@ func TestReplicaSetSweep(t *testing.T) {
 	}
 }
 
-// TestReplicaSetReaderBarrier: take waits on the owner's replication reader —
-// a closed reader releases it immediately, a stuck one only holds it for the
-// caller's patience.
-func TestReplicaSetReaderBarrier(t *testing.T) {
-	rs := newShadowSet(nil)
-	rs.apply(&wire.WindowDelta{From: 4, Group: 2, Epoch: 1, Cutoff: -1_000_000})
+// newTestShadowSet returns a shadow set on a live clock and its inbox.
+func newTestShadowSet() (*shadowSet, engine.AsyncSender) {
+	p := engine.NewLiveEnv().NewProc("buddy")
+	in := engine.NewLiveInbox(p, 64)
+	return newShadowSet(p, in), engine.NewLiveAsyncSender(p, in)
+}
 
-	ch := rs.beginReader(4, func() {})
-	rs.endReader(4, ch)
-	if _, _, ok := rs.take(shadowKey{src: 4, group: 2}, time.Hour); !ok { // must not block: reader done
-		t.Fatal("take missed the shadow after the reader ended")
+// TestReplicaSetEndMarker: take drains the inbox before a promotion reads a
+// replica, and waits for the owner's end marker — only while the owner's
+// stream is open, and never past its patience.
+func TestReplicaSetEndMarker(t *testing.T) {
+	rs, post := newTestShadowSet()
+	k := shadowKey{src: 4, group: 2}
+	delta := func(epoch int64, key int32) *wire.WindowDelta {
+		return &wire.WindowDelta{From: 4, Group: 2, Epoch: epoch, Cutoff: -1_000_000,
+			Runs: [2][]tuple.Tuple{{{Stream: tuple.S1, Key: key, TS: int32(epoch)}}, nil}}
+	}
+	keys := func(w [2][]tuple.Packed) []int32 {
+		var out []int32
+		for _, p := range w[0] {
+			out = append(out, p.Key)
+		}
+		return out
 	}
 
-	rs.apply(&wire.WindowDelta{From: 4, Group: 2, Epoch: 2, Cutoff: -1_000_000})
-	_ = rs.beginReader(4, func() {}) // never ends: patience bounds the wait
+	// Everything queued, nothing drained yet: the delta ahead of the end
+	// marker is applied before take returns, and take does not wait.
+	post.SendAsync(&wire.Hello{Slave: 4, Epoch: replEpoch})
+	post.SendAsync(delta(1, 10))
+	post.SendAsync(streamEnd(4))
 	start := time.Now()
-	if _, _, ok := rs.take(shadowKey{src: 4, group: 2}, 10*time.Millisecond); !ok {
-		t.Fatal("take missed the shadow after its patience ran out")
+	w, epoch, ok := rs.take(k, time.Hour)
+	if !ok || epoch != 1 || !slices.Equal(keys(w), []int32{10}) {
+		t.Fatalf("take = %v (epoch %d, ok %v), want the queued delta's key 10 at epoch 1", keys(w), epoch, ok)
 	}
 	if waited := time.Since(start); waited > 5*time.Second {
-		t.Fatalf("take blocked %v on a stuck reader", waited)
+		t.Fatalf("take waited %v after the end marker", waited)
 	}
 
-	// A stale registration must not shadow a newer reader generation.
-	ch1 := rs.beginReader(9, func() {})
-	ch2 := rs.beginReader(9, func() {})
-	rs.endReader(9, ch1) // old generation: closed, but not deregistered over ch2
-	rs.mu.Lock()
-	cur := rs.readers[9]
-	rs.mu.Unlock()
-	if cur != ch2 {
-		t.Error("stale endReader deregistered the newer reader")
+	// An open stream whose last delta and end marker arrive while take
+	// waits: both are applied before it returns.
+	post.SendAsync(&wire.Hello{Slave: 4, Epoch: replEpoch})
+	post.SendAsync(delta(2, 20))
+	rs.drain()
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		post.SendAsync(delta(3, 30))
+		post.SendAsync(streamEnd(4))
+	}()
+	if w, epoch, ok := rs.take(k, time.Hour); !ok || epoch != 3 || !slices.Equal(keys(w), []int32{20, 30}) {
+		t.Fatalf("take = %v (epoch %d, ok %v), want keys [20 30] at epoch 3", keys(w), epoch, ok)
 	}
-	rs.endReader(9, ch2)
+
+	// A reopened stream outlives the old stream's end marker: take still
+	// waits for the new one's.
+	post.SendAsync(&wire.Hello{Slave: 4, Epoch: replEpoch})
+	post.SendAsync(&wire.Hello{Slave: 4, Epoch: replEpoch})
+	post.SendAsync(streamEnd(4))
+	post.SendAsync(delta(4, 40))
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		post.SendAsync(delta(5, 50))
+		post.SendAsync(streamEnd(4))
+	}()
+	if w, epoch, ok := rs.take(k, time.Hour); !ok || epoch != 5 || !slices.Equal(keys(w), []int32{40, 50}) {
+		t.Fatalf("take = %v (epoch %d, ok %v), want keys [40 50] at epoch 5", keys(w), epoch, ok)
+	}
+
+	// No end marker: patience bounds the wait.
+	post.SendAsync(&wire.Hello{Slave: 4, Epoch: replEpoch})
+	post.SendAsync(delta(6, 60))
+	start = time.Now()
+	if w, _, ok := rs.take(k, 50*time.Millisecond); !ok || !slices.Equal(keys(w), []int32{60}) {
+		t.Fatalf("take = %v (ok %v) after its patience, want key 60", keys(w), ok)
+	}
+	if waited := time.Since(start); waited < 50*time.Millisecond || waited > 5*time.Second {
+		t.Fatalf("take waited %v on an open stream, want its patience (50ms)", waited)
+	}
+
+	// A move's shadow never waits on the inbox.
+	rs.apply(&wire.WindowDelta{From: 4, Group: 2, MoveID: 9, Reset: true})
+	start = time.Now()
+	if _, _, ok := rs.take(shadowKey{src: 4, group: 2, move: 9}, time.Hour); !ok {
+		t.Fatal("take missed the move's shadow")
+	}
+	if waited := time.Since(start); waited > 5*time.Second {
+		t.Fatalf("take of a move's shadow waited %v", waited)
+	}
+}
+
+// TestReplicasMatchPrimaries runs a replicated cluster for some epochs and
+// checks every replica slot for slot against its primary: the comparison of
+// TestReplicaReplayIdentity, lifted to whole slaves. One row runs on pipes
+// with two join workers per slave and moves forced through the memory seam,
+// as the benchsweep reorg scenario forces them; the other on the simulator,
+// stopped by its horizon mid-epoch.
+func TestReplicasMatchPrimaries(t *testing.T) {
+	for _, row := range []struct {
+		name string
+		run  func(Config) (*Result, []*slaveNode, error)
+		cfg  func(*Config)
+	}{
+		{"pipes", func(c Config) (*Result, []*slaveNode, error) { return runLive(c, nil) }, func(c *Config) {
+			c.Workers, c.Rate = 2, 1_000
+			c.WindowMs, c.DistEpochMs, c.ReorgEpochMs = 1_500, 100, 500
+			c.DurationMs, c.WarmupMs = 2_500, 500
+			c.Partitions, c.SlaveMemBytes = 4, []int64{16 << 10}
+		}},
+		{"sim", runSim, func(c *Config) {
+			c.Rate = 400
+			c.WindowMs, c.DistEpochMs, c.ReorgEpochMs = 10_000, 500, 5_000
+			c.DurationMs, c.WarmupMs = 20_250, 5_000
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Slaves, cfg.Replicate = 3, true
+			cfg.FineTune = false // one store per stream and group, as a replica keeps
+			cfg.Domain, cfg.Theta = 20_000, 32<<10
+			row.cfg(&cfg)
+			res, slaves, err := row.run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if row.name == "pipes" && res.MovesCompleted == 0 {
+				t.Fatalf("no move completed (issued %d)", res.MovesIssued)
+			}
+			groups, tuples := checkReplicas(t, slaves, cfg.WindowMs)
+			if groups < cfg.NumGroups()/2 || tuples == 0 {
+				t.Fatalf("compared %d replicas holding %d window tuples, want most of %d groups and some tuples",
+					groups, tuples, cfg.NumGroups())
+			}
+			t.Logf("%d moves; %d replicas, %d window tuples compared", res.MovesCompleted, groups, tuples)
+		})
+	}
+}
+
+// checkReplicas compares, once the slaves have stopped, every group's
+// replica on its owner's buddy with the group's primary, and reports how
+// many replicas and window tuples it compared. The primary minus what it
+// ingested since the owner's last flush (its buddy stream's capture) is what
+// the replica must hold. The two expire at different watermarks, so only
+// the stretch both must still hold — newer than the window behind the
+// current time — is compared slot for slot.
+func checkReplicas(t *testing.T, slaves []*slaveNode, windowMs int32) (groups, tuples int) {
+	t.Helper()
+	for _, s := range slaves {
+		s.rset.drain() // the owners' last flush
+	}
+	for i, s := range slaves {
+		buddy := slaves[(i+1)%len(slaves)]
+		since := msOf(s.proc.Now()) - windowMs
+		live := func(w []tuple.Packed) []tuple.Packed {
+			if at := slices.IndexFunc(w, func(p tuple.Packed) bool { return p.TS >= since }); at >= 0 {
+				return w[at:]
+			}
+			return nil
+		}
+		unstreamed := 0
+		for _, w := range s.ws.workers {
+			for _, g := range w.mod.AppendIDs(nil) {
+				at := slices.IndexFunc(w.streams[g], func(o *shadowOut) bool { return o.d.MoveID == 0 })
+				if at < 0 {
+					unstreamed++ // installed since the last flush
+					continue
+				}
+				o := w.streams[g][at]
+				rep := buddy.rset.entries[shadowKey{src: s.id, group: g}]
+				if rep == nil {
+					t.Errorf("slave %d group %d: no replica on buddy %d", s.id, g, buddy.id)
+					continue
+				}
+				grp, _ := w.mod.Get(g)
+				st := grp.Extract()
+				for str := range 2 {
+					tail := len(st.Window[str]) - len(o.capture[str])
+					for k, c := range o.capture[str] {
+						if st.Window[str][tail+k] != c.Packed() {
+							t.Fatalf("slave %d group %d stream %d: capture slot %d is %+v, primary %+v",
+								s.id, g, str, k, c, st.Window[str][tail+k])
+						}
+					}
+					want, got := live(st.Window[str][:tail]), live(rep.stores[str].Snapshot())
+					if !slices.Equal(want, got) {
+						t.Errorf("slave %d group %d stream %d: replica holds %d window tuples, primary %d (first difference at slot %d)",
+							s.id, g, str, len(got), len(want), firstDiff(want, got))
+					}
+					tuples += len(want)
+				}
+				groups++
+			}
+		}
+		if unstreamed > len(s.acks) {
+			t.Errorf("slave %d: %d groups without a buddy stream, %d installed since its last flush",
+				s.id, unstreamed, len(s.acks))
+		}
+	}
+	return groups, tuples
+}
+
+// firstDiff returns the first slot where a and b differ.
+func firstDiff(a, b []tuple.Packed) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
 }

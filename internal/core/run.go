@@ -97,8 +97,9 @@ type Result struct {
 	GroupsRebalanced int
 	RebalanceStallMs int64
 
-	// Buddy-replication accounting (TCP runs with Replicate). A crashed
-	// slave's groups are promoted from their replicas when a buddy survives
+	// Buddy-replication accounting (evictions happen only on the TCP
+	// deployment; Replicate keeps replicas in every one). A crashed slave's
+	// groups are promoted from their replicas when a buddy survives
 	// (GroupsPromoted) and adopted empty otherwise; LostWindowTuples
 	// estimates the window tuples discarded by those empty adoptions from
 	// the victim's last reported window size. PairsLost converts that to an
@@ -247,8 +248,14 @@ func (in *sourceIngestor) pull(uptoMs int32) {
 // RunSim executes the full system on the simulated cluster and returns the
 // measured Result. It is deterministic for a given Config.
 func RunSim(cfg Config) (*Result, error) {
+	res, _, err := runSim(cfg)
+	return res, err
+}
+
+// runSim is RunSim; it also returns the slaves as the horizon left them.
+func runSim(cfg Config) (*Result, []*slaveNode, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	cfg.sim = true
 
@@ -258,8 +265,10 @@ func RunSim(cfg Config) (*Result, error) {
 	masterNd := net.NewNode("master")
 	collNd := net.NewNode("collector")
 	slaveNds := make([]*simnet.Node, cfg.Slaves)
+	inboxes := make([]*engine.SimInbox, cfg.Slaves)
 	for i := range slaveNds {
 		slaveNds[i] = net.NewNode(fmt.Sprintf("slave%d", i))
+		inboxes[i] = engine.WrapInbox(simnet.NewInbox(slaveNds[i]))
 	}
 
 	// Master <-> slave connections.
@@ -291,7 +300,10 @@ func RunSim(cfg Config) (*Result, error) {
 		// The simulation's virtual clock is single-threaded, so slaves run
 		// one inline join worker regardless of cfg.Workers.
 		slaves[i] = newSlave(&cfg, int32(i), engine.WrapNode(slaveNds[i]), sConns[i],
-			staticPeers(mesh[i]), engine.NewSimAsyncSender(slaveNds[i], inbox), nil)
+			staticPeers(mesh[i]), engine.NewSimAsyncSender(slaveNds[i], inbox), inboxes[i], nil)
+		slaves[i].replicateLocal(func(id int32) engine.AsyncSender {
+			return engine.NewSimAsyncSender(slaveNds[i], inboxes[id])
+		})
 	}
 
 	masterNd.Start(func(*simnet.Node) { master.run() })
@@ -320,7 +332,7 @@ func RunSim(cfg Config) (*Result, error) {
 	horizon := des.Time(cfg.DurationMs) * des.Time(time.Millisecond)
 	if _, err := env.RunUntil(horizon); err != nil {
 		env.Kill()
-		return nil, err
+		return nil, nil, err
 	}
 	env.Kill()
 
@@ -330,7 +342,7 @@ func RunSim(cfg Config) (*Result, error) {
 	expected := int64(cfg.DurationMs/cfg.DistEpochMs) - 1
 	horizonDur := time.Duration(cfg.DurationMs) * time.Millisecond
 	if master.epochsServed < expected && horizonDur-master.lastEpochAt > horizonDur/4 {
-		return nil, fmt.Errorf("core: run deadlocked after %d of %d epochs (last progress at %v)",
+		return nil, nil, fmt.Errorf("core: run deadlocked after %d of %d epochs (last progress at %v)",
 			master.epochsServed, expected, master.lastEpochAt)
 	}
 
@@ -339,7 +351,7 @@ func RunSim(cfg Config) (*Result, error) {
 		slaveStats[i] = engine.WrapNode(nd).Stats().Sub(warmSlaves[i])
 	}
 	return newResult(cfg, cfg.DurationMs-cfg.WarmupMs, master, collector,
-		engine.WrapNode(masterNd).Stats().Sub(warmMaster), slaves, slaveStats), nil
+		engine.WrapNode(masterNd).Stats().Sub(warmMaster), slaves, slaveStats), slaves, nil
 }
 
 // newResult assembles a run's Result from the master's and the collector's

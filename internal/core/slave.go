@@ -59,8 +59,9 @@ type slaveNode struct {
 	epoch0 int64
 
 	// Window streams (transfer.go, replica.go). repl ships owned groups'
-	// buddy deltas each epoch (TCP deployment; nil unless cfg.Replicate);
-	// rset holds the shadows streamed here, moves' and replicas'. preFlush
+	// buddy deltas each epoch (nil unless cfg.Replicate); rset holds the
+	// shadows streamed here, moves' and replicas', and drains the buddy
+	// streams queued in the slave's inbox. preFlush
 	// runs before each epoch's Hello (the pair-sink delivery barrier, so
 	// downstream output never trails what the epoch reports); failHook is
 	// the fault-injection seam of the crash-recovery tests, called with slot
@@ -86,12 +87,11 @@ type slaveNode struct {
 	epochLat metrics.DelayStats
 }
 
-func newSlave(cfg *Config, id int32, proc engine.Proc, mst engine.Conn, peers *peerTable, coll engine.AsyncSender, runner engine.Runner) *slaveNode {
+func newSlave(cfg *Config, id int32, proc engine.Proc, mst engine.Conn, peers *peerTable, coll engine.AsyncSender, inbox engine.Inbox, runner engine.Runner) *slaveNode {
 	active := int(id) < cfg.initialActive()
 	if runner == nil {
 		runner = engine.NewInlineRunner(proc)
 	}
-	lp, _ := proc.(*engine.LiveProc)
 	return &slaveNode{
 		cfg:     cfg,
 		id:      id,
@@ -100,7 +100,7 @@ func newSlave(cfg *Config, id int32, proc engine.Proc, mst engine.Conn, peers *p
 		ptab:    peers,
 		coll:    coll,
 		ws:      newWorkerSet(cfg, id, runner),
-		rset:    newShadowSet(lp),
+		rset:    newShadowSet(proc, inbox),
 		xferOut: make(map[int64]*shadowOut),
 		xferIn:  make(map[int64]*inXfer),
 		active:  active,
@@ -147,6 +147,7 @@ func (s *slaveNode) run() {
 		if s.repl != nil {
 			s.repl.flush(s.ws, e, msOf(s.proc.Now()))
 		}
+		s.rset.drain()
 		s.rset.sweep()
 		if s.failHook != nil {
 			s.failHook(e, 0)

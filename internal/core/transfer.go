@@ -68,12 +68,6 @@ func (o *shadowOut) record(chunk []tuple.Tuple) {
 	}
 }
 
-// clearCapture empties the capture once a buddy delta carrying it is
-// encoded, keeping its buffers.
-func (o *shadowOut) clearCapture() {
-	o.capture[0], o.capture[1] = o.capture[0][:0], o.capture[1][:0]
-}
-
 // inXfer is the consumer side of one in-flight move: its directive and the
 // index of the delta expected next (the windows build up in the shadowSet).
 type inXfer struct {
@@ -140,8 +134,8 @@ func (w *joinWorker) open(d wire.Directive) *shadowOut {
 // next builds stream o's next delta. While snapshot is left, and at least
 // once even for an empty snapshot, that is an installment: at most o.size
 // tuples as zero-copy sub-slices, the first a Reset. After it a buddy's
-// delta carries the capture (the caller clears it once the delta is
-// encoded), and a move's is the closing delta: the group now really leaves
+// delta takes the capture — handed over, not copied: an in-process inbox
+// keeps the runs — and a move's is the closing delta: the group now really leaves
 // this slave (extractGroup), and the delta carries the capture — the
 // snapshot is already on the consumer — plus the remaining backlog and the
 // directory shape the consumer rebuilds under.
@@ -159,7 +153,7 @@ func (ws *workerSet) next(o *shadowOut) wire.WindowDelta {
 			limit -= n
 		}
 	case o.d.MoveID == 0:
-		wd.Runs = o.capture
+		wd.Runs, o.capture = o.capture, [2][]tuple.Tuple{}
 	default:
 		st, pending := ws.extractGroup(o.d.Group)
 		wd.Close, wd.GlobalDepth, wd.Runs, wd.Pending = true, uint8(st.GlobalDepth), o.capture, pending

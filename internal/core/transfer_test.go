@@ -19,6 +19,7 @@ type xferRig struct {
 	cfg      Config
 	sup, con *slaveNode
 	supP     *engine.LiveProc
+	conIn    *engine.LiveInbox
 }
 
 // newXferRig builds the rig with ChunkTuples = chunk (the smallest
@@ -32,8 +33,9 @@ func newXferRig(chunk, k int) *xferRig {
 	env := engine.NewLiveEnv()
 	pa, pb := env.NewProc("xfer-sup"), env.NewProc("xfer-con")
 	ab, ba := engine.Pipe(pa, pb)
-	r.sup = newSlave(&r.cfg, 0, pa, nil, staticPeers([]engine.Conn{nil, ab}), nil, nil)
-	r.con = newSlave(&r.cfg, 1, pb, nil, staticPeers([]engine.Conn{ba, nil}), nil, nil)
+	r.conIn = engine.NewLiveInbox(pb, r.cfg.streamInboxLen())
+	r.sup = newSlave(&r.cfg, 0, pa, nil, staticPeers([]engine.Conn{nil, ab}), nil, engine.NewLiveInbox(pa, 1), nil)
+	r.con = newSlave(&r.cfg, 1, pb, nil, staticPeers([]engine.Conn{ba, nil}), nil, r.conIn, nil)
 	r.supP = pa
 	return r
 }
@@ -93,17 +95,6 @@ func closedState(wd *wire.WindowDelta) join.State {
 	}
 	return st
 }
-
-// applyConn is a replication connection whose buddy applies every delta to
-// a shadowSet as it is sent.
-type applyConn struct{ rs *shadowSet }
-
-func (c applyConn) Send(m wire.Message) {
-	if wd, ok := m.(*wire.WindowDelta); ok {
-		c.rs.apply(wd)
-	}
-}
-func (applyConn) Recv() wire.Message { return nil }
 
 // windowTuplesOf reads the current window size of group g on a slave, or -1
 // when the slave does not own it.
@@ -194,7 +185,8 @@ func TestIncrementalTransferStateMachine(t *testing.T) {
 	t.Run("replicated-and-moving", func(t *testing.T) {
 		// A replicated group can be moving too: its buddy stream and its
 		// move stream record the same rounds into separate captures, and
-		// clearing the first at an epoch flush must leave the move's intact.
+		// handing the first over at an epoch flush must leave the move's
+		// intact.
 		r := newXferRig(8, 12)
 		key := int32(7)
 		g := r.cfg.GroupOfKey(key)
@@ -214,9 +206,12 @@ func TestIncrementalTransferStateMachine(t *testing.T) {
 		if wd := r.sup.ws.next(buddy); len(wd.Runs[0]) != 2 || len(wd.Runs[1]) != 2 || wd.Reset {
 			t.Fatalf("buddy delta carries %d/%d tuples (reset %v), want the 2/2 captured", len(wd.Runs[0]), len(wd.Runs[1]), wd.Reset)
 		}
-		buddy.clearCapture() // the epoch flush ships and clears the buddy's capture
+		if len(buddy.capture[0]) != 0 || len(buddy.capture[1]) != 0 {
+			t.Fatalf("the buddy delta left %d/%d tuples in its capture, want it handed over",
+				len(buddy.capture[0]), len(buddy.capture[1]))
+		}
 		if len(move.capture[0]) != 2 || len(move.capture[1]) != 2 {
-			t.Fatalf("clearing the buddy's capture left the move's at %d/%d tuples, want 2/2",
+			t.Fatalf("handing the buddy's capture over left the move's at %d/%d tuples, want 2/2",
 				len(move.capture[0]), len(move.capture[1]))
 		}
 
@@ -243,12 +238,15 @@ func TestIncrementalTransferStateMachine(t *testing.T) {
 		r := newXferRig(8, 12)
 		key := int32(7)
 		g := r.cfg.GroupOfKey(key)
-		repl := newReplicator(&r.cfg, 0, nil, func(string) (engine.Conn, func(), error) {
-			return applyConn{r.con.rset}, func() {}, nil
-		})
+		repl := &replicator{cfg: &r.cfg, self: 0, proc: r.supP, dial: func(wire.MemberSpec) (engine.AsyncSender, func(), error) {
+			return engine.NewLiveAsyncSender(r.supP, r.conIn), func() {}, nil
+		}}
 		repl.updateRoster([]wire.MemberSpec{{ID: 0, Addr: "sup"}, {ID: 1, Addr: "con"}})
 		const cutoff = -1_000_000 // nowMs - WindowMs: nothing expires
-		flush := func(e int64) { repl.flush(r.sup.ws, e, cutoff+r.cfg.WindowMs) }
+		flush := func(e int64) {
+			repl.flush(r.sup.ws, e, cutoff+r.cfg.WindowMs)
+			r.con.rset.drain() // the consumer's epoch step
+		}
 		r.ingest(r.sup, key, 40, 0)
 		flush(1)
 		r.step(t, &wire.Directive{MoveID: 7, Group: g, From: 0, To: 1})

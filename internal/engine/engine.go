@@ -162,10 +162,14 @@ type Conn interface {
 	Recv() wire.Message
 }
 
-// Inbox is an asynchronous many-to-one receive queue (the collector path).
+// Inbox is an asynchronous many-to-one receive queue (the collector path,
+// and each slave's window-stream inbox).
 type Inbox interface {
 	// Recv blocks until a message arrives.
 	Recv() wire.Message
+	// TryRecv returns a queued message without waiting; on the simulated
+	// engine it schedules no event.
+	TryRecv() (wire.Message, bool)
 	// RecvBefore blocks until a message arrives or the absolute time
 	// deadline (since run start) passes.
 	RecvBefore(deadline time.Duration) (wire.Message, bool)

@@ -339,7 +339,8 @@ func (c *tcpConn) Recv() wire.Message {
 	return m
 }
 
-// LiveInbox is a buffered asynchronous queue for the collector path.
+// LiveInbox is a buffered asynchronous queue: the collector's, or a slave's
+// window-stream inbox.
 type LiveInbox struct {
 	p  *LiveProc
 	ch chan wire.Message
@@ -363,6 +364,20 @@ func (b *LiveInbox) Recv() wire.Message {
 	b.p.stats.MsgsRecv++
 	b.p.mu.Unlock()
 	return m
+}
+
+// TryRecv implements Inbox.
+func (b *LiveInbox) TryRecv() (wire.Message, bool) {
+	select {
+	case m := <-b.ch:
+		b.p.mu.Lock()
+		b.p.stats.BytesRecv += m.WireSize()
+		b.p.stats.MsgsRecv++
+		b.p.mu.Unlock()
+		return m, true
+	default:
+		return nil, false
+	}
 }
 
 // RecvBefore implements Inbox.

@@ -77,6 +77,15 @@ func (b *SimInbox) Recv() wire.Message {
 	return b.ib.Recv().Payload.(wire.Message)
 }
 
+// TryRecv implements Inbox.
+func (b *SimInbox) TryRecv() (wire.Message, bool) {
+	m, ok := b.ib.TryRecv()
+	if !ok {
+		return nil, false
+	}
+	return m.Payload.(wire.Message), true
+}
+
 // RecvBefore implements Inbox.
 func (b *SimInbox) RecvBefore(deadline time.Duration) (wire.Message, bool) {
 	m, ok := b.ib.RecvBefore(deadline)

@@ -320,6 +320,17 @@ func (ib *Inbox) Recv() Message {
 	return m
 }
 
+// TryRecv returns the head message if one has been delivered, without
+// blocking and without scheduling an event.
+func (ib *Inbox) TryRecv() (Message, bool) {
+	m, ok := ib.q.TryGet()
+	if ok {
+		ib.owner.stats.BytesRecv += m.Size
+		ib.owner.stats.MsgsRecv++
+	}
+	return m, ok
+}
+
 // RecvBefore is like Recv but gives up at absolute virtual time deadline.
 func (ib *Inbox) RecvBefore(deadline time.Duration) (Message, bool) {
 	nd := ib.owner

@@ -5,8 +5,8 @@
 //
 // A master node hash-partitions two input streams into partition-groups and
 // distributes them to slave nodes on a fixed per-epoch communication
-// schedule; slaves run windowed nested-loop join modules with fine-grained
-// partition tuning (extendible hashing), report buffer occupancy, and move
+// schedule; slaves run windowed join modules with fine-grained partition
+// tuning (extendible hashing), report buffer occupancy, and move
 // partition-group state between suppliers and consumers under the master's
 // control, which also adapts the degree of declustering.
 //
@@ -16,8 +16,10 @@
 //     calibrated to the paper's testbed; the experiment API regenerates
 //     every figure of the paper's evaluation on it.
 //   - RunLive runs on real goroutines with in-process rendezvous
-//     connections and honest nested-loop scans; the cmd/sjoin-master and
-//     cmd/sjoin-slave binaries deploy the same code over TCP.
+//     connections; its join probes a per-bucket hash index by default,
+//     with the paper's nested-loop scan (ProberScan) as the ablation
+//     baseline. The cmd/sjoin-master and cmd/sjoin-slave binaries deploy
+//     the same code over TCP.
 //
 // Quickstart:
 //
